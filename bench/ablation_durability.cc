@@ -186,20 +186,14 @@ double MeanExpansionMillis(const ExpansionSetup& setup, int reps,
   double total_ms = 0.0;
   for (int rep = 0; rep < reps; ++rep) {
     Stopwatch timer;
-    if (manifest_path.empty()) {
-      const auto checkpoints = core::RunIncrementalExpansion(
-          setup.space, setup.sample, setup.judgments, 40.0, setup.options);
-      if (checkpoints.empty()) std::abort();
-    } else {
-      std::remove(manifest_path.c_str());
-      core::DurableExpansionOptions durable;
-      durable.manifest_path = manifest_path;
-      durable.sync = sync;
-      auto checkpoints = core::RunIncrementalExpansionDurable(
-          setup.space, setup.sample, setup.judgments, 40.0, setup.options,
-          durable);
-      if (!checkpoints.ok()) std::abort();
-    }
+    core::DurableExpansionOptions durable;
+    durable.manifest_path = manifest_path;
+    durable.sync = sync;
+    if (!manifest_path.empty()) std::remove(manifest_path.c_str());
+    const auto checkpoints = core::RunIncrementalExpansion(
+        setup.space, setup.sample, setup.judgments, 40.0, setup.options,
+        manifest_path.empty() ? nullptr : &durable);
+    if (!checkpoints.ok() || checkpoints.value().empty()) std::abort();
     total_ms += timer.ElapsedMillis();
   }
   return total_ms / reps;
@@ -217,16 +211,18 @@ double MeanSgdMillis(const RatingDataset& data, int reps,
   for (int rep = 0; rep < reps; ++rep) {
     factorization::FactorModel model(model_config, data);
     Stopwatch timer;
-    if (snapshot_path.empty()) {
-      TrainSgd(trainer, data, model);
-    } else {
+    factorization::TrainerCheckpointOptions checkpoint;
+    checkpoint.path = snapshot_path;
+    checkpoint.every_epochs = every_epochs;
+    if (!snapshot_path.empty()) {
+      // A fresh run: drop the live snapshot and the older generation kept
+      // beside it, or training would resume from an earlier rep's state.
       std::remove(snapshot_path.c_str());
-      factorization::TrainerCheckpointOptions checkpoint;
-      checkpoint.path = snapshot_path;
-      checkpoint.every_epochs = every_epochs;
-      auto report = TrainSgdDurable(trainer, data, model, checkpoint);
-      if (!report.ok()) std::abort();
+      std::remove((snapshot_path + ".1").c_str());
     }
+    const auto report = TrainSgd(trainer, data, model,
+                                 snapshot_path.empty() ? nullptr : &checkpoint);
+    if (!report.ok()) std::abort();
     total_ms += timer.ElapsedMillis();
   }
   return total_ms / reps;
@@ -296,6 +292,7 @@ int main() {
                     TablePrinter::Num(ms, 1), OverheadCell(ms, off)});
     }
     std::remove(path.c_str());
+    std::remove((path + ".1").c_str());
     table.Print(std::cout);
     std::cout << "\n";
   }

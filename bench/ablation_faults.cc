@@ -1,7 +1,7 @@
 // Robustness study: schema expansion on a faulty crowd platform. Sweeps
 // the HIT-abandonment rate (plus one "perfect storm" row combining
 // stragglers, churn, duplicates, late delivery, and a spam burst) and runs
-// the fault-tolerant dispatch path (ExpandSchemaResilient) under a hard
+// the expansion pipeline (core::Expand) under a hard
 // dollar cap. The paper's CrowdFlower runs (Table 1) took 4-13 hours per
 // thousand items on exactly such a platform; this bench shows the pipeline
 // still returns a classifier — within budget — as the platform degrades,
@@ -62,7 +62,7 @@ int main() {
   hit_config.perception_flip_rate = 0.05;
   hit_config.seed = 61;
 
-  core::ResilientExpansionOptions options;
+  core::ExpansionOptions options;
   options.dispatcher.deadline_minutes = 60.0;
   options.dispatcher.max_reposts = 4;
   options.dispatcher.backoff_initial_minutes = 2.0;
@@ -99,11 +99,11 @@ int main() {
   for (const Scenario& scenario : scenarios) {
     crowd::HitRunConfig config = hit_config;
     config.fault = scenario.fault;
-    const core::SchemaExpansionResult result = core::ExpandSchemaResilient(
+    const core::SchemaExpansionResult result = core::Expand(
         context.space, request, pool, config, sample_truth, options);
 
     std::string gmean = "-";
-    if (result.success) {
+    if (result.status.ok()) {
       std::vector<bool> truth(context.world.num_items());
       for (std::uint32_t m = 0; m < context.world.num_items(); ++m) {
         truth[m] = comedy[m];

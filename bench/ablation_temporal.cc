@@ -8,6 +8,7 @@
 #include <iostream>
 
 #include "bench_common.h"
+#include "common/check.h"
 #include "common/stopwatch.h"
 #include "common/table_printer.h"
 #include "core/extractor.h"
@@ -54,8 +55,11 @@ int main() {
     trainer.validation_fraction = 0.1;
     trainer.patience = 100;  // fixed-epoch comparison
     Stopwatch stopwatch;
-    const auto report = factorization::TrainSgd(trainer, ratings, model);
+    const StatusOr<factorization::TrainingReport> trained =
+        factorization::TrainSgd(trainer, ratings, model);
     const double seconds = stopwatch.ElapsedSeconds();
+    CCDB_CHECK_MSG(trained.ok(), trained.status().ToString());
+    const factorization::TrainingReport& report = trained.value();
 
     const core::PerceptualSpace space(model.item_factors(),
                                       model.item_bias(),

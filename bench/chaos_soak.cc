@@ -31,6 +31,7 @@
 
 #include "bench_common.h"
 #include "common/cancellation.h"
+#include "common/check.h"
 #include "common/crash_point.h"
 #include "common/io.h"
 #include "common/journal.h"
@@ -409,8 +410,8 @@ struct ExpansionFixture {
     core::DurableExpansionOptions durable;
     durable.manifest_path = path;
     StatusOr<std::vector<core::ExpansionCheckpoint>> checkpoints =
-        core::RunIncrementalExpansionDurable(space, sample, judgments, 20.0,
-                                             options, durable);
+        core::RunIncrementalExpansion(space, sample, judgments, 20.0, options,
+                                      &durable);
     RemoveDurableFamily(path);
     if (!checkpoints.ok()) return false;
     for (const core::ExpansionCheckpoint& checkpoint : checkpoints.value()) {
@@ -486,9 +487,9 @@ void RunExpansionPhase(const ExpansionFixture& fixture, std::uint64_t seed,
       CrashPoints::Arm("expansion.checkpoint", 1 + rng.UniformInt(4));
     }
 
-    checkpoints = core::RunIncrementalExpansionDurable(
+    checkpoints = core::RunIncrementalExpansion(
         fixture.space, fixture.sample, fixture.judgments, 20.0, options,
-        durable);
+        &durable);
     CrashPoints::Disarm();
     g_cancel_target = nullptr;
     done = checkpoints.ok();
@@ -502,9 +503,9 @@ void RunExpansionPhase(const ExpansionFixture& fixture, std::uint64_t seed,
   if (!done) {
     core::DurableExpansionOptions durable;
     durable.manifest_path = path;
-    checkpoints = core::RunIncrementalExpansionDurable(
+    checkpoints = core::RunIncrementalExpansion(
         fixture.space, fixture.sample, fixture.judgments, 20.0,
-        fixture.options, durable);
+        fixture.options, &durable);
     if (!checkpoints.ok()) {
       ReportFailure(failure,
                     "clean expansion resume after chaos failed: " +
@@ -552,10 +553,11 @@ struct TrainerFixture {
     trainer.max_epochs = 5;
     trainer.learning_rate = 0.02;
     factorization::FactorModel reference(model_config, data);
-    const factorization::TrainingReport report =
+    const StatusOr<factorization::TrainingReport> report =
         TrainSgd(trainer, data, reference);
+    CCDB_CHECK_MSG(report.ok(), report.status().ToString());
     ref_model = factorization::EncodeFactorModel(reference);
-    ref_epochs = report.epochs_run;
+    ref_epochs = report.value().epochs_run;
   }
 };
 
@@ -577,7 +579,7 @@ void RunTrainerPhase(const TrainerFixture& fixture, std::uint64_t seed,
     factorization::TrainerCheckpointOptions faulty = checkpoint;
     faulty.fs = &fault_fs;
     factorization::FactorModel model(fixture.model_config, fixture.data);
-    report = TrainSgdDurable(fixture.trainer, fixture.data, model, faulty);
+    report = TrainSgd(fixture.trainer, fixture.data, model, &faulty);
     if (report.ok()) {
       final_model = factorization::EncodeFactorModel(model);
       done = true;
@@ -585,8 +587,7 @@ void RunTrainerPhase(const TrainerFixture& fixture, std::uint64_t seed,
   }
   if (!done) {
     factorization::FactorModel model(fixture.model_config, fixture.data);
-    report = TrainSgdDurable(fixture.trainer, fixture.data, model,
-                             checkpoint);
+    report = TrainSgd(fixture.trainer, fixture.data, model, &checkpoint);
     if (!report.ok()) {
       ReportFailure(failure,
                     "clean SGD resume after chaos failed: " +
@@ -1054,7 +1055,7 @@ void RunDistributedPhase(DistributedFixture& fixture, std::uint64_t seed,
       return ticket.ok() ? ticket.value().Wait()
                          : core::SchemaExpansionResult{};
     }();
-    if (!reference.success) {
+    if (!reference.status.ok()) {
       ReportFailure(failure, "reference expand failed on a clean stack",
                     nullptr);
       return;
@@ -1119,7 +1120,7 @@ void RunDistributedPhase(DistributedFixture& fixture, std::uint64_t seed,
     bool done = false;
     for (int attempt = 0; attempt < kMaxChaosAttempts && !done; ++attempt) {
       first = router.Expand(DistributedJob(fixture, seed));
-      done = first.status.ok() && first.result.success;
+      done = first.status.ok() && first.result.status.ok();
       if (!journals_monotone(error)) {
         ReportFailure(failure, error, nullptr);
         return;
@@ -1178,7 +1179,7 @@ void RunDistributedPhase(DistributedFixture& fixture, std::uint64_t seed,
     done = false;
     for (int attempt = 0; attempt < kMaxChaosAttempts && !done; ++attempt) {
       second = router.Expand(DistributedJob(fixture, seed));
-      done = second.status.ok() && second.result.success;
+      done = second.status.ok() && second.result.status.ok();
       if (!journals_monotone(error)) {
         ReportFailure(failure, error, nullptr);
         return;

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/check.h"
 #include "common/csv.h"
 #include "common/io.h"
 #include "common/rng.h"
@@ -43,15 +44,17 @@ std::vector<BoostSeries> RunBoostingExperiments(const MovieContext& context) {
 
     core::IncrementalExpansionOptions options;
     options.checkpoint_interval_minutes = 5.0;
-    const auto checkpoints = core::RunIncrementalExpansion(
-        context.space, sample, run.judgments, run.total_minutes, options);
+    const StatusOr<std::vector<core::ExpansionCheckpoint>> checkpoints =
+        core::RunIncrementalExpansion(context.space, sample, run.judgments,
+                                      run.total_minutes, options);
+    CCDB_CHECK_MSG(checkpoints.ok(), checkpoints.status().ToString());
 
     BoostSeries series;
     series.crowd_name = setups[e].name;
     series.boosted_name = boosted_names[e];
     series.total_minutes = run.total_minutes;
     series.total_dollars = run.total_cost_dollars;
-    for (const core::ExpansionCheckpoint& checkpoint : checkpoints) {
+    for (const core::ExpansionCheckpoint& checkpoint : checkpoints.value()) {
       BoostPoint point;
       point.minutes = checkpoint.minutes;
       point.rel_time = run.total_minutes > 0.0

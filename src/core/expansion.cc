@@ -1,10 +1,7 @@
 #include "core/expansion.h"
 
-#include <algorithm>
 #include <string>
 #include <unordered_set>
-
-#include "common/check.h"
 
 namespace ccdb::core {
 namespace {
@@ -37,162 +34,13 @@ TrainingSet BuildTrainingSet(const std::vector<crowd::Judgment>& judgments,
 
 }  // namespace
 
-ExpansionCheckpoint ComputeExpansionCheckpoint(
-    const PerceptualSpace& space,
-    const std::vector<std::uint32_t>& sample_items,
-    const std::vector<crowd::Judgment>& judgments, double now,
-    const ExtractorOptions& extractor_options) {
-  std::optional<ExpansionCheckpoint> checkpoint = ComputeExpansionCheckpoint(
-      space, sample_items, judgments, now, extractor_options,
-      StopCondition());
-  CCDB_CHECK(checkpoint.has_value());  // default StopCondition never fires
-  return *std::move(checkpoint);
-}
-
-std::optional<ExpansionCheckpoint> ComputeExpansionCheckpoint(
-    const PerceptualSpace& space,
-    const std::vector<std::uint32_t>& sample_items,
-    const std::vector<crowd::Judgment>& judgments, double now,
-    const ExtractorOptions& extractor_options, const StopCondition& stop) {
-  const std::size_t sample_size = sample_items.size();
-  ExpansionCheckpoint checkpoint;
-  checkpoint.minutes = now;
-  checkpoint.dollars_spent = crowd::CostUpTo(judgments, now);
-  checkpoint.crowd_classification =
-      crowd::MajorityVote(judgments, sample_size, now);
-
-  // Training set = items with a clear majority so far.
-  std::vector<std::uint32_t> training_items;
-  std::vector<bool> training_labels;
-  for (std::size_t i = 0; i < sample_size; ++i) {
-    if (checkpoint.crowd_classification[i].has_value()) {
-      training_items.push_back(sample_items[i]);
-      training_labels.push_back(*checkpoint.crowd_classification[i]);
-    }
-  }
-  checkpoint.training_size = training_items.size();
-
-  BinaryAttributeExtractor extractor(extractor_options);
-  if (extractor.Train(space, training_items, training_labels)) {
-    checkpoint.extractor_trained = true;
-    // Extract for the sample only (the experiment's universe) in one
-    // batched sweep; abort the whole checkpoint if the stop fires inside.
-    std::optional<std::vector<bool>> extracted =
-        extractor.ExtractItems(space, sample_items, stop);
-    if (!extracted.has_value()) return std::nullopt;
-    checkpoint.extracted = *std::move(extracted);
-  }
-  return checkpoint;
-}
-
-std::vector<ExpansionCheckpoint> RunIncrementalExpansion(
-    const PerceptualSpace& space,
-    const std::vector<std::uint32_t>& sample_items,
-    const std::vector<crowd::Judgment>& judgments, double total_minutes,
-    const IncrementalExpansionOptions& options) {
-  CCDB_CHECK_GT(options.checkpoint_interval_minutes, 0.0);
-
-  std::vector<ExpansionCheckpoint> checkpoints;
-  for (double t = options.checkpoint_interval_minutes;;
-       t += options.checkpoint_interval_minutes) {
-    // Cooperative stop at the checkpoint boundary: keep what is already
-    // computed (each checkpoint is a complete partial result).
-    if (options.stop.ShouldStop()) break;
-    const double now = std::min(t, total_minutes);
-    std::optional<ExpansionCheckpoint> maybe_checkpoint =
-        ComputeExpansionCheckpoint(space, sample_items, judgments, now,
-                                   options.extractor, options.stop);
-    // A stop that fires inside the extraction sweep behaves exactly like
-    // one at the boundary above: the partial checkpoint is discarded and
-    // the ones already completed are returned.
-    if (!maybe_checkpoint.has_value()) break;
-    ExpansionCheckpoint checkpoint = *std::move(maybe_checkpoint);
-    // Budget caps: keep the checkpoint that crossed the cap (it reflects
-    // the last money actually spent), then stop — partial results beat
-    // none when the crowd run outlives its budget.
-    const bool over_budget = checkpoint.dollars_spent > options.max_dollars ||
-                             now >= options.max_minutes;
-    checkpoints.push_back(std::move(checkpoint));
-    if (now >= total_minutes || over_budget) break;
-  }
-  return checkpoints;
-}
-
-Status ValidateIncrementalExpansion(
-    const std::vector<std::uint32_t>& sample_items,
-    const std::vector<crowd::Judgment>& judgments, double total_minutes,
-    const IncrementalExpansionOptions& options) {
-  if (!(options.checkpoint_interval_minutes > 0.0)) {
-    return Status::InvalidArgument(
-        "checkpoint_interval_minutes must be > 0");
-  }
-  if (sample_items.empty()) {
-    return Status::InvalidArgument("sample_items is empty");
-  }
-  if (!(total_minutes >= 0.0)) {
-    return Status::InvalidArgument("total_minutes must be >= 0");
-  }
-  for (const crowd::Judgment& judgment : judgments) {
-    if (!judgment.is_gold && judgment.item >= sample_items.size()) {
-      return Status::OutOfRange(
-          "judgment references item " + std::to_string(judgment.item) +
-          " outside the sample of " + std::to_string(sample_items.size()));
-    }
-  }
-  return Status::Ok();
-}
-
-StatusOr<std::vector<ExpansionCheckpoint>> RunIncrementalExpansionChecked(
-    const PerceptualSpace& space,
-    const std::vector<std::uint32_t>& sample_items,
-    const std::vector<crowd::Judgment>& judgments, double total_minutes,
-    const IncrementalExpansionOptions& options) {
-  if (Status status = ValidateIncrementalExpansion(sample_items, judgments,
-                                                   total_minutes, options);
-      !status.ok()) {
-    return status;
-  }
-  return RunIncrementalExpansion(space, sample_items, judgments,
-                                 total_minutes, options);
-}
-
-SchemaExpansionResult ExpandSchema(const PerceptualSpace& space,
-                                   const SchemaExpansionRequest& request,
-                                   const crowd::WorkerPool& pool,
-                                   const crowd::HitRunConfig& hit_config,
-                                   const std::vector<bool>& sample_truth) {
-  CCDB_CHECK_EQ(request.gold_sample_items.size(), sample_truth.size());
-  CCDB_CHECK(!request.gold_sample_items.empty());
-
-  SchemaExpansionResult result;
-  const crowd::CrowdRunResult run =
-      crowd::RunCrowdTask(pool, sample_truth, hit_config);
-  result.crowd_minutes = run.total_minutes;
-  result.crowd_dollars = run.total_cost_dollars;
-
-  const TrainingSet training = BuildTrainingSet(
-      run.judgments, request.gold_sample_items, run.total_minutes);
-  result.gold_sample_classified = training.items.size();
-
-  BinaryAttributeExtractor extractor(request.extractor);
-  if (!extractor.Train(space, training.items, training.labels)) {
-    result.status = Status::FailedPrecondition(
-        "crowd gold sample for '" + request.attribute_name +
-        "' did not yield two classes (" +
-        std::to_string(training.items.size()) + " classified)");
-    return result;  // success stays false
-  }
-  result.values = extractor.ExtractAll(space);
-  result.success = true;
-  result.status = Status::Ok();
-  return result;
-}
-
-SchemaExpansionResult ExpandSchemaResilient(
-    const PerceptualSpace& space, const SchemaExpansionRequest& request,
-    const crowd::WorkerPool& pool, const crowd::HitRunConfig& hit_config,
-    const std::vector<bool>& sample_truth,
-    const ResilientExpansionOptions& options) {
+SchemaExpansionResult Expand(const PerceptualSpace& space,
+                             const SchemaExpansionRequest& request,
+                             const crowd::WorkerPool& pool,
+                             const crowd::HitRunConfig& hit_config,
+                             const std::vector<bool>& sample_truth,
+                             const ExpansionOptions& options,
+                             BinaryAttributeExtractor* trained) {
   SchemaExpansionResult result;
   if (request.gold_sample_items.size() != sample_truth.size()) {
     result.status = Status::InvalidArgument(
@@ -217,16 +65,16 @@ SchemaExpansionResult ExpandSchemaResilient(
     result.status = dispatched.status();
     return result;
   }
-  // The accumulated judgment stream; (worker, item) pairs already judged
-  // are tracked so top-up rounds cannot double-count a vote.
+  // The accumulated judgment stream. Top-up rounds must not double-count
+  // a vote, so the (worker, item) pairs already judged are indexed the
+  // first time a top-up needs them — the common two-class path skips it.
   std::vector<crowd::Judgment> judgments =
       std::move(dispatched.value().judgments);
   std::unordered_set<std::uint64_t> voted;
-  for (const crowd::Judgment& judgment : judgments) {
-    if (judgment.is_gold) continue;
-    voted.insert((static_cast<std::uint64_t>(judgment.worker) << 32) |
-                 judgment.item);
-  }
+  const auto vote_key = [](const crowd::Judgment& judgment) {
+    return (static_cast<std::uint64_t>(judgment.worker) << 32) |
+           judgment.item;
+  };
   result.crowd_minutes = dispatched.value().total_minutes;
   result.crowd_dollars = dispatched.value().total_cost_dollars;
   result.dispatch = dispatched.value().stats;
@@ -293,15 +141,17 @@ SchemaExpansionResult ExpandSchemaResilient(
       return result;
     }
     ++result.topup_rounds;
+    if (voted.empty()) {
+      for (const crowd::Judgment& judgment : judgments) {
+        if (!judgment.is_gold) voted.insert(vote_key(judgment));
+      }
+    }
     const double offset = result.crowd_minutes;
     for (crowd::Judgment judgment : extra.value().judgments) {
       if (judgment.is_gold) continue;
       judgment.item = unresolved[judgment.item];
       judgment.timestamp_minutes += offset;
-      if (!voted
-               .insert((static_cast<std::uint64_t>(judgment.worker) << 32) |
-                       judgment.item)
-               .second) {
+      if (!voted.insert(vote_key(judgment)).second) {
         continue;  // this worker already voted on this item earlier
       }
       judgments.push_back(judgment);
@@ -322,7 +172,13 @@ SchemaExpansionResult ExpandSchemaResilient(
   }
   BinaryAttributeExtractor extractor(request.extractor);
   if (!extractor.Train(space, training.items, training.labels)) {
-    if (result.dispatch.budget_exhausted) {
+    // A stop that fired inside SMO (extractor smo.stop shares the request
+    // budget) leaves no support vector; that is the stop's outcome, not a
+    // verdict on the gold sample.
+    if (request.extractor.smo.stop.ShouldStop()) {
+      result.status = request.extractor.smo.stop.ToStatus(
+          "training the extractor for '" + request.attribute_name + "'");
+    } else if (result.dispatch.budget_exhausted) {
       result.status = Status::OutOfRange(
           "budget exhausted before the gold sample for '" +
           request.attribute_name + "' yielded two classes");
@@ -353,8 +209,8 @@ SchemaExpansionResult ExpandSchemaResilient(
     return result;
   }
   result.values = *std::move(values);
-  result.success = true;
   result.status = Status::Ok();
+  if (trained != nullptr) *trained = std::move(extractor);
   return result;
 }
 

@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "common/cancellation.h"
+#include "common/io.h"
+#include "common/journal.h"
 #include "common/status.h"
 #include "core/extractor.h"
 #include "core/perceptual_space.h"
@@ -44,66 +46,53 @@ struct IncrementalExpansionOptions {
   /// an empty answer. Infinity (the default) disables the cap.
   double max_dollars = std::numeric_limits<double>::infinity();
   double max_minutes = std::numeric_limits<double>::infinity();
-  /// Cooperative stop signal, probed at every checkpoint boundary. When it
-  /// fires the loop returns the checkpoints completed so far (partial
-  /// results beat none — same shape as the budget caps above). The durable
-  /// variant instead returns Cancelled / DeadlineExceeded, because its
-  /// partial state lives in the manifest journal and is resumable. The
-  /// default never fires.
+  /// Cooperative stop signal, probed at every checkpoint boundary and per
+  /// block inside each checkpoint's extraction sweep. When it fires the
+  /// loop returns Cancelled / DeadlineExceeded; the partial state is the
+  /// checkpoint prefix already journaled to the manifest (if any), which a
+  /// later run with the same inputs resumes from. The default never fires.
   StopCondition stop;
 };
 
-/// Computes the state of the incremental loop at crowd time `now`: the
-/// majority vote over judgments up to `now`, the training set it induces,
-/// and the retrained extraction. This is the single-checkpoint kernel
-/// shared by RunIncrementalExpansion and the durable/resume path
-/// (expansion_manifest.h), which is why a resumed run is bit-identical to
-/// an uninterrupted one.
-ExpansionCheckpoint ComputeExpansionCheckpoint(
-    const PerceptualSpace& space,
-    const std::vector<std::uint32_t>& sample_items,
-    const std::vector<crowd::Judgment>& judgments, double now,
-    const ExtractorOptions& extractor);
-
-/// Cancellation-aware variant: the batched extraction sweep probes `stop`
-/// per block of items, so a cancel lands within milliseconds even inside
-/// a large checkpoint. Returns nullopt when the stop fired mid-checkpoint;
-/// callers treat that exactly like a stop at the previous checkpoint
-/// boundary (partial checkpoints are never published).
-std::optional<ExpansionCheckpoint> ComputeExpansionCheckpoint(
-    const PerceptualSpace& space,
-    const std::vector<std::uint32_t>& sample_items,
-    const std::vector<crowd::Judgment>& judgments, double now,
-    const ExtractorOptions& extractor, const StopCondition& stop);
-
-/// Validates the inputs of the incremental loop (used by the Checked and
-/// durable variants): non-empty sample, positive interval, non-negative
-/// total time, judgments inside the sample.
-[[nodiscard]] Status ValidateIncrementalExpansion(
-    const std::vector<std::uint32_t>& sample_items,
-    const std::vector<crowd::Judgment>& judgments, double total_minutes,
-    const IncrementalExpansionOptions& options);
+/// Where (and how eagerly) the incremental loop journals its checkpoints.
+/// The manifest is an append-only ccdb journal holding one record per
+/// completed checkpoint, so a crashed or cancelled run resumes from the
+/// last checkpoint that reached the disk instead of re-paying the whole
+/// boosting loop (expansion_manifest.h has the record format).
+struct DurableExpansionOptions {
+  /// Path of the checkpoint manifest journal.
+  std::string manifest_path;
+  /// fsync policy of checkpoint appends (kBatch = one sync per checkpoint).
+  SyncPolicy sync = SyncPolicy::kBatch;
+  /// Filesystem backend (ResolveFs convention: nullptr = the real one).
+  Fs* fs = nullptr;
+};
 
 /// Replays a crowd judgment stream over the sample `sample_items` (crowd
 /// item id i corresponds to space item sample_items[i]), re-training the
 /// extractor at every checkpoint on the currently majority-classified
 /// items and extracting labels for the entire sample. The benches score
 /// each checkpoint against reference labels to draw Figures 3 and 4.
-std::vector<ExpansionCheckpoint> RunIncrementalExpansion(
-    const PerceptualSpace& space,
-    const std::vector<std::uint32_t>& sample_items,
-    const std::vector<crowd::Judgment>& judgments,
-    double total_minutes, const IncrementalExpansionOptions& options);
-
-/// Status-returning variant: invalid inputs (empty sample, non-positive
-/// interval, judgments referencing items outside the sample) come back as
-/// InvalidArgument instead of aborting the process.
+/// Fresh, resumed and journal-free runs share one checkpoint kernel, so
+/// they produce bit-identical checkpoints.
+///
+/// Invalid inputs (empty sample, non-positive interval, negative total
+/// time, judgments outside the sample) return InvalidArgument / OutOfRange.
+/// With a `manifest`, every checkpoint is appended to the journal (and
+/// synced per its policy) before the loop advances; checkpoints already
+/// journaled by an interrupted run with the same input fingerprint are
+/// loaded verbatim and the loop continues after them, so the result is
+/// bit-identical to an uninterrupted run's. A manifest of different
+/// inputs is rejected with InvalidArgument. A fired `options.stop`
+/// returns Cancelled / DeadlineExceeded. Implemented in
+/// expansion_manifest.cc, next to the journal codec.
 [[nodiscard]]
-StatusOr<std::vector<ExpansionCheckpoint>> RunIncrementalExpansionChecked(
+StatusOr<std::vector<ExpansionCheckpoint>> RunIncrementalExpansion(
     const PerceptualSpace& space,
     const std::vector<std::uint32_t>& sample_items,
     const std::vector<crowd::Judgment>& judgments, double total_minutes,
-    const IncrementalExpansionOptions& options);
+    const IncrementalExpansionOptions& options,
+    const DurableExpansionOptions* manifest = nullptr);
 
 /// End-to-end schema expansion (the Figure 2 workflow): crowd-source a
 /// gold sample for the new attribute, train the extractor, and return
@@ -123,18 +112,19 @@ struct SchemaExpansionResult {
   double crowd_minutes = 0.0;
   double crowd_dollars = 0.0;
   std::size_t gold_sample_classified = 0;
-  bool success = false;
-  /// Why the expansion failed (or Ok) — success is status.ok(), kept as a
-  /// bool for existing call sites.
+  /// Ok when `values` holds the filled attribute; otherwise why not.
   Status status = Status::FailedPrecondition("expansion not run");
-  /// Dispatch accounting (zeroed for the plain ExpandSchema path).
+  /// Dispatch accounting, top-up rounds included.
   crowd::DispatchStats dispatch;
-  /// One-class recovery rounds issued by the resilient path.
+  /// One-class recovery rounds issued by the pipeline.
   std::size_t topup_rounds = 0;
 };
 
-/// Policy of the fault-tolerant expansion path.
-struct ResilientExpansionOptions {
+/// Policy of the expansion pipeline. With the defaults (wait-forever
+/// dispatch, no caps, no stop) and a fault-free crowd, a gold sample that
+/// votes two classes expands bit for bit like the plain crowd → vote →
+/// train → fill pipeline.
+struct ExpansionOptions {
   /// Dispatcher policy (deadlines, reposts, budget caps). The dollar /
   /// minute caps bound the *whole* expansion including top-up rounds.
   crowd::DispatcherConfig dispatcher;
@@ -152,29 +142,25 @@ struct ResilientExpansionOptions {
   StopCondition stop;
 };
 
-/// Runs the full pipeline: dispatch the gold sample to `pool` under
-/// `hit_config` (true labels of the sample supplied for simulation),
-/// majority-vote, train, extract all. Fails (success=false) when the
-/// crowd produced fewer than two distinct classes.
-SchemaExpansionResult ExpandSchema(const PerceptualSpace& space,
-                                   const SchemaExpansionRequest& request,
-                                   const crowd::WorkerPool& pool,
-                                   const crowd::HitRunConfig& hit_config,
-                                   const std::vector<bool>& sample_truth);
-
-/// Fault-tolerant expansion: acquires the gold sample through the
-/// Dispatcher (deadlines, reposts, dedup, budget caps) and degrades
-/// gracefully — on a one-class sample it re-dispatches a targeted top-up
-/// of the unclassified items; when the budget runs out it trains on
-/// whatever arrived. The returned `status` explains any failure
-/// (InvalidArgument for malformed requests, OutOfRange when the budget
-/// died first, FailedPrecondition when the sample never yielded two
-/// classes); crowd spend and dispatch stats are reported either way.
-SchemaExpansionResult ExpandSchemaResilient(
-    const PerceptualSpace& space, const SchemaExpansionRequest& request,
-    const crowd::WorkerPool& pool, const crowd::HitRunConfig& hit_config,
-    const std::vector<bool>& sample_truth,
-    const ResilientExpansionOptions& options);
+/// The expansion pipeline, the one entry point of the SQL resolver and the
+/// expansion service: acquires the gold sample through the Dispatcher
+/// (deadlines, reposts, dedup, budget caps), majority-votes, trains the
+/// extractor and fills every item of the space. It degrades gracefully —
+/// on a one-class sample it re-dispatches a targeted top-up of the
+/// unclassified items; when the budget runs out it trains on whatever
+/// arrived. The returned `status` explains any failure (InvalidArgument
+/// for malformed requests, OutOfRange when the budget died first,
+/// FailedPrecondition when the sample never yielded two classes,
+/// Cancelled / DeadlineExceeded when `options.stop` fired); crowd spend
+/// and dispatch stats are reported either way. On success, `trained`
+/// (when non-null) receives the extractor, e.g. to fill rows added later.
+SchemaExpansionResult Expand(const PerceptualSpace& space,
+                             const SchemaExpansionRequest& request,
+                             const crowd::WorkerPool& pool,
+                             const crowd::HitRunConfig& hit_config,
+                             const std::vector<bool>& sample_truth,
+                             const ExpansionOptions& options,
+                             BinaryAttributeExtractor* trained = nullptr);
 
 }  // namespace ccdb::core
 

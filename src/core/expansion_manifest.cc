@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
+#include <string>
 #include <utility>
 
 #include "common/crash_point.h"
@@ -193,55 +195,122 @@ StatusOr<ExpansionManifest> LoadExpansionManifest(const std::string& path,
 
 namespace {
 
-StatusOr<std::vector<ExpansionCheckpoint>> RunDurableImpl(
+Status ValidateIncrementalExpansion(
+    const std::vector<std::uint32_t>& sample_items,
+    const std::vector<crowd::Judgment>& judgments, double total_minutes,
+    const IncrementalExpansionOptions& options) {
+  if (!(options.checkpoint_interval_minutes > 0.0)) {
+    return Status::InvalidArgument(
+        "checkpoint_interval_minutes must be > 0");
+  }
+  if (sample_items.empty()) {
+    return Status::InvalidArgument("sample_items is empty");
+  }
+  if (!(total_minutes >= 0.0)) {
+    return Status::InvalidArgument("total_minutes must be >= 0");
+  }
+  for (const crowd::Judgment& judgment : judgments) {
+    if (!judgment.is_gold && judgment.item >= sample_items.size()) {
+      return Status::OutOfRange(
+          "judgment references item " + std::to_string(judgment.item) +
+          " outside the sample of " + std::to_string(sample_items.size()));
+    }
+  }
+  return Status::Ok();
+}
+
+/// The single-checkpoint kernel: the majority vote over judgments up to
+/// `now`, the training set it induces, and the retrained extraction over
+/// the sample (the experiment's universe) in one batched sweep. nullopt
+/// when `stop` fired inside the sweep — a partial checkpoint is never
+/// published.
+std::optional<ExpansionCheckpoint> ComputeExpansionCheckpoint(
+    const PerceptualSpace& space,
+    const std::vector<std::uint32_t>& sample_items,
+    const std::vector<crowd::Judgment>& judgments, double now,
+    const ExtractorOptions& extractor_options, const StopCondition& stop) {
+  const std::size_t sample_size = sample_items.size();
+  ExpansionCheckpoint checkpoint;
+  checkpoint.minutes = now;
+  checkpoint.dollars_spent = crowd::CostUpTo(judgments, now);
+  checkpoint.crowd_classification =
+      crowd::MajorityVote(judgments, sample_size, now);
+
+  // Training set = items with a clear majority so far.
+  std::vector<std::uint32_t> training_items;
+  std::vector<bool> training_labels;
+  for (std::size_t i = 0; i < sample_size; ++i) {
+    if (checkpoint.crowd_classification[i].has_value()) {
+      training_items.push_back(sample_items[i]);
+      training_labels.push_back(*checkpoint.crowd_classification[i]);
+    }
+  }
+  checkpoint.training_size = training_items.size();
+
+  BinaryAttributeExtractor extractor(extractor_options);
+  if (extractor.Train(space, training_items, training_labels)) {
+    checkpoint.extractor_trained = true;
+    std::optional<std::vector<bool>> extracted =
+        extractor.ExtractItems(space, sample_items, stop);
+    if (!extracted.has_value()) return std::nullopt;
+    checkpoint.extracted = *std::move(extracted);
+  }
+  return checkpoint;
+}
+
+}  // namespace
+
+StatusOr<std::vector<ExpansionCheckpoint>> RunIncrementalExpansion(
     const PerceptualSpace& space,
     const std::vector<std::uint32_t>& sample_items,
     const std::vector<crowd::Judgment>& judgments, double total_minutes,
     const IncrementalExpansionOptions& options,
-    const DurableExpansionOptions& durable, bool require_existing) {
-  if (durable.manifest_path.empty()) {
-    return Status::InvalidArgument(
-        "DurableExpansionOptions.manifest_path is empty");
-  }
+    const DurableExpansionOptions* manifest) {
   if (Status status = ValidateIncrementalExpansion(sample_items, judgments,
                                                    total_minutes, options);
       !status.ok()) {
     return status;
   }
-  const std::uint64_t fingerprint =
-      ExpansionFingerprint(sample_items, judgments, total_minutes, options);
 
-  JournalContents recovered;
-  StatusOr<JournalWriter> opened =
-      JournalWriter::Open(durable.manifest_path, durable.sync, &recovered,
-                          durable.fs);
-  if (!opened.ok()) return opened.status();
-  JournalWriter writer = std::move(opened).value();
-
-  StatusOr<ExpansionManifest> replayed = ReplayManifest(recovered.records);
-  if (!replayed.ok()) return replayed.status();
-  ExpansionManifest manifest = std::move(replayed).value();
-  if (require_existing && !manifest.begun) {
-    return Status::NotFound("no expansion to resume in " +
-                            durable.manifest_path);
-  }
-  if (manifest.begun && manifest.fingerprint != fingerprint) {
-    return Status::InvalidArgument(
-        "manifest " + durable.manifest_path +
-        " belongs to a different expansion (fingerprint mismatch)");
-  }
-  if (!manifest.begun) {
-    if (Status status = writer.Append(EncodeBegin(fingerprint));
-        !status.ok()) {
-      return status;
+  // With a manifest, open the journal and recover its durable prefix; a
+  // manifest of other inputs is rejected instead of spliced in.
+  std::optional<JournalWriter> writer;
+  ExpansionManifest recovered;
+  std::uint64_t fingerprint = 0;
+  const auto append = [&writer](const std::string& record) -> Status {
+    if (Status status = writer->Append(record); !status.ok()) return status;
+    return writer->Sync();
+  };
+  if (manifest != nullptr) {
+    if (manifest->manifest_path.empty()) {
+      return Status::InvalidArgument(
+          "DurableExpansionOptions.manifest_path is empty");
     }
-    if (Status status = writer.Sync(); !status.ok()) return status;
+    fingerprint =
+        ExpansionFingerprint(sample_items, judgments, total_minutes, options);
+    JournalContents contents;
+    StatusOr<JournalWriter> opened = JournalWriter::Open(
+        manifest->manifest_path, manifest->sync, &contents, manifest->fs);
+    if (!opened.ok()) return opened.status();
+    writer.emplace(std::move(opened).value());
+    StatusOr<ExpansionManifest> replayed = ReplayManifest(contents.records);
+    if (!replayed.ok()) return replayed.status();
+    recovered = std::move(replayed).value();
+    if (recovered.begun && recovered.fingerprint != fingerprint) {
+      return Status::InvalidArgument(
+          "manifest " + manifest->manifest_path +
+          " belongs to a different expansion (fingerprint mismatch)");
+    }
+    if (!recovered.begun) {
+      if (Status status = append(EncodeBegin(fingerprint)); !status.ok()) {
+        return status;
+      }
+    }
+    CCDB_CRASH_POINT("expansion.begin");
   }
-  CCDB_CRASH_POINT("expansion.begin");
 
-  // The loop advances `t` by repeated addition — exactly like
-  // RunIncrementalExpansion — so recomputed and resumed runs walk the
-  // identical floating-point time grid. Durable checkpoints are consumed
+  // `t` advances by repeated addition, so fresh and resumed runs walk the
+  // identical floating-point time grid. Journaled checkpoints are consumed
   // verbatim; the first missing index is computed, journaled, then used.
   std::vector<ExpansionCheckpoint> checkpoints;
   std::size_t index = 0;
@@ -249,65 +318,54 @@ StatusOr<std::vector<ExpansionCheckpoint>> RunDurableImpl(
        t += options.checkpoint_interval_minutes, ++index) {
     const double now = std::min(t, total_minutes);
     ExpansionCheckpoint checkpoint;
-    if (index < manifest.checkpoints.size()) {
-      checkpoint = manifest.checkpoints[index];
+    if (index < recovered.checkpoints.size()) {
+      checkpoint = std::move(recovered.checkpoints[index]);
     } else {
-      // Cooperative stop at the checkpoint boundary. Checkpoints already
-      // journaled stay on disk; a later run (or ResumeIncrementalExpansion)
-      // with the same inputs picks up exactly here — cancellation leaves
-      // the same durable state as a crash would, minus the torn tail.
-      if (options.stop.ShouldStop()) {
-        if (Status status = writer.Close(); !status.ok()) return status;
-        return options.stop.ToStatus("durable incremental expansion");
+      // Cooperative stop at the checkpoint boundary or inside the sweep.
+      // Checkpoints already journaled stay on disk; a later run with the
+      // same inputs picks up exactly here — cancellation leaves the same
+      // durable state as a crash would, minus the torn tail.
+      std::optional<ExpansionCheckpoint> computed;
+      if (!options.stop.ShouldStop()) {
+        computed = ComputeExpansionCheckpoint(space, sample_items, judgments,
+                                              now, options.extractor,
+                                              options.stop);
       }
-      checkpoint = ComputeExpansionCheckpoint(space, sample_items, judgments,
-                                              now, options.extractor);
-      if (Status status =
-              writer.Append(EncodeCheckpointRecord(index, checkpoint));
-          !status.ok()) {
-        return status;
+      if (!computed.has_value()) {
+        if (writer.has_value()) {
+          if (Status status = writer->Close(); !status.ok()) return status;
+        }
+        return options.stop.ToStatus("incremental expansion");
       }
-      if (Status status = writer.Sync(); !status.ok()) return status;
-      CCDB_CRASH_POINT("expansion.checkpoint");
+      checkpoint = *std::move(computed);
+      if (writer.has_value()) {
+        if (Status status =
+                append(EncodeCheckpointRecord(index, checkpoint));
+            !status.ok()) {
+          return status;
+        }
+        CCDB_CRASH_POINT("expansion.checkpoint");
+      }
     }
+    // Budget caps: keep the checkpoint that crossed the cap (it reflects
+    // the last money actually spent), then stop — partial results beat
+    // none when the crowd run outlives its budget.
     const bool over_budget = checkpoint.dollars_spent > options.max_dollars ||
                              now >= options.max_minutes;
     checkpoints.push_back(std::move(checkpoint));
     if (now >= total_minutes || over_budget) break;
   }
 
-  if (!manifest.finished) {
-    if (Status status = writer.Append(EncodeFinish(fingerprint));
-        !status.ok()) {
-      return status;
+  if (writer.has_value()) {
+    if (!recovered.finished) {
+      if (Status status = append(EncodeFinish(fingerprint)); !status.ok()) {
+        return status;
+      }
     }
-    if (Status status = writer.Sync(); !status.ok()) return status;
+    CCDB_CRASH_POINT("expansion.finish");
+    if (Status status = writer->Close(); !status.ok()) return status;
   }
-  CCDB_CRASH_POINT("expansion.finish");
-  if (Status status = writer.Close(); !status.ok()) return status;
   return checkpoints;
-}
-
-}  // namespace
-
-StatusOr<std::vector<ExpansionCheckpoint>> RunIncrementalExpansionDurable(
-    const PerceptualSpace& space,
-    const std::vector<std::uint32_t>& sample_items,
-    const std::vector<crowd::Judgment>& judgments, double total_minutes,
-    const IncrementalExpansionOptions& options,
-    const DurableExpansionOptions& durable) {
-  return RunDurableImpl(space, sample_items, judgments, total_minutes,
-                        options, durable, /*require_existing=*/false);
-}
-
-StatusOr<std::vector<ExpansionCheckpoint>> ResumeIncrementalExpansion(
-    const PerceptualSpace& space,
-    const std::vector<std::uint32_t>& sample_items,
-    const std::vector<crowd::Judgment>& judgments, double total_minutes,
-    const IncrementalExpansionOptions& options,
-    const DurableExpansionOptions& durable) {
-  return RunDurableImpl(space, sample_items, judgments, total_minutes,
-                        options, durable, /*require_existing=*/true);
 }
 
 }  // namespace ccdb::core

@@ -12,22 +12,11 @@
 
 namespace ccdb::core {
 
-/// Where (and how eagerly) the incremental expansion persists its durable
-/// state. The manifest is an append-only ccdb journal holding one record
-/// per completed checkpoint, so a crashed `RunIncrementalExpansionDurable`
-/// resumes from the last checkpoint that reached the disk instead of
-/// re-paying the whole boosting loop.
-struct DurableExpansionOptions {
-  /// Path of the checkpoint manifest journal.
-  std::string manifest_path;
-  /// fsync policy of checkpoint appends (kBatch = one sync per checkpoint).
-  SyncPolicy sync = SyncPolicy::kBatch;
-  /// Filesystem backend (ResolveFs convention: nullptr = the real one).
-  Fs* fs = nullptr;
-};
-
-/// Durable state recovered from an expansion manifest journal: the
-/// gap-free prefix of checkpoints that fully reached the disk.
+/// Durable state recovered from the checkpoint manifest of
+/// RunIncrementalExpansion (expansion.h), an append-only ccdb journal of a
+/// begin record (input fingerprint), one record per completed checkpoint
+/// and a finish record: the gap-free prefix of checkpoints that fully
+/// reached the disk.
 struct ExpansionManifest {
   bool begun = false;
   /// Fingerprint of the run's inputs (sample, judgment stream, options).
@@ -57,32 +46,6 @@ std::string EncodeExpansionCheckpoint(const ExpansionCheckpoint& checkpoint);
 [[nodiscard]]
 StatusOr<ExpansionManifest> LoadExpansionManifest(const std::string& path,
                                                   Fs* fs = nullptr);
-
-/// Durable variant of RunIncrementalExpansionChecked: every checkpoint is
-/// appended to the manifest journal (and synced per `options.sync`) before
-/// the loop advances. If the manifest already holds checkpoints from an
-/// interrupted run with the same input fingerprint, they are loaded
-/// verbatim and the loop continues after them — the returned vector is
-/// bit-identical to an uninterrupted run's.
-[[nodiscard]]
-StatusOr<std::vector<ExpansionCheckpoint>> RunIncrementalExpansionDurable(
-    const PerceptualSpace& space,
-    const std::vector<std::uint32_t>& sample_items,
-    const std::vector<crowd::Judgment>& judgments, double total_minutes,
-    const IncrementalExpansionOptions& options,
-    const DurableExpansionOptions& durable);
-
-/// Resume-only entry point: identical to RunIncrementalExpansionDurable
-/// but requires the manifest to exist already (NotFound otherwise) — the
-/// call a recovery supervisor makes after a crash, when starting from
-/// scratch would mean the journal path is wrong.
-[[nodiscard]]
-StatusOr<std::vector<ExpansionCheckpoint>> ResumeIncrementalExpansion(
-    const PerceptualSpace& space,
-    const std::vector<std::uint32_t>& sample_items,
-    const std::vector<crowd::Judgment>& judgments, double total_minutes,
-    const IncrementalExpansionOptions& options,
-    const DurableExpansionOptions& durable);
 
 }  // namespace ccdb::core
 

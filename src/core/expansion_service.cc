@@ -209,7 +209,7 @@ void ExpansionService::RunFlight(const std::shared_ptr<Flight>& flight) {
   // expiry is best-effort (the dispatcher returns the judgments already
   // bought); training and extraction run under the full budget, where
   // expiry aborts the flight.
-  ResilientExpansionOptions expansion = job.expansion;
+  ExpansionOptions expansion = job.expansion;
   expansion.stop = flight_stop;
   expansion.dispatcher.stop = StopCondition(
       flight->cancel.token(),
@@ -218,8 +218,8 @@ void ExpansionService::RunFlight(const std::shared_ptr<Flight>& flight) {
   SchemaExpansionRequest request = job.request;
   request.extractor.smo.stop = flight_stop;
 
-  SchemaExpansionResult result = ExpandSchemaResilient(
-      space_, request, pool_, job.hit_config, job.sample_truth, expansion);
+  SchemaExpansionResult result = Expand(space_, request, pool_, job.hit_config,
+                                        job.sample_truth, expansion);
 
   MutexLock lock(mu_);
   ++stats_.expansions_run;

@@ -60,7 +60,7 @@ struct ExpansionJob {
   crowd::HitRunConfig hit_config;
   /// Reference labels of the gold sample (simulation input).
   std::vector<bool> sample_truth;
-  ResilientExpansionOptions expansion;
+  ExpansionOptions expansion;
   double deadline_seconds = 0.0;
   CancellationToken cancel;
 };
@@ -94,7 +94,7 @@ struct ServiceStats {
   double crowd_dollars_spent = 0.0;
 };
 
-/// Concurrent, overload-safe front end over ExpandSchemaResilient.
+/// Concurrent, overload-safe front end over the Expand pipeline.
 ///
 /// Requests are admitted onto a bounded worker pool with a bounded queue
 /// (load-shedding with ResourceExhausted when full), deduplicated

@@ -289,7 +289,6 @@ std::string EncodeExpandResponse(const ExpandResponse& response) {
   w.PutF64(result.crowd_minutes);
   w.PutF64(result.crowd_dollars);
   w.PutU64(result.gold_sample_classified);
-  w.PutBool(result.success);
   PutStatus(w, result.status);
   const crowd::DispatchStats& s = result.dispatch;
   w.PutU64(s.repost_rounds);
@@ -319,7 +318,6 @@ StatusOr<ExpandResponse> DecodeExpandResponse(const std::string& payload) {
   result.crowd_minutes = r.GetF64();
   result.crowd_dollars = r.GetF64();
   result.gold_sample_classified = r.GetU64();
-  result.success = r.GetBool();
   result.status = GetStatus(r);
   crowd::DispatchStats& s = result.dispatch;
   s.repost_rounds = r.GetU64();

@@ -58,6 +58,9 @@ bool BinaryAttributeExtractor::Train(const PerceptualSpace& space,
     }
   }
   model_ = svm::TrainClassifier(examples, signed_labels, classifier_options);
+  // A stop that fired before SMO's first step leaves every alpha at zero:
+  // no support vector, nothing to calibrate or predict with.
+  if (!model_.trained()) return false;
 
   // Calibrate probabilities on the gold sample (Platt scaling). Small
   // samples give a rough sigmoid, but it is monotone in the margin, which

@@ -46,7 +46,8 @@ class BinaryAttributeExtractor {
   explicit BinaryAttributeExtractor(const ExtractorOptions& options = {});
 
   /// Trains on the gold sample. Requires at least one positive and one
-  /// negative label; returns false (untrained) otherwise.
+  /// negative label; returns false (untrained) otherwise, and also when
+  /// `smo.stop` fired before the solver kept any support vector.
   bool Train(const PerceptualSpace& space,
              const std::vector<std::uint32_t>& items,
              const std::vector<bool>& labels);

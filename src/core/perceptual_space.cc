@@ -12,7 +12,9 @@ namespace ccdb::core {
 PerceptualSpace PerceptualSpace::Build(const RatingDataset& ratings,
                                        const PerceptualSpaceOptions& options) {
   factorization::FactorModel model(options.model, ratings);
-  factorization::TrainSgd(options.trainer, ratings, model);
+  const StatusOr<factorization::TrainingReport> trained =
+      factorization::TrainSgd(options.trainer, ratings, model);
+  CCDB_CHECK_MSG(trained.ok(), trained.status().ToString());
   return PerceptualSpace(model.item_factors(), model.item_bias(),
                          model.global_mean());
 }

@@ -64,34 +64,12 @@ Status PerceptualExpansionResolver::ResolveBool(
     sample_truth.push_back(spec.bool_truth(item));
   }
 
-  // Run the crowd pass, then train and *retain* the extractor so Refresh
-  // can fill rows appended later without another crowd round-trip.
-  const crowd::CrowdRunResult run =
-      crowd::RunCrowdTask(pool_, sample_truth, hit_config_);
-  const auto classification = crowd::MajorityVote(
-      run.judgments, request.gold_sample_items.size(), run.total_minutes);
-  std::vector<std::uint32_t> training_items;
-  std::vector<bool> training_labels;
-  for (std::size_t i = 0; i < classification.size(); ++i) {
-    if (classification[i].has_value()) {
-      training_items.push_back(request.gold_sample_items[i]);
-      training_labels.push_back(*classification[i]);
-    }
-  }
-  BinaryAttributeExtractor extractor(spec.extractor);
-  last_result_ = SchemaExpansionResult{};
-  last_result_.crowd_minutes = run.total_minutes;
-  last_result_.crowd_dollars = run.total_cost_dollars;
-  last_result_.gold_sample_classified = training_items.size();
-  if (!extractor.Train(*space_, training_items, training_labels)) {
-    last_result_.status = Status::FailedPrecondition(
-        "crowd gold sample did not yield two classes for " + column_name);
-    return Status::Internal(
-        "crowd gold sample did not yield two classes for " + column_name);
-  }
-  last_result_.values = extractor.ExtractAll(*space_);
-  last_result_.success = true;
-  last_result_.status = Status::Ok();
+  // Run the expansion pipeline and *retain* the extractor so Refresh can
+  // fill rows appended later without another crowd round-trip.
+  BinaryAttributeExtractor extractor;
+  last_result_ = Expand(*space_, request, pool_, hit_config_, sample_truth,
+                        ExpansionOptions{}, &extractor);
+  if (!last_result_.status.ok()) return last_result_.status;
   trained_binary_[column_name] = std::move(extractor);
   audit_log_.push_back({column_name, db::ColumnType::kBool,
                         request.gold_sample_items.size(),
@@ -149,7 +127,7 @@ Status PerceptualExpansionResolver::ResolveNumeric(
     values[row] = db::Value(extracted[row]);
   }
   last_result_ = SchemaExpansionResult{};
-  last_result_.success = true;
+  last_result_.status = Status::Ok();
   last_result_.gold_sample_classified = items.size();
   audit_log_.push_back({column_name, db::ColumnType::kDouble, items.size(),
                         items.size(), 0.0, 0.0});

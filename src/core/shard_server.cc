@@ -36,6 +36,10 @@ bool CacheableOutcome(const Status& status) {
   }
 }
 
+/// Upper bound of one wait slice of a re-delivery waiting on a claimant;
+/// the claimant signals on completion, so this only paces deadline checks.
+constexpr double kClaimPollSeconds = 0.01;
+
 }  // namespace
 
 ExpansionShardServer::ExpansionShardServer(
@@ -206,43 +210,62 @@ StatusOr<std::string> ExpansionShardServer::HandleExpand(
   {
     MutexLock lock(mu_);
     ++stats_.expands;
-    // Idempotency: a re-delivery (retry, hedge, duplicate, resend after a
-    // reset) of an already-finished job is answered from the cache — the
-    // crowd money was spent exactly once.
-    if (auto it = results_.find(fingerprint); it != results_.end()) {
-      ++stats_.expand_cache_hits;
-      return it->second;
+    for (;;) {
+      // Idempotency: a re-delivery (retry, hedge, duplicate, resend after
+      // a reset) of an already-finished job is answered from the cache —
+      // the crowd money was spent exactly once.
+      if (auto it = results_.find(fingerprint); it != results_.end()) {
+        ++stats_.expand_cache_hits;
+        return it->second;
+      }
+      // A re-delivery racing a running delivery of the same job waits for
+      // that claimant's answer: the claimant's flight may already have
+      // left the service's single-flight table without its result being
+      // cached yet, and starting a second flight would spend twice.
+      const auto claim = claims_.find(fingerprint);
+      if (claim == claims_.end()) break;
+      const double remaining = claim->second.RemainingSeconds();
+      if (remaining <= 0.0) {
+        return Status::DeadlineExceeded(
+            "expand re-delivery outwaited the claimant's flight deadline");
+      }
+      claims_cv_.WaitFor(mu_, std::min(remaining, kClaimPollSeconds));
     }
+    // Unclaimed (or the claimant's outcome was not cacheable): run it.
+    const double budget = job.deadline_seconds > 0.0
+                              ? job.deadline_seconds
+                              : options_.service.default_deadline_seconds;
+    claims_.emplace(fingerprint, Deadline::AfterSeconds(budget));
   }
 
-  // Not cached: run it. Concurrent deliveries of the same fingerprint are
-  // deduplicated by the service's single-flight table, so even a
-  // duplicate that races the original joins the same pipeline.
+  ExpandResponse response;
+  std::string encoded;
   StatusOr<ExpansionService::Ticket> ticket_or =
       service_.ExpandAttribute(std::move(job));
-  if (!ticket_or.ok()) return ticket_or.status();
-  ExpandResponse response;
-  // ccdb-lint: allow(blocking-wait) — the ticket's flight carries the
-  // job's own deadline; Wait() is bounded by it.
-  response.result = ticket_or.value().Wait();
-
-  std::string encoded = EncodeExpandResponse(response);
-  if (CacheableOutcome(response.result.status)) {
-    MutexLock lock(mu_);
-    // First writer wins; a concurrent duplicate that finished the shared
-    // flight just before us inserted the identical bytes anyway.
-    auto [it, inserted] = results_.emplace(fingerprint, encoded);
-    if (inserted && journal_.has_value()) {
-      // The cache record is appended (and fsynced) before the response
-      // leaves the server: once a caller can observe the result, a
-      // crash/restart cannot forget it and re-spend.
-      if (!journal_->Append(EncodeCacheRecord(fingerprint, encoded)).ok()) {
-        ++stats_.journal_append_failures;
-      }
-    }
-    return it->second;
+  if (ticket_or.ok()) {
+    // ccdb-lint: allow(blocking-wait) — the ticket's flight carries the
+    // job's own deadline; Wait() is bounded by it.
+    response.result = ticket_or.value().Wait();
+    encoded = EncodeExpandResponse(response);
   }
-  return encoded;
+
+  // Release the claim and publish a cacheable answer in one critical
+  // section, so a waiting re-delivery finds either the answer or no claim.
+  MutexLock lock(mu_);
+  claims_.erase(fingerprint);
+  claims_cv_.SignalAll();
+  if (!ticket_or.ok()) return ticket_or.status();
+  if (!CacheableOutcome(response.result.status)) return encoded;
+  auto [it, inserted] = results_.emplace(fingerprint, std::move(encoded));
+  if (inserted && journal_.has_value()) {
+    // The cache record is appended (and fsynced) before the response
+    // leaves the server: once a caller can observe the result, a
+    // crash/restart cannot forget it and re-spend.
+    if (!journal_->Append(EncodeCacheRecord(fingerprint, it->second)).ok()) {
+      ++stats_.journal_append_failures;
+    }
+  }
+  return it->second;
 }
 
 }  // namespace ccdb::core

@@ -6,6 +6,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "common/deadline.h"
 #include "common/io.h"
 #include "common/journal.h"
 #include "common/mutex.h"
@@ -117,6 +118,12 @@ class ExpansionShardServer {
   /// Fingerprint -> encoded ExpandResponse of every finished expansion
   /// with a deterministic outcome. First writer wins.
   std::unordered_map<std::uint64_t, std::string> results_ GUARDED_BY(mu_);
+  /// Fingerprint -> flight deadline of the delivery currently running that
+  /// job. Re-deliveries of a claimed job wait on `claims_cv_` for its
+  /// cached answer and run the job themselves only when the claimant's
+  /// outcome was not cacheable.
+  std::unordered_map<std::uint64_t, Deadline> claims_ GUARDED_BY(mu_);
+  CondVar claims_cv_;
   std::optional<JournalWriter> journal_ GUARDED_BY(mu_);
 
   /// Declared last so in-flight handler state outlives nothing it uses.

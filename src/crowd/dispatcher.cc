@@ -98,6 +98,8 @@ StatusOr<DispatchResult> Dispatcher::RunWith(
                          const std::vector<std::uint32_t>& item_map) {
     ++phases_merged;
     const double phase_deadline = phase_start + config_.deadline_minutes;
+    seen.reserve(seen.size() + run.judgments.size());
+    result.judgments.reserve(result.judgments.size() + run.judgments.size());
     for (const Judgment& judgment : run.judgments) {
       Judgment shifted = judgment;
       shifted.timestamp_minutes += phase_start;

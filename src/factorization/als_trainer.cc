@@ -1,8 +1,13 @@
 #include "factorization/als_trainer.h"
 
+#include <string>
+
 #include "common/cholesky.h"
+#include "common/crash_point.h"
+#include "common/journal.h"
 #include "common/thread_pool.h"
 #include "common/vec.h"
+#include "factorization/checkpoint.h"
 
 namespace ccdb::factorization {
 namespace {
@@ -61,7 +66,8 @@ double SolveBias(std::span<const RatingEntry> entries,
 }  // namespace
 
 StatusOr<AlsReport> TrainAls(const AlsTrainerConfig& config,
-                             const RatingDataset& data, FactorModel& model) {
+                             const RatingDataset& data, FactorModel& model,
+                             const TrainerCheckpointOptions* snapshots) {
   if (model.config().kind != ModelKind::kSvdDotProduct) {
     return Status::InvalidArgument(
         "ALS supports the SVD dot-product model only; train the Euclidean "
@@ -71,12 +77,39 @@ StatusOr<AlsReport> TrainAls(const AlsTrainerConfig& config,
     return Status::InvalidArgument("sweeps must be positive");
   }
 
+  AlsReport report;
+  // The schedule a snapshot must match: the sweep count (the thread count
+  // does not change the result).
+  ByteWriter schedule;
+  schedule.PutU64(static_cast<std::uint64_t>(config.sweeps));
+  if (snapshots != nullptr) {
+    StatusOr<std::string> saved =
+        ReadTrainerSnapshot(*snapshots, schedule.bytes(), data, model);
+    if (saved.ok()) {
+      ByteReader r(saved.value());
+      const std::uint64_t sweeps_run = r.GetU64();
+      if (sweeps_run > static_cast<std::uint64_t>(config.sweeps)) {
+        return Status::InvalidArgument(
+            "ALS checkpoint claims more sweeps than the schedule has");
+      }
+      report.sweeps_run = static_cast<int>(sweeps_run);
+      if (Status status =
+              GetDoubles(r, report.rmse_per_sweep, "rmse_per_sweep");
+          !status.ok()) {
+        return status;
+      }
+      if (!r.AtEnd()) {
+        return Status::InvalidArgument("malformed ALS checkpoint loop state");
+      }
+    } else if (saved.status().code() != StatusCode::kNotFound) {
+      return saved.status();
+    }
+  }
+
   const double lambda = model.config().lambda;
   const double global_mean = model.global_mean();
   ThreadPool pool(config.threads);
-
-  AlsReport report;
-  for (int sweep = 0; sweep < config.sweeps; ++sweep) {
+  while (report.sweeps_run < config.sweeps) {
     if (config.stop.ShouldStop()) {
       report.stop_status = config.stop.ToStatus("ALS training");
       break;
@@ -111,6 +144,19 @@ StatusOr<AlsReport> TrainAls(const AlsTrainerConfig& config,
 
     ++report.sweeps_run;
     report.rmse_per_sweep.push_back(model.EvaluateRmse(data));
+    if (snapshots != nullptr &&
+        (report.sweeps_run == config.sweeps ||
+         report.sweeps_run % snapshots->every_epochs == 0)) {
+      ByteWriter loop_state;
+      loop_state.PutU64(static_cast<std::uint64_t>(report.sweeps_run));
+      PutDoubles(loop_state, report.rmse_per_sweep);
+      if (Status status = WriteTrainerSnapshot(
+              *snapshots, schedule.bytes(), data, loop_state.bytes(), model);
+          !status.ok()) {
+        return status;
+      }
+      CCDB_CRASH_POINT("als.checkpoint");
+    }
   }
   report.final_rmse =
       report.rmse_per_sweep.empty() ? 0.0 : report.rmse_per_sweep.back();

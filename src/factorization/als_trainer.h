@@ -25,7 +25,7 @@ struct AlsTrainerConfig {
   std::size_t threads = 0;
   /// Cooperative stop signal, probed at every sweep boundary; when it
   /// fires the partial model stays in place and AlsReport::stop_status is
-  /// set. The default never fires.
+  /// set, with or without snapshots. The default never fires.
   StopCondition stop;
 };
 
@@ -37,10 +37,16 @@ struct AlsReport {
   Status stop_status;
 };
 
+struct TrainerCheckpointOptions;  // factorization/checkpoint.h
+
 /// Runs ALS over `data`, mutating `model` in place. Returns
-/// InvalidArgument for non-SVD models.
-[[nodiscard]] StatusOr<AlsReport> TrainAls(const AlsTrainerConfig& config,
-                             const RatingDataset& data, FactorModel& model);
+/// InvalidArgument for non-SVD models and non-positive sweep counts. With
+/// `snapshots`, sweep-level snapshots work as in TrainSgd; ALS is
+/// deterministic, so a resume needs no RNG fast-forward and k snapshotted
+/// plus n - k fresh sweeps equal n uninterrupted ones bit for bit.
+[[nodiscard]] StatusOr<AlsReport> TrainAls(
+    const AlsTrainerConfig& config, const RatingDataset& data,
+    FactorModel& model, const TrainerCheckpointOptions* snapshots = nullptr);
 
 }  // namespace ccdb::factorization
 

@@ -1,11 +1,6 @@
 #include "factorization/checkpoint.h"
 
-#include <limits>
 #include <utility>
-
-#include "common/crash_point.h"
-#include "common/journal.h"
-#include "common/rng.h"
 
 namespace ccdb::factorization {
 namespace {
@@ -40,26 +35,14 @@ Status GetMatrixInto(ByteReader& r, Matrix& matrix, const char* name) {
   return Status::Ok();
 }
 
-void PutDoubles(ByteWriter& w, const std::vector<double>& values) {
-  w.PutU64(values.size());
-  for (double v : values) w.PutF64(v);
-}
-
-Status GetDoublesInto(ByteReader& r, std::vector<double>& values,
-                      bool fixed_size, const char* name) {
-  const std::uint64_t n = r.GetU64();
-  if (fixed_size && n != values.size()) {
+/// Model vectors have a fixed length given by the model's shape.
+Status GetFixedDoublesInto(ByteReader& r, std::vector<double>& values,
+                           const char* name) {
+  if (r.GetU64() != values.size()) {
     return Status::InvalidArgument(
         std::string("checkpoint size mismatch for ") + name);
   }
-  if (!fixed_size) {
-    if (n > (1u << 26)) {
-      return Status::InvalidArgument(
-          std::string("implausible checkpoint vector size for ") + name);
-    }
-    values.resize(n);
-  }
-  for (std::uint64_t i = 0; i < n; ++i) values[i] = r.GetF64();
+  for (double& v : values) v = r.GetF64();
   return Status::Ok();
 }
 
@@ -149,16 +132,13 @@ StatusOr<std::string> ReadSnapshot(Fs& fs, const std::string& path,
                           path);
 }
 
-std::uint64_t SgdFingerprint(const SgdTrainerConfig& config,
+/// Identity of a training run: a snapshot only resumes the run whose
+/// fingerprint it carries.
+std::uint64_t RunFingerprint(std::string_view schedule,
                              const RatingDataset& data,
                              const FactorModel& model) {
   ByteWriter w;
-  w.PutU64(static_cast<std::uint64_t>(config.max_epochs));
-  w.PutF64(config.learning_rate);
-  w.PutF64(config.lr_decay);
-  w.PutF64(config.validation_fraction);
-  w.PutU64(static_cast<std::uint64_t>(config.patience));
-  w.PutU64(config.seed);
+  w.PutBytes(schedule);
   w.PutU64(data.num_items());
   w.PutU64(data.num_users());
   w.PutU64(data.num_ratings());
@@ -171,106 +151,6 @@ std::uint64_t SgdFingerprint(const SgdTrainerConfig& config,
   w.PutF64(mc.timeline_days);
   w.PutU64(mc.seed);
   return HashBytes(w.bytes());
-}
-
-std::uint64_t AlsFingerprint(const AlsTrainerConfig& config,
-                             const RatingDataset& data,
-                             const FactorModel& model) {
-  ByteWriter w;
-  w.PutU64(static_cast<std::uint64_t>(config.sweeps));
-  w.PutU64(data.num_items());
-  w.PutU64(data.num_users());
-  w.PutU64(data.num_ratings());
-  const FactorModelConfig& mc = model.config();
-  w.PutU8(static_cast<std::uint8_t>(mc.kind));
-  w.PutU64(mc.dims);
-  w.PutF64(mc.lambda);
-  w.PutF64(mc.init_scale);
-  w.PutU64(mc.time_bins);
-  w.PutF64(mc.timeline_days);
-  w.PutU64(mc.seed);
-  return HashBytes(w.bytes());
-}
-
-/// SGD schedule state alongside the model: everything needed to continue
-/// the epoch loop exactly where the snapshot left it.
-struct SgdProgress {
-  std::uint64_t epochs_run = 0;
-  double learning_rate = 0.0;
-  double best_validation = std::numeric_limits<double>::infinity();
-  std::uint64_t epochs_without_improvement = 0;
-  bool early_stopped = false;
-  bool finished = false;
-  std::vector<double> train_rmse;
-  std::vector<double> validation_rmse;
-};
-
-std::string EncodeSgdSnapshot(std::uint64_t fingerprint,
-                              const SgdProgress& progress,
-                              const FactorModel& model) {
-  ByteWriter w;
-  w.PutU64(fingerprint);
-  w.PutU64(progress.epochs_run);
-  w.PutF64(progress.learning_rate);
-  w.PutF64(progress.best_validation);
-  w.PutU64(progress.epochs_without_improvement);
-  w.PutBool(progress.early_stopped);
-  w.PutBool(progress.finished);
-  PutDoubles(w, progress.train_rmse);
-  PutDoubles(w, progress.validation_rmse);
-  w.PutBytes(EncodeFactorModel(model));
-  return w.Take();
-}
-
-StatusOr<SgdProgress> DecodeSgdSnapshot(std::string_view payload,
-                                        std::uint64_t expected_fingerprint,
-                                        FactorModel& model) {
-  ByteReader r(payload);
-  const std::uint64_t fingerprint = r.GetU64();
-  if (r.ok() && fingerprint != expected_fingerprint) {
-    return Status::InvalidArgument(
-        "trainer checkpoint belongs to a different run (fingerprint "
-        "mismatch)");
-  }
-  SgdProgress progress;
-  progress.epochs_run = r.GetU64();
-  progress.learning_rate = r.GetF64();
-  progress.best_validation = r.GetF64();
-  progress.epochs_without_improvement = r.GetU64();
-  progress.early_stopped = r.GetBool();
-  progress.finished = r.GetBool();
-  if (Status status =
-          GetDoublesInto(r, progress.train_rmse, false, "train_rmse");
-      !status.ok()) {
-    return status;
-  }
-  if (Status status = GetDoublesInto(r, progress.validation_rmse, false,
-                                     "validation_rmse");
-      !status.ok()) {
-    return status;
-  }
-  const std::string_view model_bytes = r.GetBytes();
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("malformed trainer checkpoint payload");
-  }
-  if (Status status = DecodeFactorModelInto(model_bytes, model);
-      !status.ok()) {
-    return status;
-  }
-  return progress;
-}
-
-TrainingReport ReportFromProgress(const SgdProgress& progress) {
-  TrainingReport report;
-  report.train_rmse = progress.train_rmse;
-  report.validation_rmse = progress.validation_rmse;
-  report.epochs_run = static_cast<int>(progress.epochs_run);
-  report.early_stopped = progress.early_stopped;
-  report.final_train_rmse =
-      report.train_rmse.empty() ? 0.0 : report.train_rmse.back();
-  report.final_validation_rmse =
-      report.validation_rmse.empty() ? 0.0 : report.validation_rmse.back();
-  return report;
 }
 
 }  // namespace
@@ -304,12 +184,12 @@ Status DecodeFactorModelInto(std::string_view bytes, FactorModel& model) {
     return status;
   }
   if (Status status =
-          GetDoublesInto(r, model.mutable_item_bias(), true, "item_bias");
+          GetFixedDoublesInto(r, model.mutable_item_bias(), "item_bias");
       !status.ok()) {
     return status;
   }
   if (Status status =
-          GetDoublesInto(r, model.mutable_user_bias(), true, "user_bias");
+          GetFixedDoublesInto(r, model.mutable_user_bias(), "user_bias");
       !status.ok()) {
     return status;
   }
@@ -324,184 +204,68 @@ Status DecodeFactorModelInto(std::string_view bytes, FactorModel& model) {
   return Status::Ok();
 }
 
-StatusOr<TrainingReport> TrainSgdDurable(
-    const SgdTrainerConfig& config, const RatingDataset& data,
-    FactorModel& model, const TrainerCheckpointOptions& checkpoint) {
-  if (checkpoint.path.empty()) {
+StatusOr<std::string> ReadTrainerSnapshot(
+    const TrainerCheckpointOptions& options, std::string_view schedule,
+    const RatingDataset& data, FactorModel& model) {
+  if (options.path.empty()) {
     return Status::InvalidArgument("TrainerCheckpointOptions.path is empty");
   }
-  if (checkpoint.every_epochs <= 0) {
+  if (options.every_epochs <= 0) {
     return Status::InvalidArgument("every_epochs must be > 0");
   }
-  if (checkpoint.keep_generations < 1) {
+  if (options.keep_generations < 1) {
     return Status::InvalidArgument("keep_generations must be >= 1");
   }
-  if (config.max_epochs <= 0 || !(config.learning_rate > 0.0) ||
-      !(config.lr_decay > 0.0) || config.lr_decay > 1.0) {
-    return Status::InvalidArgument("invalid SgdTrainerConfig");
+  StatusOr<std::string> payload = ReadSnapshot(
+      ResolveFs(options.fs), options.path, options.keep_generations);
+  if (!payload.ok()) return payload.status();
+  ByteReader r(payload.value());
+  const std::uint64_t stored = r.GetU64();
+  if (r.ok() && stored != RunFingerprint(schedule, data, model)) {
+    return Status::InvalidArgument(
+        "trainer checkpoint belongs to a different run (fingerprint "
+        "mismatch)");
   }
-  Fs& fs = ResolveFs(checkpoint.fs);
-  const std::uint64_t fingerprint = SgdFingerprint(config, data, model);
-
-  SgdProgress progress;
-  progress.learning_rate = config.learning_rate;
-  StatusOr<std::string> snapshot =
-      ReadSnapshot(fs, checkpoint.path, checkpoint.keep_generations);
-  if (snapshot.ok()) {
-    StatusOr<SgdProgress> decoded =
-        DecodeSgdSnapshot(snapshot.value(), fingerprint, model);
-    if (!decoded.ok()) return decoded.status();
-    progress = std::move(decoded).value();
-    if (progress.finished) return ReportFromProgress(progress);
-  } else if (snapshot.status().code() != StatusCode::kNotFound) {
-    return snapshot.status();
+  std::string loop_state(r.GetBytes());
+  const std::string_view model_bytes = r.GetBytes();
+  if (!r.AtEnd()) {
+    return Status::InvalidArgument("malformed trainer checkpoint payload");
   }
-
-  // Recreate the stochastic schedule exactly: same seed, same split, and
-  // one shuffle per already-snapshotted epoch. This reproduces both the
-  // RNG state and the training-permutation state at the resume point, so
-  // the continued run is bit-identical to an uninterrupted one.
-  Rng rng(config.seed);
-  TrainHoldoutSplit split =
-      SplitRatings(data.num_ratings(), config.validation_fraction, rng);
-  const bool has_validation = !split.holdout.empty();
-  for (std::uint64_t epoch = 0; epoch < progress.epochs_run; ++epoch) {
-    rng.Shuffle(split.train);
+  if (Status status = DecodeFactorModelInto(model_bytes, model);
+      !status.ok()) {
+    return status;
   }
-
-  const auto ratings = data.ratings();
-  for (std::uint64_t epoch = progress.epochs_run;
-       epoch < static_cast<std::uint64_t>(config.max_epochs); ++epoch) {
-    rng.Shuffle(split.train);
-    for (std::size_t idx : split.train) {
-      model.SgdStep(ratings[idx], progress.learning_rate);
-    }
-    progress.learning_rate *= config.lr_decay;
-    ++progress.epochs_run;
-
-    progress.train_rmse.push_back(model.EvaluateRmse(data, split.train));
-    if (has_validation) {
-      const double validation_rmse = model.EvaluateRmse(data, split.holdout);
-      progress.validation_rmse.push_back(validation_rmse);
-      if (validation_rmse + 1e-6 < progress.best_validation) {
-        progress.best_validation = validation_rmse;
-        progress.epochs_without_improvement = 0;
-      } else if (++progress.epochs_without_improvement >=
-                 static_cast<std::uint64_t>(config.patience)) {
-        progress.early_stopped = true;
-      }
-    }
-    progress.finished =
-        progress.early_stopped ||
-        progress.epochs_run == static_cast<std::uint64_t>(config.max_epochs);
-
-    if (progress.finished ||
-        progress.epochs_run %
-                static_cast<std::uint64_t>(checkpoint.every_epochs) ==
-            0) {
-      if (Status status = WriteSnapshot(
-              fs, checkpoint.path, checkpoint.keep_generations,
-              EncodeSgdSnapshot(fingerprint, progress, model));
-          !status.ok()) {
-        return status;
-      }
-      CCDB_CRASH_POINT("sgd.checkpoint");
-    }
-    if (progress.finished) break;
-  }
-  return ReportFromProgress(progress);
+  return loop_state;
 }
 
-StatusOr<AlsReport> TrainAlsDurable(
-    const AlsTrainerConfig& config, const RatingDataset& data,
-    FactorModel& model, const TrainerCheckpointOptions& checkpoint) {
-  if (checkpoint.path.empty()) {
-    return Status::InvalidArgument("TrainerCheckpointOptions.path is empty");
-  }
-  if (checkpoint.every_epochs <= 0) {
-    return Status::InvalidArgument("every_epochs must be > 0");
-  }
-  if (checkpoint.keep_generations < 1) {
-    return Status::InvalidArgument("keep_generations must be >= 1");
-  }
-  if (model.config().kind != ModelKind::kSvdDotProduct) {
+Status WriteTrainerSnapshot(const TrainerCheckpointOptions& options,
+                            std::string_view schedule,
+                            const RatingDataset& data,
+                            std::string_view loop_state,
+                            const FactorModel& model) {
+  ByteWriter w;
+  w.PutU64(RunFingerprint(schedule, data, model));
+  w.PutBytes(loop_state);
+  w.PutBytes(EncodeFactorModel(model));
+  return WriteSnapshot(ResolveFs(options.fs), options.path,
+                       options.keep_generations, w.bytes());
+}
+
+void PutDoubles(ByteWriter& w, const std::vector<double>& values) {
+  w.PutU64(values.size());
+  for (double v : values) w.PutF64(v);
+}
+
+Status GetDoubles(ByteReader& r, std::vector<double>& values,
+                  const char* name) {
+  const std::uint64_t n = r.GetU64();
+  if (n > (1u << 26)) {
     return Status::InvalidArgument(
-        "ALS supports the SVD dot-product model only");
+        std::string("implausible checkpoint vector size for ") + name);
   }
-  if (config.sweeps <= 0) {
-    return Status::InvalidArgument("sweeps must be positive");
-  }
-  Fs& fs = ResolveFs(checkpoint.fs);
-  const std::uint64_t fingerprint = AlsFingerprint(config, data, model);
-
-  std::uint64_t sweeps_done = 0;
-  std::vector<double> rmse_per_sweep;
-  StatusOr<std::string> snapshot =
-      ReadSnapshot(fs, checkpoint.path, checkpoint.keep_generations);
-  if (snapshot.ok()) {
-    ByteReader r(snapshot.value());
-    const std::uint64_t stored = r.GetU64();
-    if (r.ok() && stored != fingerprint) {
-      return Status::InvalidArgument(
-          "ALS checkpoint belongs to a different run (fingerprint "
-          "mismatch)");
-    }
-    sweeps_done = r.GetU64();
-    if (Status status =
-            GetDoublesInto(r, rmse_per_sweep, false, "rmse_per_sweep");
-        !status.ok()) {
-      return status;
-    }
-    const std::string_view model_bytes = r.GetBytes();
-    if (!r.AtEnd()) {
-      return Status::InvalidArgument("malformed ALS checkpoint payload");
-    }
-    if (Status status = DecodeFactorModelInto(model_bytes, model);
-        !status.ok()) {
-      return status;
-    }
-  } else if (snapshot.status().code() != StatusCode::kNotFound) {
-    return snapshot.status();
-  }
-
-  // Remaining sweeps run through the plain trainer one sweep at a time so
-  // each completed sweep can be snapshotted. ALS is deterministic, so k
-  // snapshotted + (n - k) fresh sweeps equal n uninterrupted ones.
-  AlsTrainerConfig one_sweep = config;
-  one_sweep.sweeps = 1;
-  for (std::uint64_t sweep = sweeps_done;
-       sweep < static_cast<std::uint64_t>(config.sweeps); ++sweep) {
-    StatusOr<AlsReport> report = TrainAls(one_sweep, data, model);
-    if (!report.ok()) return report.status();
-    rmse_per_sweep.push_back(report.value().final_rmse);
-    ++sweeps_done;
-
-    const bool finished =
-        sweeps_done == static_cast<std::uint64_t>(config.sweeps);
-    if (finished || sweeps_done % static_cast<std::uint64_t>(
-                                      checkpoint.every_epochs) ==
-                        0) {
-      ByteWriter w;
-      w.PutU64(fingerprint);
-      w.PutU64(sweeps_done);
-      PutDoubles(w, rmse_per_sweep);
-      w.PutBytes(EncodeFactorModel(model));
-      if (Status status = WriteSnapshot(fs, checkpoint.path,
-                                        checkpoint.keep_generations,
-                                        w.bytes());
-          !status.ok()) {
-        return status;
-      }
-      CCDB_CRASH_POINT("als.checkpoint");
-    }
-  }
-
-  AlsReport report;
-  report.rmse_per_sweep = std::move(rmse_per_sweep);
-  report.sweeps_run = static_cast<int>(sweeps_done);
-  report.final_rmse =
-      report.rmse_per_sweep.empty() ? 0.0 : report.rmse_per_sweep.back();
-  return report;
+  values.resize(n);
+  for (double& v : values) v = r.GetF64();
+  return Status::Ok();
 }
 
 }  // namespace ccdb::factorization

@@ -3,25 +3,27 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/io.h"
+#include "common/journal.h"
+#include "common/sparse.h"
 #include "common/status.h"
-#include "factorization/als_trainer.h"
 #include "factorization/factor_model.h"
-#include "factorization/sgd_trainer.h"
 
 namespace ccdb::factorization {
 
-/// Epoch-level trainer durability: where (and how often) the durable
-/// trainers snapshot their state. Snapshots are single files replaced via
-/// write-to-temp + fsync + rename + parent-directory fsync, so a crash
-/// mid-write leaves the previous snapshot intact; a CRC over the payload
-/// rejects bit rot. Older snapshot generations are kept at `path.1`,
-/// `path.2`, … — when the newest snapshot fails its envelope check
-/// (magic/CRC) it is renamed aside to `path.corrupt*` (never deleted) and
-/// loading falls back to the newest older valid generation.
+/// Epoch-level trainer durability: where (and how often) TrainSgd and
+/// TrainAls snapshot their state when given these options. Snapshots are
+/// single files replaced via write-to-temp + fsync + rename +
+/// parent-directory fsync, so a crash mid-write leaves the previous
+/// snapshot intact; a CRC over the payload rejects bit rot. Older snapshot
+/// generations are kept at `path.1`, `path.2`, … — when the newest
+/// snapshot fails its envelope check (magic/CRC) it is renamed aside to
+/// `path.corrupt*` (never deleted) and loading falls back to the newest
+/// older valid generation.
 struct TrainerCheckpointOptions {
-  /// Snapshot file path. Must be non-empty for the durable trainers.
+  /// Snapshot file path. Must be non-empty.
   std::string path;
   /// Snapshot cadence in epochs (SGD) or sweeps (ALS). The final state is
   /// always snapshotted regardless of cadence.
@@ -44,22 +46,28 @@ std::string EncodeFactorModel(const FactorModel& model);
 [[nodiscard]]
 Status DecodeFactorModelInto(std::string_view bytes, FactorModel& model);
 
-/// Durable TrainSgd: snapshots (model + schedule state + telemetry) every
-/// `checkpoint.every_epochs` epochs via atomic rename. When the snapshot
-/// file already exists and matches this run's fingerprint (config, data
-/// shape, model config), training fast-forwards the RNG schedule and
-/// resumes from the snapshotted epoch; the final model and report are
-/// bit-identical to an uninterrupted run. A snapshot from a different run
-/// is rejected with InvalidArgument.
-[[nodiscard]] StatusOr<TrainingReport> TrainSgdDurable(
-    const SgdTrainerConfig& config, const RatingDataset& data,
-    FactorModel& model, const TrainerCheckpointOptions& checkpoint);
+/// Reads the newest valid snapshot generation of this run, restores its
+/// model into `model` and returns the trainer's loop state bytes. A run is
+/// identified by the trainer's `schedule` (its config fields, serialized
+/// by the trainer), the data shape and the model config. NotFound when no
+/// valid generation exists (a fresh start); InvalidArgument for invalid
+/// options or another run's snapshot.
+[[nodiscard]] StatusOr<std::string> ReadTrainerSnapshot(
+    const TrainerCheckpointOptions& options, std::string_view schedule,
+    const RatingDataset& data, FactorModel& model);
 
-/// Durable TrainAls: sweep-level snapshots with the same semantics (ALS is
-/// deterministic, so resume needs no RNG fast-forward).
-[[nodiscard]] StatusOr<AlsReport> TrainAlsDurable(
-    const AlsTrainerConfig& config, const RatingDataset& data,
-    FactorModel& model, const TrainerCheckpointOptions& checkpoint);
+/// Writes a snapshot of this run — the trainer's loop state plus the
+/// model — rotating the older generations first.
+[[nodiscard]] Status WriteTrainerSnapshot(
+    const TrainerCheckpointOptions& options, std::string_view schedule,
+    const RatingDataset& data, std::string_view loop_state,
+    const FactorModel& model);
+
+/// Length-prefixed double series (per-epoch telemetry) inside a loop
+/// state; GetDoubles rejects implausible lengths with InvalidArgument.
+void PutDoubles(ByteWriter& w, const std::vector<double>& values);
+[[nodiscard]] Status GetDoubles(ByteReader& r, std::vector<double>& values,
+                                const char* name);
 
 }  // namespace ccdb::factorization
 

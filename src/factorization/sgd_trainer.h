@@ -6,6 +6,7 @@
 
 #include "common/cancellation.h"
 #include "common/sparse.h"
+#include "common/status.h"
 #include "factorization/factor_model.h"
 
 namespace ccdb::factorization {
@@ -29,8 +30,8 @@ struct SgdTrainerConfig {
   std::uint64_t seed = 7;
   /// Cooperative stop signal, probed at every epoch boundary: when it
   /// fires, training returns within one epoch with the partial model and
-  /// TrainingReport::stop_status set (Cancelled / DeadlineExceeded). The
-  /// default never fires.
+  /// TrainingReport::stop_status set (Cancelled / DeadlineExceeded), with
+  /// or without snapshots. The default never fires.
   StopCondition stop;
 };
 
@@ -48,9 +49,19 @@ struct TrainingReport {
   Status stop_status;
 };
 
-/// Runs SGD over `data`, mutating `model` in place, and returns telemetry.
-TrainingReport TrainSgd(const SgdTrainerConfig& config,
-                        const RatingDataset& data, FactorModel& model);
+struct TrainerCheckpointOptions;  // factorization/checkpoint.h
+
+/// Runs SGD over `data`, mutating `model` in place, and returns telemetry;
+/// InvalidArgument for an invalid config. With `snapshots`, the model and
+/// schedule state are snapshotted every `every_epochs` epochs (and at the
+/// end). When a snapshot of this run (same config, data shape and model
+/// config) already exists, training fast-forwards the RNG schedule and
+/// resumes from the snapshotted epoch; the final model and report are
+/// bit-identical to an uninterrupted run. A snapshot of a different run
+/// is rejected with InvalidArgument.
+[[nodiscard]] StatusOr<TrainingReport> TrainSgd(
+    const SgdTrainerConfig& config, const RatingDataset& data,
+    FactorModel& model, const TrainerCheckpointOptions* snapshots = nullptr);
 
 /// One cell of a cross-validation grid search.
 struct CrossValidationCell {

@@ -4,11 +4,13 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/cancellation.h"
 #include "common/deadline.h"
+#include "common/io.h"
 #include "common/rng.h"
 #include "core/expansion.h"
 #include "core/expansion_manifest.h"
@@ -17,6 +19,7 @@
 #include "data/domains.h"
 #include "data/synthetic_world.h"
 #include "factorization/als_trainer.h"
+#include "factorization/checkpoint.h"
 #include "factorization/parallel_sgd.h"
 #include "factorization/sgd_trainer.h"
 #include "svm/smo_solver.h"
@@ -155,9 +158,57 @@ TEST(TrainerCancellationTest, PreCancelledSgdRunsZeroEpochs) {
   config.max_epochs = 50;
   config.stop = StopCondition(source.token());
   const auto report = TrainSgd(config, data, model);
-  EXPECT_EQ(report.epochs_run, 0);
-  EXPECT_TRUE(report.train_rmse.empty());
-  EXPECT_EQ(report.stop_status.code(), StatusCode::kCancelled);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report.value().epochs_run, 0);
+  EXPECT_TRUE(report.value().train_rmse.empty());
+  EXPECT_EQ(report.value().stop_status.code(), StatusCode::kCancelled);
+}
+
+// Removes a snapshot file and the older generations kept beside it.
+void RemoveSnapshots(const std::string& path) {
+  std::remove(path.c_str());
+  std::remove((path + ".1").c_str());
+}
+
+bool SnapshotExists(const std::string& path) {
+  const StatusOr<bool> exists = ResolveFs(nullptr).Exists(path);
+  return exists.ok() && exists.value();
+}
+
+TEST(TrainerCancellationTest, PreCancelledSgdWithSnapshotsResumesExactly) {
+  const RatingDataset data = SmallDataset(3);
+  factorization::FactorModelConfig model_config;
+  model_config.dims = 4;
+  factorization::SgdTrainerConfig config;
+  config.max_epochs = 6;
+  factorization::FactorModel reference(model_config, data);
+  const auto uninterrupted = TrainSgd(config, data, reference);
+  ASSERT_TRUE(uninterrupted.ok()) << uninterrupted.status().ToString();
+
+  factorization::TrainerCheckpointOptions snapshots;
+  snapshots.path = ::testing::TempDir() + "/cancelled_sgd.ckpt";
+  RemoveSnapshots(snapshots.path);
+  CancellationSource source;
+  source.Cancel();
+  factorization::SgdTrainerConfig stopped = config;
+  stopped.stop = StopCondition(source.token());
+  factorization::FactorModel model(model_config, data);
+  const auto cancelled = TrainSgd(stopped, data, model, &snapshots);
+  ASSERT_TRUE(cancelled.ok()) << cancelled.status().ToString();
+  EXPECT_EQ(cancelled.value().epochs_run, 0);
+  EXPECT_EQ(cancelled.value().stop_status.code(), StatusCode::kCancelled);
+  // No epoch ran, so no snapshot may claim one did (let alone completion).
+  EXPECT_FALSE(SnapshotExists(snapshots.path));
+
+  factorization::FactorModel resumed(model_config, data);
+  const auto report = TrainSgd(config, data, resumed, &snapshots);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report.value().stop_status.ok());
+  EXPECT_EQ(report.value().epochs_run, uninterrupted.value().epochs_run);
+  EXPECT_EQ(report.value().train_rmse, uninterrupted.value().train_rmse);
+  EXPECT_EQ(factorization::EncodeFactorModel(resumed),
+            factorization::EncodeFactorModel(reference));
+  RemoveSnapshots(snapshots.path);
 }
 
 TEST(TrainerCancellationTest, MidTrainingCancelStopsWithinOneEpoch) {
@@ -177,11 +228,12 @@ TEST(TrainerCancellationTest, MidTrainingCancelStopsWithinOneEpoch) {
   });
   const auto report = TrainSgd(config, data, model);
   firer.join();
-  EXPECT_EQ(report.stop_status.code(), StatusCode::kCancelled);
-  EXPECT_LT(report.epochs_run, 100000);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report.value().stop_status.code(), StatusCode::kCancelled);
+  EXPECT_LT(report.value().epochs_run, 100000);
   // The partial model is intact and usable.
-  EXPECT_EQ(static_cast<std::size_t>(report.epochs_run),
-            report.train_rmse.size());
+  EXPECT_EQ(static_cast<std::size_t>(report.value().epochs_run),
+            report.value().train_rmse.size());
 }
 
 TEST(TrainerCancellationTest, ExpiredDeadlineStopsParallelSgd) {
@@ -216,6 +268,46 @@ TEST(TrainerCancellationTest, PreCancelledAlsRunsZeroSweeps) {
   EXPECT_TRUE(report.value().rmse_per_sweep.empty());
   EXPECT_DOUBLE_EQ(report.value().final_rmse, 0.0);
   EXPECT_EQ(report.value().stop_status.code(), StatusCode::kCancelled);
+}
+
+TEST(TrainerCancellationTest, PreCancelledAlsWithSnapshotsResumesExactly) {
+  const RatingDataset data = SmallDataset(5);
+  factorization::FactorModelConfig model_config;
+  model_config.dims = 4;
+  model_config.kind = factorization::ModelKind::kSvdDotProduct;
+  factorization::AlsTrainerConfig config;
+  config.sweeps = 4;
+  config.threads = 2;
+  factorization::FactorModel reference(model_config, data);
+  const auto uninterrupted = TrainAls(config, data, reference);
+  ASSERT_TRUE(uninterrupted.ok()) << uninterrupted.status().ToString();
+
+  factorization::TrainerCheckpointOptions snapshots;
+  snapshots.path = ::testing::TempDir() + "/cancelled_als.ckpt";
+  RemoveSnapshots(snapshots.path);
+  CancellationSource source;
+  source.Cancel();
+  factorization::AlsTrainerConfig stopped = config;
+  stopped.stop = StopCondition(source.token());
+  factorization::FactorModel model(model_config, data);
+  const auto cancelled = TrainAls(stopped, data, model, &snapshots);
+  ASSERT_TRUE(cancelled.ok()) << cancelled.status().ToString();
+  EXPECT_EQ(cancelled.value().sweeps_run, 0);
+  EXPECT_TRUE(cancelled.value().rmse_per_sweep.empty());
+  EXPECT_EQ(cancelled.value().stop_status.code(), StatusCode::kCancelled);
+  // No sweep ran, so no snapshot may claim one did (let alone completion).
+  EXPECT_FALSE(SnapshotExists(snapshots.path));
+
+  factorization::FactorModel resumed(model_config, data);
+  const auto report = TrainAls(config, data, resumed, &snapshots);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report.value().stop_status.ok());
+  EXPECT_EQ(report.value().sweeps_run, config.sweeps);
+  EXPECT_EQ(report.value().rmse_per_sweep,
+            uninterrupted.value().rmse_per_sweep);
+  EXPECT_EQ(factorization::EncodeFactorModel(resumed),
+            factorization::EncodeFactorModel(reference));
+  RemoveSnapshots(snapshots.path);
 }
 
 // ------------------------------------------------------------------- SVM
@@ -413,7 +505,7 @@ class ExpansionCancellationTest : public ::testing::Test {
 data::SyntheticWorld* ExpansionCancellationTest::world_ = nullptr;
 core::PerceptualSpace* ExpansionCancellationTest::space_ = nullptr;
 
-TEST_F(ExpansionCancellationTest, IncrementalReturnsPartialCheckpoints) {
+TEST_F(ExpansionCancellationTest, IncrementalStopReturnsStopStatus) {
   std::vector<std::uint32_t> sample;
   std::vector<crowd::Judgment> judgments;
   MakeStream(60, 50.0, sample, judgments);
@@ -422,9 +514,9 @@ TEST_F(ExpansionCancellationTest, IncrementalReturnsPartialCheckpoints) {
   options.stop = StopCondition(Deadline::AfterSeconds(0.0));
   const auto checkpoints = core::RunIncrementalExpansion(
       *space_, sample, judgments, 50.0, options);
-  // Partial results beat none: an already-expired deadline yields an
-  // empty checkpoint vector, not a crash.
-  EXPECT_TRUE(checkpoints.empty());
+  // An already-expired deadline is reported, not a crash; without a
+  // manifest there is no journaled prefix to resume from.
+  EXPECT_EQ(checkpoints.status().code(), StatusCode::kDeadlineExceeded);
 }
 
 TEST_F(ExpansionCancellationTest, CancelledDurableRunResumesExactly) {
@@ -437,7 +529,8 @@ TEST_F(ExpansionCancellationTest, CancelledDurableRunResumesExactly) {
   // Reference: the uninterrupted in-memory run.
   const auto reference = core::RunIncrementalExpansion(
       *space_, sample, judgments, 40.0, options);
-  ASSERT_FALSE(reference.empty());
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_FALSE(reference.value().empty());
 
   const std::string path =
       ::testing::TempDir() + "/cancelled_expansion.manifest";
@@ -455,26 +548,26 @@ TEST_F(ExpansionCancellationTest, CancelledDurableRunResumesExactly) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     source.Cancel();
   });
-  const auto first = core::RunIncrementalExpansionDurable(
-      *space_, sample, judgments, 40.0, stopped, durable);
+  const auto first = core::RunIncrementalExpansion(
+      *space_, sample, judgments, 40.0, stopped, &durable);
   firer.join();
 
   if (!first.ok()) {
     // The cancellation landed mid-run: the manifest must resume to the
     // bit-identical full checkpoint sequence.
     EXPECT_EQ(first.status().code(), StatusCode::kCancelled);
-    const auto resumed = core::ResumeIncrementalExpansion(
-        *space_, sample, judgments, 40.0, options, durable);
+    const auto resumed = core::RunIncrementalExpansion(
+        *space_, sample, judgments, 40.0, options, &durable);
     ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-    ASSERT_EQ(resumed.value().size(), reference.size());
-    for (std::size_t i = 0; i < reference.size(); ++i) {
+    ASSERT_EQ(resumed.value().size(), reference.value().size());
+    for (std::size_t i = 0; i < reference.value().size(); ++i) {
       EXPECT_EQ(core::EncodeExpansionCheckpoint(resumed.value()[i]),
-                core::EncodeExpansionCheckpoint(reference[i]))
+                core::EncodeExpansionCheckpoint(reference.value()[i]))
           << "checkpoint " << i;
     }
   } else {
     // The run won the race; it must then match the reference outright.
-    ASSERT_EQ(first.value().size(), reference.size());
+    ASSERT_EQ(first.value().size(), reference.value().size());
   }
 }
 

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <numeric>
 
+#include "common/cancellation.h"
 #include "common/journal.h"
 #include "common/rng.h"
 #include "common/vec.h"
@@ -12,6 +13,8 @@
 #include "core/perceptual_space.h"
 #include "core/policy.h"
 #include "core/quality.h"
+#include "crowd/aggregation.h"
+#include "crowd/platform.h"
 #include "data/domains.h"
 #include "data/synthetic_world.h"
 #include "eval/metrics.h"
@@ -528,8 +531,10 @@ TEST_F(PerceptualSpaceFixture, IncrementalExpansionProducesCheckpoints) {
 
   IncrementalExpansionOptions options;
   options.checkpoint_interval_minutes = 5.0;
-  const auto checkpoints =
+  const StatusOr<std::vector<ExpansionCheckpoint>> run =
       RunIncrementalExpansion(*space_, sample, judgments, 50.0, options);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const std::vector<ExpansionCheckpoint>& checkpoints = run.value();
   ASSERT_EQ(checkpoints.size(), 10u);
   // Training sets grow, money grows, and the extractor eventually trains.
   for (std::size_t i = 1; i < checkpoints.size(); ++i) {
@@ -551,62 +556,20 @@ TEST_F(PerceptualSpaceFixture, IncrementalExpansionProducesCheckpoints) {
             0.7);
 }
 
-TEST_F(PerceptualSpaceFixture, ExpandSchemaEndToEnd) {
-  Rng rng(31);
-  SchemaExpansionRequest request;
-  request.attribute_name = "is_comedy";
-  std::vector<bool> sample_truth;
-  for (std::size_t index :
-       rng.SampleWithoutReplacement(world_->num_items(), 80)) {
-    request.gold_sample_items.push_back(static_cast<std::uint32_t>(index));
-    sample_truth.push_back(
-        world_->GenreLabel(0, static_cast<std::uint32_t>(index)));
-  }
-
-  crowd::WorkerPool pool;
-  for (int i = 0; i < 10; ++i) {
-    crowd::WorkerProfile worker;
-    worker.honest = true;
-    worker.knowledge = 1.0;
-    worker.accuracy = 0.95;
-    worker.judgments_per_minute = 2.0;
-    pool.workers.push_back(worker);
-  }
-  crowd::HitRunConfig hit_config;
-  hit_config.judgments_per_item = 5;
-  hit_config.perception_flip_rate = 0.05;
-  hit_config.seed = 33;
-
-  const SchemaExpansionResult result =
-      ExpandSchema(*space_, request, pool, hit_config, sample_truth);
-  ASSERT_TRUE(result.success);
-  EXPECT_EQ(result.values.size(), world_->num_items());
-  EXPECT_GT(result.crowd_dollars, 0.0);
-  EXPECT_GT(result.gold_sample_classified, 60u);
-
-  std::vector<bool> truth(world_->num_items());
-  for (std::uint32_t m = 0; m < world_->num_items(); ++m) {
-    truth[m] = world_->GenreLabel(0, m);
-  }
-  const auto counts = eval::CountConfusion(result.values, truth);
-  EXPECT_GT(eval::GMean(counts), 0.6);
-}
-
-// ------------------------------------------------- resilient expansion
+// ------------------------------------------------------------ Expand
 
 namespace {
 
-// The gold sample + honest pool shared by the resilient-expansion tests.
-struct ResilientSetup {
+// The gold sample + honest pool shared by the expansion pipeline tests.
+struct ExpandSetup {
   SchemaExpansionRequest request;
   std::vector<bool> sample_truth;
   crowd::WorkerPool pool;
   crowd::HitRunConfig hit_config;
 };
 
-ResilientSetup MakeResilientSetup(data::SyntheticWorld& world,
-                                  std::uint64_t seed) {
-  ResilientSetup setup;
+ExpandSetup MakeExpandSetup(data::SyntheticWorld& world, std::uint64_t seed) {
+  ExpandSetup setup;
   Rng rng(seed);
   setup.request.attribute_name = "is_comedy";
   for (std::size_t index :
@@ -632,49 +595,80 @@ ResilientSetup MakeResilientSetup(data::SyntheticWorld& world,
 
 }  // namespace
 
-TEST_F(PerceptualSpaceFixture, ResilientExpansionMatchesPlainOnZeroFaults) {
-  ResilientSetup setup = MakeResilientSetup(*world_, 31);
-  const SchemaExpansionResult plain =
-      ExpandSchema(*space_, setup.request, setup.pool, setup.hit_config,
-                   setup.sample_truth);
-  const SchemaExpansionResult resilient = ExpandSchemaResilient(
-      *space_, setup.request, setup.pool, setup.hit_config,
-      setup.sample_truth, ResilientExpansionOptions{});
-  ASSERT_TRUE(plain.success);
-  ASSERT_TRUE(resilient.success);
-  EXPECT_TRUE(resilient.status.ok());
-  EXPECT_EQ(resilient.topup_rounds, 0u);
-  EXPECT_EQ(resilient.gold_sample_classified, plain.gold_sample_classified);
-  EXPECT_DOUBLE_EQ(resilient.crowd_dollars, plain.crowd_dollars);
-  ASSERT_EQ(resilient.values.size(), plain.values.size());
-  // Identical judgments -> identical training set -> identical classifier.
-  EXPECT_EQ(resilient.values, plain.values);
+TEST_F(PerceptualSpaceFixture, ExpandEndToEnd) {
+  const ExpandSetup setup = MakeExpandSetup(*world_, 31);
+  const SchemaExpansionResult result =
+      Expand(*space_, setup.request, setup.pool, setup.hit_config,
+             setup.sample_truth, ExpansionOptions{});
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(result.values.size(), world_->num_items());
+  EXPECT_GT(result.crowd_dollars, 0.0);
+  EXPECT_GT(result.gold_sample_classified, 60u);
+
+  std::vector<bool> truth(world_->num_items());
+  for (std::uint32_t m = 0; m < world_->num_items(); ++m) {
+    truth[m] = world_->GenreLabel(0, m);
+  }
+  const auto counts = eval::CountConfusion(result.values, truth);
+  EXPECT_GT(eval::GMean(counts), 0.6);
 }
 
-TEST_F(PerceptualSpaceFixture,
-       ResilientExpansionHonorsDollarCapUnderAbandonment) {
-  ResilientSetup setup = MakeResilientSetup(*world_, 31);
+TEST_F(PerceptualSpaceFixture, ExpandMatchesPlainPipelineOnZeroFaults) {
+  const ExpandSetup setup = MakeExpandSetup(*world_, 31);
+  // The plain pipeline, stage by stage: one crowd run, a majority vote at
+  // its end, training on the classified items, and the fill.
+  const crowd::CrowdRunResult run =
+      crowd::RunCrowdTask(setup.pool, setup.sample_truth, setup.hit_config);
+  const std::vector<std::optional<bool>> votes = crowd::MajorityVote(
+      run.judgments, setup.sample_truth.size(), run.total_minutes);
+  std::vector<std::uint32_t> items;
+  std::vector<bool> labels;
+  for (std::size_t i = 0; i < votes.size(); ++i) {
+    if (!votes[i].has_value()) continue;
+    items.push_back(setup.request.gold_sample_items[i]);
+    labels.push_back(*votes[i]);
+  }
+  BinaryAttributeExtractor plain(setup.request.extractor);
+  ASSERT_TRUE(plain.Train(*space_, items, labels));
+
+  BinaryAttributeExtractor trained;
+  const SchemaExpansionResult result =
+      Expand(*space_, setup.request, setup.pool, setup.hit_config,
+             setup.sample_truth, ExpansionOptions{}, &trained);
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(result.topup_rounds, 0u);
+  EXPECT_EQ(result.gold_sample_classified, items.size());
+  EXPECT_EQ(result.crowd_dollars, run.total_cost_dollars);
+  EXPECT_EQ(result.crowd_minutes, run.total_minutes);
+  // Identical judgments -> identical training set -> identical classifier.
+  EXPECT_EQ(result.values, plain.ExtractAll(*space_));
+  ASSERT_TRUE(trained.trained());
+  EXPECT_EQ(trained.ExtractAll(*space_), result.values);
+}
+
+TEST_F(PerceptualSpaceFixture, ExpandHonorsDollarCapUnderAbandonment) {
+  ExpandSetup setup = MakeExpandSetup(*world_, 31);
   setup.hit_config.fault.abandonment_prob = 0.3;
 
-  ResilientExpansionOptions options;
+  ExpansionOptions options;
   options.dispatcher.deadline_minutes = 60.0;
   options.dispatcher.max_reposts = 4;
   options.dispatcher.backoff_initial_minutes = 2.0;
   options.dispatcher.max_dollars = 1.50;
 
-  const SchemaExpansionResult result = ExpandSchemaResilient(
-      *space_, setup.request, setup.pool, setup.hit_config,
-      setup.sample_truth, options);
+  const SchemaExpansionResult result =
+      Expand(*space_, setup.request, setup.pool, setup.hit_config,
+             setup.sample_truth, options);
   // Degradation must be graceful: a classifier still comes back, the
   // spend stays under the cap, and the dispatch ledger is populated.
-  ASSERT_TRUE(result.success) << result.status.ToString();
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   EXPECT_LE(result.crowd_dollars, options.dispatcher.max_dollars);
   EXPECT_GT(result.dispatch.abandoned_hits, 0u);
   EXPECT_EQ(result.values.size(), world_->num_items());
 }
 
-TEST_F(PerceptualSpaceFixture, ResilientExpansionTopsUpOneClassSample) {
-  ResilientSetup setup = MakeResilientSetup(*world_, 31);
+TEST_F(PerceptualSpaceFixture, ExpandTopsUpOneClassSample) {
+  ExpandSetup setup = MakeExpandSetup(*world_, 31);
   // A sample with a single positive, judged once per item by workers who
   // know almost nothing: the primary pass classifies a few negatives at
   // best, the lone positive (and most of the sample) stays unresolved —
@@ -697,41 +691,60 @@ TEST_F(PerceptualSpaceFixture, ResilientExpansionTopsUpOneClassSample) {
   setup.hit_config.perception_flip_rate = 0.0;
   for (auto& worker : setup.pool.workers) worker.knowledge = 0.06;
 
-  ResilientExpansionOptions options;
+  ExpansionOptions options;
   options.topup_judgments_per_item = 7;
   options.max_topups = 2;
 
-  const SchemaExpansionResult result = ExpandSchemaResilient(
-      *space_, setup.request, setup.pool, setup.hit_config,
-      setup.sample_truth, options);
-  if (result.success) {
-    // Recovery had to come from a top-up round, not the starved primary.
+  const SchemaExpansionResult result =
+      Expand(*space_, setup.request, setup.pool, setup.hit_config,
+             setup.sample_truth, options);
+  // If even the top-ups cannot produce two classes the failure is a
+  // reported status, never a crash; a success had to come from a top-up
+  // round, not the starved primary.
+  if (result.status.ok()) {
     EXPECT_GE(result.topup_rounds, 1u);
     EXPECT_GT(result.gold_sample_classified, 0u);
-  } else {
-    // If even the top-ups could not produce two classes the failure must
-    // be a reported status, never a crash or a silent false.
-    EXPECT_FALSE(result.status.ok());
   }
 }
 
-TEST_F(PerceptualSpaceFixture, ResilientExpansionRejectsMalformedRequests) {
-  ResilientSetup setup = MakeResilientSetup(*world_, 31);
+TEST_F(PerceptualSpaceFixture, ExpandRejectsMalformedRequests) {
+  const ExpandSetup setup = MakeExpandSetup(*world_, 31);
   SchemaExpansionRequest empty;
   empty.attribute_name = "nothing";
-  const SchemaExpansionResult no_sample = ExpandSchemaResilient(
-      *space_, empty, setup.pool, setup.hit_config, {},
-      ResilientExpansionOptions{});
-  EXPECT_FALSE(no_sample.success);
+  const SchemaExpansionResult no_sample =
+      Expand(*space_, empty, setup.pool, setup.hit_config, {},
+             ExpansionOptions{});
   EXPECT_EQ(no_sample.status.code(), StatusCode::kInvalidArgument);
 
   std::vector<bool> short_truth(setup.sample_truth.begin(),
                                 setup.sample_truth.end() - 1);
-  const SchemaExpansionResult mismatched = ExpandSchemaResilient(
-      *space_, setup.request, setup.pool, setup.hit_config, short_truth,
-      ResilientExpansionOptions{});
-  EXPECT_FALSE(mismatched.success);
+  const SchemaExpansionResult mismatched =
+      Expand(*space_, setup.request, setup.pool, setup.hit_config,
+             short_truth, ExpansionOptions{});
   EXPECT_EQ(mismatched.status.code(), StatusCode::kInvalidArgument);
+
+  const SchemaExpansionResult no_workers =
+      Expand(*space_, setup.request, crowd::WorkerPool{}, setup.hit_config,
+             setup.sample_truth, ExpansionOptions{});
+  EXPECT_EQ(no_workers.status.code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(PerceptualSpaceFixture, ExpandReportsStopThatFiresBeforeTraining) {
+  // The stop lands after the pipeline's last between-stage check but
+  // before SMO's first step (here: it fired before the call, and only the
+  // solver sees it). SMO keeps no support vector; the pipeline must report
+  // the stop — which the service's circuit breaker treats as neutral —
+  // instead of aborting on the empty model or blaming the gold sample.
+  ExpandSetup setup = MakeExpandSetup(*world_, 31);
+  CancellationSource source;
+  source.Cancel();
+  setup.request.extractor.smo.stop = StopCondition(source.token());
+  const SchemaExpansionResult result =
+      Expand(*space_, setup.request, setup.pool, setup.hit_config,
+             setup.sample_truth, ExpansionOptions{});
+  EXPECT_EQ(result.status.code(), StatusCode::kCancelled);
+  EXPECT_TRUE(result.values.empty());
+  EXPECT_GT(result.crowd_dollars, 0.0);
 }
 
 TEST_F(PerceptualSpaceFixture, IncrementalExpansionStopsAtDollarCap) {
@@ -759,21 +772,23 @@ TEST_F(PerceptualSpaceFixture, IncrementalExpansionStopsAtDollarCap) {
 
   const auto uncapped =
       RunIncrementalExpansion(*space_, sample, judgments, 50.0, options);
-  ASSERT_EQ(uncapped.size(), 10u);
+  ASSERT_TRUE(uncapped.ok()) << uncapped.status().ToString();
+  ASSERT_EQ(uncapped.value().size(), 10u);
 
   options.max_dollars = 1.0;  // total spend is $3 over the 50 minutes
   const auto capped =
       RunIncrementalExpansion(*space_, sample, judgments, 50.0, options);
-  EXPECT_LT(capped.size(), uncapped.size());
-  EXPECT_FALSE(capped.empty());
+  ASSERT_TRUE(capped.ok()) << capped.status().ToString();
+  EXPECT_LT(capped.value().size(), uncapped.value().size());
+  EXPECT_FALSE(capped.value().empty());
   // Every checkpoint before the terminal one respects the cap.
-  for (std::size_t i = 0; i + 1 < capped.size(); ++i) {
-    EXPECT_LE(capped[i].dollars_spent, options.max_dollars);
+  for (std::size_t i = 0; i + 1 < capped.value().size(); ++i) {
+    EXPECT_LE(capped.value()[i].dollars_spent, options.max_dollars);
   }
 
-  // The checked variant reports bad input instead of aborting.
-  const auto bad = RunIncrementalExpansionChecked(*space_, {}, judgments,
-                                                 50.0, options);
+  // Bad input is reported instead of aborting.
+  const auto bad =
+      RunIncrementalExpansion(*space_, {}, judgments, 50.0, options);
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/vec.h"
@@ -43,6 +44,14 @@ RatingDataset MakePlantedDataset(ModelKind kind, std::size_t num_items,
   return RatingDataset(num_items, num_users, std::move(ratings));
 }
 
+// TrainSgd on a config the test knows to be valid.
+TrainingReport TrainValid(const SgdTrainerConfig& trainer,
+                          const RatingDataset& data, FactorModel& model) {
+  StatusOr<TrainingReport> report = TrainSgd(trainer, data, model);
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  return report.ok() ? report.value() : TrainingReport{};
+}
+
 TEST(FactorModelTest, InitializationWarmStartsBiases) {
   std::vector<Rating> ratings = {{0, 0, 5.0f}, {0, 1, 5.0f}, {1, 0, 1.0f},
                                  {1, 1, 1.0f}};
@@ -81,7 +90,7 @@ TEST(SgdTrainerTest, EuclideanModelFitsPlantedData) {
   SgdTrainerConfig trainer;
   trainer.max_epochs = 40;
   trainer.learning_rate = 0.05;
-  const TrainingReport report = TrainSgd(trainer, data, model);
+  const TrainingReport report = TrainValid(trainer, data, model);
   EXPECT_EQ(report.epochs_run, 40);
   EXPECT_LT(report.final_train_rmse, initial_rmse * 0.5);
   EXPECT_LT(report.final_train_rmse, 0.25);
@@ -99,7 +108,7 @@ TEST(SgdTrainerTest, SvdModelFitsPlantedData) {
   SgdTrainerConfig trainer;
   trainer.max_epochs = 40;
   trainer.learning_rate = 0.05;
-  const TrainingReport report = TrainSgd(trainer, data, model);
+  const TrainingReport report = TrainValid(trainer, data, model);
   EXPECT_LT(report.final_train_rmse, 0.25);
 }
 
@@ -112,7 +121,7 @@ TEST(SgdTrainerTest, TrainingRmseDecreasesOverall) {
   SgdTrainerConfig trainer;
   trainer.max_epochs = 10;
   trainer.learning_rate = 0.02;
-  const TrainingReport report = TrainSgd(trainer, data, model);
+  const TrainingReport report = TrainValid(trainer, data, model);
   ASSERT_EQ(report.train_rmse.size(), 10u);
   EXPECT_LT(report.train_rmse.back(), report.train_rmse.front());
 }
@@ -130,7 +139,7 @@ TEST(SgdTrainerTest, ValidationEarlyStopping) {
   trainer.lr_decay = 1.0;
   trainer.validation_fraction = 0.2;
   trainer.patience = 2;
-  const TrainingReport report = TrainSgd(trainer, data, model);
+  const TrainingReport report = TrainValid(trainer, data, model);
   EXPECT_TRUE(report.early_stopped);
   EXPECT_LT(report.epochs_run, 200);
   EXPECT_FALSE(report.validation_rmse.empty());
@@ -148,7 +157,7 @@ TEST(SgdTrainerTest, GeneralizesToHeldOutRatings) {
   trainer.learning_rate = 0.05;
   trainer.validation_fraction = 0.15;
   trainer.patience = 100;  // don't stop early, just measure
-  const TrainingReport report = TrainSgd(trainer, data, model);
+  const TrainingReport report = TrainValid(trainer, data, model);
   // Planted noise is 0.05, so holdout RMSE well under 0.5 means real
   // structure was learned, not memorized.
   EXPECT_LT(report.final_validation_rmse, 0.5);
@@ -165,10 +174,28 @@ TEST(SgdTrainerTest, DeterministicGivenSeeds) {
   trainer.seed = 11;
 
   FactorModel a(config, data), b(config, data);
-  TrainSgd(trainer, data, a);
-  TrainSgd(trainer, data, b);
+  TrainValid(trainer, data, a);
+  TrainValid(trainer, data, b);
   for (std::size_t i = 0; i < a.item_factors().Data().size(); ++i) {
     ASSERT_DOUBLE_EQ(a.item_factors().Data()[i], b.item_factors().Data()[i]);
+  }
+}
+
+TEST(SgdTrainerTest, InvalidConfigIsInvalidArgument) {
+  const RatingDataset data = MakePlantedDataset(
+      ModelKind::kEuclideanEmbedding, 10, 20, 2, 0.5, 65);
+  FactorModelConfig config;
+  config.dims = 2;
+  FactorModel model(config, data);
+  for (const auto& corrupt : std::vector<void (*)(SgdTrainerConfig&)>{
+           [](SgdTrainerConfig& c) { c.max_epochs = 0; },
+           [](SgdTrainerConfig& c) { c.learning_rate = 0.0; },
+           [](SgdTrainerConfig& c) { c.lr_decay = 1.5; },
+           [](SgdTrainerConfig& c) { c.validation_fraction = 1.0; }}) {
+    SgdTrainerConfig trainer;
+    corrupt(trainer);
+    EXPECT_EQ(TrainSgd(trainer, data, model).status().code(),
+              StatusCode::kInvalidArgument);
   }
 }
 
@@ -205,7 +232,7 @@ TEST(SgdTrainerTest, EuclideanRecoversNeighborhoodStructure) {
   SgdTrainerConfig trainer;
   trainer.max_epochs = 60;
   trainer.learning_rate = 0.02;
-  TrainSgd(trainer, data, model);
+  TrainValid(trainer, data, model);
 
   double intra = 0.0, inter = 0.0;
   std::size_t intra_count = 0, inter_count = 0;
@@ -287,7 +314,7 @@ TEST(AlsTrainerTest, ComparableToSgdOnSameData) {
   FactorModel sgd_model(config, data);
   SgdTrainerConfig sgd;
   sgd.max_epochs = 40;
-  const TrainingReport sgd_report = TrainSgd(sgd, data, sgd_model);
+  const TrainingReport sgd_report = TrainValid(sgd, data, sgd_model);
 
   FactorModel als_model(config, data);
   AlsTrainerConfig als;
@@ -368,7 +395,7 @@ TEST(RecommenderTest, TopNSkipsRatedItemsAndIsSorted) {
   FactorModel model(config, data);
   SgdTrainerConfig trainer;
   trainer.max_epochs = 20;
-  TrainSgd(trainer, data, model);
+  TrainValid(trainer, data, model);
 
   Recommender recommender(&model, &data);
   const auto top = recommender.TopN(0, 10);
@@ -412,7 +439,7 @@ TEST(RecommenderTest, RecommendsGenuinelyLikedItems) {
   FactorModel model(config, data);
   SgdTrainerConfig trainer;
   trainer.max_epochs = 30;
-  TrainSgd(trainer, data, model);
+  TrainValid(trainer, data, model);
   Recommender recommender(&model, &data);
 
   double top_true = 0.0, average_true = 0.0;
@@ -444,14 +471,14 @@ TEST(TemporalModelTest, TimeBinsReduceRmseOnDriftingData) {
   static_config.time_bins = 1;
   FactorModel static_model(static_config, data);
   const TrainingReport static_report =
-      TrainSgd(trainer, data, static_model);
+      TrainValid(trainer, data, static_model);
 
   FactorModelConfig temporal_config = static_config;
   temporal_config.time_bins = 8;
   temporal_config.timeline_days = 1000.0;
   FactorModel temporal_model(temporal_config, data);
   const TrainingReport temporal_report =
-      TrainSgd(trainer, data, temporal_model);
+      TrainValid(trainer, data, temporal_model);
 
   // The drifting component is invisible to the static model but largely
   // captured by per-bin item biases.
@@ -467,13 +494,13 @@ TEST(TemporalModelTest, EquivalentToStaticWithoutDrift) {
   FactorModelConfig static_config;
   static_config.dims = 6;
   FactorModel static_model(static_config, data);
-  TrainSgd(trainer, data, static_model);
+  TrainValid(trainer, data, static_model);
 
   FactorModelConfig temporal_config = static_config;
   temporal_config.time_bins = 6;
   temporal_config.timeline_days = 1000.0;
   FactorModel temporal_model(temporal_config, data);
-  TrainSgd(trainer, data, temporal_model);
+  TrainValid(trainer, data, temporal_model);
 
   // No drift to model: the extra parameters must not hurt materially.
   EXPECT_NEAR(temporal_model.EvaluateRmse(data),

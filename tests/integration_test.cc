@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <optional>
+#include <vector>
 
 #include "common/rng.h"
+#include "core/extractor.h"
 #include "core/perceptual_space.h"
 #include "core/resolver.h"
+#include "crowd/aggregation.h"
 #include "crowd/experiments.h"
+#include "crowd/platform.h"
 #include "data/domains.h"
 #include "data/expert_sources.h"
 #include "data/metadata.h"
@@ -157,6 +163,137 @@ TEST_F(PipelineFixture, UnregisteredAttributeFailsCleanly) {
       database.Execute("SELECT * FROM movies WHERE email = 'x'");
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
+}
+
+// A pool of honest, fully informed workers for the SQL expansion tests.
+crowd::WorkerPool HonestPool(int n) {
+  crowd::WorkerPool pool;
+  for (int i = 0; i < n; ++i) {
+    crowd::WorkerProfile worker;
+    worker.honest = true;
+    worker.knowledge = 1.0;
+    worker.accuracy = 0.92;
+    worker.judgments_per_minute = 2.0;
+    pool.workers.push_back(worker);
+  }
+  return pool;
+}
+
+TEST_F(PipelineFixture, SqlExpansionMatchesPlainPipelineBitForBit) {
+  db::Database database;
+  ASSERT_TRUE(database.AddTable(MakeItemsTable()).ok());
+  const crowd::WorkerPool pool = HonestPool(12);
+  crowd::HitRunConfig hit_config;
+  hit_config.judgments_per_item = 5;
+  hit_config.perception_flip_rate = 0.05;
+  hit_config.seed = 71;
+
+  core::PerceptualExpansionResolver resolver(space_, pool, hit_config);
+  core::PerceptualAttributeSpec spec;
+  spec.type = db::ColumnType::kBool;
+  spec.gold_sample_size = 80;
+  std::vector<std::uint32_t> asked;  // the gold sample, in the asked order
+  spec.bool_truth = [&](std::uint32_t item) {
+    asked.push_back(item);
+    return world_->GenreLabel(0, item);
+  };
+  resolver.RegisterAttribute("is_comedy", std::move(spec));
+  database.SetResolver(&resolver);
+  const auto result =
+      database.Execute("SELECT name FROM movies WHERE is_comedy = true");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(asked.size(), 80u);
+
+  // The plain pipeline over the same gold sample: one crowd run, a
+  // majority vote at its end, training on the classified items, the fill.
+  std::vector<bool> sample_truth;
+  for (std::uint32_t item : asked) {
+    sample_truth.push_back(world_->GenreLabel(0, item));
+  }
+  const crowd::CrowdRunResult run =
+      crowd::RunCrowdTask(pool, sample_truth, hit_config);
+  const std::vector<std::optional<bool>> votes =
+      crowd::MajorityVote(run.judgments, asked.size(), run.total_minutes);
+  std::vector<std::uint32_t> items;
+  std::vector<bool> labels;
+  for (std::size_t i = 0; i < votes.size(); ++i) {
+    if (!votes[i].has_value()) continue;
+    items.push_back(asked[i]);
+    labels.push_back(*votes[i]);
+  }
+  core::BinaryAttributeExtractor extractor;
+  ASSERT_TRUE(extractor.Train(*space_, items, labels));
+  const std::vector<bool> expected = extractor.ExtractAll(*space_);
+
+  const db::Table* movies = database.FindTable("movies");
+  ASSERT_NE(movies, nullptr);
+  const std::size_t column = movies->schema().FindColumn("is_comedy");
+  ASSERT_NE(column, db::Schema::kNotFound);
+  for (std::uint32_t m = 0; m < world_->num_items(); ++m) {
+    ASSERT_EQ(std::get<bool>(movies->Get(m, column)), expected[m])
+        << "row " << m;
+  }
+  EXPECT_EQ(resolver.last_result().crowd_dollars, run.total_cost_dollars);
+  EXPECT_EQ(resolver.last_result().crowd_minutes, run.total_minutes);
+  EXPECT_EQ(resolver.last_result().gold_sample_classified, items.size());
+}
+
+TEST_F(PipelineFixture, SqlExpansionRejectsBadInputsWithoutAborting) {
+  crowd::HitRunConfig hit_config;
+  hit_config.judgments_per_item = 3;
+  const auto run_query = [&](const crowd::WorkerPool& pool,
+                             std::size_t gold_sample_size) {
+    db::Database database;
+    EXPECT_TRUE(database.AddTable(MakeItemsTable()).ok());
+    core::PerceptualExpansionResolver resolver(space_, pool, hit_config);
+    core::PerceptualAttributeSpec spec;
+    spec.type = db::ColumnType::kBool;
+    spec.gold_sample_size = gold_sample_size;
+    spec.bool_truth = [&](std::uint32_t item) {
+      return world_->GenreLabel(0, item);
+    };
+    resolver.RegisterAttribute("is_comedy", std::move(spec));
+    database.SetResolver(&resolver);
+    return database
+        .Execute("SELECT name FROM movies WHERE is_comedy = true")
+        .status();
+  };
+  EXPECT_EQ(run_query(HonestPool(5), 0).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(run_query(crowd::WorkerPool{}, 40).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_F(PipelineFixture, SqlExpansionTopsUpOneClassGoldSample) {
+  // One positive in the gold sample, judged once per item by workers who
+  // know almost nothing: the primary pass cannot see two classes, so the
+  // pipeline issues a top-up round instead of failing outright.
+  db::Database database;
+  ASSERT_TRUE(database.AddTable(MakeItemsTable()).ok());
+  crowd::WorkerPool pool = HonestPool(10);
+  for (auto& worker : pool.workers) worker.knowledge = 0.06;
+  crowd::HitRunConfig hit_config;
+  hit_config.judgments_per_item = 1;
+  hit_config.perception_flip_rate = 0.0;
+  hit_config.seed = 33;
+
+  core::PerceptualExpansionResolver resolver(space_, pool, hit_config);
+  core::PerceptualAttributeSpec spec;
+  spec.type = db::ColumnType::kBool;
+  spec.gold_sample_size = 80;
+  bool first = true;
+  spec.bool_truth = [&first](std::uint32_t) {
+    const bool positive = first;
+    first = false;
+    return positive;
+  };
+  resolver.RegisterAttribute("is_comedy", std::move(spec));
+  database.SetResolver(&resolver);
+  const auto result =
+      database.Execute("SELECT name FROM movies WHERE is_comedy = true");
+  EXPECT_GE(resolver.last_result().topup_rounds, 1u);
+  // Whatever the top-up achieved, the query reports the pipeline's status.
+  EXPECT_EQ(result.status().code(), resolver.last_result().status.code());
 }
 
 TEST_F(PipelineFixture, RefreshFillsRowsAppendedAfterExpansion) {

@@ -19,6 +19,7 @@
 #include "common/rng.h"
 #include "factorization/checkpoint.h"
 #include "factorization/factor_model.h"
+#include "factorization/sgd_trainer.h"
 
 namespace ccdb {
 namespace {
@@ -402,6 +403,7 @@ TEST(SingleFaultPropertyTest, DurableSgdSurvivesAnySingleFault) {
 
   factorization::FactorModel reference(model_config, data);
   const auto baseline = TrainSgd(trainer, data, reference);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   const std::string ref_encoded =
       factorization::EncodeFactorModel(reference);
 
@@ -414,7 +416,7 @@ TEST(SingleFaultPropertyTest, DurableSgdSurvivesAnySingleFault) {
     checkpoint.path = probe_path;
     checkpoint.fs = &clean;
     factorization::FactorModel model(model_config, data);
-    auto report = TrainSgdDurable(trainer, data, model, checkpoint);
+    auto report = TrainSgd(trainer, data, model, &checkpoint);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     ASSERT_EQ(factorization::EncodeFactorModel(model), ref_encoded);
     total_ops = clean.ops_observed();
@@ -433,12 +435,12 @@ TEST(SingleFaultPropertyTest, DurableSgdSurvivesAnySingleFault) {
     checkpoint.fs = &faulty;
 
     factorization::FactorModel model(model_config, data);
-    auto report = TrainSgdDurable(trainer, data, model, checkpoint);
+    auto report = TrainSgd(trainer, data, model, &checkpoint);
     if (report.ok()) {
       // The fault was absorbed (e.g. a read-side bit flip caught by the
       // snapshot CRC and laddered away): the result must be unaffected.
       EXPECT_EQ(factorization::EncodeFactorModel(model), ref_encoded);
-      EXPECT_EQ(report.value().epochs_run, baseline.epochs_run);
+      EXPECT_EQ(report.value().epochs_run, baseline.value().epochs_run);
       continue;
     }
     // The fault surfaced as a clean error: a fault-free retry against the
@@ -446,13 +448,13 @@ TEST(SingleFaultPropertyTest, DurableSgdSurvivesAnySingleFault) {
     factorization::TrainerCheckpointOptions retry;
     retry.path = path;
     factorization::FactorModel resumed(model_config, data);
-    auto retried = TrainSgdDurable(trainer, data, resumed, retry);
+    auto retried = TrainSgd(trainer, data, resumed, &retry);
     ASSERT_TRUE(retried.ok())
         << "fault at op " << k << " was not recoverable: "
         << retried.status().ToString()
         << " (original error: " << report.status().ToString() << ")";
     EXPECT_EQ(factorization::EncodeFactorModel(resumed), ref_encoded);
-    EXPECT_EQ(retried.value().epochs_run, baseline.epochs_run);
+    EXPECT_EQ(retried.value().epochs_run, baseline.value().epochs_run);
   }
 }
 

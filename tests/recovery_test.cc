@@ -25,8 +25,10 @@
 #include "crowd/platform.h"
 #include "data/domains.h"
 #include "data/synthetic_world.h"
+#include "factorization/als_trainer.h"
 #include "factorization/checkpoint.h"
 #include "factorization/factor_model.h"
+#include "factorization/sgd_trainer.h"
 
 namespace ccdb {
 namespace {
@@ -319,6 +321,15 @@ class ExpansionRecoveryTest : public RecoveryTest {
     return options;
   }
 
+  /// The journal-free run every durable run must reproduce.
+  static std::vector<core::ExpansionCheckpoint> Baseline() {
+    auto baseline =
+        RunIncrementalExpansion(*space_, sample_, judgments_, 30.0, Options());
+    EXPECT_TRUE(baseline.ok()) << baseline.status().ToString();
+    return baseline.ok() ? baseline.value()
+                         : std::vector<core::ExpansionCheckpoint>{};
+  }
+
   static void ExpectSameCheckpoints(
       const std::vector<core::ExpansionCheckpoint>& a,
       const std::vector<core::ExpansionCheckpoint>& b) {
@@ -347,12 +358,11 @@ std::vector<std::uint32_t> ExpansionRecoveryTest::sample_;
 std::vector<Judgment> ExpansionRecoveryTest::judgments_;
 
 TEST_F(ExpansionRecoveryTest, DurableRunMatchesPlainExpansion) {
-  const auto baseline =
-      RunIncrementalExpansion(*space_, sample_, judgments_, 30.0, Options());
+  const auto baseline = Baseline();
   core::DurableExpansionOptions durable;
   durable.manifest_path = FreshPath("fresh_expansion.jnl");
-  auto result = core::RunIncrementalExpansionDurable(
-      *space_, sample_, judgments_, 30.0, Options(), durable);
+  auto result = core::RunIncrementalExpansion(*space_, sample_, judgments_,
+                                              30.0, Options(), &durable);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ExpectSameCheckpoints(baseline, result.value());
 
@@ -363,8 +373,7 @@ TEST_F(ExpansionRecoveryTest, DurableRunMatchesPlainExpansion) {
 }
 
 TEST_F(ExpansionRecoveryTest, KillAtEveryCheckpointThenResumeIsBitIdentical) {
-  const auto baseline =
-      RunIncrementalExpansion(*space_, sample_, judgments_, 30.0, Options());
+  const auto baseline = Baseline();
   ASSERT_EQ(baseline.size(), 6u);
 
   for (const std::string& site :
@@ -381,8 +390,8 @@ TEST_F(ExpansionRecoveryTest, KillAtEveryCheckpointThenResumeIsBitIdentical) {
       CrashPoints::Arm(site, hit);
       bool crashed = false;
       try {
-        auto result = core::RunIncrementalExpansionDurable(
-            *space_, sample_, judgments_, 30.0, Options(), durable);
+        auto result = core::RunIncrementalExpansion(
+            *space_, sample_, judgments_, 30.0, Options(), &durable);
         // ccdb-lint: allow(status-nodiscard) — the run is expected to die at
         // the armed crash point; the result is unreachable on the crash path.
         (void)result;
@@ -392,31 +401,23 @@ TEST_F(ExpansionRecoveryTest, KillAtEveryCheckpointThenResumeIsBitIdentical) {
       CrashPoints::Disarm();
       ASSERT_TRUE(crashed);
 
-      auto resumed = core::ResumeIncrementalExpansion(
-          *space_, sample_, judgments_, 30.0, Options(), durable);
+      auto resumed = core::RunIncrementalExpansion(
+          *space_, sample_, judgments_, 30.0, Options(), &durable);
       ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
       ExpectSameCheckpoints(baseline, resumed.value());
     }
   }
 }
 
-TEST_F(ExpansionRecoveryTest, ResumeWithoutManifestIsNotFound) {
-  core::DurableExpansionOptions durable;
-  durable.manifest_path = FreshPath("no_such_expansion.jnl");
-  auto resumed = core::ResumeIncrementalExpansion(
-      *space_, sample_, judgments_, 30.0, Options(), durable);
-  EXPECT_EQ(resumed.status().code(), StatusCode::kNotFound);
-}
-
 TEST_F(ExpansionRecoveryTest, ManifestOfDifferentExpansionIsRejected) {
   core::DurableExpansionOptions durable;
   durable.manifest_path = FreshPath("mismatch_expansion.jnl");
-  ASSERT_TRUE(core::RunIncrementalExpansionDurable(
-                  *space_, sample_, judgments_, 30.0, Options(), durable)
+  ASSERT_TRUE(core::RunIncrementalExpansion(*space_, sample_, judgments_,
+                                            30.0, Options(), &durable)
                   .ok());
   // Same manifest, shorter run: different fingerprint.
-  auto resumed = core::ResumeIncrementalExpansion(
-      *space_, sample_, judgments_, 25.0, Options(), durable);
+  auto resumed = core::RunIncrementalExpansion(
+      *space_, sample_, judgments_, 25.0, Options(), &durable);
   EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
 }
 
@@ -457,7 +458,9 @@ TEST_F(TrainerRecoveryTest, SgdCrashAtCheckpointThenResumeIsBitIdentical) {
   trainer.patience = 4;
 
   factorization::FactorModel reference(model_config, data);
-  const auto baseline = TrainSgd(trainer, data, reference);
+  const auto trained = TrainSgd(trainer, data, reference);
+  ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+  const factorization::TrainingReport& baseline = trained.value();
 
   // One snapshot per completed epoch; early stopping may end the run
   // before max_epochs, so derive the crash surface from the baseline.
@@ -473,12 +476,12 @@ TEST_F(TrainerRecoveryTest, SgdCrashAtCheckpointThenResumeIsBitIdentical) {
     factorization::FactorModel crashed(model_config, data);
     CrashPoints::Arm("sgd.checkpoint", crash_epoch);
     EXPECT_THROW(
-        { auto r = TrainSgdDurable(trainer, data, crashed, checkpoint); },
+        { auto r = TrainSgd(trainer, data, crashed, &checkpoint); },
         SimulatedCrash);
     CrashPoints::Disarm();
 
     factorization::FactorModel resumed(model_config, data);
-    auto report = TrainSgdDurable(trainer, data, resumed, checkpoint);
+    auto report = TrainSgd(trainer, data, resumed, &checkpoint);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     ExpectSameModel(reference, resumed);
     EXPECT_EQ(report.value().train_rmse, baseline.train_rmse);
@@ -488,7 +491,7 @@ TEST_F(TrainerRecoveryTest, SgdCrashAtCheckpointThenResumeIsBitIdentical) {
 
     // The final snapshot short-circuits a third run entirely.
     factorization::FactorModel restored(model_config, data);
-    auto again = TrainSgdDurable(trainer, data, restored, checkpoint);
+    auto again = TrainSgd(trainer, data, restored, &checkpoint);
     ASSERT_TRUE(again.ok());
     ExpectSameModel(reference, restored);
   }
@@ -504,11 +507,11 @@ TEST_F(TrainerRecoveryTest, SgdCheckpointOfDifferentRunIsRejected) {
   factorization::TrainerCheckpointOptions checkpoint;
   checkpoint.path = FreshPath("sgd_mismatch.ckpt");
   factorization::FactorModel model(model_config, data);
-  ASSERT_TRUE(TrainSgdDurable(trainer, data, model, checkpoint).ok());
+  ASSERT_TRUE(TrainSgd(trainer, data, model, &checkpoint).ok());
 
   trainer.seed = 12345;  // different schedule, same snapshot file
   factorization::FactorModel other(model_config, data);
-  auto resumed = TrainSgdDurable(trainer, data, other, checkpoint);
+  auto resumed = TrainSgd(trainer, data, other, &checkpoint);
   EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
 }
 
@@ -534,12 +537,12 @@ TEST_F(TrainerRecoveryTest, AlsCrashAtSweepThenResumeIsBitIdentical) {
     factorization::FactorModel crashed(model_config, data);
     CrashPoints::Arm("als.checkpoint", crash_sweep);
     EXPECT_THROW(
-        { auto r = TrainAlsDurable(trainer, data, crashed, checkpoint); },
+        { auto r = TrainAls(trainer, data, crashed, &checkpoint); },
         SimulatedCrash);
     CrashPoints::Disarm();
 
     factorization::FactorModel resumed(model_config, data);
-    auto report = TrainAlsDurable(trainer, data, resumed, checkpoint);
+    auto report = TrainAls(trainer, data, resumed, &checkpoint);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     ExpectSameModel(reference, resumed);
     EXPECT_EQ(report.value().rmse_per_sweep,
@@ -566,11 +569,12 @@ TEST_F(TrainerRecoveryTest, CorruptSnapshotFallsBackToOlderGeneration) {
 
   factorization::FactorModel reference(model_config, data);
   const auto baseline = TrainSgd(trainer, data, reference);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
 
   factorization::TrainerCheckpointOptions checkpoint;
   checkpoint.path = FreshPath("sgd_corrupt.ckpt");
   factorization::FactorModel model(model_config, data);
-  ASSERT_TRUE(TrainSgdDurable(trainer, data, model, checkpoint).ok());
+  ASSERT_TRUE(TrainSgd(trainer, data, model, &checkpoint).ok());
 
   // Corrupt the live snapshot (epoch 2). Recovery must not trust it: the
   // ladder renames it aside and resumes from the epoch-1 generation,
@@ -578,9 +582,9 @@ TEST_F(TrainerRecoveryTest, CorruptSnapshotFallsBackToOlderGeneration) {
   CorruptSnapshotFile(checkpoint.path);
 
   factorization::FactorModel resumed(model_config, data);
-  auto report = TrainSgdDurable(trainer, data, resumed, checkpoint);
+  auto report = TrainSgd(trainer, data, resumed, &checkpoint);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report.value().epochs_run, baseline.epochs_run);
+  EXPECT_EQ(report.value().epochs_run, baseline.value().epochs_run);
   ExpectSameModel(reference, resumed);
 
   // The corrupt file was quarantined for forensics, never deleted.
@@ -595,14 +599,12 @@ TEST_F(TrainerRecoveryTest, AllGenerationsCorruptMeansFreshStart) {
   trainer.max_epochs = 2;
 
   factorization::FactorModel reference(model_config, data);
-  // ccdb-lint: allow(status-nodiscard) — only the trained model matters;
-  // the report is compared in the fallback test above.
-  (void)TrainSgd(trainer, data, reference);
+  ASSERT_TRUE(TrainSgd(trainer, data, reference).ok());
 
   factorization::TrainerCheckpointOptions checkpoint;
   checkpoint.path = FreshPath("sgd_corrupt_all.ckpt");
   factorization::FactorModel model(model_config, data);
-  ASSERT_TRUE(TrainSgdDurable(trainer, data, model, checkpoint).ok());
+  ASSERT_TRUE(TrainSgd(trainer, data, model, &checkpoint).ok());
 
   CorruptSnapshotFile(checkpoint.path);
   CorruptSnapshotFile(checkpoint.path + ".1");
@@ -610,7 +612,7 @@ TEST_F(TrainerRecoveryTest, AllGenerationsCorruptMeansFreshStart) {
   // Every generation is invalid: the run restarts from scratch instead of
   // failing — and still converges to the bit-identical final state.
   factorization::FactorModel resumed(model_config, data);
-  auto report = TrainSgdDurable(trainer, data, resumed, checkpoint);
+  auto report = TrainSgd(trainer, data, resumed, &checkpoint);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   ExpectSameModel(reference, resumed);
   EXPECT_TRUE(ReadFileToString(checkpoint.path + ".corrupt").ok());

@@ -245,14 +245,12 @@ TEST_F(ShardedServiceTest, WireCodecsRoundTrip) {
             ExpansionJobFingerprint(job));
 
   ExpandResponse expand;
-  expand.result.success = false;
   expand.result.status = Status::FailedPrecondition("one-class sample");
   expand.result.values = {true, false};
   expand.result.crowd_dollars = 1.25;
   StatusOr<ExpandResponse> expand_rt =
       DecodeExpandResponse(EncodeExpandResponse(expand));
   ASSERT_TRUE(expand_rt.ok());
-  EXPECT_FALSE(expand_rt.value().result.success);
   EXPECT_EQ(expand_rt.value().result.status.code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(expand_rt.value().result.values, expand.result.values);
@@ -472,12 +470,20 @@ TEST_F(ShardedServiceTest, NearDeadlineRequestShedsWithZeroTransportTraffic) {
 }
 
 TEST_F(ShardedServiceTest, HedgedExpandDeduplicatesAndSpendsDollarsOnce) {
-  net::FaultTransport transport(net::FaultTransportOptions{});
+  // Every delivery spends a constant 50 ms in transit, so no response can
+  // beat the router's first wait pass: the hedge always fires, and its
+  // delivery lands while the primary's flight may be finishing — the
+  // window in which a re-delivery must not start a second flight.
+  net::FaultTransportOptions transit;
+  transit.delay_prob = 1.0;
+  transit.delay_min_ms = 50.0;
+  transit.delay_max_ms = 50.0;
+  net::FaultTransport transport(transit);
   auto servers = StartServers(transport, 1);
   ShardedExpansionOptions options = RouterOptions(1);
   // With no latency history the hedge delay is hedge_max_delay_ms; a zero
   // delay fires the hedge on the wait loop's first pass, before the
-  // (orders-of-magnitude slower) expand can possibly answer.
+  // delayed expand can possibly answer.
   options.hedging = true;
   options.hedge_max_delay_ms = 0.0;
   options.hedge_min_delay_ms = 0.0;
@@ -485,7 +491,7 @@ TEST_F(ShardedServiceTest, HedgedExpandDeduplicatesAndSpendsDollarsOnce) {
 
   const ShardedExpandResult result = router.Expand(GoodJob("is_comedy"));
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-  EXPECT_TRUE(result.result.success) << result.result.status.ToString();
+  EXPECT_TRUE(result.result.status.ok()) << result.result.status.ToString();
   EXPECT_GT(result.result.crowd_dollars, 0.0);
 
   // The hedge's response arrives after the race is decided: wait for both
@@ -505,9 +511,9 @@ TEST_F(ShardedServiceTest, HedgedExpandDeduplicatesAndSpendsDollarsOnce) {
   EXPECT_LE(stats.hedge_wins, 1u);
   ExpectRouterInvariants(stats);
 
-  // Both deliveries hit the same shard ExpansionService; the single-flight
-  // table (or the result cache, if the hedge arrived after completion)
-  // absorbed the duplicate, and its stats identity survives the race:
+  // Both deliveries hit the same shard; its claim on the job's fingerprint
+  // (or the result cache, if the hedge arrived after completion) absorbed
+  // the duplicate, and the service's stats identity survives the race:
   // submitted == admitted + deduped + shed + breaker_rejected and
   // admitted == completed + failed + cancelled + deadline_exceeded.
   const ServiceStats service_stats = servers[0]->service_stats();
@@ -540,7 +546,7 @@ TEST_F(ShardedServiceTest, ExpandCacheSurvivesShardRestart) {
     auto servers = StartServers(transport, 1, server_options);
     const ShardedExpandResult result = router.Expand(GoodJob("is_comedy"));
     ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-    ASSERT_TRUE(result.result.success);
+    ASSERT_TRUE(result.result.status.ok());
     first = result.result;
     EXPECT_EQ(servers[0]->stats().expand_cache_hits, 0u);
     EXPECT_EQ(servers[0]->stats().journal_replayed, 0u);
