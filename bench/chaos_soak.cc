@@ -24,8 +24,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,13 +37,7 @@
 #include "core/expansion.h"
 #include "core/expansion_manifest.h"
 #include "core/expansion_service.h"
-#include "core/expansion_wire.h"
-#include "core/extractor.h"
 #include "core/perceptual_space.h"
-#include "core/shard_server.h"
-#include "core/sharded_service.h"
-#include "net/fault_transport.h"
-#include "net/transport.h"
 #include "crowd/dispatch_journal.h"
 #include "crowd/dispatcher.h"
 #include "data/domains.h"
@@ -693,541 +685,12 @@ void RunOverloadPhase(const ExpansionFixture& fixture, std::uint64_t seed,
   }
 }
 
-// ------------------------------------------ phase E: distributed serving
-
-/// Shared inputs of the distributed phase: a gold-labelled predict request
-/// over every item, its single-node reference answer, and a clean
-/// single-node ExpansionService whose expand results are the ground truth
-/// the sharded deployment must reproduce through transport faults.
-struct DistributedFixture {
-  const data::SyntheticWorld& world;
-  const core::PerceptualSpace& space;
-  crowd::WorkerPool pool;
-  core::PredictRequest predict;
-  std::vector<bool> ref_predict;
-  std::unique_ptr<core::ExpansionService> ref_service;
-  bool valid = false;
-
-  explicit DistributedFixture(const ExpansionFixture& base)
-      : world(base.world), space(base.space) {
-    for (int i = 0; i < 10; ++i) {
-      crowd::WorkerProfile worker;
-      worker.honest = true;
-      worker.knowledge = 1.0;
-      worker.accuracy = 0.95;
-      worker.judgments_per_minute = 2.0;
-      pool.workers.push_back(worker);
-    }
-    Rng rng(33);
-    for (std::size_t index :
-         rng.SampleWithoutReplacement(world.num_items(), 60)) {
-      predict.gold_items.push_back(static_cast<std::uint32_t>(index));
-      predict.gold_labels.push_back(
-          world.GenreLabel(0, static_cast<std::uint32_t>(index)));
-    }
-    for (std::size_t i = 0; i < world.num_items(); ++i) {
-      predict.items.push_back(static_cast<std::uint32_t>(i));
-    }
-    core::BinaryAttributeExtractor extractor(predict.extractor);
-    if (!extractor.Train(space, predict.gold_items, predict.gold_labels)) {
-      return;
-    }
-    std::optional<std::vector<bool>> reference =
-        extractor.ExtractItems(space, predict.items);
-    if (!reference.has_value()) return;
-    ref_predict = std::move(reference).value();
-    ref_service = std::make_unique<core::ExpansionService>(
-        space, pool, core::ExpansionServiceOptions{});
-    valid = true;
-  }
-};
-
-/// The expand job of one distributed iteration: fixed gold sample, crowd
-/// faults on, everything else keyed off the iteration seed so the crowd
-/// simulation (and therefore the money spent) is deterministic per seed.
-core::ExpansionJob DistributedJob(const DistributedFixture& fixture,
-                                  std::uint64_t seed) {
-  core::ExpansionJob job;
-  job.table = "movies";
-  job.request.attribute_name = "soak_genre0";
-  Rng rng(91);
-  for (std::size_t index :
-       rng.SampleWithoutReplacement(fixture.world.num_items(), 40)) {
-    job.request.gold_sample_items.push_back(static_cast<std::uint32_t>(index));
-    job.sample_truth.push_back(
-        fixture.world.GenreLabel(0, static_cast<std::uint32_t>(index)));
-  }
-  job.hit_config.judgments_per_item = 3;
-  job.hit_config.perception_flip_rate = 0.05;
-  job.hit_config.seed = seed;
-  job.hit_config.fault.abandonment_prob = 0.2;
-  job.hit_config.fault.churn_prob = 0.1;
-  job.hit_config.fault.duplicate_prob = 0.05;
-  job.hit_config.fault.seed = seed ^ 0x5EEDF00Dull;
-  return job;
-}
-
-constexpr std::uint32_t kSoakShards = 4;
-
-core::ShardedExpansionOptions SoakRouterOptions(std::uint64_t seed) {
-  core::ShardedExpansionOptions options;
-  for (std::uint32_t s = 0; s < kSoakShards; ++s) {
-    options.shard_nodes.push_back(s + 1);
-  }
-  options.seed = seed;
-  options.max_attempts = 4;
-  options.retry_backoff_initial_ms = 0.1;
-  options.min_coverage = 0.0;  // degrade, never blanket-fail, in the soak
-  return options;
-}
-
-/// Starts shard s on transport node s+1, retrying Start() a few times:
-/// with a FaultFs under the journal the open itself can fault, and a
-/// server that cannot open its journal is an operator retry, not a soak
-/// failure.
-bool StartShardServer(
-    std::vector<std::unique_ptr<core::ExpansionShardServer>>& servers,
-    std::uint32_t s, const DistributedFixture& fixture,
-    net::Transport& transport, const core::ShardServerOptions& options) {
-  for (int attempt = 0; attempt < 10; ++attempt) {
-    auto server = std::make_unique<core::ExpansionShardServer>(
-        s + 1, s, kSoakShards, fixture.space, fixture.pool, transport,
-        options);
-    if (server->Start().ok()) {
-      if (servers.size() <= s) servers.resize(s + 1);
-      servers[s] = std::move(server);
-      return true;
-    }
-  }
-  return false;
-}
-
-bool RouterStatsIdentity(const core::ShardedServiceStats& stats) {
-  return stats.requests == stats.completed + stats.partial + stats.failed +
-                               stats.shed_expired;
-}
-
-/// Checks a (possibly degraded) sharded predict against the single-node
-/// reference: every answered item must be bit-identical, the coverage
-/// fraction must be exactly answered/total, and when `cut_shard` >= 0 the
-/// missing set must be exactly the items that shard owns.
-bool CheckPredictAgainstReference(const core::ShardedPredictResult& result,
-                                  const DistributedFixture& fixture,
-                                  const core::ConsistentRing* ring,
-                                  int cut_shard, std::string& error) {
-  if (result.values.size() != fixture.ref_predict.size()) {
-    error = "sharded predict returned the wrong item count";
-    return false;
-  }
-  std::size_t answered = 0;
-  for (std::size_t i = 0; i < result.values.size(); ++i) {
-    const std::uint32_t item = fixture.predict.items[i];
-    const bool from_cut =
-        cut_shard >= 0 &&
-        ring->OwnerOfItem(item) == static_cast<std::uint32_t>(cut_shard);
-    if (result.values[i].has_value()) {
-      if (from_cut) {
-        error = "item " + std::to_string(item) +
-                " answered by a partitioned shard";
-        return false;
-      }
-      ++answered;
-      if (*result.values[i] != fixture.ref_predict[i]) {
-        error = "item " + std::to_string(item) +
-                " diverges from the fault-free reference";
-        return false;
-      }
-    } else if (cut_shard >= 0 && !from_cut) {
-      error = "item " + std::to_string(item) +
-              " missing though its shard was reachable";
-      return false;
-    }
-  }
-  const double expected_coverage =
-      static_cast<double>(answered) /
-      static_cast<double>(result.values.size());
-  if (std::fabs(result.coverage - expected_coverage) > 1e-12) {
-    error = "coverage fraction " + std::to_string(result.coverage) +
-            " does not match answered/total " +
-            std::to_string(expected_coverage);
-    return false;
-  }
-  return true;
-}
-
-/// Global top-k restricted to the items owned by the shards that answered
-/// — the union a degraded kNN must equal exactly.
-std::vector<core::KnnNeighbor> ExpectedKnnUnion(
-    const DistributedFixture& fixture, const core::ConsistentRing& ring,
-    const std::vector<bool>& shard_answered, std::uint32_t item,
-    std::uint32_t k) {
-  std::vector<core::KnnNeighbor> all;
-  for (std::uint32_t other = 0;
-       other < static_cast<std::uint32_t>(fixture.space.num_items());
-       ++other) {
-    if (other == item || !shard_answered[ring.OwnerOfItem(other)]) continue;
-    all.push_back(core::KnnNeighbor{other, fixture.space.Distance(item, other)});
-  }
-  std::sort(all.begin(), all.end(),
-            [](const core::KnnNeighbor& a, const core::KnnNeighbor& b) {
-              return a.distance != b.distance ? a.distance < b.distance
-                                              : a.index < b.index;
-            });
-  if (all.size() > k) all.resize(k);
-  return all;
-}
-
-void RunDistributedPhase(DistributedFixture& fixture, std::uint64_t seed,
-                         Rng& rng, const std::string& dir,
-                         SoakFailure& failure) {
-  std::string error;
-
-  // --- (a) scatter-gather under random drops/dups/delays/resets: every
-  // answered item bit-identical, coverage arithmetic exact, degraded kNN
-  // equal to the reachable shards' fault-free union.
-  {
-    net::FaultTransportOptions fault;
-    fault.seed = seed ^ 0xD157D157ull;
-    fault.drop_prob = 0.05;
-    fault.duplicate_prob = 0.05;
-    fault.reset_prob = 0.04;
-    fault.delay_prob = 0.08;
-    fault.delay_min_ms = 0.05;
-    fault.delay_max_ms = 1.0;
-    fault.reorder_prob = 0.05;
-    fault.reorder_max_delay_ms = 0.3;
-    net::FaultTransport transport(fault);
-    std::vector<std::unique_ptr<core::ExpansionShardServer>> servers;
-    for (std::uint32_t s = 0; s < kSoakShards; ++s) {
-      if (!StartShardServer(servers, s, fixture, transport, {})) {
-        ReportFailure(failure, "shard server failed to start", nullptr);
-        return;
-      }
-    }
-    core::ShardedExpansionService router(transport, SoakRouterOptions(seed));
-
-    const core::ShardedPredictResult predicted =
-        router.Predict(fixture.predict);
-    if (!predicted.status.ok()) {
-      ReportFailure(failure,
-                    "faulted predict must degrade, not fail: " +
-                        predicted.status.ToString(),
-                    nullptr);
-      return;
-    }
-    if (!CheckPredictAgainstReference(predicted, fixture, nullptr, -1,
-                                      error)) {
-      ReportFailure(failure, "faulted predict: " + error, nullptr);
-      return;
-    }
-
-    const std::uint32_t query =
-        static_cast<std::uint32_t>(rng.UniformInt(fixture.world.num_items()));
-    const core::ShardedKnnResult knn = router.Knn(query, 15);
-    if (!knn.status.ok()) {
-      ReportFailure(failure,
-                    "faulted knn must degrade, not fail: " +
-                        knn.status.ToString(),
-                    nullptr);
-      return;
-    }
-    const std::vector<core::KnnNeighbor> expected =
-        ExpectedKnnUnion(fixture, router.ring(), knn.shard_answered, query, 15);
-    bool same = knn.neighbors.size() == expected.size();
-    for (std::size_t i = 0; same && i < expected.size(); ++i) {
-      same = knn.neighbors[i].index == expected[i].index &&
-             knn.neighbors[i].distance == expected[i].distance;
-    }
-    if (!same) {
-      ReportFailure(failure,
-                    "degraded knn is not the exact union of the shards "
-                    "that answered",
-                    nullptr);
-      return;
-    }
-    if (!RouterStatsIdentity(router.stats())) {
-      ReportFailure(failure, "router stats identity broken under faults",
-                    nullptr);
-      return;
-    }
-  }
-
-  // --- (b) a 1-of-4 partition: partial result with the exact coverage
-  // fraction and exactly the reachable shards' fault-free union — never a
-  // blanket Unavailable. Healing restores full coverage.
-  {
-    net::FaultTransportOptions clean;
-    clean.seed = seed;
-    net::FaultTransport transport(clean);
-    std::vector<std::unique_ptr<core::ExpansionShardServer>> servers;
-    for (std::uint32_t s = 0; s < kSoakShards; ++s) {
-      if (!StartShardServer(servers, s, fixture, transport, {})) {
-        ReportFailure(failure, "shard server failed to start", nullptr);
-        return;
-      }
-    }
-    core::ShardedExpansionOptions options = SoakRouterOptions(seed);
-    options.hedging = false;
-    core::ShardedExpansionService router(transport, options);
-
-    const int cut = static_cast<int>(rng.UniformInt(kSoakShards));
-    transport.StartPartition("soak-cut", {net::kClientNode},
-                             {static_cast<std::uint32_t>(cut) + 1});
-    const core::ShardedPredictResult degraded =
-        router.Predict(fixture.predict);
-    if (!degraded.status.ok()) {
-      ReportFailure(failure,
-                    "1-of-4 partition must yield a partial result, got: " +
-                        degraded.status.ToString(),
-                    nullptr);
-      return;
-    }
-    if (degraded.shards_answered != kSoakShards - 1) {
-      ReportFailure(failure,
-                    "partitioned predict answered from " +
-                        std::to_string(degraded.shards_answered) +
-                        " shards, expected 3",
-                    nullptr);
-      return;
-    }
-    if (!CheckPredictAgainstReference(degraded, fixture, &router.ring(), cut,
-                                      error)) {
-      ReportFailure(failure, "partitioned predict: " + error, nullptr);
-      return;
-    }
-
-    transport.HealPartition("soak-cut");
-    const core::ShardedPredictResult healed = router.Predict(fixture.predict);
-    if (!healed.status.ok() || healed.coverage != 1.0 ||
-        !CheckPredictAgainstReference(healed, fixture, nullptr, -1, error)) {
-      ReportFailure(failure, "healed predict did not recover full coverage",
-                    nullptr);
-      return;
-    }
-    if (!RouterStatsIdentity(router.stats())) {
-      ReportFailure(failure, "router stats identity broken under partition",
-                    nullptr);
-      return;
-    }
-  }
-
-  // --- (b') partition healing mid-query: the heal fires while the cut
-  // shard's retries are still running, so the SAME query that began
-  // partitioned completes with full coverage.
-  {
-    net::FaultTransportOptions opts;
-    opts.seed = seed;
-    opts.heal_partitions_at_op = 2;  // heal during the first fan-out wave
-    net::FaultTransport transport(opts);
-    std::vector<std::unique_ptr<core::ExpansionShardServer>> servers;
-    for (std::uint32_t s = 0; s < kSoakShards; ++s) {
-      if (!StartShardServer(servers, s, fixture, transport, {})) {
-        ReportFailure(failure, "shard server failed to start", nullptr);
-        return;
-      }
-    }
-    core::ShardedExpansionOptions options = SoakRouterOptions(seed);
-    options.hedging = false;
-    core::ShardedExpansionService router(transport, options);
-    transport.StartPartition("mid-query", {net::kClientNode},
-                             {static_cast<std::uint32_t>(
-                                  rng.UniformInt(kSoakShards)) +
-                              1});
-    const core::ShardedPredictResult result = router.Predict(fixture.predict);
-    if (!result.status.ok() || result.coverage != 1.0 ||
-        !CheckPredictAgainstReference(result, fixture, nullptr, -1, error)) {
-      ReportFailure(failure,
-                    "query spanning a mid-flight heal did not recover full "
-                    "coverage",
-                    nullptr);
-      return;
-    }
-  }
-
-  // --- (c) expand over faulted transport + faulted per-shard journals,
-  // with an owner crash/restart: values bit-identical to the single-node
-  // reference, per-shard journal record counts monotone, and the crowd
-  // money spent exactly once when the journal held the record.
-  {
-    const core::SchemaExpansionResult reference = [&] {
-      StatusOr<core::ExpansionService::Ticket> ticket =
-          fixture.ref_service->ExpandAttribute(DistributedJob(fixture, seed));
-      return ticket.ok() ? ticket.value().Wait()
-                         : core::SchemaExpansionResult{};
-    }();
-    if (!reference.status.ok()) {
-      ReportFailure(failure, "reference expand failed on a clean stack",
-                    nullptr);
-      return;
-    }
-
-    // Seed-suffixed scratch names: the two chaos ctests (full soak and
-    // the distributed-only partition soak) run concurrently under
-    // `ctest -j` on disjoint seed ranges, and must not share journals.
-    std::vector<std::string> journals;
-    for (std::uint32_t s = 0; s < kSoakShards; ++s) {
-      journals.push_back(dir + "/chaos_shard" + std::to_string(seed) + "_" +
-                         std::to_string(s) + ".jnl");
-      RemoveDurableFamily(journals.back());
-    }
-    FaultFs journal_fs(JournalFaults(seed * 1000 + 900));
-    net::FaultTransportOptions fault;
-    fault.seed = seed ^ 0xE19A7ull;
-    fault.drop_prob = 0.08;
-    fault.duplicate_prob = 0.06;
-    fault.reset_prob = 0.08;
-    net::FaultTransport transport(fault);
-    std::vector<std::unique_ptr<core::ExpansionShardServer>> servers;
-    for (std::uint32_t s = 0; s < kSoakShards; ++s) {
-      core::ShardServerOptions server_options;
-      server_options.journal_path = journals[s];
-      server_options.fs = &journal_fs;
-      if (!StartShardServer(servers, s, fixture, transport, server_options)) {
-        ReportFailure(failure, "journaled shard server failed to start",
-                      nullptr);
-        return;
-      }
-    }
-    core::ShardedExpansionService router(transport, SoakRouterOptions(seed));
-
-    // Per-shard clean-scan record counts may only grow (no lost ack'd
-    // expand result), mirroring the dispatch journal's invariant (a).
-    std::vector<std::size_t> journal_counts(kSoakShards, 0);
-    auto journals_monotone = [&](std::string& why) {
-      for (std::uint32_t s = 0; s < kSoakShards; ++s) {
-        StatusOr<JournalContents> contents = ReadJournal(journals[s]);
-        std::size_t count = 0;
-        if (contents.ok()) {
-          count = contents.value().records.size();
-        } else if (contents.status().code() != StatusCode::kNotFound) {
-          why = "shard " + std::to_string(s) +
-                " journal unreadable with a clean fs: " +
-                contents.status().ToString();
-          return false;
-        }
-        if (count < journal_counts[s]) {
-          why = "shard " + std::to_string(s) + " journal shrank from " +
-                std::to_string(journal_counts[s]) + " to " +
-                std::to_string(count) + " records";
-          return false;
-        }
-        journal_counts[s] = count;
-      }
-      return true;
-    };
-
-    core::ShardedExpandResult first;
-    bool done = false;
-    for (int attempt = 0; attempt < kMaxChaosAttempts && !done; ++attempt) {
-      first = router.Expand(DistributedJob(fixture, seed));
-      done = first.status.ok() && first.result.status.ok();
-      if (!journals_monotone(error)) {
-        ReportFailure(failure, error, nullptr);
-        return;
-      }
-    }
-    if (!done) {
-      ReportFailure(failure,
-                    "distributed expand never completed under transport "
-                    "faults: " +
-                        first.status.ToString(),
-                    nullptr);
-      return;
-    }
-    if (first.result.values != reference.values ||
-        first.result.crowd_dollars != reference.crowd_dollars) {
-      ReportFailure(failure,
-                    "distributed expand diverged from the single-node "
-                    "reference",
-                    nullptr);
-      return;
-    }
-    // No double spend: however many retries, hedges, duplicates and
-    // resets the transport injected, the cluster bought the expansion
-    // exactly once.
-    double spent = 0.0;
-    for (const auto& server : servers) {
-      spent += server->service_stats().crowd_dollars_spent;
-    }
-    if (std::fabs(spent - reference.crowd_dollars) > 1e-9) {
-      ReportFailure(failure,
-                    "double spend: cluster spent $" + std::to_string(spent) +
-                        " vs fault-free $" +
-                        std::to_string(reference.crowd_dollars),
-                    nullptr);
-      return;
-    }
-
-    // Crash the owner shard and restart it on a clean fs: the journal
-    // replays and the re-delivered job must not re-spend.
-    const std::uint32_t owner = first.shard;
-    const std::uint64_t append_failures =
-        servers[owner]->stats().journal_append_failures;
-    servers[owner]->Stop();
-    servers[owner].reset();
-    core::ShardServerOptions restart_options;
-    restart_options.journal_path = journals[owner];
-    if (!StartShardServer(servers, owner, fixture, transport,
-                          restart_options)) {
-      ReportFailure(failure,
-                    "owner shard failed to restart from its journal",
-                    nullptr);
-      return;
-    }
-
-    core::ShardedExpandResult second;
-    done = false;
-    for (int attempt = 0; attempt < kMaxChaosAttempts && !done; ++attempt) {
-      second = router.Expand(DistributedJob(fixture, seed));
-      done = second.status.ok() && second.result.status.ok();
-      if (!journals_monotone(error)) {
-        ReportFailure(failure, error, nullptr);
-        return;
-      }
-    }
-    if (!done || second.result.values != reference.values) {
-      ReportFailure(failure,
-                    "post-restart expand diverged from the single-node "
-                    "reference",
-                    nullptr);
-      return;
-    }
-    if (append_failures == 0) {
-      // The result reached the journal before any response left the
-      // server, so the restart must have replayed it and answered from
-      // the cache — zero new crowd dollars.
-      if (servers[owner]->stats().journal_replayed == 0) {
-        ReportFailure(failure,
-                      "journal held the expand result but replay restored "
-                      "nothing",
-                      nullptr);
-        return;
-      }
-      if (servers[owner]->service_stats().crowd_dollars_spent > 0.0) {
-        ReportFailure(failure,
-                      "double spend after crash/restart despite a durable "
-                      "journal",
-                      nullptr);
-        return;
-      }
-    }
-    if (!RouterStatsIdentity(router.stats())) {
-      ReportFailure(failure,
-                    "router stats identity broken in the expand soak",
-                    nullptr);
-      return;
-    }
-    for (const std::string& path : journals) RemoveDurableFamily(path);
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   int iters = benchutil::EnvInt("CCDB_CHAOS_ITERS", 200);
   std::uint64_t base_seed =
       static_cast<std::uint64_t>(benchutil::EnvInt("CCDB_CHAOS_SEED", 1));
-  std::string phase = "all";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--iters=", 0) == 0) {
@@ -1235,68 +698,46 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--seed=", 0) == 0) {
       base_seed = std::strtoull(arg.c_str() + std::strlen("--seed="), nullptr,
                                 10);
-    } else if (arg.rfind("--phase=", 0) == 0) {
-      phase = arg.c_str() + std::strlen("--phase=");
     } else {
-      std::cerr
-          << "usage: chaos_soak [--iters=N] [--seed=S] "
-             "[--phase=all|distributed]\n";
+      std::cerr << "usage: chaos_soak [--iters=N] [--seed=S]\n";
       return 2;
     }
   }
-  if (phase != "all" && phase != "distributed") {
-    std::cerr << "unknown --phase=" << phase
-              << " (expected all or distributed)\n";
-    return 2;
-  }
-  const bool run_storage = phase == "all";
 
   const std::string dir = ChaosDir();
   CrashPoints::SetTrapHandler(CancelTrap);
 
-  std::cout << "chaos soak (" << phase << "): " << iters
-            << " iterations, seeds " << base_seed << ".."
-            << (base_seed + static_cast<std::uint64_t>(iters) - 1) << ", dir "
-            << dir << "\n";
+  std::cout << "chaos soak: " << iters << " iterations, seeds " << base_seed
+            << ".." << (base_seed + static_cast<std::uint64_t>(iters) - 1)
+            << ", dir " << dir << "\n";
 
   const DispatchFixture dispatch;
   ExpansionFixture expansion;
-  if (run_storage && !expansion.ComputeReference(dir)) {
+  if (!expansion.ComputeReference(dir)) {
     std::cerr << "cannot compute the fault-free expansion reference\n";
     return 1;
   }
-  std::optional<TrainerFixture> trainer;
-  if (run_storage) trainer.emplace(expansion.world);
-  DistributedFixture distributed(expansion);
-  if (!distributed.valid) {
-    std::cerr << "cannot compute the fault-free distributed reference\n";
-    return 1;
-  }
+  const TrainerFixture trainer(expansion.world);
 
   for (int iter = 0; iter < iters; ++iter) {
     const std::uint64_t seed = base_seed + static_cast<std::uint64_t>(iter);
     Rng rng(seed);
     SoakFailure failure;
 
-    if (run_storage) {
-      RunDispatchPhase(dispatch, seed, rng, dir, failure);
-      if (!failure.failed) {
-        RunExpansionPhase(expansion, seed, rng, dir, failure);
-      }
-      if (!failure.failed) RunTrainerPhase(*trainer, seed, rng, dir, failure);
-      if (!failure.failed && seed % 10 == 0) {
-        RunOverloadPhase(expansion, seed, rng, failure);
-      }
-    }
+    RunDispatchPhase(dispatch, seed, rng, dir, failure);
     if (!failure.failed) {
-      RunDistributedPhase(distributed, seed, rng, dir, failure);
+      RunExpansionPhase(expansion, seed, rng, dir, failure);
+    }
+    if (!failure.failed) RunTrainerPhase(trainer, seed, rng, dir, failure);
+    if (!failure.failed && seed % 10 == 0) {
+      RunOverloadPhase(expansion, seed, rng, failure);
     }
 
     if (failure.failed) {
       std::cout << "\nCHAOS SOAK FAILED at iteration " << iter
                 << " (seed " << seed << "): " << failure.what << "\n"
-                << "replay with: chaos_soak --phase=" << phase
-                << " --seed=" << seed << " --iters=1\n";
+                << "replay with: chaos_soak --seed=" << seed
+                << " --iters=1\n";
       return 1;
     }
     if ((iter + 1) % 25 == 0 || iter + 1 == iters) {

@@ -201,9 +201,8 @@ class FaultFs final : public Fs {
   const FaultFsOptions options_;
   Fs& base_;
 
-  // Ranked kFaultFs: held while durable paths (journal appends under
-  // ExpansionShardServer::mu_) plan their faults; nothing is acquired
-  // under it.
+  // Ranked kFaultFs: held while durable paths plan their faults; nothing
+  // is acquired under it.
   mutable Mutex mutex_{lock_rank::kFaultFs};
   Rng rng_ GUARDED_BY(mutex_);
   std::uint64_t op_count_ GUARDED_BY(mutex_) = 0;

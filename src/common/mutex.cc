@@ -109,28 +109,6 @@ Mutex::RankViolationHandler Mutex::SetRankViolationHandler(
   return g_rank_handler.exchange(handler, std::memory_order_acq_rel);
 }
 
-void SharedMutex::Lock() {
-  CheckRankBeforeAcquire(rank_);
-  mu_.lock();
-  PushHeldRank(rank_);
-}
-
-void SharedMutex::Unlock() {
-  PopHeldRank(rank_);
-  mu_.unlock();
-}
-
-void SharedMutex::LockShared() {
-  CheckRankBeforeAcquire(rank_);
-  mu_.lock_shared();
-  PushHeldRank(rank_);
-}
-
-void SharedMutex::UnlockShared() {
-  PopHeldRank(rank_);
-  mu_.unlock_shared();
-}
-
 void CondVar::Wait(Mutex& mu) {
   // The wait releases `mu`: pop its rank so concurrent acquisitions by
   // this thread's wakers are judged against the true held set, re-push

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 #include "common/thread_annotations.h"
 
@@ -16,21 +15,14 @@ class CondVar;
 ///
 /// A thread may only acquire a ranked mutex whose rank is STRICTLY GREATER
 /// than the rank of every ranked mutex it already holds; smaller ranks are
-/// outermost. The ranks below document the only nesting the serving stack
+/// outermost. The ranks below document the only nesting the library
 /// permits, e.g. ExpansionService::mu_ (300) is held while the admission
-/// queue locks ThreadPool::mutex_ (400), and ExpansionShardServer::mu_
-/// (200) is held while the result journal appends through FaultFs (600).
-/// Ephemeral per-request latches (scatter-gather state, ParallelFor
+/// queue locks ThreadPool::mutex_ (400). Ephemeral latches (ParallelFor
 /// completion latches) are unranked: they are leaf locks by construction
 /// and never nest with each other.
 namespace lock_rank {
-inline constexpr int kShardedRouter = 100;     // ShardedExpansionService::mu_
-inline constexpr int kRouterLatency = 150;     // ShardedExpansionService::latency_mu_
-inline constexpr int kShardServer = 200;       // ExpansionShardServer::mu_
 inline constexpr int kExpansionService = 300;  // ExpansionService::mu_
 inline constexpr int kThreadPool = 400;        // ThreadPool::mutex_
-inline constexpr int kFaultTransport = 500;    // net::FaultTransport::mutex_
-inline constexpr int kLocalTransport = 510;    // net::LocalTransport::mutex_
 inline constexpr int kFaultFs = 600;           // FaultFs::mutex_
 inline constexpr int kCrashPoint = 700;        // crash-point registry mutex
 }  // namespace lock_rank
@@ -86,28 +78,6 @@ class CAPABILITY("mutex") Mutex {
   const int rank_ = kNoMutexRank;
 };
 
-/// Reader/writer mutex. Shares the rank-checking machinery with Mutex;
-/// shared (reader) acquisitions obey the same strictly-increasing rule.
-class CAPABILITY("mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  explicit SharedMutex(int rank) : rank_(rank) {}
-
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void Lock() ACQUIRE();
-  void Unlock() RELEASE();
-  void LockShared() ACQUIRE_SHARED();
-  void UnlockShared() RELEASE_SHARED();
-
-  int rank() const { return rank_; }
-
- private:
-  std::shared_mutex mu_;
-  const int rank_ = kNoMutexRank;
-};
-
 /// RAII exclusive lock over Mutex.
 class SCOPED_CAPABILITY MutexLock {
  public:
@@ -119,34 +89,6 @@ class SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// RAII shared (reader) lock over SharedMutex.
-class SCOPED_CAPABILITY ReaderLock {
- public:
-  explicit ReaderLock(SharedMutex& mu) ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.LockShared();
-  }
-  ~ReaderLock() RELEASE() { mu_.UnlockShared(); }
-
-  ReaderLock(const ReaderLock&) = delete;
-  ReaderLock& operator=(const ReaderLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-/// RAII exclusive (writer) lock over SharedMutex.
-class SCOPED_CAPABILITY WriterLock {
- public:
-  explicit WriterLock(SharedMutex& mu) ACQUIRE(mu) : mu_(mu) { mu_.Lock(); }
-  ~WriterLock() RELEASE() { mu_.Unlock(); }
-
-  WriterLock(const WriterLock&) = delete;
-  WriterLock& operator=(const WriterLock&) = delete;
-
- private:
-  SharedMutex& mu_;
 };
 
 /// Condition variable composing with Mutex/MutexLock:

@@ -20,9 +20,8 @@ struct CircuitBreakerOptions {
   double cooldown_seconds = 0.25;
 };
 
-/// The closed / open / half-open state machine shared by the expansion
-/// service's admission gate and the sharded router's per-shard health
-/// tracking (outlier ejection). What counts as a relevant failure is the
+/// The closed / open / half-open state machine behind the expansion
+/// service's admission gate. What counts as a relevant failure is the
 /// caller's policy — the breaker only sees Record(kSuccess / kFailure /
 /// kNeutral), where neutral outcomes (cancellations, caller mistakes)
 /// neither trip nor heal it.
@@ -32,7 +31,7 @@ struct CircuitBreakerOptions {
 /// OnProbeAdmitted) must be atomic with respect to that lock anyway.
 /// Owners annotate that contract where the compiler can see it — their
 /// breaker member is GUARDED_BY the owning mutex (DESIGN.md §13), e.g.
-/// ExpansionService::breaker_ and ShardedExpansionService::health_.
+/// ExpansionService::breaker_.
 class CircuitBreaker {
  public:
   explicit CircuitBreaker(CircuitBreakerOptions options = {});

@@ -7,8 +7,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "common/rng.h"
-
 namespace ccdb::crowd {
 namespace {
 
@@ -38,11 +36,6 @@ Status ValidateDispatcherConfig(const DispatcherConfig& config) {
   }
   if (config.max_reposts > 0 && !(config.backoff_factor >= 1.0)) {
     return Status::InvalidArgument("backoff_factor must be >= 1");
-  }
-  if (!(config.backoff_jitter_fraction >= 0.0 &&
-        config.backoff_jitter_fraction < 1.0)) {
-    return Status::InvalidArgument(
-        "backoff_jitter_fraction must be in [0, 1)");
   }
   if (!(config.max_dollars > 0.0)) {
     return Status::InvalidArgument("max_dollars must be > 0");
@@ -142,11 +135,6 @@ StatusOr<DispatchResult> Dispatcher::RunWith(
       result.judgments.size() - judgments_before == primary.judgments.size();
 
   double phase_open = 0.0;
-  // Jitter stream for the repost backoff, seeded off the run seed (domain-
-  // separated from the platform's own streams) so replays see the same
-  // schedule. Untouched when jitter is disabled: the zero-jitter timeline
-  // stays bit-identical to the pre-jitter dispatcher.
-  Rng backoff_rng(hit_config.seed ^ 0xBAC0FFull);
   for (std::size_t round = 1; round <= config_.max_reposts; ++round) {
     // An infinite deadline means "wait forever": every judgment that will
     // ever arrive already counts, so a repost can never open.
@@ -175,16 +163,10 @@ StatusOr<DispatchResult> Dispatcher::RunWith(
       break;
     }
 
-    // Exponential backoff after the expired deadline before reposting,
-    // de-synchronized by seeded jitter (repost storms spread out instead
-    // of landing on the platform in lockstep).
-    double backoff =
+    // Exponential backoff after the expired deadline before reposting.
+    const double backoff =
         config_.backoff_initial_minutes *
         std::pow(config_.backoff_factor, static_cast<double>(round - 1));
-    if (config_.backoff_jitter_fraction > 0.0) {
-      backoff *= 1.0 + config_.backoff_jitter_fraction *
-                           (2.0 * backoff_rng.Uniform() - 1.0);
-    }
     const double next_open = phase_open + config_.deadline_minutes + backoff;
 
     HitRunConfig repost = hit_config;

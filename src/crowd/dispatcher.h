@@ -26,14 +26,6 @@ struct DispatcherConfig {
   /// backoff_initial_minutes * backoff_factor^(round-1).
   double backoff_initial_minutes = 5.0;
   double backoff_factor = 2.0;
-  /// Jitter on the repost backoff: each round's backoff is multiplied by
-  /// a factor drawn uniformly from [1 - j, 1 + j], j in [0, 1). Without
-  /// it, every item that went deficient in the same posting reposts at
-  /// the exact same instant — a synchronized repost storm; with it the
-  /// storm spreads out. Drawn from an RNG seeded by the run's seed, so a
-  /// replay sees the identical schedule. 0 (the default) disables jitter
-  /// and reproduces the unjittered timeline bit for bit.
-  double backoff_jitter_fraction = 0.0;
   /// Hedging: extra judgments requested per reposted item beyond its
   /// deficit. Reposts can land on workers who already judged the item
   /// (their copies are deduplicated away), so a small surplus makes each

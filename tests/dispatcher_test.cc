@@ -200,15 +200,6 @@ TEST(ValidationTest, DispatcherConfigValidation) {
   bad_budget.max_dollars = 0.0;
   EXPECT_FALSE(ValidateDispatcherConfig(bad_budget).ok());
 
-  DispatcherConfig bad_jitter;
-  bad_jitter.backoff_jitter_fraction = 1.0;  // must stay strictly below 1
-  EXPECT_FALSE(ValidateDispatcherConfig(bad_jitter).ok());
-  bad_jitter.backoff_jitter_fraction = -0.1;
-  EXPECT_FALSE(ValidateDispatcherConfig(bad_jitter).ok());
-  DispatcherConfig good_jitter;
-  good_jitter.backoff_jitter_fraction = 0.5;
-  EXPECT_TRUE(ValidateDispatcherConfig(good_jitter).ok());
-
   const Dispatcher dispatcher(WorkerPool{}, DispatcherConfig{});
   EXPECT_FALSE(
       dispatcher.Run(MakeLabels(5, 0.3, 14), HitRunConfig{}).ok());
@@ -359,48 +350,6 @@ TEST(DispatcherTest, SpamBurstIsSurfacedInStats) {
   const auto result = dispatcher.Run(labels, config);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result.value().stats.spam_burst_judgments, 0u);
-}
-
-TEST(DispatcherTest, BackoffJitterIsSeededDeterministicAndObservable) {
-  const auto labels = MakeLabels(80, 0.3, 17);
-  HitRunConfig config;
-  config.judgments_per_item = 5;
-  config.seed = 18;
-  config.fault.abandonment_prob = 0.4;
-  DispatcherConfig policy;
-  policy.deadline_minutes = 200.0;
-  policy.max_reposts = 5;
-  policy.backoff_initial_minutes = 2.0;
-  policy.backoff_jitter_fraction = 0.3;
-
-  // Same (seed, jitter) pair replays the exact jittered schedule.
-  const Dispatcher jittered(HonestPool(20), policy);
-  const auto a = jittered.Run(labels, config);
-  const auto b = jittered.Run(labels, config);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_GE(a.value().stats.repost_rounds, 1u);
-  ExpectSameStream(a.value().judgments, b.value().judgments);
-  EXPECT_DOUBLE_EQ(a.value().total_minutes, b.value().total_minutes);
-  EXPECT_DOUBLE_EQ(a.value().total_cost_dollars,
-                   b.value().total_cost_dollars);
-
-  // Jitter actually moves the repost timeline: against the zero-jitter
-  // run, at least one judgment timestamp (or the makespan) shifts.
-  DispatcherConfig plain = policy;
-  plain.backoff_jitter_fraction = 0.0;
-  const auto c = Dispatcher(HonestPool(20), plain).Run(labels, config);
-  ASSERT_TRUE(c.ok());
-  bool any_difference =
-      a.value().judgments.size() != c.value().judgments.size() ||
-      a.value().total_minutes != c.value().total_minutes;
-  for (std::size_t i = 0;
-       !any_difference && i < a.value().judgments.size(); ++i) {
-    any_difference = a.value().judgments[i].timestamp_minutes !=
-                     c.value().judgments[i].timestamp_minutes;
-  }
-  EXPECT_TRUE(any_difference)
-      << "30% jitter left the repost timeline bit-identical";
 }
 
 }  // namespace

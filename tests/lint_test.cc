@@ -124,18 +124,6 @@ TEST_F(LintFixtureTest, StatusClassAnnotationFixture) {
                                       "15:status-nodiscard"}));
 }
 
-TEST_F(LintFixtureTest, HeaderApiAnnotationFixture) {
-  EXPECT_EQ(KeysFor(*findings_, "src/lsi/missing_annotation.h"),
-            (std::vector<std::string>{"15:status-nodiscard",
-                                      "16:status-nodiscard"}));
-}
-
-TEST_F(LintFixtureTest, TransportSeamFixture) {
-  EXPECT_EQ(KeysFor(*findings_, "src/core/sharded_bad_bypass.cc"),
-            (std::vector<std::string>{"5:transport-seam", "6:transport-seam",
-                                      "9:transport-seam"}));
-}
-
 TEST_F(LintFixtureTest, CleanFixturesProduceNoFindings) {
   EXPECT_TRUE(KeysFor(*findings_, "src/clean/clean_code.cc").empty());
   EXPECT_TRUE(KeysFor(*findings_, "src/clean/clean_header.h").empty());
@@ -148,7 +136,7 @@ TEST_F(LintFixtureTest, AllowSuppressionFixtureProducesNoFindings) {
 TEST_F(LintFixtureTest, FixtureTreeFindingsAreExactlyTheExpectedSet) {
   // Guards against a rule silently firing on a fixture it should not
   // touch: the per-file expectations above must cover every finding.
-  std::size_t expected = 6 + 4 + 2 + 1 + 2 + 3 + 2 + 2 + 3 + 3 + 2 + 4 + 2;
+  std::size_t expected = 6 + 4 + 2 + 1 + 2 + 3 + 2 + 3 + 2 + 4 + 2;
   EXPECT_EQ(findings_->size(), expected);
 }
 
@@ -191,21 +179,6 @@ TEST(LintContentsTest, RuleScopingFollowsPath) {
   EXPECT_EQ(LintContents("src/lsi/a.cc", throw_code).size(), 1u);
   // Tests simulate crashes with exceptions on purpose.
   EXPECT_TRUE(LintContents("tests/a_test.cc", throw_code).empty());
-
-  // transport-seam: only the net layer and the sharded router are in
-  // scope; the shard server legitimately owns an ExpansionService.
-  const std::string bypass_code =
-      "void F(ExpansionService& s) { s.ExpandAttribute(j); }\n";
-  EXPECT_EQ(LintContents("src/core/sharded_service.cc", bypass_code).size(),
-            1u);
-  EXPECT_EQ(LintContents("src/net/router.cc", bypass_code).size(), 1u);
-  EXPECT_TRUE(LintContents("src/core/shard_server.cc", bypass_code).empty());
-  EXPECT_TRUE(LintContents("tests/a.cc", bypass_code).empty());
-  // The router's own ShardedExpansionService is a different identifier and
-  // never matches (whole-word identifier boundaries).
-  EXPECT_TRUE(LintContents("src/core/sharded_service.cc",
-                           "ShardedExpansionService router(t, opts);\n")
-                  .empty());
 
   // raw-mutex: everywhere but the capability layer itself and tests.
   const std::string mutex_code = "std::mutex mu;\n";
@@ -310,29 +283,6 @@ TEST(LintContentsTest, AllowOnSameAndPrecedingCommentLine) {
             1u);
 }
 
-TEST(LintContentsTest, StatusHeaderAnnotationDetails) {
-  // The attribute may sit on the declaration line or the line above.
-  EXPECT_TRUE(LintContents("src/svm/x.h",
-                           "#ifndef CCDB_SVM_X_H_\n"
-                           "#define CCDB_SVM_X_H_\n"
-                           "[[nodiscard]] Status F();\n"
-                           "[[nodiscard]]\n"
-                           "StatusOr<int> G();\n"
-                           "#endif\n")
-                  .empty());
-  // Variable declarations and reference returns are not flagged.
-  EXPECT_TRUE(LintContents("src/svm/x.h",
-                           "#ifndef CCDB_SVM_X_H_\n"
-                           "#define CCDB_SVM_X_H_\n"
-                           "Status status_member;\n"
-                           "const Status& status() const;\n"
-                           "#endif\n")
-                  .empty());
-  // Unannotated declarations in a .cc are the definition side — exempt.
-  EXPECT_TRUE(LintContents("src/svm/x.cc", "Status F() { return {}; }\n")
-                  .empty());
-}
-
 // --- baseline machinery -----------------------------------------------------
 
 TEST(BaselineTest, KeysRoundTripThroughFileFormat) {
@@ -371,12 +321,11 @@ TEST(BaselineTest, MissingBaselineReportsNotOk) {
 TEST(LintApiTest, AllRulesListsEveryRuleOnce) {
   const std::vector<std::string> rules = AllRules();
   const std::set<std::string> unique(rules.begin(), rules.end());
-  EXPECT_EQ(rules.size(), 11u);
+  EXPECT_EQ(rules.size(), 10u);
   EXPECT_EQ(unique.size(), rules.size());
   EXPECT_TRUE(unique.count(kRuleStatusNodiscard) > 0);
   EXPECT_TRUE(unique.count(kRuleBlockingWait) > 0);
   EXPECT_TRUE(unique.count(kRuleRawFileIo) > 0);
-  EXPECT_TRUE(unique.count(kRuleTransportSeam) > 0);
   EXPECT_TRUE(unique.count(kRuleRawMutex) > 0);
   EXPECT_TRUE(unique.count(kRuleUnguardedMember) > 0);
 }

@@ -1,15 +1,13 @@
-// Tests for the annotated capability layer (common/mutex.h): MutexLock /
-// ReaderLock / WriterLock semantics, CondVar signalling and timeouts, and
-// the debug lock-rank deadlock detection — a recording handler observes
-// an out-of-order acquisition, CondVar::Wait re-pushes the popped rank on
-// wake, and the default handler aborts (death test). Rank checking is
-// runtime-toggled because the tier-1 build is Release (NDEBUG defaults it
-// off); every test restores the global flag and handler it touches.
+// Tests for the annotated capability layer (common/mutex.h): MutexLock
+// semantics, CondVar signalling and timeouts, and the debug lock-rank
+// deadlock detection — a recording handler observes an out-of-order
+// acquisition, CondVar::Wait re-pushes the popped rank on wake, and the
+// default handler aborts (death test). Rank checking is runtime-toggled
+// because the tier-1 build is Release (NDEBUG defaults it off); every test
+// restores the global flag and handler it touches.
 
 #include <atomic>
-#include <chrono>
 #include <string>
-#include <thread>
 
 #include "common/mutex.h"
 #include "common/thread_pool.h"
@@ -87,40 +85,6 @@ TEST(MutexTest, TryLockFailsWhileHeldElsewhere) {
   EXPECT_TRUE(acquired.load());
 }
 
-TEST(MutexTest, SharedMutexAllowsConcurrentReaders) {
-  SharedMutex mu;
-  std::atomic<bool> second_reader_ran{false};
-  ThreadPool pool(1);
-  // Hold a reader lock here while the pool takes its own: if readers
-  // excluded each other this would deadlock (the test would time out).
-  ReaderLock lock(mu);
-  pool.Submit([&] {
-    ReaderLock inner(mu);
-    second_reader_ran.store(true);
-  });
-  pool.Wait();
-  EXPECT_TRUE(second_reader_ran.load());
-}
-
-TEST(MutexTest, WriterExcludesReaders) {
-  SharedMutex mu;
-  int value = 0;
-  std::atomic<int> observed{-1};
-  ThreadPool pool(1);
-  {
-    WriterLock lock(mu);
-    pool.Submit([&] {
-      ReaderLock inner(mu);
-      observed.store(value);
-    });
-    // Give the reader a chance to (incorrectly) slip past the writer.
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    value = 42;
-  }
-  pool.Wait();
-  EXPECT_EQ(observed.load(), 42);
-}
-
 TEST(CondVarTest, SignalWakesWaiter) {
   Mutex mu;
   CondVar cv;
@@ -167,10 +131,16 @@ TEST(CondVarTest, WaitForReturnsTrueWhenSignalled) {
   pool.Wait();
 }
 
+// The rank tests below hold two mutexes at once, some deliberately out of
+// order. ThreadSanitizer keys a mutex by its address and never sees a
+// std::mutex destroyed, so stack mutexes whose slots a later test reuses
+// would merge into false lock-order cycles. These tests therefore keep
+// their mutexes in static storage, at addresses no other test shares.
+
 TEST(LockRankTest, InOrderAcquisitionIsSilent) {
   RankCheckScope scope(/*enabled=*/true, &RecordViolation);
-  Mutex outer(lock_rank::kExpansionService);
-  Mutex inner(lock_rank::kThreadPool);
+  static Mutex outer(lock_rank::kExpansionService);
+  static Mutex inner(lock_rank::kThreadPool);
   {
     MutexLock a(outer);
     MutexLock b(inner);
@@ -180,8 +150,8 @@ TEST(LockRankTest, InOrderAcquisitionIsSilent) {
 
 TEST(LockRankTest, InversionFiresHandlerWithBothRanks) {
   RankCheckScope scope(/*enabled=*/true, &RecordViolation);
-  Mutex high(lock_rank::kThreadPool);
-  Mutex low(lock_rank::kExpansionService);
+  static Mutex high(lock_rank::kThreadPool);
+  static Mutex low(lock_rank::kExpansionService);
   {
     MutexLock a(high);
     // Acquiring a lower (or equal) rank while a higher one is held is the
@@ -195,14 +165,18 @@ TEST(LockRankTest, InversionFiresHandlerWithBothRanks) {
 
 TEST(LockRankTest, UnrankedMutexesNeverParticipate) {
   RankCheckScope scope(/*enabled=*/true, &RecordViolation);
-  Mutex ranked(lock_rank::kThreadPool);
-  Mutex plain;  // kNoMutexRank
+  static Mutex ranked(lock_rank::kThreadPool);
+  // Two unranked mutexes (kNoMutexRank), one on each side of the ranked
+  // one: taking one pair in both orders is a real lock-order cycle, which
+  // ThreadSanitizer reports.
+  static Mutex plain_inner;
+  static Mutex plain_outer;
   {
     MutexLock a(ranked);
-    MutexLock b(plain);  // below a ranked lock: fine, unranked
+    MutexLock b(plain_inner);  // below a ranked lock: fine, unranked
   }
   {
-    MutexLock a(plain);
+    MutexLock a(plain_outer);
     MutexLock b(ranked);
   }
   EXPECT_EQ(g_violations.load(), 0);
@@ -210,8 +184,8 @@ TEST(LockRankTest, UnrankedMutexesNeverParticipate) {
 
 TEST(LockRankTest, DisabledCheckingIgnoresInversions) {
   RankCheckScope scope(/*enabled=*/false, &RecordViolation);
-  Mutex high(lock_rank::kThreadPool);
-  Mutex low(lock_rank::kExpansionService);
+  static Mutex high(lock_rank::kThreadPool);
+  static Mutex low(lock_rank::kExpansionService);
   MutexLock a(high);
   MutexLock b(low);
   EXPECT_EQ(g_violations.load(), 0);
@@ -227,8 +201,8 @@ TEST(LockRankTest, SetRankCheckingReturnsPreviousValue) {
 
 TEST(LockRankTest, CondVarWaitRestoresHeldRankOnWake) {
   RankCheckScope scope(/*enabled=*/true, &RecordViolation);
-  Mutex high(lock_rank::kThreadPool);
-  Mutex low(lock_rank::kExpansionService);
+  static Mutex high(lock_rank::kThreadPool);
+  static Mutex low(lock_rank::kExpansionService);
   CondVar cv;
   bool go = false;
   ThreadPool pool(1);

@@ -118,6 +118,34 @@ TEST_F(ExpansionServiceTest, FingerprintSeparatesJobsButIgnoresCaller) {
   ExpansionJob e = GoodJob("is_comedy");
   e.hit_config.judgments_per_item = 9;
   EXPECT_NE(ExpansionJobFingerprint(a), ExpansionJobFingerprint(e));
+  // A field missing from the identity would let two different jobs share
+  // one flight and one answer, so every input below must move it.
+  const struct {
+    const char* field;
+    void (*mutate)(ExpansionJob&);
+  } kChanges[] = {
+      {"gold item", [](ExpansionJob& j) { ++j.request.gold_sample_items[0]; }},
+      {"truth label",
+       [](ExpansionJob& j) { j.sample_truth[0] = !j.sample_truth[0]; }},
+      {"extractor.cost",
+       [](ExpansionJob& j) { j.request.extractor.cost *= 2.0; }},
+      {"extractor.smo.max_iterations",
+       [](ExpansionJob& j) { ++j.request.extractor.smo.max_iterations; }},
+      {"hit_config.seed", [](ExpansionJob& j) { ++j.hit_config.seed; }},
+      {"fault.churn_prob",
+       [](ExpansionJob& j) { j.hit_config.fault.churn_prob = 0.1; }},
+      {"dispatcher.max_reposts",
+       [](ExpansionJob& j) { ++j.expansion.dispatcher.max_reposts; }},
+      {"dispatcher.max_dollars",
+       [](ExpansionJob& j) { j.expansion.dispatcher.max_dollars = 5.0; }},
+      {"max_topups", [](ExpansionJob& j) { ++j.expansion.max_topups; }},
+  };
+  for (const auto& change : kChanges) {
+    ExpansionJob changed = GoodJob("is_comedy");
+    change.mutate(changed);
+    EXPECT_NE(ExpansionJobFingerprint(a), ExpansionJobFingerprint(changed))
+        << change.field;
+  }
 }
 
 TEST_F(ExpansionServiceTest, SingleJobCompletes) {

@@ -232,70 +232,6 @@ std::vector<std::set<std::string>> ParseAllows(
   return allows;
 }
 
-/// Strips declaration-prefix keywords so a function declaration's return
-/// type sits at the front of the returned view. Records whether a
-/// [[nodiscard]] attribute was among the stripped tokens.
-std::string_view StripDeclPrefixes(std::string_view s, bool& nodiscard) {
-  const std::string_view kPrefixes[] = {
-      "static", "virtual", "friend", "inline", "constexpr", "explicit"};
-  bool stripped = true;
-  while (stripped) {
-    stripped = false;
-    while (!s.empty() &&
-           std::isspace(static_cast<unsigned char>(s.front())) != 0) {
-      s.remove_prefix(1);
-    }
-    if (StartsWith(s, "[[nodiscard]]")) {
-      nodiscard = true;
-      s.remove_prefix(13);
-      stripped = true;
-      continue;
-    }
-    for (std::string_view p : kPrefixes) {
-      if (StartsWith(s, p) &&
-          (s.size() == p.size() || !IsWordChar(s[p.size()]))) {
-        s.remove_prefix(p.size());
-        stripped = true;
-        break;
-      }
-    }
-  }
-  return s;
-}
-
-/// True when `s` (prefixes already stripped) declares a function returning
-/// Status or StatusOr<...>: the return type, then an identifier, then '('.
-/// Variable declarations (`Status status = ...`) do not match because no
-/// '(' directly follows the name.
-bool IsStatusReturningDecl(std::string_view s) {
-  std::size_t type_end = 0;
-  if (StartsWith(s, "StatusOr<")) {
-    int depth = 1;
-    std::size_t i = 9;
-    while (i < s.size() && depth > 0) {
-      if (s[i] == '<') ++depth;
-      if (s[i] == '>') --depth;
-      ++i;
-    }
-    if (depth != 0) return false;
-    type_end = i;
-  } else if (StartsWith(s, "Status") &&
-             (s.size() == 6 || !IsWordChar(s[6]))) {
-    type_end = 6;
-  } else {
-    return false;
-  }
-  std::size_t i = type_end;
-  while (i < s.size() &&
-         std::isspace(static_cast<unsigned char>(s[i])) != 0) {
-    ++i;
-  }
-  const std::size_t name_begin = i;
-  while (i < s.size() && IsWordChar(s[i])) ++i;
-  if (i == name_begin) return false;  // no identifier (e.g. `Status(` ctor)
-  return i < s.size() && s[i] == '(';
-}
-
 struct RuleContext {
   const std::string& rel_path;
   const std::vector<std::string>& code_lines;
@@ -520,32 +456,6 @@ void CheckRawFileIo(const RuleContext& ctx) {
   }
 }
 
-// --- rule: transport-seam ---------------------------------------------------
-
-void CheckTransportSeam(const RuleContext& ctx) {
-  // Router-side code (src/net plus the sharded router) must reach replicas
-  // through the net::Transport seam only. Calling an ExpansionService or a
-  // shard server directly from there bypasses fault injection, retries,
-  // hedging and health gating — exactly the cross-replica shortcut the
-  // chaos soak could never cover.
-  const bool in_scope = InDir(ctx.rel_path, "src/net/") ||
-                        InDir(ctx.rel_path, "src/core/sharded_");
-  if (!in_scope) return;
-  const std::string_view kBanned[] = {"ExpansionService", "ExpandAttribute",
-                                      "ExpansionShardServer"};
-  for (std::size_t i = 0; i < ctx.code_lines.size(); ++i) {
-    for (std::string_view ident : kBanned) {
-      if (HasIdent(ctx.code_lines[i], ident)) {
-        ctx.Add(static_cast<int>(i + 1), kRuleTransportSeam,
-                std::string("cross-replica work must flow through the "
-                            "net::Transport seam, not reach ") +
-                    std::string(ident) + " directly");
-        break;  // one diagnostic per line
-      }
-    }
-  }
-}
-
 // --- rule: raw-mutex --------------------------------------------------------
 
 void CheckRawMutex(const RuleContext& ctx) {
@@ -592,8 +502,8 @@ void CheckRawMutex(const RuleContext& ctx) {
 /// or synchronization-primitive types that need no GUARDED_BY.
 bool IsExemptMemberType(const std::string& line) {
   for (std::string_view type :
-       {std::string_view("Mutex"), std::string_view("SharedMutex"),
-        std::string_view("CondVar"), std::string_view("ThreadPool")}) {
+       {std::string_view("Mutex"), std::string_view("CondVar"),
+        std::string_view("ThreadPool")}) {
     if (HasIdent(line, type)) return true;
   }
   return false;
@@ -605,15 +515,15 @@ void CheckUnguardedMember(const RuleContext& ctx) {
   // after a Mutex carries a GUARDED_BY — or an allow(unguarded-member)
   // stating why it needs none (internally synchronized, ctor-only, ...).
   // This is a line-based heuristic, not a parser: it scans from each
-  // Mutex/SharedMutex member declaration to the enclosing closing brace
-  // and flags brace-level member declarations without an annotation.
+  // Mutex member declaration to the enclosing closing brace and flags
+  // brace-level member declarations without an annotation.
   if (!InDir(ctx.rel_path, "src/")) return;
   if (InDir(ctx.rel_path, "src/common/mutex.")) return;
   for (std::size_t i = 0; i < ctx.code_lines.size(); ++i) {
     const std::string& decl = ctx.code_lines[i];
     const bool is_mutex_decl =
-        (HasIdent(decl, "Mutex") || HasIdent(decl, "SharedMutex")) &&
-        !HasIdent(decl, "MutexLock") && decl.find(';') != std::string::npos &&
+        HasIdent(decl, "Mutex") && !HasIdent(decl, "MutexLock") &&
+        decl.find(';') != std::string::npos &&
         decl.find('(') == std::string::npos;
     if (!is_mutex_decl) continue;
     int depth = 0;
@@ -713,33 +623,6 @@ void CheckStatusNodiscard(const RuleContext& ctx) {
               "allow(status-nodiscard)` comment with a one-line rationale");
     }
   }
-
-  // (c) Status-returning APIs declared in src/ and tools/ headers carry an
-  // explicit [[nodiscard]] even though the class-level attribute already
-  // covers them: the annotation survives refactors that change the return
-  // type to a non-annotated wrapper, and it documents intent at the
-  // declaration site.
-  if (IsHeaderPath(ctx.rel_path) &&
-      (InDir(ctx.rel_path, "src/") || InDir(ctx.rel_path, "tools/"))) {
-    for (std::size_t i = 0; i < ctx.code_lines.size(); ++i) {
-      bool nodiscard = false;
-      const std::string_view stripped =
-          StripDeclPrefixes(ctx.code_lines[i], nodiscard);
-      if (!IsStatusReturningDecl(stripped)) continue;
-      if (!nodiscard && i > 0) {
-        // Attribute on its own line above the declaration also counts.
-        const std::string& prev = ctx.code_lines[i - 1];
-        if (prev.find("[[nodiscard]]") != std::string::npos) {
-          nodiscard = true;
-        }
-      }
-      if (!nodiscard) {
-        ctx.Add(static_cast<int>(i + 1), kRuleStatusNodiscard,
-                "Status-returning API in a header must be marked "
-                "[[nodiscard]]");
-      }
-    }
-  }
 }
 
 }  // namespace
@@ -749,8 +632,7 @@ std::vector<std::string> AllRules() {
           kRuleRawThread,       kRuleBlockingWait,
           kRuleNoThrow,         kRuleIncludeGuard,
           kRuleUsingNamespaceHeader, kRuleRawFileIo,
-          kRuleTransportSeam,   kRuleRawMutex,
-          kRuleUnguardedMember};
+          kRuleRawMutex,        kRuleUnguardedMember};
 }
 
 std::vector<Finding> LintContents(const std::string& rel_path,
@@ -769,7 +651,6 @@ std::vector<Finding> LintContents(const std::string& rel_path,
   CheckIncludeGuard(ctx);
   CheckUsingNamespaceHeader(ctx);
   CheckRawFileIo(ctx);
-  CheckTransportSeam(ctx);
   CheckRawMutex(ctx);
   CheckUnguardedMember(ctx);
 

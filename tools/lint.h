@@ -37,7 +37,6 @@ inline constexpr const char* kRuleNoThrow = "no-throw";
 inline constexpr const char* kRuleIncludeGuard = "include-guard";
 inline constexpr const char* kRuleUsingNamespaceHeader = "using-namespace-header";
 inline constexpr const char* kRuleRawFileIo = "raw-file-io";
-inline constexpr const char* kRuleTransportSeam = "transport-seam";
 inline constexpr const char* kRuleRawMutex = "raw-mutex";
 inline constexpr const char* kRuleUnguardedMember = "unguarded-member";
 
