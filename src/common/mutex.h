@@ -37,10 +37,11 @@ inline constexpr int kNoMutexRank = -1;
 /// per-thread held-rank stack. Acquiring a ranked mutex while holding one
 /// of equal or greater rank is an ordering violation — the configured
 /// violation handler fires BEFORE the acquisition blocks, so a would-be
-/// deadlock is reported instead of hung. Checking is on by default in
-/// debug builds (NDEBUG not defined) and can be toggled at runtime with
-/// SetRankCheckingEnabled() (tests enable it explicitly so the inversion
-/// test also fires under the Release tier-1 build).
+/// deadlock is reported instead of hung. Checking is on by default
+/// whenever NDEBUG is not defined — every build of this tree, since its
+/// Release flags omit -DNDEBUG — and can be toggled at runtime with
+/// SetRankCheckingEnabled() (tests enable it explicitly so they do not
+/// depend on the build flags).
 class CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;

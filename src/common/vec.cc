@@ -1,5 +1,6 @@
 #include "common/vec.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -291,6 +292,21 @@ void SquaredDistanceToRowsQuad(std::span<const double> rows,
     SquaredDistanceQuadCore(row, interleaved.data(), cols,
                             out.data() + r * 4);
   }
+}
+
+void ExpNonPositiveInPlace(std::span<double> x) {
+  const std::size_t n = x.size();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    double lanes[4] = {x[i], x[i + 1], x[i + 2], x[i + 3]};
+    ExpNonPositiveQuad(lanes);
+    std::copy_n(lanes, 4, x.begin() + i);
+  }
+  if (i == n) return;
+  double lanes[4] = {0.0, 0.0, 0.0, 0.0};
+  std::copy(x.begin() + i, x.end(), lanes);
+  ExpNonPositiveQuad(lanes);
+  std::copy_n(lanes, n - i, x.begin() + i);
 }
 
 }  // namespace ccdb

@@ -1,7 +1,9 @@
 #ifndef CCDB_COMMON_VEC_H_
 #define CCDB_COMMON_VEC_H_
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -109,6 +111,80 @@ void SquaredDistanceToRowsQuad(std::span<const double> rows,
                                std::size_t num_rows, std::size_t cols,
                                std::span<const double> interleaved,
                                std::span<double> out);
+
+// ------------------------------------------------------------------
+// Exponential of non-positive arguments: the transform that turns every
+// batched RBF exponent −γ‖x−z‖² into a kernel value. Contract, per value:
+//   * within 1 ulp of std::exp on [−708, 0];
+//   * exactly 1 at ±0;
+//   * +0 below the normal range (x < ln DBL_MIN ≈ −708.396) and at −∞;
+//   * NaN for NaN.
+// Positive arguments are outside the contract.
+//
+// Branch-free, so the four lanes vectorize on every x86-64 level (SSE2
+// included): Cody–Waite reduction x = n·ln2 + r with |r| ≤ ln2/2, a
+// degree-13 Taylor polynomial for e^r (truncation error under 1/16 ulp
+// there), and 2^n assembled from exponent bits in uint64_t — no
+// float-to-int conversion, so NaN and −∞ stay defined behaviour. The range
+// is handled with integer masks, not floating-point compares: GCC will not
+// if-convert a compare-and-select of doubles without AVX-512 masking, so a
+// compare would leave the loop scalar on AVX2 and SSE2.
+
+/// lanes[q] ← e^{lanes[q]} for q = 0..3. Defined here so the fused
+/// kernel-expansion fold (svm/kernel.cc) keeps the lanes in registers.
+inline void ExpNonPositiveQuad(double (&lanes)[4]) {
+  constexpr double kLog2e = 0x1.71547652b82fep+0;
+  // ln2 split so that n·kLn2Hi is exact for |n| < 2^20.
+  constexpr double kLn2Hi = 0x1.62e42feep-1;
+  constexpr double kLn2Lo = 0x1.a39ef35793c76p-33;
+  // y + kShifter rounds y to an integer n held in the low mantissa bits.
+  constexpr double kShifter = 0x1.8p52;
+  // ln DBL_MIN rounded toward zero: e^x ≥ DBL_MIN for every x ≥ kMinArg.
+  constexpr double kMinArg = -0x1.6232bdd7abcd2p+9;
+  constexpr std::uint64_t kAbsMask = 0x7fff'ffff'ffff'ffff;
+  for (std::size_t q = 0; q < 4; ++q) {
+    // `keep` is all ones unless |x| > |kMinArg| (below the normal range,
+    // −∞ included): the sign of |kMinArg| − |x|. A NaN of either sign
+    // becomes a positive NaN under the mask, so it keeps all ones too.
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(lanes[q]);
+    const double magnitude = std::bit_cast<double>(bits & kAbsMask);
+    const std::uint64_t keep =
+        (std::bit_cast<std::uint64_t>(-kMinArg - magnitude) >> 63) - 1;
+    // Lanes outside the range are evaluated at kMinArg, so every lane
+    // stays finite (or NaN), and zeroed through the scale below.
+    const double x = std::bit_cast<double>(
+        (bits & keep) | (std::bit_cast<std::uint64_t>(kMinArg) & ~keep));
+    const double t = x * kLog2e + kShifter;
+    const double n = t - kShifter;
+    const double r = (x - n * kLn2Hi) - n * kLn2Lo;
+    // Horner over the Taylor coefficients 1/k!, k = 13 down to 0.
+    double p = 0x1.6124613a86d09p-33;
+    p = p * r + 0x1.1eed8eff8d898p-29;
+    p = p * r + 0x1.ae64567f544e4p-26;
+    p = p * r + 0x1.27e4fb7789f5cp-22;
+    p = p * r + 0x1.71de3a556c734p-19;
+    p = p * r + 0x1.a01a01a01a01ap-16;
+    p = p * r + 0x1.a01a01a01a01ap-13;
+    p = p * r + 0x1.6c16c16c16c17p-10;
+    p = p * r + 0x1.1111111111111p-7;
+    p = p * r + 0x1.5555555555555p-5;
+    p = p * r + 0x1.5555555555555p-3;
+    p = p * r + 0x1.0p-1;
+    p = p * r + 1.0;
+    p = p * r + 1.0;
+    // t's low bits are n in two's complement; n + 1023 shifted into the
+    // exponent field is 2^n (n ∈ [−1022, 0] on the contract range), or +0
+    // where `keep` is clear.
+    const std::uint64_t scale =
+        ((std::bit_cast<std::uint64_t>(t) + 1023) << 52) & keep;
+    lanes[q] = p * std::bit_cast<double>(scale);
+  }
+}
+
+/// x[i] ← e^{x[i]} for every entry, under the contract above. Every entry
+/// runs through ExpNonPositiveQuad (the sub-four tail padded), so a value
+/// never depends on its position in the span.
+void ExpNonPositiveInPlace(std::span<double> x);
 
 }  // namespace ccdb
 

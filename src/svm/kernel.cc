@@ -21,6 +21,52 @@ constexpr std::size_t kExpansionBlockItems = 256;
 /// parallel fan-out costs more than it saves.
 constexpr std::size_t kParallelFlopThreshold = std::size_t{1} << 20;
 
+/// The RBF exponent −γ‖x − z‖² from a raw dot via the norm trick, with
+/// the reassembled distance clamped at 0 against cancellation. Both
+/// batched paths go through this one expression, so their kernel values
+/// agree bit for bit.
+inline double RbfExponent(double gamma, double row_sq_norm, double x_sq_norm,
+                          double dot) {
+  return -gamma * std::max(0.0, row_sq_norm + x_sq_norm - 2.0 * dot);
+}
+
+/// One quad group of the expansion sweep in a single pass over its dots:
+/// for each support vector s, `finish(s, k)` turns the four items' dots
+/// k[g] = quad_dots[s*4 + g] into kernel values, which are folded into
+/// out4[g] = Σ_s coefficients[s]·k[g] − rho at once. The fold keeps Dot's
+/// order per item — accumulator s mod 4 over full strides, then the tail,
+/// then ((acc0 + acc1) + (acc2 + acc3)) + tail — so each out4[g] is
+/// bit-identical to the single-item path, EvalKernelBatch then Dot.
+template <typename Finish>
+void FoldQuadGroup(std::span<const double> quad_dots,
+                   std::span<const double> coefficients, double rho,
+                   const Finish& finish, std::span<double> out4) {
+  const std::size_t num_svs = coefficients.size();
+  double acc[4][4] = {};  // acc[s mod 4][g]
+  double tail[4] = {0.0, 0.0, 0.0, 0.0};
+  std::size_t s = 0;
+  for (; s + 4 <= num_svs; s += 4) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      double k[4];
+      std::copy_n(quad_dots.begin() + (s + j) * 4, 4, k);
+      finish(s + j, k);
+      for (std::size_t g = 0; g < 4; ++g) {
+        acc[j][g] += coefficients[s + j] * k[g];
+      }
+    }
+  }
+  for (; s < num_svs; ++s) {
+    double k[4];
+    std::copy_n(quad_dots.begin() + s * 4, 4, k);
+    finish(s, k);
+    for (std::size_t g = 0; g < 4; ++g) tail[g] += coefficients[s] * k[g];
+  }
+  for (std::size_t g = 0; g < 4; ++g) {
+    out4[g] = ((acc[0][g] + acc[1][g]) + (acc[2][g] + acc[3][g])) + tail[g] -
+              rho;
+  }
+}
+
 }  // namespace
 
 double EvalKernel(const KernelConfig& config, std::span<const double> x,
@@ -58,12 +104,10 @@ void EvalKernelBatch(const KernelConfig& config, std::span<const double> rows,
       return;
     case KernelType::kRbf: {
       CCDB_CHECK_EQ(row_sq_norms.size(), num_rows);
-      const double gamma = config.gamma;
       for (std::size_t r = 0; r < num_rows; ++r) {
-        const double dist_sq =
-            std::max(0.0, row_sq_norms[r] + x_sq_norm - 2.0 * out[r]);
-        out[r] = std::exp(-gamma * dist_sq);
+        out[r] = RbfExponent(config.gamma, row_sq_norms[r], x_sq_norm, out[r]);
       }
+      ExpNonPositiveInPlace(out);
       return;
     }
     case KernelType::kPolynomial: {
@@ -85,36 +129,20 @@ bool EvalKernelExpansion(const KernelConfig& config,
   const std::size_t num_svs = support_vectors.rows();
   const std::size_t dims = support_vectors.cols();
   CCDB_CHECK_EQ(coefficients.size(), num_svs);
+  if (config.type == KernelType::kRbf) {
+    CCDB_CHECK_EQ(sv_sq_norms.size(), num_svs);
+  }
   CCDB_CHECK_EQ(out.size(), points.rows());
   if (points.rows() == 0) return !stop.ShouldStop();
   CCDB_CHECK_EQ(points.cols(), dims);
 
   const auto sv_data = support_vectors.Data();
   std::atomic<bool> stopped{false};
-  // Finishes one kernel value from its raw dot — the same expressions the
-  // EvalKernelBatch transforms apply, so the quad path below is
-  // bit-identical to the single-item path.
-  const auto finish = [&config](double dot, double row_sq_norm,
-                                double x_sq_norm) {
-    switch (config.type) {
-      case KernelType::kLinear:
-        return dot;
-      case KernelType::kRbf: {
-        const double dist_sq =
-            std::max(0.0, row_sq_norm + x_sq_norm - 2.0 * dot);
-        return std::exp(-config.gamma * dist_sq);
-      }
-      case KernelType::kPolynomial:
-        return std::pow(config.gamma * dot + config.coef0, config.degree);
-    }
-    CCDB_CHECK_MSG(false, "unknown kernel type");
-    return 0.0;
-  };
   // One block: items in groups of four share each support-vector row load
-  // (one DotBatchQuad sweep per group), then per item the dots are
-  // finished into a kernel row and folded against the coefficients. The
-  // sub-four tail falls back to the single-item sweep — same values, the
-  // quad lanes reproduce the scalar summation order exactly.
+  // (one DotBatchQuad sweep per group), then FoldQuadGroup finishes and
+  // folds the group's dots in one pass. The sub-four tail falls back to
+  // the single-item sweep — same values, the quad lanes reproduce the
+  // scalar summation order exactly.
   const auto run_block = [&](std::size_t lo, std::size_t hi) {
     if (stopped.load(std::memory_order_relaxed) || stop.ShouldStop()) {
       stopped.store(true, std::memory_order_relaxed);
@@ -128,16 +156,40 @@ bool EvalKernelExpansion(const KernelConfig& config,
       InterleaveQuad(points.Row(i), points.Row(i + 1), points.Row(i + 2),
                      points.Row(i + 3), interleaved);
       DotBatchQuad(sv_data, num_svs, dims, interleaved, quad_dots);
-      for (std::size_t g = 0; g < 4; ++g) {
-        const double x_sq_norm = SquaredNorm(points.Row(i + g));
-        const double row_norm_unused = 0.0;
-        for (std::size_t s = 0; s < num_svs; ++s) {
-          kernel_row[s] = finish(
-              quad_dots[s * 4 + g],
-              sv_sq_norms.empty() ? row_norm_unused : sv_sq_norms[s],
-              x_sq_norm);
+      const auto out4 = out.subspan(i, 4);
+      switch (config.type) {
+        case KernelType::kLinear:
+          FoldQuadGroup(quad_dots, coefficients, rho,
+                        [](std::size_t, double (&)[4]) {}, out4);
+          break;
+        case KernelType::kRbf: {
+          double x_sq_norms[4];
+          for (std::size_t g = 0; g < 4; ++g) {
+            x_sq_norms[g] = SquaredNorm(points.Row(i + g));
+          }
+          FoldQuadGroup(
+              quad_dots, coefficients, rho,
+              [&](std::size_t s, double (&k)[4]) {
+                for (std::size_t g = 0; g < 4; ++g) {
+                  k[g] = RbfExponent(config.gamma, sv_sq_norms[s],
+                                     x_sq_norms[g], k[g]);
+                }
+                ExpNonPositiveQuad(k);
+              },
+              out4);
+          break;
         }
-        out[i + g] = Dot(coefficients, kernel_row) - rho;
+        case KernelType::kPolynomial:
+          FoldQuadGroup(
+              quad_dots, coefficients, rho,
+              [&config](std::size_t, double (&k)[4]) {
+                for (std::size_t g = 0; g < 4; ++g) {
+                  k[g] = std::pow(config.gamma * k[g] + config.coef0,
+                                  config.degree);
+                }
+              },
+              out4);
+          break;
       }
     }
     for (; i < hi; ++i) {

@@ -25,7 +25,10 @@ struct KernelConfig {
   double coef0 = 0.0;
 };
 
-/// Evaluates K(x, z) for equal-length vectors.
+/// Evaluates K(x, z) for equal-length vectors. The reference evaluator:
+/// the RBF kernel differences x − z directly and calls std::exp. Parity
+/// tests hold the batched paths below to it; in the library it only fills
+/// the Q diagonal, where K(x, x) is exactly 1 either way.
 double EvalKernel(const KernelConfig& config, std::span<const double> x,
                   std::span<const double> z);
 
@@ -39,8 +42,11 @@ KernelConfig ResolveKernel(const KernelConfig& config, std::size_t dims);
 ///   ‖x − z‖² = ‖x‖² + ‖z‖² − 2·x·z
 /// from the precomputed `row_sq_norms` (‖rows_r‖², see RowSquaredNorms)
 /// and `x_sq_norm` (‖x‖²); cancellation can leave the reassembled value a
-/// few ulps negative, which is clamped to 0 before the exp. `row_sq_norms`
-/// is ignored by the linear and polynomial kernels (may be empty).
+/// few ulps negative, which is clamped to 0. The exponent −γ‖x − z‖² then
+/// goes through ExpNonPositiveInPlace (common/vec.h), within 1 ulp of
+/// std::exp; gamma must be resolved (≥ 0), so the exponent is ≤ 0.
+/// `row_sq_norms` is ignored by the linear and polynomial kernels (may be
+/// empty).
 void EvalKernelBatch(const KernelConfig& config, std::span<const double> rows,
                      std::size_t num_rows, std::size_t cols,
                      std::span<const double> row_sq_norms,
@@ -49,14 +55,18 @@ void EvalKernelBatch(const KernelConfig& config, std::span<const double> rows,
 
 /// Batched kernel-expansion machine evaluation:
 ///   out[i] = Σ_s coefficients[s] · K(sv_s, points_i) − rho
-/// computed with one norm-trick sweep over the support vectors per item,
-/// blocked over items and parallelized on the shared thread pool when the
-/// batch is large enough to amortize the fan-out. `sv_sq_norms` must hold
-/// ‖sv_s‖² for every support-vector row (any content is accepted for
-/// non-RBF kernels). Probes `stop` once per block; returns false when it
-/// fired — entries of `out` beyond the blocks completed by then are
-/// unspecified. Every out[i] is computed independently, so results are
-/// identical whether the sweep ran serial or parallel.
+/// Items go in groups of four: one DotBatchQuad sweep over the support
+/// vectors, then one fused pass that finishes each dot into a kernel value
+/// (norm trick and ExpNonPositiveQuad for RBF) and folds it against the
+/// coefficients in Dot's order. Each out[i] is therefore bit-identical to
+/// the single-item value, EvalKernelBatch then Dot, which the sub-four
+/// tail uses. Blocked over items and parallelized on the shared thread
+/// pool when the batch is large enough to amortize the fan-out. For RBF,
+/// `sv_sq_norms` must hold ‖sv_s‖² for every support vector (checked);
+/// other kernels ignore it. Probes `stop` once per block; returns false
+/// when it fired — entries of `out` beyond the blocks completed by then
+/// are unspecified. Every out[i] is computed independently, so results
+/// are identical whether the sweep ran serial or parallel.
 bool EvalKernelExpansion(const KernelConfig& config,
                          const Matrix& support_vectors,
                          std::span<const double> sv_sq_norms,

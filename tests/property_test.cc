@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <span>
 #include <string>
 #include <tuple>
@@ -381,13 +384,129 @@ INSTANTIATE_TEST_SUITE_P(
                       32u, 63u, 64u, 65u, 127u, 128u, 129u, 255u, 256u,
                       257u));
 
-TEST(NumericCoreParityLarge, BatchedExpansionMatchesScalarSum) {
-  // A synthetic kernel expansion big enough to cross the parallel
-  // threshold (600 items × 400 SVs × 40 dims). The reference is the
-  // textbook scalar sum Σ coef_s·K(sv_s, x) − rho with direct-differencing
-  // EvalKernel — no norm trick, no batching, no threads.
+// ------------------------------------------- exp of non-positive arguments
+
+namespace expprop {
+
+std::uint64_t Bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// Runs `args` through ExpNonPositiveInPlace and holds each value to the
+// contract against std::exp: +0 where std::exp is below the normal range,
+// otherwise within 1 ulp (distance in representable doubles). Reports the
+// first violation only, with the argument in hex so it replays exactly.
+void ExpectContract(const std::vector<double>& args, const std::string& what) {
+  std::vector<double> values = args;
+  ExpNonPositiveInPlace(values);
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const double expected = std::exp(args[i]);
+    const bool below_normal = expected < std::numeric_limits<double>::min();
+    const std::uint64_t got = Bits(values[i]);
+    const std::uint64_t want = below_normal ? 0 : Bits(expected);
+    const std::uint64_t ulps = got > want ? got - want : want - got;
+    if (ulps > (below_normal ? 0u : 1u)) {
+      ADD_FAILURE() << what << ": exp(" << std::hexfloat << args[i]
+                    << ") = " << values[i] << ", std::exp " << expected
+                    << std::dec << " (" << ulps << " ulps apart)";
+      return;
+    }
+  }
+}
+
+}  // namespace expprop
+
+class ExpNonPositiveProperty
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ExpNonPositiveProperty, SeededDrawsWithinOneUlpOfStdExp) {
+  // Uniform draws over the contract range, plus draws of magnitude
+  // u·2^-k (k < 60) that the uniform ones almost never reach. The odd
+  // total runs the padded sub-four tail too.
+  const std::uint64_t seed = GetParam();
+  Rng rng(seed);
+  std::vector<double> args;
+  for (int i = 0; i < 100000; ++i) args.push_back(rng.Uniform(-708.0, 0.0));
+  for (int i = 0; i < 50001; ++i) {
+    const int k = static_cast<int>(rng.UniformInt(60));
+    args.push_back(-std::ldexp(rng.Uniform(), -k));
+  }
+  expprop::ExpectContract(args, "seed " + std::to_string(seed));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ExpNonPositiveProperty,
+                         ::testing::Values(3u, 577u, 0xC0FFEEu, 20260417u));
+
+TEST(ExpNonPositive, DenseSweepsNearZero) {
+  // Steps of 2^-62, 2^-30 and 2^-12 from 0 downward: the first straddles
+  // the arguments where e^x leaves 1, the last reaches −16.
+  for (const int step_exp : {-62, -30, -12}) {
+    std::vector<double> args;
+    for (int i = 0; i < 65536; ++i) args.push_back(-std::ldexp(i, step_exp));
+    expprop::ExpectContract(args, "step 2^" + std::to_string(step_exp));
+  }
+}
+
+TEST(ExpNonPositive, DenseSweepsNearTheBottomOfTheNormalRange) {
+  // Steps of 2^-15 over [−709, −707] cross −708 and ln DBL_MIN; then
+  // consecutive doubles on both sides of ln DBL_MIN ≈ −708.3964.
+  std::vector<double> args;
+  for (int i = 0; i <= 65536; ++i) args.push_back(-709.0 + std::ldexp(i, -15));
+  expprop::ExpectContract(args, "grid over [-709, -707]");
+  args.clear();
+  double x = std::log(std::numeric_limits<double>::min());
+  for (int i = 0; i < 2000; ++i) x = std::nextafter(x, 0.0);
+  for (int i = 0; i < 4000; ++i) {
+    args.push_back(x);
+    x = std::nextafter(x, -1000.0);
+  }
+  expprop::ExpectContract(args, "consecutive doubles around ln DBL_MIN");
+}
+
+TEST(ExpNonPositive, SpecialValues) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> values = {
+      0.0,  -0.0, -708.5, -709.0, -745.2, -1000.0, -1e300,
+      -std::numeric_limits<double>::max(), -inf, nan, -nan};
+  const std::vector<double> args = values;
+  ExpNonPositiveInPlace(values);
+  // ±0 give exactly 1.
+  EXPECT_EQ(expprop::Bits(values[0]), expprop::Bits(1.0));
+  EXPECT_EQ(expprop::Bits(values[1]), expprop::Bits(1.0));
+  // Below the normal range and at −∞: +0, sign bit clear.
+  for (std::size_t i = 2; i + 2 < values.size(); ++i) {
+    EXPECT_EQ(expprop::Bits(values[i]), 0u) << "x " << args[i];
+  }
+  // NaN of either sign gives NaN.
+  EXPECT_TRUE(std::isnan(values[values.size() - 2]));
+  EXPECT_TRUE(std::isnan(values.back()));
+}
+
+/// Batched kernel expansion over shapes that hit every remainder of the
+/// four-wide coefficient fold (support vectors) and of the quad item
+/// groups (items), one and several 256-item blocks, and both sides of the
+/// parallel threshold, for all three kernel families.
+class NumericCoreParityExpansion
+    : public ::testing::TestWithParam<
+          std::tuple<std::size_t, std::size_t, svm::KernelType>> {};
+
+std::string ExpansionShapeName(
+    const ::testing::TestParamInfo<NumericCoreParityExpansion::ParamType>&
+        info) {
+  const auto [num_svs, num_points, type] = info.param;
+  const char* const families[] = {"linear", "rbf", "poly"};
+  return std::string(families[static_cast<int>(type)]) + "_svs" +
+         std::to_string(num_svs) + "_items" + std::to_string(num_points);
+}
+
+TEST_P(NumericCoreParityExpansion, BatchedExpansionMatchesScalarSum) {
+  // The reference is the textbook scalar sum Σ coef_s·K(sv_s, x) − rho
+  // with direct-differencing EvalKernel — no norm trick, no batching, no
+  // threads. Batched values must also equal the single-item
+  // DecisionValue bit for bit: both fold the same kernel values in Dot's
+  // order.
+  const auto [num_svs, num_points, type] = GetParam();
+  const std::size_t dims = 40;
   Rng rng(541);
-  const std::size_t num_svs = 400, dims = 40, num_points = 600;
   Matrix svs(num_svs, dims);
   svs.FillGaussian(rng, 0.0, 1.0);
   std::vector<double> coefficients(num_svs);
@@ -397,8 +516,10 @@ TEST(NumericCoreParityLarge, BatchedExpansionMatchesScalarSum) {
   points.FillGaussian(rng, 0.0, 1.0);
 
   svm::KernelConfig kernel;
-  kernel.type = svm::KernelType::kRbf;
+  kernel.type = type;
   kernel.gamma = 1.0 / static_cast<double>(dims);
+  kernel.coef0 = 1.0;
+  kernel.degree = 3;
   const svm::SvmModel model(svs, coefficients, rho, kernel);
 
   const std::vector<double> batched = model.DecisionValues(points);
@@ -411,11 +532,22 @@ TEST(NumericCoreParityLarge, BatchedExpansionMatchesScalarSum) {
                 svm::EvalKernel(kernel, svs.Row(s), points.Row(i));
     }
     numcore::ExpectRelNear(batched[i], scalar);
-    // Batched, per-item and boolean predictions all agree.
-    EXPECT_DOUBLE_EQ(batched[i], model.DecisionValue(points.Row(i)));
+    const double single = model.DecisionValue(points.Row(i));
+    EXPECT_EQ(expprop::Bits(batched[i]), expprop::Bits(single))
+        << "item " << i << ": " << std::hexfloat << batched[i] << " vs "
+        << single;
     EXPECT_EQ(predictions[i], model.Predict(points.Row(i)));
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, NumericCoreParityExpansion,
+    ::testing::Combine(
+        ::testing::Values(1u, 2u, 3u, 4u, 5u, 75u, 401u, 402u, 403u),
+        ::testing::Values(1u, 3u, 7u, 258u, 1030u),
+        ::testing::Values(svm::KernelType::kLinear, svm::KernelType::kRbf,
+                          svm::KernelType::kPolynomial)),
+    ExpansionShapeName);
 
 TEST(NumericCoreParityLarge, BlockedKnnMatchesBruteForce) {
   // The blocked squared-distance kNN scan against a naive

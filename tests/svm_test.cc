@@ -45,6 +45,20 @@ TEST(KernelTest, Polynomial) {
   EXPECT_DOUBLE_EQ(EvalKernel(config, x, y), 9.0);  // (2 + 1)^2
 }
 
+TEST(KernelDeathTest, RbfExpansionRequiresEverySupportVectorNorm) {
+  // The fused quad sweep reads ‖sv_s‖² for every support vector, so a
+  // short norm span is caught on entry, not read past or taken as 0.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Matrix svs(2, 3);
+  const Matrix points(4, 3);
+  const std::vector<double> coefficients = {1.0, -1.0};
+  std::vector<double> out(points.rows());
+  const KernelConfig rbf{KernelType::kRbf, 0.5, 3, 0.0};
+  EXPECT_DEATH(EvalKernelExpansion(rbf, svs, {}, coefficients, 0.0, points,
+                                   StopCondition(), out),
+               "sv_sq_norms");
+}
+
 TEST(KernelTest, AutoGammaResolution) {
   KernelConfig config;
   config.gamma = 0.0;
