@@ -69,20 +69,32 @@ void BM_SgdEpoch(benchmark::State& state) {
 }
 BENCHMARK(BM_SgdEpoch)->Arg(25)->Arg(100);
 
+// Clean labels keep few support vectors; the last row is the shape of a
+// serve_paper gold sample (1,000 crowd-labeled items, d=32), where label
+// noise turns most examples into support vectors and SMO runs thousands
+// of iterations.
 void BM_SmoTrain(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const std::size_t dims = static_cast<std::size_t>(state.range(1));
+  const double flip = static_cast<double>(state.range(2)) / 100.0;
   Rng rng(5);
-  Matrix x(n, 50);
+  Matrix x(n, dims);
   x.FillGaussian(rng, 0.0, 1.0);
   std::vector<std::int8_t> y(n);
-  for (std::size_t i = 0; i < n; ++i) y[i] = x(i, 0) > 0 ? 1 : -1;
+  for (std::size_t i = 0; i < n; ++i) {
+    y[i] = (x(i, 0) > 0) != rng.Bernoulli(flip) ? 1 : -1;
+  }
   svm::ClassifierOptions options;
   options.cost = 10.0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(svm::TrainClassifier(x, y, options));
   }
 }
-BENCHMARK(BM_SmoTrain)->Arg(80)->Arg(400);
+BENCHMARK(BM_SmoTrain)
+    ->ArgNames({"n", "d", "flip_pct"})
+    ->Args({80, 50, 0})
+    ->Args({400, 50, 0})
+    ->Args({1000, 32, 10});
 
 void BM_RbfPredictAll(benchmark::State& state) {
   const core::PerceptualSpace& space = TinySpace();

@@ -1,0 +1,104 @@
+#!/usr/bin/env bash
+# Same-outputs check: the 15 seeded table, figure and ablation benches must
+# print the same results on this checkout as on <base-ref>.
+#
+# Builds <base-ref> in a temporary git worktree, runs every bench on both
+# trees under CCDB_SCALE=0.1 CCDB_NO_CACHE=1 (each side with its own
+# TMPDIR and working directory), masks the wall-clock fields and diffs the
+# two sides. The masked fields are:
+#   - "[space] built in <t>s" (every bench);
+#   - the seconds columns of ablation_space, ablation_temporal and
+#     ablation_tsvm, and ablation_tsvm's "Slowdown factor";
+#   - ablation_durability's timing tables (mean ms, overhead) and its
+#     journal path.
+# Table padding follows the widest cell, which a masked time can change, so
+# table lines are compared with their padding collapsed.
+#
+# Usage: scripts/check_same_outputs.sh <base-ref>
+# Writes base.txt, head.txt (both masked) and diff.txt to $OUT_DIR (default
+# same_outputs/); exits 1 on any difference. Takes about a minute per side
+# on 4 cores once both trees are built.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+BASE_REF="${1:?usage: scripts/check_same_outputs.sh <base-ref>}"
+OUT_DIR="${OUT_DIR:-same_outputs}"
+BENCHES=(
+  table1_direct_crowdsourcing table2_nearest_neighbors table3_small_samples
+  table4_error_detection table5_restaurants table6_boardgames
+  figure3_accuracy_over_time figure4_accuracy_over_money
+  ablation_aggregation ablation_durability ablation_faults ablation_hybrid
+  ablation_space ablation_temporal ablation_tsvm
+)
+
+WORK="$(mktemp -d)"
+cleanup() {
+  git worktree remove --force "${WORK}/base" >/dev/null 2>&1 || true
+  git worktree prune
+  rm -rf "${WORK}"
+}
+trap cleanup EXIT
+
+git worktree add --detach "${WORK}/base" "${BASE_REF}" >/dev/null
+
+build() {  # <source dir> <build dir>
+  cmake -S "$1" -B "$2" -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build "$2" -j "$(nproc)" --target "${BENCHES[@]}" >/dev/null
+}
+
+run_benches() {  # <build dir> <side>
+  local dir="${WORK}/run_$2"
+  mkdir -p "${dir}/tmp"
+  for bench in "${BENCHES[@]}"; do
+    echo "=== ${bench}"
+    (cd "${dir}" && TMPDIR="${dir}/tmp" CCDB_SCALE=0.1 CCDB_NO_CACHE=1 \
+      "$1/bench/${bench}" 2>&1) || echo "=== ${bench} exited $?"
+  done
+}
+
+mask() {
+  python3 -c '
+import re
+import sys
+
+bench = ""
+for line in sys.stdin:
+    if line.startswith("=== "):
+        bench = line.split()[1]
+    line = re.sub(r"\[space\] built in [0-9.]+s", "[space] built in <t>s", line)
+    if bench in ("ablation_space", "ablation_temporal"):
+        line = re.sub(r"\| [0-9]+\.[0-9]+s ", "| <t>s ", line)
+    elif bench == "ablation_tsvm":
+        line = re.sub(r"\| [0-9]+\.[0-9]+ (m?s) ", r"| <t> \1 ", line)
+        line = re.sub(r"Slowdown factor: [0-9]+x", "Slowdown factor: <x>x", line)
+    elif bench == "ablation_durability":
+        line = re.sub(r"\| [0-9]+\.[0-9]+ +\| (-|[-+]?[0-9]+\.[0-9]+%) ",
+                      "| <ms> | <overhead> ", line)
+        line = re.sub(r"recovery journal \S+:", "recovery journal <path>:", line)
+    if line.startswith("|"):
+        line = re.sub(r" +\|", " |", line)
+    elif re.fullmatch(r"\+[-+]*\n?", line):
+        line = re.sub(r"-+", "-", line)
+    sys.stdout.write(line)
+'
+}
+
+# The checkout gets its own build tree, so both sides share one
+# configuration whatever build/ was configured with.
+echo "building ${BASE_REF} and the checkout" >&2
+build "${WORK}/base" "${WORK}/base/build"
+build . build-same-outputs
+
+mkdir -p "${OUT_DIR}"
+echo "running the benches on ${BASE_REF}" >&2
+run_benches "${WORK}/base/build" base | mask > "${OUT_DIR}/base.txt"
+echo "running the benches on the checkout" >&2
+run_benches "$(pwd)/build-same-outputs" head | mask > "${OUT_DIR}/head.txt"
+
+if diff -u "${OUT_DIR}/base.txt" "${OUT_DIR}/head.txt" > "${OUT_DIR}/diff.txt"; then
+  echo "same outputs as ${BASE_REF} ($(wc -l < "${OUT_DIR}/head.txt") lines)"
+else
+  cat "${OUT_DIR}/diff.txt"
+  echo "outputs differ from ${BASE_REF}; see ${OUT_DIR}/diff.txt" >&2
+  exit 1
+fi

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Builds the Release tree, runs the micro benchmarks in JSON mode, and
 # distills the paper-scale before/after pairs into BENCH_perf.json at the
-# repo root (machine-readable speedups for the vectorized numeric core).
+# repo root (machine-readable speedups for the vectorized numeric core),
+# with the host class: core count, build type and CCDB_NATIVE_ARCH.
 # Usage: scripts/run_bench.sh [benchmark filter regex]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -22,11 +23,18 @@ if [[ -n "${FILTER}" ]]; then
 fi
 build/bench/micro_benchmarks "${ARGS[@]}"
 
-python3 - "${RAW}" BENCH_perf.json <<'EOF'
+# Host class of the numbers: cores, and the build's type and ISA flag.
+NPROC="$(nproc)"
+BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' build/CMakeCache.txt)"
+NATIVE_ARCH="$(sed -n 's/^CCDB_NATIVE_ARCH:[A-Z]*=//p' build/CMakeCache.txt)"
+
+python3 - "${RAW}" BENCH_perf.json "${NPROC}" "${BUILD_TYPE}" "${NATIVE_ARCH}" <<'EOF'
 import json
 import sys
 
 raw_path, out_path = sys.argv[1], sys.argv[2]
+host = {"nproc": int(sys.argv[3]), "build_type": sys.argv[4],
+        "ccdb_native_arch": sys.argv[5]}
 with open(raw_path) as f:
     raw = json.load(f)
 
@@ -72,6 +80,7 @@ result = {
         "support_vectors": 400,
         "coherence_queries": 48,
         "knn_k": 10,
+        "host": host,
         "context": raw.get("context", {}),
     },
     "speedups": speedups,

@@ -143,7 +143,9 @@ bool NumericAttributeExtractor::Train(const PerceptualSpace& space,
   svr_options.epsilon = options_.epsilon;
   svr_options.smo = options_.smo;
   model_ = svm::TrainSvr(examples, values, svr_options);
-  return true;
+  // Every target inside the ε-tube (a one-item sample, say) leaves no
+  // support vector: nothing to predict with.
+  return model_.trained();
 }
 
 double NumericAttributeExtractor::Extract(const PerceptualSpace& space,

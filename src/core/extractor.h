@@ -101,7 +101,9 @@ class NumericAttributeExtractor {
  public:
   explicit NumericAttributeExtractor(const ExtractorOptions& options = {});
 
-  /// Trains on gold numeric judgments. Requires a non-empty sample.
+  /// Trains on gold numeric judgments. Returns false (untrained) for an
+  /// empty sample, and when the ε-SVR keeps no support vector because
+  /// every target lies inside the ε-tube (a one-item sample, for one).
   bool Train(const PerceptualSpace& space,
              const std::vector<std::uint32_t>& items,
              const std::vector<double>& values);

@@ -11,10 +11,11 @@
 namespace ccdb::svm {
 namespace {
 
-// Q matrix for C-SVC: Q_ij = y_i y_j K(x_i, x_j). Raw (sign-free) kernel
-// rows are produced by one norm-trick DotBatch sweep each and memoized in
-// a byte-bounded LRU cache; the label signs are applied during the copy
-// into the solver's buffer, so the cached payload is label-independent.
+// Q matrix for C-SVC: Q_ij = y_i y_j K(x_i, x_j). Each row is one
+// norm-trick kernel sweep, signed once when it is filled and then read in
+// place from a byte-bounded LRU cache (kernel_cache.h) that holds the
+// last returned row while it fills the next, so rows i and j of an SMO
+// iteration are served together without a copy.
 class SvcQMatrix : public QMatrix {
  public:
   SvcQMatrix(const Matrix& examples, const std::vector<std::int8_t>& y,
@@ -31,23 +32,19 @@ class SvcQMatrix : public QMatrix {
 
   std::size_t size() const override { return examples_.rows(); }
 
-  void GetRow(std::size_t i, std::vector<double>& row) const override {
-    const std::span<const double> kernel_row =
-        cache_.Row(i, [this](std::size_t r, std::span<double> out) {
-          EvalKernelBatch(kernel_, examples_.Data(), examples_.rows(),
-                          examples_.cols(), sq_norms_, examples_.Row(r),
-                          sq_norms_[r], out);
-        });
-    row.resize(kernel_row.size());
-    const double y_i = static_cast<double>(y_[i]);
-    for (std::size_t j = 0; j < kernel_row.size(); ++j) {
-      row[j] = y_i * static_cast<double>(y_[j]) * kernel_row[j];
-    }
+  std::span<const double> Row(std::size_t i) const override {
+    return cache_.Row(i, [this](std::size_t r, std::span<double> out) {
+      EvalKernelBatch(kernel_, examples_.Data(), examples_.rows(),
+                      examples_.cols(), sq_norms_, examples_.Row(r),
+                      sq_norms_[r], out);
+      const double y_r = static_cast<double>(y_[r]);
+      for (std::size_t t = 0; t < out.size(); ++t) {
+        out[t] = y_r * static_cast<double>(y_[t]) * out[t];
+      }
+    });
   }
 
   double Diagonal(std::size_t i) const override { return diagonal_[i]; }
-
-  const KernelCacheStats& cache_stats() const { return cache_.stats(); }
 
  private:
   const Matrix& examples_;

@@ -22,9 +22,10 @@ std::span<const double> KernelRowCache::Row(std::size_t i,
   }
   ++stats_.misses;
   const std::size_t row_bytes = row_length_ * sizeof(double);
-  // Evict until the new row fits. The requested row itself is exempt from
-  // the budget when it alone exceeds it (min capacity of one row).
-  while (!lru_.empty() && bytes_in_use_ + row_bytes > budget_bytes_) {
+  // Evict until the new row fits, but never the most recently returned row
+  // (the LRU front): the caller may still be reading it, so the budget
+  // always admits two rows.
+  while (lru_.size() > 1 && bytes_in_use_ + row_bytes > budget_bytes_) {
     EvictLeastRecentlyUsed();
   }
   slot.resize(row_length_);

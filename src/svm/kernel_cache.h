@@ -20,15 +20,18 @@ struct KernelCacheStats {
 ///
 /// The SMO Q-matrices previously memoized every touched row forever:
 /// O(n²) doubles per classifier, which at database scale dwarfs the data
-/// itself. This cache stores raw kernel rows (no label signs, so SVC, SVR
-/// and the TSVM retrain loop all share the same payload shape) and evicts
+/// itself. This cache stores whatever rows its owner fills — signed Q rows
+/// for the C-SVC (and so the TSVM retrains), raw kernel rows for the SVR,
+/// which signs its 2n-length rows on the way out — and evicts
 /// least-recently-used rows once the configured byte budget is exceeded.
-/// The budget always admits at least the row being requested, so Row()
-/// never fails; a budget of 0 degenerates to "recompute every row but the
-/// most recent". Not thread-safe — each solver owns one instance, so per
-/// the lock-discipline convention (DESIGN.md §13) there is no mutex here:
-/// an owner that ever shares a cache must hold its own annotated lock and
-/// mark the member GUARDED_BY it.
+/// It never evicts the most recently returned row to make room for the
+/// next one, so the budget always admits two rows (LIBSVM's minimum) and
+/// a returned span stays valid until the second-next Row() call: an SMO
+/// iteration reads rows i and j in place. A budget of 0 degenerates to
+/// "recompute every row but the last two". Not thread-safe — each solver
+/// owns one instance, so per the lock-discipline convention (DESIGN.md
+/// §13) there is no mutex here: an owner that ever shares a cache must
+/// hold its own annotated lock and mark the member GUARDED_BY it.
 class KernelRowCache {
  public:
   /// `num_rows` distinct row slots of `row_length` doubles each; cached
@@ -40,7 +43,8 @@ class KernelRowCache {
   using FillRow = std::function<void(std::size_t row, std::span<double> out)>;
 
   /// Returns row i, invoking `fill` only on a miss. The returned span is
-  /// valid until the next Row() call (which may evict it).
+  /// valid until the second-next Row() call (the next call never evicts
+  /// it).
   std::span<const double> Row(std::size_t i, const FillRow& fill);
 
   std::size_t bytes_in_use() const { return bytes_in_use_; }

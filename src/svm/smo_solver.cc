@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "common/check.h"
@@ -10,6 +11,108 @@ namespace ccdb::svm {
 namespace {
 
 constexpr double kTau = 1e-12;
+
+// Four lanes of doubles and of int64 masks as GCC/Clang vector extensions,
+// whose `mask ? a : b` is a per-lane select (a blend, not a branch). They
+// never pass through a function boundary by value (not even std::bit_cast),
+// so the portable build (no AVX) compiles under -Werror=psabi.
+typedef double Lanes __attribute__((vector_size(32)));
+typedef std::int64_t LaneMasks __attribute__((vector_size(32)));
+constexpr std::size_t kLanes = 4;
+
+/// The first-order maximal violating pair: i maximizes the score −y_t·G_t
+/// over the up set, j minimizes it over the low set; an index is n when
+/// its set is empty.
+struct WorkingPair {
+  std::size_t i;
+  std::size_t j;
+  double max_up;
+  double min_low;
+};
+
+/// Selects the next working pair in one pass over t ∈ [0, n); with
+/// kUpdate it first applies G_t += δ_i·Q_it + δ_j·Q_jt, written as one
+/// expression in the scalar order of a separate gradient loop (so G is
+/// bit-identical to it), and scores the updated G_t. `up` and `low` hold
+/// all-ones for eligible variables. Lane l sees t = l, l+4, … in
+/// increasing order and keeps the first index of its extremum through
+/// branch-free selects; merging the lanes prefers the lower index on equal
+/// scores, so the pair is the one a sequential strict-compare scan finds.
+template <bool kUpdate>
+WorkingPair SelectPair(std::size_t n, double* gradient, const double* minus_y,
+                       const std::int64_t* up, const std::int64_t* low,
+                       double delta_i, const double* row_i, double delta_j,
+                       const double* row_j) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto none = static_cast<std::int64_t>(n);
+  Lanes max_up = {-kInf, -kInf, -kInf, -kInf};
+  Lanes min_low = {kInf, kInf, kInf, kInf};
+  LaneMasks best_i = {none, none, none, none};
+  LaneMasks best_j = best_i;
+  LaneMasks index = {0, 1, 2, 3};
+  const LaneMasks stride = {4, 4, 4, 4};
+  const auto load = [](auto& lanes, const auto* from) {
+    std::memcpy(&lanes, from, sizeof(lanes));
+  };
+  std::size_t t = 0;
+  for (; t + kLanes <= n; t += kLanes) {
+    Lanes g{}, my{};
+    LaneMasks up_t{}, low_t{};
+    load(g, gradient + t);
+    if constexpr (kUpdate) {
+      Lanes qi{}, qj{};
+      load(qi, row_i + t);
+      load(qj, row_j + t);
+      g = g + (delta_i * qi + delta_j * qj);
+      std::memcpy(gradient + t, &g, sizeof(g));
+    }
+    load(my, minus_y + t);
+    load(up_t, up + t);
+    load(low_t, low + t);
+    const Lanes score = my * g;
+    const LaneMasks take_up = (score > max_up) & up_t;
+    const LaneMasks take_low = (score < min_low) & low_t;
+    max_up = take_up ? score : max_up;
+    best_i = take_up ? index : best_i;
+    min_low = take_low ? score : min_low;
+    best_j = take_low ? index : best_j;
+    index += stride;
+  }
+
+  for (std::size_t l = 0; t + l < n; ++l) {  // the n mod 4 tail
+    const std::size_t u = t + l;
+    if constexpr (kUpdate) {
+      gradient[u] += delta_i * row_i[u] + delta_j * row_j[u];
+    }
+    const double score = minus_y[u] * gradient[u];
+    if (up[u] != 0 && score > max_up[l]) {
+      max_up[l] = score;
+      best_i[l] = static_cast<std::int64_t>(u);
+    }
+    if (low[u] != 0 && score < min_low[l]) {
+      min_low[l] = score;
+      best_j[l] = static_cast<std::int64_t>(u);
+    }
+  }
+
+  WorkingPair pair{static_cast<std::size_t>(best_i[0]),
+                   static_cast<std::size_t>(best_j[0]), max_up[0],
+                   min_low[0]};
+  for (std::size_t l = 1; l < kLanes; ++l) {
+    const auto i = static_cast<std::size_t>(best_i[l]);
+    const auto j = static_cast<std::size_t>(best_j[l]);
+    if (max_up[l] > pair.max_up || (max_up[l] == pair.max_up && i < pair.i)) {
+      pair.max_up = max_up[l];
+      pair.i = i;
+    }
+    if (min_low[l] < pair.min_low ||
+        (min_low[l] == pair.min_low && j < pair.j)) {
+      pair.min_low = min_low[l];
+      pair.j = j;
+    }
+  }
+  return pair;
+}
 
 }  // namespace
 
@@ -30,22 +133,30 @@ SmoResult SolveSmo(const QMatrix& q, const std::vector<double>& p,
 
   // Gradient G = Qα + p.
   std::vector<double> gradient = p;
-  std::vector<double> row_i(n), row_j(n);
   for (std::size_t t = 0; t < n; ++t) {
     if (alpha[t] != 0.0) {
-      q.GetRow(t, row_i);
-      for (std::size_t s = 0; s < n; ++s) gradient[s] += alpha[t] * row_i[s];
+      const std::span<const double> row = q.Row(t);
+      for (std::size_t s = 0; s < n; ++s) gradient[s] += alpha[t] * row[s];
     }
   }
 
-  auto in_i_up = [&](std::size_t t) {
-    return (y[t] > 0 && alpha[t] < upper_bound[t]) ||
-           (y[t] < 0 && alpha[t] > 0.0);
+  // Working-set eligibility (I_up / I_low) as all-ones masks; only α_i and
+  // α_j change in an iteration, so only their entries are refreshed.
+  std::vector<std::int64_t> up(n), low(n);
+  const auto refresh_masks = [&](std::size_t t) {
+    const bool below_bound = alpha[t] < upper_bound[t];
+    const bool above_zero = alpha[t] > 0.0;
+    up[t] = -static_cast<std::int64_t>(y[t] > 0 ? below_bound : above_zero);
+    low[t] = -static_cast<std::int64_t>(y[t] > 0 ? above_zero : below_bound);
   };
-  auto in_i_low = [&](std::size_t t) {
-    return (y[t] > 0 && alpha[t] > 0.0) ||
-           (y[t] < 0 && alpha[t] < upper_bound[t]);
-  };
+  std::vector<double> minus_y(n);
+  for (std::size_t t = 0; t < n; ++t) {
+    minus_y[t] = -static_cast<double>(y[t]);
+    refresh_masks(t);
+  }
+  WorkingPair pair =
+      SelectPair<false>(n, gradient.data(), minus_y.data(), up.data(),
+                        low.data(), 0.0, nullptr, 0.0, nullptr);
 
   for (result.iterations = 0; result.iterations < config.max_iterations;
        ++result.iterations) {
@@ -53,28 +164,15 @@ SmoResult SolveSmo(const QMatrix& q, const std::vector<double>& p,
       result.stop_status = config.stop.ToStatus("SMO solve");
       break;
     }
-    // First-order maximal violating pair.
-    double max_up = -std::numeric_limits<double>::infinity();
-    double min_low = std::numeric_limits<double>::infinity();
-    std::size_t i = n, j = n;
-    for (std::size_t t = 0; t < n; ++t) {
-      const double score = -static_cast<double>(y[t]) * gradient[t];
-      if (in_i_up(t) && score > max_up) {
-        max_up = score;
-        i = t;
-      }
-      if (in_i_low(t) && score < min_low) {
-        min_low = score;
-        j = t;
-      }
-    }
-    if (i >= n || j >= n || max_up - min_low < config.tolerance) {
+    const std::size_t i = pair.i;
+    const std::size_t j = pair.j;
+    if (i >= n || j >= n || pair.max_up - pair.min_low < config.tolerance) {
       result.converged = true;
       break;
     }
 
-    q.GetRow(i, row_i);
-    q.GetRow(j, row_j);
+    const std::span<const double> row_i = q.Row(i);
+    const std::span<const double> row_j = q.Row(j);
     const double c_i = upper_bound[i];
     const double c_j = upper_bound[j];
     const double old_alpha_i = alpha[i];
@@ -148,9 +246,13 @@ SmoResult SolveSmo(const QMatrix& q, const std::vector<double>& p,
       result.converged = true;
       break;
     }
-    for (std::size_t t = 0; t < n; ++t) {
-      gradient[t] += delta_i * row_i[t] + delta_j * row_j[t];
-    }
+    refresh_masks(i);
+    refresh_masks(j);
+    // The fused pass: G += δ_i·Q_i + δ_j·Q_j, scoring the updated G_t for
+    // the next pair as it goes.
+    pair = SelectPair<true>(n, gradient.data(), minus_y.data(), up.data(),
+                            low.data(), delta_i, row_i.data(), delta_j,
+                            row_j.data());
   }
 
   // rho so that the KKT conditions hold for free variables.

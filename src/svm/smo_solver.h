@@ -2,7 +2,7 @@
 #define CCDB_SVM_SMO_SOLVER_H_
 
 #include <cstdint>
-#include <functional>
+#include <span>
 #include <vector>
 
 #include "common/cancellation.h"
@@ -11,8 +11,8 @@
 namespace ccdb::svm {
 
 /// Abstract view of the (signed) quadratic term Q of the SMO dual problem:
-/// Q_ij = y_i y_j K(x_i, x_j). Implementations cache kernel rows; the
-/// solver only ever asks for full rows.
+/// Q_ij = y_i y_j K(x_i, x_j). Implementations cache rows; the solver only
+/// ever asks for full rows, two per iteration.
 class QMatrix {
  public:
   virtual ~QMatrix() = default;
@@ -20,8 +20,10 @@ class QMatrix {
   /// Number of dual variables.
   virtual std::size_t size() const = 0;
 
-  /// Writes row i of Q into `row` (length size()).
-  virtual void GetRow(std::size_t i, std::vector<double>& row) const = 0;
+  /// Row i of Q (length size()), read in place. The view stays valid until
+  /// the second-next Row() call, so rows i and j of one iteration can be
+  /// held together.
+  virtual std::span<const double> Row(std::size_t i) const = 0;
 
   /// Diagonal entry Q_ii (cheap; used by the pair update).
   virtual double Diagonal(std::size_t i) const = 0;
@@ -32,7 +34,10 @@ class QMatrix {
 ///   s.t.   yᵀα = Δ,  0 ≤ α_i ≤ C_i,
 /// with y_i ∈ {+1, −1} (LIBSVM's formulation). C-SVC uses p = −1, SVR maps
 /// onto 2n variables. Working-set selection is the first-order maximal
-/// violating pair; no shrinking (problem sizes in this library are small).
+/// violating pair, lowest index on ties; no shrinking (problem sizes in
+/// this library are small). Each iteration reads Q rows i and j in place
+/// and makes one pass over the variables that applies the gradient update
+/// and selects the next pair (DESIGN.md §9, "SMO iteration").
 struct SmoResult {
   std::vector<double> alpha;
   /// Offset; decision functions subtract rho.

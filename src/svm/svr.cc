@@ -13,14 +13,18 @@ namespace {
 // Q matrix for the 2n-variable ε-SVR dual: with λ = (α, α*) and block
 // signs ŷ = (+1…, −1…), Q_st = ŷ_s ŷ_t K(s mod n, t mod n). Raw kernel
 // rows are one norm-trick sweep each, memoized in a byte-bounded LRU
-// cache shared in shape with the SVC/TSVM path (kernel_cache.h).
+// cache of n slots (kernel_cache.h); Row(s) expands one into a signed
+// 2n-length row in whichever of two owned buffers it did not write last,
+// so the two rows of an SMO iteration stay valid together.
 class SvrQMatrix : public QMatrix {
  public:
   SvrQMatrix(const Matrix& examples, const KernelConfig& kernel,
              std::size_t cache_bytes)
       : examples_(examples), kernel_(kernel),
         sq_norms_(examples.rows()), diagonal_(examples.rows()),
-        cache_(examples.rows(), examples.rows(), cache_bytes) {
+        cache_(examples.rows(), examples.rows(), cache_bytes),
+        rows_{std::vector<double>(2 * examples.rows()),
+              std::vector<double>(2 * examples.rows())} {
     RowSquaredNorms(examples_.Data(), examples_.rows(), examples_.cols(),
                     sq_norms_);
     for (std::size_t i = 0; i < examples_.rows(); ++i) {
@@ -30,7 +34,7 @@ class SvrQMatrix : public QMatrix {
 
   std::size_t size() const override { return 2 * examples_.rows(); }
 
-  void GetRow(std::size_t s, std::vector<double>& row) const override {
+  std::span<const double> Row(std::size_t s) const override {
     const std::size_t n = examples_.rows();
     const std::size_t base = s % n;
     const double sign_s = s < n ? 1.0 : -1.0;
@@ -40,11 +44,13 @@ class SvrQMatrix : public QMatrix {
                           examples_.cols(), sq_norms_, examples_.Row(r),
                           sq_norms_[r], out);
         });
-    row.resize(2 * n);
+    std::vector<double>& row = rows_[next_row_];
+    next_row_ ^= 1;
     for (std::size_t t = 0; t < n; ++t) {
       row[t] = sign_s * kernel_row[t];
       row[t + n] = -sign_s * kernel_row[t];
     }
+    return row;
   }
 
   double Diagonal(std::size_t s) const override {
@@ -57,6 +63,8 @@ class SvrQMatrix : public QMatrix {
   std::vector<double> sq_norms_;
   std::vector<double> diagonal_;
   mutable KernelRowCache cache_;
+  mutable std::vector<double> rows_[2];
+  mutable std::size_t next_row_ = 0;
 };
 
 }  // namespace

@@ -46,6 +46,9 @@ class SvrModel {
                       std::span<double> out) const;
 
   std::size_t num_support_vectors() const { return support_vectors_.rows(); }
+  /// β_s per support vector, and the offset rho.
+  const std::vector<double>& coefficients() const { return coefficients_; }
+  double rho() const { return rho_; }
   bool trained() const { return support_vectors_.rows() > 0; }
 
  private:

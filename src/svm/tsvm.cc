@@ -50,6 +50,15 @@ SvmModel TrainTsvm(const Matrix& labeled,
   seed_options.smo = options.smo;
   SvmModel model = TrainClassifier(labeled, labels, seed_options);
   ++out.retrains;
+  // A solve that `smo.stop` cut short ends the run: every later solve
+  // would stop at once, and one stopped before its first step keeps no
+  // support vector to take decision values from.
+  const auto smo_stopped = [&] {
+    if (!options.smo.stop.ShouldStop()) return false;
+    out.stop_status = options.smo.stop.ToStatus("TSVM training");
+    return true;
+  };
+  if (smo_stopped()) return model;
 
   // Step 2: label the unlabeled set so that the `positive_fraction`
   // highest decision values become positive.
@@ -94,8 +103,15 @@ SvmModel TrainTsvm(const Matrix& labeled,
       for (std::size_t u = 0; u < num_unlabeled; ++u) {
         train_options.example_cost_scale[num_labeled + u] = unlabeled_scale;
       }
-      model = TrainClassifier(combined, combined_labels, train_options);
+      SvmModel retrained =
+          TrainClassifier(combined, combined_labels, train_options);
       ++out.retrains;
+      if (smo_stopped()) {
+        if (retrained.trained()) model = std::move(retrained);
+        stopped = true;
+        break;
+      }
+      model = std::move(retrained);
 
       // Slacks of unlabeled examples under the current labeling. The most
       // violating positive and the most violating negative form the switch

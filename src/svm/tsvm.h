@@ -27,7 +27,10 @@ struct TsvmOptions {
   /// Cooperative stop for the outer label-switching loop, probed before
   /// every retrain; compose with `smo.stop` to also abort inside a single
   /// solve. When it fires the most recent model is returned and
-  /// TsvmReport::stop_status is set. The default never fires.
+  /// TsvmReport::stop_status is set. When `smo.stop` cuts a solve short the
+  /// run ends the same way, returning the most recent model that kept
+  /// support vectors (an untrained one if the seed solve stopped before
+  /// its first step). The default never fires.
   StopCondition stop;
 };
 

@@ -318,9 +318,7 @@ class DenseQ : public svm::QMatrix {
  public:
   DenseQ(std::vector<std::vector<double>> q) : q_(std::move(q)) {}
   std::size_t size() const override { return q_.size(); }
-  void GetRow(std::size_t i, std::vector<double>& row) const override {
-    row = q_[i];
-  }
+  std::span<const double> Row(std::size_t i) const override { return q_[i]; }
   double Diagonal(std::size_t i) const override { return q_[i][i]; }
 
  private:
@@ -348,30 +346,57 @@ TEST(SvmCancellationTest, PreCancelledSmoReturnsFeasibleIterate) {
   EXPECT_EQ(result.alpha, alpha0);  // untouched feasible iterate
 }
 
-TEST(SvmCancellationTest, PreCancelledTsvmReportsStop) {
+/// Two well-separated clusters: 8 labeled points and 12 unlabeled ones.
+struct TsvmData {
+  Matrix labeled{8, 2};
+  std::vector<std::int8_t> labels = std::vector<std::int8_t>(8);
+  Matrix unlabeled{12, 2};
+};
+
+TsvmData TwoClusterTsvmData() {
   Rng rng(7);
-  Matrix labeled(8, 2);
-  std::vector<std::int8_t> labels(8);
-  Matrix unlabeled(12, 2);
+  TsvmData data;
   for (std::size_t i = 0; i < 8; ++i) {
     const double cx = i < 4 ? 2.0 : -2.0;
-    labeled(i, 0) = cx + rng.Gaussian(0.0, 0.3);
-    labeled(i, 1) = rng.Gaussian(0.0, 0.3);
-    labels[i] = i < 4 ? 1 : -1;
+    data.labeled(i, 0) = cx + rng.Gaussian(0.0, 0.3);
+    data.labeled(i, 1) = rng.Gaussian(0.0, 0.3);
+    data.labels[i] = i < 4 ? 1 : -1;
   }
   for (std::size_t i = 0; i < 12; ++i) {
     const double cx = i < 6 ? 2.0 : -2.0;
-    unlabeled(i, 0) = cx + rng.Gaussian(0.0, 0.3);
-    unlabeled(i, 1) = rng.Gaussian(0.0, 0.3);
+    data.unlabeled(i, 0) = cx + rng.Gaussian(0.0, 0.3);
+    data.unlabeled(i, 1) = rng.Gaussian(0.0, 0.3);
   }
+  return data;
+}
+
+TEST(SvmCancellationTest, PreCancelledTsvmReportsStop) {
+  const TsvmData data = TwoClusterTsvmData();
   svm::TsvmOptions options;
   options.kernel.type = svm::KernelType::kLinear;
   options.stop = StopCondition(Deadline::AfterSeconds(0.0));
   svm::TsvmReport report;
   // ccdb-lint: allow(status-nodiscard) — outcome is asserted via
   // report.stop_status on the next line.
-  (void)svm::TrainTsvm(labeled, labels, unlabeled, options, &report);
+  (void)svm::TrainTsvm(data.labeled, data.labels, data.unlabeled, options,
+                       &report);
   EXPECT_EQ(report.stop_status.code(), StatusCode::kDeadlineExceeded);
+}
+
+TEST(SvmCancellationTest, TsvmWithFiredSmoStopReturnsUntrainedModel) {
+  // smo.stop fires before the seed solve's first step, so no solve keeps a
+  // support vector: TrainTsvm must report the stop and hand back the
+  // untrained model instead of taking decision values from it.
+  const TsvmData data = TwoClusterTsvmData();
+  svm::TsvmOptions options;
+  options.kernel.type = svm::KernelType::kLinear;
+  options.smo.stop = StopCondition(Deadline::AfterSeconds(0.0));
+  svm::TsvmReport report;
+  const svm::SvmModel model = svm::TrainTsvm(
+      data.labeled, data.labels, data.unlabeled, options, &report);
+  EXPECT_EQ(report.stop_status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_FALSE(model.trained());
+  EXPECT_EQ(report.retrains, 1u);
 }
 
 // -------------------------------------------------------------- dispatcher

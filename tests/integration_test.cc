@@ -152,6 +152,28 @@ TEST_F(PipelineFixture, NumericAttributeExpansionViaSvr) {
   }
 }
 
+TEST_F(PipelineFixture, OneItemNumericGoldSampleFailsCleanly) {
+  // One gold item always lies inside the ε-tube, so the ε-SVR keeps no
+  // support vector: the query must fail with a Status instead of
+  // aborting in the extract-all step.
+  db::Database database;
+  ASSERT_TRUE(database.AddTable(MakeItemsTable()).ok());
+  core::PerceptualExpansionResolver resolver(
+      space_, crowd::WorkerPool{{crowd::WorkerProfile{}}},
+      crowd::HitRunConfig{});
+  core::PerceptualAttributeSpec spec;
+  spec.type = db::ColumnType::kDouble;
+  spec.gold_sample_size = 1;
+  spec.numeric_truth = [](std::uint32_t) { return 5.0; };
+  resolver.RegisterAttribute("humor", std::move(spec));
+  database.SetResolver(&resolver);
+
+  const auto result =
+      database.Execute("SELECT name FROM movies WHERE humor > 5");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+}
+
 TEST_F(PipelineFixture, UnregisteredAttributeFailsCleanly) {
   db::Database database;
   ASSERT_TRUE(database.AddTable(MakeItemsTable()).ok());

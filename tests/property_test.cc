@@ -23,6 +23,8 @@
 #include "db/sql_parser.h"
 #include "factorization/factor_model.h"
 #include "svm/kernel.h"
+#include "svm/smo_solver.h"
+#include "svm/svr.h"
 
 namespace ccdb {
 namespace {
@@ -603,6 +605,430 @@ TEST(NumericCoreParityLarge, BatchKnnMatchesPerQueryKnn) {
     }
   }
 }
+
+// ------------------------------------------------ SMO solver oracle
+
+namespace smo_oracle {
+
+/// The unfused SMO loop, kept as the reference: rows copied out of Q, a
+/// sequential in_i_up / in_i_low scan and a separate gradient loop,
+/// starting from α = 0 like every caller. The shipped solver must
+/// reproduce its alpha, rho, iteration count and convergence flag bit for
+/// bit.
+svm::SmoResult ReferenceSolveSmo(const svm::QMatrix& q,
+                                 const std::vector<double>& p,
+                                 const std::vector<std::int8_t>& y,
+                                 const std::vector<double>& upper_bound,
+                                 const svm::SmoConfig& config) {
+  constexpr double kTau = 1e-12;
+  const std::size_t n = q.size();
+  svm::SmoResult result;
+  result.alpha.assign(n, 0.0);
+  std::vector<double>& alpha = result.alpha;
+  std::vector<double> gradient = p;
+  std::vector<double> row_i(n), row_j(n);
+  const auto copy_row = [&q](std::size_t r, std::vector<double>& out) {
+    const std::span<const double> row = q.Row(r);
+    out.assign(row.begin(), row.end());
+  };
+  auto in_i_up = [&](std::size_t t) {
+    return (y[t] > 0 && alpha[t] < upper_bound[t]) ||
+           (y[t] < 0 && alpha[t] > 0.0);
+  };
+  auto in_i_low = [&](std::size_t t) {
+    return (y[t] > 0 && alpha[t] > 0.0) ||
+           (y[t] < 0 && alpha[t] < upper_bound[t]);
+  };
+
+  for (result.iterations = 0; result.iterations < config.max_iterations;
+       ++result.iterations) {
+    double max_up = -std::numeric_limits<double>::infinity();
+    double min_low = std::numeric_limits<double>::infinity();
+    std::size_t i = n, j = n;
+    for (std::size_t t = 0; t < n; ++t) {
+      const double score = -static_cast<double>(y[t]) * gradient[t];
+      if (in_i_up(t) && score > max_up) {
+        max_up = score;
+        i = t;
+      }
+      if (in_i_low(t) && score < min_low) {
+        min_low = score;
+        j = t;
+      }
+    }
+    if (i >= n || j >= n || max_up - min_low < config.tolerance) {
+      result.converged = true;
+      break;
+    }
+
+    copy_row(i, row_i);
+    copy_row(j, row_j);
+    const double c_i = upper_bound[i];
+    const double c_j = upper_bound[j];
+    const double old_alpha_i = alpha[i];
+    const double old_alpha_j = alpha[j];
+    if (y[i] != y[j]) {
+      double quad_coef = q.Diagonal(i) + q.Diagonal(j) + 2.0 * row_i[j];
+      if (quad_coef <= 0.0) quad_coef = kTau;
+      const double delta = (-gradient[i] - gradient[j]) / quad_coef;
+      const double diff = alpha[i] - alpha[j];
+      alpha[i] += delta;
+      alpha[j] += delta;
+      if (diff > 0.0) {
+        if (alpha[j] < 0.0) {
+          alpha[j] = 0.0;
+          alpha[i] = diff;
+        }
+      } else {
+        if (alpha[i] < 0.0) {
+          alpha[i] = 0.0;
+          alpha[j] = -diff;
+        }
+      }
+      if (diff > c_i - c_j) {
+        if (alpha[i] > c_i) {
+          alpha[i] = c_i;
+          alpha[j] = c_i - diff;
+        }
+      } else {
+        if (alpha[j] > c_j) {
+          alpha[j] = c_j;
+          alpha[i] = c_j + diff;
+        }
+      }
+    } else {
+      double quad_coef = q.Diagonal(i) + q.Diagonal(j) - 2.0 * row_i[j];
+      if (quad_coef <= 0.0) quad_coef = kTau;
+      const double delta = (gradient[i] - gradient[j]) / quad_coef;
+      const double sum = alpha[i] + alpha[j];
+      alpha[i] -= delta;
+      alpha[j] += delta;
+      if (sum > c_i) {
+        if (alpha[i] > c_i) {
+          alpha[i] = c_i;
+          alpha[j] = sum - c_i;
+        }
+      } else {
+        if (alpha[j] < 0.0) {
+          alpha[j] = 0.0;
+          alpha[i] = sum;
+        }
+      }
+      if (sum > c_j) {
+        if (alpha[j] > c_j) {
+          alpha[j] = c_j;
+          alpha[i] = sum - c_j;
+        }
+      } else {
+        if (alpha[i] < 0.0) {
+          alpha[i] = 0.0;
+          alpha[j] = sum;
+        }
+      }
+    }
+    const double delta_i = alpha[i] - old_alpha_i;
+    const double delta_j = alpha[j] - old_alpha_j;
+    if (delta_i == 0.0 && delta_j == 0.0) {
+      result.converged = true;
+      break;
+    }
+    for (std::size_t t = 0; t < n; ++t) {
+      gradient[t] += delta_i * row_i[t] + delta_j * row_j[t];
+    }
+  }
+
+  double free_sum = 0.0;
+  std::size_t free_count = 0;
+  double upper = std::numeric_limits<double>::infinity();
+  double lower = -std::numeric_limits<double>::infinity();
+  for (std::size_t t = 0; t < n; ++t) {
+    const double y_grad = static_cast<double>(y[t]) * gradient[t];
+    if (alpha[t] >= upper_bound[t]) {
+      if (y[t] < 0) {
+        upper = std::min(upper, y_grad);
+      } else {
+        lower = std::max(lower, y_grad);
+      }
+    } else if (alpha[t] <= 0.0) {
+      if (y[t] > 0) {
+        upper = std::min(upper, y_grad);
+      } else {
+        lower = std::max(lower, y_grad);
+      }
+    } else {
+      free_sum += y_grad;
+      ++free_count;
+    }
+  }
+  result.rho = free_count > 0 ? free_sum / static_cast<double>(free_count)
+                              : (upper + lower) / 2.0;
+  return result;
+}
+
+/// Raw kernel rows computed the way the library's Q matrices fill them
+/// (one norm-trick EvalKernelBatch sweep per row, EvalKernel diagonal).
+struct KernelRows {
+  std::vector<std::vector<double>> rows;
+  std::vector<double> diagonal;
+};
+
+KernelRows ComputeKernelRows(const svm::KernelConfig& kernel,
+                             const Matrix& x) {
+  const std::size_t n = x.rows();
+  std::vector<double> sq_norms(n);
+  RowSquaredNorms(x.Data(), n, x.cols(), sq_norms);
+  KernelRows k;
+  k.rows.assign(n, std::vector<double>(n));
+  k.diagonal.resize(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    svm::EvalKernelBatch(kernel, x.Data(), n, x.cols(), sq_norms, x.Row(r),
+                         sq_norms[r], k.rows[r]);
+    k.diagonal[r] = svm::EvalKernel(kernel, x.Row(r), x.Row(r));
+  }
+  return k;
+}
+
+/// Dense Q: C-SVC rows y_r·y_t·K_rt, or the 2n-variable ε-SVR rows
+/// ŷ_s·ŷ_t·K(s mod n, t mod n) when `labels` is empty.
+class DenseQ : public svm::QMatrix {
+ public:
+  DenseQ(const KernelRows& k, const std::vector<std::int8_t>& labels)
+      : k_(k) {
+    const std::size_t n = k.rows.size();
+    if (!labels.empty()) {
+      rows_.assign(n, std::vector<double>(n));
+      for (std::size_t r = 0; r < n; ++r) {
+        const double y_r = static_cast<double>(labels[r]);
+        for (std::size_t t = 0; t < n; ++t) {
+          rows_[r][t] = y_r * static_cast<double>(labels[t]) * k.rows[r][t];
+        }
+      }
+      return;
+    }
+    rows_.assign(2 * n, std::vector<double>(2 * n));
+    for (std::size_t s = 0; s < 2 * n; ++s) {
+      const double sign_s = s < n ? 1.0 : -1.0;
+      for (std::size_t t = 0; t < n; ++t) {
+        rows_[s][t] = sign_s * k.rows[s % n][t];
+        rows_[s][t + n] = -sign_s * k.rows[s % n][t];
+      }
+    }
+  }
+  std::size_t size() const override { return rows_.size(); }
+  std::span<const double> Row(std::size_t i) const override {
+    return rows_[i];
+  }
+  double Diagonal(std::size_t i) const override {
+    return k_.diagonal[i % k_.diagonal.size()];
+  }
+
+ private:
+  const KernelRows& k_;
+  std::vector<std::vector<double>> rows_;
+};
+
+enum class Case { kNoisy, kCostScales, kDuplicates, kConstantFeatures };
+enum class Budget { kZero, kTwoRows, kDefault };
+
+struct Problem {
+  Matrix x;
+  std::vector<std::int8_t> labels;
+  std::vector<double> targets;
+  std::vector<double> cost_scale;  // empty = all 1
+};
+
+/// A seeded problem of n examples: noisy labels (10% flipped, both classes
+/// present), noisy regression targets, and the case's twist.
+Problem MakeProblem(std::size_t n, Case c) {
+  const std::size_t dims = n >= 1000 ? 32 : 4;
+  Rng rng(9000 + n * 4 + static_cast<std::size_t>(c));
+  Problem problem{Matrix(n, dims), std::vector<std::int8_t>(n),
+                  std::vector<double>(n), {}};
+  Matrix& x = problem.x;
+  x.FillGaussian(rng, 0.0, 1.0);
+  if (c == Case::kDuplicates) {
+    // Every row past the first half repeats an earlier one, so equal
+    // points carry equal, or (label noise) conflicting, labels and equal
+    // targets: exact score ties for the selection scan to break.
+    const std::size_t distinct = (n + 1) / 2;
+    for (std::size_t i = distinct; i < n; ++i) {
+      for (std::size_t col = 0; col < dims; ++col) {
+        x(i, col) = x(i - distinct, col);
+      }
+    }
+  }
+  if (c == Case::kConstantFeatures) {
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t col = 1; col < dims; col += 2) x(i, col) = 2.5;
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool positive = (x(i, 0) + 0.5 * x(i, dims - 2) > 0.0) !=
+                          rng.Bernoulli(0.1);
+    problem.labels[i] = positive ? 1 : -1;
+    problem.targets[i] = x(i, 0) - 0.5 * x(i, dims - 2);
+    if (c != Case::kDuplicates) problem.targets[i] += rng.Gaussian(0.0, 0.2);
+  }
+  problem.labels[0] = 1;
+  problem.labels[n - 1] = -1;
+  if (c == Case::kCostScales) {
+    // TSVM-style: a labeled half at scale 1 with the rare class up-weighted
+    // as balance_class_costs does, and an "unlabeled" half at a tiny scale.
+    std::size_t positives = 0;
+    for (std::int8_t label : problem.labels) positives += label > 0 ? 1 : 0;
+    const double positive_scale =
+        std::sqrt(static_cast<double>(n - positives) /
+                  static_cast<double>(positives));
+    problem.cost_scale.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      problem.cost_scale[i] = i < n / 2 ? (problem.labels[i] > 0
+                                               ? positive_scale
+                                               : 1.0)
+                                        : 0.004;
+    }
+  }
+  return problem;
+}
+
+std::size_t CacheBytes(Budget budget, std::size_t n) {
+  switch (budget) {
+    case Budget::kZero:
+      return 0;
+    case Budget::kTwoRows:
+      return 2 * n * sizeof(double);
+    case Budget::kDefault:
+      return svm::kDefaultKernelCacheBytes;
+  }
+  return 0;
+}
+
+using Param = std::tuple<std::size_t, Case, Budget>;
+
+std::string ParamName(const ::testing::TestParamInfo<Param>& info) {
+  const auto [n, c, budget] = info.param;
+  const char* const cases[] = {"noisy", "cost_scales", "duplicates",
+                               "constant_features"};
+  const char* const budgets[] = {"cache0", "cache2rows", "cachedefault"};
+  return "n" + std::to_string(n) + "_" + cases[static_cast<int>(c)] + "_" +
+         budgets[static_cast<int>(budget)];
+}
+
+}  // namespace smo_oracle
+
+/// n covers every n mod 4 tail of the four-lane pass, from the smallest
+/// problems to the serve shape (n = 1,000, d = 32); the SVR's 2n variables
+/// add the even tails again.
+class SmoOracleSvc : public ::testing::TestWithParam<smo_oracle::Param> {};
+class SmoOracleSvr : public ::testing::TestWithParam<smo_oracle::Param> {};
+
+TEST_P(SmoOracleSvc, MatchesReferenceBitForBit) {
+  using namespace smo_oracle;  // NOLINT
+  const auto [n, c, budget] = GetParam();
+  const Problem problem = MakeProblem(n, c);
+  svm::ClassifierOptions options;
+  options.kernel.type = svm::KernelType::kRbf;
+  options.kernel.gamma = 1.0 / static_cast<double>(problem.x.cols());
+  options.cost = 10.0;
+  options.example_cost_scale = problem.cost_scale;
+  options.kernel_cache_bytes = CacheBytes(budget, n);
+  svm::TrainDiagnostics diagnostics;
+  svm::TrainClassifier(problem.x, problem.labels, options, &diagnostics);
+
+  const KernelRows k = ComputeKernelRows(options.kernel, problem.x);
+  const DenseQ q(k, problem.labels);
+  std::vector<double> upper_bound(n, options.cost);
+  for (std::size_t i = 0; i < problem.cost_scale.size(); ++i) {
+    upper_bound[i] = options.cost * problem.cost_scale[i];
+  }
+  const svm::SmoResult reference =
+      ReferenceSolveSmo(q, std::vector<double>(n, -1.0), problem.labels,
+                        upper_bound, options.smo);
+
+  EXPECT_EQ(diagnostics.iterations, reference.iterations);
+  EXPECT_EQ(diagnostics.converged, reference.converged);
+  EXPECT_EQ(expprop::Bits(diagnostics.rho), expprop::Bits(reference.rho))
+      << std::hexfloat << diagnostics.rho << " vs " << reference.rho;
+  ASSERT_EQ(diagnostics.alpha.size(), n);
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (expprop::Bits(diagnostics.alpha[i]) !=
+        expprop::Bits(reference.alpha[i])) {
+      if (++mismatches == 1) {
+        ADD_FAILURE() << "alpha[" << i << "] " << std::hexfloat
+                      << diagnostics.alpha[i] << " vs " << reference.alpha[i];
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST_P(SmoOracleSvr, MatchesReferenceBitForBit) {
+  using namespace smo_oracle;  // NOLINT
+  const auto [n, c, budget] = GetParam();
+  const Problem problem = MakeProblem(n, c);
+  svm::SvrOptions options;
+  options.kernel.type = svm::KernelType::kRbf;
+  options.kernel.gamma = 1.0 / static_cast<double>(problem.x.cols());
+  options.cost = 10.0;
+  options.epsilon = 0.1;
+  options.kernel_cache_bytes = CacheBytes(budget, n);
+  const svm::SvrModel model =
+      svm::TrainSvr(problem.x, problem.targets, options);
+
+  const KernelRows k = ComputeKernelRows(options.kernel, problem.x);
+  const DenseQ q(k, {});
+  std::vector<double> p(2 * n);
+  std::vector<std::int8_t> y(2 * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    p[i] = options.epsilon - problem.targets[i];
+    p[i + n] = options.epsilon + problem.targets[i];
+    y[i] = 1;
+    y[i + n] = -1;
+  }
+  const svm::SmoResult reference = ReferenceSolveSmo(
+      q, p, y, std::vector<double>(2 * n, options.cost), options.smo);
+  std::vector<double> betas;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double beta = reference.alpha[i] - reference.alpha[i + n];
+    if (std::abs(beta) > 1e-12) betas.push_back(beta);
+  }
+
+  EXPECT_EQ(expprop::Bits(model.rho()), expprop::Bits(reference.rho))
+      << std::hexfloat << model.rho() << " vs " << reference.rho;
+  ASSERT_EQ(model.coefficients().size(), betas.size());
+  for (std::size_t s = 0; s < betas.size(); ++s) {
+    ASSERT_EQ(expprop::Bits(model.coefficients()[s]), expprop::Bits(betas[s]))
+        << "beta[" << s << "] " << std::hexfloat << model.coefficients()[s]
+        << " vs " << betas[s];
+  }
+}
+
+namespace smo_oracle {
+const auto kSizes = ::testing::Values(2u, 3u, 4u, 5u, 7u, 8u, 63u, 64u, 65u,
+                                      257u, 1000u);
+const auto kBudgets = ::testing::Values(Budget::kZero, Budget::kTwoRows,
+                                        Budget::kDefault);
+}  // namespace smo_oracle
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, SmoOracleSvc,
+    ::testing::Combine(smo_oracle::kSizes,
+                       ::testing::Values(smo_oracle::Case::kNoisy,
+                                         smo_oracle::Case::kCostScales,
+                                         smo_oracle::Case::kDuplicates,
+                                         smo_oracle::Case::kConstantFeatures),
+                       smo_oracle::kBudgets),
+    smo_oracle::ParamName);
+
+// ε-SVR has no per-example cost, so it skips that case.
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, SmoOracleSvr,
+    ::testing::Combine(smo_oracle::kSizes,
+                       ::testing::Values(smo_oracle::Case::kNoisy,
+                                         smo_oracle::Case::kDuplicates,
+                                         smo_oracle::Case::kConstantFeatures),
+                       smo_oracle::kBudgets),
+    smo_oracle::ParamName);
 
 // ----------------------------------------------------- SQL parser fuzz
 

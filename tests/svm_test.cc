@@ -497,26 +497,48 @@ TEST(KernelRowCacheTest, EvictsLeastRecentlyUsed) {
   EXPECT_EQ(cache.stats().evictions, 2u);
 }
 
-TEST(KernelRowCacheTest, ZeroBudgetStillServesOneRow) {
-  // The requested row is exempt from the budget, so Row() always works;
-  // a zero budget just means nothing survives to the next call.
+TEST(KernelRowCacheTest, ZeroBudgetHoldsRowIWhileFillingRowJ) {
+  // The most recently returned row is never evicted to make room for the
+  // next one, so even with a zero budget the span of row i stays valid,
+  // in place and unchanged, across Row(j): an SMO iteration reads both
+  // rows without copying them.
   KernelRowCache cache(4, 8, 0);
-  const auto fill = [](std::size_t row, std::span<double> out) {
-    for (auto& v : out) v = static_cast<double>(row) + 0.5;
+  std::size_t fills = 0;
+  const auto fill = [&fills](std::size_t row, std::span<double> out) {
+    ++fills;
+    for (std::size_t c = 0; c < out.size(); ++c) {
+      out[c] = static_cast<double>(row) * 100.0 + static_cast<double>(c);
+    }
+  };
+  const auto expect_row = [](std::span<const double> row, std::size_t r) {
+    ASSERT_EQ(row.size(), 8u);
+    for (std::size_t c = 0; c < row.size(); ++c) {
+      EXPECT_EQ(row[c], static_cast<double>(r) * 100.0 +
+                            static_cast<double>(c));
+    }
   };
   for (std::size_t i = 0; i < 4; ++i) {
-    const auto row = cache.Row(i, fill);
-    ASSERT_EQ(row.size(), 8u);
-    EXPECT_DOUBLE_EQ(row[0], static_cast<double>(i) + 0.5);
-    EXPECT_LE(cache.cached_rows(), 1u);
+    const std::size_t j = (i + 1) % 4;
+    const std::span<const double> row_i = cache.Row(i, fill);
+    const double* const address_i = row_i.data();
+    const std::span<const double> row_j = cache.Row(j, fill);
+    EXPECT_NE(row_j.data(), address_i);
+    expect_row(row_i, i);
+    expect_row(row_j, j);
+    EXPECT_LE(cache.cached_rows(), 2u);
+    // Row i was neither evicted nor refilled: asking again is a hit that
+    // returns the same storage.
+    const std::size_t fills_before = fills;
+    EXPECT_EQ(cache.Row(i, fill).data(), address_i);
+    EXPECT_EQ(fills, fills_before);
   }
-  // Re-reading row 0 is a miss — it could not be retained...
+  // Only two rows fit, so a third distinct row evicts the older of them.
   cache.Row(0, fill);
-  EXPECT_EQ(cache.stats().hits, 0u);
-  // ...but an immediate repeat of the same row is the one possible hit.
-  const auto again = cache.Row(0, fill);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_DOUBLE_EQ(again[0], 0.5);
+  cache.Row(1, fill);
+  cache.Row(2, fill);  // evicts 0
+  const std::size_t fills_before = fills;
+  expect_row(cache.Row(0, fill), 0);
+  EXPECT_EQ(fills, fills_before + 1);
 }
 
 TEST(KernelRowCacheTest, TinyBudgetTrainingMatchesUnbounded) {
