@@ -3,8 +3,7 @@
 # tests under it: the cancellation/deadline plumbing, the ThreadPool, and
 # the concurrent ExpansionService (worker pool, single-flight dedup,
 # circuit breaker, mid-flight cancellation stress). Only tests labeled
-# "concurrency" run — the Hogwild parallel-SGD trainer races by design
-# and is excluded at the label level (see tests/CMakeLists.txt).
+# "concurrency" run (see tests/CMakeLists.txt).
 # Usage: scripts/check_tsan.sh [extra ctest args...]
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -3,13 +3,28 @@
 # reformat: files listed in tools/format_baseline.txt are exempt, every
 # other .h/.cc/.cpp must be clang-format clean (.clang-format, Google
 # style). Remove a file from the baseline after reformatting it to opt it
-# into the gate permanently.
+# into the gate permanently, and when deleting the file. A baseline entry
+# that names a missing file fails the gate, also where clang-format is not
+# installed.
 #
 # Usage: scripts/format_check.sh [--all] [--fix]
 #   --all  check baselined files too (advisory sweep, never fails CI)
 #   --fix  rewrite offending files in place instead of failing
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+baseline="tools/format_baseline.txt"
+stale=0
+while IFS= read -r file; do
+  case "$file" in ''|'#'*) continue ;; esac
+  if [[ ! -e "$file" ]]; then
+    echo "format_check: $baseline names missing file $file"
+    stale=1
+  fi
+done < "$baseline"
+if [[ $stale -ne 0 ]]; then
+  exit 1
+fi
 
 CLANG_FORMAT="${CLANG_FORMAT:-clang-format}"
 if ! command -v "$CLANG_FORMAT" >/dev/null 2>&1; then
@@ -28,7 +43,6 @@ for arg in "$@"; do
   esac
 done
 
-baseline="tools/format_baseline.txt"
 fail=0
 checked=0
 skipped=0

@@ -52,7 +52,7 @@ class CancellationSource {
 };
 
 /// Composition of a cancellation token OR a wall-clock deadline — the stop
-/// signal threaded through every long-running loop in the library (SGD/ALS
+/// signal threaded through every long-running loop in the library (SGD
 /// epochs, SMO iterations, TSVM retrains, dispatcher repost rounds,
 /// expansion checkpoints). Default-constructed it never stops, so adding a
 /// `StopCondition stop;` knob to a config struct is behavior-preserving.

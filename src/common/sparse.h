@@ -83,7 +83,8 @@ class RatingDataset {
 };
 
 /// Deterministically splits rating indices into train/holdout index lists
-/// with the given holdout fraction (used for cross-validating d and λ).
+/// with the given holdout fraction (the SGD trainer's validation split for
+/// early stopping).
 struct TrainHoldoutSplit {
   std::vector<std::size_t> train;
   std::vector<std::size_t> holdout;

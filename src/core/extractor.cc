@@ -59,27 +59,8 @@ bool BinaryAttributeExtractor::Train(const PerceptualSpace& space,
   }
   model_ = svm::TrainClassifier(examples, signed_labels, classifier_options);
   // A stop that fired before SMO's first step leaves every alpha at zero:
-  // no support vector, nothing to calibrate or predict with.
-  if (!model_.trained()) return false;
-
-  // Calibrate probabilities on the gold sample (Platt scaling). Small
-  // samples give a rough sigmoid, but it is monotone in the margin, which
-  // is all the confidence-driven strategies need.
-  const std::vector<double> decisions = model_.DecisionValues(examples);
-  platt_ = svm::PlattScaler();
-  platt_.Fit(decisions, signed_labels);
-  return true;
-}
-
-std::vector<double> BinaryAttributeExtractor::ExtractProbabilities(
-    const PerceptualSpace& space) const {
-  const std::vector<double> decisions = DecisionValues(space);
-  std::vector<double> probabilities(decisions.size());
-  for (std::size_t i = 0; i < decisions.size(); ++i) {
-    probabilities[i] = platt_.fitted() ? platt_.Probability(decisions[i])
-                                       : (decisions[i] >= 0.0 ? 1.0 : 0.0);
-  }
-  return probabilities;
+  // no support vector, nothing to predict with.
+  return model_.trained();
 }
 
 bool BinaryAttributeExtractor::Extract(const PerceptualSpace& space,

@@ -8,7 +8,6 @@
 #include "common/cancellation.h"
 #include "core/perceptual_space.h"
 #include "svm/classifier.h"
-#include "svm/platt.h"
 #include "svm/svr.h"
 
 namespace ccdb::core {
@@ -78,21 +77,11 @@ class BinaryAttributeExtractor {
   /// Signed decision values for every item (used by ranking queries).
   std::vector<double> DecisionValues(const PerceptualSpace& space) const;
 
-  /// Calibrated P(attribute = true) per item via Platt scaling fitted on
-  /// the gold sample during Train(). Falls back to a hard 0/1 vector when
-  /// the sigmoid could not be fitted (degenerate gold sample).
-  std::vector<double> ExtractProbabilities(const PerceptualSpace& space)
-      const;
-
-  /// Whether calibrated probabilities are available.
-  bool calibrated() const { return platt_.fitted(); }
-
   const svm::SvmModel& model() const { return model_; }
 
  private:
   ExtractorOptions options_;
   svm::SvmModel model_;
-  svm::PlattScaler platt_;
 };
 
 /// Extracts a *numeric* perceptual attribute (e.g. `humor` on a 0–10

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -30,6 +31,15 @@ bool LooksNumeric(const std::string& field) {
     if (!std::isdigit(static_cast<unsigned char>(field[i]))) return false;
   }
   return true;
+}
+
+/// Parses a score or day field that LooksNumeric accepted; false when the
+/// value is outside `double` range or not finite as a `float`.
+bool ParseFloatField(const std::string& field, float& out) {
+  errno = 0;
+  const double value = std::strtod(field.c_str(), nullptr);
+  out = static_cast<float>(value);
+  return errno != ERANGE && std::isfinite(out);
 }
 
 }  // namespace
@@ -91,28 +101,25 @@ StatusOr<RatingDataset> LoadRatingsCsv(const std::string& path, Fs* fs) {
                                      std::to_string(line_number) +
                                      ": negative id");
     }
-    errno = 0;
-    const double raw_score = std::strtod(row[2].c_str(), nullptr);
-    if (errno == ERANGE) {
+    Rating rating;
+    if (!ParseFloatField(row[2], rating.score)) {
       return Status::InvalidArgument(path + ":" +
                                      std::to_string(line_number) +
                                      ": score out of range");
     }
-    const auto item = item_ids
-                          .try_emplace(raw_item, static_cast<std::uint32_t>(
-                                                     item_ids.size()))
-                          .first->second;
-    const auto user = user_ids
-                          .try_emplace(raw_user, static_cast<std::uint32_t>(
-                                                     user_ids.size()))
-                          .first->second;
-    Rating rating;
-    rating.item = item;
-    rating.user = user;
-    rating.score = static_cast<float>(raw_score);
-    if (row.size() == 4) {
-      rating.day = static_cast<float>(std::strtod(row[3].c_str(), nullptr));
+    if (row.size() == 4 && !ParseFloatField(row[3], rating.day)) {
+      return Status::InvalidArgument(path + ":" +
+                                     std::to_string(line_number) +
+                                     ": day out of range");
     }
+    rating.item = item_ids
+                      .try_emplace(raw_item, static_cast<std::uint32_t>(
+                                                 item_ids.size()))
+                      .first->second;
+    rating.user = user_ids
+                      .try_emplace(raw_user, static_cast<std::uint32_t>(
+                                                 user_ids.size()))
+                      .first->second;
     ratings.push_back(rating);
   }
   if (ratings.empty()) {

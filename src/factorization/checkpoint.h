@@ -13,8 +13,8 @@
 
 namespace ccdb::factorization {
 
-/// Epoch-level trainer durability: where (and how often) TrainSgd and
-/// TrainAls snapshot their state when given these options. Snapshots are
+/// Epoch-level trainer durability: where (and how often) TrainSgd
+/// snapshots its state when given these options. Snapshots are
 /// single files replaced via write-to-temp + fsync + rename +
 /// parent-directory fsync, so a crash mid-write leaves the previous
 /// snapshot intact; a CRC over the payload rejects bit rot. Older snapshot
@@ -25,8 +25,8 @@ namespace ccdb::factorization {
 struct TrainerCheckpointOptions {
   /// Snapshot file path. Must be non-empty.
   std::string path;
-  /// Snapshot cadence in epochs (SGD) or sweeps (ALS). The final state is
-  /// always snapshotted regardless of cadence.
+  /// Snapshot cadence in epochs. The final state is always snapshotted
+  /// regardless of cadence.
   int every_epochs = 1;
   /// Total snapshot generations kept on disk (current + keep-1 older).
   /// Must be >= 1; 1 disables the fallback ladder.

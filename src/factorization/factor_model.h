@@ -70,8 +70,7 @@ class FactorModel {
   /// restore the full trainable state.
   const Matrix& item_time_bias() const { return item_time_bias_; }
 
-  /// Mutable access for alternative trainers (ALS solves factors in
-  /// closed form instead of stepping them) and checkpoint restore.
+  /// Mutable access for checkpoint restore.
   Matrix& mutable_item_factors() { return item_factors_; }
   Matrix& mutable_user_factors() { return user_factors_; }
   std::vector<double>& mutable_item_bias() { return item_bias_; }

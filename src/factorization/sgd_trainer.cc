@@ -1,11 +1,9 @@
 #include "factorization/sgd_trainer.h"
 
-#include <algorithm>
 #include <limits>
 #include <string>
 #include <string_view>
 
-#include "common/check.h"
 #include "common/crash_point.h"
 #include "common/journal.h"
 #include "common/rng.h"
@@ -162,56 +160,6 @@ StatusOr<TrainingReport> TrainSgd(const SgdTrainerConfig& config,
   report.final_validation_rmse =
       report.validation_rmse.empty() ? 0.0 : report.validation_rmse.back();
   return report;
-}
-
-std::vector<CrossValidationCell> GridSearch(
-    const RatingDataset& data, ModelKind kind,
-    const std::vector<std::size_t>& dims_grid,
-    const std::vector<double>& lambda_grid, const SgdTrainerConfig& config,
-    double holdout_fraction) {
-  CCDB_CHECK(!dims_grid.empty());
-  CCDB_CHECK(!lambda_grid.empty());
-  CCDB_CHECK_GT(holdout_fraction, 0.0);
-
-  std::vector<CrossValidationCell> cells;
-  cells.reserve(dims_grid.size() * lambda_grid.size());
-  for (std::size_t dims : dims_grid) {
-    for (double lambda : lambda_grid) {
-      FactorModelConfig model_config;
-      model_config.kind = kind;
-      model_config.dims = dims;
-      model_config.lambda = lambda;
-      model_config.seed = config.seed + cells.size() + 1;
-      FactorModel model(model_config, data);
-
-      SgdTrainerConfig trainer_config = config;
-      trainer_config.validation_fraction = holdout_fraction;
-      const StatusOr<TrainingReport> trained =
-          TrainSgd(trainer_config, data, model);
-      CCDB_CHECK_MSG(trained.ok(), trained.status().ToString());
-      const TrainingReport& report = trained.value();
-
-      CrossValidationCell cell;
-      cell.dims = dims;
-      cell.lambda = lambda;
-      cell.validation_rmse = report.validation_rmse.empty()
-                                 ? report.final_train_rmse
-                                 : *std::min_element(
-                                       report.validation_rmse.begin(),
-                                       report.validation_rmse.end());
-      cells.push_back(cell);
-    }
-  }
-  return cells;
-}
-
-CrossValidationCell BestCell(const std::vector<CrossValidationCell>& cells) {
-  CCDB_CHECK(!cells.empty());
-  return *std::min_element(cells.begin(), cells.end(),
-                           [](const CrossValidationCell& a,
-                              const CrossValidationCell& b) {
-                             return a.validation_rmse < b.validation_rmse;
-                           });
 }
 
 }  // namespace ccdb::factorization

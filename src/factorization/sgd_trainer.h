@@ -63,26 +63,6 @@ struct TrainerCheckpointOptions;  // factorization/checkpoint.h
     const SgdTrainerConfig& config, const RatingDataset& data,
     FactorModel& model, const TrainerCheckpointOptions* snapshots = nullptr);
 
-/// One cell of a cross-validation grid search.
-struct CrossValidationCell {
-  std::size_t dims = 0;
-  double lambda = 0.0;
-  double validation_rmse = 0.0;
-};
-
-/// Holdout grid search over (dims × lambdas): trains a fresh model per
-/// cell and reports holdout RMSE. This is how the paper selects d and λ
-/// ("determined by means of cross-validation on the rating data only").
-/// Cells are returned in grid order; the best cell minimizes RMSE.
-std::vector<CrossValidationCell> GridSearch(
-    const RatingDataset& data, ModelKind kind,
-    const std::vector<std::size_t>& dims_grid,
-    const std::vector<double>& lambda_grid, const SgdTrainerConfig& config,
-    double holdout_fraction = 0.1);
-
-/// Convenience: returns the cell with the lowest validation RMSE.
-CrossValidationCell BestCell(const std::vector<CrossValidationCell>& cells);
-
 }  // namespace ccdb::factorization
 
 #endif  // CCDB_FACTORIZATION_SGD_TRAINER_H_

@@ -1,8 +1,6 @@
 #include "svm/classifier.h"
 
 #include <cmath>
-#include <cstring>
-#include <memory>
 
 #include "common/check.h"
 #include "common/vec.h"
@@ -104,100 +102,6 @@ bool SvmModel::DecisionValuesInto(const Matrix& points,
   CCDB_CHECK(trained());
   return EvalKernelExpansion(kernel_, support_vectors_, sv_sq_norms_,
                              coefficients_, rho_, points, stop, out);
-}
-
-namespace {
-
-constexpr char kSvmMagic[8] = {'C', 'C', 'D', 'B', 'S', 'V', 'M', '1'};
-
-/// Appends `count` raw native-endian values to the serialized buffer
-/// (same byte layout the previous fwrite-based writer produced).
-template <typename T>
-void AppendRaw(std::string& out, const T* values, std::size_t count) {
-  out.append(reinterpret_cast<const char*>(values), count * sizeof(T));
-}
-
-/// Reads `count` raw values from the buffer at `pos`; false on overrun.
-template <typename T>
-bool ReadRaw(std::string_view bytes, std::size_t& pos, T* values,
-             std::size_t count) {
-  const std::size_t want = count * sizeof(T);
-  if (bytes.size() - pos < want) return false;
-  std::memcpy(values, bytes.data() + pos, want);
-  pos += want;
-  return true;
-}
-
-}  // namespace
-
-Status SvmModel::SaveToFile(const std::string& path, Fs* fs) const {
-  const std::uint64_t num_svs = support_vectors_.rows();
-  const std::uint64_t dims = support_vectors_.cols();
-  const std::int32_t kernel_type = static_cast<std::int32_t>(kernel_.type);
-  const std::int32_t degree = kernel_.degree;
-  const auto data = support_vectors_.Data();
-  std::string bytes;
-  bytes.reserve(sizeof(kSvmMagic) + 2 * sizeof(std::uint64_t) +
-                2 * sizeof(std::int32_t) + 3 * sizeof(double) +
-                sizeof(double) * (data.size() + coefficients_.size()));
-  bytes.append(kSvmMagic, sizeof(kSvmMagic));
-  AppendRaw(bytes, &num_svs, 1);
-  AppendRaw(bytes, &dims, 1);
-  AppendRaw(bytes, &kernel_type, 1);
-  AppendRaw(bytes, &kernel_.gamma, 1);
-  AppendRaw(bytes, &degree, 1);
-  AppendRaw(bytes, &kernel_.coef0, 1);
-  AppendRaw(bytes, &rho_, 1);
-  if (!data.empty()) AppendRaw(bytes, data.data(), data.size());
-  if (!coefficients_.empty()) {
-    AppendRaw(bytes, coefficients_.data(), coefficients_.size());
-  }
-  return ResolveFs(fs).WriteFileAtomic(path, bytes);
-}
-
-StatusOr<SvmModel> SvmModel::LoadFromFile(const std::string& path, Fs* fs) {
-  StatusOr<std::string> bytes_or = ResolveFs(fs).ReadFile(path);
-  if (!bytes_or.ok()) return bytes_or.status();
-  const std::string_view bytes = bytes_or.value();
-  std::size_t pos = 0;
-  char magic[8];
-  if (!ReadRaw(bytes, pos, magic, sizeof(magic)) ||
-      std::memcmp(magic, kSvmMagic, sizeof(kSvmMagic)) != 0) {
-    return Status::InvalidArgument("not an SVM model file: " + path);
-  }
-  std::uint64_t num_svs = 0, dims = 0;
-  std::int32_t kernel_type = 0, degree = 0;
-  KernelConfig kernel;
-  double rho = 0.0;
-  if (!ReadRaw(bytes, pos, &num_svs, 1) || !ReadRaw(bytes, pos, &dims, 1) ||
-      !ReadRaw(bytes, pos, &kernel_type, 1) ||
-      !ReadRaw(bytes, pos, &kernel.gamma, 1) ||
-      !ReadRaw(bytes, pos, &degree, 1) ||
-      !ReadRaw(bytes, pos, &kernel.coef0, 1) ||
-      !ReadRaw(bytes, pos, &rho, 1)) {
-    return Status::InvalidArgument("truncated header in " + path);
-  }
-  if (kernel_type < 0 || kernel_type > 2) {
-    return Status::InvalidArgument("bad kernel type in " + path);
-  }
-  if (num_svs != 0 &&
-      dims > (bytes.size() - pos) / sizeof(double) / num_svs) {
-    return Status::InvalidArgument("implausible SVM model shape in " + path);
-  }
-  kernel.type = static_cast<KernelType>(kernel_type);
-  kernel.degree = degree;
-  Matrix support_vectors(num_svs, dims);
-  auto data = support_vectors.Data();
-  if (!data.empty() && !ReadRaw(bytes, pos, data.data(), data.size())) {
-    return Status::InvalidArgument("truncated support vectors in " + path);
-  }
-  std::vector<double> coefficients(num_svs);
-  if (num_svs > 0 &&
-      !ReadRaw(bytes, pos, coefficients.data(), coefficients.size())) {
-    return Status::InvalidArgument("truncated coefficients in " + path);
-  }
-  return SvmModel(std::move(support_vectors), std::move(coefficients), rho,
-                  kernel);
 }
 
 SvmModel TrainClassifier(const Matrix& examples,

@@ -2,12 +2,9 @@
 #define CCDB_SVM_CLASSIFIER_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "common/io.h"
 #include "common/matrix.h"
-#include "common/status.h"
 #include "svm/kernel.h"
 #include "svm/smo_solver.h"
 
@@ -64,16 +61,6 @@ class SvmModel {
   double rho() const { return rho_; }
   const KernelConfig& kernel() const { return kernel_; }
   bool trained() const { return support_vectors_.rows() > 0; }
-
-  /// Serializes the trained model (kernel config, rho, support vectors,
-  /// coefficients) to a binary file — a trained extractor can be shipped
-  /// and applied without retraining.
-  [[nodiscard]] Status SaveToFile(const std::string& path,
-                                  Fs* fs = nullptr) const;
-
-  /// Loads a model written by SaveToFile.
-  [[nodiscard]] static StatusOr<SvmModel> LoadFromFile(
-      const std::string& path, Fs* fs = nullptr);
 
  private:
   Matrix support_vectors_;

@@ -18,9 +18,7 @@
 #include "crowd/dispatcher.h"
 #include "data/domains.h"
 #include "data/synthetic_world.h"
-#include "factorization/als_trainer.h"
 #include "factorization/checkpoint.h"
-#include "factorization/parallel_sgd.h"
 #include "factorization/sgd_trainer.h"
 #include "svm/smo_solver.h"
 #include "svm/tsvm.h"
@@ -147,21 +145,35 @@ RatingDataset SmallDataset(std::uint64_t seed) {
   return RatingDataset(30, 20, std::move(ratings));
 }
 
-TEST(TrainerCancellationTest, PreCancelledSgdRunsZeroEpochs) {
+TEST(TrainerCancellationTest, PreStoppedSgdRunsZeroEpochs) {
   const RatingDataset data = SmallDataset(3);
   factorization::FactorModelConfig model_config;
   model_config.dims = 4;
-  factorization::FactorModel model(model_config, data);
   CancellationSource source;
   source.Cancel();
-  factorization::SgdTrainerConfig config;
-  config.max_epochs = 50;
-  config.stop = StopCondition(source.token());
-  const auto report = TrainSgd(config, data, model);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report.value().epochs_run, 0);
-  EXPECT_TRUE(report.value().train_rmse.empty());
-  EXPECT_EQ(report.value().stop_status.code(), StatusCode::kCancelled);
+  struct PreStop {
+    const char* name;
+    StopCondition stop;
+    StatusCode code;
+  };
+  const PreStop cases[] = {
+      {"cancelled token", StopCondition(source.token()),
+       StatusCode::kCancelled},
+      {"expired deadline", StopCondition(Deadline::AfterSeconds(0.0)),
+       StatusCode::kDeadlineExceeded},
+  };
+  for (const PreStop& pre_stop : cases) {
+    SCOPED_TRACE(pre_stop.name);
+    factorization::FactorModel model(model_config, data);
+    factorization::SgdTrainerConfig config;
+    config.max_epochs = 50;
+    config.stop = pre_stop.stop;
+    const auto report = TrainSgd(config, data, model);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report.value().epochs_run, 0);
+    EXPECT_TRUE(report.value().train_rmse.empty());
+    EXPECT_EQ(report.value().stop_status.code(), pre_stop.code);
+  }
 }
 
 // Removes a snapshot file and the older generations kept beside it.
@@ -234,80 +246,6 @@ TEST(TrainerCancellationTest, MidTrainingCancelStopsWithinOneEpoch) {
   // The partial model is intact and usable.
   EXPECT_EQ(static_cast<std::size_t>(report.value().epochs_run),
             report.value().train_rmse.size());
-}
-
-TEST(TrainerCancellationTest, ExpiredDeadlineStopsParallelSgd) {
-  const RatingDataset data = SmallDataset(4);
-  factorization::FactorModelConfig model_config;
-  model_config.dims = 4;
-  factorization::FactorModel model(model_config, data);
-  factorization::ParallelSgdConfig config;
-  config.threads = 2;
-  config.base.max_epochs = 50;
-  config.base.stop = StopCondition(Deadline::AfterSeconds(0.0));
-  const auto report = TrainSgdParallel(config, data, model);
-  EXPECT_EQ(report.epochs_run, 0);
-  EXPECT_EQ(report.stop_status.code(), StatusCode::kDeadlineExceeded);
-}
-
-TEST(TrainerCancellationTest, PreCancelledAlsRunsZeroSweeps) {
-  const RatingDataset data = SmallDataset(5);
-  factorization::FactorModelConfig model_config;
-  model_config.dims = 4;
-  model_config.kind = factorization::ModelKind::kSvdDotProduct;
-  factorization::FactorModel model(model_config, data);
-  CancellationSource source;
-  source.Cancel();
-  factorization::AlsTrainerConfig config;
-  config.sweeps = 10;
-  config.threads = 2;
-  config.stop = StopCondition(source.token());
-  const auto report = TrainAls(config, data, model);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report.value().sweeps_run, 0);
-  EXPECT_TRUE(report.value().rmse_per_sweep.empty());
-  EXPECT_DOUBLE_EQ(report.value().final_rmse, 0.0);
-  EXPECT_EQ(report.value().stop_status.code(), StatusCode::kCancelled);
-}
-
-TEST(TrainerCancellationTest, PreCancelledAlsWithSnapshotsResumesExactly) {
-  const RatingDataset data = SmallDataset(5);
-  factorization::FactorModelConfig model_config;
-  model_config.dims = 4;
-  model_config.kind = factorization::ModelKind::kSvdDotProduct;
-  factorization::AlsTrainerConfig config;
-  config.sweeps = 4;
-  config.threads = 2;
-  factorization::FactorModel reference(model_config, data);
-  const auto uninterrupted = TrainAls(config, data, reference);
-  ASSERT_TRUE(uninterrupted.ok()) << uninterrupted.status().ToString();
-
-  factorization::TrainerCheckpointOptions snapshots;
-  snapshots.path = ::testing::TempDir() + "/cancelled_als.ckpt";
-  RemoveSnapshots(snapshots.path);
-  CancellationSource source;
-  source.Cancel();
-  factorization::AlsTrainerConfig stopped = config;
-  stopped.stop = StopCondition(source.token());
-  factorization::FactorModel model(model_config, data);
-  const auto cancelled = TrainAls(stopped, data, model, &snapshots);
-  ASSERT_TRUE(cancelled.ok()) << cancelled.status().ToString();
-  EXPECT_EQ(cancelled.value().sweeps_run, 0);
-  EXPECT_TRUE(cancelled.value().rmse_per_sweep.empty());
-  EXPECT_EQ(cancelled.value().stop_status.code(), StatusCode::kCancelled);
-  // No sweep ran, so no snapshot may claim one did (let alone completion).
-  EXPECT_FALSE(SnapshotExists(snapshots.path));
-
-  factorization::FactorModel resumed(model_config, data);
-  const auto report = TrainAls(config, data, resumed, &snapshots);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_TRUE(report.value().stop_status.ok());
-  EXPECT_EQ(report.value().sweeps_run, config.sweeps);
-  EXPECT_EQ(report.value().rmse_per_sweep,
-            uninterrupted.value().rmse_per_sweep);
-  EXPECT_EQ(factorization::EncodeFactorModel(resumed),
-            factorization::EncodeFactorModel(reference));
-  RemoveSnapshots(snapshots.path);
 }
 
 // ------------------------------------------------------------------- SVM

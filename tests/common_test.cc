@@ -7,7 +7,6 @@
 #include <sstream>
 #include <thread>
 
-#include "common/cholesky.h"
 #include "common/csv.h"
 #include "common/eigen_sym.h"
 #include "common/matrix.h"
@@ -295,64 +294,6 @@ TEST(JacobiEigenTest, ReconstructsMatrix) {
   for (std::size_t k = 0; k + 1 < 6; ++k) {
     EXPECT_GE(eigen.eigenvalues[k], eigen.eigenvalues[k + 1] - 1e-12);
     EXPECT_GE(eigen.eigenvalues[k], -1e-9);
-  }
-}
-
-// ---------------------------------------------------------------- cholesky
-
-TEST(CholeskyTest, SolvesKnownSystem) {
-  Matrix a(2, 2);
-  a(0, 0) = 4.0; a(0, 1) = 2.0;
-  a(1, 0) = 2.0; a(1, 1) = 3.0;
-  std::vector<double> x;
-  ASSERT_TRUE(SolveSpd(a, {8.0, 7.0}, x));
-  // 4x + 2y = 8, 2x + 3y = 7 → x = 1.25, y = 1.5.
-  EXPECT_NEAR(x[0], 1.25, 1e-12);
-  EXPECT_NEAR(x[1], 1.5, 1e-12);
-}
-
-TEST(CholeskyTest, RandomSpdRoundTrip) {
-  Rng rng(47);
-  for (int trial = 0; trial < 10; ++trial) {
-    const std::size_t n = 2 + rng.UniformInt(8);
-    Matrix g(n + 2, n);
-    g.FillGaussian(rng, 0.0, 1.0);
-    Matrix a = g.TransposeMultiply(g);  // SPD with probability 1
-    for (std::size_t i = 0; i < n; ++i) a(i, i) += 0.1;
-    std::vector<double> truth(n), b(n, 0.0);
-    for (auto& v : truth) v = rng.Gaussian();
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j < n; ++j) b[i] += a(i, j) * truth[j];
-    std::vector<double> x;
-    ASSERT_TRUE(SolveSpd(a, b, x));
-    for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], truth[i], 1e-8);
-  }
-}
-
-TEST(CholeskyTest, RejectsIndefiniteMatrix) {
-  Matrix a(2, 2);
-  a(0, 0) = 1.0; a(0, 1) = 2.0;
-  a(1, 0) = 2.0; a(1, 1) = 1.0;  // eigenvalues 3, −1
-  std::vector<double> x;
-  EXPECT_FALSE(SolveSpd(a, {1.0, 1.0}, x));
-}
-
-TEST(CholeskyTest, FactorizeReconstructs) {
-  Matrix a(3, 3);
-  a(0, 0) = 4; a(1, 1) = 5; a(2, 2) = 6;
-  a(0, 1) = a(1, 0) = 1;
-  a(0, 2) = a(2, 0) = 0.5;
-  a(1, 2) = a(2, 1) = 0.25;
-  Matrix factor = a;
-  ASSERT_TRUE(CholeskyFactorize(factor));
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) {
-      double value = 0.0;
-      for (std::size_t k = 0; k <= std::min(i, j); ++k) {
-        value += factor(i, k) * factor(j, k);
-      }
-      EXPECT_NEAR(value, a(i, j), 1e-12);
-    }
   }
 }
 

@@ -367,37 +367,29 @@ TEST_F(PerceptualSpaceFixture, FactualAttributeIsUnlearnable) {
   EXPECT_LT(total / reps, 0.62);  // no better than ~chance
 }
 
-TEST_F(PerceptualSpaceFixture, ProbabilitiesAreCalibratedAndMonotone) {
+TEST_F(PerceptualSpaceFixture, DecisionValuesSignLabelsAndRankConfidence) {
   const auto [items, labels] = BalancedSample(*world_, 0, 25, 41);
   BinaryAttributeExtractor extractor;
   ASSERT_TRUE(extractor.Train(*space_, items, labels));
-  ASSERT_TRUE(extractor.calibrated());
-  const auto probabilities = extractor.ExtractProbabilities(*space_);
   const auto decisions = extractor.DecisionValues(*space_);
-  ASSERT_EQ(probabilities.size(), world_->num_items());
-  for (std::size_t i = 0; i < probabilities.size(); ++i) {
-    ASSERT_GE(probabilities[i], 0.0);
-    ASSERT_LE(probabilities[i], 1.0);
+  const auto predicted = extractor.ExtractAll(*space_);
+  ASSERT_EQ(decisions.size(), world_->num_items());
+  for (std::size_t i = 0; i < decisions.size(); ++i) {
+    ASSERT_EQ(decisions[i] >= 0.0, predicted[i]) << "item " << i;
   }
-  // Monotone in the margin: higher decision value ⇒ higher probability.
-  for (std::size_t i = 1; i < 200; ++i) {
-    if (decisions[i] > decisions[i - 1]) {
-      EXPECT_GE(probabilities[i], probabilities[i - 1] - 1e-12);
-    }
-  }
-  // And informative: confident-positive items are mostly true positives.
+  // Informative margins, which the hybrid strategy ranks by: items beyond
+  // the positive margin are mostly true positives.
   std::size_t confident = 0, confident_correct = 0;
   for (std::uint32_t m = 0; m < world_->num_items(); ++m) {
-    if (probabilities[m] > 0.85) {
+    if (decisions[m] >= 1.0) {
       ++confident;
       confident_correct += world_->GenreLabel(0, m) ? 1 : 0;
     }
   }
-  if (confident > 10) {
-    EXPECT_GT(static_cast<double>(confident_correct) /
-                  static_cast<double>(confident),
-              0.6);
-  }
+  ASSERT_GT(confident, 10u);
+  EXPECT_GT(static_cast<double>(confident_correct) /
+                static_cast<double>(confident),
+            0.6);
 }
 
 TEST_F(PerceptualSpaceFixture, NumericExtractorTracksLatentScore) {

@@ -297,35 +297,30 @@ TEST(RatingsIoTest, RejectsMalformedInput) {
 
 TEST(RatingsIoTest, RejectsCorruptNumericFields) {
   const std::string path = ::testing::TempDir() + "/corrupt_ratings.csv";
-  // Ids past the 64-bit range must be InvalidArgument, not wrapped.
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("99999999999999999999999999,2,4.0\n", f);
-    std::fclose(f);
+  const std::string bad_lines[] = {
+      // Ids past the 64-bit range must be InvalidArgument, not wrapped.
+      "99999999999999999999999999,2,4.0",
+      // A score past double range.
+      "1,2,1" + std::string(400, '0'),
+      // A score and a day that fit a double but not a finite float.
+      "1,2,1" + std::string(48, '0'),
+      "1,2,4.0,1" + std::string(48, '0'),
+      // Embedded garbage in an otherwise numeric-looking field.
+      "1,2,4.5,12..5",
+  };
+  for (const std::string& bad_line : bad_lines) {
+    SCOPED_TRACE(bad_line);
+    {
+      std::FILE* f = std::fopen(path.c_str(), "wb");
+      ASSERT_NE(f, nullptr);
+      std::fputs(("7,8,3.5\n" + bad_line + "\n").c_str(), f);
+      std::fclose(f);
+    }
+    const Status status = LoadRatingsCsv(path).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find(":2:"), std::string::npos)
+        << status.ToString();
   }
-  auto oversized_id = LoadRatingsCsv(path);
-  ASSERT_FALSE(oversized_id.ok());
-  EXPECT_EQ(oversized_id.status().code(), StatusCode::kInvalidArgument);
-  // Scores past double range likewise.
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    const std::string huge_score = "1,2,1" + std::string(400, '0') + "\n";
-    std::fputs(huge_score.c_str(), f);
-    std::fclose(f);
-  }
-  EXPECT_EQ(LoadRatingsCsv(path).status().code(),
-            StatusCode::kInvalidArgument);
-  // Embedded garbage in an otherwise numeric-looking field.
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("1,2,4.5,12..5\n", f);
-    std::fclose(f);
-  }
-  EXPECT_EQ(LoadRatingsCsv(path).status().code(),
-            StatusCode::kInvalidArgument);
 }
 
 TEST(RatingsIoTest, RejectsOversizedLines) {

@@ -6,9 +6,6 @@
 #include "common/rng.h"
 #include "common/vec.h"
 #include "factorization/factor_model.h"
-#include "factorization/als_trainer.h"
-#include "factorization/parallel_sgd.h"
-#include "factorization/recommender.h"
 #include "factorization/sgd_trainer.h"
 
 namespace ccdb::factorization {
@@ -256,106 +253,6 @@ TEST(SgdTrainerTest, EuclideanRecoversNeighborhoodStructure) {
   EXPECT_LT(intra, inter * 0.8);
 }
 
-TEST(AlsTrainerTest, FitsPlantedSvdData) {
-  const RatingDataset data =
-      MakePlantedDataset(ModelKind::kSvdDotProduct, 60, 200, 4, 0.25, 81);
-  FactorModelConfig config;
-  config.kind = ModelKind::kSvdDotProduct;
-  config.dims = 8;
-  config.lambda = 0.02;
-  config.seed = 5;
-  FactorModel model(config, data);
-  AlsTrainerConfig als;
-  als.sweeps = 8;
-  als.threads = 2;
-  const auto report = TrainAls(als, data, model);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report.value().sweeps_run, 8);
-  EXPECT_LT(report.value().final_rmse, 0.2);
-}
-
-TEST(AlsTrainerTest, RmseMonotonicallyNonIncreasing) {
-  const RatingDataset data =
-      MakePlantedDataset(ModelKind::kSvdDotProduct, 40, 120, 3, 0.3, 83);
-  FactorModelConfig config;
-  config.kind = ModelKind::kSvdDotProduct;
-  config.dims = 6;
-  FactorModel model(config, data);
-  AlsTrainerConfig als;
-  als.sweeps = 6;
-  const auto report = TrainAls(als, data, model);
-  ASSERT_TRUE(report.ok());
-  const auto& rmse = report.value().rmse_per_sweep;
-  for (std::size_t s = 1; s < rmse.size(); ++s) {
-    EXPECT_LE(rmse[s], rmse[s - 1] + 1e-6);  // ALS is a descent method
-  }
-}
-
-TEST(AlsTrainerTest, RejectsEuclideanModel) {
-  const RatingDataset data = MakePlantedDataset(
-      ModelKind::kEuclideanEmbedding, 20, 40, 3, 0.4, 85);
-  FactorModelConfig config;
-  config.kind = ModelKind::kEuclideanEmbedding;
-  config.dims = 4;
-  FactorModel model(config, data);
-  const auto report = TrainAls(AlsTrainerConfig{}, data, model);
-  EXPECT_FALSE(report.ok());
-  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(AlsTrainerTest, ComparableToSgdOnSameData) {
-  const RatingDataset data =
-      MakePlantedDataset(ModelKind::kSvdDotProduct, 60, 200, 4, 0.25, 87);
-  FactorModelConfig config;
-  config.kind = ModelKind::kSvdDotProduct;
-  config.dims = 8;
-  config.lambda = 0.02;
-
-  FactorModel sgd_model(config, data);
-  SgdTrainerConfig sgd;
-  sgd.max_epochs = 40;
-  const TrainingReport sgd_report = TrainValid(sgd, data, sgd_model);
-
-  FactorModel als_model(config, data);
-  AlsTrainerConfig als;
-  als.sweeps = 10;
-  const auto als_report = TrainAls(als, data, als_model);
-  ASSERT_TRUE(als_report.ok());
-
-  // Both solvers reach the same quality regime on the same problem.
-  EXPECT_NEAR(als_report.value().final_rmse, sgd_report.final_train_rmse,
-              0.15);
-}
-
-TEST(ParallelSgdTest, ConvergesLikeSequential) {
-  const RatingDataset data = MakePlantedDataset(
-      ModelKind::kEuclideanEmbedding, 60, 200, 4, 0.25, 89);
-  FactorModelConfig config;
-  config.dims = 8;
-  config.lambda = 0.02;
-  FactorModel model(config, data);
-  ParallelSgdConfig parallel;
-  parallel.base.max_epochs = 40;
-  parallel.base.learning_rate = 0.05;
-  parallel.threads = 4;
-  const TrainingReport report = TrainSgdParallel(parallel, data, model);
-  EXPECT_EQ(report.epochs_run, 40);
-  EXPECT_LT(report.final_train_rmse, 0.3);  // Hogwild races are benign
-}
-
-TEST(ParallelSgdTest, SingleThreadMatchesQuality) {
-  const RatingDataset data = MakePlantedDataset(
-      ModelKind::kEuclideanEmbedding, 40, 100, 3, 0.3, 91);
-  FactorModelConfig config;
-  config.dims = 6;
-  FactorModel model(config, data);
-  ParallelSgdConfig parallel;
-  parallel.base.max_epochs = 30;
-  parallel.threads = 1;
-  const TrainingReport report = TrainSgdParallel(parallel, data, model);
-  EXPECT_LT(report.final_train_rmse, 0.35);
-}
-
 // Planted dataset with per-item temporal drift on top of the static model.
 RatingDataset MakeDriftingDataset(std::size_t num_items,
                                   std::size_t num_users, double drift,
@@ -385,80 +282,6 @@ RatingDataset MakeDriftingDataset(std::size_t num_items,
     }
   }
   return RatingDataset(num_items, num_users, std::move(ratings));
-}
-
-TEST(RecommenderTest, TopNSkipsRatedItemsAndIsSorted) {
-  const RatingDataset data = MakePlantedDataset(
-      ModelKind::kEuclideanEmbedding, 50, 100, 4, 0.3, 103);
-  FactorModelConfig config;
-  config.dims = 8;
-  FactorModel model(config, data);
-  SgdTrainerConfig trainer;
-  trainer.max_epochs = 20;
-  TrainValid(trainer, data, model);
-
-  Recommender recommender(&model, &data);
-  const auto top = recommender.TopN(0, 10);
-  ASSERT_LE(top.size(), 10u);
-  ASSERT_FALSE(top.empty());
-  // Sorted descending and excludes items user 0 already rated.
-  std::vector<bool> rated(data.num_items(), false);
-  for (const RatingEntry& entry : data.ByUser(0)) rated[entry.id] = true;
-  double previous = 1e18;
-  for (const Recommendation& rec : top) {
-    EXPECT_FALSE(rated[rec.item]);
-    EXPECT_LE(rec.predicted_rating, previous);
-    previous = rec.predicted_rating;
-    EXPECT_DOUBLE_EQ(rec.predicted_rating,
-                     recommender.PredictRating(rec.item, 0));
-  }
-}
-
-TEST(RecommenderTest, RecommendsGenuinelyLikedItems) {
-  // The top recommendation's *true* (planted) rating should be well above
-  // the user's average true rating — i.e. recommendations carry signal.
-  Rng rng(107);
-  const std::size_t num_items = 80, num_users = 150, dims = 4;
-  Matrix item_traits(num_items, dims), user_traits(num_users, dims);
-  const double scale = 1.0 / std::sqrt(static_cast<double>(dims));
-  item_traits.FillGaussian(rng, 0.0, scale);
-  user_traits.FillGaussian(rng, 0.0, scale);
-  std::vector<Rating> ratings;
-  for (std::uint32_t m = 0; m < num_items; ++m) {
-    for (std::uint32_t u = 0; u < num_users; ++u) {
-      if (!rng.Bernoulli(0.3)) continue;
-      const double score =
-          4.5 - SquaredDistance(item_traits.Row(m), user_traits.Row(u)) +
-          rng.Gaussian(0.0, 0.1);
-      ratings.push_back({m, u, static_cast<float>(score)});
-    }
-  }
-  RatingDataset data(num_items, num_users, std::move(ratings));
-  FactorModelConfig config;
-  config.dims = 8;
-  FactorModel model(config, data);
-  SgdTrainerConfig trainer;
-  trainer.max_epochs = 30;
-  TrainValid(trainer, data, model);
-  Recommender recommender(&model, &data);
-
-  double top_true = 0.0, average_true = 0.0;
-  int users_checked = 0;
-  for (std::uint32_t u = 0; u < 20; ++u) {
-    const auto top = recommender.TopN(u, 1);
-    if (top.empty()) continue;
-    top_true += 4.5 - SquaredDistance(item_traits.Row(top[0].item),
-                                      user_traits.Row(u));
-    double user_mean = 0.0;
-    for (std::uint32_t m = 0; m < num_items; ++m) {
-      user_mean += 4.5 - SquaredDistance(item_traits.Row(m),
-                                         user_traits.Row(u));
-    }
-    average_true += user_mean / static_cast<double>(num_items);
-    ++users_checked;
-  }
-  ASSERT_GT(users_checked, 0);
-  EXPECT_GT(top_true / users_checked, average_true / users_checked + 0.3);
 }
 
 TEST(TemporalModelTest, TimeBinsReduceRmseOnDriftingData) {
@@ -514,23 +337,6 @@ TEST(TemporalModelTest, PredictAtMatchesPredictForSingleBin) {
   config.time_bins = 1;
   FactorModel model(config, data);
   EXPECT_DOUBLE_EQ(model.Predict(3, 7), model.PredictAt(3, 7, 123.0));
-}
-
-TEST(GridSearchTest, FindsReasonableCell) {
-  const RatingDataset data = MakePlantedDataset(
-      ModelKind::kEuclideanEmbedding, 40, 150, 3, 0.3, 71);
-  SgdTrainerConfig trainer;
-  trainer.max_epochs = 15;
-  trainer.learning_rate = 0.02;
-  const auto cells = GridSearch(data, ModelKind::kEuclideanEmbedding,
-                                {2, 6}, {0.02, 0.5}, trainer, 0.2);
-  ASSERT_EQ(cells.size(), 4u);
-  const CrossValidationCell best = BestCell(cells);
-  // Heavy regularization (λ=0.5) must not win on well-structured data.
-  EXPECT_LT(best.lambda, 0.5);
-  for (const auto& cell : cells) {
-    EXPECT_GE(cell.validation_rmse, best.validation_rmse);
-  }
 }
 
 }  // namespace

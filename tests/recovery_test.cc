@@ -25,7 +25,6 @@
 #include "crowd/platform.h"
 #include "data/domains.h"
 #include "data/synthetic_world.h"
-#include "factorization/als_trainer.h"
 #include "factorization/checkpoint.h"
 #include "factorization/factor_model.h"
 #include "factorization/sgd_trainer.h"
@@ -448,52 +447,61 @@ class TrainerRecoveryTest : public RecoveryTest {
 
 TEST_F(TrainerRecoveryTest, SgdCrashAtCheckpointThenResumeIsBitIdentical) {
   const RatingDataset data = MakeData(41);
-  factorization::FactorModelConfig model_config;
-  model_config.kind = factorization::ModelKind::kEuclideanEmbedding;
-  model_config.dims = 8;
   factorization::SgdTrainerConfig trainer;
   trainer.max_epochs = 8;
   trainer.learning_rate = 0.02;
   trainer.validation_fraction = 0.2;
   trainer.patience = 4;
 
-  factorization::FactorModel reference(model_config, data);
-  const auto trained = TrainSgd(trainer, data, reference);
-  ASSERT_TRUE(trained.ok()) << trained.status().ToString();
-  const factorization::TrainingReport& baseline = trained.value();
+  // Both model kinds: the Euclidean embedding the paper's space uses and
+  // the SVD dot-product model ablation_space compares it against.
+  for (const auto& [kind, kind_name] :
+       {std::pair{factorization::ModelKind::kEuclideanEmbedding, "euclid"},
+        std::pair{factorization::ModelKind::kSvdDotProduct, "svd"}}) {
+    SCOPED_TRACE(kind_name);
+    factorization::FactorModelConfig model_config;
+    model_config.kind = kind;
+    model_config.dims = 8;
 
-  // One snapshot per completed epoch; early stopping may end the run
-  // before max_epochs, so derive the crash surface from the baseline.
-  const auto last_epoch = static_cast<std::uint64_t>(baseline.epochs_run);
-  ASSERT_GE(last_epoch, 2u);
-  for (std::uint64_t crash_epoch :
-       std::set<std::uint64_t>{1, (last_epoch + 1) / 2, last_epoch}) {
-    SCOPED_TRACE("crash at epoch " + std::to_string(crash_epoch));
-    factorization::TrainerCheckpointOptions checkpoint;
-    checkpoint.path =
-        FreshPath("sgd_crash_" + std::to_string(crash_epoch) + ".ckpt");
+    factorization::FactorModel reference(model_config, data);
+    const auto trained = TrainSgd(trainer, data, reference);
+    ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+    const factorization::TrainingReport& baseline = trained.value();
 
-    factorization::FactorModel crashed(model_config, data);
-    CrashPoints::Arm("sgd.checkpoint", crash_epoch);
-    EXPECT_THROW(
-        { auto r = TrainSgd(trainer, data, crashed, &checkpoint); },
-        SimulatedCrash);
-    CrashPoints::Disarm();
+    // One snapshot per completed epoch; early stopping may end the run
+    // before max_epochs, so derive the crash surface from the baseline.
+    const auto last_epoch = static_cast<std::uint64_t>(baseline.epochs_run);
+    ASSERT_GE(last_epoch, 2u);
+    for (std::uint64_t crash_epoch :
+         std::set<std::uint64_t>{1, (last_epoch + 1) / 2, last_epoch}) {
+      SCOPED_TRACE("crash at epoch " + std::to_string(crash_epoch));
+      factorization::TrainerCheckpointOptions checkpoint;
+      checkpoint.path = FreshPath(std::string("sgd_crash_") + kind_name +
+                                  "_" + std::to_string(crash_epoch) +
+                                  ".ckpt");
 
-    factorization::FactorModel resumed(model_config, data);
-    auto report = TrainSgd(trainer, data, resumed, &checkpoint);
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    ExpectSameModel(reference, resumed);
-    EXPECT_EQ(report.value().train_rmse, baseline.train_rmse);
-    EXPECT_EQ(report.value().validation_rmse, baseline.validation_rmse);
-    EXPECT_EQ(report.value().epochs_run, baseline.epochs_run);
-    EXPECT_EQ(report.value().early_stopped, baseline.early_stopped);
+      factorization::FactorModel crashed(model_config, data);
+      CrashPoints::Arm("sgd.checkpoint", crash_epoch);
+      EXPECT_THROW(
+          { auto r = TrainSgd(trainer, data, crashed, &checkpoint); },
+          SimulatedCrash);
+      CrashPoints::Disarm();
 
-    // The final snapshot short-circuits a third run entirely.
-    factorization::FactorModel restored(model_config, data);
-    auto again = TrainSgd(trainer, data, restored, &checkpoint);
-    ASSERT_TRUE(again.ok());
-    ExpectSameModel(reference, restored);
+      factorization::FactorModel resumed(model_config, data);
+      auto report = TrainSgd(trainer, data, resumed, &checkpoint);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      ExpectSameModel(reference, resumed);
+      EXPECT_EQ(report.value().train_rmse, baseline.train_rmse);
+      EXPECT_EQ(report.value().validation_rmse, baseline.validation_rmse);
+      EXPECT_EQ(report.value().epochs_run, baseline.epochs_run);
+      EXPECT_EQ(report.value().early_stopped, baseline.early_stopped);
+
+      // The final snapshot short-circuits a third run entirely.
+      factorization::FactorModel restored(model_config, data);
+      auto again = TrainSgd(trainer, data, restored, &checkpoint);
+      ASSERT_TRUE(again.ok());
+      ExpectSameModel(reference, restored);
+    }
   }
 }
 
@@ -513,42 +521,6 @@ TEST_F(TrainerRecoveryTest, SgdCheckpointOfDifferentRunIsRejected) {
   factorization::FactorModel other(model_config, data);
   auto resumed = TrainSgd(trainer, data, other, &checkpoint);
   EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(TrainerRecoveryTest, AlsCrashAtSweepThenResumeIsBitIdentical) {
-  const RatingDataset data = MakeData(47);
-  factorization::FactorModelConfig model_config;
-  model_config.kind = factorization::ModelKind::kSvdDotProduct;
-  model_config.dims = 6;
-  factorization::AlsTrainerConfig trainer;
-  trainer.sweeps = 5;
-  trainer.threads = 2;
-
-  factorization::FactorModel reference(model_config, data);
-  auto baseline = TrainAls(trainer, data, reference);
-  ASSERT_TRUE(baseline.ok());
-
-  for (std::uint64_t crash_sweep : {1u, 3u, 5u}) {
-    SCOPED_TRACE("crash at sweep " + std::to_string(crash_sweep));
-    factorization::TrainerCheckpointOptions checkpoint;
-    checkpoint.path =
-        FreshPath("als_crash_" + std::to_string(crash_sweep) + ".ckpt");
-
-    factorization::FactorModel crashed(model_config, data);
-    CrashPoints::Arm("als.checkpoint", crash_sweep);
-    EXPECT_THROW(
-        { auto r = TrainAls(trainer, data, crashed, &checkpoint); },
-        SimulatedCrash);
-    CrashPoints::Disarm();
-
-    factorization::FactorModel resumed(model_config, data);
-    auto report = TrainAls(trainer, data, resumed, &checkpoint);
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    ExpectSameModel(reference, resumed);
-    EXPECT_EQ(report.value().rmse_per_sweep,
-              baseline.value().rmse_per_sweep);
-    EXPECT_EQ(report.value().sweeps_run, baseline.value().sweeps_run);
-  }
 }
 
 // Flips one payload bit in the snapshot file at `path`.

@@ -7,7 +7,6 @@
 #include "svm/classifier.h"
 #include "svm/kernel.h"
 #include "svm/kernel_cache.h"
-#include "svm/platt.h"
 #include "svm/svr.h"
 #include "svm/tsvm.h"
 
@@ -214,91 +213,6 @@ TEST(SvmClassifierTest, PredictAllMatchesPredict) {
   for (std::size_t i = 0; i < 30; ++i) {
     EXPECT_EQ(all[i], model.Predict(x.Row(i)));
   }
-}
-
-TEST(SvmModelIoTest, SaveLoadRoundTrip) {
-  Rng rng(111);
-  Matrix x(40, 3);
-  x.FillGaussian(rng, 0.0, 1.0);
-  std::vector<std::int8_t> y(40);
-  for (std::size_t i = 0; i < 40; ++i) y[i] = x(i, 0) > 0 ? 1 : -1;
-  ClassifierOptions options;
-  options.kernel.type = KernelType::kRbf;
-  options.kernel.gamma = 0.7;
-  options.cost = 5.0;
-  const SvmModel model = TrainClassifier(x, y, options);
-
-  const std::string path = ::testing::TempDir() + "/svm_roundtrip.bin";
-  ASSERT_TRUE(model.SaveToFile(path).ok());
-  auto loaded = SvmModel::LoadFromFile(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().num_support_vectors(),
-            model.num_support_vectors());
-  EXPECT_DOUBLE_EQ(loaded.value().rho(), model.rho());
-  for (std::size_t i = 0; i < 40; ++i) {
-    EXPECT_DOUBLE_EQ(loaded.value().DecisionValue(x.Row(i)),
-                     model.DecisionValue(x.Row(i)));
-  }
-}
-
-TEST(SvmModelIoTest, LoadRejectsGarbage) {
-  const std::string path = ::testing::TempDir() + "/svm_garbage.bin";
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fputs("definitely not an svm", f);
-  std::fclose(f);
-  EXPECT_FALSE(SvmModel::LoadFromFile(path).ok());
-  EXPECT_FALSE(SvmModel::LoadFromFile("/no/such/file").ok());
-}
-
-// ---------------------------------------------------------------- Platt
-
-TEST(PlattScalerTest, CalibratesSeparableScores) {
-  // Decision values strongly correlated with the label: the fitted
-  // sigmoid must be monotone increasing in f and cross 0.5 near 0.
-  Rng rng(113);
-  std::vector<double> decisions;
-  std::vector<std::int8_t> labels;
-  for (int i = 0; i < 400; ++i) {
-    const bool positive = rng.Bernoulli(0.5);
-    decisions.push_back(rng.Gaussian(positive ? 1.5 : -1.5, 0.8));
-    labels.push_back(positive ? 1 : -1);
-  }
-  PlattScaler scaler;
-  ASSERT_TRUE(scaler.Fit(decisions, labels));
-  EXPECT_GT(scaler.Probability(3.0), 0.9);
-  EXPECT_LT(scaler.Probability(-3.0), 0.1);
-  EXPECT_NEAR(scaler.Probability(0.0), 0.5, 0.15);
-  // Monotone in the decision value.
-  double previous = 0.0;
-  for (double f = -4.0; f <= 4.0; f += 0.5) {
-    const double p = scaler.Probability(f);
-    EXPECT_GE(p, previous);
-    EXPECT_GE(p, 0.0);
-    EXPECT_LE(p, 1.0);
-    previous = p;
-  }
-}
-
-TEST(PlattScalerTest, ReflectsClassPrior) {
-  // With mostly-negative data, the probability at f = 0 sits below 0.5.
-  Rng rng(115);
-  std::vector<double> decisions;
-  std::vector<std::int8_t> labels;
-  for (int i = 0; i < 500; ++i) {
-    const bool positive = rng.Bernoulli(0.1);
-    decisions.push_back(rng.Gaussian(positive ? 0.7 : -0.7, 1.2));
-    labels.push_back(positive ? 1 : -1);
-  }
-  PlattScaler scaler;
-  ASSERT_TRUE(scaler.Fit(decisions, labels));
-  EXPECT_LT(scaler.Probability(0.0), 0.45);
-}
-
-TEST(PlattScalerTest, RejectsSingleClass) {
-  PlattScaler scaler;
-  EXPECT_FALSE(scaler.Fit({1.0, 2.0, 3.0}, {1, 1, 1}));
-  EXPECT_FALSE(scaler.fitted());
 }
 
 // ---------------------------------------------------------------- SVR
