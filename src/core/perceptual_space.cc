@@ -8,6 +8,38 @@
 #include "common/vec.h"
 
 namespace ccdb::core {
+namespace {
+
+/// Mean per-coordinate (population) variance of the rows of `coords`.
+/// Two row-major passes (means, then squared deviations) so each row is
+/// streamed once per pass instead of strided column walks; per column the
+/// summation order over rows is that of a column-major walk.
+double MeanCoordinateVariance(const Matrix& coords) {
+  const std::size_t n = coords.rows();
+  const std::size_t d = coords.cols();
+  if (n == 0 || d == 0) return 0.0;
+  std::vector<double> mean(d, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto row = coords.Row(i);
+    for (std::size_t c = 0; c < d; ++c) mean[c] += row[c];
+  }
+  for (std::size_t c = 0; c < d; ++c) mean[c] /= static_cast<double>(n);
+  std::vector<double> variance(d, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto row = coords.Row(i);
+    for (std::size_t c = 0; c < d; ++c) {
+      const double diff = row[c] - mean[c];
+      variance[c] += diff * diff;
+    }
+  }
+  double total_variance = 0.0;
+  for (std::size_t c = 0; c < d; ++c) {
+    total_variance += variance[c] / static_cast<double>(n);
+  }
+  return total_variance / static_cast<double>(d);
+}
+
+}  // namespace
 
 PerceptualSpace PerceptualSpace::Build(const RatingDataset& ratings,
                                        const PerceptualSpaceOptions& options) {
@@ -20,14 +52,16 @@ PerceptualSpace PerceptualSpace::Build(const RatingDataset& ratings,
 }
 
 PerceptualSpace::PerceptualSpace(Matrix item_coords)
-    : item_coords_(std::move(item_coords)) {}
+    : item_coords_(std::move(item_coords)),
+      coordinate_variance_(MeanCoordinateVariance(item_coords_)) {}
 
 PerceptualSpace::PerceptualSpace(Matrix item_coords,
                                  std::vector<double> item_bias,
                                  double global_mean)
     : item_coords_(std::move(item_coords)),
       item_bias_(std::move(item_bias)),
-      global_mean_(global_mean) {
+      global_mean_(global_mean),
+      coordinate_variance_(MeanCoordinateVariance(item_coords_)) {
   CCDB_CHECK_EQ(item_bias_.size(), item_coords_.rows());
 }
 
@@ -55,35 +89,6 @@ Matrix PerceptualSpace::GatherRows(
     for (std::size_t c = 0; c < src.size(); ++c) dst[c] = src[c];
   }
   return gathered;
-}
-
-double PerceptualSpace::CoordinateVariance() const {
-  const std::size_t n = num_items();
-  const std::size_t d = dims();
-  if (n == 0 || d == 0) return 0.0;
-  // Two row-major passes (means, then squared deviations) so each row is
-  // streamed once per pass instead of strided column walks. Per column the
-  // summation order over rows is unchanged, so the result is bit-identical
-  // to the previous column-major form.
-  std::vector<double> mean(d, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto row = item_coords_.Row(i);
-    for (std::size_t c = 0; c < d; ++c) mean[c] += row[c];
-  }
-  for (std::size_t c = 0; c < d; ++c) mean[c] /= static_cast<double>(n);
-  std::vector<double> variance(d, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto row = item_coords_.Row(i);
-    for (std::size_t c = 0; c < d; ++c) {
-      const double diff = row[c] - mean[c];
-      variance[c] += diff * diff;
-    }
-  }
-  double total_variance = 0.0;
-  for (std::size_t c = 0; c < d; ++c) {
-    total_variance += variance[c] / static_cast<double>(n);
-  }
-  return total_variance / static_cast<double>(d);
 }
 
 namespace {

@@ -70,9 +70,11 @@ class PerceptualSpace {
   /// training-set view handed to SVM extractors.
   Matrix GatherRows(const std::vector<std::uint32_t>& items) const;
 
-  /// Mean per-coordinate variance over all items; extractors use it to
-  /// auto-scale RBF kernel widths to the space's geometry.
-  double CoordinateVariance() const;
+  /// Mean per-coordinate variance over all items (0 for an empty space);
+  /// extractors use it to auto-scale RBF kernel widths to the space's
+  /// geometry. Computed once, at construction: the coordinates never
+  /// change, so a query pays nothing for it.
+  double CoordinateVariance() const { return coordinate_variance_; }
 
   /// Serializes the space to a binary file (magic + dims + coordinates +
   /// biases). Building a space from millions of ratings is the expensive
@@ -91,6 +93,7 @@ class PerceptualSpace {
   Matrix item_coords_;
   std::vector<double> item_bias_;
   double global_mean_ = 0.0;
+  double coordinate_variance_ = 0.0;
 };
 
 }  // namespace ccdb::core

@@ -9,18 +9,26 @@
 namespace ccdb::svm {
 namespace {
 
-// Q matrix for C-SVC: Q_ij = y_i y_j K(x_i, x_j). Each row is one
-// norm-trick kernel sweep, signed once when it is filled and then read in
-// place from a byte-bounded LRU cache (kernel_cache.h) that holds the
-// last returned row while it fills the next, so rows i and j of an SMO
-// iteration are served together without a copy.
+// Q matrix for C-SVC: Q_ij = y_i y_j K(x_i, x_j), signed once when it is
+// filled and then read in place from a KernelRowCache (kernel_cache.h):
+// the whole matrix in one tiled Gram fill when it fits the cache budget,
+// else one norm-trick kernel sweep per row in a byte-bounded LRU that
+// holds the last returned row while it fills the next. Either way rows i
+// and j of an SMO iteration are served together without a copy.
 class SvcQMatrix : public QMatrix {
  public:
   SvcQMatrix(const Matrix& examples, const std::vector<std::int8_t>& y,
              const KernelConfig& kernel, std::size_t cache_bytes)
       : examples_(examples), y_(y), kernel_(kernel),
         sq_norms_(examples.rows()), diagonal_(examples.rows()),
-        cache_(examples.rows(), examples.rows(), cache_bytes) {
+        cache_(examples.rows(), examples.rows(), cache_bytes,
+               [this](std::size_t r, std::span<double> out) {
+                 FillRow(r, out);
+               },
+               [this](std::span<double> out) {
+                 EvalKernelGram(kernel_, examples_.Data(), examples_.rows(),
+                                examples_.cols(), sq_norms_, y_, out);
+               }) {
     RowSquaredNorms(examples_.Data(), examples_.rows(), examples_.cols(),
                     sq_norms_);
     for (std::size_t i = 0; i < examples_.rows(); ++i) {
@@ -31,20 +39,22 @@ class SvcQMatrix : public QMatrix {
   std::size_t size() const override { return examples_.rows(); }
 
   std::span<const double> Row(std::size_t i) const override {
-    return cache_.Row(i, [this](std::size_t r, std::span<double> out) {
-      EvalKernelBatch(kernel_, examples_.Data(), examples_.rows(),
-                      examples_.cols(), sq_norms_, examples_.Row(r),
-                      sq_norms_[r], out);
-      const double y_r = static_cast<double>(y_[r]);
-      for (std::size_t t = 0; t < out.size(); ++t) {
-        out[t] = y_r * static_cast<double>(y_[t]) * out[t];
-      }
-    });
+    return cache_.Row(i);
   }
 
   double Diagonal(std::size_t i) const override { return diagonal_[i]; }
 
  private:
+  void FillRow(std::size_t r, std::span<double> out) const {
+    EvalKernelBatch(kernel_, examples_.Data(), examples_.rows(),
+                    examples_.cols(), sq_norms_, examples_.Row(r),
+                    sq_norms_[r], out);
+    const double y_r = static_cast<double>(y_[r]);
+    for (std::size_t t = 0; t < out.size(); ++t) {
+      out[t] = y_r * static_cast<double>(y_[t]) * out[t];
+    }
+  }
+
   const Matrix& examples_;
   const std::vector<std::int8_t>& y_;
   KernelConfig kernel_;

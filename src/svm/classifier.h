@@ -10,9 +10,11 @@
 
 namespace ccdb::svm {
 
-/// Default byte budget of the per-solver kernel-row cache (see
-/// svm/kernel_cache.h): 32 MiB holds every row of problems up to ~2000
-/// examples, and bounds memory at O(budget) instead of O(n²) beyond that.
+/// Default byte budget of the per-solver kernel cache (see
+/// svm/kernel_cache.h). The budget also decides how Q is held: when its
+/// n²·8 bytes fit (n ≤ 2,048 at 32 MiB) the whole matrix is filled at once
+/// in symmetric tiles (EvalKernelGram); beyond that, LRU rows bound memory
+/// at O(budget) instead of O(n²).
 inline constexpr std::size_t kDefaultKernelCacheBytes = 32u << 20;
 
 /// Training options for the C-SVC classifier.
@@ -23,7 +25,8 @@ struct ClassifierOptions {
   /// Optional per-example multipliers on C (empty = all 1). Used by the
   /// transductive SVM to weight unlabeled examples differently.
   std::vector<double> example_cost_scale;
-  /// Byte budget of the LRU kernel-row cache used during training.
+  /// Byte budget of the kernel cache used during training; see
+  /// kDefaultKernelCacheBytes.
   std::size_t kernel_cache_bytes = kDefaultKernelCacheBytes;
   SmoConfig smo;
 };

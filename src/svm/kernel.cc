@@ -22,8 +22,8 @@ constexpr std::size_t kExpansionBlockItems = 256;
 constexpr std::size_t kParallelFlopThreshold = std::size_t{1} << 20;
 
 /// The RBF exponent −γ‖x − z‖² from a raw dot via the norm trick, with
-/// the reassembled distance clamped at 0 against cancellation. Both
-/// batched paths go through this one expression, so their kernel values
+/// the reassembled distance clamped at 0 against cancellation. Every
+/// batched path goes through this one expression, so their kernel values
 /// agree bit for bit.
 inline double RbfExponent(double gamma, double row_sq_norm, double x_sq_norm,
                           double dot) {
@@ -65,6 +65,38 @@ void FoldQuadGroup(std::span<const double> quad_dots,
     out4[g] = ((acc[0][g] + acc[1][g]) + (acc[2][g] + acc[3][g])) + tail[g] -
               rho;
   }
+}
+
+/// Turns one quad's dots quad[4·(j − j0) + g] = rows_lane[g] · rows_j into
+/// kernel values in place, with EvalKernelBatch's per-family expressions.
+void FinishGramQuad(const KernelConfig& config,
+                    std::span<const double> row_sq_norms,
+                    const std::size_t (&lane)[4], std::size_t j0,
+                    std::span<double> quad) {
+  switch (config.type) {
+    case KernelType::kLinear:
+      return;
+    case KernelType::kRbf: {
+      double lane_sq_norms[4];
+      for (std::size_t g = 0; g < 4; ++g) {
+        lane_sq_norms[g] = row_sq_norms[lane[g]];
+      }
+      for (std::size_t j = 0; 4 * j < quad.size(); ++j) {
+        for (std::size_t g = 0; g < 4; ++g) {
+          quad[4 * j + g] = RbfExponent(config.gamma, row_sq_norms[j0 + j],
+                                        lane_sq_norms[g], quad[4 * j + g]);
+        }
+      }
+      ExpNonPositiveInPlace(quad);
+      return;
+    }
+    case KernelType::kPolynomial:
+      for (double& k : quad) {
+        k = std::pow(config.gamma * k + config.coef0, config.degree);
+      }
+      return;
+  }
+  CCDB_CHECK_MSG(false, "unknown kernel type");
 }
 
 }  // namespace
@@ -118,6 +150,73 @@ void EvalKernelBatch(const KernelConfig& config, std::span<const double> rows,
     }
   }
   CCDB_CHECK_MSG(false, "unknown kernel type");
+}
+
+void EvalKernelGram(const KernelConfig& config, std::span<const double> rows,
+                    std::size_t num_rows, std::size_t cols,
+                    std::span<const double> row_sq_norms,
+                    std::span<const std::int8_t> signs,
+                    std::span<double> out) {
+  const std::size_t n = num_rows;
+  CCDB_CHECK_EQ(rows.size(), n * cols);
+  CCDB_CHECK_EQ(out.size(), n * n);
+  CCDB_CHECK(signs.empty() || signs.size() == n);
+  if (config.type == KernelType::kRbf) CCDB_CHECK_EQ(row_sq_norms.size(), n);
+  constexpr std::size_t kTile = kGramTileRows;
+  static_assert(kTile % 4 == 0);
+  // The tile buffer keeps each quad's DotBatchQuad output where it lands:
+  // quad q of the tile's rows holds tile[(q·kTile + j − j0)·4 + g] =
+  // out_{i0+4q+g, j}. A quad that runs past the last row repeats that row
+  // in its spare lanes, which are computed and never stored.
+  std::vector<double> interleaved(4 * cols);
+  std::vector<double> tile(kTile * kTile);
+  const auto row = [&](std::size_t r) { return rows.subspan(r * cols, cols); };
+  for (std::size_t i0 = 0; i0 < n; i0 += kTile) {
+    const std::size_t height = std::min(n - i0, kTile);
+    for (std::size_t j0 = i0; j0 < n; j0 += kTile) {
+      const std::size_t width = std::min(n - j0, kTile);
+      for (std::size_t q = 0; 4 * q < height; ++q) {
+        std::size_t lane[4];
+        for (std::size_t g = 0; g < 4; ++g) {
+          lane[g] = i0 + std::min(4 * q + g, height - 1);
+        }
+        InterleaveQuad(row(lane[0]), row(lane[1]), row(lane[2]), row(lane[3]),
+                       interleaved);
+        const std::span<double> quad =
+            std::span(tile).subspan(4 * q * kTile, 4 * width);
+        DotBatchQuad(rows.subspan(j0 * cols, width * cols), width, cols,
+                     interleaved, quad);
+        FinishGramQuad(config, row_sq_norms, lane, j0, quad);
+        if (signs.empty()) continue;
+        double lane_sign[4];
+        for (std::size_t g = 0; g < 4; ++g) {
+          lane_sign[g] = static_cast<double>(signs[lane[g]]);
+        }
+        for (std::size_t j = 0; j < width; ++j) {
+          const double sign_j = static_cast<double>(signs[j0 + j]);
+          for (std::size_t g = 0; g < 4; ++g) {
+            quad[4 * j + g] = lane_sign[g] * sign_j * quad[4 * j + g];
+          }
+        }
+      }
+      // The mirror, out_ji, takes each quad's four lanes as they lie; the
+      // tile itself, out_ij, reads them at a stride of 4. A tile on the
+      // diagonal holds both triangles, so the first store covers it.
+      for (std::size_t j = 0; j < width; ++j) {
+        double* to = out.data() + (j0 + j) * n + i0;
+        for (std::size_t i = 0; i < height; i += 4) {
+          std::copy_n(tile.begin() + i * kTile + 4 * j,
+                      std::min<std::size_t>(4, height - i), to + i);
+        }
+      }
+      if (j0 == i0) continue;
+      for (std::size_t i = 0; i < height; ++i) {
+        const double* from = tile.data() + (i / 4) * 4 * kTile + i % 4;
+        double* to = out.data() + (i0 + i) * n + j0;
+        for (std::size_t j = 0; j < width; ++j) to[j] = from[4 * j];
+      }
+    }
+  }
 }
 
 bool EvalKernelExpansion(const KernelConfig& config,

@@ -1,6 +1,7 @@
 #ifndef CCDB_SVM_KERNEL_H_
 #define CCDB_SVM_KERNEL_H_
 
+#include <cstdint>
 #include <span>
 
 #include "common/cancellation.h"
@@ -52,6 +53,27 @@ void EvalKernelBatch(const KernelConfig& config, std::span<const double> rows,
                      std::span<const double> row_sq_norms,
                      std::span<const double> x, double x_sq_norm,
                      std::span<double> out);
+
+/// Edge of the square tiles EvalKernelGram fills, in rows (a multiple of
+/// four).
+inline constexpr std::size_t kGramTileRows = 64;
+
+/// Fills the whole symmetric Gram matrix of a row-major block,
+///   out[i·n + j] = s_i·s_j·K(rows_i, rows_j),  n = num_rows,
+/// where s is `signs` (±1 per row, a C-SVC's labels; empty = all +1).
+/// Only the upper triangle is computed, in square tiles of kGramTileRows:
+/// each quad of tile rows is one DotBatchQuad sweep over the tile's
+/// columns into a tile-sized buffer, finished in place per family as
+/// EvalKernelBatch does (norm trick and the same exp for RBF) and signed;
+/// the buffer is then stored as the tile and as its mirrored transpose.
+/// Every entry is bit-identical to EvalKernelBatch's row i, entry j: the
+/// dot's products and the norm trick's sum commute, so K_ij = K_ji
+/// exactly. `row_sq_norms` as for EvalKernelBatch.
+void EvalKernelGram(const KernelConfig& config, std::span<const double> rows,
+                    std::size_t num_rows, std::size_t cols,
+                    std::span<const double> row_sq_norms,
+                    std::span<const std::int8_t> signs,
+                    std::span<double> out);
 
 /// Batched kernel-expansion machine evaluation:
 ///   out[i] = Σ_s coefficients[s] · K(sv_s, points_i) − rho

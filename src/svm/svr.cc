@@ -11,18 +11,29 @@ namespace ccdb::svm {
 namespace {
 
 // Q matrix for the 2n-variable ε-SVR dual: with λ = (α, α*) and block
-// signs ŷ = (+1…, −1…), Q_st = ŷ_s ŷ_t K(s mod n, t mod n). Raw kernel
-// rows are one norm-trick sweep each, memoized in a byte-bounded LRU
-// cache of n slots (kernel_cache.h); Row(s) expands one into a signed
-// 2n-length row in whichever of two owned buffers it did not write last,
-// so the two rows of an SMO iteration stay valid together.
+// signs ŷ = (+1…, −1…), Q_st = ŷ_s ŷ_t K(s mod n, t mod n). The raw n×n
+// kernel matrix lives in a KernelRowCache of n slots (kernel_cache.h):
+// whole, in one tiled Gram fill, when it fits the cache budget, else one
+// norm-trick sweep per row in a byte-bounded LRU. Row(s) expands one raw
+// row into a signed 2n-length row in whichever of two owned buffers it
+// did not write last, so the two rows of an SMO iteration stay valid
+// together.
 class SvrQMatrix : public QMatrix {
  public:
   SvrQMatrix(const Matrix& examples, const KernelConfig& kernel,
              std::size_t cache_bytes)
       : examples_(examples), kernel_(kernel),
         sq_norms_(examples.rows()), diagonal_(examples.rows()),
-        cache_(examples.rows(), examples.rows(), cache_bytes),
+        cache_(examples.rows(), examples.rows(), cache_bytes,
+               [this](std::size_t r, std::span<double> out) {
+                 EvalKernelBatch(kernel_, examples_.Data(), examples_.rows(),
+                                 examples_.cols(), sq_norms_,
+                                 examples_.Row(r), sq_norms_[r], out);
+               },
+               [this](std::span<double> out) {
+                 EvalKernelGram(kernel_, examples_.Data(), examples_.rows(),
+                                examples_.cols(), sq_norms_, {}, out);
+               }),
         rows_{std::vector<double>(2 * examples.rows()),
               std::vector<double>(2 * examples.rows())} {
     RowSquaredNorms(examples_.Data(), examples_.rows(), examples_.cols(),
@@ -36,14 +47,8 @@ class SvrQMatrix : public QMatrix {
 
   std::span<const double> Row(std::size_t s) const override {
     const std::size_t n = examples_.rows();
-    const std::size_t base = s % n;
     const double sign_s = s < n ? 1.0 : -1.0;
-    const std::span<const double> kernel_row =
-        cache_.Row(base, [this](std::size_t r, std::span<double> out) {
-          EvalKernelBatch(kernel_, examples_.Data(), examples_.rows(),
-                          examples_.cols(), sq_norms_, examples_.Row(r),
-                          sq_norms_[r], out);
-        });
+    const std::span<const double> kernel_row = cache_.Row(s % n);
     std::vector<double>& row = rows_[next_row_];
     next_row_ ^= 1;
     for (std::size_t t = 0; t < n; ++t) {

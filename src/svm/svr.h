@@ -16,7 +16,8 @@ struct SvrOptions {
   double cost = 1.0;
   /// Width of the ε-insensitive tube.
   double epsilon = 0.1;
-  /// Byte budget of the LRU kernel-row cache used during training.
+  /// Byte budget of the kernel cache used during training; see
+  /// kDefaultKernelCacheBytes.
   std::size_t kernel_cache_bytes = kDefaultKernelCacheBytes;
   SmoConfig smo;
 };

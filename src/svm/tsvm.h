@@ -21,7 +21,8 @@ struct TsvmOptions {
   double positive_fraction = 0.5;
   /// Cap on label-switch retrains per cost level (safety bound).
   std::size_t max_switches_per_level = 10000;
-  /// Byte budget of the LRU kernel-row cache of each inner solve.
+  /// Byte budget of the kernel cache of each inner solve; see
+  /// kDefaultKernelCacheBytes.
   std::size_t kernel_cache_bytes = kDefaultKernelCacheBytes;
   SmoConfig smo;
   /// Cooperative stop for the outer label-switching loop, probed before

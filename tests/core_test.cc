@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <numeric>
@@ -124,6 +125,85 @@ TEST_F(PerceptualSpaceFixture, SpaceShape) {
   EXPECT_EQ(space_->num_items(), world_->num_items());
   EXPECT_EQ(space_->dims(), 24u);
   EXPECT_GT(space_->CoordinateVariance(), 0.0);
+}
+
+/// The reference coordinate variance: two row-major passes, column means
+/// then squared deviations, each summed per column in row order. The
+/// value a space stores must match it bit for bit, or the auto RBF width
+/// γ — and with it every extraction — would move.
+double ReferenceCoordinateVariance(const Matrix& coords) {
+  const std::size_t n = coords.rows();
+  const std::size_t d = coords.cols();
+  if (n == 0 || d == 0) return 0.0;
+  std::vector<double> mean(d, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto row = coords.Row(i);
+    for (std::size_t c = 0; c < d; ++c) mean[c] += row[c];
+  }
+  for (std::size_t c = 0; c < d; ++c) mean[c] /= static_cast<double>(n);
+  std::vector<double> variance(d, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto row = coords.Row(i);
+    for (std::size_t c = 0; c < d; ++c) {
+      const double diff = row[c] - mean[c];
+      variance[c] += diff * diff;
+    }
+  }
+  double total_variance = 0.0;
+  for (std::size_t c = 0; c < d; ++c) {
+    total_variance += variance[c] / static_cast<double>(n);
+  }
+  return total_variance / static_cast<double>(d);
+}
+
+std::uint64_t Bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST_F(PerceptualSpaceFixture, StoredCoordinateVarianceMatchesTheTwoPassLoop) {
+  const double want = ReferenceCoordinateVariance(space_->item_coords());
+  ASSERT_GT(want, 0.0);
+  // The built space (coordinates, biases and mean) and the same
+  // coordinates through the coordinates-only constructor.
+  EXPECT_EQ(Bits(space_->CoordinateVariance()), Bits(want));
+  const PerceptualSpace bare{Matrix(space_->item_coords())};
+  EXPECT_EQ(Bits(bare.CoordinateVariance()), Bits(want));
+  // A save/load round trip rebuilds each kind through its constructor.
+  const std::string path = ::testing::TempDir() + "/space_variance.bin";
+  const PerceptualSpace* const spaces[] = {space_, &bare};
+  for (const PerceptualSpace* space : spaces) {
+    ASSERT_TRUE(space->SaveToFile(path).ok());
+    const auto loaded = PerceptualSpace::LoadFromFile(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(Bits(loaded.value().CoordinateVariance()), Bits(want));
+  }
+}
+
+TEST(PerceptualSpaceVariance, MatchesTheTwoPassLoopOnOffsetCoordinates) {
+  // Far from the origin, where a one-pass E[x²] − E[x]² would cancel: the
+  // stored value is still the two-pass loop's, bit for bit.
+  Rng rng(17);
+  Matrix coords(37, 5);
+  coords.FillGaussian(rng, 1e4, 0.5);
+  const double want = ReferenceCoordinateVariance(coords);
+  EXPECT_EQ(Bits(PerceptualSpace(coords).CoordinateVariance()), Bits(want));
+  EXPECT_EQ(Bits(PerceptualSpace(coords, std::vector<double>(37, 0.25), 3.5)
+                     .CoordinateVariance()),
+            Bits(want));
+}
+
+TEST(PerceptualSpaceVariance, EmptySpaceHasZeroVariance) {
+  EXPECT_EQ(Bits(PerceptualSpace(Matrix(0, 8)).CoordinateVariance()),
+            Bits(0.0));
+  EXPECT_EQ(Bits(PerceptualSpace(Matrix(0, 8), {}, 3.5).CoordinateVariance()),
+            Bits(0.0));
+  EXPECT_EQ(Bits(PerceptualSpace(Matrix(6, 0)).CoordinateVariance()),
+            Bits(0.0));
+  // An empty space survives the round trip with its zero.
+  const std::string path = ::testing::TempDir() + "/space_empty.bin";
+  ASSERT_TRUE(PerceptualSpace(Matrix(0, 8)).SaveToFile(path).ok());
+  const auto loaded = PerceptualSpace::LoadFromFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().num_items(), 0u);
+  EXPECT_EQ(Bits(loaded.value().CoordinateVariance()), Bits(0.0));
 }
 
 TEST_F(PerceptualSpaceFixture, DistanceIsAMetricOnSamples) {
@@ -697,6 +777,50 @@ TEST_F(PerceptualSpaceFixture, ExpandTopsUpOneClassSample) {
     EXPECT_GE(result.topup_rounds, 1u);
     EXPECT_GT(result.gold_sample_classified, 0u);
   }
+}
+
+TEST_F(PerceptualSpaceFixture, ExpandReportsASampleThatStaysOneClass) {
+  // Every gold item is truly negative, and the honest workers answer
+  // correctly or say "don't know": one judgment per item leaves most of
+  // the sample unresolved, so top-up rounds run, and every vote they add
+  // is negative too. The sample is one-class after voting and stays so
+  // after the top-ups. Expand must say so in its status, within its
+  // dollar cap, and never abort.
+  ExpandSetup setup = MakeExpandSetup(*world_, 31);
+  setup.request.gold_sample_items.clear();
+  setup.sample_truth.clear();
+  for (std::uint32_t m = 0;
+       m < world_->num_items() &&
+       setup.request.gold_sample_items.size() < 60;
+       ++m) {
+    if (world_->GenreLabel(0, m)) continue;
+    setup.request.gold_sample_items.push_back(m);
+    setup.sample_truth.push_back(false);
+  }
+  ASSERT_EQ(setup.sample_truth.size(), 60u);
+  setup.hit_config.judgments_per_item = 1;
+  setup.hit_config.perception_flip_rate = 0.0;
+  for (auto& worker : setup.pool.workers) {
+    worker.honest = true;
+    worker.knowledge = 0.3;
+    worker.accuracy = 1.0;
+  }
+
+  ExpansionOptions options;
+  options.topup_judgments_per_item = 3;
+  options.max_topups = 2;
+  options.dispatcher.max_dollars = 2.0;
+
+  const SchemaExpansionResult result =
+      Expand(*space_, setup.request, setup.pool, setup.hit_config,
+             setup.sample_truth, options);
+  EXPECT_EQ(result.status.code(), StatusCode::kFailedPrecondition)
+      << result.status.ToString();
+  EXPECT_GE(result.topup_rounds, 1u);
+  EXPECT_GT(result.crowd_dollars, 0.0);
+  EXPECT_LE(result.crowd_dollars, options.dispatcher.max_dollars);
+  EXPECT_FALSE(result.dispatch.budget_exhausted);
+  EXPECT_TRUE(result.values.empty());
 }
 
 TEST_F(PerceptualSpaceFixture, ExpandRejectsMalformedRequests) {

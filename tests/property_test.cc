@@ -606,6 +606,107 @@ TEST(NumericCoreParityLarge, BatchKnnMatchesPerQueryKnn) {
   }
 }
 
+// ------------------------------------------------------ Gram fill
+
+namespace gram {
+
+using Param = std::tuple<svm::KernelType, std::size_t>;
+
+svm::KernelConfig Config(svm::KernelType type) {
+  svm::KernelConfig config;
+  config.type = type;
+  config.gamma = type == svm::KernelType::kRbf ? 0.3 : 0.5;
+  config.coef0 = 1.0;
+  config.degree = 3;
+  return config;
+}
+
+/// n at every quad tail (1–9) and around the tile edges: one short of a
+/// tile, a whole tile, one over, and a third tile holding one row.
+std::vector<std::size_t> Sizes() {
+  constexpr std::size_t kTile = svm::kGramTileRows;
+  std::vector<std::size_t> sizes = {1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65,
+                                    kTile - 1, kTile, kTile + 1,
+                                    2 * kTile + 1};
+  std::sort(sizes.begin(), sizes.end());
+  sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
+  return sizes;
+}
+
+std::string ParamName(const ::testing::TestParamInfo<Param>& info) {
+  const char* const families[] = {"linear", "rbf", "polynomial"};
+  return std::string(families[static_cast<int>(std::get<0>(info.param))]) +
+         "_n" + std::to_string(std::get<1>(info.param));
+}
+
+}  // namespace gram
+
+/// The tiled Gram fill against n EvalKernelBatch rows, by bit pattern,
+/// unsigned and signed the way the C-SVC signs its Q rows. The output
+/// span sits between two guard bands that must come back untouched: a
+/// store past the end of a tail tile shows here even without ASan.
+class GramFill : public ::testing::TestWithParam<gram::Param> {};
+
+TEST_P(GramFill, MatchesKernelRowsBitForBit) {
+  const auto [type, n] = GetParam();
+  const svm::KernelConfig config = gram::Config(type);
+  constexpr std::size_t kDims = 7;  // a Dot unroll tail of 3
+  Rng rng(7700 + n * 3 + static_cast<std::size_t>(type));
+  Matrix x(n, kDims);
+  x.FillGaussian(rng, 0.0, 1.0);
+  std::vector<std::int8_t> signs(n);
+  for (auto& sign : signs) sign = rng.Bernoulli(0.5) ? 1 : -1;
+  std::vector<double> sq_norms(n);
+  RowSquaredNorms(x.Data(), n, kDims, sq_norms);
+
+  std::vector<std::vector<double>> rows(n, std::vector<double>(n));
+  for (std::size_t r = 0; r < n; ++r) {
+    svm::EvalKernelBatch(config, x.Data(), n, kDims, sq_norms, x.Row(r),
+                         sq_norms[r], rows[r]);
+  }
+
+  constexpr std::size_t kGuard = 67;
+  const std::uint64_t guard_bits = 0x7ff8dead'beef0001ull;
+  for (const bool signed_q : {false, true}) {
+    SCOPED_TRACE(signed_q ? "signed" : "unsigned");
+    std::vector<double> buffer(n * n + 2 * kGuard,
+                               std::bit_cast<double>(guard_bits));
+    const std::span<double> out =
+        std::span(buffer).subspan(kGuard, n * n);
+    svm::EvalKernelGram(config, x.Data(), n, kDims, sq_norms,
+                        signed_q ? std::span<const std::int8_t>(signs)
+                                 : std::span<const std::int8_t>(),
+                        out);
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double y_i = signed_q ? static_cast<double>(signs[i]) : 1.0;
+      for (std::size_t j = 0; j < n; ++j) {
+        const double y_j = signed_q ? static_cast<double>(signs[j]) : 1.0;
+        const double want = y_i * y_j * rows[i][j];
+        if (expprop::Bits(out[i * n + j]) != expprop::Bits(want) &&
+            ++mismatches == 1) {
+          ADD_FAILURE() << "entry (" << i << ", " << j << ") "
+                        << std::hexfloat << out[i * n + j] << " vs " << want;
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u);
+    for (std::size_t g = 0; g < kGuard; ++g) {
+      EXPECT_EQ(expprop::Bits(buffer[g]), guard_bits) << "guard " << g;
+      EXPECT_EQ(expprop::Bits(buffer[kGuard + n * n + g]), guard_bits)
+          << "guard " << g << " past the end";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, GramFill,
+    ::testing::Combine(::testing::Values(svm::KernelType::kLinear,
+                                         svm::KernelType::kRbf,
+                                         svm::KernelType::kPolynomial),
+                       ::testing::ValuesIn(gram::Sizes())),
+    gram::ParamName);
+
 // ------------------------------------------------ SMO solver oracle
 
 namespace smo_oracle {
@@ -828,7 +929,15 @@ class DenseQ : public svm::QMatrix {
 };
 
 enum class Case { kNoisy, kCostScales, kDuplicates, kConstantFeatures };
-enum class Budget { kZero, kTwoRows, kDefault };
+/// kWholeMatrix and kJustBelowWholeMatrix pin both sides of the cache's
+/// switch from LRU rows to one whole-matrix Gram fill.
+enum class Budget {
+  kZero,
+  kTwoRows,
+  kDefault,
+  kWholeMatrix,
+  kJustBelowWholeMatrix
+};
 
 struct Problem {
   Matrix x;
@@ -898,6 +1007,10 @@ std::size_t CacheBytes(Budget budget, std::size_t n) {
       return 2 * n * sizeof(double);
     case Budget::kDefault:
       return svm::kDefaultKernelCacheBytes;
+    case Budget::kWholeMatrix:
+      return n * n * sizeof(double);
+    case Budget::kJustBelowWholeMatrix:
+      return n * n * sizeof(double) - 1;
   }
   return 0;
 }
@@ -908,7 +1021,8 @@ std::string ParamName(const ::testing::TestParamInfo<Param>& info) {
   const auto [n, c, budget] = info.param;
   const char* const cases[] = {"noisy", "cost_scales", "duplicates",
                                "constant_features"};
-  const char* const budgets[] = {"cache0", "cache2rows", "cachedefault"};
+  const char* const budgets[] = {"cache0", "cache2rows", "cachedefault",
+                                 "cachewhole", "cachewholeminus1"};
   return "n" + std::to_string(n) + "_" + cases[static_cast<int>(c)] + "_" +
          budgets[static_cast<int>(budget)];
 }
@@ -1007,7 +1121,8 @@ namespace smo_oracle {
 const auto kSizes = ::testing::Values(2u, 3u, 4u, 5u, 7u, 8u, 63u, 64u, 65u,
                                       257u, 1000u);
 const auto kBudgets = ::testing::Values(Budget::kZero, Budget::kTwoRows,
-                                        Budget::kDefault);
+                                        Budget::kDefault, Budget::kWholeMatrix,
+                                        Budget::kJustBelowWholeMatrix);
 }  // namespace smo_oracle
 
 INSTANTIATE_TEST_SUITE_P(

@@ -322,12 +322,18 @@ TEST_F(ExpansionServiceTest, LastWaiterCancellationStopsTheFlight) {
   ExpectInvariants(stats);
 }
 
+/// The breaker tests' cooldown. The submit right after a trip must find
+/// the breaker still open, so the cooldown must outlast any scheduling
+/// stall between the two; the tests then sleep past it to probe.
+constexpr double kBreakerCooldownSeconds = 1.0;
+constexpr auto kPastBreakerCooldown = std::chrono::milliseconds(1100);
+
 TEST_F(ExpansionServiceTest, BreakerTripsRejectsAndRecovers) {
   ExpansionServiceOptions options;
   options.workers = 1;
   options.queue_depth = 8;
   options.breaker_failure_threshold = 3;
-  options.breaker_cooldown_seconds = 0.05;
+  options.breaker_cooldown_seconds = kBreakerCooldownSeconds;
   ExpansionService service(*space_, HonestPool(10), options);
 
   // Three consecutive pipeline failures trip the breaker.
@@ -350,7 +356,7 @@ TEST_F(ExpansionServiceTest, BreakerTripsRejectsAndRecovers) {
 
   // After the cooldown a single probe goes through; its success closes
   // the breaker again.
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
+  std::this_thread::sleep_for(kPastBreakerCooldown);
   auto probe = service.ExpandAttribute(GoodJob("is_comedy"));
   ASSERT_TRUE(probe.ok()) << probe.status().ToString();
   // Admitted as the half-open breaker's probe. (Reading breaker_state()
@@ -377,7 +383,7 @@ TEST_F(ExpansionServiceTest, FailedProbeReopensTheBreaker) {
   options.workers = 1;
   options.queue_depth = 8;
   options.breaker_failure_threshold = 2;
-  options.breaker_cooldown_seconds = 0.05;
+  options.breaker_cooldown_seconds = kBreakerCooldownSeconds;
   ExpansionService service(*space_, HonestPool(10), options);
 
   for (int i = 0; i < 2; ++i) {
@@ -391,7 +397,7 @@ TEST_F(ExpansionServiceTest, FailedProbeReopensTheBreaker) {
   }
   ASSERT_EQ(service.breaker_state(), BreakerState::kOpen);
 
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
+  std::this_thread::sleep_for(kPastBreakerCooldown);
   auto probe = service.ExpandAttribute(FailingJob("bad_probe"));
   ASSERT_TRUE(probe.ok());
   EXPECT_FALSE(probe.value().Wait().status.ok());

@@ -365,19 +365,26 @@ TEST(TsvmTest, UsesUnlabeledStructure) {
 
 // ------------------------------------------------------- kernel cache
 
+/// A whole-matrix fill for caches whose budget must keep them on the LRU
+/// path: reaching it is a failure.
+void UnexpectedMatrixFill(std::span<double>) {
+  ADD_FAILURE() << "whole-matrix fill on the LRU path";
+}
+
 TEST(KernelRowCacheTest, ByteBudgetIsHonored) {
   constexpr std::size_t kRows = 32;
   constexpr std::size_t kRowLength = 16;
   constexpr std::size_t kRowBytes = kRowLength * sizeof(double);
-  // Budget for exactly 4 rows.
-  KernelRowCache cache(kRows, kRowLength, 4 * kRowBytes);
   const auto fill = [](std::size_t row, std::span<double> out) {
     for (std::size_t c = 0; c < out.size(); ++c) {
       out[c] = static_cast<double>(row * 1000 + c);
     }
   };
+  // Budget for exactly 4 rows.
+  KernelRowCache cache(kRows, kRowLength, 4 * kRowBytes, fill,
+                       UnexpectedMatrixFill);
   for (std::size_t i = 0; i < kRows; ++i) {
-    const auto row = cache.Row(i, fill);
+    const auto row = cache.Row(i);
     ASSERT_EQ(row.size(), kRowLength);
     EXPECT_DOUBLE_EQ(row[3], static_cast<double>(i * 1000 + 3));
     EXPECT_LE(cache.bytes_in_use(), cache.budget_bytes());
@@ -390,23 +397,24 @@ TEST(KernelRowCacheTest, ByteBudgetIsHonored) {
 TEST(KernelRowCacheTest, EvictsLeastRecentlyUsed) {
   constexpr std::size_t kRowLength = 8;
   constexpr std::size_t kRowBytes = kRowLength * sizeof(double);
-  KernelRowCache cache(8, kRowLength, 2 * kRowBytes);  // room for 2 rows
   std::size_t fills = 0;
   const auto fill = [&fills](std::size_t row, std::span<double> out) {
     ++fills;
     for (auto& v : out) v = static_cast<double>(row);
   };
-  cache.Row(0, fill);  // cached: {0}
-  cache.Row(1, fill);  // cached: {1, 0}
+  KernelRowCache cache(8, kRowLength, 2 * kRowBytes, fill,
+                       UnexpectedMatrixFill);  // room for 2 rows
+  cache.Row(0);  // cached: {0}
+  cache.Row(1);  // cached: {1, 0}
   EXPECT_EQ(fills, 2u);
-  cache.Row(0, fill);  // hit — bumps 0 to MRU: {0, 1}
+  cache.Row(0);  // hit — bumps 0 to MRU: {0, 1}
   EXPECT_EQ(fills, 2u);
   EXPECT_EQ(cache.stats().hits, 1u);
-  cache.Row(2, fill);  // evicts 1 (the LRU), not 0: {2, 0}
+  cache.Row(2);  // evicts 1 (the LRU), not 0: {2, 0}
   EXPECT_EQ(fills, 3u);
-  cache.Row(0, fill);  // still a hit
+  cache.Row(0);  // still a hit
   EXPECT_EQ(fills, 3u);
-  cache.Row(1, fill);  // was evicted — must refill
+  cache.Row(1);  // was evicted — must refill
   EXPECT_EQ(fills, 4u);
   EXPECT_EQ(cache.stats().evictions, 2u);
 }
@@ -416,7 +424,6 @@ TEST(KernelRowCacheTest, ZeroBudgetHoldsRowIWhileFillingRowJ) {
   // next one, so even with a zero budget the span of row i stays valid,
   // in place and unchanged, across Row(j): an SMO iteration reads both
   // rows without copying them.
-  KernelRowCache cache(4, 8, 0);
   std::size_t fills = 0;
   const auto fill = [&fills](std::size_t row, std::span<double> out) {
     ++fills;
@@ -424,6 +431,7 @@ TEST(KernelRowCacheTest, ZeroBudgetHoldsRowIWhileFillingRowJ) {
       out[c] = static_cast<double>(row) * 100.0 + static_cast<double>(c);
     }
   };
+  KernelRowCache cache(4, 8, 0, fill, UnexpectedMatrixFill);
   const auto expect_row = [](std::span<const double> row, std::size_t r) {
     ASSERT_EQ(row.size(), 8u);
     for (std::size_t c = 0; c < row.size(); ++c) {
@@ -433,9 +441,9 @@ TEST(KernelRowCacheTest, ZeroBudgetHoldsRowIWhileFillingRowJ) {
   };
   for (std::size_t i = 0; i < 4; ++i) {
     const std::size_t j = (i + 1) % 4;
-    const std::span<const double> row_i = cache.Row(i, fill);
+    const std::span<const double> row_i = cache.Row(i);
     const double* const address_i = row_i.data();
-    const std::span<const double> row_j = cache.Row(j, fill);
+    const std::span<const double> row_j = cache.Row(j);
     EXPECT_NE(row_j.data(), address_i);
     expect_row(row_i, i);
     expect_row(row_j, j);
@@ -443,16 +451,79 @@ TEST(KernelRowCacheTest, ZeroBudgetHoldsRowIWhileFillingRowJ) {
     // Row i was neither evicted nor refilled: asking again is a hit that
     // returns the same storage.
     const std::size_t fills_before = fills;
-    EXPECT_EQ(cache.Row(i, fill).data(), address_i);
+    EXPECT_EQ(cache.Row(i).data(), address_i);
     EXPECT_EQ(fills, fills_before);
   }
   // Only two rows fit, so a third distinct row evicts the older of them.
-  cache.Row(0, fill);
-  cache.Row(1, fill);
-  cache.Row(2, fill);  // evicts 0
+  cache.Row(0);
+  cache.Row(1);
+  cache.Row(2);  // evicts 0
   const std::size_t fills_before = fills;
-  expect_row(cache.Row(0, fill), 0);
+  expect_row(cache.Row(0), 0);
   EXPECT_EQ(fills, fills_before + 1);
+}
+
+TEST(KernelRowCacheTest, HoldsTheWholeMatrixExactlyWhenItFitsTheBudget) {
+  // n·len·8 bytes is the threshold: at that budget the first Row() fills
+  // the whole matrix once and every row is a view into it; one byte less
+  // and rows are filled one at a time.
+  constexpr std::size_t kRows = 6;
+  constexpr std::size_t kRowLength = 5;
+  constexpr std::size_t kMatrixBytes = kRows * kRowLength * sizeof(double);
+  const auto value = [](std::size_t r, std::size_t c) {
+    return static_cast<double>(r) * 10.0 + static_cast<double>(c);
+  };
+  std::size_t row_fills = 0;
+  std::size_t matrix_fills = 0;
+  const auto fill_row = [&](std::size_t row, std::span<double> out) {
+    ++row_fills;
+    for (std::size_t c = 0; c < out.size(); ++c) out[c] = value(row, c);
+  };
+  const auto fill_matrix = [&](std::span<double> out) {
+    ++matrix_fills;
+    ASSERT_EQ(out.size(), kRows * kRowLength);
+    for (std::size_t r = 0; r < kRows; ++r) {
+      for (std::size_t c = 0; c < kRowLength; ++c) {
+        out[r * kRowLength + c] = value(r, c);
+      }
+    }
+  };
+
+  KernelRowCache whole(kRows, kRowLength, kMatrixBytes, fill_row,
+                       fill_matrix);
+  EXPECT_EQ(whole.cached_rows(), 0u);  // nothing is filled before a Row()
+  const double* const first = whole.Row(0).data();
+  for (std::size_t pass = 0; pass < 2; ++pass) {
+    for (std::size_t r = 0; r < kRows; ++r) {
+      const auto row = whole.Row(r);
+      ASSERT_EQ(row.size(), kRowLength);
+      EXPECT_EQ(row.data(), first + r * kRowLength);
+      for (std::size_t c = 0; c < kRowLength; ++c) {
+        EXPECT_EQ(row[c], value(r, c));
+      }
+    }
+  }
+  EXPECT_EQ(matrix_fills, 1u);
+  EXPECT_EQ(row_fills, 0u);
+  EXPECT_EQ(whole.cached_rows(), kRows);
+  EXPECT_EQ(whole.bytes_in_use(), kMatrixBytes);
+  EXPECT_EQ(whole.stats().misses, 1u);
+  EXPECT_EQ(whole.stats().hits, 2 * kRows);
+  EXPECT_EQ(whole.stats().evictions, 0u);
+
+  KernelRowCache rows(kRows, kRowLength, kMatrixBytes - 1, fill_row,
+                      fill_matrix);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    const auto row = rows.Row(r);
+    for (std::size_t c = 0; c < kRowLength; ++c) {
+      EXPECT_EQ(row[c], value(r, c));
+    }
+    EXPECT_LE(rows.bytes_in_use(), rows.budget_bytes());
+  }
+  EXPECT_EQ(matrix_fills, 1u);
+  EXPECT_EQ(row_fills, kRows);
+  EXPECT_EQ(rows.cached_rows(), kRows - 1);
+  EXPECT_EQ(rows.stats().evictions, 1u);
 }
 
 TEST(KernelRowCacheTest, TinyBudgetTrainingMatchesUnbounded) {
