@@ -1,16 +1,20 @@
 #!/usr/bin/env bash
-# Same-outputs check: the 15 seeded table, figure and ablation benches must
-# print the same results on this checkout as on <base-ref>.
+# Same-outputs check: the 15 seeded table, figure and ablation benches and
+# two runs of the SQL path must print the same results on this checkout as
+# on <base-ref>.
 #
 # Builds <base-ref> in a temporary git worktree, runs every bench on both
 # trees under CCDB_SCALE=0.1 CCDB_NO_CACHE=1 (each side with its own
-# TMPDIR and working directory), masks the wall-clock fields and diffs the
-# two sides. The masked fields are:
+# TMPDIR and working directory), then the SQL path through
+# Database::Execute: examples/movie_query, and examples/crowd_shell reading
+# the statements in scripts/crowd_shell_session.txt. It masks the
+# wall-clock fields and diffs the two sides. The masked fields are:
 #   - "[space] built in <t>s" (every bench);
 #   - the seconds columns of ablation_space, ablation_temporal and
 #     ablation_tsvm, and ablation_tsvm's "Slowdown factor";
 #   - ablation_durability's timing tables (mean ms, overhead) and its
-#     journal path.
+#     journal path;
+#   - crowd_shell's "(N rows, X ms)" time.
 # Table padding follows the widest cell, which a masked time can change, so
 # table lines are compared with their padding collapsed.
 #
@@ -30,6 +34,8 @@ BENCHES=(
   ablation_aggregation ablation_durability ablation_faults ablation_hybrid
   ablation_space ablation_temporal ablation_tsvm
 )
+EXAMPLES=(movie_query crowd_shell)
+SHELL_SESSION="$(pwd)/scripts/crowd_shell_session.txt"
 
 WORK="$(mktemp -d)"
 cleanup() {
@@ -43,7 +49,8 @@ git worktree add --detach "${WORK}/base" "${BASE_REF}" >/dev/null
 
 build() {  # <source dir> <build dir>
   cmake -S "$1" -B "$2" -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build "$2" -j "$(nproc)" --target "${BENCHES[@]}" >/dev/null
+  cmake --build "$2" -j "$(nproc)" --target "${BENCHES[@]}" "${EXAMPLES[@]}" \
+    >/dev/null
 }
 
 run_benches() {  # <build dir> <side>
@@ -54,6 +61,13 @@ run_benches() {  # <build dir> <side>
     (cd "${dir}" && TMPDIR="${dir}/tmp" CCDB_SCALE=0.1 CCDB_NO_CACHE=1 \
       "$1/bench/${bench}" 2>&1) || echo "=== ${bench} exited $?"
   done
+  echo "=== movie_query"
+  (cd "${dir}" && TMPDIR="${dir}/tmp" "$1/examples/movie_query" 2>&1) ||
+    echo "=== movie_query exited $?"
+  echo "=== crowd_shell"
+  (cd "${dir}" && TMPDIR="${dir}/tmp" \
+    "$1/examples/crowd_shell" < "${SHELL_SESSION}" 2>&1) ||
+    echo "=== crowd_shell exited $?"
 }
 
 mask() {
@@ -75,6 +89,8 @@ for line in sys.stdin:
         line = re.sub(r"\| [0-9]+\.[0-9]+ +\| (-|[-+]?[0-9]+\.[0-9]+%) ",
                       "| <ms> | <overhead> ", line)
         line = re.sub(r"recovery journal \S+:", "recovery journal <path>:", line)
+    elif bench == "crowd_shell":
+        line = re.sub(r"rows, [0-9]+\.[0-9]+ ms\)", "rows, <t> ms)", line)
     if line.startswith("|"):
         line = re.sub(r" +\|", " |", line)
     elif re.fullmatch(r"\+[-+]*\n?", line):

@@ -86,7 +86,7 @@ Status PerceptualExpansionResolver::ResolveBool(
   for (std::size_t row = 0; row < table.num_rows(); ++row) {
     values[row] = db::Value(static_cast<bool>(last_result_.values[row]));
   }
-  return table.FillColumn(table.schema().num_columns() - 1, values);
+  return table.FillColumn(table.schema().num_columns() - 1, std::move(values));
 }
 
 Status PerceptualExpansionResolver::ResolveNumeric(
@@ -131,7 +131,7 @@ Status PerceptualExpansionResolver::ResolveNumeric(
   last_result_.gold_sample_classified = items.size();
   audit_log_.push_back({column_name, db::ColumnType::kDouble, items.size(),
                         items.size(), 0.0, 0.0});
-  return table.FillColumn(table.schema().num_columns() - 1, values);
+  return table.FillColumn(table.schema().num_columns() - 1, std::move(values));
 }
 
 db::Table PerceptualExpansionResolver::AuditTable() const {

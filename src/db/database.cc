@@ -1,9 +1,14 @@
 #include "db/database.h"
 
 #include <algorithm>
-#include <map>
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <optional>
+#include <string_view>
+#include <unordered_map>
 
 #include "common/check.h"
 #include "db/sql_parser.h"
@@ -19,108 +24,660 @@ void CollectColumns(const Expr* expr, std::vector<std::string>& out) {
   CollectColumns(expr->right.get(), out);
 }
 
-// Evaluates an expression for one row under SQL three-valued logic:
-// nullopt = UNKNOWN. Non-Boolean values may only appear inside
-// comparisons; the caller validated column existence beforehand.
-StatusOr<Value> EvaluateValue(const Expr& expr, const Table& table,
-                              std::size_t row);
+// ---- Binding and evaluation ------------------------------------------------
 
-StatusOr<std::optional<bool>> EvaluateBool(const Expr& expr,
-                                           const Table& table,
-                                           std::size_t row) {
-  switch (expr.kind) {
-    case Expr::Kind::kNot: {
-      StatusOr<std::optional<bool>> inner =
-          EvaluateBool(*expr.left, table, row);
-      if (!inner.ok()) return inner;
-      const std::optional<bool> v = inner.value();
-      if (!v.has_value()) return std::optional<bool>();
-      return std::optional<bool>(!*v);
+// Kleene truth values, ordered so that AND is min, OR is max and NOT is
+// kTrue - x.
+enum Truth : std::uint8_t { kFalse = 0, kUnknown = 1, kTrue = 2 };
+
+// A condition is evaluated this many rows at a time: each node's truth
+// values for one chunk stay in L1, and a scan can stop after the chunk
+// that completes a LIMIT.
+constexpr std::size_t kChunkRows = 1024;
+
+// The cells of each column of the schema a condition is bound against.
+using Columns = std::vector<const std::vector<Value>*>;
+
+// Readers of one side of a comparison, by row of the current chunk. The
+// numeric ones return false on NULL; the string ones return nullptr.
+struct NumberCells {
+  const Value* cells;
+  bool Read(std::size_t i, double& value) const {
+    const Value& cell = cells[i];
+    if (const double* d = std::get_if<double>(&cell)) {
+      value = *d;
+    } else if (const std::int64_t* n = std::get_if<std::int64_t>(&cell)) {
+      value = static_cast<double>(*n);
+    } else if (const bool* b = std::get_if<bool>(&cell)) {
+      value = *b ? 1.0 : 0.0;
+    } else {
+      value = 0.0;
+      return false;
     }
-    case Expr::Kind::kBinary: {
-      if (expr.op == BinaryOp::kAnd || expr.op == BinaryOp::kOr) {
-        StatusOr<std::optional<bool>> left =
-            EvaluateBool(*expr.left, table, row);
-        if (!left.ok()) return left;
-        StatusOr<std::optional<bool>> right =
-            EvaluateBool(*expr.right, table, row);
-        if (!right.ok()) return right;
-        const std::optional<bool> l = left.value();
-        const std::optional<bool> r = right.value();
-        if (expr.op == BinaryOp::kAnd) {
-          if (l.has_value() && !*l) return std::optional<bool>(false);
-          if (r.has_value() && !*r) return std::optional<bool>(false);
-          if (l.has_value() && r.has_value()) return std::optional<bool>(true);
-          return std::optional<bool>();
-        }
-        if (l.has_value() && *l) return std::optional<bool>(true);
-        if (r.has_value() && *r) return std::optional<bool>(true);
-        if (l.has_value() && r.has_value()) return std::optional<bool>(false);
-        return std::optional<bool>();
-      }
-      // Comparison.
-      StatusOr<Value> left = EvaluateValue(*expr.left, table, row);
-      if (!left.ok()) return left.status();
-      StatusOr<Value> right = EvaluateValue(*expr.right, table, row);
-      if (!right.ok()) return right.status();
-      if (IsNull(left.value()) || IsNull(right.value())) {
-        return std::optional<bool>();
-      }
-      const bool left_string =
-          std::holds_alternative<std::string>(left.value());
-      const bool right_string =
-          std::holds_alternative<std::string>(right.value());
-      if (left_string != right_string) {
-        return Status::InvalidArgument(
-            "type mismatch: cannot compare string with non-string");
-      }
-      const int cmp = CompareNonNull(left.value(), right.value());
-      bool result = false;
-      switch (expr.op) {
-        case BinaryOp::kEq: result = cmp == 0; break;
-        case BinaryOp::kNe: result = cmp != 0; break;
-        case BinaryOp::kLt: result = cmp < 0; break;
-        case BinaryOp::kLe: result = cmp <= 0; break;
-        case BinaryOp::kGt: result = cmp > 0; break;
-        case BinaryOp::kGe: result = cmp >= 0; break;
-        default: return Status::Internal("unexpected operator");
-      }
-      return std::optional<bool>(result);
-    }
-    case Expr::Kind::kColumn:
-    case Expr::Kind::kLiteral: {
-      StatusOr<Value> value = EvaluateValue(expr, table, row);
-      if (!value.ok()) return value.status();
-      if (IsNull(value.value())) return std::optional<bool>();
-      if (const bool* b = std::get_if<bool>(&value.value())) {
-        return std::optional<bool>(*b);
-      }
-      return Status::InvalidArgument(
-          "non-Boolean value used as a condition");
-    }
+    return true;
   }
-  return Status::Internal("unreachable");
+};
+struct NumberConstant {
+  double number;
+  bool Read(std::size_t, double& value) const {
+    value = number;
+    return true;
+  }
+};
+// A condition used as a value: UNKNOWN is NULL, TRUE and FALSE are 1 and 0.
+struct TruthNumbers {
+  const Truth* truth;
+  bool Read(std::size_t i, double& value) const {
+    value = truth[i] == kTrue ? 1.0 : 0.0;
+    return truth[i] != kUnknown;
+  }
+};
+struct StringCells {
+  const Value* cells;
+  const std::string* Read(std::size_t i) const {
+    return std::get_if<std::string>(&cells[i]);
+  }
+};
+struct StringConstant {
+  const std::string* text;
+  const std::string* Read(std::size_t) const { return text; }
+};
+
+// `outcome` maps the sign of (left - right), plus one, to the comparison's
+// truth; a NULL side makes it UNKNOWN. Numbers compare as doubles, as
+// CompareNonNull does.
+template <typename Left, typename Right>
+void CompareNumbers(Left left, Right right, const Truth* outcome,
+                    std::size_t n, Truth* out) {
+  for (std::size_t i = 0; i < n; ++i) {
+    double l = 0.0;
+    double r = 0.0;
+    const bool known = left.Read(i, l) & right.Read(i, r);
+    out[i] = known ? outcome[(l > r) - (l < r) + 1] : kUnknown;
+  }
 }
 
-StatusOr<Value> EvaluateValue(const Expr& expr, const Table& table,
-                              std::size_t row) {
-  switch (expr.kind) {
-    case Expr::Kind::kLiteral:
-      return expr.literal;
-    case Expr::Kind::kColumn: {
-      const std::size_t index = table.schema().FindColumn(expr.column);
-      if (index == Schema::kNotFound) {
-        return Status::NotFound("no such column: " + expr.column);
-      }
-      return table.Get(row, index);
+template <typename Left, typename Right>
+void CompareStrings(Left left, Right right, const Truth* outcome,
+                    std::size_t n, Truth* out) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::string* l = left.Read(i);
+    const std::string* r = right.Read(i);
+    if (l == nullptr || r == nullptr) {
+      out[i] = kUnknown;
+      continue;
     }
-    default: {
-      StatusOr<std::optional<bool>> value = EvaluateBool(expr, table, row);
-      if (!value.ok()) return value.status();
-      if (!value.value().has_value()) return Value{};
-      return Value(*value.value());
+    const int cmp = l->compare(*r);
+    out[i] = outcome[(cmp > 0) - (cmp < 0) + 1];
+  }
+}
+
+// A WHERE or HAVING condition bound to the columns of one schema: every
+// column reference points at its cells and every comparison is
+// type-checked, so evaluating it looks up no name, copies no cell and
+// cannot fail. The errors a row-at-a-time walk raised on the first row
+// that reached them are raised by Bind, whether or not a row reaches them.
+class BoundCondition {
+ public:
+  [[nodiscard]] static StatusOr<BoundCondition> Bind(const Expr& expr,
+                                                     const Schema& schema,
+                                                     const Columns& columns) {
+    BoundCondition condition(schema, columns);
+    StatusOr<std::size_t> root = condition.BindCondition(expr);
+    if (!root.ok()) return root.status();
+    return condition;
+  }
+
+  // Appends the rows in [0, num_rows) for which the condition is TRUE, in
+  // order, and stops after the chunk in which `rows` reaches `stop_at`.
+  void Select(std::size_t num_rows, std::size_t stop_at,
+              std::vector<std::size_t>& rows) {
+    for (std::size_t begin = 0; begin < num_rows && rows.size() < stop_at;
+         begin += kChunkRows) {
+      const std::size_t end = std::min(num_rows, begin + kChunkRows);
+      // Children precede their parents in nodes_, and the root is last.
+      for (Node& node : nodes_) Evaluate(node, begin, end);
+      const Truth* truth = nodes_.back().truth.data();
+      std::size_t kept = rows.size();
+      rows.resize(kept + (end - begin));
+      for (std::size_t row = begin; row < end; ++row) {
+        rows[kept] = row;
+        kept += truth[row - begin] == kTrue;
+      }
+      rows.resize(kept);
     }
   }
+
+ private:
+  // One side of a comparison.
+  struct Operand {
+    enum class Kind { kNull, kNumber, kString, kColumn, kCondition };
+    Kind kind = Kind::kNull;
+    bool is_string = false;
+    double number = 0.0;                         // kNumber
+    std::string text;                            // kString
+    const std::vector<Value>* column = nullptr;  // kColumn
+    std::size_t node = 0;                        // kCondition
+  };
+
+  struct Node {
+    enum class Kind { kConstant, kColumn, kCompare, kNot, kAnd, kOr };
+    Kind kind = Kind::kConstant;
+    const std::vector<Value>* column = nullptr;  // kColumn: BOOL cells
+    Operand left, right;                         // kCompare
+    std::array<Truth, 3> outcome{};              // kCompare
+    std::size_t a = 0, b = 0;                    // kNot: a; kAnd, kOr: a, b
+    std::vector<Truth> truth = std::vector<Truth>(kChunkRows);
+  };
+
+  BoundCondition(const Schema& schema, const Columns& columns)
+      : schema_(&schema), columns_(&columns) {}
+
+  std::size_t Add(Node node) {
+    nodes_.push_back(std::move(node));
+    return nodes_.size() - 1;
+  }
+  std::size_t AddConstant(Truth truth) {
+    Node node;
+    std::fill(node.truth.begin(), node.truth.end(), truth);
+    return Add(std::move(node));
+  }
+
+  StatusOr<const std::vector<Value>*> FindColumn(const std::string& name,
+                                                 ColumnType* type) const {
+    const std::size_t index = schema_->FindColumn(name);
+    if (index == Schema::kNotFound) {
+      return Status::NotFound("no such column: " + name);
+    }
+    *type = schema_->column(index).type;
+    return (*columns_)[index];
+  }
+
+  // Binds `expr` in a Boolean position; returns its node.
+  StatusOr<std::size_t> BindCondition(const Expr& expr) {
+    const auto non_boolean = [] {
+      return Status::InvalidArgument("non-Boolean value used as a condition");
+    };
+    switch (expr.kind) {
+      case Expr::Kind::kNot: {
+        StatusOr<std::size_t> inner = BindCondition(*expr.left);
+        if (!inner.ok()) return inner;
+        Node node;
+        node.kind = Node::Kind::kNot;
+        node.a = inner.value();
+        return Add(std::move(node));
+      }
+      case Expr::Kind::kBinary: {
+        if (expr.op == BinaryOp::kAnd || expr.op == BinaryOp::kOr) {
+          StatusOr<std::size_t> left = BindCondition(*expr.left);
+          if (!left.ok()) return left;
+          StatusOr<std::size_t> right = BindCondition(*expr.right);
+          if (!right.ok()) return right;
+          Node node;
+          node.kind = expr.op == BinaryOp::kAnd ? Node::Kind::kAnd
+                                                : Node::Kind::kOr;
+          node.a = left.value();
+          node.b = right.value();
+          return Add(std::move(node));
+        }
+        return BindComparison(expr);
+      }
+      case Expr::Kind::kColumn: {
+        ColumnType type = ColumnType::kBool;
+        StatusOr<const std::vector<Value>*> column =
+            FindColumn(expr.column, &type);
+        if (!column.ok()) return column.status();
+        if (type != ColumnType::kBool) return non_boolean();
+        Node node;
+        node.kind = Node::Kind::kColumn;
+        node.column = column.value();
+        return Add(std::move(node));
+      }
+      case Expr::Kind::kLiteral: {
+        if (IsNull(expr.literal)) return AddConstant(kUnknown);
+        const bool* b = std::get_if<bool>(&expr.literal);
+        if (b == nullptr) return non_boolean();
+        return AddConstant(*b ? kTrue : kFalse);
+      }
+    }
+    return Status::Internal("unreachable");
+  }
+
+  StatusOr<std::size_t> BindComparison(const Expr& expr) {
+    StatusOr<Operand> left = BindOperand(*expr.left);
+    if (!left.ok()) return left.status();
+    StatusOr<Operand> right = BindOperand(*expr.right);
+    if (!right.ok()) return right.status();
+    if (left.value().kind == Operand::Kind::kNull ||
+        right.value().kind == Operand::Kind::kNull) {
+      return AddConstant(kUnknown);
+    }
+    if (left.value().is_string != right.value().is_string) {
+      return Status::InvalidArgument(
+          "type mismatch: cannot compare string with non-string");
+    }
+    Node node;
+    node.kind = Node::Kind::kCompare;
+    node.left = std::move(left).value();
+    node.right = std::move(right).value();
+    switch (expr.op) {
+      case BinaryOp::kEq: node.outcome = {kFalse, kTrue, kFalse}; break;
+      case BinaryOp::kNe: node.outcome = {kTrue, kFalse, kTrue}; break;
+      case BinaryOp::kLt: node.outcome = {kTrue, kFalse, kFalse}; break;
+      case BinaryOp::kLe: node.outcome = {kTrue, kTrue, kFalse}; break;
+      case BinaryOp::kGt: node.outcome = {kFalse, kFalse, kTrue}; break;
+      case BinaryOp::kGe: node.outcome = {kFalse, kTrue, kTrue}; break;
+      default: return Status::Internal("unexpected operator");
+    }
+    return Add(std::move(node));
+  }
+
+  StatusOr<Operand> BindOperand(const Expr& expr) {
+    Operand operand;
+    switch (expr.kind) {
+      case Expr::Kind::kLiteral:
+        if (IsNull(expr.literal)) return operand;
+        if (const std::string* s = std::get_if<std::string>(&expr.literal)) {
+          operand.kind = Operand::Kind::kString;
+          operand.is_string = true;
+          operand.text = *s;
+        } else {
+          operand.kind = Operand::Kind::kNumber;
+          operand.number = AsNumeric(expr.literal);
+        }
+        return operand;
+      case Expr::Kind::kColumn: {
+        ColumnType type = ColumnType::kBool;
+        StatusOr<const std::vector<Value>*> column =
+            FindColumn(expr.column, &type);
+        if (!column.ok()) return column.status();
+        operand.kind = Operand::Kind::kColumn;
+        operand.is_string = type == ColumnType::kString;
+        operand.column = column.value();
+        return operand;
+      }
+      default: {
+        StatusOr<std::size_t> node = BindCondition(expr);
+        if (!node.ok()) return node.status();
+        operand.kind = Operand::Kind::kCondition;
+        operand.node = node.value();
+        return operand;
+      }
+    }
+  }
+
+  // Calls `visit` with a reader of `side` over the chunk at `begin`.
+  template <typename Visit>
+  void WithNumbers(const Operand& side, std::size_t begin,
+                   Visit&& visit) const {
+    switch (side.kind) {
+      case Operand::Kind::kColumn:
+        return visit(NumberCells{side.column->data() + begin});
+      case Operand::Kind::kCondition:
+        return visit(TruthNumbers{nodes_[side.node].truth.data()});
+      default:
+        return visit(NumberConstant{side.number});
+    }
+  }
+  template <typename Visit>
+  static void WithStrings(const Operand& side, std::size_t begin,
+                          Visit&& visit) {
+    if (side.kind == Operand::Kind::kColumn) {
+      return visit(StringCells{side.column->data() + begin});
+    }
+    return visit(StringConstant{&side.text});
+  }
+
+  // Fills node.truth for the rows [begin, end).
+  void Evaluate(Node& node, std::size_t begin, std::size_t end) {
+    const std::size_t n = end - begin;
+    Truth* out = node.truth.data();
+    switch (node.kind) {
+      case Node::Kind::kConstant:
+        return;  // filled by AddConstant
+      case Node::Kind::kColumn: {
+        const Value* cells = node.column->data() + begin;
+        for (std::size_t i = 0; i < n; ++i) {
+          const bool* b = std::get_if<bool>(&cells[i]);
+          out[i] = b == nullptr ? kUnknown : *b ? kTrue : kFalse;
+        }
+        return;
+      }
+      case Node::Kind::kNot: {
+        const Truth* in = nodes_[node.a].truth.data();
+        for (std::size_t i = 0; i < n; ++i) {
+          out[i] = static_cast<Truth>(kTrue - in[i]);
+        }
+        return;
+      }
+      case Node::Kind::kAnd:
+      case Node::Kind::kOr: {
+        const Truth* l = nodes_[node.a].truth.data();
+        const Truth* r = nodes_[node.b].truth.data();
+        if (node.kind == Node::Kind::kAnd) {
+          for (std::size_t i = 0; i < n; ++i) out[i] = std::min(l[i], r[i]);
+        } else {
+          for (std::size_t i = 0; i < n; ++i) out[i] = std::max(l[i], r[i]);
+        }
+        return;
+      }
+      case Node::Kind::kCompare: {
+        const Truth* outcome = node.outcome.data();
+        if (node.left.is_string) {
+          WithStrings(node.left, begin, [&](auto l) {
+            WithStrings(node.right, begin, [&](auto r) {
+              CompareStrings(l, r, outcome, n, out);
+            });
+          });
+        } else {
+          WithNumbers(node.left, begin, [&](auto l) {
+            WithNumbers(node.right, begin, [&](auto r) {
+              CompareNumbers(l, r, outcome, n, out);
+            });
+          });
+        }
+        return;
+      }
+    }
+  }
+
+  const Schema* schema_;
+  const Columns* columns_;
+  std::vector<Node> nodes_;
+};
+
+// The rows of a table of `num_rows` rows that `where` (if any) keeps, in
+// order; the scan stops once it has `stop_at` of them.
+std::vector<std::size_t> SelectRows(std::optional<BoundCondition>& where,
+                                    std::size_t num_rows,
+                                    std::size_t stop_at) {
+  std::vector<std::size_t> rows;
+  if (!where.has_value()) {
+    rows.resize(std::min(num_rows, stop_at));
+    std::iota(rows.begin(), rows.end(), std::size_t{0});
+  } else {
+    where->Select(num_rows, stop_at, rows);
+  }
+  return rows;
+}
+
+// Orders `rows`, ascending positions into `cells`, by their cells: NULLs
+// last in either direction, ties by position, which is the order a stable
+// sort gives. Then keeps the first `limit`, with a top-k when that is
+// fewer than all. Plain and aggregate results both order through here.
+void OrderRows(const std::vector<Value>& cells, bool descending,
+               std::size_t limit, std::vector<std::size_t>& rows) {
+  const auto before = [&](std::size_t a, std::size_t b) {
+    const Value& va = cells[a];
+    const Value& vb = cells[b];
+    const bool a_null = IsNull(va);
+    const bool b_null = IsNull(vb);
+    if (a_null || b_null) return a_null == b_null ? a < b : b_null;
+    const int cmp = CompareNonNull(va, vb);
+    if (cmp != 0) return descending ? cmp > 0 : cmp < 0;
+    return a < b;
+  };
+  if (limit < rows.size()) {
+    std::partial_sort(rows.begin(),
+                      rows.begin() + static_cast<std::ptrdiff_t>(limit),
+                      rows.end(), before);
+    rows.resize(limit);
+  } else {
+    std::sort(rows.begin(), rows.end(), before);
+  }
+}
+
+// The output columns of a select list must have distinct names.
+Status CheckDistinct(const std::vector<ColumnDef>& columns) {
+  for (std::size_t i = 0; i < columns.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      if (columns[i].name == columns[j].name) {
+        return Status::InvalidArgument("duplicate column in select list: " +
+                                       columns[i].name);
+      }
+    }
+  }
+  return Status::Ok();
+}
+
+// The result table: the cells of `rows` of each source, column by column.
+Table Gather(const Columns& sources, std::vector<ColumnDef> schema,
+             const std::vector<std::size_t>& rows) {
+  std::vector<std::vector<Value>> columns(sources.size());
+  for (std::size_t c = 0; c < sources.size(); ++c) {
+    const std::vector<Value>& cells = *sources[c];
+    columns[c].reserve(rows.size());
+    for (std::size_t row : rows) columns[c].push_back(cells[row]);
+  }
+  return Table("result", Schema(std::move(schema)), std::move(columns));
+}
+
+// Running state of one aggregate within one group.
+struct AggregateState {
+  std::size_t count = 0;   // non-NULL inputs seen
+  double sum = 0.0;
+  Value min;
+  Value max;
+
+  void Accumulate(const Value& value) {
+    if (IsNull(value)) return;
+    ++count;
+    if (!std::holds_alternative<std::string>(value)) {
+      sum += AsNumeric(value);
+    }
+    if (IsNull(min) || CompareNonNull(value, min) < 0) min = value;
+    if (IsNull(max) || CompareNonNull(value, max) > 0) max = value;
+  }
+
+  Value Finalize(AggregateFunc func) const {
+    switch (func) {
+      case AggregateFunc::kCount:
+        return Value(static_cast<std::int64_t>(count));
+      case AggregateFunc::kSum:
+        return count == 0 ? Value{} : Value(sum);
+      case AggregateFunc::kAvg:
+        return count == 0 ? Value{}
+                          : Value(sum / static_cast<double>(count));
+      case AggregateFunc::kMin:
+        return min;
+      case AggregateFunc::kMax:
+        return max;
+    }
+    return Value{};
+  }
+};
+
+std::string AggregateName(const SelectItem& item) {
+  const char* func = "count";
+  switch (item.func) {
+    case AggregateFunc::kCount: func = "count"; break;
+    case AggregateFunc::kSum: func = "sum"; break;
+    case AggregateFunc::kAvg: func = "avg"; break;
+    case AggregateFunc::kMin: func = "min"; break;
+    case AggregateFunc::kMax: func = "max"; break;
+  }
+  return std::string(func) + "(" +
+         (item.column.empty() ? "*" : item.column) + ")";
+}
+
+ColumnType AggregateType(const SelectItem& item, const Table& table) {
+  switch (item.func) {
+    case AggregateFunc::kCount:
+      return ColumnType::kInt;
+    case AggregateFunc::kSum:
+    case AggregateFunc::kAvg:
+      return ColumnType::kDouble;
+    case AggregateFunc::kMin:
+    case AggregateFunc::kMax: {
+      const std::size_t index = table.schema().FindColumn(item.column);
+      CCDB_CHECK_NE(index, Schema::kNotFound);
+      return table.schema().column(index).type;
+    }
+  }
+  return ColumnType::kDouble;
+}
+
+// Numbers each row's group in first-seen order and records the row that
+// opened each group. Groups are values, not their renderings: NULLs form
+// one group, strings group by content, BOOL and INT cells by exact value,
+// and DOUBLE cells (ints among them) by numeric value, so 1 and 1.0 share
+// a group and 1.0000001 and 1.0000002 do not.
+std::vector<std::size_t> AssignGroups(const std::vector<Value>& cells,
+                                      ColumnType type,
+                                      const std::vector<std::size_t>& rows,
+                                      std::vector<std::size_t>& first_rows) {
+  std::vector<std::size_t> group_of;
+  group_of.reserve(rows.size());
+  std::optional<std::size_t> null_group;
+  std::unordered_map<std::uint64_t, std::size_t> numbers;
+  std::unordered_map<std::string_view, std::size_t> strings;
+  for (std::size_t row : rows) {
+    const Value& cell = cells[row];
+    const std::size_t next = first_rows.size();
+    std::size_t group = next;
+    if (IsNull(cell)) {
+      group = null_group.value_or(next);
+      null_group = group;
+    } else if (const std::string* s = std::get_if<std::string>(&cell)) {
+      group = strings.try_emplace(*s, next).first->second;
+    } else if (type == ColumnType::kDouble) {
+      // Adding +0.0 turns -0.0 into +0.0, so the two share a group.
+      const double value = AsNumeric(cell) + 0.0;
+      group = numbers.try_emplace(std::bit_cast<std::uint64_t>(value), next)
+                  .first->second;
+    } else {
+      const bool* b = std::get_if<bool>(&cell);
+      const std::int64_t exact =
+          b != nullptr ? *b : std::get<std::int64_t>(cell);
+      group = numbers.try_emplace(static_cast<std::uint64_t>(exact), next)
+                  .first->second;
+    }
+    if (group == next) first_rows.push_back(row);
+    group_of.push_back(group);
+  }
+  return group_of;
+}
+
+StatusOr<Table> ExecuteAggregates(
+    const Table& table, const SelectStatement& statement,
+    std::optional<BoundCondition>& where) {
+  const bool grouped = !statement.group_by_column.empty();
+  std::size_t group_column = Schema::kNotFound;
+  if (grouped) {
+    group_column = table.schema().FindColumn(statement.group_by_column);
+    CCDB_CHECK_NE(group_column, Schema::kNotFound);
+  }
+
+  // Validate the select list: plain columns must be the GROUP BY column;
+  // aggregate arguments (and SUM/AVG numeric-ness) must resolve.
+  for (const SelectItem& item : statement.items) {
+    if (item.kind == SelectItem::Kind::kColumn) {
+      if (!grouped || item.column != statement.group_by_column) {
+        return Status::InvalidArgument(
+            "non-aggregate column " + item.column +
+            " must appear in GROUP BY");
+      }
+      continue;
+    }
+    if (item.column.empty()) continue;  // COUNT(*)
+    const std::size_t index = table.schema().FindColumn(item.column);
+    if (index == Schema::kNotFound) {
+      return Status::NotFound("no such column: " + item.column);
+    }
+    const ColumnType type = table.schema().column(index).type;
+    if ((item.func == AggregateFunc::kSum ||
+         item.func == AggregateFunc::kAvg) &&
+        type == ColumnType::kString) {
+      return Status::InvalidArgument("SUM/AVG need a numeric column");
+    }
+  }
+
+  // Bind the aggregate output: HAVING and ORDER BY refer to its columns
+  // by name, e.g. "count(*)".
+  std::vector<ColumnDef> result_columns;
+  for (const SelectItem& item : statement.items) {
+    if (item.kind == SelectItem::Kind::kColumn) {
+      result_columns.push_back(table.schema().column(group_column));
+    } else {
+      result_columns.push_back(
+          {AggregateName(item), AggregateType(item, table)});
+    }
+  }
+  if (Status status = CheckDistinct(result_columns); !status.ok()) {
+    return status;
+  }
+  const Schema result_schema(result_columns);
+  std::vector<std::vector<Value>> result(result_columns.size());
+  Columns result_cells;
+  for (const std::vector<Value>& column : result) {
+    result_cells.push_back(&column);
+  }
+  std::optional<BoundCondition> having;
+  if (statement.having != nullptr) {
+    StatusOr<BoundCondition> bound =
+        BoundCondition::Bind(*statement.having, result_schema, result_cells);
+    if (!bound.ok()) return bound.status();
+    having.emplace(std::move(bound).value());
+  }
+  std::size_t order_index = Schema::kNotFound;
+  if (!statement.order_by_column.empty()) {
+    order_index = result_schema.FindColumn(statement.order_by_column);
+    if (order_index == Schema::kNotFound) {
+      return Status::InvalidArgument(
+          "ORDER BY column must appear in the aggregate select list");
+    }
+  }
+
+  // Filter, then number each row's group in first-seen order.
+  const std::vector<std::size_t> rows = SelectRows(
+      where, table.num_rows(), std::numeric_limits<std::size_t>::max());
+  // Without GROUP BY every row is in group 0, which exists even over no
+  // rows.
+  std::vector<std::size_t> group_of(rows.size(), 0);
+  std::vector<std::size_t> first_rows;
+  if (grouped) {
+    group_of = AssignGroups(table.Column(group_column),
+                            table.schema().column(group_column).type, rows,
+                            first_rows);
+  }
+  const std::size_t num_groups = grouped ? first_rows.size() : 1;
+
+  // Aggregate, one output column at a time.
+  for (std::size_t i = 0; i < statement.items.size(); ++i) {
+    const SelectItem& item = statement.items[i];
+    std::vector<Value>& out = result[i];
+    out.reserve(num_groups);
+    if (item.kind == SelectItem::Kind::kColumn) {
+      const std::vector<Value>& keys = table.Column(group_column);
+      for (std::size_t row : first_rows) out.push_back(keys[row]);
+      continue;
+    }
+    std::vector<AggregateState> states(num_groups);
+    if (item.column.empty()) {  // COUNT(*)
+      for (std::size_t group : group_of) ++states[group].count;
+    } else {
+      const std::vector<Value>& cells =
+          table.Column(table.schema().FindColumn(item.column));
+      for (std::size_t k = 0; k < rows.size(); ++k) {
+        states[group_of[k]].Accumulate(cells[rows[k]]);
+      }
+    }
+    for (const AggregateState& state : states) {
+      out.push_back(state.Finalize(item.func));
+    }
+  }
+
+  // HAVING, ORDER BY and LIMIT over the groups.
+  std::vector<std::size_t> kept =
+      SelectRows(having, num_groups, std::numeric_limits<std::size_t>::max());
+  const std::size_t limit =
+      statement.limit.value_or(std::numeric_limits<std::size_t>::max());
+  if (order_index != Schema::kNotFound) {
+    OrderRows(result[order_index], statement.order_descending, limit, kept);
+  } else if (kept.size() > limit) {
+    kept.resize(limit);
+  }
+  return Gather(result_cells, std::move(result_columns), kept);
 }
 
 }  // namespace
@@ -191,290 +748,59 @@ StatusOr<Table> Database::ExecuteSelect(const SelectStatement& statement) {
     return status;
   }
 
-  // Filter.
-  std::vector<std::size_t> selected_rows;
-  for (std::size_t row = 0; row < table->num_rows(); ++row) {
-    if (statement.where == nullptr) {
-      selected_rows.push_back(row);
-      continue;
-    }
-    StatusOr<std::optional<bool>> keep =
-        EvaluateBool(*statement.where, *table, row);
-    if (!keep.ok()) return keep.status();
-    if (keep.value().has_value() && *keep.value()) {
-      selected_rows.push_back(row);
-    }
+  // Bind.
+  const Schema& schema = table->schema();
+  Columns columns;
+  for (std::size_t c = 0; c < schema.num_columns(); ++c) {
+    columns.push_back(&table->Column(c));
   }
-
-  // Aggregate path: GROUP BY / aggregate functions over the filtered set.
+  std::optional<BoundCondition> where;
+  if (statement.where != nullptr) {
+    StatusOr<BoundCondition> bound =
+        BoundCondition::Bind(*statement.where, schema, columns);
+    if (!bound.ok()) return bound.status();
+    where.emplace(std::move(bound).value());
+  }
   if (statement.HasAggregates()) {
-    return ExecuteAggregates(*table, statement, selected_rows);
+    return ExecuteAggregates(*table, statement, where);
   }
   if (statement.having != nullptr) {
     return Status::InvalidArgument("HAVING requires aggregates");
   }
-
-  // Order.
-  if (!statement.order_by_column.empty()) {
-    const std::size_t order_index =
-        table->schema().FindColumn(statement.order_by_column);
-    CCDB_CHECK_NE(order_index, Schema::kNotFound);
-    std::stable_sort(
-        selected_rows.begin(), selected_rows.end(),
-        [&](std::size_t a, std::size_t b) {
-          const Value& va = table->Get(a, order_index);
-          const Value& vb = table->Get(b, order_index);
-          if (IsNull(va)) return false;  // NULLs sort last either way
-          if (IsNull(vb)) return true;
-          const int cmp = CompareNonNull(va, vb);
-          return statement.order_descending ? cmp > 0 : cmp < 0;
-        });
-  }
-
-  // Limit.
-  if (statement.limit.has_value() &&
-      selected_rows.size() > *statement.limit) {
-    selected_rows.resize(*statement.limit);
-  }
-
-  // Project.
-  std::vector<std::size_t> projection;
+  Columns projection;
   std::vector<ColumnDef> result_columns;
   if (statement.items.empty()) {
-    projection.resize(table->schema().num_columns());
-    std::iota(projection.begin(), projection.end(), 0u);
-    result_columns = table->schema().columns();
+    projection = columns;
+    result_columns = schema.columns();
   } else {
     for (const SelectItem& item : statement.items) {
-      const std::size_t index = table->schema().FindColumn(item.column);
+      const std::size_t index = schema.FindColumn(item.column);
       CCDB_CHECK_NE(index, Schema::kNotFound);
-      projection.push_back(index);
-      result_columns.push_back(table->schema().column(index));
+      projection.push_back(columns[index]);
+      result_columns.push_back(schema.column(index));
     }
   }
-
-  Table result("result", Schema(result_columns));
-  for (std::size_t row : selected_rows) {
-    std::vector<Value> values;
-    values.reserve(projection.size());
-    for (std::size_t column : projection) {
-      values.push_back(table->Get(row, column));
-    }
-    const Status status = result.AppendRow(std::move(values));
-    if (!status.ok()) return status;
-  }
-  return result;
-}
-
-namespace {
-
-// Running state of one aggregate within one group.
-struct AggregateState {
-  std::size_t count = 0;   // non-NULL inputs seen
-  double sum = 0.0;
-  Value min;
-  Value max;
-
-  void Accumulate(const Value& value) {
-    if (IsNull(value)) return;
-    ++count;
-    if (!std::holds_alternative<std::string>(value)) {
-      sum += AsNumeric(value);
-    }
-    if (IsNull(min) || CompareNonNull(value, min) < 0) min = value;
-    if (IsNull(max) || CompareNonNull(value, max) > 0) max = value;
+  if (Status status = CheckDistinct(result_columns); !status.ok()) {
+    return status;
   }
 
-  Value Finalize(AggregateFunc func) const {
-    switch (func) {
-      case AggregateFunc::kCount:
-        return Value(static_cast<std::int64_t>(count));
-      case AggregateFunc::kSum:
-        return count == 0 ? Value{} : Value(sum);
-      case AggregateFunc::kAvg:
-        return count == 0 ? Value{}
-                          : Value(sum / static_cast<double>(count));
-      case AggregateFunc::kMin:
-        return min;
-      case AggregateFunc::kMax:
-        return max;
-    }
-    return Value{};
-  }
-};
-
-std::string AggregateName(const SelectItem& item) {
-  const char* func = "count";
-  switch (item.func) {
-    case AggregateFunc::kCount: func = "count"; break;
-    case AggregateFunc::kSum: func = "sum"; break;
-    case AggregateFunc::kAvg: func = "avg"; break;
-    case AggregateFunc::kMin: func = "min"; break;
-    case AggregateFunc::kMax: func = "max"; break;
-  }
-  return std::string(func) + "(" +
-         (item.column.empty() ? "*" : item.column) + ")";
-}
-
-ColumnType AggregateType(const SelectItem& item, const Table& table) {
-  switch (item.func) {
-    case AggregateFunc::kCount:
-      return ColumnType::kInt;
-    case AggregateFunc::kSum:
-    case AggregateFunc::kAvg:
-      return ColumnType::kDouble;
-    case AggregateFunc::kMin:
-    case AggregateFunc::kMax: {
-      const std::size_t index = table.schema().FindColumn(item.column);
-      CCDB_CHECK_NE(index, Schema::kNotFound);
-      return table.schema().column(index).type;
-    }
-  }
-  return ColumnType::kDouble;
-}
-
-}  // namespace
-
-StatusOr<Table> Database::ExecuteAggregates(
-    const Table& table, const SelectStatement& statement,
-    const std::vector<std::size_t>& selected_rows) {
-  const bool grouped = !statement.group_by_column.empty();
-  std::size_t group_column = Schema::kNotFound;
-  if (grouped) {
-    group_column = table.schema().FindColumn(statement.group_by_column);
-    CCDB_CHECK_NE(group_column, Schema::kNotFound);
-  }
-
-  // Validate the select list: plain columns must be the GROUP BY column;
-  // aggregate arguments (and SUM/AVG numeric-ness) must resolve.
-  for (const SelectItem& item : statement.items) {
-    if (item.kind == SelectItem::Kind::kColumn) {
-      if (!grouped || item.column != statement.group_by_column) {
-        return Status::InvalidArgument(
-            "non-aggregate column " + item.column +
-            " must appear in GROUP BY");
-      }
-      continue;
-    }
-    if (item.column.empty()) continue;  // COUNT(*)
-    const std::size_t index = table.schema().FindColumn(item.column);
-    if (index == Schema::kNotFound) {
-      return Status::NotFound("no such column: " + item.column);
-    }
-    const ColumnType type = table.schema().column(index).type;
-    if ((item.func == AggregateFunc::kSum ||
-         item.func == AggregateFunc::kAvg) &&
-        type == ColumnType::kString) {
-      return Status::InvalidArgument("SUM/AVG need a numeric column");
-    }
-  }
-
-  // Partition rows into groups, preserving first-seen group order.
-  std::vector<Value> group_keys;
-  std::vector<std::vector<std::size_t>> groups;
-  if (!grouped) {
-    group_keys.emplace_back();
-    groups.push_back(selected_rows);
-  } else {
-    std::map<std::string, std::size_t> group_index;  // rendered key → slot
-    for (std::size_t row : selected_rows) {
-      const Value& key = table.Get(row, group_column);
-      const std::string rendered = ToString(key);
-      auto [it, inserted] =
-          group_index.try_emplace(rendered, groups.size());
-      if (inserted) {
-        group_keys.push_back(key);
-        groups.emplace_back();
-      }
-      groups[it->second].push_back(row);
-    }
-  }
-
-  // Result schema.
-  std::vector<ColumnDef> result_columns;
-  for (const SelectItem& item : statement.items) {
-    if (item.kind == SelectItem::Kind::kColumn) {
-      result_columns.push_back(
-          table.schema().column(table.schema().FindColumn(item.column)));
-    } else {
-      result_columns.push_back(
-          {AggregateName(item), AggregateType(item, table)});
-    }
-  }
-
-  Table result("result", Schema(result_columns));
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    std::vector<Value> row_values;
-    for (const SelectItem& item : statement.items) {
-      if (item.kind == SelectItem::Kind::kColumn) {
-        row_values.push_back(group_keys[g]);
-        continue;
-      }
-      AggregateState state;
-      if (item.column.empty()) {
-        state.count = groups[g].size();  // COUNT(*)
-      } else {
-        const std::size_t index = table.schema().FindColumn(item.column);
-        for (std::size_t row : groups[g]) {
-          state.Accumulate(table.Get(row, index));
-        }
-      }
-      row_values.push_back(state.Finalize(item.func));
-    }
-    if (Status status = result.AppendRow(std::move(row_values));
-        !status.ok()) {
-      return status;
-    }
-  }
-
-  // HAVING filters the aggregate rows by output-column expressions.
-  std::vector<std::size_t> kept_rows;
-  for (std::size_t row = 0; row < result.num_rows(); ++row) {
-    if (statement.having == nullptr) {
-      kept_rows.push_back(row);
-      continue;
-    }
-    StatusOr<std::optional<bool>> keep =
-        EvaluateBool(*statement.having, result, row);
-    if (!keep.ok()) return keep.status();
-    if (keep.value().has_value() && *keep.value()) kept_rows.push_back(row);
-  }
-
-  // ORDER BY on the result (by output column name), then LIMIT.
-  std::vector<std::size_t>& order = kept_rows;
-  if (!statement.order_by_column.empty()) {
+  // Filter, order and limit. Without ORDER BY the scan stops once it has
+  // the rows a LIMIT returns.
+  const std::size_t limit =
+      statement.limit.value_or(std::numeric_limits<std::size_t>::max());
+  const bool ordered = !statement.order_by_column.empty();
+  std::vector<std::size_t> rows = SelectRows(
+      where, table->num_rows(),
+      ordered ? std::numeric_limits<std::size_t>::max() : limit);
+  if (ordered) {
     const std::size_t order_index =
-        result.schema().FindColumn(statement.order_by_column);
-    if (order_index == Schema::kNotFound) {
-      return Status::InvalidArgument(
-          "ORDER BY column must appear in the aggregate select list");
-    }
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       const Value& va = result.Get(a, order_index);
-                       const Value& vb = result.Get(b, order_index);
-                       if (IsNull(va)) return false;
-                       if (IsNull(vb)) return true;
-                       const int cmp = CompareNonNull(va, vb);
-                       return statement.order_descending ? cmp > 0
-                                                         : cmp < 0;
-                     });
+        schema.FindColumn(statement.order_by_column);
+    CCDB_CHECK_NE(order_index, Schema::kNotFound);
+    OrderRows(*columns[order_index], statement.order_descending, limit, rows);
+  } else if (rows.size() > limit) {
+    rows.resize(limit);
   }
-  if (statement.limit.has_value() && order.size() > *statement.limit) {
-    order.resize(*statement.limit);
-  }
-  Table final_result("result", result.schema());
-  for (std::size_t row : order) {
-    std::vector<Value> values;
-    for (std::size_t c = 0; c < result.schema().num_columns(); ++c) {
-      values.push_back(result.Get(row, c));
-    }
-    if (Status status = final_result.AppendRow(std::move(values));
-        !status.ok()) {
-      return status;
-    }
-  }
-  return final_result;
+  return Gather(projection, std::move(result_columns), rows);
 }
 
 }  // namespace ccdb::db

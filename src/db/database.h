@@ -3,7 +3,6 @@
 
 #include <map>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "db/sql_ast.h"
@@ -58,9 +57,6 @@ class Database {
  private:
   [[nodiscard]]
   Status EnsureColumns(Table& table, const SelectStatement& statement);
-  [[nodiscard]] StatusOr<Table> ExecuteAggregates(
-      const Table& table, const SelectStatement& statement,
-      const std::vector<std::size_t>& selected_rows);
 
   std::map<std::string, Table> tables_;
   MissingAttributeResolver* resolver_ = nullptr;

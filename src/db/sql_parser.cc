@@ -126,6 +126,13 @@ class Lexer {
   std::size_t pos_ = 0;
 };
 
+// How deep a WHERE or HAVING condition may nest. It caps two counts: the
+// NOTs and parentheses open at once while parsing, where the parser
+// recurses, and the NOT, AND and OR levels of the parsed tree, where the
+// binder and Expr's destructor recurse (a chain of n ANDs is n levels).
+// So no input can overflow the stack.
+constexpr std::size_t kMaxConditionDepth = 1000;
+
 std::string ToUpper(const std::string& text) {
   std::string upper = text;
   std::transform(upper.begin(), upper.end(), upper.begin(),
@@ -162,9 +169,9 @@ class Parser {
 
     if (PeekKeyword("WHERE")) {
       Advance();
-      StatusOr<std::unique_ptr<Expr>> where = ParseOr();
+      StatusOr<Condition> where = ParseOr();
       if (!where.ok()) return where.status();
-      statement.where = std::move(where).value();
+      statement.where = std::move(where).value().expr;
     }
 
     if (PeekKeyword("GROUP")) {
@@ -179,9 +186,9 @@ class Parser {
 
     if (PeekKeyword("HAVING")) {
       Advance();
-      StatusOr<std::unique_ptr<Expr>> having = ParseOr();
+      StatusOr<Condition> having = ParseOr();
       if (!having.ok()) return having.status();
-      statement.having = std::move(having).value();
+      statement.having = std::move(having).value().expr;
     }
 
     if (PeekKeyword("ORDER")) {
@@ -310,50 +317,81 @@ class Parser {
     return SelectItem::Aggregate(func, std::move(argument));
   }
 
-  StatusOr<std::unique_ptr<Expr>> ParseOr() {
-    StatusOr<std::unique_ptr<Expr>> left = ParseAnd();
+  // A parsed condition and its depth: NOT, AND and OR add one level to
+  // their deepest operand; a comparison has depth 0.
+  struct Condition {
+    std::unique_ptr<Expr> expr;
+    std::size_t depth = 0;
+  };
+
+  Status TooDeep() const {
+    return ErrorHere("condition nested deeper than " +
+                     std::to_string(kMaxConditionDepth) + " levels");
+  }
+
+  // Joins `left` and `right` under an AND or OR node.
+  StatusOr<Condition> Join(BinaryOp op, Condition left, Condition right) {
+    const std::size_t depth = std::max(left.depth, right.depth) + 1;
+    if (depth > kMaxConditionDepth) return TooDeep();
+    return Condition{
+        Expr::Binary(op, std::move(left.expr), std::move(right.expr)), depth};
+  }
+
+  StatusOr<Condition> ParseOr() {
+    StatusOr<Condition> left = ParseAnd();
     if (!left.ok()) return left;
-    std::unique_ptr<Expr> expr = std::move(left).value();
+    Condition condition = std::move(left).value();
     while (PeekKeyword("OR")) {
       Advance();
-      StatusOr<std::unique_ptr<Expr>> right = ParseAnd();
+      StatusOr<Condition> right = ParseAnd();
       if (!right.ok()) return right;
-      expr = Expr::Binary(BinaryOp::kOr, std::move(expr),
-                          std::move(right).value());
+      StatusOr<Condition> joined = Join(BinaryOp::kOr, std::move(condition),
+                                        std::move(right).value());
+      if (!joined.ok()) return joined;
+      condition = std::move(joined).value();
     }
-    return expr;
+    return condition;
   }
 
-  StatusOr<std::unique_ptr<Expr>> ParseAnd() {
-    StatusOr<std::unique_ptr<Expr>> left = ParseUnary();
+  StatusOr<Condition> ParseAnd() {
+    StatusOr<Condition> left = ParseUnary();
     if (!left.ok()) return left;
-    std::unique_ptr<Expr> expr = std::move(left).value();
+    Condition condition = std::move(left).value();
     while (PeekKeyword("AND")) {
       Advance();
-      StatusOr<std::unique_ptr<Expr>> right = ParseUnary();
+      StatusOr<Condition> right = ParseUnary();
       if (!right.ok()) return right;
-      expr = Expr::Binary(BinaryOp::kAnd, std::move(expr),
-                          std::move(right).value());
+      StatusOr<Condition> joined = Join(BinaryOp::kAnd, std::move(condition),
+                                        std::move(right).value());
+      if (!joined.ok()) return joined;
+      condition = std::move(joined).value();
     }
-    return expr;
+    return condition;
   }
 
-  StatusOr<std::unique_ptr<Expr>> ParseUnary() {
-    if (PeekKeyword("NOT")) {
-      Advance();
-      StatusOr<std::unique_ptr<Expr>> operand = ParseUnary();
-      if (!operand.ok()) return operand;
-      return Expr::Not(std::move(operand).value());
+  // NOT and '(' recurse, so they are counted on the way down, before the
+  // operand is parsed.
+  StatusOr<Condition> ParseUnary() {
+    const bool is_not = PeekKeyword("NOT");
+    if (!is_not && !PeekSymbol("(")) {
+      StatusOr<std::unique_ptr<Expr>> comparison = ParseComparison();
+      if (!comparison.ok()) return comparison.status();
+      return Condition{std::move(comparison).value(), 0};
     }
-    if (PeekSymbol("(")) {
-      Advance();
-      StatusOr<std::unique_ptr<Expr>> inner = ParseOr();
-      if (!inner.ok()) return inner;
-      if (!PeekSymbol(")")) return ErrorHere("expected ')'");
-      Advance();
-      return inner;
+    if (++nesting_ > kMaxConditionDepth) return TooDeep();
+    Advance();
+    StatusOr<Condition> inner = is_not ? ParseUnary() : ParseOr();
+    if (!inner.ok()) return inner;
+    --nesting_;
+    Condition condition = std::move(inner).value();
+    if (is_not) {
+      condition.expr = Expr::Not(std::move(condition.expr));
+      if (++condition.depth > kMaxConditionDepth) return TooDeep();
+      return condition;
     }
-    return ParseComparison();
+    if (!PeekSymbol(")")) return ErrorHere("expected ')'");
+    Advance();
+    return condition;
   }
 
   StatusOr<std::unique_ptr<Expr>> ParseOperand() {
@@ -426,6 +464,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t index_ = 0;
+  std::size_t nesting_ = 0;  // NOT and '(' levels open around Current()
 };
 
 }  // namespace

@@ -10,10 +10,14 @@ namespace ccdb::db {
 
 /// Parses the query-driven-schema-expansion subset of SQL:
 ///
-///   SELECT (\* | col [, col]...) FROM ident
+///   SELECT (\* | item [, item]...) FROM ident
 ///     [WHERE or_expr]
-///     [ORDER BY col [ASC|DESC]]
+///     [GROUP BY col]
+///     [HAVING or_expr]
+///     [ORDER BY item [ASC|DESC]]
 ///     [LIMIT n]
+///
+///   item     := col | (COUNT | SUM | AVG | MIN | MAX) '(' (* | col) ')'
 ///
 ///   or_expr  := and_expr (OR and_expr)*
 ///   and_expr := unary (AND unary)*
@@ -23,8 +27,10 @@ namespace ccdb::db {
 ///
 /// A bare column in a Boolean position (e.g. `WHERE is_comedy`) is
 /// shorthand for `column = TRUE`. Keywords are case-insensitive;
-/// identifiers are case-sensitive. Returns InvalidArgument with a
-/// position-annotated message on syntax errors.
+/// identifiers are case-sensitive. A condition nests at most 1,000 levels
+/// deep: at most 1,000 NOTs and parentheses open at once, and at most
+/// 1,000 NOT, AND and OR levels in its tree. Returns InvalidArgument with
+/// a position-annotated message on syntax errors and on deeper nesting.
 [[nodiscard]] StatusOr<SelectStatement> ParseSelect(const std::string& sql);
 
 }  // namespace ccdb::db

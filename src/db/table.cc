@@ -42,6 +42,18 @@ Table::Table(std::string name, Schema schema)
       schema_(std::move(schema)),
       columns_(schema_.num_columns()) {}
 
+Table::Table(std::string name, Schema schema,
+             std::vector<std::vector<Value>> columns)
+    : name_(std::move(name)),
+      schema_(std::move(schema)),
+      columns_(std::move(columns)),
+      num_rows_(columns_.empty() ? 0 : columns_.front().size()) {
+  CCDB_CHECK_EQ(columns_.size(), schema_.num_columns());
+  for (const std::vector<Value>& column : columns_) {
+    CCDB_CHECK_EQ(column.size(), num_rows_);
+  }
+}
+
 Status Table::AppendRow(std::vector<Value> values) {
   if (values.size() != schema_.num_columns()) {
     return Status::InvalidArgument("row arity mismatch");
@@ -86,8 +98,8 @@ Status Table::AddColumn(const ColumnDef& column) {
   return Status::Ok();
 }
 
-Status Table::FillColumn(std::size_t column,
-                         const std::vector<Value>& values) {
+Status Table::CheckFill(std::size_t column,
+                        const std::vector<Value>& values) const {
   if (column >= columns_.size()) {
     return Status::OutOfRange("no such column index");
   }
@@ -99,8 +111,20 @@ Status Table::FillColumn(std::size_t column,
       return Status::InvalidArgument("type mismatch in column fill");
     }
   }
-  columns_[column] = values;
   return Status::Ok();
+}
+
+Status Table::FillColumn(std::size_t column,
+                         const std::vector<Value>& values) {
+  Status status = CheckFill(column, values);
+  if (status.ok()) columns_[column] = values;
+  return status;
+}
+
+Status Table::FillColumn(std::size_t column, std::vector<Value>&& values) {
+  Status status = CheckFill(column, values);
+  if (status.ok()) columns_[column] = std::move(values);
+  return status;
 }
 
 std::string Table::ToText(std::size_t max_rows) const {

@@ -45,6 +45,12 @@ class Table {
  public:
   Table() = default;
   Table(std::string name, Schema schema);
+  /// A table made of whole columns, one per schema column, all of one
+  /// length (CHECKed). The cells are taken as they are: the caller
+  /// guarantees each is NULL or conforms to its column's type, as the
+  /// executor does when it gathers a result from typed columns.
+  Table(std::string name, Schema schema,
+        std::vector<std::vector<Value>> columns);
 
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
@@ -63,14 +69,21 @@ class Table {
   /// Schema expansion: appends a new all-NULL column.
   [[nodiscard]] Status AddColumn(const ColumnDef& column);
 
-  /// Bulk-fills a column from per-row values (sizes must match).
+  /// Bulk-fills a column from per-row values (sizes and types must
+  /// match). The lvalue overload copy-assigns into the column's storage;
+  /// the rvalue overload takes the caller's vector without a copy.
   [[nodiscard]]
   Status FillColumn(std::size_t column, const std::vector<Value>& values);
+  [[nodiscard]]
+  Status FillColumn(std::size_t column, std::vector<Value>&& values);
 
   /// Renders the first `max_rows` rows as an aligned text table.
   std::string ToText(std::size_t max_rows = 20) const;
 
  private:
+  [[nodiscard]] Status CheckFill(std::size_t column,
+                                 const std::vector<Value>& values) const;
+
   std::string name_;
   Schema schema_;
   std::vector<std::vector<Value>> columns_;  // column-major storage

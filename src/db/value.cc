@@ -55,11 +55,9 @@ int CompareNonNull(const Value& left, const Value& right) {
   CCDB_CHECK_MSG(left_string == right_string,
                  "cannot compare string with non-string");
   if (left_string) {
-    const std::string& l = std::get<std::string>(left);
-    const std::string& r = std::get<std::string>(right);
-    if (l < r) return -1;
-    if (l > r) return 1;
-    return 0;
+    const int cmp =
+        std::get<std::string>(left).compare(std::get<std::string>(right));
+    return (cmp > 0) - (cmp < 0);
   }
   const double l = AsNumeric(left);
   const double r = AsNumeric(right);

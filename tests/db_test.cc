@@ -3,6 +3,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <vector>
 
 #include "db/database.h"
 #include "db/sql_parser.h"
@@ -105,6 +106,38 @@ TEST(TableTest, FillColumn) {
   EXPECT_EQ(ToString(table.Get(2, 3)), "true");
   EXPECT_FALSE(table.FillColumn(3, {Value(true)}).ok());  // size mismatch
   EXPECT_FALSE(table.FillColumn(9, {}).ok());             // bad index
+}
+
+TEST(TableTest, FillColumnCopiesAnLvalueAndTakesAnRvalue) {
+  Table table = MakeMoviesTable();
+  ASSERT_TRUE(table.AddColumn({"seen", ColumnType::kBool}).ok());
+  const std::vector<Value> kept = {Value(true), Value{}, Value(false)};
+  ASSERT_TRUE(table.FillColumn(3, kept).ok());
+  EXPECT_EQ(kept.size(), 3u);  // the caller's vector is left as it was
+  EXPECT_EQ(table.Column(3), kept);
+
+  std::vector<Value> moved = {Value(false), Value(true), Value{}};
+  const Value* cells = moved.data();
+  ASSERT_TRUE(table.FillColumn(3, std::move(moved)).ok());
+  EXPECT_EQ(table.Column(3).data(), cells);  // taken, not copied
+  EXPECT_EQ(ToString(table.Get(1, 3)), "true");
+
+  std::vector<Value> wrong_type = {Value(1.0), Value(2.0), Value(3.0)};
+  EXPECT_EQ(table.FillColumn(3, std::move(wrong_type)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ToString(table.Get(1, 3)), "true");  // a failed fill changes nothing
+}
+
+TEST(TableTest, ConstructsFromWholeColumns) {
+  Table table("t",
+              Schema({{"name", ColumnType::kString}, {"x", ColumnType::kDouble}}),
+              {{Value(std::string("a")), Value{}},
+               {Value(1.5), Value(static_cast<std::int64_t>(2))}});
+  EXPECT_EQ(table.num_rows(), 2u);
+  EXPECT_EQ(ToString(table.Get(0, 0)), "a");
+  EXPECT_TRUE(IsNull(table.Get(1, 0)));
+  EXPECT_EQ(ToString(table.Get(1, 1)), "2");
+  EXPECT_EQ(Table("empty", Schema(), {}).num_rows(), 0u);
 }
 
 TEST(TableTest, ToTextRendersRows) {
@@ -642,6 +675,183 @@ TEST(DatabaseTest, AggregateNullHandling) {
   EXPECT_EQ(ToString(result.value().Get(0, 0)), "2");  // COUNT(*) counts rows
   EXPECT_EQ(ToString(result.value().Get(0, 1)), "1");  // COUNT(x) skips NULL
   EXPECT_NEAR(std::get<double>(result.value().Get(0, 2)), 2.0, 1e-9);
+}
+
+// GROUP BY groups by value, not by the value's rendering: doubles print
+// with 6 significant digits and the string 'NULL' prints like NULL.
+TEST(DatabaseTest, GroupByGroupsByValue) {
+  Schema schema({{"x", ColumnType::kDouble}, {"s", ColumnType::kString}});
+  Table table("t", schema);
+  ASSERT_TRUE(
+      table.AppendRow({Value(1.0000001), Value(std::string("NULL"))}).ok());
+  ASSERT_TRUE(table.AppendRow({Value(1.0000002), Value{}}).ok());
+  ASSERT_TRUE(
+      table.AppendRow({Value(1.0000003), Value(std::string("a"))}).ok());
+  ASSERT_TRUE(table.AppendRow({Value(1.0), Value(std::string("a"))}).ok());
+  ASSERT_TRUE(table
+                  .AppendRow({Value(static_cast<std::int64_t>(1)),
+                              Value(std::string("a"))})
+                  .ok());
+  Database database;
+  ASSERT_TRUE(database.AddTable(std::move(table)).ok());
+
+  const auto by_x = database.Execute("SELECT x, COUNT(*) FROM t GROUP BY x");
+  ASSERT_TRUE(by_x.ok()) << by_x.status().ToString();
+  ASSERT_EQ(by_x.value().num_rows(), 4u);
+  EXPECT_EQ(std::get<double>(by_x.value().Get(1, 0)), 1.0000002);
+  EXPECT_EQ(ToString(by_x.value().Get(1, 1)), "1");
+  // An int 1 and a 1.0 in a DOUBLE column are one group, keyed by the
+  // first one seen.
+  EXPECT_EQ(std::get<double>(by_x.value().Get(3, 0)), 1.0);
+  EXPECT_EQ(ToString(by_x.value().Get(3, 1)), "2");
+  const auto one = database.Execute("SELECT x FROM t WHERE x = 1.0000002");
+  ASSERT_TRUE(one.ok());
+  EXPECT_EQ(one.value().num_rows(), 1u);
+
+  const auto by_s = database.Execute(
+      "SELECT s, COUNT(*) FROM t GROUP BY s ORDER BY count(*) DESC");
+  ASSERT_TRUE(by_s.ok()) << by_s.status().ToString();
+  ASSERT_EQ(by_s.value().num_rows(), 3u);
+  EXPECT_EQ(ToString(by_s.value().Get(0, 0)), "a");
+  EXPECT_EQ(ToString(by_s.value().Get(0, 1)), "3");
+  EXPECT_EQ(std::get<std::string>(by_s.value().Get(1, 0)), "NULL");
+  EXPECT_EQ(ToString(by_s.value().Get(1, 1)), "1");
+  EXPECT_TRUE(IsNull(by_s.value().Get(2, 0)));
+  EXPECT_EQ(ToString(by_s.value().Get(2, 1)), "1");
+}
+
+// Binding type-checks a statement before any row is read, so these fail
+// on a table where no row reaches the ill-typed part.
+TEST(DatabaseTest, TypeErrorsAreRaisedAtPlanTime) {
+  Schema schema({{"name", ColumnType::kString},
+                 {"year", ColumnType::kInt},
+                 {"ok", ColumnType::kBool}});
+  Table table("t", schema);
+  ASSERT_TRUE(table.AppendRow({Value{}, Value{}, Value(true)}).ok());
+  Database database;
+  ASSERT_TRUE(database.AddTable(std::move(table)).ok());
+  ASSERT_TRUE(database.AddTable(Table("empty", schema)).ok());
+
+  for (const char* sql :
+       {"SELECT * FROM t WHERE name > 5",
+        "SELECT * FROM empty WHERE name > 5",
+        "SELECT * FROM t WHERE ok = false AND year = 'x'",
+        "SELECT name FROM empty WHERE ok OR NOT 'a' < year LIMIT 0"}) {
+    const auto result = database.Execute(sql);
+    ASSERT_FALSE(result.ok()) << sql;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << sql;
+    EXPECT_EQ(result.status().message(),
+              "type mismatch: cannot compare string with non-string")
+        << sql;
+  }
+  const auto having = database.Execute(
+      "SELECT name, MIN(year) FROM empty GROUP BY name HAVING min(year) > 'x'");
+  ASSERT_FALSE(having.ok());
+  EXPECT_EQ(having.status().code(), StatusCode::kInvalidArgument);
+
+  const auto unknown = database.Execute(
+      "SELECT name, COUNT(*) FROM empty GROUP BY name HAVING year > 1");
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(unknown.status().message(), "no such column: year");
+
+  // A NULL literal never mismatches: the comparison is UNKNOWN.
+  SelectStatement statement;
+  statement.table = "t";
+  statement.where = Expr::Binary(BinaryOp::kEq, Expr::Column("name"),
+                                 Expr::Literal(Value{}));
+  const auto null_literal = database.ExecuteSelect(statement);
+  ASSERT_TRUE(null_literal.ok()) << null_literal.status().ToString();
+  EXPECT_EQ(null_literal.value().num_rows(), 0u);
+
+  // A non-Boolean column in a Boolean position.
+  statement.where = Expr::Column("year");
+  const auto non_boolean = database.ExecuteSelect(statement);
+  ASSERT_FALSE(non_boolean.ok());
+  EXPECT_EQ(non_boolean.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(non_boolean.status().message(),
+            "non-Boolean value used as a condition");
+}
+
+TEST(DatabaseTest, DuplicateOutputColumnsAreAnError) {
+  Database database;
+  ASSERT_TRUE(database.AddTable(MakeMoviesTable()).ok());
+  for (const char* sql :
+       {"SELECT name, name FROM movies",
+        "SELECT COUNT(*), count(*) FROM movies",
+        "SELECT name, COUNT(*), name FROM movies GROUP BY name"}) {
+    const auto result = database.Execute(sql);
+    ASSERT_FALSE(result.ok()) << sql;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << sql;
+  }
+}
+
+// ORDER BY … LIMIT k returns the prefix of a stable sort: NULLs last in
+// either direction, ties in row order.
+TEST(DatabaseTest, OrderByLimitKeepsStableOrderWithNullsLast) {
+  Schema schema({{"id", ColumnType::kInt}, {"x", ColumnType::kDouble}});
+  Table table("t", schema);
+  const std::vector<Value> xs = {Value{},      Value(2.0), Value(1.0),
+                                 Value(2.0),   Value{},    Value(1.0),
+                                 Value(static_cast<std::int64_t>(2))};
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    ASSERT_TRUE(
+        table.AppendRow({Value(static_cast<std::int64_t>(i)), xs[i]}).ok());
+  }
+  Database database;
+  ASSERT_TRUE(database.AddTable(std::move(table)).ok());
+  const auto ids = [&](const std::string& sql) {
+    const auto result = database.Execute(sql);
+    EXPECT_TRUE(result.ok()) << sql;
+    std::string out;
+    for (std::size_t row = 0; row < result.value().num_rows(); ++row) {
+      out += ToString(result.value().Get(row, 0));
+    }
+    return out;
+  };
+  EXPECT_EQ(ids("SELECT id FROM t ORDER BY x"), "2513604");
+  EXPECT_EQ(ids("SELECT id FROM t ORDER BY x DESC"), "1362504");
+  EXPECT_EQ(ids("SELECT id FROM t ORDER BY x DESC LIMIT 2"), "13");
+  EXPECT_EQ(ids("SELECT id FROM t ORDER BY x LIMIT 6"), "251360");
+  EXPECT_EQ(ids("SELECT id FROM t ORDER BY x LIMIT 0"), "");
+  EXPECT_EQ(ids("SELECT id FROM t WHERE x >= 1 LIMIT 3"), "123");
+}
+
+TEST(DatabaseTest, DeeplyNestedConditionsAreRejected) {
+  Database database;
+  ASSERT_TRUE(database.AddTable(MakeMoviesTable()).ok());
+  const auto repeat = [](const std::string& text, std::size_t times) {
+    std::string out;
+    out.reserve(text.size() * times);
+    for (std::size_t i = 0; i < times; ++i) out += text;
+    return out;
+  };
+  const std::string kTooDeep[] = {
+      "SELECT * FROM movies WHERE " + repeat("NOT ", 100000) + "year > 1",
+      "SELECT * FROM movies WHERE " + repeat("(", 100000) + "year > 1" +
+          repeat(")", 100000),
+      "SELECT * FROM movies WHERE year > 1" + repeat(" AND year > 1", 100000),
+      "SELECT * FROM movies WHERE year > 1" + repeat(" OR year > 1", 100000),
+      "SELECT name, COUNT(*) FROM movies GROUP BY name HAVING " +
+          repeat("NOT ", 1001) + "count(*) > 1",
+  };
+  for (const std::string& sql : kTooDeep) {
+    const auto result = database.Execute(sql);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("nested deeper than 1000"),
+              std::string::npos)
+        << result.status().message();
+  }
+  // 1,000 levels are still fine.
+  const auto deep = database.Execute("SELECT * FROM movies WHERE " +
+                                     repeat("NOT ", 1000) + "year > 1970");
+  ASSERT_TRUE(deep.ok()) << deep.status().ToString();
+  EXPECT_EQ(deep.value().num_rows(), 2u);  // an even number of NOTs
+  const auto chain = database.Execute(
+      "SELECT * FROM movies WHERE year > 1970" + repeat(" AND year > 1", 999));
+  ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+  EXPECT_EQ(chain.value().num_rows(), 2u);
 }
 
 TEST(DatabaseTest, DuplicateTableRejected) {

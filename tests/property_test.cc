@@ -5,12 +5,20 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
+#include <memory>
+#include <numeric>
+#include <optional>
 #include <span>
+#include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
+#include <variant>
 #include <vector>
 
+#include "common/check.h"
 #include "common/journal.h"
 #include "common/matrix.h"
 #include "common/rng.h"
@@ -20,6 +28,7 @@
 #include "eval/metrics.h"
 #include "eval/neighbors.h"
 #include "svm/classifier.h"
+#include "db/database.h"
 #include "db/sql_parser.h"
 #include "factorization/factor_model.h"
 #include "svm/kernel.h"
@@ -1266,6 +1275,962 @@ TEST_P(SqlFuzzProperty, CorruptedStatementsFailCleanly) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SqlFuzzProperty,
                          ::testing::Values(1u, 99u, 31337u));
+
+// ------------------------------------------------- SQL parser robustness
+//
+// Seeded truncations and single-byte mutations of a corpus of valid
+// statements: every ParseSelect call returns OK or InvalidArgument, and
+// every statement that parses runs to a result or a Status, never to an
+// abort (which would end the test binary).
+
+namespace sqlmutation {
+
+const char* const kCorpus[] = {
+    "SELECT * FROM movies",
+    "SELECT name, year FROM movies WHERE year >= 1970 AND NOT is_comedy",
+    "SELECT name FROM movies WHERE (rating > 8.0 OR name = 'It''s') AND "
+    "year != 1960 ORDER BY rating DESC LIMIT 2",
+    "SELECT genre, COUNT(*), AVG(rating), MIN(name), MAX(year) FROM movies "
+    "GROUP BY genre HAVING count(*) >= 2 AND avg(rating) < 9 "
+    "ORDER BY count(*) DESC LIMIT 3",
+    "SELECT COUNT(year), SUM(rating) FROM movies WHERE NOT (is_comedy = "
+    "false) OR rating <= -1.5",
+    "SELECT item_id FROM movies WHERE name <> 'x' ORDER BY name ASC LIMIT 0",
+};
+
+db::Database MoviesDatabase() {
+  db::Table table("movies", db::Schema({{"item_id", db::ColumnType::kInt},
+                                        {"name", db::ColumnType::kString},
+                                        {"year", db::ColumnType::kInt},
+                                        {"rating", db::ColumnType::kDouble},
+                                        {"is_comedy", db::ColumnType::kBool},
+                                        {"genre", db::ColumnType::kString}}));
+  const auto row = [&](std::int64_t id, db::Value name, db::Value year,
+                       db::Value rating, db::Value comedy, db::Value genre) {
+    CCDB_CHECK(table
+                   .AppendRow({db::Value(id), std::move(name), std::move(year),
+                               std::move(rating), std::move(comedy),
+                               std::move(genre)})
+                   .ok());
+  };
+  using db::Value;
+  row(0, Value(std::string("Rocky")), Value(std::int64_t{1976}), Value(8.1),
+      Value(false), Value(std::string("drama")));
+  row(1, Value(std::string("It's")), Value(std::int64_t{1960}), Value(8.5),
+      Value{}, Value(std::string("horror")));
+  row(2, Value{}, Value{}, Value(std::int64_t{7}), Value(true),
+      Value(std::string("comedy")));
+  row(3, Value(std::string("x")), Value(std::int64_t{1999}), Value{},
+      Value(true), Value{});
+  db::Database database;
+  CCDB_CHECK(database.AddTable(std::move(table)).ok());
+  return database;
+}
+
+void Check(db::Database& database, const std::string& sql) {
+  const StatusOr<db::SelectStatement> statement = db::ParseSelect(sql);
+  if (!statement.ok()) {
+    EXPECT_EQ(statement.status().code(), StatusCode::kInvalidArgument)
+        << sql << " → " << statement.status().ToString();
+    return;
+  }
+  const StatusOr<db::Table> result = database.ExecuteSelect(statement.value());
+  if (result.ok()) {
+    EXPECT_LE(result.value().num_rows(), 4u) << sql;
+  }
+}
+
+}  // namespace sqlmutation
+
+TEST(SqlMutation, EveryTruncationParsesOrFailsCleanly) {
+  db::Database database = sqlmutation::MoviesDatabase();
+  for (const std::string sql : sqlmutation::kCorpus) {
+    for (std::size_t length = 0; length <= sql.size(); ++length) {
+      sqlmutation::Check(database, sql.substr(0, length));
+    }
+  }
+}
+
+class SqlMutationProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SqlMutationProperty, SingleByteMutationsParseOrFailCleanly) {
+  db::Database database = sqlmutation::MoviesDatabase();
+  Rng rng(GetParam());
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::string sql = sqlmutation::kCorpus[rng.UniformInt(
+        std::size(sqlmutation::kCorpus))];
+    const std::size_t at = rng.UniformInt(sql.size());
+    // Mostly printable bytes, sometimes a control or non-ASCII byte.
+    const char byte = static_cast<char>(
+        rng.Bernoulli(0.9) ? 32 + rng.UniformInt(95) : rng.UniformInt(256));
+    switch (rng.UniformInt(3)) {
+      case 0: sql[at] = byte; break;
+      case 1: sql.insert(at, 1, byte); break;
+      default: sql.erase(at, 1); break;
+    }
+    sqlmutation::Check(database, sql);
+    if (HasFailure()) {
+      ADD_FAILURE() << "seed " << GetParam() << ", trial " << trial;
+      return;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SqlMutationProperty,
+                         ::testing::Values(7u, 8u, 9u));
+
+// ------------------------------------------ SQL executor differential oracle
+//
+// db::Database::ExecuteSelect against a row-at-a-time reference: the
+// executor as it was before statements were bound, that is
+// EvaluateBool/EvaluateValue once per row, a stable sort before LIMIT and a
+// row-wise projection, except that GROUP BY groups by value. Each case is a
+// seeded schema, table and statement; a failure prints all three and the
+// command that replays the case alone.
+
+namespace sqloracle {
+
+using db::BinaryOp;
+using db::ColumnDef;
+using db::ColumnType;
+using db::Expr;
+using db::SelectItem;
+using db::SelectStatement;
+using db::Table;
+using db::Value;
+
+// ---- The reference.
+
+StatusOr<Value> EvaluateValue(const Expr& expr, const Table& table,
+                              std::size_t row);
+
+StatusOr<std::optional<bool>> EvaluateBool(const Expr& expr,
+                                           const Table& table,
+                                           std::size_t row) {
+  switch (expr.kind) {
+    case Expr::Kind::kNot: {
+      StatusOr<std::optional<bool>> inner =
+          EvaluateBool(*expr.left, table, row);
+      if (!inner.ok()) return inner;
+      const std::optional<bool> v = inner.value();
+      if (!v.has_value()) return std::optional<bool>();
+      return std::optional<bool>(!*v);
+    }
+    case Expr::Kind::kBinary: {
+      if (expr.op == BinaryOp::kAnd || expr.op == BinaryOp::kOr) {
+        StatusOr<std::optional<bool>> left =
+            EvaluateBool(*expr.left, table, row);
+        if (!left.ok()) return left;
+        StatusOr<std::optional<bool>> right =
+            EvaluateBool(*expr.right, table, row);
+        if (!right.ok()) return right;
+        const std::optional<bool> l = left.value();
+        const std::optional<bool> r = right.value();
+        if (expr.op == BinaryOp::kAnd) {
+          if (l.has_value() && !*l) return std::optional<bool>(false);
+          if (r.has_value() && !*r) return std::optional<bool>(false);
+          if (l.has_value() && r.has_value()) return std::optional<bool>(true);
+          return std::optional<bool>();
+        }
+        if (l.has_value() && *l) return std::optional<bool>(true);
+        if (r.has_value() && *r) return std::optional<bool>(true);
+        if (l.has_value() && r.has_value()) return std::optional<bool>(false);
+        return std::optional<bool>();
+      }
+      StatusOr<Value> left = EvaluateValue(*expr.left, table, row);
+      if (!left.ok()) return left.status();
+      StatusOr<Value> right = EvaluateValue(*expr.right, table, row);
+      if (!right.ok()) return right.status();
+      if (db::IsNull(left.value()) || db::IsNull(right.value())) {
+        return std::optional<bool>();
+      }
+      const bool left_string =
+          std::holds_alternative<std::string>(left.value());
+      const bool right_string =
+          std::holds_alternative<std::string>(right.value());
+      if (left_string != right_string) {
+        return Status::InvalidArgument(
+            "type mismatch: cannot compare string with non-string");
+      }
+      const int cmp = db::CompareNonNull(left.value(), right.value());
+      bool result = false;
+      switch (expr.op) {
+        case BinaryOp::kEq: result = cmp == 0; break;
+        case BinaryOp::kNe: result = cmp != 0; break;
+        case BinaryOp::kLt: result = cmp < 0; break;
+        case BinaryOp::kLe: result = cmp <= 0; break;
+        case BinaryOp::kGt: result = cmp > 0; break;
+        case BinaryOp::kGe: result = cmp >= 0; break;
+        default: return Status::Internal("unexpected operator");
+      }
+      return std::optional<bool>(result);
+    }
+    case Expr::Kind::kColumn:
+    case Expr::Kind::kLiteral: {
+      StatusOr<Value> value = EvaluateValue(expr, table, row);
+      if (!value.ok()) return value.status();
+      if (db::IsNull(value.value())) return std::optional<bool>();
+      if (const bool* b = std::get_if<bool>(&value.value())) {
+        return std::optional<bool>(*b);
+      }
+      return Status::InvalidArgument("non-Boolean value used as a condition");
+    }
+  }
+  return Status::Internal("unreachable");
+}
+
+StatusOr<Value> EvaluateValue(const Expr& expr, const Table& table,
+                              std::size_t row) {
+  switch (expr.kind) {
+    case Expr::Kind::kLiteral:
+      return expr.literal;
+    case Expr::Kind::kColumn: {
+      const std::size_t index = table.schema().FindColumn(expr.column);
+      if (index == db::Schema::kNotFound) {
+        return Status::NotFound("no such column: " + expr.column);
+      }
+      return table.Get(row, index);
+    }
+    default: {
+      StatusOr<std::optional<bool>> value = EvaluateBool(expr, table, row);
+      if (!value.ok()) return value.status();
+      if (!value.value().has_value()) return Value{};
+      return Value(*value.value());
+    }
+  }
+}
+
+// Sorts row positions stably by one column, NULLs last either way.
+void StableSortRows(const Table& table, std::size_t column, bool descending,
+                    std::vector<std::size_t>& rows) {
+  std::stable_sort(rows.begin(), rows.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     const Value& va = table.Get(a, column);
+                     const Value& vb = table.Get(b, column);
+                     if (db::IsNull(va)) return false;
+                     if (db::IsNull(vb)) return true;
+                     const int cmp = db::CompareNonNull(va, vb);
+                     return descending ? cmp > 0 : cmp < 0;
+                   });
+}
+
+struct AggregateState {
+  std::size_t count = 0;
+  double sum = 0.0;
+  Value min;
+  Value max;
+
+  void Accumulate(const Value& value) {
+    if (db::IsNull(value)) return;
+    ++count;
+    if (!std::holds_alternative<std::string>(value)) {
+      sum += db::AsNumeric(value);
+    }
+    if (db::IsNull(min) || db::CompareNonNull(value, min) < 0) min = value;
+    if (db::IsNull(max) || db::CompareNonNull(value, max) > 0) max = value;
+  }
+
+  Value Finalize(db::AggregateFunc func) const {
+    switch (func) {
+      case db::AggregateFunc::kCount:
+        return Value(static_cast<std::int64_t>(count));
+      case db::AggregateFunc::kSum:
+        return count == 0 ? Value{} : Value(sum);
+      case db::AggregateFunc::kAvg:
+        return count == 0 ? Value{} : Value(sum / static_cast<double>(count));
+      case db::AggregateFunc::kMin:
+        return min;
+      case db::AggregateFunc::kMax:
+        return max;
+    }
+    return Value{};
+  }
+};
+
+std::string AggregateName(const SelectItem& item) {
+  static const char* kNames[] = {"count", "sum", "avg", "min", "max"};
+  return std::string(kNames[static_cast<int>(item.func)]) + "(" +
+         (item.column.empty() ? "*" : item.column) + ")";
+}
+
+// Reference grouping by exact value: NULLs together, strings by content,
+// BOOL and INT cells by value, DOUBLE cells (ints among them) by numeric
+// value.
+bool SameGroup(const Value& a, const Value& b, ColumnType type) {
+  if (db::IsNull(a) || db::IsNull(b)) return db::IsNull(a) && db::IsNull(b);
+  if (type == ColumnType::kString) {
+    return std::get<std::string>(a) == std::get<std::string>(b);
+  }
+  if (type == ColumnType::kDouble) return db::AsNumeric(a) == db::AsNumeric(b);
+  return a == b;
+}
+
+StatusOr<Table> ReferenceAggregates(const Table& table,
+                                    const SelectStatement& statement,
+                                    const std::vector<std::size_t>& rows) {
+  const db::Schema& schema = table.schema();
+  const bool grouped = !statement.group_by_column.empty();
+  const std::size_t group_column =
+      grouped ? schema.FindColumn(statement.group_by_column)
+              : db::Schema::kNotFound;
+  for (const SelectItem& item : statement.items) {
+    if (item.kind == SelectItem::Kind::kColumn) {
+      if (!grouped || item.column != statement.group_by_column) {
+        return Status::InvalidArgument("non-aggregate column " + item.column +
+                                       " must appear in GROUP BY");
+      }
+      continue;
+    }
+    if (item.column.empty()) continue;
+    const std::size_t index = schema.FindColumn(item.column);
+    if (index == db::Schema::kNotFound) {
+      return Status::NotFound("no such column: " + item.column);
+    }
+    if ((item.func == db::AggregateFunc::kSum ||
+         item.func == db::AggregateFunc::kAvg) &&
+        schema.column(index).type == ColumnType::kString) {
+      return Status::InvalidArgument("SUM/AVG need a numeric column");
+    }
+  }
+
+  std::vector<Value> group_keys;
+  std::vector<std::vector<std::size_t>> groups;
+  if (!grouped) {
+    group_keys.emplace_back();
+    groups.push_back(rows);
+  } else {
+    for (std::size_t row : rows) {
+      const Value& key = table.Get(row, group_column);
+      std::size_t g = 0;
+      while (g < groups.size() &&
+             !SameGroup(group_keys[g], key, schema.column(group_column).type)) {
+        ++g;
+      }
+      if (g == groups.size()) {
+        group_keys.push_back(key);
+        groups.emplace_back();
+      }
+      groups[g].push_back(row);
+    }
+  }
+
+  std::vector<ColumnDef> columns;
+  for (const SelectItem& item : statement.items) {
+    if (item.kind == SelectItem::Kind::kColumn) {
+      columns.push_back(schema.column(group_column));
+      continue;
+    }
+    ColumnType type = ColumnType::kDouble;
+    if (item.func == db::AggregateFunc::kCount) type = ColumnType::kInt;
+    if (item.func == db::AggregateFunc::kMin ||
+        item.func == db::AggregateFunc::kMax) {
+      type = schema.column(schema.FindColumn(item.column)).type;
+    }
+    columns.push_back({AggregateName(item), type});
+  }
+  Table result("result", db::Schema(columns));
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    std::vector<Value> values;
+    for (const SelectItem& item : statement.items) {
+      if (item.kind == SelectItem::Kind::kColumn) {
+        values.push_back(group_keys[g]);
+        continue;
+      }
+      AggregateState state;
+      if (item.column.empty()) {
+        state.count = groups[g].size();
+      } else {
+        const std::size_t index = schema.FindColumn(item.column);
+        for (std::size_t row : groups[g]) {
+          state.Accumulate(table.Get(row, index));
+        }
+      }
+      values.push_back(state.Finalize(item.func));
+    }
+    if (Status status = result.AppendRow(std::move(values)); !status.ok()) {
+      return status;
+    }
+  }
+
+  std::vector<std::size_t> kept;
+  for (std::size_t row = 0; row < result.num_rows(); ++row) {
+    if (statement.having == nullptr) {
+      kept.push_back(row);
+      continue;
+    }
+    StatusOr<std::optional<bool>> keep =
+        EvaluateBool(*statement.having, result, row);
+    if (!keep.ok()) return keep.status();
+    if (keep.value().has_value() && *keep.value()) kept.push_back(row);
+  }
+  if (!statement.order_by_column.empty()) {
+    const std::size_t order_index =
+        result.schema().FindColumn(statement.order_by_column);
+    if (order_index == db::Schema::kNotFound) {
+      return Status::InvalidArgument(
+          "ORDER BY column must appear in the aggregate select list");
+    }
+    StableSortRows(result, order_index, statement.order_descending, kept);
+  }
+  if (statement.limit.has_value() && kept.size() > *statement.limit) {
+    kept.resize(*statement.limit);
+  }
+  Table final_result("result", result.schema());
+  for (std::size_t row : kept) {
+    std::vector<Value> values;
+    for (std::size_t c = 0; c < result.schema().num_columns(); ++c) {
+      values.push_back(result.Get(row, c));
+    }
+    if (Status status = final_result.AppendRow(std::move(values));
+        !status.ok()) {
+      return status;
+    }
+  }
+  return final_result;
+}
+
+void CollectColumns(const Expr* expr, std::vector<std::string>& out) {
+  if (expr == nullptr) return;
+  if (expr->kind == Expr::Kind::kColumn) out.push_back(expr->column);
+  CollectColumns(expr->left.get(), out);
+  CollectColumns(expr->right.get(), out);
+}
+
+StatusOr<Table> ReferenceSelect(const Table& table,
+                                const SelectStatement& statement) {
+  // Database::EnsureColumns without a resolver.
+  std::vector<std::string> referenced;
+  for (const SelectItem& item : statement.items) {
+    if (!item.column.empty()) referenced.push_back(item.column);
+  }
+  CollectColumns(statement.where.get(), referenced);
+  if (!statement.group_by_column.empty()) {
+    referenced.push_back(statement.group_by_column);
+  }
+  if (!statement.order_by_column.empty() && !statement.HasAggregates()) {
+    referenced.push_back(statement.order_by_column);
+  }
+  for (const std::string& column : referenced) {
+    if (table.schema().FindColumn(column) == db::Schema::kNotFound) {
+      return Status::NotFound("no such column: " + column +
+                              " (and no schema-expansion resolver is set)");
+    }
+  }
+
+  std::vector<std::size_t> rows;
+  for (std::size_t row = 0; row < table.num_rows(); ++row) {
+    if (statement.where == nullptr) {
+      rows.push_back(row);
+      continue;
+    }
+    StatusOr<std::optional<bool>> keep =
+        EvaluateBool(*statement.where, table, row);
+    if (!keep.ok()) return keep.status();
+    if (keep.value().has_value() && *keep.value()) rows.push_back(row);
+  }
+  if (statement.HasAggregates()) {
+    return ReferenceAggregates(table, statement, rows);
+  }
+  if (statement.having != nullptr) {
+    return Status::InvalidArgument("HAVING requires aggregates");
+  }
+  const db::Schema& schema = table.schema();
+  if (!statement.order_by_column.empty()) {
+    StableSortRows(table, schema.FindColumn(statement.order_by_column),
+                   statement.order_descending, rows);
+  }
+  if (statement.limit.has_value() && rows.size() > *statement.limit) {
+    rows.resize(*statement.limit);
+  }
+  std::vector<std::size_t> projection;
+  std::vector<ColumnDef> columns;
+  if (statement.items.empty()) {
+    for (std::size_t c = 0; c < schema.num_columns(); ++c) {
+      projection.push_back(c);
+    }
+    columns = schema.columns();
+  } else {
+    for (const SelectItem& item : statement.items) {
+      projection.push_back(schema.FindColumn(item.column));
+      columns.push_back(schema.column(projection.back()));
+    }
+  }
+  Table result("result", db::Schema(columns));
+  for (std::size_t row : rows) {
+    std::vector<Value> values;
+    for (std::size_t column : projection) {
+      values.push_back(table.Get(row, column));
+    }
+    if (Status status = result.AppendRow(std::move(values)); !status.ok()) {
+      return status;
+    }
+  }
+  return result;
+}
+
+// ---- The generator.
+
+// The plan-time errors a case holds: the executor raises them whether or
+// not a row reaches them, the reference only when one does.
+struct PlanErrors {
+  bool mismatch = false;         // a string compared with a non-string
+  bool non_boolean = false;      // a non-BOOL value as a condition
+  bool unknown_having = false;   // a HAVING column the output lacks
+};
+
+struct Case {
+  Table table;
+  SelectStatement statement;
+  PlanErrors plan_errors;
+};
+
+Value RandomCell(Rng& rng, ColumnType type) {
+  switch (type) {
+    case ColumnType::kBool:
+      return Value(rng.Bernoulli(0.5));
+    case ColumnType::kInt: {
+      static const std::int64_t kInts[] = {-3, -1, 0, 1, 1, 2, 3, 7,
+                                           9007199254740993LL};
+      return Value(kInts[rng.UniformInt(std::size(kInts))]);
+    }
+    case ColumnType::kDouble: {
+      // Int cells are storable in DOUBLE columns; 1.0000001 and 1.0000002
+      // print alike; -0.0 equals 0.0.
+      static const double kDoubles[] = {-1.5, -0.0,      0.0,       0.5,
+                                        1.0,  1.0000001, 1.0000002, 2.5};
+      if (rng.Bernoulli(0.25)) {
+        return Value(static_cast<std::int64_t>(rng.UniformInt(4)) - 1);
+      }
+      return Value(kDoubles[rng.UniformInt(std::size(kDoubles))]);
+    }
+    case ColumnType::kString: {
+      static const char* kStrings[] = {"", "a", "b", "ab", "B", "NULL", "a b"};
+      return Value(std::string(kStrings[rng.UniformInt(std::size(kStrings))]));
+    }
+  }
+  return Value{};
+}
+
+// A literal of the class (string or number) `string` says, of any type in
+// that class; NULL now and then.
+Value RandomLiteral(Rng& rng, bool string) {
+  if (rng.Bernoulli(0.05)) return Value{};
+  if (string) return RandomCell(rng, ColumnType::kString);
+  static const ColumnType kNumeric[] = {ColumnType::kBool, ColumnType::kInt,
+                                        ColumnType::kDouble};
+  return RandomCell(rng, kNumeric[rng.UniformInt(3)]);
+}
+
+bool IsStringValue(const Value& value) {
+  return std::holds_alternative<std::string>(value);
+}
+
+// Generates conditions over the columns of one schema (a table's, or an
+// aggregate result's for HAVING).
+class ConditionGenerator {
+ public:
+  ConditionGenerator(Rng& rng, std::vector<ColumnDef> columns,
+                     PlanErrors& errors)
+      : rng_(rng), columns_(std::move(columns)), errors_(errors) {}
+
+  std::unique_ptr<Expr> Condition(int depth) {
+    if (depth <= 0 || rng_.Bernoulli(0.35)) return Leaf();
+    switch (rng_.UniformInt(3)) {
+      case 0:
+        return Expr::Not(Condition(depth - 1));
+      case 1:
+        return Expr::Binary(BinaryOp::kAnd, Condition(depth - 1),
+                            Condition(depth - 1));
+      default:
+        return Expr::Binary(BinaryOp::kOr, Condition(depth - 1),
+                            Condition(depth - 1));
+    }
+  }
+
+  // Adds `name`, a column the schema lacks, to be referenced now and then.
+  void AddUnknownColumn(std::string name) { unknown_ = std::move(name); }
+
+ private:
+  // A column reference and whether its values are strings.
+  std::pair<std::unique_ptr<Expr>, bool> ColumnRef() {
+    if (!unknown_.empty() && rng_.Bernoulli(0.03)) {
+      errors_.unknown_having = true;
+      return {Expr::Column(unknown_), false};
+    }
+    const ColumnDef& column = columns_[rng_.UniformInt(columns_.size())];
+    return {Expr::Column(column.name), column.type == ColumnType::kString};
+  }
+
+  std::unique_ptr<Expr> Leaf() {
+    const double kind = rng_.Uniform();
+    if (kind < 0.08) {  // a bare column or literal as the condition
+      if (rng_.Bernoulli(0.5)) {
+        const ColumnDef& column = columns_[rng_.UniformInt(columns_.size())];
+        if (column.type != ColumnType::kBool) errors_.non_boolean = true;
+        return Expr::Column(column.name);
+      }
+      const Value literal = rng_.Bernoulli(0.8)
+                                ? Value(rng_.Bernoulli(0.5))
+                                : RandomLiteral(rng_, rng_.Bernoulli(0.5));
+      if (!db::IsNull(literal) && !std::holds_alternative<bool>(literal)) {
+        errors_.non_boolean = true;
+      }
+      return Expr::Literal(literal);
+    }
+    static const BinaryOp kOps[] = {BinaryOp::kEq, BinaryOp::kNe,
+                                    BinaryOp::kLt, BinaryOp::kLe,
+                                    BinaryOp::kGt, BinaryOp::kGe};
+    const BinaryOp op = kOps[rng_.UniformInt(std::size(kOps))];
+    auto [left, left_string] = ColumnRef();
+    if (rng_.Bernoulli(0.04)) {  // a condition as a value: TRUE 1, FALSE 0
+      left = Expr::Not(Leaf());
+      left_string = false;
+    }
+    std::unique_ptr<Expr> right;
+    bool right_string = left_string;
+    bool right_null = false;
+    if (kind < 0.3) {  // column against column
+      auto [other, other_string] = ColumnRef();
+      right = std::move(other);
+      right_string = other_string;
+    } else {  // column against a literal, mostly of the column's class
+      const bool string = rng_.Bernoulli(0.06) ? !left_string : left_string;
+      const Value literal = RandomLiteral(rng_, string);
+      right_null = db::IsNull(literal);
+      right_string = IsStringValue(literal);
+      right = Expr::Literal(literal);
+    }
+    if (!right_null && left_string != right_string) errors_.mismatch = true;
+    if (rng_.Bernoulli(0.2)) std::swap(left, right);
+    return Expr::Binary(op, std::move(left), std::move(right));
+  }
+
+  Rng& rng_;
+  std::vector<ColumnDef> columns_;
+  PlanErrors& errors_;
+  std::string unknown_;
+};
+
+std::string Name(std::size_t index) { return "c" + std::to_string(index); }
+
+Case RandomCase(std::uint64_t seed) {
+  Rng rng(seed);
+  Case out;
+
+  // Schema and table.
+  static const ColumnType kTypes[] = {ColumnType::kBool, ColumnType::kInt,
+                                      ColumnType::kDouble,
+                                      ColumnType::kString};
+  std::vector<ColumnDef> columns;
+  const std::size_t num_columns = 1 + rng.UniformInt(4);
+  for (std::size_t c = 0; c < num_columns; ++c) {
+    columns.push_back({Name(c), kTypes[rng.UniformInt(4)]});
+  }
+  std::vector<double> null_rate;
+  for (std::size_t c = 0; c < num_columns; ++c) {
+    static const double kRates[] = {0.0, 0.15, 0.15, 0.5, 1.0};
+    null_rate.push_back(kRates[rng.UniformInt(std::size(kRates))]);
+  }
+  // Mostly 0-200 rows; now and then more than one 1,024-row chunk of the
+  // executor's scan.
+  std::size_t num_rows = rng.UniformInt(201);
+  if (rng.Bernoulli(0.2)) num_rows = rng.UniformInt(4);
+  if (rng.Bernoulli(0.03)) num_rows = 1000 + rng.UniformInt(1600);
+  out.table = Table("t", db::Schema(columns));
+  for (std::size_t row = 0; row < num_rows; ++row) {
+    std::vector<Value> cells;
+    for (std::size_t c = 0; c < num_columns; ++c) {
+      cells.push_back(rng.Bernoulli(null_rate[c])
+                          ? Value{}
+                          : RandomCell(rng, columns[c].type));
+    }
+    CCDB_CHECK(out.table.AppendRow(std::move(cells)).ok());
+  }
+
+  // Statement.
+  SelectStatement& statement = out.statement;
+  statement.table = "t";
+  if (rng.Bernoulli(0.7)) {
+    ConditionGenerator where(rng, columns, out.plan_errors);
+    statement.where = where.Condition(static_cast<int>(rng.UniformInt(4)));
+  }
+  std::vector<ColumnDef> output;  // what HAVING and ORDER BY may name
+  if (rng.Bernoulli(0.6)) {
+    // Plain columns, distinct, or `*`.
+    if (rng.Bernoulli(0.7)) {
+      std::vector<std::size_t> order(num_columns);
+      std::iota(order.begin(), order.end(), std::size_t{0});
+      rng.Shuffle(order);
+      order.resize(1 + rng.UniformInt(num_columns));
+      for (std::size_t c : order) {
+        statement.items.push_back(SelectItem::Column(Name(c)));
+      }
+    }
+    if (rng.Bernoulli(0.5)) {
+      statement.order_by_column = Name(rng.UniformInt(num_columns));
+    }
+    if (rng.Bernoulli(0.03)) statement.having = Expr::Literal(Value(true));
+  } else {
+    // Aggregates, grouped or not.
+    if (rng.Bernoulli(0.7)) {
+      const std::size_t g = rng.UniformInt(num_columns);
+      statement.group_by_column = Name(g);
+      if (rng.Bernoulli(0.8)) {
+        statement.items.push_back(SelectItem::Column(Name(g)));
+        output.push_back(columns[g]);
+      }
+    }
+    if (rng.Bernoulli(0.04)) {  // a plain column outside GROUP BY
+      const std::string name = Name(rng.UniformInt(num_columns));
+      if (name != statement.group_by_column) {
+        statement.items.push_back(SelectItem::Column(name));
+      }
+    }
+    const std::size_t num_aggregates = 1 + rng.UniformInt(3);
+    for (std::size_t k = 0; k < num_aggregates; ++k) {
+      const auto func = static_cast<db::AggregateFunc>(rng.UniformInt(5));
+      const bool star = func == db::AggregateFunc::kCount && rng.Bernoulli(0.4);
+      const std::size_t c = rng.UniformInt(num_columns);
+      const SelectItem item =
+          SelectItem::Aggregate(func, star ? std::string() : Name(c));
+      const std::string name = AggregateName(item);
+      if (std::any_of(output.begin(), output.end(),
+                      [&](const ColumnDef& o) { return o.name == name; })) {
+        continue;  // output names must be distinct
+      }
+      ColumnType type = columns[c].type;
+      if (func == db::AggregateFunc::kCount) type = ColumnType::kInt;
+      if (func == db::AggregateFunc::kSum || func == db::AggregateFunc::kAvg) {
+        if (columns[c].type == ColumnType::kString && !rng.Bernoulli(0.1)) {
+          continue;  // SUM/AVG of a string is an error; keep it rare
+        }
+        type = ColumnType::kDouble;
+      }
+      statement.items.push_back(item);
+      output.push_back({name, type});
+    }
+    if (!output.empty() && rng.Bernoulli(0.4)) {
+      ConditionGenerator having(rng, output, out.plan_errors);
+      const std::string table_column = Name(rng.UniformInt(num_columns));
+      if (std::none_of(output.begin(), output.end(), [&](const ColumnDef& o) {
+            return o.name == table_column;
+          })) {
+        having.AddUnknownColumn(table_column);
+      }
+      statement.having = having.Condition(static_cast<int>(rng.UniformInt(3)));
+    }
+    if (!output.empty() && rng.Bernoulli(0.5)) {
+      statement.order_by_column =
+          rng.Bernoulli(0.05) ? "nothing"
+                              : output[rng.UniformInt(output.size())].name;
+    }
+  }
+  statement.order_descending = rng.Bernoulli(0.5);
+  if (rng.Bernoulli(0.5)) {
+    static const std::size_t kLimits[] = {1000, 1500};
+    statement.limit = rng.Bernoulli(0.2) ? kLimits[rng.UniformInt(2)]
+                                         : rng.UniformInt(13);
+  }
+  return out;
+}
+
+// ---- Rendering, for the failure message.
+
+std::string Literal(const Value& value) {
+  if (db::IsNull(value)) return "NULL";
+  if (const std::string* s = std::get_if<std::string>(&value)) {
+    std::string quoted = "'";
+    for (char c : *s) quoted += c == '\'' ? std::string("''") : std::string(1, c);
+    return quoted + "'";
+  }
+  if (const double* d = std::get_if<double>(&value)) {
+    std::ostringstream oss;
+    oss.precision(17);
+    oss << *d;
+    const std::string text = oss.str();
+    // A literal without a point parses as an INT.
+    return text.find_first_of(".en") == std::string::npos ? text + ".0"
+                                                          : text;
+  }
+  return db::ToString(value);
+}
+
+std::string Render(const Expr& expr) {
+  static const char* kOps[] = {"=", "!=", "<", "<=", ">", ">=", "AND", "OR"};
+  switch (expr.kind) {
+    case Expr::Kind::kColumn:
+      return expr.column;
+    case Expr::Kind::kLiteral:
+      return Literal(expr.literal);
+    case Expr::Kind::kNot:
+      return "NOT (" + Render(*expr.left) + ")";
+    case Expr::Kind::kBinary:
+      return "(" + Render(*expr.left) + " " +
+             kOps[static_cast<int>(expr.op)] + " " + Render(*expr.right) +
+             ")";
+  }
+  return "?";
+}
+
+std::string Render(const SelectStatement& statement) {
+  std::string sql = "SELECT ";
+  if (statement.items.empty()) sql += "*";
+  for (std::size_t i = 0; i < statement.items.size(); ++i) {
+    const SelectItem& item = statement.items[i];
+    if (i > 0) sql += ", ";
+    sql += item.kind == SelectItem::Kind::kColumn ? item.column
+                                                  : AggregateName(item);
+  }
+  sql += " FROM " + statement.table;
+  if (statement.where) sql += " WHERE " + Render(*statement.where);
+  if (!statement.group_by_column.empty()) {
+    sql += " GROUP BY " + statement.group_by_column;
+  }
+  if (statement.having) sql += " HAVING " + Render(*statement.having);
+  if (!statement.order_by_column.empty()) {
+    sql += " ORDER BY " + statement.order_by_column;
+    if (statement.order_descending) sql += " DESC";
+  }
+  if (statement.limit.has_value()) {
+    sql += " LIMIT " + std::to_string(*statement.limit);
+  }
+  return sql;
+}
+
+std::string Describe(std::uint64_t seed, const Case& c) {
+  std::ostringstream oss;
+  oss << "case seed " << seed << "; replay it alone with\n"
+      << "  CCDB_SQL_ORACLE_CASE=" << seed
+      << " build/tests/property_test --gtest_filter='Seeds/SqlExecutorOracle.*/0'\n"
+      << "schema:";
+  for (const ColumnDef& column : c.table.schema().columns()) {
+    oss << " " << column.name << " " << db::ColumnTypeName(column.type);
+  }
+  oss << "\nstatement: " << Render(c.statement) << "\ntable ("
+      << c.table.num_rows() << " rows):\n";
+  for (std::size_t row = 0; row < c.table.num_rows(); ++row) {
+    oss << "  " << row << ":";
+    for (std::size_t col = 0; col < c.table.schema().num_columns(); ++col) {
+      oss << " " << Literal(c.table.Get(row, col));
+    }
+    oss << "\n";
+  }
+  return oss.str();
+}
+
+// ---- Comparison.
+
+// A result row, each cell with its alternative so 1 and 1.0 differ.
+std::string RowKey(const Table& table, std::size_t row) {
+  std::string key;
+  for (std::size_t c = 0; c < table.schema().num_columns(); ++c) {
+    const Value& cell = table.Get(row, c);
+    key += std::to_string(cell.index()) + ":" + Literal(cell) + "|";
+  }
+  return key;
+}
+
+std::vector<std::string> Rows(const Table& table) {
+  std::vector<std::string> rows;
+  for (std::size_t row = 0; row < table.num_rows(); ++row) {
+    rows.push_back(RowKey(table, row));
+  }
+  return rows;
+}
+
+bool IsPlanError(const Status& status, const PlanErrors& errors) {
+  if (status.code() == StatusCode::kInvalidArgument) {
+    return (errors.mismatch &&
+            status.message() ==
+                "type mismatch: cannot compare string with non-string") ||
+           (errors.non_boolean &&
+            status.message() == "non-Boolean value used as a condition");
+  }
+  return errors.unknown_having && status.code() == StatusCode::kNotFound &&
+         status.message().rfind("no such column: ", 0) == 0;
+}
+
+enum class Outcome { kSameResult, kSameError, kPlanTimeError };
+
+// Checks one case; returns how it compared.
+Outcome CheckCase(std::uint64_t seed) {
+  const Case c = RandomCase(seed);
+  const StatusOr<Table> expected = ReferenceSelect(c.table, c.statement);
+  db::Database database;
+  CCDB_CHECK(database.AddTable(c.table).ok());
+  const StatusOr<Table> actual = database.ExecuteSelect(c.statement);
+
+  if (expected.ok() && actual.ok()) {
+    const Table& want = expected.value();
+    const Table& got = actual.value();
+    EXPECT_EQ(got.schema().num_columns(), want.schema().num_columns())
+        << Describe(seed, c);
+    for (std::size_t i = 0; i < std::min(got.schema().num_columns(),
+                                         want.schema().num_columns());
+         ++i) {
+      EXPECT_EQ(got.schema().column(i).name, want.schema().column(i).name)
+          << Describe(seed, c);
+      EXPECT_EQ(got.schema().column(i).type, want.schema().column(i).type)
+          << Describe(seed, c);
+    }
+    std::vector<std::string> want_rows = Rows(want);
+    std::vector<std::string> got_rows = Rows(got);
+    // Without ORDER BY the order is row order (or first-seen group order);
+    // with it, a stable sort's. Either way the sequence is fixed, so a
+    // multiset match that fails as a sequence is an ordering fault.
+    EXPECT_EQ(got_rows, want_rows)
+        << (std::is_permutation(got_rows.begin(), got_rows.end(),
+                                want_rows.begin(), want_rows.end())
+                ? "same rows in another order\n"
+                : "different rows\n")
+        << Describe(seed, c);
+    return Outcome::kSameResult;
+  }
+  if (!actual.ok() && !expected.ok() &&
+      actual.status().code() == expected.status().code() &&
+      actual.status().message() == expected.status().message()) {
+    return Outcome::kSameError;
+  }
+  // The one contract change: the executor raises a plan-time error that
+  // the reference did not, because no row reached it.
+  EXPECT_FALSE(actual.ok())
+      << "the reference failed with " << expected.status().ToString()
+      << " but the executor did not\n"
+      << Describe(seed, c);
+  if (!actual.ok()) {
+    EXPECT_TRUE(IsPlanError(actual.status(), c.plan_errors))
+        << "executor: " << actual.status().ToString() << "\nreference: "
+        << (expected.ok() ? std::string("OK") : expected.status().ToString())
+        << "\n"
+        << Describe(seed, c);
+  }
+  return Outcome::kPlanTimeError;
+}
+
+}  // namespace sqloracle
+
+class SqlExecutorOracle : public ::testing::TestWithParam<std::uint64_t> {};
+
+// 600 cases per seed; CCDB_SQL_ORACLE_CASE=<case seed> runs one case.
+TEST_P(SqlExecutorOracle, MatchesRowAtATimeReference) {
+  if (const char* only = std::getenv("CCDB_SQL_ORACLE_CASE")) {
+    sqloracle::CheckCase(std::strtoull(only, nullptr, 10));
+    return;
+  }
+  std::size_t outcomes[3] = {0, 0, 0};
+  for (std::uint64_t i = 0; i < 600 && !HasFailure(); ++i) {
+    ++outcomes[static_cast<int>(
+        sqloracle::CheckCase(GetParam() * 1000000 + i))];
+  }
+  // The sweep reaches all three outcomes: equal results, equal errors and
+  // the plan-time errors the reference never reached.
+  EXPECT_GT(outcomes[0], 300u);
+  EXPECT_GT(outcomes[1], 0u);
+  EXPECT_GT(outcomes[2], 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SqlExecutorOracle,
+                         ::testing::Values(1u, 2u, 3u, 4u, 5u));
 
 // ----------------------------------------------------- SGD step property
 
