@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/vec.h"
@@ -169,10 +171,12 @@ BENCHMARK(BM_LsiBuild);
 // ---------------------------------------------------------------------
 // Paper-scale numeric-core pairs. Each *Scalar benchmark re-implements the
 // pre-vectorization algorithm (single-accumulator loops, per-item kernel
-// evaluation, sqrt per kNN candidate, serial sweeps) so BENCH_perf.json
-// can report before/after speedups from one binary; the paired benchmark
-// runs the shipped batched/norm-trick/parallel path. Scale follows the
-// paper's MovieLens setup: d = 40 factor dimensions, ~10k items.
+// evaluation, sqrt per kNN candidate, serial sweeps), and
+// BM_DotQuadSweepOneRow the one-row quad sweep, so BENCH_perf.json can
+// report before/after speedups from one binary; the paired benchmark runs
+// the shipped path. Scale follows the paper's MovieLens setup: d = 40
+// factor dimensions, ~10k items (the quad sweep uses the serve_paper
+// shape instead).
 
 constexpr std::size_t kPaperItems = 10000;
 constexpr std::size_t kPaperDims = 40;
@@ -257,6 +261,117 @@ void BM_DotRowsBatched(benchmark::State& state) {
                           static_cast<std::int64_t>(points.rows()));
 }
 BENCHMARK(BM_DotRowsBatched);
+
+// The extract-all dot sweep at the serve_paper shape: 746 support vectors
+// (d = 32) against every item quad of a 10,562-item catalog, one
+// DotBatchQuad call per quad. An item is one (support vector, quad) pair.
+constexpr std::size_t kSweepRows = 746;
+constexpr std::size_t kSweepItems = 10562;
+constexpr std::size_t kSweepDims = 32;
+
+struct QuadSweep {
+  Matrix rows;
+  std::vector<double> quads;  // the InterleaveQuad packing of each quad
+  std::size_t num_quads = 0;
+};
+
+const QuadSweep& ServeShapeSweep() {
+  static const QuadSweep* const kSweep = [] {
+    Rng rng(83);
+    auto* sweep = new QuadSweep();
+    sweep->rows = Matrix(kSweepRows, kSweepDims);
+    sweep->rows.FillGaussian(rng, 0.0, 1.0);
+    Matrix items(kSweepItems, kSweepDims);
+    items.FillGaussian(rng, 0.0, 1.0);
+    sweep->num_quads = kSweepItems / 4;
+    sweep->quads.resize(sweep->num_quads * 4 * kSweepDims);
+    for (std::size_t g = 0; g < sweep->num_quads; ++g) {
+      InterleaveQuad(items.Row(4 * g), items.Row(4 * g + 1),
+                     items.Row(4 * g + 2), items.Row(4 * g + 3),
+                     std::span(sweep->quads)
+                         .subspan(g * 4 * kSweepDims, 4 * kSweepDims));
+    }
+    return sweep;
+  }();
+  return *kSweep;
+}
+
+/// The one-row DotBatchQuad it replaced: one row per pass, four
+/// accumulator chains of four query lanes each.
+inline void OneRowDotQuadCore(const double* row, const double* xq,
+                              std::size_t n, double* out4) {
+  double acc0[4] = {0.0, 0.0, 0.0, 0.0};
+  double acc1[4] = {0.0, 0.0, 0.0, 0.0};
+  double acc2[4] = {0.0, 0.0, 0.0, 0.0};
+  double acc3[4] = {0.0, 0.0, 0.0, 0.0};
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const double r0 = row[i], r1 = row[i + 1], r2 = row[i + 2],
+                 r3 = row[i + 3];
+    for (std::size_t q = 0; q < 4; ++q) acc0[q] += r0 * xq[i * 4 + q];
+    for (std::size_t q = 0; q < 4; ++q) acc1[q] += r1 * xq[(i + 1) * 4 + q];
+    for (std::size_t q = 0; q < 4; ++q) acc2[q] += r2 * xq[(i + 2) * 4 + q];
+    for (std::size_t q = 0; q < 4; ++q) acc3[q] += r3 * xq[(i + 3) * 4 + q];
+  }
+  double tail[4] = {0.0, 0.0, 0.0, 0.0};
+  for (; i < n; ++i) {
+    const double r = row[i];
+    for (std::size_t q = 0; q < 4; ++q) tail[q] += r * xq[i * 4 + q];
+  }
+  for (std::size_t q = 0; q < 4; ++q) {
+    out4[q] = ((acc0[q] + acc1[q]) + (acc2[q] + acc3[q])) + tail[q];
+  }
+}
+
+/// Out of line with run-time sizes (no inlining, no constant propagation),
+/// as the library call is.
+[[gnu::noipa]] void OneRowDotBatchQuad(std::span<const double> rows,
+                                       std::size_t num_rows, std::size_t cols,
+                                       std::span<const double> xq,
+                                       std::span<double> out) {
+  const double* row = rows.data();
+  for (std::size_t r = 0; r < num_rows; ++r, row += cols) {
+    OneRowDotQuadCore(row, xq.data(), cols, out.data() + r * 4);
+  }
+}
+
+void BM_DotQuadSweepOneRow(benchmark::State& state) {
+  const QuadSweep& sweep = ServeShapeSweep();
+  std::vector<double> out(4 * kSweepRows);
+  for (auto _ : state) {
+    for (std::size_t g = 0; g < sweep.num_quads; ++g) {
+      OneRowDotBatchQuad(sweep.rows.Data(), kSweepRows, kSweepDims,
+                         std::span(sweep.quads)
+                             .subspan(g * 4 * kSweepDims, 4 * kSweepDims),
+                         out);
+      benchmark::DoNotOptimize(out.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.SetItemsProcessed(
+      state.iterations() *
+      static_cast<std::int64_t>(kSweepRows * sweep.num_quads));
+}
+BENCHMARK(BM_DotQuadSweepOneRow);
+
+void BM_DotQuadSweep(benchmark::State& state) {
+  const QuadSweep& sweep = ServeShapeSweep();
+  std::vector<double> out(4 * kSweepRows);
+  for (auto _ : state) {
+    for (std::size_t g = 0; g < sweep.num_quads; ++g) {
+      DotBatchQuad(sweep.rows.Data(), kSweepRows, kSweepDims,
+                   std::span(sweep.quads)
+                       .subspan(g * 4 * kSweepDims, 4 * kSweepDims),
+                   out);
+      benchmark::DoNotOptimize(out.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.SetItemsProcessed(
+      state.iterations() *
+      static_cast<std::int64_t>(kSweepRows * sweep.num_quads));
+}
+BENCHMARK(BM_DotQuadSweep);
 
 void BM_RbfKernelRowScalar(benchmark::State& state) {
   // One Q-matrix-style kernel row: K(row_r, x) for all 10k rows, the

@@ -49,10 +49,12 @@ for b in raw.get("benchmarks", []):
         "items_per_second": b.get("items_per_second"),
     }
 
-# before/after pairs: the *Scalar benchmark re-implements the seed
-# algorithm, its partner runs the shipped vectorized path.
+# before/after pairs: the first benchmark re-implements the replaced
+# algorithm (the seed's scalar loops, or the one-row quad sweep), its
+# partner runs the shipped path.
 PAIRS = {
     "dot_rows": ("BM_DotRowsScalar", "BM_DotRowsBatched"),
+    "dot_quad_sweep": ("BM_DotQuadSweepOneRow", "BM_DotQuadSweep"),
     "rbf_kernel_row": ("BM_RbfKernelRowScalar", "BM_RbfKernelRowNormTrick"),
     "rbf_predict_all": ("BM_RbfPredictAllScalar", "BM_RbfPredictAllBatched"),
     "knn_query": ("BM_KnnQueryScalar", "BM_KnnQueryBlocked"),
@@ -80,6 +82,7 @@ result = {
         "support_vectors": 400,
         "coherence_queries": 48,
         "knn_k": 10,
+        "quad_sweep": {"rows": 746, "items": 10562, "dims": 32},
         "host": host,
         "context": raw.get("context", {}),
     },

@@ -2,11 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/check.h"
 
 namespace ccdb {
 namespace {
+
+// Four query lanes as a GCC/Clang vector extension. Lanes never pass
+// through a function boundary by value (only through memcpy), so the
+// portable build (no AVX) compiles under -Werror=psabi.
+typedef double Lanes __attribute__((vector_size(32)));
 
 // Raw-pointer cores of the hot kernels. Four independent accumulators per
 // loop break the additive dependency chain; with fused multiply-add
@@ -79,6 +85,59 @@ inline void DotQuadCore(const double* row, const double* xq, std::size_t n,
   for (std::size_t q = 0; q < 4; ++q) {
     out4[q] = ((acc0[q] + acc1[q]) + (acc2[q] + acc3[q])) + tail[q];
   }
+}
+
+// Three consecutive rows of n doubles against the same four queries:
+// twelve accumulator chains, one per (row, stride slot), so two FMAs can
+// issue per cycle against one chain's four-cycle latency, where
+// DotQuadCore's four chains allow one. Each (row, lane) pair keeps
+// DotQuadCore's chain and combine order, so out12[r*4 + q] is
+// bit-identical to DotQuadCore on row r.
+inline void DotQuadCore3(const double* rows, const double* xq, std::size_t n,
+                         double* out12) {
+  const double* r0 = rows;
+  const double* r1 = rows + n;
+  const double* r2 = rows + 2 * n;
+  Lanes a00{}, a01{}, a02{}, a03{};
+  Lanes a10{}, a11{}, a12{}, a13{};
+  Lanes a20{}, a21{}, a22{}, a23{};
+  const auto load = [](Lanes& lanes, const double* from) {
+    std::memcpy(&lanes, from, sizeof(lanes));
+  };
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    Lanes x0{}, x1{}, x2{}, x3{};
+    load(x0, xq + i * 4);
+    load(x1, xq + (i + 1) * 4);
+    load(x2, xq + (i + 2) * 4);
+    load(x3, xq + (i + 3) * 4);
+    a00 += r0[i] * x0;
+    a10 += r1[i] * x0;
+    a20 += r2[i] * x0;
+    a01 += r0[i + 1] * x1;
+    a11 += r1[i + 1] * x1;
+    a21 += r2[i + 1] * x1;
+    a02 += r0[i + 2] * x2;
+    a12 += r1[i + 2] * x2;
+    a22 += r2[i + 2] * x2;
+    a03 += r0[i + 3] * x3;
+    a13 += r1[i + 3] * x3;
+    a23 += r2[i + 3] * x3;
+  }
+  Lanes t0{}, t1{}, t2{};
+  for (; i < n; ++i) {
+    Lanes x{};
+    load(x, xq + i * 4);
+    t0 += r0[i] * x;
+    t1 += r1[i] * x;
+    t2 += r2[i] * x;
+  }
+  const Lanes o0 = ((a00 + a01) + (a02 + a03)) + t0;
+  const Lanes o1 = ((a10 + a11) + (a12 + a13)) + t1;
+  const Lanes o2 = ((a20 + a21) + (a22 + a23)) + t2;
+  std::memcpy(out12, &o0, sizeof(o0));
+  std::memcpy(out12 + 4, &o1, sizeof(o1));
+  std::memcpy(out12 + 8, &o2, sizeof(o2));
 }
 
 inline void SquaredDistanceQuadCore(const double* row, const double* xq,
@@ -275,7 +334,11 @@ void DotBatchQuad(std::span<const double> rows, std::size_t num_rows,
   CCDB_CHECK_EQ(interleaved.size(), 4 * cols);
   CCDB_CHECK_EQ(out.size(), 4 * num_rows);
   const double* row = rows.data();
-  for (std::size_t r = 0; r < num_rows; ++r, row += cols) {
+  std::size_t r = 0;
+  for (; r + 3 <= num_rows; r += 3, row += 3 * cols) {
+    DotQuadCore3(row, interleaved.data(), cols, out.data() + r * 4);
+  }
+  for (; r < num_rows; ++r, row += cols) {
     DotQuadCore(row, interleaved.data(), cols, out.data() + r * 4);
   }
 }

@@ -92,6 +92,17 @@ void RowSquaredNorms(std::span<const double> rows, std::size_t num_rows,
 // kernels above, so quad results are bit-identical to four DotBatch /
 // SquaredDistanceToRows calls — callers may mix the two freely (e.g. for
 // tail groups smaller than four).
+//
+// DotBatchQuad sweeps three rows per pass (the 0–2 leftover rows take the
+// one-row pass). One row gives four accumulator chains, each of which
+// takes an FMA every four columns; at a four-cycle FMA latency that is one
+// FMA per cycle where the core can issue two. Three rows give twelve
+// independent chains and keep both FMA ports busy, with each (row, lane)
+// pair still on its own chain in the single-query order. The multi-row
+// core holds its chains in 4-lane vector-extension values, loaded and
+// stored through memcpy: a vector passed or returned by value fails the
+// portable build (no AVX) under -Werror=psabi, and the same core written
+// over arrays of accumulators spills to the stack under GCC 12.
 
 /// Packs four equal-length query vectors into the lane-interleaved layout
 /// the quad kernels consume: out[c*4 + q] = x_q[c].

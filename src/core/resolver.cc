@@ -77,16 +77,13 @@ Status PerceptualExpansionResolver::ResolveBool(
                         last_result_.crowd_dollars,
                         last_result_.crowd_minutes});
 
-  if (Status status =
-          table.AddColumn({column_name, db::ColumnType::kBool});
-      !status.ok()) {
-    return status;
-  }
-  std::vector<db::Value> values(table.num_rows());
+  std::vector<db::Value> cells;
+  cells.reserve(table.num_rows());
   for (std::size_t row = 0; row < table.num_rows(); ++row) {
-    values[row] = db::Value(static_cast<bool>(last_result_.values[row]));
+    cells.emplace_back(static_cast<bool>(last_result_.values[row]));
   }
-  return table.FillColumn(table.schema().num_columns() - 1, std::move(values));
+  return table.AddColumn({column_name, db::ColumnType::kBool},
+                         std::move(cells));
 }
 
 Status PerceptualExpansionResolver::ResolveNumeric(
@@ -117,21 +114,18 @@ Status PerceptualExpansionResolver::ResolveNumeric(
   const std::vector<double> extracted = extractor.ExtractAll(*space_);
   trained_numeric_[column_name] = std::move(extractor);
 
-  if (Status status =
-          table.AddColumn({column_name, db::ColumnType::kDouble});
-      !status.ok()) {
-    return status;
-  }
-  std::vector<db::Value> values(table.num_rows());
+  std::vector<db::Value> cells;
+  cells.reserve(table.num_rows());
   for (std::size_t row = 0; row < table.num_rows(); ++row) {
-    values[row] = db::Value(extracted[row]);
+    cells.emplace_back(extracted[row]);
   }
   last_result_ = SchemaExpansionResult{};
   last_result_.status = Status::Ok();
   last_result_.gold_sample_classified = items.size();
   audit_log_.push_back({column_name, db::ColumnType::kDouble, items.size(),
                         items.size(), 0.0, 0.0});
-  return table.FillColumn(table.schema().num_columns() - 1, std::move(values));
+  return table.AddColumn({column_name, db::ColumnType::kDouble},
+                         std::move(cells));
 }
 
 db::Table PerceptualExpansionResolver::AuditTable() const {

@@ -12,9 +12,10 @@ namespace ccdb::db {
 
 /// Hook invoked when a query references a column the table does not have.
 /// This is the crowd-enabled database's query-driven schema expansion
-/// point: the resolver must AddColumn() + fill it (from the crowd, a
-/// perceptual space, or any other source) and return OK, after which query
-/// execution proceeds as if the column had always existed.
+/// point: the resolver must add the column with its cells, in one
+/// Table::AddColumn(def, cells) call (from the crowd, a perceptual space,
+/// or any other source), and return OK, after which query execution
+/// proceeds as if the column had always existed.
 class MissingAttributeResolver {
  public:
   virtual ~MissingAttributeResolver() = default;

@@ -2,10 +2,21 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
 
 namespace ccdb::db {
 namespace {
+
+// Reads all of `text` as a base-10 integer of type T: false on a fraction,
+// on a sign T cannot hold and on a value out of T's range.
+template <typename T>
+bool ParseWholeNumber(const std::string& text, T& value) {
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  return error == std::errc() && stop == end;
+}
 
 enum class TokenKind {
   kIdentifier,
@@ -212,11 +223,12 @@ class Parser {
 
     if (PeekKeyword("LIMIT")) {
       Advance();
-      if (Current().kind != TokenKind::kNumber) {
+      std::size_t limit = 0;
+      if (Current().kind != TokenKind::kNumber ||
+          !ParseWholeNumber(Current().text, limit)) {
         return ErrorHere("expected LIMIT count");
       }
-      statement.limit = static_cast<std::size_t>(
-          std::strtoull(Current().text.c_str(), nullptr, 10));
+      statement.limit = limit;
       Advance();
     }
 
@@ -414,12 +426,16 @@ class Parser {
         return Expr::Column(OutputName(item.value()));
       }
       case TokenKind::kNumber: {
-        Advance();
         if (token.text.find('.') != std::string::npos) {
+          Advance();
           return Expr::Literal(Value(std::strtod(token.text.c_str(), nullptr)));
         }
-        return Expr::Literal(Value(static_cast<std::int64_t>(
-            std::strtoll(token.text.c_str(), nullptr, 10))));
+        std::int64_t value = 0;
+        if (!ParseWholeNumber(token.text, value)) {
+          return ErrorHere("integer literal out of range: " + token.text);
+        }
+        Advance();
+        return Expr::Literal(Value(value));
       }
       case TokenKind::kString: {
         Advance();

@@ -92,22 +92,25 @@ const std::vector<Value>& Table::Column(std::size_t column) const {
 }
 
 Status Table::AddColumn(const ColumnDef& column) {
-  const Status status = schema_.AddColumn(column);
-  if (!status.ok()) return status;
-  columns_.emplace_back(num_rows_, Value{});  // all NULL
+  return AddColumn(column, std::vector<Value>(num_rows_));  // all NULL
+}
+
+Status Table::AddColumn(const ColumnDef& column, std::vector<Value>&& cells) {
+  if (Status status = CheckCells(column.type, cells); !status.ok()) {
+    return status;
+  }
+  if (Status status = schema_.AddColumn(column); !status.ok()) return status;
+  columns_.push_back(std::move(cells));
   return Status::Ok();
 }
 
-Status Table::CheckFill(std::size_t column,
-                        const std::vector<Value>& values) const {
-  if (column >= columns_.size()) {
-    return Status::OutOfRange("no such column index");
-  }
-  if (values.size() != num_rows_) {
+Status Table::CheckCells(ColumnType type,
+                         const std::vector<Value>& cells) const {
+  if (cells.size() != num_rows_) {
     return Status::InvalidArgument("column fill size mismatch");
   }
-  for (const Value& value : values) {
-    if (!Conforms(value, schema_.column(column).type)) {
+  for (const Value& value : cells) {
+    if (!Conforms(value, type)) {
       return Status::InvalidArgument("type mismatch in column fill");
     }
   }
@@ -116,14 +119,11 @@ Status Table::CheckFill(std::size_t column,
 
 Status Table::FillColumn(std::size_t column,
                          const std::vector<Value>& values) {
-  Status status = CheckFill(column, values);
+  if (column >= columns_.size()) {
+    return Status::OutOfRange("no such column index");
+  }
+  Status status = CheckCells(schema_.column(column).type, values);
   if (status.ok()) columns_[column] = values;
-  return status;
-}
-
-Status Table::FillColumn(std::size_t column, std::vector<Value>&& values) {
-  Status status = CheckFill(column, values);
-  if (status.ok()) columns_[column] = std::move(values);
   return status;
 }
 

@@ -39,8 +39,8 @@ class Schema {
 };
 
 /// Column-store table with nullable cells. Supports the operation that
-/// makes a schema *expandable*: AddColumn() on a populated table creates
-/// an all-NULL column that a resolver then fills at query time.
+/// makes a schema *expandable*: AddColumn() on a populated table appends a
+/// column at query time, either all NULL or with the resolver's cells.
 class Table {
  public:
   Table() = default;
@@ -69,20 +69,25 @@ class Table {
   /// Schema expansion: appends a new all-NULL column.
   [[nodiscard]] Status AddColumn(const ColumnDef& column);
 
-  /// Bulk-fills a column from per-row values (sizes and types must
-  /// match). The lvalue overload copy-assigns into the column's storage;
-  /// the rvalue overload takes the caller's vector without a copy.
+  /// Schema expansion in one step: appends `cells` as the new column,
+  /// taken without a copy. The name must be new, and there must be one
+  /// cell per row, each NULL or of the column's type; otherwise the
+  /// status is InvalidArgument and the table is unchanged.
+  [[nodiscard]]
+  Status AddColumn(const ColumnDef& column, std::vector<Value>&& cells);
+
+  /// Bulk-fills an existing column with a copy of per-row values (sizes
+  /// and types must match).
   [[nodiscard]]
   Status FillColumn(std::size_t column, const std::vector<Value>& values);
-  [[nodiscard]]
-  Status FillColumn(std::size_t column, std::vector<Value>&& values);
 
   /// Renders the first `max_rows` rows as an aligned text table.
   std::string ToText(std::size_t max_rows = 20) const;
 
  private:
-  [[nodiscard]] Status CheckFill(std::size_t column,
-                                 const std::vector<Value>& values) const;
+  /// OK when `cells` holds one value per row, each NULL or of `type`.
+  [[nodiscard]] Status CheckCells(ColumnType type,
+                                  const std::vector<Value>& cells) const;
 
   std::string name_;
   Schema schema_;

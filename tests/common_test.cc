@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -572,26 +574,32 @@ TEST(VecBatchTest, InterleaveQuadUsesLaneMajorLayout) {
                                       2.0, 4.0, 6.0, 8.0}));
 }
 
+std::uint64_t Bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
 TEST(VecBatchTest, DotBatchQuadIsBitIdenticalToSingleQueryCalls) {
   // The quad kernels promise bit-identical results to the single-query
-  // primitives (callers mix the two for tail groups), so this is an exact
-  // comparison, not a tolerance.
+  // primitives (callers mix the two for tail groups), so this compares bit
+  // patterns. DotBatchQuad sweeps three rows per pass: 0–8 rows run every
+  // one- and two-row remainder after zero, one and two full passes.
   Rng rng(307);
-  Matrix rows(9, 13);  // cols not a multiple of the unroll width
-  rows.FillGaussian(rng, 0.0, 1.0);
-  Matrix queries(4, 13);
-  queries.FillGaussian(rng, 0.0, 1.0);
-  std::vector<double> interleaved(4 * 13);
-  InterleaveQuad(queries.Row(0), queries.Row(1), queries.Row(2),
-                 queries.Row(3), interleaved);
-  std::vector<double> quad(4 * 9);
-  DotBatchQuad(rows.Data(), 9, 13, interleaved, quad);
-  std::vector<double> single(9);
-  for (std::size_t q = 0; q < 4; ++q) {
-    DotBatch(rows.Data(), 9, 13, queries.Row(q), single);
-    for (std::size_t r = 0; r < 9; ++r) {
-      EXPECT_DOUBLE_EQ(quad[r * 4 + q], single[r])
-          << "row " << r << " lane " << q;
+  for (std::size_t num_rows = 0; num_rows <= 8; ++num_rows) {
+    Matrix rows(num_rows, 13);  // cols not a multiple of the unroll width
+    rows.FillGaussian(rng, 0.0, 1.0);
+    Matrix queries(4, 13);
+    queries.FillGaussian(rng, 0.0, 1.0);
+    std::vector<double> interleaved(4 * 13);
+    InterleaveQuad(queries.Row(0), queries.Row(1), queries.Row(2),
+                   queries.Row(3), interleaved);
+    std::vector<double> quad(4 * num_rows);
+    DotBatchQuad(rows.Data(), num_rows, 13, interleaved, quad);
+    std::vector<double> single(num_rows);
+    for (std::size_t q = 0; q < 4; ++q) {
+      DotBatch(rows.Data(), num_rows, 13, queries.Row(q), single);
+      for (std::size_t r = 0; r < num_rows; ++r) {
+        EXPECT_EQ(Bits(quad[r * 4 + q]), Bits(single[r]))
+            << num_rows << " rows, row " << r << " lane " << q << ": "
+            << std::hexfloat << quad[r * 4 + q] << " vs " << single[r];
+      }
     }
   }
 }
@@ -611,7 +619,7 @@ TEST(VecBatchTest, SquaredDistanceQuadIsBitIdenticalToSingleQueryCalls) {
   for (std::size_t q = 0; q < 4; ++q) {
     SquaredDistanceToRows(rows.Data(), 11, 7, queries.Row(q), single);
     for (std::size_t r = 0; r < 11; ++r) {
-      EXPECT_DOUBLE_EQ(quad[r * 4 + q], single[r])
+      EXPECT_EQ(Bits(quad[r * 4 + q]), Bits(single[r]))
           << "row " << r << " lane " << q;
     }
   }

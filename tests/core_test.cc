@@ -14,10 +14,12 @@
 #include "core/perceptual_space.h"
 #include "core/policy.h"
 #include "core/quality.h"
+#include "core/resolver.h"
 #include "crowd/aggregation.h"
 #include "crowd/platform.h"
 #include "data/domains.h"
 #include "data/synthetic_world.h"
+#include "db/table.h"
 #include "eval/metrics.h"
 #include "eval/neighbors.h"
 
@@ -716,6 +718,110 @@ TEST_F(PerceptualSpaceFixture, ExpandMatchesPlainPipelineOnZeroFaults) {
   EXPECT_EQ(result.values, plain.ExtractAll(*space_));
   ASSERT_TRUE(trained.trained());
   EXPECT_EQ(trained.ExtractAll(*space_), result.values);
+}
+
+// The resolver builds each expanded column once and hands it to
+// Table::AddColumn; the column must hold its extractor's ExtractAll output,
+// cell for cell. One row per item, as the resolver requires.
+namespace {
+
+db::Table ItemTable(std::size_t num_items) {
+  std::vector<db::Value> ids;
+  for (std::size_t item = 0; item < num_items; ++item) {
+    ids.emplace_back(static_cast<std::int64_t>(item));
+  }
+  return db::Table("items", db::Schema({{"item_id", db::ColumnType::kInt}}),
+                   {std::move(ids)});
+}
+
+}  // namespace
+
+TEST_F(PerceptualSpaceFixture, ResolvedBoolColumnIsTheExtractorOutput) {
+  const ExpandSetup setup = MakeExpandSetup(*world_, 31);
+  PerceptualExpansionResolver resolver(space_, setup.pool, setup.hit_config);
+  std::vector<std::uint32_t> asked;
+  PerceptualAttributeSpec spec;
+  spec.type = db::ColumnType::kBool;
+  spec.gold_sample_size = 80;
+  spec.bool_truth = [&](std::uint32_t item) {
+    asked.push_back(item);
+    return world_->GenreLabel(0, item);
+  };
+  resolver.RegisterAttribute("is_comedy", std::move(spec));
+  db::Table table = ItemTable(space_->num_items());
+  ASSERT_TRUE(resolver.Resolve(table, "is_comedy").ok());
+
+  // The same expansion outside the resolver: its gold items and their
+  // truth, the same pool and HITs.
+  SchemaExpansionRequest request;
+  request.attribute_name = "is_comedy";
+  request.gold_sample_items = asked;
+  std::vector<bool> sample_truth;
+  for (std::uint32_t item : asked) {
+    sample_truth.push_back(world_->GenreLabel(0, item));
+  }
+  BinaryAttributeExtractor extractor;
+  ASSERT_TRUE(Expand(*space_, request, setup.pool, setup.hit_config,
+                     sample_truth, ExpansionOptions{}, &extractor)
+                  .status.ok());
+  const std::vector<bool> want = extractor.ExtractAll(*space_);
+
+  ASSERT_EQ(table.schema().FindColumn("is_comedy"), 1u);
+  ASSERT_EQ(table.Column(1).size(), want.size());
+  for (std::size_t row = 0; row < want.size(); ++row) {
+    const bool* cell = std::get_if<bool>(&table.Get(row, 1));
+    ASSERT_NE(cell, nullptr) << "row " << row;
+    ASSERT_EQ(*cell, want[row]) << "row " << row;
+  }
+}
+
+TEST_F(PerceptualSpaceFixture, ResolvedDoubleColumnIsTheExtractorOutput) {
+  constexpr std::uint64_t kSeed = 5;
+  constexpr std::size_t kGold = 60;
+  const auto humor = [&](std::uint32_t item) {
+    return 5.0 + 4.0 * world_->item_traits()(item, 0) /
+                     (std::abs(world_->item_traits()(item, 0)) + 0.5);
+  };
+  PerceptualExpansionResolver resolver(space_, crowd::WorkerPool{},
+                                       crowd::HitRunConfig{}, kSeed);
+  std::vector<std::uint32_t> asked;
+  PerceptualAttributeSpec spec;
+  spec.type = db::ColumnType::kDouble;
+  spec.gold_sample_size = kGold;
+  spec.numeric_truth = [&](std::uint32_t item) {
+    asked.push_back(item);
+    return humor(item);
+  };
+  resolver.RegisterAttribute("humor", std::move(spec));
+  db::Table table = ItemTable(space_->num_items());
+  ASSERT_TRUE(resolver.Resolve(table, "humor").ok());
+
+  // The resolver's gold judgments, drawn as it draws them: the items from
+  // Rng(seed + registered attributes + 1), then one N(0, 0.25) draw per
+  // item on top of its truth.
+  Rng rng(kSeed + 2);
+  std::vector<std::uint32_t> items;
+  std::vector<double> judgments;
+  for (std::size_t index :
+       rng.SampleWithoutReplacement(space_->num_items(), kGold)) {
+    const auto item = static_cast<std::uint32_t>(index);
+    items.push_back(item);
+    judgments.push_back(humor(item) + rng.Gaussian(0.0, 0.25));
+  }
+  ASSERT_EQ(items, asked);
+  NumericAttributeExtractor extractor;
+  ASSERT_TRUE(extractor.Train(*space_, items, judgments));
+  const std::vector<double> want = extractor.ExtractAll(*space_);
+
+  ASSERT_EQ(table.schema().FindColumn("humor"), 1u);
+  ASSERT_EQ(table.Column(1).size(), want.size());
+  for (std::size_t row = 0; row < want.size(); ++row) {
+    const double* cell = std::get_if<double>(&table.Get(row, 1));
+    ASSERT_NE(cell, nullptr) << "row " << row;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(*cell),
+              std::bit_cast<std::uint64_t>(want[row]))
+        << "row " << row << ": " << *cell << " vs " << want[row];
+  }
 }
 
 TEST_F(PerceptualSpaceFixture, ExpandHonorsDollarCapUnderAbandonment) {

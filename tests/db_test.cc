@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "db/database.h"
@@ -91,6 +94,7 @@ TEST(TableTest, SchemaExpansionAddsNullColumn) {
   Table table = MakeMoviesTable();
   ASSERT_TRUE(table.AddColumn({"is_comedy", ColumnType::kBool}).ok());
   EXPECT_EQ(table.schema().num_columns(), 4u);
+  EXPECT_EQ(table.Column(3).size(), table.num_rows());
   for (std::size_t row = 0; row < table.num_rows(); ++row) {
     EXPECT_TRUE(IsNull(table.Get(row, 3)));
   }
@@ -108,24 +112,55 @@ TEST(TableTest, FillColumn) {
   EXPECT_FALSE(table.FillColumn(9, {}).ok());             // bad index
 }
 
-TEST(TableTest, FillColumnCopiesAnLvalueAndTakesAnRvalue) {
+TEST(TableTest, FillColumnCopiesAnLvalue) {
   Table table = MakeMoviesTable();
   ASSERT_TRUE(table.AddColumn({"seen", ColumnType::kBool}).ok());
   const std::vector<Value> kept = {Value(true), Value{}, Value(false)};
   ASSERT_TRUE(table.FillColumn(3, kept).ok());
   EXPECT_EQ(kept.size(), 3u);  // the caller's vector is left as it was
   EXPECT_EQ(table.Column(3), kept);
+  EXPECT_NE(table.Column(3).data(), kept.data());
+}
 
-  std::vector<Value> moved = {Value(false), Value(true), Value{}};
-  const Value* cells = moved.data();
-  ASSERT_TRUE(table.FillColumn(3, std::move(moved)).ok());
-  EXPECT_EQ(table.Column(3).data(), cells);  // taken, not copied
+TEST(TableTest, AddColumnTakesTheCallersCells) {
+  Table table = MakeMoviesTable();
+  std::vector<Value> cells = {Value(false), Value(true), Value{}};
+  const Value* data = cells.data();
+  ASSERT_TRUE(table.AddColumn({"seen", ColumnType::kBool}, std::move(cells))
+                  .ok());
+  ASSERT_EQ(table.schema().num_columns(), 4u);
+  EXPECT_EQ(table.schema().column(3).name, "seen");
+  EXPECT_EQ(table.schema().column(3).type, ColumnType::kBool);
+  EXPECT_EQ(table.Column(3).data(), data);  // taken, not copied
   EXPECT_EQ(ToString(table.Get(1, 3)), "true");
+  EXPECT_TRUE(IsNull(table.Get(2, 3)));
+}
 
-  std::vector<Value> wrong_type = {Value(1.0), Value(2.0), Value(3.0)};
-  EXPECT_EQ(table.FillColumn(3, std::move(wrong_type)).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(ToString(table.Get(1, 3)), "true");  // a failed fill changes nothing
+TEST(TableTest, AddColumnWithBadCellsChangesNothing) {
+  const Table before = MakeMoviesTable();
+  Table table = MakeMoviesTable();
+  const auto expect_rejected = [&](const ColumnDef& column,
+                                   std::vector<Value> cells) {
+    EXPECT_EQ(table.AddColumn(column, std::move(cells)).code(),
+              StatusCode::kInvalidArgument)
+        << column.name;
+    ASSERT_EQ(table.schema().num_columns(), before.schema().num_columns());
+    for (std::size_t c = 0; c < before.schema().num_columns(); ++c) {
+      EXPECT_EQ(table.schema().column(c).name, before.schema().column(c).name);
+      EXPECT_EQ(table.schema().column(c).type, before.schema().column(c).type);
+      EXPECT_EQ(table.Column(c), before.Column(c));
+    }
+  };
+  // One cell short, one cell too many.
+  expect_rejected({"seen", ColumnType::kBool}, {Value(true), Value(false)});
+  expect_rejected({"seen", ColumnType::kBool},
+                  {Value(true), Value(false), Value(true), Value(true)});
+  // A DOUBLE cell in a BOOL column.
+  expect_rejected({"seen", ColumnType::kBool},
+                  {Value(true), Value(1.0), Value(false)});
+  // A name the table already has, with otherwise valid cells.
+  expect_rejected({"name", ColumnType::kBool},
+                  {Value(true), Value(false), Value(true)});
 }
 
 TEST(TableTest, ConstructsFromWholeColumns) {
@@ -403,6 +438,56 @@ TEST(ParserTest, NegativeNumbersAndDoubles) {
   ASSERT_TRUE(statement.ok());
   EXPECT_DOUBLE_EQ(std::get<double>(statement.value().where->right->literal),
                    -2.5);
+}
+
+TEST(ParserTest, LimitTakesOnlyARowCount) {
+  for (const char* sql : {"SELECT * FROM t LIMIT -1",
+                          "SELECT * FROM t LIMIT -0",
+                          "SELECT * FROM t LIMIT 1.5",
+                          "SELECT * FROM t LIMIT 2.",
+                          "SELECT * FROM t LIMIT 99999999999999999999999",
+                          "SELECT * FROM t LIMIT 'a'",
+                          "SELECT * FROM t LIMIT"}) {
+    const auto statement = ParseSelect(sql);
+    ASSERT_FALSE(statement.ok()) << sql;
+    EXPECT_EQ(statement.status().code(), StatusCode::kInvalidArgument) << sql;
+    EXPECT_NE(statement.status().message().find("expected LIMIT count"),
+              std::string::npos)
+        << statement.status().ToString();
+  }
+  for (const auto& [sql, limit] :
+       {std::pair<const char*, std::size_t>{"SELECT * FROM t LIMIT 0", 0},
+        {"SELECT * FROM t LIMIT 007", 7},
+        {"SELECT * FROM t LIMIT 18446744073709551615",
+         std::numeric_limits<std::size_t>::max()}}) {
+    const auto statement = ParseSelect(sql);
+    ASSERT_TRUE(statement.ok()) << sql << ": " << statement.status().ToString();
+    ASSERT_TRUE(statement.value().limit.has_value()) << sql;
+    EXPECT_EQ(*statement.value().limit, limit) << sql;
+  }
+}
+
+TEST(ParserTest, IntegerLiteralsOutsideInt64AreAnError) {
+  for (const char* literal :
+       {"9223372036854775808", "-9223372036854775809",
+        "99999999999999999999", "-99999999999999999999"}) {
+    const auto statement =
+        ParseSelect(std::string("SELECT * FROM t WHERE id < ") + literal);
+    ASSERT_FALSE(statement.ok()) << literal;
+    EXPECT_EQ(statement.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(statement.status().message().find(
+                  std::string("integer literal out of range: ") + literal),
+              std::string::npos)
+        << statement.status().ToString();
+  }
+  for (const std::int64_t bound : {std::numeric_limits<std::int64_t>::min(),
+                                   std::numeric_limits<std::int64_t>::max()}) {
+    const auto statement = ParseSelect("SELECT * FROM t WHERE id = " +
+                                       std::to_string(bound));
+    ASSERT_TRUE(statement.ok()) << statement.status().ToString();
+    EXPECT_EQ(std::get<std::int64_t>(statement.value().where->right->literal),
+              bound);
+  }
 }
 
 // ---------------------------------------------------------------- exec

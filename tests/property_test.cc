@@ -237,6 +237,13 @@ TEST_P(VecProperty, CauchySchwarzAndTriangle) {
 INSTANTIATE_TEST_SUITE_P(Dims, VecProperty,
                          ::testing::Values(1u, 2u, 10u, 100u));
 
+// Bit patterns, for the parity claims that are exact.
+namespace expprop {
+
+std::uint64_t Bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+}  // namespace expprop
+
 // ----------------------------------------- vectorized numeric-core parity
 
 namespace numcore {
@@ -360,31 +367,36 @@ TEST_P(NumericCoreParity, EvalKernelBatchMatchesScalarEvalKernel) {
 
 TEST_P(NumericCoreParity, QuadKernelsAreBitIdenticalToSingleQuery) {
   // The quad-query kernels claim bit-identical summation order to the
-  // single-query primitives for every (row, lane) pair — exact equality,
-  // at every size including unroll tails.
+  // single-query primitives for every (row, lane) pair — equal bit
+  // patterns, at every size including unroll tails, and at 0–8 rows, so
+  // DotBatchQuad's three-row passes meet every one- and two-row remainder.
   const std::size_t n = GetParam();
   Rng rng(443 + n);
-  const std::size_t num_rows = 6;
-  Matrix rows(num_rows, n);
-  rows.FillGaussian(rng, 0.0, 1.3);
-  Matrix queries(4, n);
-  queries.FillGaussian(rng, 0.0, 1.3);
-  std::vector<double> interleaved(4 * n);
-  InterleaveQuad(queries.Row(0), queries.Row(1), queries.Row(2),
-                 queries.Row(3), interleaved);
-  std::vector<double> quad_dots(4 * num_rows), quad_dists(4 * num_rows);
-  DotBatchQuad(rows.Data(), num_rows, n, interleaved, quad_dots);
-  SquaredDistanceToRowsQuad(rows.Data(), num_rows, n, interleaved,
-                            quad_dists);
-  std::vector<double> dots(num_rows), dists(num_rows);
-  for (std::size_t q = 0; q < 4; ++q) {
-    DotBatch(rows.Data(), num_rows, n, queries.Row(q), dots);
-    SquaredDistanceToRows(rows.Data(), num_rows, n, queries.Row(q), dists);
-    for (std::size_t r = 0; r < num_rows; ++r) {
-      EXPECT_DOUBLE_EQ(quad_dots[r * 4 + q], dots[r])
-          << "n " << n << " row " << r << " lane " << q;
-      EXPECT_DOUBLE_EQ(quad_dists[r * 4 + q], dists[r])
-          << "n " << n << " row " << r << " lane " << q;
+  for (std::size_t num_rows = 0; num_rows <= 8; ++num_rows) {
+    Matrix rows(num_rows, n);
+    rows.FillGaussian(rng, 0.0, 1.3);
+    Matrix queries(4, n);
+    queries.FillGaussian(rng, 0.0, 1.3);
+    std::vector<double> interleaved(4 * n);
+    InterleaveQuad(queries.Row(0), queries.Row(1), queries.Row(2),
+                   queries.Row(3), interleaved);
+    std::vector<double> quad_dots(4 * num_rows), quad_dists(4 * num_rows);
+    DotBatchQuad(rows.Data(), num_rows, n, interleaved, quad_dots);
+    SquaredDistanceToRowsQuad(rows.Data(), num_rows, n, interleaved,
+                              quad_dists);
+    std::vector<double> dots(num_rows), dists(num_rows);
+    for (std::size_t q = 0; q < 4; ++q) {
+      DotBatch(rows.Data(), num_rows, n, queries.Row(q), dots);
+      SquaredDistanceToRows(rows.Data(), num_rows, n, queries.Row(q), dists);
+      for (std::size_t r = 0; r < num_rows; ++r) {
+        EXPECT_EQ(expprop::Bits(quad_dots[r * 4 + q]), expprop::Bits(dots[r]))
+            << "n " << n << ", " << num_rows << " rows, row " << r
+            << " lane " << q;
+        EXPECT_EQ(expprop::Bits(quad_dists[r * 4 + q]),
+                  expprop::Bits(dists[r]))
+            << "n " << n << ", " << num_rows << " rows, row " << r
+            << " lane " << q;
+      }
     }
   }
 }
@@ -398,8 +410,6 @@ INSTANTIATE_TEST_SUITE_P(
 // ------------------------------------------- exp of non-positive arguments
 
 namespace expprop {
-
-std::uint64_t Bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 // Runs `args` through ExpNonPositiveInPlace and holds each value to the
 // contract against std::exp: +0 where std::exp is below the normal range,
