@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <span>
 #include <vector>
 
@@ -70,6 +71,64 @@ void BM_SgdEpoch(benchmark::State& state) {
                           static_cast<std::int64_t>(ratings.num_ratings()));
 }
 BENCHMARK(BM_SgdEpoch)->Arg(25)->Arg(100);
+
+// One SGD pass at the sql_expand_100k shape, larger than L2: 100,000 items
+// and 15,000 users at d = 32 (29 MB of rows) and ~590K ratings in one
+// shuffled order, as TrainSgd visits them. An item is one rating.
+struct ShuffledPass {
+  RatingDataset ratings;
+  std::vector<std::size_t> order;
+};
+
+const ShuffledPass& Shape100k() {
+  static const ShuffledPass* const kPass = [] {
+    data::WorldConfig config = data::MoviesConfig(1.0);
+    config.num_items = 100000;
+    config.mean_ratings_per_user = 40.0;
+    auto* pass =
+        new ShuffledPass{data::SyntheticWorld(config).SampleRatings(), {}};
+    pass->order.resize(pass->ratings.num_ratings());
+    std::iota(pass->order.begin(), pass->order.end(), std::size_t{0});
+    Rng rng(7);
+    rng.Shuffle(pass->order);
+    return pass;
+  }();
+  return *kPass;
+}
+
+factorization::FactorModel Model100k(const RatingDataset& ratings) {
+  factorization::FactorModelConfig config;
+  config.dims = 32;
+  return factorization::FactorModel(config, ratings);
+}
+
+/// The pass SgdEpoch replaced: one SgdStep after another, no look-ahead.
+void BM_SgdEpochShuffledPlain(benchmark::State& state) {
+  const ShuffledPass& pass = Shape100k();
+  factorization::FactorModel model = Model100k(pass.ratings);
+  const auto ratings = pass.ratings.ratings();
+  for (auto _ : state) {
+    for (std::size_t idx : pass.order) model.SgdStep(ratings[idx], 0.01);
+    benchmark::DoNotOptimize(model.item_factors().Data().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(pass.order.size()));
+}
+BENCHMARK(BM_SgdEpochShuffledPlain);
+
+void BM_SgdEpochShuffled(benchmark::State& state) {
+  const ShuffledPass& pass = Shape100k();
+  factorization::FactorModel model = Model100k(pass.ratings);
+  for (auto _ : state) {
+    model.SgdEpoch(pass.ratings, pass.order, 0.01);
+    benchmark::DoNotOptimize(model.item_factors().Data().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(pass.order.size()));
+}
+BENCHMARK(BM_SgdEpochShuffled);
 
 // Clean labels keep few support vectors; the last row is the shape of a
 // serve_paper gold sample (1,000 crowd-labeled items, d=32), where label

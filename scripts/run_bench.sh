@@ -50,11 +50,12 @@ for b in raw.get("benchmarks", []):
     }
 
 # before/after pairs: the first benchmark re-implements the replaced
-# algorithm (the seed's scalar loops, or the one-row quad sweep), its
-# partner runs the shipped path.
+# algorithm (the seed's scalar loops, the one-row quad sweep, or the SGD
+# pass without look-ahead), its partner runs the shipped path.
 PAIRS = {
     "dot_rows": ("BM_DotRowsScalar", "BM_DotRowsBatched"),
     "dot_quad_sweep": ("BM_DotQuadSweepOneRow", "BM_DotQuadSweep"),
+    "sgd_epoch_shuffled": ("BM_SgdEpochShuffledPlain", "BM_SgdEpochShuffled"),
     "rbf_kernel_row": ("BM_RbfKernelRowScalar", "BM_RbfKernelRowNormTrick"),
     "rbf_predict_all": ("BM_RbfPredictAllScalar", "BM_RbfPredictAllBatched"),
     "knn_query": ("BM_KnnQueryScalar", "BM_KnnQueryBlocked"),
@@ -83,6 +84,8 @@ result = {
         "coherence_queries": 48,
         "knn_k": 10,
         "quad_sweep": {"rows": 746, "items": 10562, "dims": 32},
+        "sgd_epoch_shuffled": {"items": 100000, "users": 15000,
+                               "ratings": 590724, "dims": 32},
         "host": host,
         "context": raw.get("context", {}),
     },

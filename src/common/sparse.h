@@ -21,20 +21,14 @@ struct Rating {
   float day = 0.0f;
 };
 
-/// An entry of a CSR adjacency list: the "other side" id plus the score.
-struct RatingEntry {
-  std::uint32_t id = 0;  // Item id (user-major view) or user id (item-major).
-  float score = 0.0f;
-};
-
-/// Immutable collection of ratings with CSR-style indices by user and by
-/// item. This is the substrate the factorization trainer consumes; it also
-/// answers per-item / per-user statistics (counts, means) needed for bias
-/// initialization and popularity analysis.
+/// Immutable collection of ratings with per-item and per-user rating
+/// counts and score sums. This is the substrate the factorization trainer
+/// consumes; it also answers per-item / per-user statistics (counts,
+/// means) needed for bias initialization and popularity analysis.
 class RatingDataset {
  public:
-  /// Builds the dataset and both CSR indices. `num_items` / `num_users`
-  /// must exceed every id appearing in `ratings`.
+  /// Builds the dataset and its statistics. `num_items` / `num_users` must
+  /// exceed every id appearing in `ratings`.
   RatingDataset(std::size_t num_items, std::size_t num_users,
                 std::vector<Rating> ratings);
 
@@ -46,19 +40,15 @@ class RatingDataset {
   /// permutation, not this storage).
   std::span<const Rating> ratings() const { return ratings_; }
 
-  /// Ratings given by one user, as (item, score) pairs.
-  std::span<const RatingEntry> ByUser(std::uint32_t user) const;
-
-  /// Ratings received by one item, as (user, score) pairs.
-  std::span<const RatingEntry> ByItem(std::uint32_t item) const;
-
   /// Global mean score μ; 0 for an empty dataset.
   double GlobalMean() const { return global_mean_; }
 
-  /// Mean score of an item, falling back to μ when unrated.
+  /// Mean score of an item, falling back to μ when unrated. The scores are
+  /// summed in storage order.
   double ItemMean(std::uint32_t item) const;
 
-  /// Mean score of a user, falling back to μ when they rated nothing.
+  /// Mean score of a user, falling back to μ when they rated nothing. The
+  /// scores are summed in storage order.
   double UserMean(std::uint32_t user) const;
 
   /// Number of ratings on an item.
@@ -76,10 +66,10 @@ class RatingDataset {
   std::vector<Rating> ratings_;
   double global_mean_ = 0.0;
 
-  std::vector<std::size_t> user_offsets_;   // size num_users_ + 1
-  std::vector<RatingEntry> user_entries_;   // size num_ratings
-  std::vector<std::size_t> item_offsets_;   // size num_items_ + 1
-  std::vector<RatingEntry> item_entries_;   // size num_ratings
+  std::vector<std::size_t> item_counts_;  // size num_items_
+  std::vector<double> item_sums_;         // size num_items_
+  std::vector<std::size_t> user_counts_;  // size num_users_
+  std::vector<double> user_sums_;         // size num_users_
 };
 
 /// Deterministically splits rating indices into train/holdout index lists

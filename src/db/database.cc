@@ -72,6 +72,23 @@ struct TruthNumbers {
     return truth[i] != kUnknown;
   }
 };
+// INT operands: the cells of an INT column (int64 or NULL), or an integer
+// literal.
+struct IntCells {
+  const Value* cells;
+  bool Read(std::size_t i, std::int64_t& value) const {
+    const std::int64_t* n = std::get_if<std::int64_t>(&cells[i]);
+    value = n == nullptr ? 0 : *n;
+    return n != nullptr;
+  }
+};
+struct IntConstant {
+  std::int64_t number;
+  bool Read(std::size_t, std::int64_t& value) const {
+    value = number;
+    return true;
+  }
+};
 struct StringCells {
   const Value* cells;
   const std::string* Read(std::size_t i) const {
@@ -84,14 +101,15 @@ struct StringConstant {
 };
 
 // `outcome` maps the sign of (left - right), plus one, to the comparison's
-// truth; a NULL side makes it UNKNOWN. Numbers compare as doubles, as
+// truth; a NULL side makes it UNKNOWN. Numbers compare as `Number`: two INT
+// operands as int64, so exactly, any other pair as doubles, as
 // CompareNonNull does.
-template <typename Left, typename Right>
+template <typename Number, typename Left, typename Right>
 void CompareNumbers(Left left, Right right, const Truth* outcome,
                     std::size_t n, Truth* out) {
   for (std::size_t i = 0; i < n; ++i) {
-    double l = 0.0;
-    double r = 0.0;
+    Number l = 0;
+    Number r = 0;
     const bool known = left.Read(i, l) & right.Read(i, r);
     out[i] = known ? outcome[(l > r) - (l < r) + 1] : kUnknown;
   }
@@ -154,7 +172,9 @@ class BoundCondition {
     enum class Kind { kNull, kNumber, kString, kColumn, kCondition };
     Kind kind = Kind::kNull;
     bool is_string = false;
+    bool is_int = false;                         // an integer or INT column
     double number = 0.0;                         // kNumber
+    std::int64_t integer = 0;                    // kNumber, when is_int
     std::string text;                            // kString
     const std::vector<Value>* column = nullptr;  // kColumn
     std::size_t node = 0;                        // kCondition
@@ -284,6 +304,11 @@ class BoundCondition {
         } else {
           operand.kind = Operand::Kind::kNumber;
           operand.number = AsNumeric(expr.literal);
+          const auto* integer = std::get_if<std::int64_t>(&expr.literal);
+          if (integer != nullptr) {
+            operand.is_int = true;
+            operand.integer = *integer;
+          }
         }
         return operand;
       case Expr::Kind::kColumn: {
@@ -293,6 +318,7 @@ class BoundCondition {
         if (!column.ok()) return column.status();
         operand.kind = Operand::Kind::kColumn;
         operand.is_string = type == ColumnType::kString;
+        operand.is_int = type == ColumnType::kInt;
         operand.column = column.value();
         return operand;
       }
@@ -318,6 +344,14 @@ class BoundCondition {
       default:
         return visit(NumberConstant{side.number});
     }
+  }
+  template <typename Visit>
+  static void WithInts(const Operand& side, std::size_t begin,
+                       Visit&& visit) {
+    if (side.kind == Operand::Kind::kColumn) {
+      return visit(IntCells{side.column->data() + begin});
+    }
+    return visit(IntConstant{side.integer});
   }
   template <typename Visit>
   static void WithStrings(const Operand& side, std::size_t begin,
@@ -369,10 +403,16 @@ class BoundCondition {
               CompareStrings(l, r, outcome, n, out);
             });
           });
+        } else if (node.left.is_int && node.right.is_int) {
+          WithInts(node.left, begin, [&](auto l) {
+            WithInts(node.right, begin, [&](auto r) {
+              CompareNumbers<std::int64_t>(l, r, outcome, n, out);
+            });
+          });
         } else {
           WithNumbers(node.left, begin, [&](auto l) {
             WithNumbers(node.right, begin, [&](auto r) {
-              CompareNumbers(l, r, outcome, n, out);
+              CompareNumbers<double>(l, r, outcome, n, out);
             });
           });
         }

@@ -4,15 +4,15 @@
 #include <cctype>
 #include <charconv>
 #include <cstdint>
-#include <cstdlib>
 
 namespace ccdb::db {
 namespace {
 
-// Reads all of `text` as a base-10 integer of type T: false on a fraction,
-// on a sign T cannot hold and on a value out of T's range.
+// Reads all of `text` as a base-10 number of type T: false on text left
+// over (a fraction, for an integer T; a second dot, for a double), on a
+// sign T cannot hold and on a value out of T's range.
 template <typename T>
-bool ParseWholeNumber(const std::string& text, T& value) {
+bool ParseNumber(const std::string& text, T& value) {
   const char* end = text.data() + text.size();
   const auto [stop, error] = std::from_chars(text.data(), end, value);
   return error == std::errc() && stop == end;
@@ -225,7 +225,7 @@ class Parser {
       Advance();
       std::size_t limit = 0;
       if (Current().kind != TokenKind::kNumber ||
-          !ParseWholeNumber(Current().text, limit)) {
+          !ParseNumber(Current().text, limit)) {
         return ErrorHere("expected LIMIT count");
       }
       statement.limit = limit;
@@ -427,11 +427,16 @@ class Parser {
       }
       case TokenKind::kNumber: {
         if (token.text.find('.') != std::string::npos) {
+          double value = 0.0;
+          if (!ParseNumber(token.text, value)) {
+            return ErrorHere("malformed or out-of-range number: " +
+                             token.text);
+          }
           Advance();
-          return Expr::Literal(Value(std::strtod(token.text.c_str(), nullptr)));
+          return Expr::Literal(Value(value));
         }
         std::int64_t value = 0;
-        if (!ParseWholeNumber(token.text, value)) {
+        if (!ParseNumber(token.text, value)) {
           return ErrorHere("integer literal out of range: " + token.text);
         }
         Advance();

@@ -59,6 +59,11 @@ int CompareNonNull(const Value& left, const Value& right) {
         std::get<std::string>(left).compare(std::get<std::string>(right));
     return (cmp > 0) - (cmp < 0);
   }
+  const std::int64_t* left_int = std::get_if<std::int64_t>(&left);
+  const std::int64_t* right_int = std::get_if<std::int64_t>(&right);
+  if (left_int != nullptr && right_int != nullptr) {
+    return (*left_int > *right_int) - (*left_int < *right_int);
+  }
   const double l = AsNumeric(left);
   const double r = AsNumeric(right);
   if (l < r) return -1;

@@ -38,10 +38,11 @@ bool Conforms(const Value& value, ColumnType type);
 /// NULL or string.
 double AsNumeric(const Value& value);
 
-/// Three-valued-logic comparison: returns empty optional if either side is
-/// NULL, otherwise the sign of (left − right) as -1/0/+1. Strings compare
-/// lexicographically and only against strings (mismatched types
-/// CHECK-fail; the planner validates types before execution).
+/// Sign of (left − right) as -1/0/+1 for two non-NULL values (NULL
+/// CHECK-fails). Strings compare lexicographically and only against strings
+/// (mismatched types CHECK-fail; the planner validates types before
+/// execution). Two ints compare exactly; any other numeric pair compares
+/// as doubles (AsNumeric).
 int CompareNonNull(const Value& left, const Value& right);
 
 const char* ColumnTypeName(ColumnType type);

@@ -19,6 +19,74 @@ double Clip(double v, double limit) {
   return std::max(-limit, std::min(limit, v));
 }
 
+// The rating loops (an SGD pass, an RMSE sum) wait on memory, not on
+// arithmetic: each rating names an item row, a user row and two biases at
+// random places in arrays far larger than the caches. So while a loop
+// handles the rating at position i, it starts fetching the parameters of
+// the rating at i + kLookAhead, and that rating itself at
+// i + 2 * kLookAhead, so its ids are in cache when its rows are asked for.
+// 8 ran fastest on a 100K-item, d = 32 world, 4 and 12 close behind, 16
+// to 64 slower (DESIGN.md §9, "Rating loops").
+constexpr std::size_t kLookAhead = 8;
+
+constexpr std::size_t kCacheLineBytes = 64;
+
+// Starts fetching every cache line of the non-empty `values`: one byte in
+// each line-sized step, then the last byte, for the line a row that does
+// not start on a line boundary spills into. Always inlined: GCC 12 takes a
+// function that only prefetches for one without effects and deletes the
+// calls to it.
+[[gnu::always_inline]] inline void PrefetchLines(
+    std::span<const double> values) {
+  const char* bytes = reinterpret_cast<const char*>(values.data());
+  for (std::size_t offset = 0; offset < values.size_bytes();
+       offset += kCacheLineBytes) {
+    __builtin_prefetch(bytes + offset);
+  }
+  __builtin_prefetch(bytes + values.size_bytes() - 1);
+}
+
+// Starts fetching every cache line a step on `rating` reads.
+void PrefetchParameters(const FactorModel& model, const Rating& rating) {
+  PrefetchLines(model.item_factors().Row(rating.item));
+  PrefetchLines(model.user_factors().Row(rating.user));
+  __builtin_prefetch(&model.item_bias()[rating.item]);
+  __builtin_prefetch(&model.user_bias()[rating.user]);
+  if (model.config().time_bins > 1) {
+    PrefetchLines(model.item_time_bias().Row(rating.item));
+  }
+}
+
+// Calls `visit` on ratings[at(0)], ..., ratings[at(n - 1)] in that order,
+// fetching ahead for each the parameters of `model` it reads.
+template <typename At, typename Visit>
+void WalkRatings(const FactorModel& model, std::span<const Rating> ratings,
+                 std::size_t n, At at, Visit visit) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i + 2 * kLookAhead < n) {
+      __builtin_prefetch(&ratings[at(i + 2 * kLookAhead)]);
+    }
+    if (i + kLookAhead < n) {
+      PrefetchParameters(model, ratings[at(i + kLookAhead)]);
+    }
+    visit(ratings[at(i)]);
+  }
+}
+
+// RMSE of `model` over ratings[at(0)], ..., ratings[at(n - 1)], summed in
+// that order.
+template <typename At>
+double Rmse(const FactorModel& model, std::span<const Rating> ratings,
+            std::size_t n, At at) {
+  if (n == 0) return 0.0;
+  double acc = 0.0;
+  WalkRatings(model, ratings, n, at, [&model, &acc](const Rating& r) {
+    const double diff = r.score - model.PredictAt(r.item, r.user, r.day);
+    acc += diff * diff;
+  });
+  return std::sqrt(acc / static_cast<double>(n));
+}
+
 }  // namespace
 
 FactorModel::FactorModel(const FactorModelConfig& config,
@@ -146,28 +214,25 @@ void FactorModel::EuclideanStep(const Rating& rating, double lr) {
   }
 }
 
+void FactorModel::SgdEpoch(const RatingDataset& data,
+                           std::span<const std::size_t> order,
+                           double learning_rate) {
+  WalkRatings(*this, data.ratings(), order.size(),
+              [order](std::size_t i) { return order[i]; },
+              [this, learning_rate](const Rating& r) {
+                SgdStep(r, learning_rate);
+              });
+}
+
 double FactorModel::EvaluateRmse(const RatingDataset& data,
                                  std::span<const std::size_t> indices) const {
-  if (indices.empty()) return 0.0;
-  const auto ratings = data.ratings();
-  double acc = 0.0;
-  for (std::size_t idx : indices) {
-    const Rating& r = ratings[idx];
-    const double diff = r.score - PredictAt(r.item, r.user, r.day);
-    acc += diff * diff;
-  }
-  return std::sqrt(acc / static_cast<double>(indices.size()));
+  return Rmse(*this, data.ratings(), indices.size(),
+              [indices](std::size_t i) { return indices[i]; });
 }
 
 double FactorModel::EvaluateRmse(const RatingDataset& data) const {
-  const auto ratings = data.ratings();
-  if (ratings.empty()) return 0.0;
-  double acc = 0.0;
-  for (const Rating& r : ratings) {
-    const double diff = r.score - PredictAt(r.item, r.user, r.day);
-    acc += diff * diff;
-  }
-  return std::sqrt(acc / static_cast<double>(ratings.size()));
+  return Rmse(*this, data.ratings(), data.num_ratings(),
+              [](std::size_t i) { return i; });
 }
 
 }  // namespace ccdb::factorization

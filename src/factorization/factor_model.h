@@ -90,11 +90,19 @@ class FactorModel {
   /// given learning rate, using the model-kind specific gradient.
   void SgdStep(const Rating& rating, double learning_rate);
 
-  /// RMSE of the model over the given rating indices of `data`.
+  /// One SGD pass: SgdStep on the ratings of `data` at `order[0]`,
+  /// `order[1]`, … in turn. Each step reads rows at random places, so the
+  /// pass fetches ahead what later steps read; the steps and their
+  /// arithmetic are the plain loop's, bit for bit.
+  void SgdEpoch(const RatingDataset& data, std::span<const std::size_t> order,
+                double learning_rate);
+
+  /// RMSE of the model over the given rating indices of `data`, summed in
+  /// index order.
   double EvaluateRmse(const RatingDataset& data,
                       std::span<const std::size_t> indices) const;
 
-  /// RMSE over all ratings of `data`.
+  /// RMSE over all ratings of `data`, summed in storage order.
   double EvaluateRmse(const RatingDataset& data) const;
 
  private:

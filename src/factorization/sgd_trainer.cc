@@ -117,16 +117,13 @@ StatusOr<TrainingReport> TrainSgd(const SgdTrainerConfig& config,
     rng.Shuffle(split.train);
   }
 
-  const auto ratings = data.ratings();
   while (!report.early_stopped && report.epochs_run < config.max_epochs) {
     if (config.stop.ShouldStop()) {
       report.stop_status = config.stop.ToStatus("SGD training");
       break;
     }
     rng.Shuffle(split.train);
-    for (std::size_t idx : split.train) {
-      model.SgdStep(ratings[idx], state.learning_rate);
-    }
+    model.SgdEpoch(data, split.train, state.learning_rate);
     state.learning_rate *= config.lr_decay;
     ++report.epochs_run;
 

@@ -301,21 +301,20 @@ TEST(JacobiEigenTest, ReconstructsMatrix) {
 
 // ---------------------------------------------------------------- sparse
 
-TEST(RatingDatasetTest, IndicesAndStats) {
+TEST(RatingDatasetTest, CountsAndStats) {
   std::vector<Rating> ratings = {
       {0, 0, 5.0f}, {0, 1, 3.0f}, {1, 1, 4.0f}, {2, 0, 1.0f},
   };
   RatingDataset data(3, 2, ratings);
   EXPECT_EQ(data.num_ratings(), 4u);
   EXPECT_DOUBLE_EQ(data.GlobalMean(), (5.0 + 3.0 + 4.0 + 1.0) / 4.0);
-  EXPECT_EQ(data.ByItem(0).size(), 2u);
-  EXPECT_EQ(data.ByItem(1).size(), 1u);
-  EXPECT_EQ(data.ByUser(0).size(), 2u);
-  EXPECT_EQ(data.ByUser(1).size(), 2u);
+  EXPECT_EQ(data.ItemCount(0), 2u);
+  EXPECT_EQ(data.ItemCount(1), 1u);
+  EXPECT_EQ(data.UserCount(0), 2u);
+  EXPECT_EQ(data.UserCount(1), 2u);
   EXPECT_DOUBLE_EQ(data.ItemMean(0), 4.0);
   EXPECT_DOUBLE_EQ(data.UserMean(0), 3.0);
   EXPECT_EQ(data.ItemCount(2), 1u);
-  EXPECT_EQ(data.UserCount(1), 2u);
 }
 
 TEST(RatingDatasetTest, UnratedItemFallsBackToGlobalMean) {
@@ -330,21 +329,37 @@ TEST(RatingDatasetTest, DensityComputation) {
   EXPECT_DOUBLE_EQ(data.Density(), 0.5);
 }
 
-TEST(RatingDatasetTest, CsrRoundTrip) {
+TEST(RatingDatasetTest, CountsCoverEveryRating) {
   Rng rng(37);
   std::vector<Rating> ratings;
   for (int i = 0; i < 500; ++i) {
     ratings.push_back({static_cast<std::uint32_t>(rng.UniformInt(20)),
                        static_cast<std::uint32_t>(rng.UniformInt(30)),
-                       static_cast<float>(1 + rng.UniformInt(5))});
+                       static_cast<float>(rng.Uniform(1.0, 5.0))});
   }
   RatingDataset data(20, 30, ratings);
   std::size_t total = 0;
-  for (std::uint32_t m = 0; m < 20; ++m) total += data.ByItem(m).size();
+  for (std::uint32_t m = 0; m < 20; ++m) total += data.ItemCount(m);
   EXPECT_EQ(total, data.num_ratings());
   total = 0;
-  for (std::uint32_t u = 0; u < 30; ++u) total += data.ByUser(u).size();
+  for (std::uint32_t u = 0; u < 30; ++u) total += data.UserCount(u);
   EXPECT_EQ(total, data.num_ratings());
+
+  // Means sum in storage order, the order the bias warm start depends on.
+  for (std::uint32_t m = 0; m < 20; ++m) {
+    double sum = 0.0;
+    for (const Rating& r : ratings) {
+      if (r.item == m) sum += r.score;
+    }
+    EXPECT_EQ(data.ItemMean(m), sum / static_cast<double>(data.ItemCount(m)));
+  }
+  for (std::uint32_t u = 0; u < 30; ++u) {
+    double sum = 0.0;
+    for (const Rating& r : ratings) {
+      if (r.user == u) sum += r.score;
+    }
+    EXPECT_EQ(data.UserMean(u), sum / static_cast<double>(data.UserCount(u)));
+  }
 }
 
 TEST(SplitRatingsTest, PartitionsAllIndices) {

@@ -47,6 +47,10 @@ TEST(ValueTest, Comparison) {
   EXPECT_EQ(CompareNonNull(Value(std::string("b")),
                            Value(std::string("a"))), 1);
   EXPECT_EQ(CompareNonNull(Value(true), Value(false)), 1);
+  // Two ints compare exactly, also where their doubles are equal.
+  EXPECT_EQ(CompareNonNull(Value(std::int64_t{9007199254740992}),
+                           Value(std::int64_t{9007199254740993})),
+            -1);
 }
 
 // ---------------------------------------------------------------- table
@@ -490,6 +494,32 @@ TEST(ParserTest, IntegerLiteralsOutsideInt64AreAnError) {
   }
 }
 
+TEST(ParserTest, FractionalLiteralsAreReadWhole) {
+  // Each of these once read as its longest numeric prefix: 1.2, 1.2, 1.
+  const std::string huge = "1" + std::string(400, '0') + ".0";
+  for (const std::string& literal :
+       {std::string("1.2.3"), std::string("1.2.5"), std::string("1..9"),
+        std::string("-0.5.1"), huge}) {
+    const auto statement = ParseSelect("SELECT * FROM t WHERE x < " + literal);
+    ASSERT_FALSE(statement.ok()) << literal;
+    EXPECT_EQ(statement.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(statement.status().message().find(
+                  "malformed or out-of-range number: " + literal),
+              std::string::npos)
+        << statement.status().ToString();
+  }
+  for (const auto& [literal, value] :
+       {std::pair<const char*, double>{"1.", 1.0}, {"0.1", 0.1},
+        {"00.5", 0.5}}) {
+    const auto statement =
+        ParseSelect(std::string("SELECT * FROM t WHERE x < ") + literal);
+    ASSERT_TRUE(statement.ok()) << literal;
+    EXPECT_EQ(std::get<double>(statement.value().where->right->literal),
+              value)
+        << literal;
+  }
+}
+
 // ---------------------------------------------------------------- exec
 
 class CountingResolver : public MissingAttributeResolver {
@@ -548,6 +578,40 @@ TEST(DatabaseTest, StringEquality) {
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result.value().num_rows(), 1u);
   EXPECT_EQ(ToString(result.value().Get(0, 0)), "1976");
+}
+
+TEST(DatabaseTest, IntColumnsCompareExactly) {
+  // 2^53 + 1 has no double of its own: as doubles, 2^53 and 2^53 + 1 are
+  // equal.
+  Table table("t", Schema({{"id", ColumnType::kInt}}));
+  for (const std::int64_t id : {std::int64_t{9007199254740992},
+                                std::int64_t{9007199254740993},
+                                std::int64_t{1}}) {
+    ASSERT_TRUE(table.AppendRow({Value(id)}).ok());
+  }
+  Database database;
+  ASSERT_TRUE(database.AddTable(std::move(table)).ok());
+  const auto equal =
+      database.Execute("SELECT id FROM t WHERE id = 9007199254740993");
+  ASSERT_TRUE(equal.ok()) << equal.status().ToString();
+  ASSERT_EQ(equal.value().num_rows(), 1u);
+  EXPECT_EQ(std::get<std::int64_t>(equal.value().Get(0, 0)),
+            9007199254740993);
+  const auto greater =
+      database.Execute("SELECT id FROM t WHERE id > 9007199254740992");
+  ASSERT_TRUE(greater.ok()) << greater.status().ToString();
+  EXPECT_EQ(greater.value().num_rows(), 1u);
+  const auto ordered =
+      database.Execute("SELECT id FROM t ORDER BY id DESC LIMIT 1");
+  ASSERT_TRUE(ordered.ok()) << ordered.status().ToString();
+  ASSERT_EQ(ordered.value().num_rows(), 1u);
+  EXPECT_EQ(std::get<std::int64_t>(ordered.value().Get(0, 0)),
+            9007199254740993);
+  // An INT column against a DOUBLE literal still compares as doubles.
+  const auto mixed =
+      database.Execute("SELECT id FROM t WHERE id = 9007199254740993.0");
+  ASSERT_TRUE(mixed.ok()) << mixed.status().ToString();
+  EXPECT_EQ(mixed.value().num_rows(), 2u);
 }
 
 TEST(DatabaseTest, MissingTableError) {

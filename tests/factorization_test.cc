@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -337,6 +342,163 @@ TEST(TemporalModelTest, PredictAtMatchesPredictForSingleBin) {
   config.time_bins = 1;
   FactorModel model(config, data);
   EXPECT_DOUBLE_EQ(model.Predict(3, 7), model.PredictAt(3, 7, 123.0));
+}
+
+// ------------------------------------------- look-ahead passes, bit for bit
+
+std::uint64_t Bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+// Expects `actual` to hold `expected`'s bit patterns; reports the first
+// entry that differs.
+void ExpectSameBits(std::span<const double> actual,
+                    std::span<const double> expected, const char* what) {
+  ASSERT_EQ(actual.size(), expected.size()) << what;
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    if (Bits(actual[i]) != Bits(expected[i])) {
+      ADD_FAILURE() << what << "[" << i << "]: " << actual[i] << " vs "
+                    << expected[i];
+      return;
+    }
+  }
+}
+
+void ExpectSameModel(const FactorModel& actual, const FactorModel& expected) {
+  ExpectSameBits(actual.item_factors().Data(), expected.item_factors().Data(),
+                 "item factors");
+  ExpectSameBits(actual.user_factors().Data(), expected.user_factors().Data(),
+                 "user factors");
+  ExpectSameBits(actual.item_bias(), expected.item_bias(), "item biases");
+  ExpectSameBits(actual.user_bias(), expected.user_bias(), "user biases");
+  ExpectSameBits(actual.item_time_bias().Data(),
+                 expected.item_time_bias().Data(), "item time biases");
+}
+
+// The RMSE loop the look-ahead passes replaced: one term after another,
+// summed in index order.
+double PlainRmse(const FactorModel& model, std::span<const Rating> ratings,
+                 std::span<const std::size_t> indices) {
+  if (indices.empty()) return 0.0;
+  double acc = 0.0;
+  for (std::size_t idx : indices) {
+    const Rating& r = ratings[idx];
+    const double diff = r.score - model.PredictAt(r.item, r.user, r.day);
+    acc += diff * diff;
+  }
+  return std::sqrt(acc / static_cast<double>(indices.size()));
+}
+
+FactorModelConfig ReplayModelConfig(ModelKind kind, std::size_t time_bins) {
+  FactorModelConfig config;
+  config.kind = kind;
+  config.dims = 8;
+  config.time_bins = time_bins;
+  config.timeline_days = 1000.0;
+  return config;
+}
+
+// (model kind, validation fraction, time bins)
+using ReplayCase = std::tuple<ModelKind, double, std::size_t>;
+class SgdReplayTest : public ::testing::TestWithParam<ReplayCase> {};
+
+std::string ReplayCaseName(const ::testing::TestParamInfo<ReplayCase>& info) {
+  const auto [kind, validation_fraction, time_bins] = info.param;
+  return std::string(kind == ModelKind::kSvdDotProduct ? "Svd" : "Euclidean") +
+         (validation_fraction > 0.0 ? "_Holdout" : "_NoHoldout") + "_Bins" +
+         std::to_string(time_bins);
+}
+
+// TrainSgd equals a hand-written replay of its schedule (SplitRatings, one
+// Shuffle per epoch, SgdStep after SgdStep, RMSE summed in index order):
+// every factor, bias and RMSE, by bit pattern.
+TEST_P(SgdReplayTest, TrainSgdEqualsPlainReplay) {
+  const auto [kind, validation_fraction, time_bins] = GetParam();
+  const RatingDataset data = MakeDriftingDataset(60, 200, 0.5, 113);
+  const FactorModelConfig model_config = ReplayModelConfig(kind, time_bins);
+  SgdTrainerConfig trainer;
+  trainer.max_epochs = 5;
+  trainer.validation_fraction = validation_fraction;
+  trainer.patience = trainer.max_epochs;  // no early stop
+
+  FactorModel trained(model_config, data);
+  const TrainingReport report = TrainValid(trainer, data, trained);
+
+  FactorModel replay(model_config, data);
+  const auto ratings = data.ratings();
+  Rng rng(trainer.seed);
+  TrainHoldoutSplit split =
+      SplitRatings(data.num_ratings(), validation_fraction, rng);
+  ASSERT_EQ(split.holdout.empty(), validation_fraction == 0.0);
+  ASSERT_EQ(report.epochs_run, trainer.max_epochs);
+  ASSERT_EQ(report.train_rmse.size(),
+            static_cast<std::size_t>(trainer.max_epochs));
+  ASSERT_EQ(report.validation_rmse.size(),
+            split.holdout.empty() ? 0u : report.train_rmse.size());
+  double learning_rate = trainer.learning_rate;
+  for (int epoch = 0; epoch < trainer.max_epochs; ++epoch) {
+    rng.Shuffle(split.train);
+    for (std::size_t idx : split.train) {
+      replay.SgdStep(ratings[idx], learning_rate);
+    }
+    learning_rate *= trainer.lr_decay;
+    EXPECT_EQ(Bits(report.train_rmse[epoch]),
+              Bits(PlainRmse(replay, ratings, split.train)))
+        << "epoch " << epoch;
+    if (!split.holdout.empty()) {
+      EXPECT_EQ(Bits(report.validation_rmse[epoch]),
+                Bits(PlainRmse(replay, ratings, split.holdout)))
+          << "epoch " << epoch;
+    }
+  }
+  ExpectSameModel(trained, replay);
+
+  std::vector<std::size_t> all(data.num_ratings());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  EXPECT_EQ(Bits(trained.EvaluateRmse(data)),
+            Bits(PlainRmse(trained, ratings, all)));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KindsSplitsAndBins, SgdReplayTest,
+    ::testing::Combine(::testing::Values(ModelKind::kSvdDotProduct,
+                                         ModelKind::kEuclideanEmbedding),
+                       ::testing::Values(0.0, 0.2),
+                       ::testing::Values(std::size_t{1}, std::size_t{4})),
+    ReplayCaseName);
+
+// The passes on their own, at lengths around the look-ahead distances and
+// on inputs allocated to their exact size, so a read past the end of the
+// order or of the ratings lands in an ASan redzone.
+TEST(SgdEpochTest, EqualsPlainLoopAtEveryLength) {
+  const RatingDataset source = MakeDriftingDataset(30, 60, 0.5, 127);
+  for (const std::size_t n : {0u, 1u, 7u, 8u, 9u, 15u, 16u, 17u, 33u, 300u}) {
+    const auto first = source.ratings().begin();
+    const RatingDataset data(
+        source.num_items(), source.num_users(),
+        std::vector<Rating>(first, first + static_cast<std::ptrdiff_t>(n)));
+    std::vector<std::size_t> order(n);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    Rng rng(131 + n);
+    rng.Shuffle(order);
+    for (const std::size_t time_bins : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(::testing::Message() << "n = " << n << ", time_bins = "
+                                        << time_bins);
+      const FactorModelConfig config =
+          ReplayModelConfig(ModelKind::kEuclideanEmbedding, time_bins);
+      FactorModel epoch(config, data);
+      FactorModel plain(config, data);
+      for (int pass = 0; pass < 2; ++pass) {
+        epoch.SgdEpoch(data, order, 0.05);
+        for (std::size_t idx : order) plain.SgdStep(data.ratings()[idx], 0.05);
+      }
+      ExpectSameModel(epoch, plain);
+      std::vector<std::size_t> all(n);
+      std::iota(all.begin(), all.end(), std::size_t{0});
+      EXPECT_EQ(Bits(epoch.EvaluateRmse(data, order)),
+                Bits(PlainRmse(plain, data.ratings(), order)));
+      EXPECT_EQ(Bits(epoch.EvaluateRmse(data)),
+                Bits(PlainRmse(plain, data.ratings(), all)));
+    }
+  }
 }
 
 }  // namespace
