@@ -53,10 +53,12 @@ int main() {
   positive_fraction /= static_cast<double>(unlabeled_items.size());
 
   auto evaluate = [&](const svm::SvmModel& model) {
+    std::vector<double> decisions(unlabeled_items.size());
+    model.DecisionValuesInto(unlabeled, StopCondition(), decisions);
     std::vector<bool> predicted(unlabeled_items.size());
     std::vector<bool> truth(unlabeled_items.size());
     for (std::size_t i = 0; i < unlabeled_items.size(); ++i) {
-      predicted[i] = model.Predict(unlabeled.Row(i));
+      predicted[i] = decisions[i] >= 0.0;
       truth[i] = comedy[unlabeled_items[i]];
     }
     return eval::GMean(eval::CountConfusion(predicted, truth));

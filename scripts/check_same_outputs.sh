@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
 # Same-outputs check: the 15 seeded table, figure and ablation benches and
-# two runs of the SQL path must print the same results on this checkout as
-# on <base-ref>.
+# all five examples must print the same results on this checkout as on
+# <base-ref>.
 #
 # Builds <base-ref> in a temporary git worktree, runs every bench on both
 # trees under CCDB_SCALE=0.1 CCDB_NO_CACHE=1 (each side with its own
-# TMPDIR and working directory), then the SQL path through
-# Database::Execute: examples/movie_query, and examples/crowd_shell reading
-# the statements in scripts/crowd_shell_session.txt. It masks the
-# wall-clock fields and diffs the two sides. The masked fields are:
+# TMPDIR and working directory), then every example: the SQL path through
+# Database::Execute (examples/movie_query, and examples/crowd_shell reading
+# the statements in scripts/crowd_shell_session.txt) and the library path
+# (examples/quickstart, cross_domain and data_cleaning: ExtractAll,
+# RunCrowdTask and the response-quality checker). It masks the wall-clock
+# fields and diffs the two sides. The masked fields are:
 #   - "[space] built in <t>s" (every bench);
 #   - the seconds columns of ablation_space, ablation_temporal and
 #     ablation_tsvm, and ablation_tsvm's "Slowdown factor";
@@ -34,7 +36,7 @@ BENCHES=(
   ablation_aggregation ablation_durability ablation_faults ablation_hybrid
   ablation_space ablation_temporal ablation_tsvm
 )
-EXAMPLES=(movie_query crowd_shell)
+EXAMPLES=(movie_query crowd_shell quickstart cross_domain data_cleaning)
 SHELL_SESSION="$(pwd)/scripts/crowd_shell_session.txt"
 
 WORK="$(mktemp -d)"
@@ -61,13 +63,14 @@ run_benches() {  # <build dir> <side>
     (cd "${dir}" && TMPDIR="${dir}/tmp" CCDB_SCALE=0.1 CCDB_NO_CACHE=1 \
       "$1/bench/${bench}" 2>&1) || echo "=== ${bench} exited $?"
   done
-  echo "=== movie_query"
-  (cd "${dir}" && TMPDIR="${dir}/tmp" "$1/examples/movie_query" 2>&1) ||
-    echo "=== movie_query exited $?"
-  echo "=== crowd_shell"
-  (cd "${dir}" && TMPDIR="${dir}/tmp" \
-    "$1/examples/crowd_shell" < "${SHELL_SESSION}" 2>&1) ||
-    echo "=== crowd_shell exited $?"
+  for example in "${EXAMPLES[@]}"; do
+    local input=/dev/null
+    [[ "${example}" == crowd_shell ]] && input="${SHELL_SESSION}"
+    echo "=== ${example}"
+    (cd "${dir}" && TMPDIR="${dir}/tmp" \
+      "$1/examples/${example}" < "${input}" 2>&1) ||
+      echo "=== ${example} exited $?"
+  done
 }
 
 mask() {

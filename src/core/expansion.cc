@@ -39,8 +39,7 @@ SchemaExpansionResult Expand(const PerceptualSpace& space,
                              const crowd::WorkerPool& pool,
                              const crowd::HitRunConfig& hit_config,
                              const std::vector<bool>& sample_truth,
-                             const ExpansionOptions& options,
-                             BinaryAttributeExtractor* trained) {
+                             const ExpansionOptions& options) {
   SchemaExpansionResult result;
   if (request.gold_sample_items.size() != sample_truth.size()) {
     result.status = Status::InvalidArgument(
@@ -210,7 +209,6 @@ SchemaExpansionResult Expand(const PerceptualSpace& space,
   }
   result.values = *std::move(values);
   result.status = Status::Ok();
-  if (trained != nullptr) *trained = std::move(extractor);
   return result;
 }
 

@@ -152,15 +152,13 @@ struct ExpansionOptions {
 /// for malformed requests, OutOfRange when the budget died first,
 /// FailedPrecondition when the sample never yielded two classes,
 /// Cancelled / DeadlineExceeded when `options.stop` fired); crowd spend
-/// and dispatch stats are reported either way. On success, `trained`
-/// (when non-null) receives the extractor, e.g. to fill rows added later.
+/// and dispatch stats are reported either way.
 SchemaExpansionResult Expand(const PerceptualSpace& space,
                              const SchemaExpansionRequest& request,
                              const crowd::WorkerPool& pool,
                              const crowd::HitRunConfig& hit_config,
                              const std::vector<bool>& sample_truth,
-                             const ExpansionOptions& options,
-                             BinaryAttributeExtractor* trained = nullptr);
+                             const ExpansionOptions& options);
 
 }  // namespace ccdb::core
 

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "svm/svr.h"
 
 namespace ccdb::core {
 
@@ -63,45 +64,39 @@ bool BinaryAttributeExtractor::Train(const PerceptualSpace& space,
   return model_.trained();
 }
 
-bool BinaryAttributeExtractor::Extract(const PerceptualSpace& space,
-                                       std::uint32_t item) const {
-  return model_.Predict(space.CoordsOf(item));
-}
-
 std::vector<bool> BinaryAttributeExtractor::ExtractAll(
     const PerceptualSpace& space) const {
-  return model_.PredictAll(space.item_coords());
+  // The default StopCondition never fires.
+  return *Labels(space.item_coords(), StopCondition());
 }
 
 std::optional<std::vector<bool>> BinaryAttributeExtractor::ExtractAll(
     const PerceptualSpace& space, const StopCondition& stop) const {
-  std::vector<double> decisions(space.num_items());
-  if (!model_.DecisionValuesInto(space.item_coords(), stop, decisions)) {
-    return std::nullopt;
-  }
-  std::vector<bool> labels(decisions.size());
-  for (std::size_t i = 0; i < decisions.size(); ++i) {
-    labels[i] = decisions[i] >= 0.0;
-  }
-  return labels;
+  return Labels(space.item_coords(), stop);
 }
 
 std::optional<std::vector<bool>> BinaryAttributeExtractor::ExtractItems(
     const PerceptualSpace& space, const std::vector<std::uint32_t>& items,
     const StopCondition& stop) const {
-  const Matrix rows = space.GatherRows(items);
-  std::vector<double> decisions(rows.rows());
-  if (!model_.DecisionValuesInto(rows, stop, decisions)) return std::nullopt;
+  return Labels(space.GatherRows(items), stop);
+}
+
+std::vector<double> BinaryAttributeExtractor::DecisionValues(
+    const PerceptualSpace& space) const {
+  std::vector<double> decisions(space.num_items());
+  model_.DecisionValuesInto(space.item_coords(), StopCondition(), decisions);
+  return decisions;
+}
+
+std::optional<std::vector<bool>> BinaryAttributeExtractor::Labels(
+    const Matrix& points, const StopCondition& stop) const {
+  std::vector<double> decisions(points.rows());
+  if (!model_.DecisionValuesInto(points, stop, decisions)) return std::nullopt;
   std::vector<bool> labels(decisions.size());
   for (std::size_t i = 0; i < decisions.size(); ++i) {
     labels[i] = decisions[i] >= 0.0;
   }
   return labels;
-}
-
-std::vector<double> BinaryAttributeExtractor::DecisionValues(
-    const PerceptualSpace& space) const {
-  return model_.DecisionValues(space.item_coords());
 }
 
 NumericAttributeExtractor::NumericAttributeExtractor(
@@ -113,7 +108,7 @@ bool NumericAttributeExtractor::Train(const PerceptualSpace& space,
                                       const std::vector<double>& values) {
   CCDB_CHECK_EQ(items.size(), values.size());
   if (items.empty()) {
-    model_ = svm::SvrModel();
+    model_ = svm::SvmModel();
     return false;
   }
   const Matrix examples = space.GatherRows(items);
@@ -129,22 +124,10 @@ bool NumericAttributeExtractor::Train(const PerceptualSpace& space,
   return model_.trained();
 }
 
-double NumericAttributeExtractor::Extract(const PerceptualSpace& space,
-                                          std::uint32_t item) const {
-  return model_.Predict(space.CoordsOf(item));
-}
-
 std::vector<double> NumericAttributeExtractor::ExtractAll(
     const PerceptualSpace& space) const {
-  return model_.PredictAll(space.item_coords());
-}
-
-std::optional<std::vector<double>> NumericAttributeExtractor::ExtractAll(
-    const PerceptualSpace& space, const StopCondition& stop) const {
   std::vector<double> values(space.num_items());
-  if (!model_.PredictAllInto(space.item_coords(), stop, values)) {
-    return std::nullopt;
-  }
+  model_.DecisionValuesInto(space.item_coords(), StopCondition(), values);
   return values;
 }
 

@@ -8,7 +8,6 @@
 #include "common/cancellation.h"
 #include "core/perceptual_space.h"
 #include "svm/classifier.h"
-#include "svm/svr.h"
 
 namespace ccdb::core {
 
@@ -53,9 +52,6 @@ class BinaryAttributeExtractor {
 
   bool trained() const { return model_.trained(); }
 
-  /// Predicted label for one item.
-  bool Extract(const PerceptualSpace& space, std::uint32_t item) const;
-
   /// Predicted labels for every item in the space — the schema-expansion
   /// fill step ("classify all two million movies without additional user
   /// interaction"). Batched: one support-vector sweep per item,
@@ -80,6 +76,11 @@ class BinaryAttributeExtractor {
   const svm::SvmModel& model() const { return model_; }
 
  private:
+  /// The three label calls' one path: f(x) ≥ 0 for every row of `points`,
+  /// or nullopt when `stop` fired mid-sweep.
+  std::optional<std::vector<bool>> Labels(const Matrix& points,
+                                          const StopCondition& stop) const;
+
   ExtractorOptions options_;
   svm::SvmModel model_;
 };
@@ -99,20 +100,13 @@ class NumericAttributeExtractor {
 
   bool trained() const { return model_.trained(); }
 
-  double Extract(const PerceptualSpace& space, std::uint32_t item) const;
+  /// Estimates for every item in the space (batched, as for the Boolean
+  /// extractor).
   std::vector<double> ExtractAll(const PerceptualSpace& space) const;
-
-  /// Cancellation-aware whole-database extraction; nullopt when `stop`
-  /// fired mid-sweep.
-  std::optional<std::vector<double>> ExtractAll(const PerceptualSpace& space,
-                                                const StopCondition& stop)
-      const;
-
-  const svm::SvrModel& model() const { return model_; }
 
  private:
   ExtractorOptions options_;
-  svm::SvrModel model_;
+  svm::SvmModel model_;
 };
 
 }  // namespace ccdb::core

@@ -27,21 +27,24 @@ Status PerceptualExpansionResolver::Resolve(db::Table& table,
     return Status::NotFound("attribute not registered for expansion: " +
                             column_name);
   }
-  // Row i of the table corresponds to item i of the space; the table may
-  // be a prefix (items already embedded but not yet inserted into the DB
-  // are filled later via Refresh()).
-  if (table.num_rows() > space_->num_items()) {
-    return Status::FailedPrecondition(
-        "table has rows beyond the perceptual space");
-  }
+  // Every expansion of a registered attribute replaces last_result_, whose
+  // status is then the one the query gets.
+  last_result_ = SchemaExpansionResult{};
   const PerceptualAttributeSpec& spec = it->second;
-  if (spec.type == db::ColumnType::kBool) {
-    return ResolveBool(table, column_name, spec);
+  // Row i of the table corresponds to item i of the space; the table may
+  // be a prefix (items already embedded but not yet inserted into the DB).
+  if (table.num_rows() > space_->num_items()) {
+    last_result_.status = Status::FailedPrecondition(
+        "table has rows beyond the perceptual space");
+  } else if (spec.type == db::ColumnType::kBool) {
+    last_result_.status = ResolveBool(table, column_name, spec);
+  } else if (spec.type == db::ColumnType::kDouble) {
+    last_result_.status = ResolveNumeric(table, column_name, spec);
+  } else {
+    last_result_.status =
+        Status::InvalidArgument("unsupported perceptual attribute type");
   }
-  if (spec.type == db::ColumnType::kDouble) {
-    return ResolveNumeric(table, column_name, spec);
-  }
-  return Status::InvalidArgument("unsupported perceptual attribute type");
+  return last_result_.status;
 }
 
 Status PerceptualExpansionResolver::ResolveBool(
@@ -64,13 +67,9 @@ Status PerceptualExpansionResolver::ResolveBool(
     sample_truth.push_back(spec.bool_truth(item));
   }
 
-  // Run the expansion pipeline and *retain* the extractor so Refresh can
-  // fill rows appended later without another crowd round-trip.
-  BinaryAttributeExtractor extractor;
   last_result_ = Expand(*space_, request, pool_, hit_config_, sample_truth,
-                        ExpansionOptions{}, &extractor);
+                        ExpansionOptions{});
   if (!last_result_.status.ok()) return last_result_.status;
-  trained_binary_[column_name] = std::move(extractor);
   audit_log_.push_back({column_name, db::ColumnType::kBool,
                         request.gold_sample_items.size(),
                         last_result_.gold_sample_classified,
@@ -106,21 +105,21 @@ Status PerceptualExpansionResolver::ResolveNumeric(
     judgments.push_back(spec.numeric_truth(item) + rng.Gaussian(0.0, 0.25));
   }
 
+  // A sample the ε-SVR cannot learn from (every judgment inside the
+  // ε-tube, as for one item) is the gold sample's failure, as in Expand.
   NumericAttributeExtractor extractor(spec.extractor);
   if (!extractor.Train(*space_, items, judgments)) {
-    return Status::Internal("numeric extractor training failed for " +
-                            column_name);
+    return Status::FailedPrecondition("numeric gold sample for '" +
+                                      column_name +
+                                      "' left the SVR no support vector");
   }
   const std::vector<double> extracted = extractor.ExtractAll(*space_);
-  trained_numeric_[column_name] = std::move(extractor);
 
   std::vector<db::Value> cells;
   cells.reserve(table.num_rows());
   for (std::size_t row = 0; row < table.num_rows(); ++row) {
     cells.emplace_back(extracted[row]);
   }
-  last_result_ = SchemaExpansionResult{};
-  last_result_.status = Status::Ok();
   last_result_.gold_sample_classified = items.size();
   audit_log_.push_back({column_name, db::ColumnType::kDouble, items.size(),
                         items.size(), 0.0, 0.0});
@@ -146,38 +145,6 @@ db::Table PerceptualExpansionResolver::AuditTable() const {
     CCDB_CHECK(status.ok());
   }
   return table;
-}
-
-Status PerceptualExpansionResolver::Refresh(db::Table& table,
-                                            const std::string& column_name) {
-  const std::size_t column = table.schema().FindColumn(column_name);
-  if (column == db::Schema::kNotFound) {
-    return Status::NotFound("column not materialized yet: " + column_name);
-  }
-  if (table.num_rows() > space_->num_items()) {
-    return Status::FailedPrecondition(
-        "table has rows beyond the perceptual space; rebuild the space "
-        "from fresh ratings first");
-  }
-  const auto binary_it = trained_binary_.find(column_name);
-  const auto numeric_it = trained_numeric_.find(column_name);
-  if (binary_it == trained_binary_.end() &&
-      numeric_it == trained_numeric_.end()) {
-    return Status::FailedPrecondition(
-        "no trained extractor retained for " + column_name);
-  }
-  for (std::size_t row = 0; row < table.num_rows(); ++row) {
-    if (!db::IsNull(table.Get(row, column))) continue;
-    const auto item = static_cast<std::uint32_t>(row);
-    if (binary_it != trained_binary_.end()) {
-      table.Set(row, column,
-                db::Value(binary_it->second.Extract(*space_, item)));
-    } else {
-      table.Set(row, column,
-                db::Value(numeric_it->second.Extract(*space_, item)));
-    }
-  }
-  return Status::Ok();
 }
 
 }  // namespace ccdb::core

@@ -56,15 +56,8 @@ class PerceptualExpansionResolver : public db::MissingAttributeResolver {
   [[nodiscard]]
   Status Resolve(db::Table& table, const std::string& column_name) override;
 
-  /// Incremental maintenance (the paper's "each new movie added to the
-  /// database will require similar HITs" pain point, solved): fills only
-  /// the NULL cells of an already-materialized perceptual column using
-  /// the extractor trained at expansion time — no new crowd work. Rows
-  /// must still correspond 1:1 to space items.
-  [[nodiscard]]
-  Status Refresh(db::Table& table, const std::string& column_name);
-
-  /// Crowd cost/time stats of the most recent expansion.
+  /// Crowd cost/time stats and status of the most recent expansion; its
+  /// status is the one that expansion's Resolve returned.
   const SchemaExpansionResult& last_result() const { return last_result_; }
 
   /// One audit record per performed expansion — provenance for every
@@ -97,9 +90,6 @@ class PerceptualExpansionResolver : public db::MissingAttributeResolver {
   crowd::HitRunConfig hit_config_;
   std::uint64_t seed_;
   std::map<std::string, PerceptualAttributeSpec> attributes_;
-  /// Extractors kept after materialization, for Refresh().
-  std::map<std::string, BinaryAttributeExtractor> trained_binary_;
-  std::map<std::string, NumericAttributeExtractor> trained_numeric_;
   std::vector<AuditRecord> audit_log_;
   SchemaExpansionResult last_result_;
 };

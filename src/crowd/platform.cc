@@ -185,14 +185,6 @@ Status ValidateCrowdTask(const WorkerPool& pool,
   return Status::Ok();
 }
 
-StatusOr<CrowdRunResult> RunCrowdTaskChecked(
-    const WorkerPool& pool, const std::vector<bool>& true_labels,
-    const HitRunConfig& config) {
-  const Status status = ValidateCrowdTask(pool, true_labels, config);
-  if (!status.ok()) return status;
-  return RunCrowdTask(pool, true_labels, config);
-}
-
 CrowdRunResult RunCrowdTask(const WorkerPool& pool,
                             const std::vector<bool>& true_labels,
                             const HitRunConfig& config) {

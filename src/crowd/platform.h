@@ -103,17 +103,12 @@ struct CrowdRunResult {
 /// used for (a) honest workers' judgments, (b) gold screening, and
 /// (c) the lookup consensus. Judgments on gold probes are marked is_gold
 /// and never count toward item votes; judgments from workers excluded by
-/// gold screening are dropped from the stream entirely.
+/// gold screening are dropped from the stream entirely. Inputs that
+/// ValidateCrowdTask rejects CHECK-fail here; Dispatcher::Run validates
+/// them first and returns that Status instead.
 CrowdRunResult RunCrowdTask(const WorkerPool& pool,
                             const std::vector<bool>& true_labels,
                             const HitRunConfig& config);
-
-/// Status-returning variant of RunCrowdTask: invalid configurations (see
-/// ValidateCrowdTask) come back as errors instead of aborting the process.
-/// Prefer this at system boundaries (dispatcher, expansion pipeline).
-[[nodiscard]] StatusOr<CrowdRunResult> RunCrowdTaskChecked(
-    const WorkerPool& pool, const std::vector<bool>& true_labels,
-    const HitRunConfig& config);
 
 }  // namespace ccdb::crowd
 

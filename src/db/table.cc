@@ -78,14 +78,6 @@ const Value& Table::Get(std::size_t row, std::size_t column) const {
   return columns_[column][row];
 }
 
-void Table::Set(std::size_t row, std::size_t column, Value value) {
-  CCDB_CHECK_LT(row, num_rows_);
-  CCDB_CHECK_LT(column, columns_.size());
-  CCDB_CHECK_MSG(Conforms(value, schema_.column(column).type),
-                 "type mismatch in column " << schema_.column(column).name);
-  columns_[column][row] = std::move(value);
-}
-
 const std::vector<Value>& Table::Column(std::size_t column) const {
   CCDB_CHECK_LT(column, columns_.size());
   return columns_[column];

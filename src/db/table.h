@@ -59,9 +59,8 @@ class Table {
   /// Appends a row; values must match the schema arity and types.
   [[nodiscard]] Status AppendRow(std::vector<Value> values);
 
-  /// Cell accessors (CHECK on out-of-range indices).
+  /// Cell accessor (CHECK on out-of-range indices).
   const Value& Get(std::size_t row, std::size_t column) const;
-  void Set(std::size_t row, std::size_t column, Value value);
 
   /// Whole column view.
   const std::vector<Value>& Column(std::size_t column) const;

@@ -1,6 +1,8 @@
 #include "db/value.h"
 
+#include <cmath>
 #include <sstream>
+#include <type_traits>
 
 #include "common/check.h"
 
@@ -29,11 +31,28 @@ ColumnType TypeOf(const Value& value) {
 }
 
 bool Conforms(const Value& value, ColumnType type) {
-  if (IsNull(value)) return true;
-  const ColumnType actual = TypeOf(value);
-  if (actual == type) return true;
-  // Ints are storable in double columns (numeric literals parse as either).
-  return actual == ColumnType::kInt && type == ColumnType::kDouble;
+  // One dispatch on the alternative; only a double cell pays for the
+  // finiteness test.
+  return std::visit(
+      [type](const auto& cell) {
+        using Cell = std::decay_t<decltype(cell)>;
+        if constexpr (std::is_same_v<Cell, std::monostate>) {
+          return true;  // NULL fits every column
+        } else if constexpr (std::is_same_v<Cell, bool>) {
+          return type == ColumnType::kBool;
+        } else if constexpr (std::is_same_v<Cell, std::int64_t>) {
+          // Ints are storable in double columns (numeric literals parse as
+          // either).
+          return type == ColumnType::kInt || type == ColumnType::kDouble;
+        } else if constexpr (std::is_same_v<Cell, double>) {
+          // NaN and ±inf are not values a DOUBLE column holds: NaN would
+          // break the strict weak order ORDER BY sorts with.
+          return type == ColumnType::kDouble && std::isfinite(cell);
+        } else {
+          return type == ColumnType::kString;
+        }
+      },
+      value);
 }
 
 double AsNumeric(const Value& value) {

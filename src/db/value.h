@@ -31,7 +31,9 @@ std::string ToString(const Value& value);
 /// The ColumnType a non-null value carries; CHECK-fails on NULL.
 ColumnType TypeOf(const Value& value);
 
-/// Whether `value` is NULL or matches `type`.
+/// Whether `value` is NULL or matches `type`: an int also fits a DOUBLE
+/// column, and a double must be finite. Every way cells enter a table
+/// (AppendRow, AddColumn, FillColumn, LoadTableCsv) checks this.
 bool Conforms(const Value& value, ColumnType type);
 
 /// Numeric view for comparisons: bool → 0/1, int → double. CHECK-fails on

@@ -41,7 +41,6 @@ std::string EncodeLoopState(const SgdLoopState& state) {
   w.PutF64(state.best_validation);
   w.PutU64(static_cast<std::uint64_t>(state.epochs_without_improvement));
   w.PutBool(state.report.early_stopped);
-  PutDoubles(w, state.report.train_rmse);
   PutDoubles(w, state.report.validation_rmse);
   return w.Take();
 }
@@ -59,15 +58,13 @@ Status DecodeLoopState(std::string_view bytes, int max_epochs,
   state.best_validation = r.GetF64();
   state.epochs_without_improvement = static_cast<int>(r.GetU64());
   state.report.early_stopped = r.GetBool();
-  if (Status status = GetDoubles(r, state.report.train_rmse, "train_rmse");
-      !status.ok()) {
-    return status;
-  }
   if (Status status =
           GetDoubles(r, state.report.validation_rmse, "validation_rmse");
       !status.ok()) {
     return status;
   }
+  // A snapshot of the older layout, which held a train-RMSE series before
+  // the validation one, has bytes left here: rejected, never misread.
   if (!r.AtEnd()) {
     return Status::InvalidArgument("malformed SGD checkpoint loop state");
   }
@@ -127,7 +124,6 @@ StatusOr<TrainingReport> TrainSgd(const SgdTrainerConfig& config,
     state.learning_rate *= config.lr_decay;
     ++report.epochs_run;
 
-    report.train_rmse.push_back(model.EvaluateRmse(data, split.train));
     if (has_validation) {
       const double validation_rmse =
           model.EvaluateRmse(data, split.holdout);
@@ -152,8 +148,6 @@ StatusOr<TrainingReport> TrainSgd(const SgdTrainerConfig& config,
     }
   }
 
-  report.final_train_rmse =
-      report.train_rmse.empty() ? 0.0 : report.train_rmse.back();
   report.final_validation_rmse =
       report.validation_rmse.empty() ? 0.0 : report.validation_rmse.back();
   return report;

@@ -35,13 +35,15 @@ struct SgdTrainerConfig {
   StopCondition stop;
 };
 
-/// Per-epoch training telemetry returned by Train().
+/// Per-epoch training telemetry returned by TrainSgd(). The fit on the
+/// training ratings is not tracked, since it would cost a pass over every
+/// rating per epoch; FactorModel::EvaluateRmse computes it on demand.
 struct TrainingReport {
-  std::vector<double> train_rmse;       // one entry per completed epoch
-  std::vector<double> validation_rmse;  // empty when no validation split
+  /// Validation RMSE after each completed epoch, the early-stopping signal;
+  /// empty when no validation split.
+  std::vector<double> validation_rmse;
   int epochs_run = 0;
   bool early_stopped = false;
-  double final_train_rmse = 0.0;
   double final_validation_rmse = 0.0;
   /// Ok when training ran to completion (or early-stopped on validation);
   /// Cancelled / DeadlineExceeded when SgdTrainerConfig::stop fired. The

@@ -77,47 +77,12 @@ SvmModel::SvmModel(Matrix support_vectors, std::vector<double> coefficients,
                   support_vectors_.cols(), sv_sq_norms_);
 }
 
-double SvmModel::DecisionValue(std::span<const double> x) const {
-  CCDB_CHECK(trained());
-  std::vector<double> kernel_row(support_vectors_.rows());
-  EvalKernelBatch(kernel_, support_vectors_.Data(), support_vectors_.rows(),
-                  support_vectors_.cols(), sv_sq_norms_, x, SquaredNorm(x),
-                  kernel_row);
-  return Dot(coefficients_, kernel_row) - rho_;
-}
-
-bool SvmModel::Predict(std::span<const double> x) const {
-  return DecisionValue(x) >= 0.0;
-}
-
-std::vector<bool> SvmModel::PredictAll(const Matrix& points) const {
-  const std::vector<double> values = DecisionValues(points);
-  std::vector<bool> predictions(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    predictions[i] = values[i] >= 0.0;
-  }
-  return predictions;
-}
-
-std::vector<double> SvmModel::DecisionValues(const Matrix& points) const {
-  std::vector<double> values(points.rows());
-  const bool completed = DecisionValuesInto(points, StopCondition(), values);
-  CCDB_CHECK(completed);  // the default StopCondition never fires
-  return values;
-}
-
 bool SvmModel::DecisionValuesInto(const Matrix& points,
                                   const StopCondition& stop,
                                   std::span<double> out) const {
   CCDB_CHECK(trained());
   return EvalKernelExpansion(kernel_, support_vectors_, sv_sq_norms_,
                              coefficients_, rho_, points, stop, out);
-}
-
-SvmModel TrainClassifier(const Matrix& examples,
-                         const std::vector<std::int8_t>& labels,
-                         const ClassifierOptions& options) {
-  return TrainClassifier(examples, labels, options, nullptr);
 }
 
 SvmModel TrainClassifier(const Matrix& examples,

@@ -31,70 +31,58 @@ struct ClassifierOptions {
   SmoConfig smo;
 };
 
-/// A trained soft-margin kernel SVM: f(x) = Σ coef_s K(sv_s, x) − rho,
-/// classify by sign. Value type: copyable, cheap to move.
+/// A trained kernel machine, f(x) = Σ coef_s K(sv_s, x) − rho: the C-SVC
+/// (classify by sign) and the ε-SVR (regression estimate) alike. Value
+/// type: copyable, cheap to move.
 class SvmModel {
  public:
   SvmModel() = default;
   SvmModel(Matrix support_vectors, std::vector<double> coefficients,
            double rho, KernelConfig kernel);
 
-  /// Signed decision value f(x); positive means the positive class.
-  /// Evaluated as one norm-trick sweep over the support vectors.
-  double DecisionValue(std::span<const double> x) const;
-
-  /// Class prediction: DecisionValue(x) >= 0.
-  bool Predict(std::span<const double> x) const;
-
-  /// Predicts every row of `points` — batched (one support-vector sweep
-  /// per item) and parallelized on the shared thread pool for large
-  /// batches. Identical results to per-item Predict().
-  std::vector<bool> PredictAll(const Matrix& points) const;
-
-  /// Decision values for every row of `points` (batched, parallel).
-  std::vector<double> DecisionValues(const Matrix& points) const;
-
-  /// Cancellation-aware batch evaluation: writes DecisionValue(points_i)
-  /// into out[i], probing `stop` once per block. Returns false when the
+  /// The one evaluation call: writes f(points_i) into out[i], batched
+  /// (EvalKernelExpansion) and parallelized on the shared thread pool for
+  /// large batches, probing `stop` once per block. Returns false when the
   /// stop fired — out entries beyond the completed blocks are unspecified.
+  /// A one-row batch gives the same bits as that row in any batch.
   bool DecisionValuesInto(const Matrix& points, const StopCondition& stop,
                           std::span<double> out) const;
 
   std::size_t num_support_vectors() const { return support_vectors_.rows(); }
+  /// coef_s per support vector: α_s·y_s for the C-SVC, β_s = α_s − α*_s for
+  /// the ε-SVR.
+  const std::vector<double>& coefficients() const { return coefficients_; }
   double rho() const { return rho_; }
-  const KernelConfig& kernel() const { return kernel_; }
   bool trained() const { return support_vectors_.rows() > 0; }
 
  private:
   Matrix support_vectors_;
-  std::vector<double> coefficients_;  // α_s · y_s for each support vector
-  std::vector<double> sv_sq_norms_;   // ‖sv_s‖², precomputed for the
-                                      // norm-trick RBF sweep
+  std::vector<double> coefficients_;
+  std::vector<double> sv_sq_norms_;  // ‖sv_s‖², precomputed for the
+                                     // norm-trick RBF sweep
   double rho_ = 0.0;
   KernelConfig kernel_;
 };
 
-/// Trains a binary C-SVC on rows of `examples` with labels in {+1, −1}.
-/// Requires at least one example of each class. This is the classifier the
-/// schema-expansion extractor uses for Boolean attributes (paper Sec. 4.2:
-/// "Instead of relying on non-linear regression, we can use an SVM
-/// classifier … with a Radial Basis Function kernel").
-SvmModel TrainClassifier(const Matrix& examples,
-                         const std::vector<std::int8_t>& labels,
-                         const ClassifierOptions& options);
-
-/// Diagnostic information from the last SMO run (optional out-param
-/// variant for tests and the TSVM loop).
+/// Diagnostic information from the SMO run (for tests and callers that
+/// inspect the dual solution).
 struct TrainDiagnostics {
   std::size_t iterations = 0;
   bool converged = false;
   std::vector<double> alpha;  // dual variables, one per training example
   double rho = 0.0;
 };
+
+/// Trains a binary C-SVC on rows of `examples` with labels in {+1, −1}.
+/// Requires at least one example of each class. This is the classifier the
+/// schema-expansion extractor uses for Boolean attributes (paper Sec. 4.2:
+/// "Instead of relying on non-linear regression, we can use an SVM
+/// classifier … with a Radial Basis Function kernel"). `diagnostics`, when
+/// non-null, receives the SMO run's dual solution.
 SvmModel TrainClassifier(const Matrix& examples,
                          const std::vector<std::int8_t>& labels,
                          const ClassifierOptions& options,
-                         TrainDiagnostics* diagnostics);
+                         TrainDiagnostics* diagnostics = nullptr);
 
 }  // namespace ccdb::svm
 

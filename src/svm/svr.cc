@@ -74,42 +74,7 @@ class SvrQMatrix : public QMatrix {
 
 }  // namespace
 
-SvrModel::SvrModel(Matrix support_vectors, std::vector<double> coefficients,
-                   double rho, KernelConfig kernel)
-    : support_vectors_(std::move(support_vectors)),
-      coefficients_(std::move(coefficients)),
-      sv_sq_norms_(support_vectors_.rows()),
-      rho_(rho),
-      kernel_(kernel) {
-  CCDB_CHECK_EQ(support_vectors_.rows(), coefficients_.size());
-  RowSquaredNorms(support_vectors_.Data(), support_vectors_.rows(),
-                  support_vectors_.cols(), sv_sq_norms_);
-}
-
-double SvrModel::Predict(std::span<const double> x) const {
-  CCDB_CHECK(trained());
-  std::vector<double> kernel_row(support_vectors_.rows());
-  EvalKernelBatch(kernel_, support_vectors_.Data(), support_vectors_.rows(),
-                  support_vectors_.cols(), sv_sq_norms_, x, SquaredNorm(x),
-                  kernel_row);
-  return Dot(coefficients_, kernel_row) - rho_;
-}
-
-std::vector<double> SvrModel::PredictAll(const Matrix& points) const {
-  std::vector<double> values(points.rows());
-  const bool completed = PredictAllInto(points, StopCondition(), values);
-  CCDB_CHECK(completed);  // the default StopCondition never fires
-  return values;
-}
-
-bool SvrModel::PredictAllInto(const Matrix& points, const StopCondition& stop,
-                              std::span<double> out) const {
-  CCDB_CHECK(trained());
-  return EvalKernelExpansion(kernel_, support_vectors_, sv_sq_norms_,
-                             coefficients_, rho_, points, stop, out);
-}
-
-SvrModel TrainSvr(const Matrix& examples, const std::vector<double>& targets,
+SvmModel TrainSvr(const Matrix& examples, const std::vector<double>& targets,
                   const SvrOptions& options) {
   const std::size_t n = examples.rows();
   CCDB_CHECK_EQ(targets.size(), n);
@@ -149,7 +114,7 @@ SvrModel TrainSvr(const Matrix& examples, const std::vector<double>& targets,
     const auto src = examples.Row(sv_indices[s]);
     for (std::size_t c = 0; c < src.size(); ++c) dst[c] = src[c];
   }
-  return SvrModel(std::move(support_vectors), std::move(betas), result.rho,
+  return SvmModel(std::move(support_vectors), std::move(betas), result.rho,
                   kernel);
 }
 

@@ -62,7 +62,9 @@ SvmModel TrainTsvm(const Matrix& labeled,
 
   // Step 2: label the unlabeled set so that the `positive_fraction`
   // highest decision values become positive.
-  std::vector<double> decisions = model.DecisionValues(unlabeled);
+  // The default StopCondition never fires, so every sweep here completes.
+  std::vector<double> decisions(num_unlabeled);
+  model.DecisionValuesInto(unlabeled, StopCondition(), decisions);
   std::vector<std::size_t> order(num_unlabeled);
   std::iota(order.begin(), order.end(), 0u);
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
@@ -116,12 +118,12 @@ SvmModel TrainTsvm(const Matrix& labeled,
       // Slacks of unlabeled examples under the current labeling. The most
       // violating positive and the most violating negative form the switch
       // pair (their combined slack must exceed 2, per Joachims).
-      const std::vector<double> f_values = model.DecisionValues(unlabeled);
+      model.DecisionValuesInto(unlabeled, StopCondition(), decisions);
       double worst_pos_slack = 0.0, worst_neg_slack = 0.0;
       std::size_t best_pos = num_unlabeled, best_neg = num_unlabeled;
       for (std::size_t u = 0; u < num_unlabeled; ++u) {
         const double slack = std::max(
-            0.0, 1.0 - static_cast<double>(u_labels[u]) * f_values[u]);
+            0.0, 1.0 - static_cast<double>(u_labels[u]) * decisions[u]);
         if (u_labels[u] == 1 && slack > worst_pos_slack) {
           worst_pos_slack = slack;
           best_pos = u;

@@ -167,6 +167,41 @@ TEST(TableTest, AddColumnWithBadCellsChangesNothing) {
                   {Value(true), Value(false), Value(true)});
 }
 
+TEST(TableTest, NonFiniteDoubleCellsAreRejectedAtEveryEntryPoint) {
+  // NaN compares equal to every number, so ORDER BY over a column holding
+  // one would not sort; ±inf go with it. Every way a cell enters a table
+  // rejects them and leaves the table as it was.
+  const std::string path = ::testing::TempDir() + "/non_finite.csv";
+  for (const double x : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(ToString(Value(x)));
+    EXPECT_FALSE(Conforms(Value(x), ColumnType::kDouble));
+    Table table = MakeMoviesTable();
+    EXPECT_EQ(table
+                  .AppendRow({Value(std::string("Alien")),
+                              Value(std::int64_t{1979}), Value(x)})
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(table.num_rows(), 3u);
+    EXPECT_EQ(table
+                  .AddColumn({"score", ColumnType::kDouble},
+                             {Value(1.0), Value(x), Value(2.0)})
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(table.schema().FindColumn("score"), Schema::kNotFound);
+    EXPECT_EQ(table.FillColumn(2, {Value(1.0), Value(2.0), Value(x)}).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(ToString(table.Get(2, 2)), "7.2");
+    {
+      std::ofstream out(path);  // strtod reads "nan", "inf" and "-inf"
+      out << "score:DOUBLE\n1.5\n" << ToString(Value(x)) << "\n";
+    }
+    EXPECT_EQ(LoadTableCsv(path, "t").status().code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(TableTest, ConstructsFromWholeColumns) {
   Table table("t",
               Schema({{"name", ColumnType::kString}, {"x", ColumnType::kDouble}}),

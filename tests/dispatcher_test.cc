@@ -154,34 +154,38 @@ TEST(FaultModelTest, DuplicatesCarryZeroCost) {
 
 // ------------------------------------------------------------- validation
 
-TEST(ValidationTest, CheckedRunRejectsBadConfigs) {
+TEST(ValidationTest, ValidateCrowdTaskRejectsBadConfigs) {
   const auto labels = MakeLabels(10, 0.3, 13);
   const WorkerPool pool = HonestPool(3);
 
-  EXPECT_EQ(RunCrowdTaskChecked(WorkerPool{}, labels, HitRunConfig{})
-                .status()
-                .code(),
+  EXPECT_EQ(ValidateCrowdTask(WorkerPool{}, labels, HitRunConfig{}).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(RunCrowdTaskChecked(pool, {}, HitRunConfig{}).status().code(),
+  EXPECT_EQ(ValidateCrowdTask(pool, {}, HitRunConfig{}).code(),
             StatusCode::kInvalidArgument);
 
   HitRunConfig zero_items;
   zero_items.items_per_hit = 0;
-  EXPECT_FALSE(RunCrowdTaskChecked(pool, labels, zero_items).ok());
+  EXPECT_FALSE(ValidateCrowdTask(pool, labels, zero_items).ok());
 
   HitRunConfig zero_judgments;
   zero_judgments.judgments_per_item = 0;
-  EXPECT_FALSE(RunCrowdTaskChecked(pool, labels, zero_judgments).ok());
+  EXPECT_FALSE(ValidateCrowdTask(pool, labels, zero_judgments).ok());
 
   HitRunConfig bad_prob;
   bad_prob.fault.abandonment_prob = 1.5;
-  EXPECT_FALSE(RunCrowdTaskChecked(pool, labels, bad_prob).ok());
+  EXPECT_FALSE(ValidateCrowdTask(pool, labels, bad_prob).ok());
 
   WorkerPool frozen = pool;
   frozen.workers[0].judgments_per_minute = 0.0;
-  EXPECT_FALSE(RunCrowdTaskChecked(frozen, labels, HitRunConfig{}).ok());
+  EXPECT_FALSE(ValidateCrowdTask(frozen, labels, HitRunConfig{}).ok());
 
-  EXPECT_TRUE(RunCrowdTaskChecked(pool, labels, HitRunConfig{}).ok());
+  EXPECT_TRUE(ValidateCrowdTask(pool, labels, HitRunConfig{}).ok());
+
+  // The Dispatcher validates before it posts: the code comes back as a
+  // Status instead of RunCrowdTask's abort.
+  const Dispatcher no_workers(WorkerPool{}, DispatcherConfig{});
+  EXPECT_EQ(no_workers.Run(labels, HitRunConfig{}).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ValidationTest, DispatcherConfigValidation) {

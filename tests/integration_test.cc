@@ -155,7 +155,8 @@ TEST_F(PipelineFixture, NumericAttributeExpansionViaSvr) {
 TEST_F(PipelineFixture, OneItemNumericGoldSampleFailsCleanly) {
   // One gold item always lies inside the ε-tube, so the ε-SVR keeps no
   // support vector: the query must fail with a Status instead of
-  // aborting in the extract-all step.
+  // aborting in the extract-all step, and with Expand's code for a gold
+  // sample that cannot train.
   db::Database database;
   ASSERT_TRUE(database.AddTable(MakeItemsTable()).ok());
   core::PerceptualExpansionResolver resolver(
@@ -171,7 +172,7 @@ TEST_F(PipelineFixture, OneItemNumericGoldSampleFailsCleanly) {
   const auto result =
       database.Execute("SELECT name FROM movies WHERE humor > 5");
   ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST_F(PipelineFixture, UnregisteredAttributeFailsCleanly) {
@@ -318,75 +319,43 @@ TEST_F(PipelineFixture, SqlExpansionTopsUpOneClassGoldSample) {
   EXPECT_EQ(result.status().code(), resolver.last_result().status.code());
 }
 
-TEST_F(PipelineFixture, RefreshFillsRowsAppendedAfterExpansion) {
-  // Build a table with only the first 250 items, expand is_comedy, then
-  // append 50 more rows (already embedded in the space) and Refresh.
-  db::Schema schema({{"item_id", db::ColumnType::kInt},
-                     {"name", db::ColumnType::kString}});
-  db::Table table("movies", schema);
-  const std::size_t initial_rows = 250;
-  for (std::uint32_t m = 0; m < initial_rows; ++m) {
-    ASSERT_TRUE(table
-                    .AppendRow({db::Value(static_cast<std::int64_t>(m)),
-                                db::Value(world_->ItemName(m))})
-                    .ok());
-  }
+TEST_F(PipelineFixture, FailedNumericExpansionReplacesLastResult) {
+  // A Boolean expansion that pays the crowd, then a numeric one whose
+  // one-item gold sample cannot train: last_result() must describe the
+  // failed expansion, with the query's status and none of the first
+  // expansion's dollars.
   db::Database database;
-  ASSERT_TRUE(database.AddTable(std::move(table)).ok());
-
-  crowd::WorkerPool pool;
-  for (int i = 0; i < 8; ++i) {
-    crowd::WorkerProfile worker;
-    worker.honest = true;
-    worker.knowledge = 1.0;
-    worker.accuracy = 0.95;
-    worker.judgments_per_minute = 2.0;
-    pool.workers.push_back(worker);
-  }
+  ASSERT_TRUE(database.AddTable(MakeItemsTable()).ok());
   crowd::HitRunConfig hit_config;
   hit_config.judgments_per_item = 5;
-  hit_config.perception_flip_rate = 0.05;
-  hit_config.seed = 93;
-  core::PerceptualExpansionResolver resolver(space_, pool, hit_config);
-  core::PerceptualAttributeSpec spec;
-  spec.type = db::ColumnType::kBool;
-  spec.gold_sample_size = 80;
-  spec.bool_truth = [&](std::uint32_t item) {
+  hit_config.seed = 97;
+  core::PerceptualExpansionResolver resolver(space_, HonestPool(8),
+                                             hit_config);
+  core::PerceptualAttributeSpec comedy;
+  comedy.type = db::ColumnType::kBool;
+  comedy.gold_sample_size = 60;
+  comedy.bool_truth = [&](std::uint32_t item) {
     return world_->GenreLabel(0, item);
   };
-  resolver.RegisterAttribute("is_comedy", std::move(spec));
+  resolver.RegisterAttribute("is_comedy", std::move(comedy));
+  core::PerceptualAttributeSpec humor;
+  humor.type = db::ColumnType::kDouble;
+  humor.gold_sample_size = 1;
+  humor.numeric_truth = [](std::uint32_t) { return 5.0; };
+  resolver.RegisterAttribute("humor", std::move(humor));
   database.SetResolver(&resolver);
 
-  ASSERT_TRUE(database.Execute("SELECT name FROM movies WHERE is_comedy")
-                  .ok());
-  const double first_cost = resolver.last_result().crowd_dollars;
-  EXPECT_GT(first_cost, 0.0);
+  ASSERT_TRUE(database.Execute("SELECT name FROM movies WHERE is_comedy").ok());
+  ASSERT_TRUE(resolver.last_result().status.ok());
+  ASSERT_GT(resolver.last_result().crowd_dollars, 0.0);
 
-  // Append 50 new rows: the expanded column gets NULLs.
-  db::Table* movies = database.FindMutableTable("movies");
-  const std::size_t column = movies->schema().FindColumn("is_comedy");
-  ASSERT_NE(column, db::Schema::kNotFound);
-  for (std::uint32_t m = initial_rows; m < initial_rows + 50; ++m) {
-    ASSERT_TRUE(movies
-                    ->AppendRow({db::Value(static_cast<std::int64_t>(m)),
-                                 db::Value(world_->ItemName(m)),
-                                 db::Value{}})
-                    .ok());
-  }
-  EXPECT_TRUE(db::IsNull(movies->Get(initial_rows, column)));
-
-  // Refresh fills only the NULLs — and costs nothing.
-  ASSERT_TRUE(resolver.Refresh(*movies, "is_comedy").ok());
-  std::size_t correct = 0;
-  for (std::uint32_t m = initial_rows; m < initial_rows + 50; ++m) {
-    ASSERT_FALSE(db::IsNull(movies->Get(m, column)));
-    if (std::get<bool>(movies->Get(m, column)) ==
-        world_->GenreLabel(0, m)) {
-      ++correct;
-    }
-  }
-  EXPECT_GT(correct, 30u);  // clearly better than chance on fresh rows
-  EXPECT_DOUBLE_EQ(resolver.last_result().crowd_dollars, first_cost);
+  const auto result =
+      database.Execute("SELECT name FROM movies WHERE humor > 5");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(resolver.last_result().status.ToString(),
+            result.status().ToString());
+  EXPECT_EQ(resolver.last_result().crowd_dollars, 0.0);
+  EXPECT_EQ(resolver.last_result().gold_sample_classified, 0u);
 }
 
 TEST_F(PipelineFixture, AuditLogRecordsExpansions) {
@@ -438,14 +407,6 @@ TEST_F(PipelineFixture, AuditLogRecordsExpansions) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result.value().num_rows(), 1u);
   EXPECT_EQ(db::ToString(result.value().Get(0, 0)), "is_comedy");
-}
-
-TEST_F(PipelineFixture, RefreshErrorsWithoutMaterializedColumn) {
-  db::Table table("t", db::Schema({{"x", db::ColumnType::kInt}}));
-  core::PerceptualExpansionResolver resolver(
-      space_, crowd::WorkerPool{{crowd::WorkerProfile{}}},
-      crowd::HitRunConfig{});
-  EXPECT_FALSE(resolver.Refresh(table, "is_comedy").ok());
 }
 
 TEST_F(PipelineFixture, PerceptualSpaceBeatsMetadataSpace) {

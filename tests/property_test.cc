@@ -522,9 +522,10 @@ std::string ExpansionShapeName(
 TEST_P(NumericCoreParityExpansion, BatchedExpansionMatchesScalarSum) {
   // The reference is the textbook scalar sum Σ coef_s·K(sv_s, x) − rho
   // with direct-differencing EvalKernel — no norm trick, no batching, no
-  // threads. Batched values must also equal the single-item
-  // DecisionValue bit for bit: both fold the same kernel values in Dot's
-  // order.
+  // threads. Each batched value must also equal the same row evaluated as
+  // a one-row batch bit for bit: the quad groups fold the same kernel
+  // values in Dot's order as the single-item tail that a one-row batch
+  // takes.
   const auto [num_svs, num_points, type] = GetParam();
   const std::size_t dims = 40;
   Rng rng(541);
@@ -543,9 +544,10 @@ TEST_P(NumericCoreParityExpansion, BatchedExpansionMatchesScalarSum) {
   kernel.degree = 3;
   const svm::SvmModel model(svs, coefficients, rho, kernel);
 
-  const std::vector<double> batched = model.DecisionValues(points);
-  ASSERT_EQ(batched.size(), num_points);
-  const auto predictions = model.PredictAll(points);
+  std::vector<double> batched(num_points);
+  ASSERT_TRUE(model.DecisionValuesInto(points, StopCondition(), batched));
+  Matrix row(1, dims);
+  std::vector<double> single(1);
   for (std::size_t i = 0; i < num_points; ++i) {
     double scalar = -rho;
     for (std::size_t s = 0; s < num_svs; ++s) {
@@ -553,11 +555,11 @@ TEST_P(NumericCoreParityExpansion, BatchedExpansionMatchesScalarSum) {
                 svm::EvalKernel(kernel, svs.Row(s), points.Row(i));
     }
     numcore::ExpectRelNear(batched[i], scalar);
-    const double single = model.DecisionValue(points.Row(i));
-    EXPECT_EQ(expprop::Bits(batched[i]), expprop::Bits(single))
+    std::copy_n(points.Row(i).begin(), dims, row.Row(0).begin());
+    ASSERT_TRUE(model.DecisionValuesInto(row, StopCondition(), single));
+    EXPECT_EQ(expprop::Bits(batched[i]), expprop::Bits(single[0]))
         << "item " << i << ": " << std::hexfloat << batched[i] << " vs "
-        << single;
-    EXPECT_EQ(predictions[i], model.Predict(points.Row(i)));
+        << single[0];
   }
 }
 
@@ -1105,7 +1107,7 @@ TEST_P(SmoOracleSvr, MatchesReferenceBitForBit) {
   options.cost = 10.0;
   options.epsilon = 0.1;
   options.kernel_cache_bytes = CacheBytes(budget, n);
-  const svm::SvrModel model =
+  const svm::SvmModel model =
       svm::TrainSvr(problem.x, problem.targets, options);
 
   const KernelRows k = ComputeKernelRows(options.kernel, problem.x);

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -491,7 +492,6 @@ TEST_F(TrainerRecoveryTest, SgdCrashAtCheckpointThenResumeIsBitIdentical) {
       auto report = TrainSgd(trainer, data, resumed, &checkpoint);
       ASSERT_TRUE(report.ok()) << report.status().ToString();
       ExpectSameModel(reference, resumed);
-      EXPECT_EQ(report.value().train_rmse, baseline.train_rmse);
       EXPECT_EQ(report.value().validation_rmse, baseline.validation_rmse);
       EXPECT_EQ(report.value().epochs_run, baseline.epochs_run);
       EXPECT_EQ(report.value().early_stopped, baseline.early_stopped);
@@ -521,6 +521,74 @@ TEST_F(TrainerRecoveryTest, SgdCheckpointOfDifferentRunIsRejected) {
   factorization::FactorModel other(model_config, data);
   auto resumed = TrainSgd(trainer, data, other, &checkpoint);
   EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
+}
+
+// The schedule bytes TrainSgd fingerprints a run by: its config's
+// max_epochs, learning_rate, lr_decay, validation_fraction, patience and
+// seed. A snapshot written with them belongs to that run.
+std::string SgdSchedule(const factorization::SgdTrainerConfig& config) {
+  ByteWriter w;
+  w.PutU64(static_cast<std::uint64_t>(config.max_epochs));
+  w.PutF64(config.learning_rate);
+  w.PutF64(config.lr_decay);
+  w.PutF64(config.validation_fraction);
+  w.PutU64(static_cast<std::uint64_t>(config.patience));
+  w.PutU64(config.seed);
+  return w.Take();
+}
+
+TEST_F(TrainerRecoveryTest, SgdSnapshotWithTrainRmseSeriesIsRejected) {
+  // The snapshot after the first epoch of a run without a holdout, written
+  // by hand twice: in the current loop-state layout, and in the older one
+  // that also kept a train-RMSE series ahead of the validation series. The
+  // first resumes the run bit for bit; the second must be rejected, not
+  // misread.
+  const RatingDataset data = MakeData(47);
+  factorization::FactorModelConfig model_config;
+  model_config.dims = 6;
+  factorization::SgdTrainerConfig trainer;
+  trainer.max_epochs = 3;
+
+  factorization::FactorModel reference(model_config, data);
+  ASSERT_TRUE(TrainSgd(trainer, data, reference).ok());
+  factorization::SgdTrainerConfig first_epoch = trainer;
+  first_epoch.max_epochs = 1;
+  factorization::FactorModel after_one(model_config, data);
+  ASSERT_TRUE(TrainSgd(first_epoch, data, after_one).ok());
+
+  const auto write_snapshot = [&](bool older_layout) {
+    ByteWriter w;
+    w.PutU64(1);                                         // epochs run
+    w.PutF64(trainer.learning_rate * trainer.lr_decay);  // next rate
+    w.PutF64(std::numeric_limits<double>::infinity());   // best validation
+    w.PutU64(0);       // epochs without improvement
+    w.PutBool(false);  // early stopped
+    if (older_layout) {
+      factorization::PutDoubles(w, {after_one.EvaluateRmse(data)});
+    }
+    factorization::PutDoubles(w, {});  // the validation series
+    factorization::TrainerCheckpointOptions checkpoint;
+    checkpoint.path = FreshPath(older_layout ? "sgd_older_layout.ckpt"
+                                             : "sgd_layout.ckpt");
+    EXPECT_TRUE(factorization::WriteTrainerSnapshot(
+                    checkpoint, SgdSchedule(trainer), data, w.Take(),
+                    after_one)
+                    .ok());
+    return checkpoint;
+  };
+
+  const factorization::TrainerCheckpointOptions current =
+      write_snapshot(false);
+  factorization::FactorModel resumed(model_config, data);
+  const auto report = TrainSgd(trainer, data, resumed, &current);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report.value().epochs_run, trainer.max_epochs);
+  ExpectSameModel(reference, resumed);
+
+  const factorization::TrainerCheckpointOptions older = write_snapshot(true);
+  factorization::FactorModel misread(model_config, data);
+  EXPECT_EQ(TrainSgd(trainer, data, misread, &older).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // Flips one payload bit in the snapshot file at `path`.

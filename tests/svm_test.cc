@@ -76,6 +76,13 @@ Matrix FromRows(const std::vector<std::vector<double>>& rows) {
   return m;
 }
 
+/// f(x) for every row of `points`, through the model's one evaluation call.
+std::vector<double> Values(const SvmModel& model, const Matrix& points) {
+  std::vector<double> values(points.rows());
+  EXPECT_TRUE(model.DecisionValuesInto(points, StopCondition(), values));
+  return values;
+}
+
 TEST(SvmClassifierTest, LinearlySeparable2D) {
   const Matrix x = FromRows({{1.0, 1.0},
                              {2.0, 1.5},
@@ -88,13 +95,14 @@ TEST(SvmClassifierTest, LinearlySeparable2D) {
   options.kernel.type = KernelType::kLinear;
   options.cost = 10.0;
   const SvmModel model = TrainClassifier(x, y, options);
+  const std::vector<double> values = Values(model, x);
   for (std::size_t i = 0; i < 6; ++i) {
-    EXPECT_EQ(model.Predict(x.Row(i)), y[i] > 0) << "example " << i;
+    EXPECT_EQ(values[i] >= 0.0, y[i] > 0) << "example " << i;
   }
   // Margin property: decision values of +1 side are positive and roughly
   // symmetric to the −1 side.
-  EXPECT_GT(model.DecisionValue(x.Row(0)), 0.0);
-  EXPECT_LT(model.DecisionValue(x.Row(3)), 0.0);
+  EXPECT_GT(values[0], 0.0);
+  EXPECT_LT(values[3], 0.0);
 }
 
 TEST(SvmClassifierTest, XorRequiresNonLinearKernel) {
@@ -105,8 +113,9 @@ TEST(SvmClassifierTest, XorRequiresNonLinearKernel) {
   options.kernel.gamma = 2.0;
   options.cost = 100.0;
   const SvmModel model = TrainClassifier(x, y, options);
+  const std::vector<double> values = Values(model, x);
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(model.Predict(x.Row(i)), y[i] > 0) << "example " << i;
+    EXPECT_EQ(values[i] >= 0.0, y[i] > 0) << "example " << i;
   }
 }
 
@@ -127,15 +136,17 @@ TEST(SvmClassifierTest, RbfGeneralizesOnGaussianBlobs) {
   options.cost = 1.0;
   const SvmModel model = TrainClassifier(x, y, options);
 
-  // Fresh test points from the same distribution.
-  int correct = 0;
+  // Fresh test points from the same distribution; even rows positive.
   const int trials = 400;
+  Matrix points(trials, 2);
   for (int t = 0; t < trials; ++t) {
-    const bool positive = t % 2 == 0;
-    std::vector<double> point = {
-        (positive ? 2.0 : -2.0) + rng.Gaussian(0.0, 0.8),
-        rng.Gaussian(0.0, 0.8)};
-    if (model.Predict(point) == positive) ++correct;
+    points(t, 0) = (t % 2 == 0 ? 2.0 : -2.0) + rng.Gaussian(0.0, 0.8);
+    points(t, 1) = rng.Gaussian(0.0, 0.8);
+  }
+  const std::vector<double> values = Values(model, points);
+  int correct = 0;
+  for (int t = 0; t < trials; ++t) {
+    if ((values[t] >= 0.0) == (t % 2 == 0)) ++correct;
   }
   EXPECT_GT(correct, trials * 9 / 10);
 }
@@ -182,8 +193,7 @@ TEST(SvmClassifierTest, PerExampleCostScaling) {
   options.example_cost_scale = {1.0, 1.0, 1.0, 1.0, 1.0, 1e-6};
   const SvmModel model = TrainClassifier(x, y, options);
   // The outlier at x=10 labeled −1 is ignored; points near it classify +1.
-  std::vector<double> probe = {9.0, 0.0};
-  EXPECT_TRUE(model.Predict(probe));
+  EXPECT_GE(Values(model, FromRows({{9.0, 0.0}}))[0], 0.0);
 }
 
 TEST(SvmClassifierTest, SupportVectorsAreSubset) {
@@ -200,21 +210,6 @@ TEST(SvmClassifierTest, SupportVectorsAreSubset) {
   EXPECT_LE(model.num_support_vectors(), 50u);
 }
 
-TEST(SvmClassifierTest, PredictAllMatchesPredict) {
-  Rng rng(89);
-  Matrix x(30, 2);
-  x.FillGaussian(rng, 0.0, 1.0);
-  std::vector<std::int8_t> y(30);
-  for (std::size_t i = 0; i < 30; ++i) y[i] = x(i, 1) > 0 ? 1 : -1;
-  ClassifierOptions options;
-  options.cost = 5.0;
-  const SvmModel model = TrainClassifier(x, y, options);
-  const auto all = model.PredictAll(x);
-  for (std::size_t i = 0; i < 30; ++i) {
-    EXPECT_EQ(all[i], model.Predict(x.Row(i)));
-  }
-}
-
 // ---------------------------------------------------------------- SVR
 
 TEST(SvrTest, FitsLinearFunction) {
@@ -228,9 +223,9 @@ TEST(SvrTest, FitsLinearFunction) {
   options.kernel.type = KernelType::kLinear;
   options.cost = 100.0;
   options.epsilon = 0.01;
-  const SvrModel model = TrainSvr(x, y, options);
+  const std::vector<double> values = Values(TrainSvr(x, y, options), x);
   for (std::size_t i = 0; i < 20; ++i) {
-    EXPECT_NEAR(model.Predict(x.Row(i)), y[i], 0.1) << "x=" << x(i, 0);
+    EXPECT_NEAR(values[i], y[i], 0.1) << "x=" << x(i, 0);
   }
 }
 
@@ -246,10 +241,10 @@ TEST(SvrTest, FitsSineWithRbf) {
   options.kernel.gamma = 2.0;
   options.cost = 50.0;
   options.epsilon = 0.02;
-  const SvrModel model = TrainSvr(x, y, options);
+  const std::vector<double> values = Values(TrainSvr(x, y, options), x);
   double max_error = 0.0;
   for (std::size_t i = 0; i < 60; ++i) {
-    max_error = std::max(max_error, std::abs(model.Predict(x.Row(i)) - y[i]));
+    max_error = std::max(max_error, std::abs(values[i] - y[i]));
   }
   EXPECT_LT(max_error, 0.15);
 }
@@ -265,29 +260,12 @@ TEST(SvrTest, EpsilonTubeSuppressesSupportVectors) {
   SvrOptions wide;
   wide.epsilon = 0.5;  // everything inside the tube → few/no SVs
   wide.cost = 10.0;
-  const SvrModel wide_model = TrainSvr(x, y, wide);
+  const SvmModel wide_model = TrainSvr(x, y, wide);
   SvrOptions narrow = wide;
   narrow.epsilon = 0.001;
-  const SvrModel narrow_model = TrainSvr(x, y, narrow);
+  const SvmModel narrow_model = TrainSvr(x, y, narrow);
   EXPECT_LE(wide_model.num_support_vectors(),
             narrow_model.num_support_vectors());
-}
-
-TEST(SvrTest, PredictAllMatchesPredict) {
-  Matrix x(15, 1);
-  std::vector<double> y(15);
-  for (std::size_t i = 0; i < 15; ++i) {
-    x(i, 0) = static_cast<double>(i);
-    y[i] = static_cast<double>(i % 4);
-  }
-  SvrOptions options;
-  options.kernel.type = KernelType::kRbf;
-  options.kernel.gamma = 0.5;
-  const SvrModel model = TrainSvr(x, y, options);
-  const auto all = model.PredictAll(x);
-  for (std::size_t i = 0; i < 15; ++i) {
-    EXPECT_DOUBLE_EQ(all[i], model.Predict(x.Row(i)));
-  }
 }
 
 TEST(SvmClassifierTest, IterationCapReportsNonConvergence) {
@@ -321,9 +299,9 @@ TEST(SvrTest, ZeroEpsilonInterpolatesCleanData) {
   options.kernel.type = KernelType::kLinear;
   options.cost = 1000.0;
   options.epsilon = 0.0;
-  const SvrModel model = TrainSvr(x, y, options);
+  const std::vector<double> values = Values(TrainSvr(x, y, options), x);
   for (std::size_t i = 0; i < 10; ++i) {
-    EXPECT_NEAR(model.Predict(x.Row(i)), y[i], 0.05);
+    EXPECT_NEAR(values[i], y[i], 0.05);
   }
 }
 
@@ -354,10 +332,11 @@ TEST(TsvmTest, UsesUnlabeledStructure) {
   const SvmModel model = TrainTsvm(labeled, labels, unlabeled, options,
                                    &report);
   EXPECT_GE(report.retrains, 2u);
+  const std::vector<double> values = Values(model, unlabeled);
   int correct = 0;
   for (std::size_t i = 0; i < 2 * per_cluster; ++i) {
     const bool expected = i < per_cluster;
-    if (model.Predict(unlabeled.Row(i)) == expected) ++correct;
+    if ((values[i] >= 0.0) == expected) ++correct;
     if ((report.transductive_labels[i] == 1) == expected) ++correct;
   }
   EXPECT_GT(correct, static_cast<int>(2 * per_cluster * 2 * 9 / 10));
@@ -544,9 +523,10 @@ TEST(KernelRowCacheTest, TinyBudgetTrainingMatchesUnbounded) {
   const SvmModel tiny = TrainClassifier(x, y, options);
   ASSERT_EQ(big.num_support_vectors(), tiny.num_support_vectors());
   EXPECT_DOUBLE_EQ(big.rho(), tiny.rho());
+  const std::vector<double> big_values = Values(big, x);
+  const std::vector<double> tiny_values = Values(tiny, x);
   for (std::size_t i = 0; i < 40; ++i) {
-    EXPECT_DOUBLE_EQ(big.DecisionValue(x.Row(i)),
-                     tiny.DecisionValue(x.Row(i)));
+    EXPECT_DOUBLE_EQ(big_values[i], tiny_values[i]);
   }
 }
 
@@ -567,33 +547,8 @@ TEST(SvmClassifierTest, DecisionValuesIntoHonorsCancellation) {
   source.Cancel();
   EXPECT_FALSE(model.DecisionValuesInto(x, StopCondition(source.token()),
                                         out));
-  // An unarmed stop completes and matches the plain batch entry point.
-  ASSERT_TRUE(model.DecisionValuesInto(x, StopCondition(), out));
-  const std::vector<double> reference = model.DecisionValues(x);
-  for (std::size_t i = 0; i < 30; ++i) {
-    EXPECT_DOUBLE_EQ(out[i], reference[i]);
-  }
-}
-
-TEST(SvrTest, PredictAllIntoHonorsCancellation) {
-  Matrix x(12, 1);
-  std::vector<double> y(12);
-  for (std::size_t i = 0; i < 12; ++i) {
-    x(i, 0) = static_cast<double>(i);
-    y[i] = 0.25 * static_cast<double>(i);
-  }
-  SvrOptions options;
-  options.kernel.type = KernelType::kLinear;
-  const SvrModel model = TrainSvr(x, y, options);
-
-  std::vector<double> out(12);
-  CancellationSource source;
-  source.Cancel();
-  EXPECT_FALSE(model.PredictAllInto(x, StopCondition(source.token()), out));
-  ASSERT_TRUE(model.PredictAllInto(x, StopCondition(), out));
-  for (std::size_t i = 0; i < 12; ++i) {
-    EXPECT_DOUBLE_EQ(out[i], model.Predict(x.Row(i)));
-  }
+  // An unarmed stop completes.
+  EXPECT_TRUE(model.DecisionValuesInto(x, StopCondition(), out));
 }
 
 TEST(TsvmTest, ReportCountsRetrains) {
