@@ -269,7 +269,6 @@ const SyntheticExpansion& PaperScaleExpansion() {
     e->svs.FillGaussian(rng, 0.0, 1.0);
     e->coefficients.resize(kPaperSvs);
     for (auto& c : e->coefficients) c = rng.Gaussian(0.0, 0.7);
-    e->kernel.type = svm::KernelType::kRbf;
     e->kernel.gamma = 1.0 / static_cast<double>(kPaperDims);
     e->model = svm::SvmModel(e->svs, e->coefficients, e->rho, e->kernel);
     return e;
@@ -454,7 +453,6 @@ void BM_RbfKernelRowNormTrick(benchmark::State& state) {
   const Matrix& points = PaperScalePoints();
   const auto x = points.Row(0);
   svm::KernelConfig kernel;
-  kernel.type = svm::KernelType::kRbf;
   kernel.gamma = 1.0 / static_cast<double>(kPaperDims);
   std::vector<double> sq_norms(points.rows());
   RowSquaredNorms(points.Data(), points.rows(), points.cols(), sq_norms);

@@ -5,9 +5,16 @@
 #include <numeric>
 
 namespace ccdb {
+namespace {
 
-SymmetricEigen JacobiEigenSymmetric(const Matrix& a, double tolerance,
-                                    int max_sweeps) {
+/// Off-diagonal mass (Frobenius norm of the strict upper triangle) at
+/// which the sweeps stop.
+constexpr double kTolerance = 1e-12;
+constexpr int kMaxSweeps = 64;
+
+}  // namespace
+
+SymmetricEigen JacobiEigenSymmetric(const Matrix& a) {
   const std::size_t n = a.rows();
   CCDB_CHECK_EQ(n, a.cols());
   Matrix work = a;
@@ -26,8 +33,8 @@ SymmetricEigen JacobiEigenSymmetric(const Matrix& a, double tolerance,
     return std::sqrt(acc);
   };
 
-  for (int sweep = 0; sweep < max_sweeps; ++sweep) {
-    if (off_diagonal_norm() <= tolerance) break;
+  for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
+    if (off_diagonal_norm() <= kTolerance) break;
     for (std::size_t p = 0; p + 1 < n; ++p) {
       for (std::size_t q = p + 1; q < n; ++q) {
         const double apq = work(p, q);

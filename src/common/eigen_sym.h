@@ -19,10 +19,9 @@ struct SymmetricEigen {
 /// rotation method. Intended for the small Gram matrices arising in the
 /// randomized truncated SVD (dimension ≲ a few hundred); O(n³) per sweep.
 /// `a` must be square and symmetric (asymmetry beyond 1e-9 is a CHECK
-/// failure). Converges when all off-diagonal mass is below `tolerance`.
-SymmetricEigen JacobiEigenSymmetric(const Matrix& a,
-                                    double tolerance = 1e-12,
-                                    int max_sweeps = 64);
+/// failure). Sweeps until the off-diagonal mass is at most 1e-12, or 64
+/// sweeps.
+SymmetricEigen JacobiEigenSymmetric(const Matrix& a);
 
 }  // namespace ccdb
 

@@ -133,8 +133,8 @@ void SquaredDistanceToRowsQuad(std::span<const double> rows,
 // Positive arguments are outside the contract.
 //
 // Branch-free, so the four lanes vectorize on every x86-64 level (SSE2
-// included): Cody–Waite reduction x = n·ln2 + r with |r| ≤ ln2/2, a
-// degree-13 Taylor polynomial for e^r (truncation error under 1/16 ulp
+// included): Cody–Waite reduction x = n·ln2 + r with |r| ≤ ln2/2, the
+// Taylor polynomial of e^r through r^13 (truncation error under 1/16 ulp
 // there), and 2^n assembled from exponent bits in uint64_t — no
 // float-to-int conversion, so NaN and −∞ stay defined behaviour. The range
 // is handled with integer masks, not floating-point compares: GCC will not

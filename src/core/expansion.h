@@ -40,12 +40,12 @@ struct IncrementalExpansionOptions {
   /// the crowd-workers are added to [the training set]" (Experiment 4).
   double checkpoint_interval_minutes = 5.0;
   ExtractorOptions extractor;
-  /// Hard budget caps (graceful degradation): checkpointing stops at the
-  /// first checkpoint that crosses either cap, keeping every checkpoint
-  /// produced so far — best-effort partial results instead of a crash or
-  /// an empty answer. Infinity (the default) disables the cap.
+  /// Hard budget cap (graceful degradation): checkpointing stops at the
+  /// first checkpoint that crosses it, keeping every checkpoint produced
+  /// so far — best-effort partial results instead of a crash or an empty
+  /// answer. Infinity (the default) disables the cap; `total_minutes`
+  /// bounds the crowd time.
   double max_dollars = std::numeric_limits<double>::infinity();
-  double max_minutes = std::numeric_limits<double>::infinity();
   /// Cooperative stop signal, probed at every checkpoint boundary and per
   /// block inside each checkpoint's extraction sweep. When it fires the
   /// loop returns Cancelled / DeadlineExceeded; the partial state is the
@@ -125,8 +125,8 @@ struct SchemaExpansionResult {
 /// votes two classes expands bit for bit like the plain crowd → vote →
 /// train → fill pipeline.
 struct ExpansionOptions {
-  /// Dispatcher policy (deadlines, reposts, budget caps). The dollar /
-  /// minute caps bound the *whole* expansion including top-up rounds.
+  /// Dispatcher policy (deadlines, reposts, budget cap). The dollar cap
+  /// bounds the *whole* expansion including top-up rounds.
   crowd::DispatcherConfig dispatcher;
   /// One-class gold-sample recovery: when the crowd returns a single
   /// class, re-dispatch the still-unclassified items (a targeted top-up)

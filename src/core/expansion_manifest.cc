@@ -7,8 +7,19 @@
 #include <utility>
 
 #include "common/crash_point.h"
+#include "crowd/dispatch_journal.h"
 
 namespace ccdb::core {
+
+void PutExtractorOptions(ByteWriter& w, const ExtractorOptions& options) {
+  w.PutF64(options.kernel.gamma);
+  w.PutF64(options.gamma_scale);
+  w.PutF64(options.cost);
+  w.PutBool(options.balance_class_costs);
+  w.PutF64(options.epsilon);
+  w.PutU64(options.smo.max_iterations);
+}
+
 namespace {
 
 /// Manifest record types. Checkpoint records carry their index, so replay
@@ -110,28 +121,12 @@ std::uint64_t ExpansionFingerprint(
   for (std::uint32_t item : sample_items) w.PutU32(item);
   w.PutU64(judgments.size());
   for (const crowd::Judgment& judgment : judgments) {
-    w.PutU32(judgment.item);
-    w.PutU32(judgment.worker);
-    w.PutU8(static_cast<std::uint8_t>(judgment.answer));
-    w.PutF64(judgment.timestamp_minutes);
-    w.PutF64(judgment.cost_dollars);
-    w.PutBool(judgment.is_gold);
+    crowd::PutJudgment(w, judgment);
   }
   w.PutF64(total_minutes);
   w.PutF64(options.checkpoint_interval_minutes);
   w.PutF64(options.max_dollars);
-  w.PutF64(options.max_minutes);
-  const ExtractorOptions& extractor = options.extractor;
-  w.PutU8(static_cast<std::uint8_t>(extractor.kernel.type));
-  w.PutF64(extractor.kernel.gamma);
-  w.PutU64(static_cast<std::uint64_t>(extractor.kernel.degree));
-  w.PutF64(extractor.kernel.coef0);
-  w.PutF64(extractor.gamma_scale);
-  w.PutF64(extractor.cost);
-  w.PutBool(extractor.balance_class_costs);
-  w.PutF64(extractor.epsilon);
-  w.PutF64(extractor.smo.tolerance);
-  w.PutU64(extractor.smo.max_iterations);
+  PutExtractorOptions(w, options.extractor);
   return HashBytes(w.bytes());
 }
 
@@ -347,11 +342,10 @@ StatusOr<std::vector<ExpansionCheckpoint>> RunIncrementalExpansion(
         CCDB_CRASH_POINT("expansion.checkpoint");
       }
     }
-    // Budget caps: keep the checkpoint that crossed the cap (it reflects
+    // Budget cap: keep the checkpoint that crossed the cap (it reflects
     // the last money actually spent), then stop — partial results beat
     // none when the crowd run outlives its budget.
-    const bool over_budget = checkpoint.dollars_spent > options.max_dollars ||
-                             now >= options.max_minutes;
+    const bool over_budget = checkpoint.dollars_spent > options.max_dollars;
     checkpoints.push_back(std::move(checkpoint));
     if (now >= total_minutes || over_budget) break;
   }

@@ -27,6 +27,11 @@ struct ExpansionManifest {
   std::vector<ExpansionCheckpoint> checkpoints;
 };
 
+/// The identity walk of ExtractorOptions (every field but `smo.stop`),
+/// shared by ExpansionFingerprint and ExpansionJobFingerprint; the crowd
+/// structs' walks are in crowd/dispatch_journal.h.
+void PutExtractorOptions(ByteWriter& w, const ExtractorOptions& options);
+
 /// Fingerprint of an incremental expansion's inputs. Stored in the
 /// manifest's begin record; a resume whose inputs hash differently is
 /// rejected (InvalidArgument) instead of splicing two runs together.

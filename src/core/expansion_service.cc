@@ -1,10 +1,13 @@
 #include "core/expansion_service.h"
 
 #include <chrono>
+#include <limits>
 #include <utility>
 
 #include "common/check.h"
 #include "common/journal.h"
+#include "core/expansion_manifest.h"
+#include "crowd/dispatch_journal.h"
 
 namespace ccdb::core {
 
@@ -32,89 +35,19 @@ struct ExpansionService::Ticket::Flight {
 
 // --- ExpansionJobFingerprint ----------------------------------------------
 
-namespace {
-
-void PutItems(ByteWriter& w, const std::vector<std::uint32_t>& items) {
-  w.PutU64(items.size());
-  for (std::uint32_t item : items) w.PutU32(item);
-}
-
-void PutBools(ByteWriter& w, const std::vector<bool>& bits) {
-  w.PutU64(bits.size());
-  for (bool bit : bits) w.PutBool(bit);
-}
-
-void PutExtractor(ByteWriter& w, const ExtractorOptions& e) {
-  w.PutU8(static_cast<std::uint8_t>(e.kernel.type));
-  w.PutF64(e.kernel.gamma);
-  w.PutU64(static_cast<std::uint64_t>(e.kernel.degree));
-  w.PutF64(e.kernel.coef0);
-  w.PutF64(e.gamma_scale);
-  w.PutF64(e.cost);
-  w.PutBool(e.balance_class_costs);
-  w.PutF64(e.epsilon);
-  w.PutF64(e.smo.tolerance);
-  w.PutU64(e.smo.max_iterations);
-}
-
-/// Appends the dedup-identity fields of `job`: everything except the
-/// caller-side deadline and cancellation token.
-void AppendExpansionJobBody(ByteWriter& w, const ExpansionJob& job) {
-  w.PutBytes(job.table);
-  w.PutBytes(job.request.attribute_name);
-  PutItems(w, job.request.gold_sample_items);
-  PutBools(w, job.sample_truth);
-  PutExtractor(w, job.request.extractor);
-
-  const crowd::HitRunConfig& h = job.hit_config;
-  w.PutU64(h.judgments_per_item);
-  w.PutU64(h.items_per_hit);
-  w.PutF64(h.payment_per_hit);
-  w.PutBool(h.allow_dont_know);
-  w.PutBool(h.lookup_mode);
-  w.PutF64(h.lookup_consensus_flip_rate);
-  w.PutF64(h.lookup_contested_rate);
-  w.PutF64(h.perception_flip_rate);
-  w.PutU64(h.num_gold_questions);
-  w.PutF64(h.gold_exclusion_threshold);
-  w.PutU64(h.gold_min_probes);
-  w.PutU64(h.seed);
-  const crowd::FaultModel& f = h.fault;
-  w.PutF64(f.abandonment_prob);
-  w.PutF64(f.abandon_time_fraction);
-  w.PutF64(f.straggler_fraction);
-  w.PutF64(f.straggler_pareto_alpha);
-  w.PutF64(f.churn_prob);
-  w.PutF64(f.churn_window_minutes);
-  w.PutF64(f.duplicate_prob);
-  w.PutF64(f.duplicate_delay_minutes);
-  w.PutF64(f.late_prob);
-  w.PutF64(f.late_mean_delay_minutes);
-  w.PutF64(f.spam_burst_prob);
-  w.PutF64(f.spam_burst_window_minutes);
-  w.PutF64(f.spam_burst_duration_minutes);
-  w.PutF64(f.spam_burst_intensity);
-  w.PutF64(f.spam_burst_positive_bias);
-  w.PutU64(f.seed);
-
-  const crowd::DispatcherConfig& d = job.expansion.dispatcher;
-  w.PutF64(d.deadline_minutes);
-  w.PutU64(d.max_reposts);
-  w.PutF64(d.backoff_initial_minutes);
-  w.PutF64(d.backoff_factor);
-  w.PutU64(d.repost_overprovision);
-  w.PutF64(d.max_dollars);
-  w.PutF64(d.max_minutes);
-  w.PutBool(d.gold_in_reposts);
-  w.PutU64(job.expansion.topup_judgments_per_item);
-  w.PutU64(job.expansion.max_topups);
-}
-
-}  // namespace
-
 std::uint64_t ExpansionJobFingerprint(const ExpansionJob& job) {
   ByteWriter w;
-  AppendExpansionJobBody(w, job);
+  w.PutBytes(job.table);
+  w.PutBytes(job.request.attribute_name);
+  w.PutU64(job.request.gold_sample_items.size());
+  for (std::uint32_t item : job.request.gold_sample_items) w.PutU32(item);
+  w.PutU64(job.sample_truth.size());
+  for (bool label : job.sample_truth) w.PutBool(label);
+  PutExtractorOptions(w, job.request.extractor);
+  crowd::PutHitRunConfig(w, job.hit_config);
+  crowd::PutDispatcherConfig(w, job.expansion.dispatcher);
+  w.PutU64(job.expansion.topup_judgments_per_item);
+  w.PutU64(job.expansion.max_topups);
   return HashBytes(w.bytes());
 }
 
@@ -199,13 +132,10 @@ ExpansionService::ExpansionService(const PerceptualSpace& space,
     : space_(space),
       pool_(std::move(pool)),
       options_(options),
-      breaker_(CircuitBreakerOptions{options.breaker_failure_threshold,
-                                     options.breaker_cooldown_seconds}),
+      breaker_(options.breaker),
       workers_(options.workers) {
   CCDB_CHECK_GE(options_.workers, std::size_t{1});
   CCDB_CHECK_GE(options_.queue_depth, std::size_t{1});
-  CCDB_CHECK(options_.crowd_deadline_fraction > 0.0 &&
-             options_.crowd_deadline_fraction <= 1.0);
 }
 
 ExpansionService::~ExpansionService() {
@@ -224,7 +154,7 @@ StatusOr<ExpansionService::Ticket> ExpansionService::ExpandAttribute(
   const std::uint64_t key = ExpansionJobFingerprint(job);
   const double budget = job.deadline_seconds > 0.0
                             ? job.deadline_seconds
-                            : options_.default_deadline_seconds;
+                            : std::numeric_limits<double>::infinity();
   const Deadline waiter_deadline = Deadline::AfterSeconds(budget);
   const StopCondition waiter_stop(job.cancel, waiter_deadline);
 
@@ -267,7 +197,7 @@ StatusOr<ExpansionService::Ticket> ExpansionService::ExpandAttribute(
   flight->waiters = 1;
   flight->total_deadline = Deadline::AfterSeconds(budget);
   flight->crowd_deadline =
-      Deadline::AfterSeconds(budget * options_.crowd_deadline_fraction);
+      Deadline::AfterSeconds(budget * kCrowdDeadlineShare);
 
   if (!workers_.TryEnqueue([this, flight] { RunFlight(flight); },
                            options_.queue_depth)) {

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -30,27 +29,20 @@ struct ExpansionServiceOptions {
   /// expansions are shed with ResourceExhausted instead of queueing
   /// unbounded work (running expansions do not count against it).
   std::size_t queue_depth = 8;
-  /// Wall-clock budget applied to jobs that do not set their own
-  /// (infinity = no deadline).
-  double default_deadline_seconds = std::numeric_limits<double>::infinity();
-  /// Share of a job's deadline granted to the crowd-acquisition stage.
-  /// The dispatcher treats its expiry as best-effort — it returns the
-  /// judgments collected so far and training proceeds on them — while the
-  /// remaining share keeps training/extraction from being starved by a
-  /// slow crowd. Must be in (0, 1].
-  double crowd_deadline_fraction = 0.6;
-  /// Circuit breaker: this many *consecutive* breaker-relevant failures
-  /// (OutOfRange / FailedPrecondition / Internal — the crowd platform or
-  /// pipeline misbehaving, not caller mistakes) trip the breaker open.
-  std::size_t breaker_failure_threshold = 3;
-  /// How long an open breaker rejects everything before letting a single
-  /// half-open probe through. The probe's outcome decides: success closes
-  /// the breaker, failure re-opens it for another cooldown.
-  double breaker_cooldown_seconds = 0.25;
+  /// The admission circuit breaker. Breaker-relevant failures are
+  /// OutOfRange / FailedPrecondition / Internal — the crowd platform or
+  /// pipeline misbehaving, not caller mistakes.
+  CircuitBreakerOptions breaker;
 };
 
-/// One expansion request. `deadline_seconds <= 0` inherits the service
-/// default; `cancel` is this caller's token — cancelling it abandons the
+/// Share of a job's deadline granted to the crowd-acquisition stage. The
+/// dispatcher treats its expiry as best-effort — it returns the judgments
+/// collected so far and training proceeds on them — while the remaining
+/// share keeps training/extraction from being starved by a slow crowd.
+inline constexpr double kCrowdDeadlineShare = 0.6;
+
+/// One expansion request. `deadline_seconds <= 0` means no deadline;
+/// `cancel` is this caller's token — cancelling it abandons the
 /// caller's wait and, once every waiter on the flight is gone, cancels
 /// the flight itself so no further crowd money is spent.
 struct ExpansionJob {

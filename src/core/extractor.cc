@@ -11,7 +11,7 @@ svm::KernelConfig ResolveKernelForSpace(const svm::KernelConfig& kernel,
                                         const PerceptualSpace& space,
                                         double gamma_scale) {
   svm::KernelConfig resolved = kernel;
-  if (resolved.type == svm::KernelType::kRbf && resolved.gamma <= 0.0) {
+  if (resolved.gamma <= 0.0) {
     const double variance = space.CoordinateVariance();
     const double denom =
         static_cast<double>(space.dims()) * (variance > 0.0 ? variance : 1.0);

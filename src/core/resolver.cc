@@ -17,7 +17,9 @@ PerceptualExpansionResolver::PerceptualExpansionResolver(
 
 void PerceptualExpansionResolver::RegisterAttribute(
     const std::string& name, PerceptualAttributeSpec spec) {
-  attributes_[name] = std::move(spec);
+  const std::size_t position = attributes_.size();
+  attributes_.try_emplace(name, Registered{position, {}})
+      .first->second.spec = std::move(spec);
 }
 
 Status PerceptualExpansionResolver::Resolve(db::Table& table,
@@ -30,16 +32,16 @@ Status PerceptualExpansionResolver::Resolve(db::Table& table,
   // Every expansion of a registered attribute replaces last_result_, whose
   // status is then the one the query gets.
   last_result_ = SchemaExpansionResult{};
-  const PerceptualAttributeSpec& spec = it->second;
+  const PerceptualAttributeSpec& spec = it->second.spec;
   // Row i of the table corresponds to item i of the space; the table may
   // be a prefix (items already embedded but not yet inserted into the DB).
   if (table.num_rows() > space_->num_items()) {
     last_result_.status = Status::FailedPrecondition(
         "table has rows beyond the perceptual space");
   } else if (spec.type == db::ColumnType::kBool) {
-    last_result_.status = ResolveBool(table, column_name, spec);
+    last_result_.status = ResolveBool(table, column_name, it->second);
   } else if (spec.type == db::ColumnType::kDouble) {
-    last_result_.status = ResolveNumeric(table, column_name, spec);
+    last_result_.status = ResolveNumeric(table, column_name, it->second);
   } else {
     last_result_.status =
         Status::InvalidArgument("unsupported perceptual attribute type");
@@ -49,12 +51,13 @@ Status PerceptualExpansionResolver::Resolve(db::Table& table,
 
 Status PerceptualExpansionResolver::ResolveBool(
     db::Table& table, const std::string& column_name,
-    const PerceptualAttributeSpec& spec) {
+    const Registered& attribute) {
+  const PerceptualAttributeSpec& spec = attribute.spec;
   if (spec.bool_truth == nullptr) {
     return Status::FailedPrecondition("no truth provider for " + column_name);
   }
   // Pick the gold sample and simulate the crowd labeling it.
-  Rng rng(seed_ + attributes_.size());
+  Rng rng(seed_ + 2 * attribute.position + 1);
   SchemaExpansionRequest request;
   request.attribute_name = column_name;
   request.extractor = spec.extractor;
@@ -87,14 +90,15 @@ Status PerceptualExpansionResolver::ResolveBool(
 
 Status PerceptualExpansionResolver::ResolveNumeric(
     db::Table& table, const std::string& column_name,
-    const PerceptualAttributeSpec& spec) {
+    const Registered& attribute) {
+  const PerceptualAttributeSpec& spec = attribute.spec;
   if (spec.numeric_truth == nullptr) {
     return Status::FailedPrecondition("no truth provider for " + column_name);
   }
   // Numeric gold samples are simulated as trusted-expert judgments with
   // small noise (the crowd platform models Boolean HITs only; see
   // DESIGN.md on substitutions).
-  Rng rng(seed_ + attributes_.size() + 1);
+  Rng rng(seed_ + 2 * attribute.position + 2);
   std::vector<std::uint32_t> items;
   std::vector<double> judgments;
   for (std::size_t index : rng.SampleWithoutReplacement(

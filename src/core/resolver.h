@@ -46,7 +46,11 @@ class PerceptualExpansionResolver : public db::MissingAttributeResolver {
                               crowd::HitRunConfig hit_config,
                               std::uint64_t seed = 77);
 
-  /// Registers an attribute the resolver can materialize.
+  /// Registers an attribute the resolver can materialize. The k-th name
+  /// registered (from 0; registering a name again replaces its spec, not
+  /// its place) draws its gold sample from Rng(seed + 2k + 1) if Boolean,
+  /// Rng(seed + 2k + 2) if numeric, so registering another attribute
+  /// changes no other attribute's sample.
   void RegisterAttribute(const std::string& name,
                          PerceptualAttributeSpec spec);
 
@@ -78,18 +82,24 @@ class PerceptualExpansionResolver : public db::MissingAttributeResolver {
   db::Table AuditTable() const;
 
  private:
+  /// A registered attribute and its place in registration order.
+  struct Registered {
+    std::size_t position = 0;
+    PerceptualAttributeSpec spec;
+  };
+
   [[nodiscard]]
   Status ResolveBool(db::Table& table, const std::string& column_name,
-                     const PerceptualAttributeSpec& spec);
+                     const Registered& attribute);
   [[nodiscard]]
   Status ResolveNumeric(db::Table& table, const std::string& column_name,
-                        const PerceptualAttributeSpec& spec);
+                        const Registered& attribute);
 
   const PerceptualSpace* space_;
   crowd::WorkerPool pool_;
   crowd::HitRunConfig hit_config_;
   std::uint64_t seed_;
-  std::map<std::string, PerceptualAttributeSpec> attributes_;
+  std::map<std::string, Registered> attributes_;
   std::vector<AuditRecord> audit_log_;
   SchemaExpansionResult last_result_;
 };

@@ -6,18 +6,6 @@
 #include "common/crash_point.h"
 
 namespace ccdb::crowd {
-namespace {
-
-/// Journal record types. The payload layout after the type byte is fixed
-/// per type; every record carries its full identity (round, sequence
-/// number) so replay is idempotent under duplication and reordering.
-enum class RecordType : std::uint8_t {
-  kDispatchBegin = 1,  // u64 fingerprint, u64 num_items
-  kPostingBegin = 2,   // u64 round, u64 posting fingerprint
-  kJudgment = 3,       // u64 round, u64 seq, judgment fields
-  kPostingEnd = 4,     // u64 round, u64 num_judgments, posting totals
-  kDispatchEnd = 5,    // u64 fingerprint
-};
 
 void PutHitRunConfig(ByteWriter& w, const HitRunConfig& config) {
   w.PutU64(config.judgments_per_item);
@@ -51,6 +39,35 @@ void PutHitRunConfig(ByteWriter& w, const HitRunConfig& config) {
   w.PutU64(fault.seed);
 }
 
+void PutJudgment(ByteWriter& w, const Judgment& judgment) {
+  w.PutU32(judgment.item);
+  w.PutU32(judgment.worker);
+  w.PutU8(static_cast<std::uint8_t>(judgment.answer));
+  w.PutF64(judgment.timestamp_minutes);
+  w.PutF64(judgment.cost_dollars);
+  w.PutBool(judgment.is_gold);
+}
+
+void PutDispatcherConfig(ByteWriter& w, const DispatcherConfig& config) {
+  w.PutF64(config.deadline_minutes);
+  w.PutU64(config.max_reposts);
+  w.PutF64(config.backoff_initial_minutes);
+  w.PutF64(config.max_dollars);
+}
+
+namespace {
+
+/// Journal record types. The payload layout after the type byte is fixed
+/// per type; every record carries its full identity (round, sequence
+/// number) so replay is idempotent under duplication and reordering.
+enum class RecordType : std::uint8_t {
+  kDispatchBegin = 1,  // u64 fingerprint, u64 num_items
+  kPostingBegin = 2,   // u64 round, u64 posting fingerprint
+  kJudgment = 3,       // u64 round, u64 seq, judgment fields
+  kPostingEnd = 4,     // u64 round, u64 num_judgments, posting totals
+  kDispatchEnd = 5,    // u64 fingerprint
+};
+
 /// Fingerprint of one posting's full specification: everything RunCrowdTask
 /// sees, plus the dispatch-wide item mapping. A journaled posting is only
 /// replayed when its stored fingerprint matches the posting the dispatcher
@@ -64,15 +81,6 @@ std::uint64_t PostingSpecFingerprint(const PostingSpec& spec) {
   w.PutU64(spec.item_map.size());
   for (std::uint32_t id : spec.item_map) w.PutU32(id);
   return HashBytes(w.bytes());
-}
-
-void PutJudgment(ByteWriter& w, const Judgment& judgment) {
-  w.PutU32(judgment.item);
-  w.PutU32(judgment.worker);
-  w.PutU8(static_cast<std::uint8_t>(judgment.answer));
-  w.PutF64(judgment.timestamp_minutes);
-  w.PutF64(judgment.cost_dollars);
-  w.PutBool(judgment.is_gold);
 }
 
 Judgment GetJudgment(ByteReader& r) {
@@ -328,14 +336,7 @@ std::uint64_t DispatchFingerprint(const WorkerPool& pool,
   w.PutU64(true_labels.size());
   for (bool label : true_labels) w.PutBool(label);
   PutHitRunConfig(w, hit_config);
-  w.PutF64(dispatcher_config.deadline_minutes);
-  w.PutU64(dispatcher_config.max_reposts);
-  w.PutF64(dispatcher_config.backoff_initial_minutes);
-  w.PutF64(dispatcher_config.backoff_factor);
-  w.PutU64(dispatcher_config.repost_overprovision);
-  w.PutF64(dispatcher_config.max_dollars);
-  w.PutF64(dispatcher_config.max_minutes);
-  w.PutBool(dispatcher_config.gold_in_reposts);
+  PutDispatcherConfig(w, dispatcher_config);
   return HashBytes(w.bytes());
 }
 

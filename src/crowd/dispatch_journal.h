@@ -68,6 +68,16 @@ struct DispatchJournalState {
 [[nodiscard]] StatusOr<DispatchJournalState> ReplayDispatchJournal(
     const std::vector<std::string>& records);
 
+/// The identity walks every fingerprint of crowd inputs is built from:
+/// each appends every identity field of its struct to `w` (HitRunConfig
+/// with its FaultModel; DispatcherConfig without its stop signal). They
+/// are the one place those fields are listed, so a field added to a struct
+/// is added here once and reaches every fingerprint.
+void PutHitRunConfig(ByteWriter& w, const HitRunConfig& config);
+void PutDispatcherConfig(ByteWriter& w, const DispatcherConfig& config);
+/// Also the layout of a journaled judgment record.
+void PutJudgment(ByteWriter& w, const Judgment& judgment);
+
 /// Fingerprint of a dispatch's inputs (pool, labels, HIT + dispatcher
 /// config). Stored in the journal's begin record so a resume against
 /// different inputs is rejected instead of splicing two runs together.

@@ -10,6 +10,16 @@
 namespace ccdb::crowd {
 namespace {
 
+/// Backoff growth per repost round: round r opens backoff_initial_minutes ·
+/// 2^(r−1) after the deadline it follows.
+constexpr double kBackoffFactor = 2.0;
+
+/// Hedging: judgments requested per reposted item beyond its deficit.
+/// Reposts can land on workers who already judged the item (their copies
+/// are deduplicated away), so one extra makes each round far more likely
+/// to clear the deficit at slight extra cost.
+constexpr std::size_t kRepostOverprovision = 1;
+
 /// Key for (worker, item) deduplication across postings.
 std::uint64_t DedupKey(std::uint32_t worker, std::uint32_t item) {
   return (static_cast<std::uint64_t>(worker) << 32) | item;
@@ -34,14 +44,8 @@ Status ValidateDispatcherConfig(const DispatcherConfig& config) {
   if (config.max_reposts > 0 && !(config.backoff_initial_minutes >= 0.0)) {
     return Status::InvalidArgument("backoff_initial_minutes must be >= 0");
   }
-  if (config.max_reposts > 0 && !(config.backoff_factor >= 1.0)) {
-    return Status::InvalidArgument("backoff_factor must be >= 1");
-  }
   if (!(config.max_dollars > 0.0)) {
     return Status::InvalidArgument("max_dollars must be > 0");
-  }
-  if (!(config.max_minutes > 0.0)) {
-    return Status::InvalidArgument("max_minutes must be > 0");
   }
   return Status::Ok();
 }
@@ -166,7 +170,7 @@ StatusOr<DispatchResult> Dispatcher::RunWith(
     // Exponential backoff after the expired deadline before reposting.
     const double backoff =
         config_.backoff_initial_minutes *
-        std::pow(config_.backoff_factor, static_cast<double>(round - 1));
+        std::pow(kBackoffFactor, static_cast<double>(round - 1));
     const double next_open = phase_open + config_.deadline_minutes + backoff;
 
     HitRunConfig repost = hit_config;
@@ -174,18 +178,18 @@ StatusOr<DispatchResult> Dispatcher::RunWith(
     // worst deficit for every deficient item; less-deficient items
     // over-collect (hedging — wasted dollars, bounded by the deficit skew).
     repost.judgments_per_item =
-        std::min(max_deficit + config_.repost_overprovision,
-                 pool_.workers.size());
-    if (!config_.gold_in_reposts) repost.num_gold_questions = 0;
+        std::min(max_deficit + kRepostOverprovision, pool_.workers.size());
+    // Screening already happened in the primary posting: reposts carry no
+    // gold questions and spend every cent on signal.
+    repost.num_gold_questions = 0;
     // Re-seed both streams so repost rounds are fresh-but-deterministic.
     repost.seed = hit_config.seed + 0x9E3779B9ull * round;
     repost.fault.seed = hit_config.fault.seed + 0x85EBCA6Bull * round;
 
-    if (next_open >= config_.max_minutes ||
-        result.total_cost_dollars +
-                ProjectedCost(deficient.size(), repost.judgments_per_item,
-                              repost) >
-            config_.max_dollars) {
+    if (result.total_cost_dollars +
+            ProjectedCost(deficient.size(), repost.judgments_per_item,
+                          repost) >
+        config_.max_dollars) {
       result.stats.budget_exhausted = true;
       break;
     }

@@ -23,22 +23,12 @@ struct DispatcherConfig {
   /// Repost budget: maximum repost rounds after the primary posting.
   std::size_t max_reposts = 3;
   /// Exponential backoff before each repost round:
-  /// backoff_initial_minutes * backoff_factor^(round-1).
+  /// backoff_initial_minutes * 2^(round-1).
   double backoff_initial_minutes = 5.0;
-  double backoff_factor = 2.0;
-  /// Hedging: extra judgments requested per reposted item beyond its
-  /// deficit. Reposts can land on workers who already judged the item
-  /// (their copies are deduplicated away), so a small surplus makes each
-  /// round far more likely to clear the deficit at slight extra cost.
-  std::size_t repost_overprovision = 1;
-  /// Hard caps. A repost round whose *projected* cost would cross
-  /// max_dollars (or that would open past max_minutes) is not issued; the
-  /// dispatcher returns best-effort results with budget_exhausted set.
+  /// Hard cap. A repost round whose *projected* cost would cross
+  /// max_dollars is not issued; the dispatcher returns best-effort results
+  /// with budget_exhausted set.
   double max_dollars = std::numeric_limits<double>::infinity();
-  double max_minutes = std::numeric_limits<double>::infinity();
-  /// Keep gold questions in repost rounds (default off: screening already
-  /// happened in the primary posting, reposts spend every cent on signal).
-  bool gold_in_reposts = false;
   /// Wall-clock stop signal (cancellation token OR deadline), probed
   /// before the primary posting and before every repost round. The
   /// simulated backoff/deadline knobs above reason in *crowd* minutes;
@@ -82,7 +72,7 @@ struct DispatchStats {
   /// Dollars paid for judgments beyond judgments_per_item on an item —
   /// hedged reposts racing late arrivals, the price of tail latency.
   double wasted_dollars = 0.0;
-  /// True when a repost was needed but max_dollars / max_minutes forbade it.
+  /// True when a repost was needed but max_dollars forbade it.
   bool budget_exhausted = false;
   /// True when the repost budget ran out with item deficits remaining.
   bool reposts_exhausted = false;
@@ -122,15 +112,16 @@ struct DispatchResult {
   Status stop_status;
 };
 
-/// Validates dispatcher policy knobs (finite positive backoff, sane caps).
+/// Validates dispatcher policy knobs (positive deadline and dollar cap,
+/// non-negative backoff).
 [[nodiscard]] Status ValidateDispatcherConfig(const DispatcherConfig& config);
 
 /// One posting the dispatcher is about to issue: the primary posting
 /// (round 0, the whole sample) or a repost round over the deficient
 /// items. `config` is fully derived — per-round seeds, judgment quotas
-/// and gold policy already applied — so a posting is reproducible from
-/// its spec alone. `item_map[i]` translates posting-local item id i to
-/// the dispatch-wide id.
+/// and gold questions (none in reposts) already applied — so a posting is
+/// reproducible from its spec alone. `item_map[i]` translates posting-local
+/// item id i to the dispatch-wide id.
 struct PostingSpec {
   std::size_t round = 0;
   std::vector<bool> truth;
@@ -149,7 +140,7 @@ using PostingProvider =
 /// whole sample, watches per-item judgment counts against the deadline,
 /// reposts deficient items with exponential backoff (re-seeded, so repost
 /// rounds draw fresh workers deterministically), deduplicates late
-/// duplicate deliveries, and enforces dollar/minute budget caps. With a
+/// duplicate deliveries, and enforces the dollar budget cap. With a
 /// zeroed FaultModel and the default config it is a transparent pass-through.
 class Dispatcher {
  public:

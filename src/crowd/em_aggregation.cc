@@ -6,6 +6,15 @@
 #include "common/check.h"
 
 namespace ccdb::crowd {
+namespace {
+
+/// Convergence threshold on the max posterior change per iteration.
+constexpr double kTolerance = 1e-5;
+/// Beta-prior pseudo-counts for worker accuracy.
+constexpr double kPriorAccuracy = 0.7;
+constexpr double kPriorStrength = 4.0;
+
+}  // namespace
 
 EmAggregationResult EmAggregate(const std::vector<Judgment>& judgments,
                                 std::size_t num_items,
@@ -13,7 +22,7 @@ EmAggregationResult EmAggregate(const std::vector<Judgment>& judgments,
                                 const EmAggregationConfig& config) {
   EmAggregationResult result;
   result.posterior_positive.assign(num_items, 0.5);
-  result.worker_accuracy.assign(num_workers, config.prior_accuracy);
+  result.worker_accuracy.assign(num_workers, kPriorAccuracy);
   result.classification.resize(num_items);
 
   // Collect usable votes once.
@@ -52,29 +61,22 @@ EmAggregationResult EmAggregate(const std::vector<Judgment>& judgments,
     }
   }
 
-  const double prior_hits = config.prior_accuracy * config.prior_strength;
-  const double prior_total = config.prior_strength;
   double base_rate = 0.5;
 
   for (result.iterations = 0; result.iterations < config.max_iterations;
        ++result.iterations) {
     // M step: worker accuracies as posterior-weighted agreement rates.
-    std::vector<double> agreement(num_workers, prior_hits);
-    std::vector<double> counted(num_workers, prior_total);
+    std::vector<double> agreement(num_workers,
+                                  kPriorAccuracy * kPriorStrength);
+    std::vector<double> counted(num_workers, kPriorStrength);
     for (const Vote& vote : votes) {
       const double p = result.posterior_positive[vote.item];
       agreement[vote.worker] += vote.positive ? p : 1.0 - p;
       counted[vote.worker] += 1.0;
     }
     for (std::size_t w = 0; w < num_workers; ++w) {
-      // Clamp away from 0/1 so log-odds stay finite; a worker with no
-      // votes and a zero-strength prior keeps the prior accuracy instead
-      // of dividing by zero.
-      if (counted[w] <= 0.0) {
-        result.worker_accuracy[w] =
-            std::clamp(config.prior_accuracy, 0.02, 0.98);
-        continue;
-      }
+      // Clamp away from 0/1 so log-odds stay finite; the prior keeps the
+      // count positive.
       result.worker_accuracy[w] =
           std::clamp(agreement[w] / counted[w], 0.02, 0.98);
     }
@@ -104,7 +106,7 @@ EmAggregationResult EmAggregate(const std::vector<Judgment>& judgments,
                                         result.posterior_positive[m]));
       result.posterior_positive[m] = updated;
     }
-    if (max_change < config.tolerance) {
+    if (max_change < kTolerance) {
       result.converged = true;
       ++result.iterations;
       break;

@@ -560,8 +560,8 @@ ColumnType AggregateType(const SelectItem& item, const Table& table) {
 // Numbers each row's group in first-seen order and records the row that
 // opened each group. Groups are values, not their renderings: NULLs form
 // one group, strings group by content, BOOL and INT cells by exact value,
-// and DOUBLE cells (ints among them) by numeric value, so 1 and 1.0 share
-// a group and 1.0000001 and 1.0000002 do not.
+// and DOUBLE cells by numeric value, so -0.0 and 0.0 share a group and
+// 1.0000001 and 1.0000002 do not.
 std::vector<std::size_t> AssignGroups(const std::vector<Value>& cells,
                                       ColumnType type,
                                       const std::vector<std::size_t>& rows,

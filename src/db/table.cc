@@ -1,12 +1,28 @@
 #include "db/table.h"
 
 #include <algorithm>
+#include <span>
 #include <sstream>
 
 #include "common/check.h"
 #include "common/table_printer.h"
 
 namespace ccdb::db {
+namespace {
+
+/// A DOUBLE column stores doubles: an int cell bound for one is converted
+/// as it is stored, so WHERE, ORDER BY and MIN/MAX all compare the one
+/// value the column holds.
+void StoreAs(ColumnType type, std::span<Value> cells) {
+  if (type != ColumnType::kDouble) return;
+  for (Value& cell : cells) {
+    if (const std::int64_t* i = std::get_if<std::int64_t>(&cell)) {
+      cell = static_cast<double>(*i);
+    }
+  }
+}
+
+}  // namespace
 
 Schema::Schema(std::vector<ColumnDef> columns) : columns_(std::move(columns)) {
   for (std::size_t i = 0; i < columns_.size(); ++i) {
@@ -49,8 +65,9 @@ Table::Table(std::string name, Schema schema,
       columns_(std::move(columns)),
       num_rows_(columns_.empty() ? 0 : columns_.front().size()) {
   CCDB_CHECK_EQ(columns_.size(), schema_.num_columns());
-  for (const std::vector<Value>& column : columns_) {
-    CCDB_CHECK_EQ(column.size(), num_rows_);
+  for (std::size_t c = 0; c < columns_.size(); ++c) {
+    CCDB_CHECK_EQ(columns_[c].size(), num_rows_);
+    StoreAs(schema_.column(c).type, columns_[c]);
   }
 }
 
@@ -66,6 +83,7 @@ Status Table::AppendRow(std::vector<Value> values) {
     }
   }
   for (std::size_t c = 0; c < values.size(); ++c) {
+    StoreAs(schema_.column(c).type, {&values[c], 1});
     columns_[c].push_back(std::move(values[c]));
   }
   ++num_rows_;
@@ -92,6 +110,7 @@ Status Table::AddColumn(const ColumnDef& column, std::vector<Value>&& cells) {
     return status;
   }
   if (Status status = schema_.AddColumn(column); !status.ok()) return status;
+  StoreAs(column.type, cells);
   columns_.push_back(std::move(cells));
   return Status::Ok();
 }
@@ -114,8 +133,11 @@ Status Table::FillColumn(std::size_t column,
   if (column >= columns_.size()) {
     return Status::OutOfRange("no such column index");
   }
-  Status status = CheckCells(schema_.column(column).type, values);
-  if (status.ok()) columns_[column] = values;
+  const ColumnType type = schema_.column(column).type;
+  Status status = CheckCells(type, values);
+  if (!status.ok()) return status;
+  columns_[column] = values;
+  StoreAs(type, columns_[column]);
   return status;
 }
 

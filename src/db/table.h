@@ -46,9 +46,10 @@ class Table {
   Table() = default;
   Table(std::string name, Schema schema);
   /// A table made of whole columns, one per schema column, all of one
-  /// length (CHECKed). The cells are taken as they are: the caller
+  /// length (CHECKed). The cells are taken without a check: the caller
   /// guarantees each is NULL or conforms to its column's type, as the
-  /// executor does when it gathers a result from typed columns.
+  /// executor does when it gathers a result from typed columns. An int
+  /// cell of a DOUBLE column is stored as a double, as AppendRow does.
   Table(std::string name, Schema schema,
         std::vector<std::vector<Value>> columns);
 
@@ -56,7 +57,9 @@ class Table {
   const Schema& schema() const { return schema_; }
   std::size_t num_rows() const { return num_rows_; }
 
-  /// Appends a row; values must match the schema arity and types.
+  /// Appends a row; values must match the schema arity and types. Here
+  /// and in AddColumn, FillColumn and the constructor above, an int cell
+  /// of a DOUBLE column is stored as the double it converts to.
   [[nodiscard]] Status AppendRow(std::vector<Value> values);
 
   /// Cell accessor (CHECK on out-of-range indices).

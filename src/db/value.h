@@ -32,8 +32,9 @@ std::string ToString(const Value& value);
 ColumnType TypeOf(const Value& value);
 
 /// Whether `value` is NULL or matches `type`: an int also fits a DOUBLE
-/// column, and a double must be finite. Every way cells enter a table
-/// (AppendRow, AddColumn, FillColumn, LoadTableCsv) checks this.
+/// column (which stores it as a double), and a double must be finite.
+/// Every way cells enter a table (AppendRow, AddColumn, FillColumn,
+/// LoadTableCsv) checks this.
 bool Conforms(const Value& value, ColumnType type);
 
 /// Numeric view for comparisons: bool → 0/1, int → double. CHECK-fails on

@@ -20,10 +20,6 @@ constexpr std::size_t kScanBlockRows = 1024;
 /// Queries per shared scan group (must match the quad kernel width).
 constexpr std::size_t kQueryGroup = 4;
 
-/// Work threshold (queries × rows × dims) above which the coherence scan
-/// fans out on the shared pool.
-constexpr std::size_t kParallelCoherenceFlops = std::size_t{1} << 21;
-
 bool ByDistance(const Neighbor& a, const Neighbor& b) {
   return a.distance < b.distance;
 }
@@ -137,23 +133,10 @@ std::vector<std::vector<Neighbor>> KNearestNeighborsBatch(
 double NeighborLabelCoherence(
     const Matrix& points, const std::vector<std::vector<bool>>& item_labels,
     const std::vector<std::size_t>& queries, std::size_t k) {
-  const std::optional<double> coherence =
-      NeighborLabelCoherence(points, item_labels, queries, k,
-                             StopCondition());
-  CCDB_CHECK(coherence.has_value());  // the default StopCondition never fires
-  return *coherence;
-}
-
-std::optional<double> NeighborLabelCoherence(
-    const Matrix& points, const std::vector<std::vector<bool>>& item_labels,
-    const std::vector<std::size_t>& queries, std::size_t k,
-    const StopCondition& stop) {
   CCDB_CHECK_EQ(points.rows(), item_labels.size());
-  if (queries.empty() || k == 0) return stop.ShouldStop() ? std::nullopt
-                                                          : std::optional(0.0);
+  if (queries.empty() || k == 0) return 0.0;
   std::atomic<std::size_t> matched{0};
   std::atomic<std::size_t> counted{0};
-  std::atomic<bool> stopped{false};
   const auto count_query = [&](std::size_t query,
                                const std::vector<Neighbor>& neighbors) {
     const auto& query_labels = item_labels[query];
@@ -176,10 +159,6 @@ std::optional<double> NeighborLabelCoherence(
   const std::size_t num_groups =
       (queries.size() + kQueryGroup - 1) / kQueryGroup;
   const auto scan_group = [&](std::size_t group) {
-    if (stopped.load(std::memory_order_relaxed) || stop.ShouldStop()) {
-      stopped.store(true, std::memory_order_relaxed);
-      return;
-    }
     const std::size_t lo = group * kQueryGroup;
     if (lo + kQueryGroup <= queries.size()) {
       const auto neighbor_lists = KnnQuadScan(
@@ -203,12 +182,8 @@ std::optional<double> NeighborLabelCoherence(
       flops >= kParallelCoherenceFlops) {
     pool.ParallelFor(0, num_groups, scan_group);
   } else {
-    for (std::size_t group = 0; group < num_groups; ++group) {
-      scan_group(group);
-      if (stopped.load(std::memory_order_relaxed)) break;
-    }
+    for (std::size_t group = 0; group < num_groups; ++group) scan_group(group);
   }
-  if (stopped.load(std::memory_order_relaxed)) return std::nullopt;
   const std::size_t total = counted.load(std::memory_order_relaxed);
   if (total == 0) return 0.0;
   return static_cast<double>(matched.load(std::memory_order_relaxed)) /

@@ -2,10 +2,8 @@
 #define CCDB_EVAL_NEIGHBORS_H_
 
 #include <cstddef>
-#include <optional>
 #include <vector>
 
-#include "common/cancellation.h"
 #include "common/matrix.h"
 
 namespace ccdb::eval {
@@ -41,19 +39,17 @@ std::vector<std::vector<Neighbor>> KNearestNeighborsBatch(
 /// given as per-item bitsets (outer index = item, inner = label id).
 /// Measures whether the space is perceptually coherent (Table 2's point).
 /// Queries are scanned in quad groups (see KNearestNeighborsBatch) and the
-/// groups are parallelized on the shared thread pool for large scans; the
-/// result is independent of the thread count (per-query counts are
-/// integers, so the aggregation is exact in any order).
+/// groups are parallelized on the shared thread pool when the scan reaches
+/// kParallelCoherenceFlops; the result is independent of the thread count
+/// (per-query counts are integers, so the aggregation is exact in any
+/// order).
 double NeighborLabelCoherence(
     const Matrix& points, const std::vector<std::vector<bool>>& item_labels,
     const std::vector<std::size_t>& queries, std::size_t k);
 
-/// Cancellation-aware variant: probes `stop` between queries and returns
-/// nullopt when it fired mid-scan.
-std::optional<double> NeighborLabelCoherence(
-    const Matrix& points, const std::vector<std::vector<bool>>& item_labels,
-    const std::vector<std::size_t>& queries, std::size_t k,
-    const StopCondition& stop);
+/// Work (queries × rows × dims) from which NeighborLabelCoherence fans out
+/// on the shared thread pool.
+inline constexpr std::size_t kParallelCoherenceFlops = std::size_t{1} << 21;
 
 }  // namespace ccdb::eval
 

@@ -11,6 +11,11 @@
 namespace ccdb::lsi {
 namespace {
 
+/// Oversampling columns of the randomized range finder.
+constexpr std::size_t kOversample = 10;
+/// Power iterations sharpening the spectrum separation.
+constexpr int kPowerIterations = 2;
+
 /// Sparse document-term matrix in row (document) major layout.
 struct SparseMatrix {
   struct Entry {
@@ -134,7 +139,7 @@ LsiSpace BuildLsiSpace(const std::vector<Document>& documents,
       std::min(documents.size(), matrix.num_terms);
   const std::size_t dims = std::min(options.dims, rank_bound);
   const std::size_t sketch =
-      std::min(rank_bound, dims + options.oversample);
+      std::min(rank_bound, dims + kOversample);
 
   // Randomized range finder: Q ≈ orthonormal basis of range(A).
   Rng rng(options.seed);
@@ -142,7 +147,7 @@ LsiSpace BuildLsiSpace(const std::vector<Document>& documents,
   gaussian.FillGaussian(rng, 0.0, 1.0);
   Matrix y = matrix.MultiplyDense(gaussian);  // docs x sketch
   OrthonormalizeColumns(y);
-  for (int it = 0; it < options.power_iterations; ++it) {
+  for (int it = 0; it < kPowerIterations; ++it) {
     Matrix z = matrix.TransposeMultiplyDense(y);  // terms x sketch
     OrthonormalizeColumns(z);
     y = matrix.MultiplyDense(z);

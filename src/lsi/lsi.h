@@ -37,10 +37,6 @@ struct LsiOptions {
   /// Target dimensionality of the latent space (the paper uses 100 for the
   /// metadata space).
   std::size_t dims = 100;
-  /// Oversampling columns for the randomized range finder.
-  std::size_t oversample = 10;
-  /// Power iterations sharpening the spectrum separation.
-  int power_iterations = 2;
   /// Apply log-tf and inverse-document-frequency weighting.
   bool tf_idf = true;
   /// L2-normalize document coordinates (cosine-style LSI). Keeps the

@@ -1,7 +1,5 @@
 #include "svm/classifier.h"
 
-#include <cmath>
-
 #include "common/check.h"
 #include "common/vec.h"
 #include "svm/kernel_cache.h"
@@ -20,7 +18,7 @@ class SvcQMatrix : public QMatrix {
   SvcQMatrix(const Matrix& examples, const std::vector<std::int8_t>& y,
              const KernelConfig& kernel, std::size_t cache_bytes)
       : examples_(examples), y_(y), kernel_(kernel),
-        sq_norms_(examples.rows()), diagonal_(examples.rows()),
+        sq_norms_(examples.rows()),
         cache_(examples.rows(), examples.rows(), cache_bytes,
                [this](std::size_t r, std::span<double> out) {
                  FillRow(r, out);
@@ -31,9 +29,6 @@ class SvcQMatrix : public QMatrix {
                }) {
     RowSquaredNorms(examples_.Data(), examples_.rows(), examples_.cols(),
                     sq_norms_);
-    for (std::size_t i = 0; i < examples_.rows(); ++i) {
-      diagonal_[i] = EvalKernel(kernel_, examples_.Row(i), examples_.Row(i));
-    }
   }
 
   std::size_t size() const override { return examples_.rows(); }
@@ -42,7 +37,9 @@ class SvcQMatrix : public QMatrix {
     return cache_.Row(i);
   }
 
-  double Diagonal(std::size_t i) const override { return diagonal_[i]; }
+  /// Q_ii = y_i²·K(x_i, x_i) = 1: the RBF kernel is exactly 1 at zero
+  /// distance.
+  double Diagonal(std::size_t) const override { return 1.0; }
 
  private:
   void FillRow(std::size_t r, std::span<double> out) const {
@@ -59,7 +56,6 @@ class SvcQMatrix : public QMatrix {
   const std::vector<std::int8_t>& y_;
   KernelConfig kernel_;
   std::vector<double> sq_norms_;
-  std::vector<double> diagonal_;
   mutable KernelRowCache cache_;
 };
 

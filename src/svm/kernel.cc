@@ -31,16 +31,25 @@ inline double RbfExponent(double gamma, double row_sq_norm, double x_sq_norm,
 }
 
 /// One quad group of the expansion sweep in a single pass over its dots:
-/// for each support vector s, `finish(s, k)` turns the four items' dots
-/// k[g] = quad_dots[s*4 + g] into kernel values, which are folded into
-/// out4[g] = Σ_s coefficients[s]·k[g] − rho at once. The fold keeps Dot's
-/// order per item — accumulator s mod 4 over full strides, then the tail,
-/// then ((acc0 + acc1) + (acc2 + acc3)) + tail — so each out4[g] is
-/// bit-identical to the single-item path, EvalKernelBatch then Dot.
-template <typename Finish>
-void FoldQuadGroup(std::span<const double> quad_dots,
+/// for each support vector s, the four items' dots quad_dots[s*4 + g]
+/// become kernel values (norm trick, ExpNonPositiveQuad), which are folded
+/// into out4[g] = Σ_s coefficients[s]·K(sv_s, x_g) − rho at once. The fold
+/// keeps Dot's order per item — accumulator s mod 4 over full strides,
+/// then the tail, then ((acc0 + acc1) + (acc2 + acc3)) + tail — so each
+/// out4[g] is bit-identical to the single-item path, EvalKernelBatch then
+/// Dot.
+void FoldQuadGroup(double gamma, std::span<const double> quad_dots,
+                   std::span<const double> sv_sq_norms,
+                   const double (&x_sq_norms)[4],
                    std::span<const double> coefficients, double rho,
-                   const Finish& finish, std::span<double> out4) {
+                   std::span<double> out4) {
+  const auto kernel = [&](std::size_t s, double (&k)[4]) {
+    for (std::size_t g = 0; g < 4; ++g) {
+      k[g] = RbfExponent(gamma, sv_sq_norms[s], x_sq_norms[g],
+                         quad_dots[s * 4 + g]);
+    }
+    ExpNonPositiveQuad(k);
+  };
   const std::size_t num_svs = coefficients.size();
   double acc[4][4] = {};  // acc[s mod 4][g]
   double tail[4] = {0.0, 0.0, 0.0, 0.0};
@@ -48,8 +57,7 @@ void FoldQuadGroup(std::span<const double> quad_dots,
   for (; s + 4 <= num_svs; s += 4) {
     for (std::size_t j = 0; j < 4; ++j) {
       double k[4];
-      std::copy_n(quad_dots.begin() + (s + j) * 4, 4, k);
-      finish(s + j, k);
+      kernel(s + j, k);
       for (std::size_t g = 0; g < 4; ++g) {
         acc[j][g] += coefficients[s + j] * k[g];
       }
@@ -57,8 +65,7 @@ void FoldQuadGroup(std::span<const double> quad_dots,
   }
   for (; s < num_svs; ++s) {
     double k[4];
-    std::copy_n(quad_dots.begin() + s * 4, 4, k);
-    finish(s, k);
+    kernel(s, k);
     for (std::size_t g = 0; g < 4; ++g) tail[g] += coefficients[s] * k[g];
   }
   for (std::size_t g = 0; g < 4; ++g) {
@@ -68,51 +75,26 @@ void FoldQuadGroup(std::span<const double> quad_dots,
 }
 
 /// Turns one quad's dots quad[4·(j − j0) + g] = rows_lane[g] · rows_j into
-/// kernel values in place, with EvalKernelBatch's per-family expressions.
-void FinishGramQuad(const KernelConfig& config,
-                    std::span<const double> row_sq_norms,
+/// kernel values in place, with EvalKernelBatch's expressions.
+void FinishGramQuad(double gamma, std::span<const double> row_sq_norms,
                     const std::size_t (&lane)[4], std::size_t j0,
                     std::span<double> quad) {
-  switch (config.type) {
-    case KernelType::kLinear:
-      return;
-    case KernelType::kRbf: {
-      double lane_sq_norms[4];
-      for (std::size_t g = 0; g < 4; ++g) {
-        lane_sq_norms[g] = row_sq_norms[lane[g]];
-      }
-      for (std::size_t j = 0; 4 * j < quad.size(); ++j) {
-        for (std::size_t g = 0; g < 4; ++g) {
-          quad[4 * j + g] = RbfExponent(config.gamma, row_sq_norms[j0 + j],
-                                        lane_sq_norms[g], quad[4 * j + g]);
-        }
-      }
-      ExpNonPositiveInPlace(quad);
-      return;
+  double lane_sq_norms[4];
+  for (std::size_t g = 0; g < 4; ++g) lane_sq_norms[g] = row_sq_norms[lane[g]];
+  for (std::size_t j = 0; 4 * j < quad.size(); ++j) {
+    for (std::size_t g = 0; g < 4; ++g) {
+      quad[4 * j + g] = RbfExponent(gamma, row_sq_norms[j0 + j],
+                                    lane_sq_norms[g], quad[4 * j + g]);
     }
-    case KernelType::kPolynomial:
-      for (double& k : quad) {
-        k = std::pow(config.gamma * k + config.coef0, config.degree);
-      }
-      return;
   }
-  CCDB_CHECK_MSG(false, "unknown kernel type");
+  ExpNonPositiveInPlace(quad);
 }
 
 }  // namespace
 
 double EvalKernel(const KernelConfig& config, std::span<const double> x,
                   std::span<const double> z) {
-  switch (config.type) {
-    case KernelType::kLinear:
-      return Dot(x, z);
-    case KernelType::kRbf:
-      return std::exp(-config.gamma * SquaredDistance(x, z));
-    case KernelType::kPolynomial:
-      return std::pow(config.gamma * Dot(x, z) + config.coef0, config.degree);
-  }
-  CCDB_CHECK_MSG(false, "unknown kernel type");
-  return 0.0;
+  return std::exp(-config.gamma * SquaredDistance(x, z));
 }
 
 KernelConfig ResolveKernel(const KernelConfig& config, std::size_t dims) {
@@ -130,26 +112,12 @@ void EvalKernelBatch(const KernelConfig& config, std::span<const double> rows,
                      std::span<const double> x, double x_sq_norm,
                      std::span<double> out) {
   CCDB_CHECK_EQ(out.size(), num_rows);
+  CCDB_CHECK_EQ(row_sq_norms.size(), num_rows);
   DotBatch(rows, num_rows, cols, x, out);
-  switch (config.type) {
-    case KernelType::kLinear:
-      return;
-    case KernelType::kRbf: {
-      CCDB_CHECK_EQ(row_sq_norms.size(), num_rows);
-      for (std::size_t r = 0; r < num_rows; ++r) {
-        out[r] = RbfExponent(config.gamma, row_sq_norms[r], x_sq_norm, out[r]);
-      }
-      ExpNonPositiveInPlace(out);
-      return;
-    }
-    case KernelType::kPolynomial: {
-      for (std::size_t r = 0; r < num_rows; ++r) {
-        out[r] = std::pow(config.gamma * out[r] + config.coef0, config.degree);
-      }
-      return;
-    }
+  for (std::size_t r = 0; r < num_rows; ++r) {
+    out[r] = RbfExponent(config.gamma, row_sq_norms[r], x_sq_norm, out[r]);
   }
-  CCDB_CHECK_MSG(false, "unknown kernel type");
+  ExpNonPositiveInPlace(out);
 }
 
 void EvalKernelGram(const KernelConfig& config, std::span<const double> rows,
@@ -161,7 +129,7 @@ void EvalKernelGram(const KernelConfig& config, std::span<const double> rows,
   CCDB_CHECK_EQ(rows.size(), n * cols);
   CCDB_CHECK_EQ(out.size(), n * n);
   CCDB_CHECK(signs.empty() || signs.size() == n);
-  if (config.type == KernelType::kRbf) CCDB_CHECK_EQ(row_sq_norms.size(), n);
+  CCDB_CHECK_EQ(row_sq_norms.size(), n);
   constexpr std::size_t kTile = kGramTileRows;
   static_assert(kTile % 4 == 0);
   // The tile buffer keeps each quad's DotBatchQuad output where it lands:
@@ -186,7 +154,7 @@ void EvalKernelGram(const KernelConfig& config, std::span<const double> rows,
             std::span(tile).subspan(4 * q * kTile, 4 * width);
         DotBatchQuad(rows.subspan(j0 * cols, width * cols), width, cols,
                      interleaved, quad);
-        FinishGramQuad(config, row_sq_norms, lane, j0, quad);
+        FinishGramQuad(config.gamma, row_sq_norms, lane, j0, quad);
         if (signs.empty()) continue;
         double lane_sign[4];
         for (std::size_t g = 0; g < 4; ++g) {
@@ -228,9 +196,7 @@ bool EvalKernelExpansion(const KernelConfig& config,
   const std::size_t num_svs = support_vectors.rows();
   const std::size_t dims = support_vectors.cols();
   CCDB_CHECK_EQ(coefficients.size(), num_svs);
-  if (config.type == KernelType::kRbf) {
-    CCDB_CHECK_EQ(sv_sq_norms.size(), num_svs);
-  }
+  CCDB_CHECK_EQ(sv_sq_norms.size(), num_svs);
   CCDB_CHECK_EQ(out.size(), points.rows());
   if (points.rows() == 0) return !stop.ShouldStop();
   CCDB_CHECK_EQ(points.cols(), dims);
@@ -255,41 +221,12 @@ bool EvalKernelExpansion(const KernelConfig& config,
       InterleaveQuad(points.Row(i), points.Row(i + 1), points.Row(i + 2),
                      points.Row(i + 3), interleaved);
       DotBatchQuad(sv_data, num_svs, dims, interleaved, quad_dots);
-      const auto out4 = out.subspan(i, 4);
-      switch (config.type) {
-        case KernelType::kLinear:
-          FoldQuadGroup(quad_dots, coefficients, rho,
-                        [](std::size_t, double (&)[4]) {}, out4);
-          break;
-        case KernelType::kRbf: {
-          double x_sq_norms[4];
-          for (std::size_t g = 0; g < 4; ++g) {
-            x_sq_norms[g] = SquaredNorm(points.Row(i + g));
-          }
-          FoldQuadGroup(
-              quad_dots, coefficients, rho,
-              [&](std::size_t s, double (&k)[4]) {
-                for (std::size_t g = 0; g < 4; ++g) {
-                  k[g] = RbfExponent(config.gamma, sv_sq_norms[s],
-                                     x_sq_norms[g], k[g]);
-                }
-                ExpNonPositiveQuad(k);
-              },
-              out4);
-          break;
-        }
-        case KernelType::kPolynomial:
-          FoldQuadGroup(
-              quad_dots, coefficients, rho,
-              [&config](std::size_t, double (&k)[4]) {
-                for (std::size_t g = 0; g < 4; ++g) {
-                  k[g] = std::pow(config.gamma * k[g] + config.coef0,
-                                  config.degree);
-                }
-              },
-              out4);
-          break;
+      double x_sq_norms[4];
+      for (std::size_t g = 0; g < 4; ++g) {
+        x_sq_norms[g] = SquaredNorm(points.Row(i + g));
       }
+      FoldQuadGroup(config.gamma, quad_dots, sv_sq_norms, x_sq_norms,
+                    coefficients, rho, out.subspan(i, 4));
     }
     for (; i < hi; ++i) {
       const auto x = points.Row(i);

@@ -9,27 +9,16 @@
 
 namespace ccdb::svm {
 
-/// Kernel families supported by the SVM machinery. The paper uses a
-/// non-linear RBF kernel for genre extraction (Sec. 4.2).
-enum class KernelType {
-  kLinear,      // K(x, z) = x·z
-  kRbf,         // K(x, z) = exp(−γ‖x−z‖²)
-  kPolynomial,  // K(x, z) = (γ x·z + coef0)^degree
-};
-
-/// Kernel configuration. `gamma <= 0` means "auto": 1 / dims, resolved at
-/// training time.
+/// The RBF kernel K(x, z) = exp(−γ‖x−z‖²), the one kernel of the
+/// extractors (paper Sec. 3.4, 4.2). `gamma <= 0` means "auto": 1 / dims,
+/// resolved at training time.
 struct KernelConfig {
-  KernelType type = KernelType::kRbf;
   double gamma = 0.0;
-  int degree = 3;
-  double coef0 = 0.0;
 };
 
 /// Evaluates K(x, z) for equal-length vectors. The reference evaluator:
-/// the RBF kernel differences x − z directly and calls std::exp. Parity
-/// tests hold the batched paths below to it; in the library it only fills
-/// the Q diagonal, where K(x, x) is exactly 1 either way.
+/// it differences x − z directly and calls std::exp. Parity tests hold the
+/// batched paths below to it; the library itself never calls it.
 double EvalKernel(const KernelConfig& config, std::span<const double> x,
                   std::span<const double> z);
 
@@ -37,17 +26,14 @@ double EvalKernel(const KernelConfig& config, std::span<const double> x,
 KernelConfig ResolveKernel(const KernelConfig& config, std::size_t dims);
 
 /// Evaluates K(rows_r, x) for every row of a row-major matrix block in one
-/// GEMV-like sweep: a single DotBatch pass followed by the per-family
-/// transform. For the RBF kernel the squared distance is reassembled via
-/// the norm trick
+/// GEMV-like sweep: a single DotBatch pass, then the squared distance is
+/// reassembled via the norm trick
 ///   ‖x − z‖² = ‖x‖² + ‖z‖² − 2·x·z
 /// from the precomputed `row_sq_norms` (‖rows_r‖², see RowSquaredNorms)
 /// and `x_sq_norm` (‖x‖²); cancellation can leave the reassembled value a
 /// few ulps negative, which is clamped to 0. The exponent −γ‖x − z‖² then
 /// goes through ExpNonPositiveInPlace (common/vec.h), within 1 ulp of
 /// std::exp; gamma must be resolved (≥ 0), so the exponent is ≤ 0.
-/// `row_sq_norms` is ignored by the linear and polynomial kernels (may be
-/// empty).
 void EvalKernelBatch(const KernelConfig& config, std::span<const double> rows,
                      std::size_t num_rows, std::size_t cols,
                      std::span<const double> row_sq_norms,
@@ -63,9 +49,9 @@ inline constexpr std::size_t kGramTileRows = 64;
 /// where s is `signs` (±1 per row, a C-SVC's labels; empty = all +1).
 /// Only the upper triangle is computed, in square tiles of kGramTileRows:
 /// each quad of tile rows is one DotBatchQuad sweep over the tile's
-/// columns into a tile-sized buffer, finished in place per family as
-/// EvalKernelBatch does (norm trick and the same exp for RBF) and signed;
-/// the buffer is then stored as the tile and as its mirrored transpose.
+/// columns into a tile-sized buffer, finished in place as EvalKernelBatch
+/// does (norm trick and the same exp) and signed; the buffer is then
+/// stored as the tile and as its mirrored transpose.
 /// Every entry is bit-identical to EvalKernelBatch's row i, entry j: the
 /// dot's products and the norm trick's sum commute, so K_ij = K_ji
 /// exactly. `row_sq_norms` as for EvalKernelBatch.
@@ -79,16 +65,16 @@ void EvalKernelGram(const KernelConfig& config, std::span<const double> rows,
 ///   out[i] = Σ_s coefficients[s] · K(sv_s, points_i) − rho
 /// Items go in groups of four: one DotBatchQuad sweep over the support
 /// vectors, then one fused pass that finishes each dot into a kernel value
-/// (norm trick and ExpNonPositiveQuad for RBF) and folds it against the
+/// (norm trick and ExpNonPositiveQuad) and folds it against the
 /// coefficients in Dot's order. Each out[i] is therefore bit-identical to
 /// the single-item value, EvalKernelBatch then Dot, which the sub-four
 /// tail uses. Blocked over items and parallelized on the shared thread
-/// pool when the batch is large enough to amortize the fan-out. For RBF,
-/// `sv_sq_norms` must hold ‖sv_s‖² for every support vector (checked);
-/// other kernels ignore it. Probes `stop` once per block; returns false
-/// when it fired — entries of `out` beyond the blocks completed by then
-/// are unspecified. Every out[i] is computed independently, so results
-/// are identical whether the sweep ran serial or parallel.
+/// pool when the batch is large enough to amortize the fan-out.
+/// `sv_sq_norms` must hold ‖sv_s‖² for every support vector (checked).
+/// Probes `stop` once per block; returns false when it fired — entries of
+/// `out` beyond the blocks completed by then are unspecified. Every out[i]
+/// is computed independently, so results are identical whether the sweep
+/// ran serial or parallel.
 bool EvalKernelExpansion(const KernelConfig& config,
                          const Matrix& support_vectors,
                          std::span<const double> sv_sq_norms,

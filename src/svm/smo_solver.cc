@@ -166,7 +166,7 @@ SmoResult SolveSmo(const QMatrix& q, const std::vector<double>& p,
     }
     const std::size_t i = pair.i;
     const std::size_t j = pair.j;
-    if (i >= n || j >= n || pair.max_up - pair.min_low < config.tolerance) {
+    if (i >= n || j >= n || pair.max_up - pair.min_low < kSmoTolerance) {
       result.converged = true;
       break;
     }

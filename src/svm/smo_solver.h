@@ -49,8 +49,11 @@ struct SmoResult {
   Status stop_status;
 };
 
+/// The solver stops once the maximal violating pair's KKT gap falls below
+/// this (LIBSVM's default -e).
+inline constexpr double kSmoTolerance = 1e-3;
+
 struct SmoConfig {
-  double tolerance = 1e-3;
   std::size_t max_iterations = 200000;
   /// Cooperative stop signal, probed once per outer iteration; when it
   /// fires the solver returns the current feasible iterate within one

@@ -23,7 +23,7 @@ class SvrQMatrix : public QMatrix {
   SvrQMatrix(const Matrix& examples, const KernelConfig& kernel,
              std::size_t cache_bytes)
       : examples_(examples), kernel_(kernel),
-        sq_norms_(examples.rows()), diagonal_(examples.rows()),
+        sq_norms_(examples.rows()),
         cache_(examples.rows(), examples.rows(), cache_bytes,
                [this](std::size_t r, std::span<double> out) {
                  EvalKernelBatch(kernel_, examples_.Data(), examples_.rows(),
@@ -38,9 +38,6 @@ class SvrQMatrix : public QMatrix {
               std::vector<double>(2 * examples.rows())} {
     RowSquaredNorms(examples_.Data(), examples_.rows(), examples_.cols(),
                     sq_norms_);
-    for (std::size_t i = 0; i < examples_.rows(); ++i) {
-      diagonal_[i] = EvalKernel(kernel_, examples_.Row(i), examples_.Row(i));
-    }
   }
 
   std::size_t size() const override { return 2 * examples_.rows(); }
@@ -58,15 +55,13 @@ class SvrQMatrix : public QMatrix {
     return row;
   }
 
-  double Diagonal(std::size_t s) const override {
-    return diagonal_[s % examples_.rows()];
-  }
+  /// Q_ss = ŷ_s²·K(x, x) = 1: the RBF kernel is exactly 1 at zero distance.
+  double Diagonal(std::size_t) const override { return 1.0; }
 
  private:
   const Matrix& examples_;
   KernelConfig kernel_;
   std::vector<double> sq_norms_;
-  std::vector<double> diagonal_;
   mutable KernelRowCache cache_;
   mutable std::vector<double> rows_[2];
   mutable std::size_t next_row_ = 0;

@@ -251,7 +251,7 @@ TEST(TrainerCancellationTest, MidTrainingCancelStopsWithinOneEpoch) {
 
 // ------------------------------------------------------------------- SVM
 
-/// Dense Q for a tiny linear-kernel problem (used to drive SolveSmo
+/// Dense Q for a tiny hand-written problem (used to drive SolveSmo
 /// directly, where the stop plumbing lives).
 class DenseQ : public svm::QMatrix {
  public:
@@ -312,7 +312,6 @@ TsvmData TwoClusterTsvmData() {
 TEST(SvmCancellationTest, PreCancelledTsvmReportsStop) {
   const TsvmData data = TwoClusterTsvmData();
   svm::TsvmOptions options;
-  options.kernel.type = svm::KernelType::kLinear;
   options.stop = StopCondition(Deadline::AfterSeconds(0.0));
   svm::TsvmReport report;
   // ccdb-lint: allow(status-nodiscard) — outcome is asserted via
@@ -328,7 +327,6 @@ TEST(SvmCancellationTest, TsvmWithFiredSmoStopReturnsUntrainedModel) {
   // untrained model instead of taking decision values from it.
   const TsvmData data = TwoClusterTsvmData();
   svm::TsvmOptions options;
-  options.kernel.type = svm::KernelType::kLinear;
   options.smo.stop = StopCondition(Deadline::AfterSeconds(0.0));
   svm::TsvmReport report;
   const svm::SvmModel model = svm::TrainTsvm(

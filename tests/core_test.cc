@@ -4,7 +4,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <numeric>
+#include <string>
 
 #include "common/cancellation.h"
 #include "common/journal.h"
@@ -784,6 +786,46 @@ TEST_F(PerceptualSpaceFixture, ResolvedBoolColumnIsTheExtractorOutput) {
   }
 }
 
+TEST_F(PerceptualSpaceFixture, EachAttributeKeepsItsOwnGoldSample) {
+  // A gold sample is seeded by its attribute's place in registration
+  // order: two Boolean attributes are asked about different items, and
+  // registering a third attribute leaves the first one's sample and its
+  // filled column as they were.
+  const ExpandSetup setup = MakeExpandSetup(*world_, 31);
+  std::map<std::string, std::vector<std::uint32_t>> asked;
+  const auto register_genres = [&](PerceptualExpansionResolver& resolver,
+                                   std::size_t count) {
+    for (std::size_t genre = 0; genre < count; ++genre) {
+      const std::string name = "genre" + std::to_string(genre);
+      PerceptualAttributeSpec spec;
+      spec.type = db::ColumnType::kBool;
+      spec.gold_sample_size = 80;
+      spec.bool_truth = [&asked, name, genre](std::uint32_t item) {
+        asked[name].push_back(item);
+        return world_->GenreLabel(genre, item);
+      };
+      resolver.RegisterAttribute(name, std::move(spec));
+    }
+  };
+
+  PerceptualExpansionResolver two(space_, setup.pool, setup.hit_config);
+  register_genres(two, 2);
+  db::Table two_table = ItemTable(space_->num_items());
+  ASSERT_TRUE(two.Resolve(two_table, "genre0").ok());
+  ASSERT_TRUE(two.Resolve(two_table, "genre1").ok());
+  const std::vector<std::uint32_t> first_sample = asked["genre0"];
+  ASSERT_EQ(first_sample.size(), 80u);
+  EXPECT_NE(first_sample, asked["genre1"]);
+
+  asked.clear();
+  PerceptualExpansionResolver three(space_, setup.pool, setup.hit_config);
+  register_genres(three, 3);
+  db::Table three_table = ItemTable(space_->num_items());
+  ASSERT_TRUE(three.Resolve(three_table, "genre0").ok());
+  EXPECT_EQ(asked["genre0"], first_sample);
+  EXPECT_EQ(three_table.Column(1), two_table.Column(1));
+}
+
 TEST_F(PerceptualSpaceFixture, ResolvedDoubleColumnIsTheExtractorOutput) {
   constexpr std::uint64_t kSeed = 5;
   constexpr std::size_t kGold = 60;
@@ -806,8 +848,8 @@ TEST_F(PerceptualSpaceFixture, ResolvedDoubleColumnIsTheExtractorOutput) {
   ASSERT_TRUE(resolver.Resolve(table, "humor").ok());
 
   // The resolver's gold judgments, drawn as it draws them: the items from
-  // Rng(seed + registered attributes + 1), then one N(0, 0.25) draw per
-  // item on top of its truth.
+  // Rng(seed + 2k + 2) for the k-th attribute registered (k = 0 here), then
+  // one N(0, 0.25) draw per item on top of its truth.
   Rng rng(kSeed + 2);
   std::vector<std::uint32_t> items;
   std::vector<double> judgments;

@@ -649,6 +649,56 @@ TEST(DatabaseTest, IntColumnsCompareExactly) {
   EXPECT_EQ(mixed.value().num_rows(), 2u);
 }
 
+TEST(DatabaseTest, IntCellsOfADoubleColumnAreStoredAsDoubles) {
+  // A DOUBLE column holds doubles whatever its cells were bound as, so
+  // 2^53 + 1 appended as an int is the double 2^53: WHERE, ORDER BY and
+  // MIN/MAX all see one value where an INT column sees two.
+  Table table("t",
+              Schema({{"id", ColumnType::kInt}, {"x", ColumnType::kDouble}}));
+  const std::int64_t xs[] = {9007199254740993, 9007199254740992, 1};
+  for (std::int64_t id = 0; id < 3; ++id) {
+    ASSERT_TRUE(table.AppendRow({Value(id), Value(xs[id])}).ok());
+  }
+  ASSERT_TRUE(table
+                  .AddColumn({"y", ColumnType::kDouble},
+                             {Value(xs[0]), Value{}, Value(xs[2])})
+                  .ok());
+  ASSERT_TRUE(table
+                  .AddColumn({"z", ColumnType::kDouble},
+                             std::vector<Value>(3))
+                  .ok());
+  ASSERT_TRUE(table.FillColumn(3, {Value{}, Value(xs[1]), Value(xs[0])}).ok());
+  for (std::size_t column = 1; column <= 3; ++column) {
+    for (std::size_t row = 0; row < 3; ++row) {
+      const Value& cell = table.Get(row, column);
+      EXPECT_TRUE(IsNull(cell) || std::holds_alternative<double>(cell))
+          << "row " << row << ", column " << column;
+    }
+  }
+  EXPECT_EQ(table.Get(0, 1), Value(9007199254740992.0));
+  const Table whole("w", Schema({{"x", ColumnType::kDouble}}),
+                    {{Value(xs[0]), Value{}}});
+  EXPECT_EQ(whole.Get(0, 0), Value(9007199254740992.0));
+
+  Database database;
+  ASSERT_TRUE(database.AddTable(std::move(table)).ok());
+  const auto equal =
+      database.Execute("SELECT id FROM t WHERE x = 9007199254740993");
+  ASSERT_TRUE(equal.ok()) << equal.status().ToString();
+  EXPECT_EQ(equal.value().num_rows(), 2u);
+  // The two are a tie, which ORDER BY breaks by row position.
+  const auto ordered = database.Execute("SELECT id FROM t ORDER BY x");
+  ASSERT_TRUE(ordered.ok()) << ordered.status().ToString();
+  ASSERT_EQ(ordered.value().num_rows(), 3u);
+  EXPECT_EQ(ToString(ordered.value().Get(0, 0)), "2");
+  EXPECT_EQ(ToString(ordered.value().Get(1, 0)), "0");
+  EXPECT_EQ(ToString(ordered.value().Get(2, 0)), "1");
+  const auto extremes = database.Execute("SELECT MIN(x), MAX(x) FROM t");
+  ASSERT_TRUE(extremes.ok()) << extremes.status().ToString();
+  EXPECT_EQ(extremes.value().Get(0, 0), Value(1.0));
+  EXPECT_EQ(extremes.value().Get(0, 1), Value(9007199254740992.0));
+}
+
 TEST(DatabaseTest, MissingTableError) {
   Database database;
   const auto result = database.Execute("SELECT * FROM nothing");

@@ -196,10 +196,6 @@ TEST(ValidationTest, DispatcherConfigValidation) {
   bad_deadline.deadline_minutes = 0.0;
   EXPECT_FALSE(ValidateDispatcherConfig(bad_deadline).ok());
 
-  DispatcherConfig bad_backoff;
-  bad_backoff.backoff_factor = 0.5;
-  EXPECT_FALSE(ValidateDispatcherConfig(bad_backoff).ok());
-
   DispatcherConfig bad_budget;
   bad_budget.max_dollars = 0.0;
   EXPECT_FALSE(ValidateDispatcherConfig(bad_budget).ok());

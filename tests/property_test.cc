@@ -77,15 +77,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RngSeedProperty,
 
 // ----------------------------------------------------- kernel properties
 
-class KernelProperty
-    : public ::testing::TestWithParam<std::tuple<svm::KernelType, double>> {};
+class KernelProperty : public ::testing::TestWithParam<double> {};
 
 TEST_P(KernelProperty, SymmetryAndDiagonalDominanceForRbf) {
-  const auto [type, gamma] = GetParam();
-  svm::KernelConfig config;
-  config.type = type;
-  config.gamma = gamma;
-  config.coef0 = 1.0;
+  const svm::KernelConfig config{GetParam()};
   Rng rng(11);
   for (int trial = 0; trial < 50; ++trial) {
     std::vector<double> x(5), y(5);
@@ -96,22 +91,16 @@ TEST_P(KernelProperty, SymmetryAndDiagonalDominanceForRbf) {
     // Symmetry K(x,y) = K(y,x).
     EXPECT_NEAR(svm::EvalKernel(config, x, y), svm::EvalKernel(config, y, x),
                 1e-12);
-    if (type == svm::KernelType::kRbf) {
-      // 0 < K ≤ 1, maximal on the diagonal.
-      const double k = svm::EvalKernel(config, x, y);
-      EXPECT_GT(k, 0.0);
-      EXPECT_LE(k, 1.0);
-      EXPECT_DOUBLE_EQ(svm::EvalKernel(config, x, x), 1.0);
-    }
+    // 0 < K ≤ 1, maximal on the diagonal.
+    const double k = svm::EvalKernel(config, x, y);
+    EXPECT_GT(k, 0.0);
+    EXPECT_LE(k, 1.0);
+    EXPECT_DOUBLE_EQ(svm::EvalKernel(config, x, x), 1.0);
   }
 }
 
 TEST_P(KernelProperty, GramMatrixIsPositiveSemidefiniteOnSamples) {
-  const auto [type, gamma] = GetParam();
-  svm::KernelConfig config;
-  config.type = type;
-  config.gamma = gamma;
-  config.coef0 = 1.0;
+  const svm::KernelConfig config{GetParam()};
   Rng rng(13);
   const std::size_t n = 8;
   Matrix points(n, 3);
@@ -132,12 +121,7 @@ TEST_P(KernelProperty, GramMatrixIsPositiveSemidefiniteOnSamples) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Kernels, KernelProperty,
-    ::testing::Values(std::make_tuple(svm::KernelType::kLinear, 0.5),
-                      std::make_tuple(svm::KernelType::kRbf, 0.3),
-                      std::make_tuple(svm::KernelType::kRbf, 2.0),
-                      std::make_tuple(svm::KernelType::kPolynomial, 0.5)));
+INSTANTIATE_TEST_SUITE_P(Gammas, KernelProperty, ::testing::Values(0.3, 2.0));
 
 // ----------------------------------------------------- SMO invariants
 
@@ -155,7 +139,6 @@ TEST_P(SmoInvariantProperty, KktInvariantsHoldAcrossCosts) {
     y[i] = i < n / 2 ? 1 : -1;
   }
   svm::ClassifierOptions options;
-  options.kernel.type = svm::KernelType::kRbf;
   options.kernel.gamma = 0.5;
   options.cost = cost;
   svm::TrainDiagnostics diagnostics;
@@ -343,25 +326,15 @@ TEST_P(NumericCoreParity, EvalKernelBatchMatchesScalarEvalKernel) {
   std::vector<double> sq_norms(num_rows);
   RowSquaredNorms(rows.Data(), num_rows, n, sq_norms);
 
-  svm::KernelConfig configs[3];
-  configs[0].type = svm::KernelType::kLinear;
-  configs[1].type = svm::KernelType::kRbf;
-  configs[1].gamma = 0.4;
-  configs[2].type = svm::KernelType::kPolynomial;
-  configs[2].gamma = 0.5;
-  configs[2].coef0 = 1.0;
-  configs[2].degree = 3;
-  for (const auto& config : configs) {
-    std::vector<double> batch(num_rows);
-    svm::EvalKernelBatch(config, rows.Data(), num_rows, n, sq_norms, x,
-                         SquaredNorm(x), batch);
-    for (std::size_t r = 0; r < num_rows; ++r) {
-      // The RBF batch path reassembles ‖row−x‖² via the norm trick; the
-      // scalar path differences directly. 1e-10 relative covers the
-      // cancellation at these scales.
-      numcore::ExpectRelNear(batch[r],
-                             svm::EvalKernel(config, rows.Row(r), x));
-    }
+  const svm::KernelConfig config{0.4};
+  std::vector<double> batch(num_rows);
+  svm::EvalKernelBatch(config, rows.Data(), num_rows, n, sq_norms, x,
+                       SquaredNorm(x), batch);
+  for (std::size_t r = 0; r < num_rows; ++r) {
+    // The batch path reassembles ‖row−x‖² via the norm trick; the scalar
+    // path differences directly. 1e-10 relative covers the cancellation
+    // at these scales.
+    numcore::ExpectRelNear(batch[r], svm::EvalKernel(config, rows.Row(r), x));
   }
 }
 
@@ -505,18 +478,17 @@ TEST(ExpNonPositive, SpecialValues) {
 /// Batched kernel expansion over shapes that hit every remainder of the
 /// four-wide coefficient fold (support vectors) and of the quad item
 /// groups (items), one and several 256-item blocks, and both sides of the
-/// parallel threshold, for all three kernel families.
+/// parallel threshold.
 class NumericCoreParityExpansion
-    : public ::testing::TestWithParam<
-          std::tuple<std::size_t, std::size_t, svm::KernelType>> {};
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {
+};
 
 std::string ExpansionShapeName(
     const ::testing::TestParamInfo<NumericCoreParityExpansion::ParamType>&
         info) {
-  const auto [num_svs, num_points, type] = info.param;
-  const char* const families[] = {"linear", "rbf", "poly"};
-  return std::string(families[static_cast<int>(type)]) + "_svs" +
-         std::to_string(num_svs) + "_items" + std::to_string(num_points);
+  const auto [num_svs, num_points] = info.param;
+  return "rbf_svs" + std::to_string(num_svs) + "_items" +
+         std::to_string(num_points);
 }
 
 TEST_P(NumericCoreParityExpansion, BatchedExpansionMatchesScalarSum) {
@@ -526,7 +498,7 @@ TEST_P(NumericCoreParityExpansion, BatchedExpansionMatchesScalarSum) {
   // a one-row batch bit for bit: the quad groups fold the same kernel
   // values in Dot's order as the single-item tail that a one-row batch
   // takes.
-  const auto [num_svs, num_points, type] = GetParam();
+  const auto [num_svs, num_points] = GetParam();
   const std::size_t dims = 40;
   Rng rng(541);
   Matrix svs(num_svs, dims);
@@ -537,11 +509,7 @@ TEST_P(NumericCoreParityExpansion, BatchedExpansionMatchesScalarSum) {
   Matrix points(num_points, dims);
   points.FillGaussian(rng, 0.0, 1.0);
 
-  svm::KernelConfig kernel;
-  kernel.type = type;
-  kernel.gamma = 1.0 / static_cast<double>(dims);
-  kernel.coef0 = 1.0;
-  kernel.degree = 3;
+  const svm::KernelConfig kernel{1.0 / static_cast<double>(dims)};
   const svm::SvmModel model(svs, coefficients, rho, kernel);
 
   std::vector<double> batched(num_points);
@@ -567,9 +535,7 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, NumericCoreParityExpansion,
     ::testing::Combine(
         ::testing::Values(1u, 2u, 3u, 4u, 5u, 75u, 401u, 402u, 403u),
-        ::testing::Values(1u, 3u, 7u, 258u, 1030u),
-        ::testing::Values(svm::KernelType::kLinear, svm::KernelType::kRbf,
-                          svm::KernelType::kPolynomial)),
+        ::testing::Values(1u, 3u, 7u, 258u, 1030u)),
     ExpansionShapeName);
 
 TEST(NumericCoreParityLarge, BlockedKnnMatchesBruteForce) {
@@ -627,20 +593,54 @@ TEST(NumericCoreParityLarge, BatchKnnMatchesPerQueryKnn) {
   }
 }
 
+TEST(NumericCoreParityLarge, CoherenceIsTheSharedLabelShareOfTheNeighbors) {
+  // NeighborLabelCoherence against a brute-force count over per-query
+  // KNearestNeighbors lists: the share of neighbors that share at least
+  // one label with their query. Once on the serial path and once above
+  // kParallelCoherenceFlops; the count is exact either way.
+  Rng rng(563);
+  const std::size_t dims = 8, k = 7;
+  for (const std::size_t n : {std::size_t{200}, std::size_t{1500}}) {
+    Matrix points(n, dims);
+    points.FillGaussian(rng, 0.0, 1.0);
+    std::vector<std::vector<bool>> labels(n);
+    for (auto& item : labels) {
+      item.resize(2 + rng.UniformInt(2));  // 2 or 3 label ids
+      for (std::size_t l = 0; l < item.size(); ++l) {
+        item[l] = rng.Bernoulli(0.3);
+      }
+    }
+    const std::vector<std::size_t> queries =
+        rng.SampleWithoutReplacement(n, n / 6 + 1);
+    const bool parallel =
+        queries.size() * n * dims >= eval::kParallelCoherenceFlops;
+    EXPECT_EQ(parallel, n == 1500) << "n " << n;
+
+    std::size_t matched = 0, counted = 0;
+    for (const std::size_t query : queries) {
+      for (const eval::Neighbor& neighbor :
+           eval::KNearestNeighbors(points, query, k)) {
+        const auto& a = labels[query];
+        const auto& b = labels[neighbor.index];
+        bool shared = false;
+        for (std::size_t l = 0; l < std::min(a.size(), b.size()); ++l) {
+          shared = shared || (a[l] && b[l]);
+        }
+        matched += shared ? 1 : 0;
+        ++counted;
+      }
+    }
+    ASSERT_EQ(counted, queries.size() * k);
+    EXPECT_EQ(eval::NeighborLabelCoherence(points, labels, queries, k),
+              static_cast<double>(matched) / static_cast<double>(counted))
+        << "n " << n;
+  }
+}
+
 // ------------------------------------------------------ Gram fill
 
 namespace gram {
 
-using Param = std::tuple<svm::KernelType, std::size_t>;
-
-svm::KernelConfig Config(svm::KernelType type) {
-  svm::KernelConfig config;
-  config.type = type;
-  config.gamma = type == svm::KernelType::kRbf ? 0.3 : 0.5;
-  config.coef0 = 1.0;
-  config.degree = 3;
-  return config;
-}
 
 /// n at every quad tail (1–9) and around the tile edges: one short of a
 /// tile, a whole tile, one over, and a third tile holding one row.
@@ -654,10 +654,8 @@ std::vector<std::size_t> Sizes() {
   return sizes;
 }
 
-std::string ParamName(const ::testing::TestParamInfo<Param>& info) {
-  const char* const families[] = {"linear", "rbf", "polynomial"};
-  return std::string(families[static_cast<int>(std::get<0>(info.param))]) +
-         "_n" + std::to_string(std::get<1>(info.param));
+std::string ParamName(const ::testing::TestParamInfo<std::size_t>& info) {
+  return "rbf_n" + std::to_string(info.param);
 }
 
 }  // namespace gram
@@ -666,13 +664,13 @@ std::string ParamName(const ::testing::TestParamInfo<Param>& info) {
 /// unsigned and signed the way the C-SVC signs its Q rows. The output
 /// span sits between two guard bands that must come back untouched: a
 /// store past the end of a tail tile shows here even without ASan.
-class GramFill : public ::testing::TestWithParam<gram::Param> {};
+class GramFill : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(GramFill, MatchesKernelRowsBitForBit) {
-  const auto [type, n] = GetParam();
-  const svm::KernelConfig config = gram::Config(type);
+  const std::size_t n = GetParam();
+  const svm::KernelConfig config{0.3};
   constexpr std::size_t kDims = 7;  // a Dot unroll tail of 3
-  Rng rng(7700 + n * 3 + static_cast<std::size_t>(type));
+  Rng rng(7700 + n * 3 + 1);
   Matrix x(n, kDims);
   x.FillGaussian(rng, 0.0, 1.0);
   std::vector<std::int8_t> signs(n);
@@ -720,13 +718,8 @@ TEST_P(GramFill, MatchesKernelRowsBitForBit) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, GramFill,
-    ::testing::Combine(::testing::Values(svm::KernelType::kLinear,
-                                         svm::KernelType::kRbf,
-                                         svm::KernelType::kPolynomial),
-                       ::testing::ValuesIn(gram::Sizes())),
-    gram::ParamName);
+INSTANTIATE_TEST_SUITE_P(Shapes, GramFill, ::testing::ValuesIn(gram::Sizes()),
+                         gram::ParamName);
 
 // ------------------------------------------------ SMO solver oracle
 
@@ -778,7 +771,7 @@ svm::SmoResult ReferenceSolveSmo(const svm::QMatrix& q,
         j = t;
       }
     }
-    if (i >= n || j >= n || max_up - min_low < config.tolerance) {
+    if (i >= n || j >= n || max_up - min_low < svm::kSmoTolerance) {
       result.converged = true;
       break;
     }
@@ -1061,7 +1054,6 @@ TEST_P(SmoOracleSvc, MatchesReferenceBitForBit) {
   const auto [n, c, budget] = GetParam();
   const Problem problem = MakeProblem(n, c);
   svm::ClassifierOptions options;
-  options.kernel.type = svm::KernelType::kRbf;
   options.kernel.gamma = 1.0 / static_cast<double>(problem.x.cols());
   options.cost = 10.0;
   options.example_cost_scale = problem.cost_scale;
@@ -1102,7 +1094,6 @@ TEST_P(SmoOracleSvr, MatchesReferenceBitForBit) {
   const auto [n, c, budget] = GetParam();
   const Problem problem = MakeProblem(n, c);
   svm::SvrOptions options;
-  options.kernel.type = svm::KernelType::kRbf;
   options.kernel.gamma = 1.0 / static_cast<double>(problem.x.cols());
   options.cost = 10.0;
   options.epsilon = 0.1;
@@ -1806,12 +1797,16 @@ Value RandomCell(Rng& rng, ColumnType type) {
       return Value(kInts[rng.UniformInt(std::size(kInts))]);
     }
     case ColumnType::kDouble: {
-      // Int cells are storable in DOUBLE columns; 1.0000001 and 1.0000002
-      // print alike; -0.0 equals 0.0.
-      static const double kDoubles[] = {-1.5, -0.0,      0.0,       0.5,
-                                        1.0,  1.0000001, 1.0000002, 2.5};
+      // Int cells are storable in DOUBLE columns, where 2^53 + 1 becomes
+      // the double 2^53; 1.0000001 and 1.0000002 print alike; -0.0 equals
+      // 0.0.
+      static const std::int64_t kInts[] = {-1, 0, 1, 2, 9007199254740992LL,
+                                           9007199254740993LL};
+      static const double kDoubles[] = {
+          -1.5,      -0.0,      0.0, 0.5, 1.0, 1.0000001,
+          1.0000002, 2.5, 9007199254740992.0};
       if (rng.Bernoulli(0.25)) {
-        return Value(static_cast<std::int64_t>(rng.UniformInt(4)) - 1);
+        return Value(kInts[rng.UniformInt(std::size(kInts))]);
       }
       return Value(kDoubles[rng.UniformInt(std::size(kDoubles))]);
     }
@@ -1819,6 +1814,21 @@ Value RandomCell(Rng& rng, ColumnType type) {
       static const char* kStrings[] = {"", "a", "b", "ab", "B", "NULL", "a b"};
       return Value(std::string(kStrings[rng.UniformInt(std::size(kStrings))]));
     }
+  }
+  return Value{};
+}
+
+// The cell of `type` most easily mistaken for NULL: 0, false, "" or -0.0.
+Value ZeroCell(Rng& rng, ColumnType type) {
+  switch (type) {
+    case ColumnType::kBool:
+      return Value(false);
+    case ColumnType::kInt:
+      return Value(std::int64_t{0});
+    case ColumnType::kDouble:
+      return Value(rng.Bernoulli(0.5) ? 0.0 : -0.0);
+    case ColumnType::kString:
+      return Value(std::string());
   }
   return Value{};
 }
@@ -1939,9 +1949,13 @@ Case RandomCase(std::uint64_t seed) {
     columns.push_back({Name(c), kTypes[rng.UniformInt(4)]});
   }
   std::vector<double> null_rate;
+  // Share of a column's non-NULL cells that are ZeroCell: in some columns
+  // half of them, beside the NULLs.
+  std::vector<double> zero_rate;
   for (std::size_t c = 0; c < num_columns; ++c) {
     static const double kRates[] = {0.0, 0.15, 0.15, 0.5, 1.0};
     null_rate.push_back(kRates[rng.UniformInt(std::size(kRates))]);
+    zero_rate.push_back(rng.Bernoulli(0.3) ? 0.5 : 0.0);
   }
   // Mostly 0-200 rows; now and then more than one 1,024-row chunk of the
   // executor's scan.
@@ -1952,9 +1966,13 @@ Case RandomCase(std::uint64_t seed) {
   for (std::size_t row = 0; row < num_rows; ++row) {
     std::vector<Value> cells;
     for (std::size_t c = 0; c < num_columns; ++c) {
-      cells.push_back(rng.Bernoulli(null_rate[c])
-                          ? Value{}
-                          : RandomCell(rng, columns[c].type));
+      if (rng.Bernoulli(null_rate[c])) {
+        cells.emplace_back();
+      } else if (rng.Bernoulli(zero_rate[c])) {
+        cells.push_back(ZeroCell(rng, columns[c].type));
+      } else {
+        cells.push_back(RandomCell(rng, columns[c].type));
+      }
     }
     CCDB_CHECK(out.table.AppendRow(std::move(cells)).ok());
   }

@@ -15,7 +15,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/cancellation.h"
 #include "common/crash_point.h"
+#include "common/deadline.h"
 #include "common/journal.h"
 #include "common/rng.h"
 #include "core/expansion.h"
@@ -268,6 +270,140 @@ TEST_F(RecoveryTest, DispatchJournalOfDifferentRunIsRejected) {
   other.hit.seed = 9999;  // different dispatch, same journal
   auto resumed = other.RunDurable(journal);
   EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
+}
+
+// A field missing from a fingerprint would let a resume splice a journal
+// written for other inputs into this run, so changing any identity field
+// must change it. The caller-side stop signal is not an input and must not.
+TEST_F(RecoveryTest, DispatchFingerprintCoversEveryIdentityField) {
+  using S = DispatchScenario;
+  const S base;
+  const auto fingerprint = [](const S& s) {
+    return crowd::DispatchFingerprint(s.pool, s.labels, s.hit, s.policy);
+  };
+  S stopped = base;
+  stopped.policy.stop = StopCondition(Deadline::AfterSeconds(0.0));
+  EXPECT_EQ(fingerprint(stopped), fingerprint(base));
+
+  const struct {
+    const char* field;
+    void (*mutate)(S&);
+  } kChanges[] = {
+      {"label", [](S& s) { s.labels[3] = !s.labels[3]; }},
+      {"worker", [](S& s) { s.pool.workers[2].accuracy = 0.5; }},
+      {"hit.judgments_per_item", [](S& s) { ++s.hit.judgments_per_item; }},
+      {"hit.items_per_hit", [](S& s) { ++s.hit.items_per_hit; }},
+      {"hit.payment_per_hit", [](S& s) { s.hit.payment_per_hit = 0.05; }},
+      {"hit.allow_dont_know",
+       [](S& s) { s.hit.allow_dont_know = !s.hit.allow_dont_know; }},
+      {"hit.lookup_mode", [](S& s) { s.hit.lookup_mode = !s.hit.lookup_mode; }},
+      {"hit.lookup_consensus_flip_rate",
+       [](S& s) { s.hit.lookup_consensus_flip_rate = 0.2; }},
+      {"hit.lookup_contested_rate",
+       [](S& s) { s.hit.lookup_contested_rate = 0.2; }},
+      {"hit.perception_flip_rate",
+       [](S& s) { s.hit.perception_flip_rate = 0.2; }},
+      {"hit.num_gold_questions", [](S& s) { ++s.hit.num_gold_questions; }},
+      {"hit.gold_exclusion_threshold",
+       [](S& s) { s.hit.gold_exclusion_threshold = 0.5; }},
+      {"hit.gold_min_probes", [](S& s) { ++s.hit.gold_min_probes; }},
+      {"hit.seed", [](S& s) { ++s.hit.seed; }},
+      {"fault.abandonment_prob",
+       [](S& s) { s.hit.fault.abandonment_prob = 0.1; }},
+      {"fault.abandon_time_fraction",
+       [](S& s) { s.hit.fault.abandon_time_fraction = 0.9; }},
+      {"fault.straggler_fraction",
+       [](S& s) { s.hit.fault.straggler_fraction = 0.1; }},
+      {"fault.straggler_pareto_alpha",
+       [](S& s) { s.hit.fault.straggler_pareto_alpha = 2.5; }},
+      {"fault.churn_prob", [](S& s) { s.hit.fault.churn_prob = 0.1; }},
+      {"fault.churn_window_minutes",
+       [](S& s) { s.hit.fault.churn_window_minutes = 60.0; }},
+      {"fault.duplicate_prob", [](S& s) { s.hit.fault.duplicate_prob = 0.1; }},
+      {"fault.duplicate_delay_minutes",
+       [](S& s) { s.hit.fault.duplicate_delay_minutes = 5.0; }},
+      {"fault.late_prob", [](S& s) { s.hit.fault.late_prob = 0.1; }},
+      {"fault.late_mean_delay_minutes",
+       [](S& s) { s.hit.fault.late_mean_delay_minutes = 5.0; }},
+      {"fault.spam_burst_prob",
+       [](S& s) { s.hit.fault.spam_burst_prob = 0.1; }},
+      {"fault.spam_burst_window_minutes",
+       [](S& s) { s.hit.fault.spam_burst_window_minutes = 60.0; }},
+      {"fault.spam_burst_duration_minutes",
+       [](S& s) { s.hit.fault.spam_burst_duration_minutes = 5.0; }},
+      {"fault.spam_burst_intensity",
+       [](S& s) { s.hit.fault.spam_burst_intensity = 0.5; }},
+      {"fault.spam_burst_positive_bias",
+       [](S& s) { s.hit.fault.spam_burst_positive_bias = 0.5; }},
+      {"fault.seed", [](S& s) { ++s.hit.fault.seed; }},
+      {"policy.deadline_minutes",
+       [](S& s) { s.policy.deadline_minutes = 100.0; }},
+      {"policy.max_reposts", [](S& s) { ++s.policy.max_reposts; }},
+      {"policy.backoff_initial_minutes",
+       [](S& s) { s.policy.backoff_initial_minutes = 1.0; }},
+      {"policy.max_dollars", [](S& s) { s.policy.max_dollars = 5.0; }},
+  };
+  for (const auto& change : kChanges) {
+    S changed = base;
+    change.mutate(changed);
+    EXPECT_NE(fingerprint(changed), fingerprint(base)) << change.field;
+  }
+}
+
+TEST(ExpansionFingerprintTest, CoversEveryIdentityField) {
+  struct Inputs {
+    std::vector<std::uint32_t> items = {4, 8, 15};
+    std::vector<Judgment> judgments = {
+        {0, 1, crowd::Answer::kPositive, 1.5, 0.002, false},
+        {2, 3, crowd::Answer::kNegative, 2.5, 0.002, false}};
+    double total_minutes = 30.0;
+    core::IncrementalExpansionOptions options;
+  };
+  const auto fingerprint = [](const Inputs& in) {
+    return core::ExpansionFingerprint(in.items, in.judgments,
+                                      in.total_minutes, in.options);
+  };
+  const Inputs base;
+  Inputs stopped;
+  stopped.options.stop = StopCondition(Deadline::AfterSeconds(0.0));
+  stopped.options.extractor.smo.stop = stopped.options.stop;
+  EXPECT_EQ(fingerprint(stopped), fingerprint(base));
+
+  const struct {
+    const char* field;
+    void (*mutate)(Inputs&);
+  } kChanges[] = {
+      {"item", [](Inputs& in) { ++in.items[1]; }},
+      {"judgment.item", [](Inputs& in) { ++in.judgments[1].item; }},
+      {"judgment.worker", [](Inputs& in) { ++in.judgments[1].worker; }},
+      {"judgment.answer",
+       [](Inputs& in) { in.judgments[1].answer = crowd::Answer::kDontKnow; }},
+      {"judgment.timestamp_minutes",
+       [](Inputs& in) { in.judgments[1].timestamp_minutes = 3.0; }},
+      {"judgment.cost_dollars",
+       [](Inputs& in) { in.judgments[1].cost_dollars = 0.003; }},
+      {"judgment.is_gold", [](Inputs& in) { in.judgments[1].is_gold = true; }},
+      {"total_minutes", [](Inputs& in) { in.total_minutes = 25.0; }},
+      {"checkpoint_interval_minutes",
+       [](Inputs& in) { in.options.checkpoint_interval_minutes = 2.0; }},
+      {"max_dollars", [](Inputs& in) { in.options.max_dollars = 1.0; }},
+      {"extractor.kernel.gamma",
+       [](Inputs& in) { in.options.extractor.kernel.gamma = 0.5; }},
+      {"extractor.gamma_scale",
+       [](Inputs& in) { in.options.extractor.gamma_scale = 0.5; }},
+      {"extractor.cost", [](Inputs& in) { in.options.extractor.cost = 1.0; }},
+      {"extractor.balance_class_costs",
+       [](Inputs& in) { in.options.extractor.balance_class_costs = true; }},
+      {"extractor.epsilon",
+       [](Inputs& in) { in.options.extractor.epsilon = 0.2; }},
+      {"extractor.smo.max_iterations",
+       [](Inputs& in) { ++in.options.extractor.smo.max_iterations; }},
+  };
+  for (const auto& change : kChanges) {
+    Inputs changed;
+    change.mutate(changed);
+    EXPECT_NE(fingerprint(changed), fingerprint(base)) << change.field;
+  }
 }
 
 // ---------------------------------------------------- expansion recovery

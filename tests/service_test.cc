@@ -332,8 +332,8 @@ TEST_F(ExpansionServiceTest, BreakerTripsRejectsAndRecovers) {
   ExpansionServiceOptions options;
   options.workers = 1;
   options.queue_depth = 8;
-  options.breaker_failure_threshold = 3;
-  options.breaker_cooldown_seconds = kBreakerCooldownSeconds;
+  options.breaker.failure_threshold = 3;
+  options.breaker.cooldown_seconds = kBreakerCooldownSeconds;
   ExpansionService service(*space_, HonestPool(10), options);
 
   // Three consecutive pipeline failures trip the breaker.
@@ -382,8 +382,8 @@ TEST_F(ExpansionServiceTest, FailedProbeReopensTheBreaker) {
   ExpansionServiceOptions options;
   options.workers = 1;
   options.queue_depth = 8;
-  options.breaker_failure_threshold = 2;
-  options.breaker_cooldown_seconds = kBreakerCooldownSeconds;
+  options.breaker.failure_threshold = 2;
+  options.breaker.cooldown_seconds = kBreakerCooldownSeconds;
   ExpansionService service(*space_, HonestPool(10), options);
 
   for (int i = 0; i < 2; ++i) {
@@ -446,7 +446,7 @@ TEST_F(ExpansionServiceTest, ConcurrentStressWithRandomCancellations) {
   // A deadline-starved crowd stage can legitimately yield a one-class
   // sample (a breaker-relevant failure); keep the breaker out of this
   // test's way so the invariants stay about admission and termination.
-  options.breaker_failure_threshold = 1000000;
+  options.breaker.failure_threshold = 1000000;
   ExpansionService service(*space_, HonestPool(10), options);
 
   constexpr int kThreads = 4;

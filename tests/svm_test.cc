@@ -15,33 +15,19 @@ namespace {
 
 // ---------------------------------------------------------------- kernel
 
-TEST(KernelTest, Linear) {
-  KernelConfig config{KernelType::kLinear, 0.0, 3, 0.0};
-  std::vector<double> x = {1.0, 2.0};
-  std::vector<double> y = {3.0, 4.0};
-  EXPECT_DOUBLE_EQ(EvalKernel(config, x, y), 11.0);
-}
-
 TEST(KernelTest, RbfIsOneAtZeroDistance) {
-  KernelConfig config{KernelType::kRbf, 0.5, 3, 0.0};
+  KernelConfig config{0.5};
   std::vector<double> x = {1.0, 2.0};
   EXPECT_DOUBLE_EQ(EvalKernel(config, x, x), 1.0);
 }
 
 TEST(KernelTest, RbfDecaysWithDistance) {
-  KernelConfig config{KernelType::kRbf, 0.5, 3, 0.0};
+  KernelConfig config{0.5};
   std::vector<double> x = {0.0};
   std::vector<double> y = {1.0};
   std::vector<double> z = {2.0};
   EXPECT_GT(EvalKernel(config, x, y), EvalKernel(config, x, z));
   EXPECT_NEAR(EvalKernel(config, x, y), std::exp(-0.5), 1e-12);
-}
-
-TEST(KernelTest, Polynomial) {
-  KernelConfig config{KernelType::kPolynomial, 1.0, 2, 1.0};
-  std::vector<double> x = {1.0, 1.0};
-  std::vector<double> y = {2.0, 0.0};
-  EXPECT_DOUBLE_EQ(EvalKernel(config, x, y), 9.0);  // (2 + 1)^2
 }
 
 TEST(KernelDeathTest, RbfExpansionRequiresEverySupportVectorNorm) {
@@ -52,7 +38,7 @@ TEST(KernelDeathTest, RbfExpansionRequiresEverySupportVectorNorm) {
   const Matrix points(4, 3);
   const std::vector<double> coefficients = {1.0, -1.0};
   std::vector<double> out(points.rows());
-  const KernelConfig rbf{KernelType::kRbf, 0.5, 3, 0.0};
+  const KernelConfig rbf{0.5};
   EXPECT_DEATH(EvalKernelExpansion(rbf, svs, {}, coefficients, 0.0, points,
                                    StopCondition(), out),
                "sv_sq_norms");
@@ -92,7 +78,6 @@ TEST(SvmClassifierTest, LinearlySeparable2D) {
                              {-1.5, -2.0}});
   const std::vector<std::int8_t> y = {1, 1, 1, -1, -1, -1};
   ClassifierOptions options;
-  options.kernel.type = KernelType::kLinear;
   options.cost = 10.0;
   const SvmModel model = TrainClassifier(x, y, options);
   const std::vector<double> values = Values(model, x);
@@ -109,7 +94,6 @@ TEST(SvmClassifierTest, XorRequiresNonLinearKernel) {
   const Matrix x = FromRows({{0.0, 0.0}, {1.0, 1.0}, {0.0, 1.0}, {1.0, 0.0}});
   const std::vector<std::int8_t> y = {1, 1, -1, -1};
   ClassifierOptions options;
-  options.kernel.type = KernelType::kRbf;
   options.kernel.gamma = 2.0;
   options.cost = 100.0;
   const SvmModel model = TrainClassifier(x, y, options);
@@ -131,7 +115,6 @@ TEST(SvmClassifierTest, RbfGeneralizesOnGaussianBlobs) {
     y[i] = i < per_class ? 1 : -1;
   }
   ClassifierOptions options;
-  options.kernel.type = KernelType::kRbf;
   options.kernel.gamma = 0.5;
   options.cost = 1.0;
   const SvmModel model = TrainClassifier(x, y, options);
@@ -162,7 +145,6 @@ TEST(SvmClassifierTest, AlphaRespectsBoxConstraint) {
     y[i] = i < 20 ? 1 : -1;
   }
   ClassifierOptions options;
-  options.kernel.type = KernelType::kLinear;
   options.cost = 0.7;
   TrainDiagnostics diagnostics;
   TrainClassifier(x, y, options, &diagnostics);
@@ -188,12 +170,15 @@ TEST(SvmClassifierTest, PerExampleCostScaling) {
                              {10.0, 0.0}});  // mislabeled outlier
   const std::vector<std::int8_t> y = {1, 1, 1, -1, -1, -1};
   ClassifierOptions options;
-  options.kernel.type = KernelType::kLinear;
   options.cost = 10.0;
   options.example_cost_scale = {1.0, 1.0, 1.0, 1.0, 1.0, 1e-6};
   const SvmModel model = TrainClassifier(x, y, options);
   // The outlier at x=10 labeled −1 is ignored; points near it classify +1.
   EXPECT_GE(Values(model, FromRows({{9.0, 0.0}}))[0], 0.0);
+  // At full cost the same outlier does pull its neighbourhood to −1.
+  options.example_cost_scale.back() = 1.0;
+  EXPECT_LT(Values(TrainClassifier(x, y, options), FromRows({{9.0, 0.0}}))[0],
+            0.0);
 }
 
 TEST(SvmClassifierTest, SupportVectorsAreSubset) {
@@ -203,7 +188,6 @@ TEST(SvmClassifierTest, SupportVectorsAreSubset) {
   std::vector<std::int8_t> y(50);
   for (std::size_t i = 0; i < 50; ++i) y[i] = x(i, 0) > 0 ? 1 : -1;
   ClassifierOptions options;
-  options.kernel.type = KernelType::kLinear;
   options.cost = 1.0;
   const SvmModel model = TrainClassifier(x, y, options);
   EXPECT_GT(model.num_support_vectors(), 0u);
@@ -220,7 +204,6 @@ TEST(SvrTest, FitsLinearFunction) {
     y[i] = 2.0 * x(i, 0) + 1.0;
   }
   SvrOptions options;
-  options.kernel.type = KernelType::kLinear;
   options.cost = 100.0;
   options.epsilon = 0.01;
   const std::vector<double> values = Values(TrainSvr(x, y, options), x);
@@ -237,7 +220,6 @@ TEST(SvrTest, FitsSineWithRbf) {
     y[i] = std::sin(x(i, 0));
   }
   SvrOptions options;
-  options.kernel.type = KernelType::kRbf;
   options.kernel.gamma = 2.0;
   options.cost = 50.0;
   options.epsilon = 0.02;
@@ -278,7 +260,6 @@ TEST(SvmClassifierTest, IterationCapReportsNonConvergence) {
     y[i] = i < 30 ? 1 : -1;
   }
   ClassifierOptions options;
-  options.kernel.type = KernelType::kRbf;
   options.kernel.gamma = 5.0;
   options.cost = 100.0;
   options.smo.max_iterations = 3;  // far too few
@@ -296,7 +277,6 @@ TEST(SvrTest, ZeroEpsilonInterpolatesCleanData) {
     y[i] = 0.5 * static_cast<double>(i) - 1.0;
   }
   SvrOptions options;
-  options.kernel.type = KernelType::kLinear;
   options.cost = 1000.0;
   options.epsilon = 0.0;
   const std::vector<double> values = Values(TrainSvr(x, y, options), x);
@@ -323,7 +303,6 @@ TEST(TsvmTest, UsesUnlabeledStructure) {
   const std::vector<std::int8_t> labels = {1, -1};
 
   TsvmOptions options;
-  options.kernel.type = KernelType::kRbf;
   options.kernel.gamma = 0.3;
   options.cost = 10.0;
   options.unlabeled_cost = 10.0;
@@ -515,7 +494,6 @@ TEST(KernelRowCacheTest, TinyBudgetTrainingMatchesUnbounded) {
   std::vector<std::int8_t> y(40);
   for (std::size_t i = 0; i < 40; ++i) y[i] = x(i, 0) + x(i, 2) > 0 ? 1 : -1;
   ClassifierOptions options;
-  options.kernel.type = KernelType::kRbf;
   options.kernel.gamma = 0.8;
   options.cost = 5.0;
   const SvmModel big = TrainClassifier(x, y, options);
