@@ -12,6 +12,16 @@ void CsvWriter::WriteRow(const std::vector<std::string>& fields) {
   os_ << '\n';
 }
 
+void CsvWriter::WriteNullableRow(
+    const std::vector<std::optional<std::string>>& fields) {
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    if (i > 0) os_ << ',';
+    if (!fields[i].has_value()) continue;
+    os_ << (fields[i]->empty() ? "\"\"" : Escape(*fields[i]));
+  }
+  os_ << '\n';
+}
+
 void CsvWriter::WriteNumericRow(const std::vector<double>& values) {
   std::vector<std::string> fields;
   fields.reserve(values.size());
@@ -37,10 +47,13 @@ std::string CsvWriter::Escape(const std::string& field) {
   return out;
 }
 
-StatusOr<std::vector<std::string>> ParseCsvLine(const std::string& line) {
+StatusOr<std::vector<std::string>> ParseCsvLine(const std::string& line,
+                                                std::vector<bool>* quoted) {
   std::vector<std::string> fields;
   std::string current;
   bool in_quotes = false;
+  bool current_quoted = false;
+  if (quoted != nullptr) quoted->clear();
   for (std::size_t i = 0; i < line.size(); ++i) {
     const char c = line[i];
     if (in_quotes) {
@@ -59,15 +72,19 @@ StatusOr<std::vector<std::string>> ParseCsvLine(const std::string& line) {
         return Status::InvalidArgument("quote inside unquoted field");
       }
       in_quotes = true;
+      current_quoted = true;
     } else if (c == ',') {
       fields.push_back(current);
       current.clear();
+      if (quoted != nullptr) quoted->push_back(current_quoted);
+      current_quoted = false;
     } else {
       current += c;
     }
   }
   if (in_quotes) return Status::InvalidArgument("unterminated quoted field");
   fields.push_back(current);
+  if (quoted != nullptr) quoted->push_back(current_quoted);
   return fields;
 }
 

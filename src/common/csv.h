@@ -1,6 +1,7 @@
 #ifndef CCDB_COMMON_CSV_H_
 #define CCDB_COMMON_CSV_H_
 
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -20,6 +21,11 @@ class CsvWriter {
   /// Writes one row of fields.
   void WriteRow(const std::vector<std::string>& fields);
 
+  /// Writes one row in which a field may be missing: a missing field is
+  /// written empty and a present empty one quoted (`""`), so ParseCsvLine's
+  /// `quoted` flags tell the two apart.
+  void WriteNullableRow(const std::vector<std::optional<std::string>>& fields);
+
   /// Convenience: writes a row of doubles with full precision.
   void WriteNumericRow(const std::vector<double>& values);
 
@@ -30,9 +36,11 @@ class CsvWriter {
 };
 
 /// Parses a single CSV line into fields (handles quoting). Returns an
-/// error Status on malformed quoting.
+/// error Status on malformed quoting. When `quoted` is given, it receives
+/// one flag per field: whether the field was written in quotes.
 [[nodiscard]]
-StatusOr<std::vector<std::string>> ParseCsvLine(const std::string& line);
+StatusOr<std::vector<std::string>> ParseCsvLine(
+    const std::string& line, std::vector<bool>* quoted = nullptr);
 
 }  // namespace ccdb
 

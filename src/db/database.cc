@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <compare>
 #include <cstdint>
 #include <limits>
 #include <numeric>
 #include <optional>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 
 #include "common/check.h"
@@ -38,28 +40,37 @@ constexpr std::size_t kChunkRows = 1024;
 // The cells of each column of the schema a condition is bound against.
 using Columns = std::vector<const std::vector<Value>*>;
 
-// Readers of one side of a comparison, by row of the current chunk. The
-// numeric ones return false on NULL; the string ones return nullptr.
-struct NumberCells {
+// The sign of (left - right): -1, 0 or 1.
+template <typename T>
+int Sign(const T& left, const T& right) {
+  return (left > right) - (left < right);
+}
+
+// The truth a BOOL cell holds: FALSE, TRUE, or UNKNOWN for NULL. A bool b
+// is the truth 2 * b, read without a branch on its value.
+Truth CellTruth(const Value& cell) {
+  const bool* b = std::get_if<bool>(&cell);
+  return b == nullptr ? kUnknown : static_cast<Truth>(2 * *b);
+}
+
+// Readers of one side of a comparison, by row of the current chunk. A
+// column's reader reads the one alternative its declared type holds
+// (`Cell`); the numeric ones return false on NULL, the string ones
+// nullptr.
+template <typename Cell>
+struct NumericCells {
   const Value* cells;
-  bool Read(std::size_t i, double& value) const {
-    const Value& cell = cells[i];
-    if (const double* d = std::get_if<double>(&cell)) {
-      value = *d;
-    } else if (const std::int64_t* n = std::get_if<std::int64_t>(&cell)) {
-      value = static_cast<double>(*n);
-    } else if (const bool* b = std::get_if<bool>(&cell)) {
-      value = *b ? 1.0 : 0.0;
-    } else {
-      value = 0.0;
-      return false;
-    }
-    return true;
+  template <typename Number>
+  bool Read(std::size_t i, Number& value) const {
+    const Cell* cell = std::get_if<Cell>(&cells[i]);
+    value = cell == nullptr ? Number{0} : static_cast<Number>(*cell);
+    return cell != nullptr;
   }
 };
+template <typename Number>
 struct NumberConstant {
-  double number;
-  bool Read(std::size_t, double& value) const {
+  Number number;
+  bool Read(std::size_t, Number& value) const {
     value = number;
     return true;
   }
@@ -70,23 +81,6 @@ struct TruthNumbers {
   bool Read(std::size_t i, double& value) const {
     value = truth[i] == kTrue ? 1.0 : 0.0;
     return truth[i] != kUnknown;
-  }
-};
-// INT operands: the cells of an INT column (int64 or NULL), or an integer
-// literal.
-struct IntCells {
-  const Value* cells;
-  bool Read(std::size_t i, std::int64_t& value) const {
-    const std::int64_t* n = std::get_if<std::int64_t>(&cells[i]);
-    value = n == nullptr ? 0 : *n;
-    return n != nullptr;
-  }
-};
-struct IntConstant {
-  std::int64_t number;
-  bool Read(std::size_t, std::int64_t& value) const {
-    value = number;
-    return true;
   }
 };
 struct StringCells {
@@ -132,7 +126,8 @@ void CompareStrings(Left left, Right right, const Truth* outcome,
 
 // A WHERE or HAVING condition bound to the columns of one schema: every
 // column reference points at its cells and every comparison is
-// type-checked, so evaluating it looks up no name, copies no cell and
+// type-checked and bound to its operands' declared types, so evaluating it
+// looks up no name, probes no cell for its alternative, copies no cell and
 // cannot fail. The errors a row-at-a-time walk raised on the first row
 // that reached them are raised by Bind, whether or not a row reaches them.
 class BoundCondition {
@@ -167,10 +162,15 @@ class BoundCondition {
   }
 
  private:
+  using TruthMap = std::array<Truth, 3>;
+  static constexpr TruthMap kIdentity = {kFalse, kUnknown, kTrue};
+  static constexpr TruthMap kNegation = {kTrue, kUnknown, kFalse};
+
   // One side of a comparison.
   struct Operand {
     enum class Kind { kNull, kNumber, kString, kColumn, kCondition };
     Kind kind = Kind::kNull;
+    ColumnType type = ColumnType::kBool;         // kColumn
     bool is_string = false;
     bool is_int = false;                         // an integer or INT column
     double number = 0.0;                         // kNumber
@@ -178,15 +178,27 @@ class BoundCondition {
     std::string text;                            // kString
     const std::vector<Value>* column = nullptr;  // kColumn
     std::size_t node = 0;                        // kCondition
+
+    bool constant() const {
+      return kind == Kind::kNumber || kind == Kind::kString;
+    }
+    // A BOOL column or a condition: its value is one of three truths.
+    bool boolean() const {
+      return kind == Kind::kCondition ||
+             (kind == Kind::kColumn && type == ColumnType::kBool);
+    }
   };
 
   struct Node {
-    enum class Kind { kConstant, kColumn, kCompare, kNot, kAnd, kOr };
+    enum class Kind { kConstant, kMap, kCompare, kAnd, kOr };
     Kind kind = Kind::kConstant;
-    const std::vector<Value>* column = nullptr;  // kColumn: BOOL cells
+    // kMap: a row's truth is map[x], where x is the truth of the row's
+    // cell of `column` (BOOL cells) or, without a column, of node a.
+    const std::vector<Value>* column = nullptr;
+    TruthMap map{};
     Operand left, right;                         // kCompare
-    std::array<Truth, 3> outcome{};              // kCompare
-    std::size_t a = 0, b = 0;                    // kNot: a; kAnd, kOr: a, b
+    TruthMap outcome{};                          // kCompare
+    std::size_t a = 0, b = 0;                    // kMap: a; kAnd, kOr: a, b
     std::vector<Truth> truth = std::vector<Truth>(kChunkRows);
   };
 
@@ -201,6 +213,32 @@ class BoundCondition {
     Node node;
     std::fill(node.truth.begin(), node.truth.end(), truth);
     return Add(std::move(node));
+  }
+  std::size_t MapColumn(const std::vector<Value>* column, TruthMap map) {
+    Node node;
+    node.kind = Node::Kind::kMap;
+    node.column = column;
+    node.map = map;
+    return Add(std::move(node));
+  }
+  // Maps the truths of node `input`, which nothing else reads, through
+  // `map`. A map of a map or of a constant folds into that node, so a NOT
+  // or a condition compared with a constant costs no pass of its own.
+  std::size_t Map(std::size_t input, TruthMap map) {
+    Node& node = nodes_[input];
+    if (node.kind == Node::Kind::kMap) {
+      for (Truth& truth : node.map) truth = map[truth];
+      return input;
+    }
+    if (node.kind == Node::Kind::kConstant) {
+      std::fill(node.truth.begin(), node.truth.end(), map[node.truth[0]]);
+      return input;
+    }
+    Node mapped;
+    mapped.kind = Node::Kind::kMap;
+    mapped.map = map;
+    mapped.a = input;
+    return Add(std::move(mapped));
   }
 
   StatusOr<const std::vector<Value>*> FindColumn(const std::string& name,
@@ -222,10 +260,7 @@ class BoundCondition {
       case Expr::Kind::kNot: {
         StatusOr<std::size_t> inner = BindCondition(*expr.left);
         if (!inner.ok()) return inner;
-        Node node;
-        node.kind = Node::Kind::kNot;
-        node.a = inner.value();
-        return Add(std::move(node));
+        return Map(inner.value(), kNegation);
       }
       case Expr::Kind::kBinary: {
         if (expr.op == BinaryOp::kAnd || expr.op == BinaryOp::kOr) {
@@ -248,10 +283,7 @@ class BoundCondition {
             FindColumn(expr.column, &type);
         if (!column.ok()) return column.status();
         if (type != ColumnType::kBool) return non_boolean();
-        Node node;
-        node.kind = Node::Kind::kColumn;
-        node.column = column.value();
-        return Add(std::move(node));
+        return MapColumn(column.value(), kIdentity);
       }
       case Expr::Kind::kLiteral: {
         if (IsNull(expr.literal)) return AddConstant(kUnknown);
@@ -264,31 +296,48 @@ class BoundCondition {
   }
 
   StatusOr<std::size_t> BindComparison(const Expr& expr) {
-    StatusOr<Operand> left = BindOperand(*expr.left);
-    if (!left.ok()) return left.status();
-    StatusOr<Operand> right = BindOperand(*expr.right);
-    if (!right.ok()) return right.status();
-    if (left.value().kind == Operand::Kind::kNull ||
-        right.value().kind == Operand::Kind::kNull) {
+    StatusOr<Operand> bound_left = BindOperand(*expr.left);
+    if (!bound_left.ok()) return bound_left.status();
+    StatusOr<Operand> bound_right = BindOperand(*expr.right);
+    if (!bound_right.ok()) return bound_right.status();
+    Operand& left = bound_left.value();
+    Operand& right = bound_right.value();
+    if (left.kind == Operand::Kind::kNull ||
+        right.kind == Operand::Kind::kNull) {
       return AddConstant(kUnknown);
     }
-    if (left.value().is_string != right.value().is_string) {
+    if (left.is_string != right.is_string) {
       return Status::InvalidArgument(
           "type mismatch: cannot compare string with non-string");
     }
-    Node node;
-    node.kind = Node::Kind::kCompare;
-    node.left = std::move(left).value();
-    node.right = std::move(right).value();
+    TruthMap outcome{};
     switch (expr.op) {
-      case BinaryOp::kEq: node.outcome = {kFalse, kTrue, kFalse}; break;
-      case BinaryOp::kNe: node.outcome = {kTrue, kFalse, kTrue}; break;
-      case BinaryOp::kLt: node.outcome = {kTrue, kFalse, kFalse}; break;
-      case BinaryOp::kLe: node.outcome = {kTrue, kTrue, kFalse}; break;
-      case BinaryOp::kGt: node.outcome = {kFalse, kFalse, kTrue}; break;
-      case BinaryOp::kGe: node.outcome = {kFalse, kTrue, kTrue}; break;
+      case BinaryOp::kEq: outcome = {kFalse, kTrue, kFalse}; break;
+      case BinaryOp::kNe: outcome = {kTrue, kFalse, kTrue}; break;
+      case BinaryOp::kLt: outcome = {kTrue, kFalse, kFalse}; break;
+      case BinaryOp::kLe: outcome = {kTrue, kTrue, kFalse}; break;
+      case BinaryOp::kGt: outcome = {kFalse, kFalse, kTrue}; break;
+      case BinaryOp::kGe: outcome = {kFalse, kTrue, kTrue}; break;
       default: return Status::Internal("unexpected operator");
     }
+    // A constant goes right; swapping the sides mirrors the outcome.
+    if (left.constant()) {
+      std::swap(left, right);
+      std::swap(outcome[0], outcome[2]);
+    }
+    if (left.boolean() && right.constant()) {
+      // Each of the operand's three truths maps to the comparison's:
+      // FALSE and TRUE compare as 0 and 1, UNKNOWN stays UNKNOWN.
+      const TruthMap map = {outcome[Sign(0.0, right.number) + 1], kUnknown,
+                            outcome[Sign(1.0, right.number) + 1]};
+      return left.kind == Operand::Kind::kColumn ? MapColumn(left.column, map)
+                                                 : Map(left.node, map);
+    }
+    Node node;
+    node.kind = Node::Kind::kCompare;
+    node.left = std::move(left);
+    node.right = std::move(right);
+    node.outcome = outcome;
     return Add(std::move(node));
   }
 
@@ -312,13 +361,12 @@ class BoundCondition {
         }
         return operand;
       case Expr::Kind::kColumn: {
-        ColumnType type = ColumnType::kBool;
         StatusOr<const std::vector<Value>*> column =
-            FindColumn(expr.column, &type);
+            FindColumn(expr.column, &operand.type);
         if (!column.ok()) return column.status();
         operand.kind = Operand::Kind::kColumn;
-        operand.is_string = type == ColumnType::kString;
-        operand.is_int = type == ColumnType::kInt;
+        operand.is_string = operand.type == ColumnType::kString;
+        operand.is_int = operand.type == ColumnType::kInt;
         operand.column = column.value();
         return operand;
       }
@@ -332,26 +380,35 @@ class BoundCondition {
     }
   }
 
-  // Calls `visit` with a reader of `side` over the chunk at `begin`.
+  // Calls `visit` with a reader of `side` over the chunk at `begin`: a
+  // column's reader reads the alternative of its declared type.
   template <typename Visit>
   void WithNumbers(const Operand& side, std::size_t begin,
                    Visit&& visit) const {
     switch (side.kind) {
-      case Operand::Kind::kColumn:
-        return visit(NumberCells{side.column->data() + begin});
+      case Operand::Kind::kColumn: {
+        const Value* cells = side.column->data() + begin;
+        if (side.type == ColumnType::kBool) {
+          return visit(NumericCells<bool>{cells});
+        }
+        if (side.type == ColumnType::kInt) {
+          return visit(NumericCells<std::int64_t>{cells});
+        }
+        return visit(NumericCells<double>{cells});
+      }
       case Operand::Kind::kCondition:
         return visit(TruthNumbers{nodes_[side.node].truth.data()});
       default:
-        return visit(NumberConstant{side.number});
+        return visit(NumberConstant<double>{side.number});
     }
   }
   template <typename Visit>
   static void WithInts(const Operand& side, std::size_t begin,
                        Visit&& visit) {
     if (side.kind == Operand::Kind::kColumn) {
-      return visit(IntCells{side.column->data() + begin});
+      return visit(NumericCells<std::int64_t>{side.column->data() + begin});
     }
-    return visit(IntConstant{side.integer});
+    return visit(NumberConstant<std::int64_t>{side.integer});
   }
   template <typename Visit>
   static void WithStrings(const Operand& side, std::size_t begin,
@@ -369,18 +426,14 @@ class BoundCondition {
     switch (node.kind) {
       case Node::Kind::kConstant:
         return;  // filled by AddConstant
-      case Node::Kind::kColumn: {
-        const Value* cells = node.column->data() + begin;
-        for (std::size_t i = 0; i < n; ++i) {
-          const bool* b = std::get_if<bool>(&cells[i]);
-          out[i] = b == nullptr ? kUnknown : *b ? kTrue : kFalse;
-        }
-        return;
-      }
-      case Node::Kind::kNot: {
-        const Truth* in = nodes_[node.a].truth.data();
-        for (std::size_t i = 0; i < n; ++i) {
-          out[i] = static_cast<Truth>(kTrue - in[i]);
+      case Node::Kind::kMap: {
+        const Truth* map = node.map.data();
+        if (node.column != nullptr) {
+          const Value* cells = node.column->data() + begin;
+          for (std::size_t i = 0; i < n; ++i) out[i] = map[CellTruth(cells[i])];
+        } else {
+          const Truth* in = nodes_[node.a].truth.data();
+          for (std::size_t i = 0; i < n; ++i) out[i] = map[in[i]];
         }
         return;
       }
@@ -441,29 +494,63 @@ std::vector<std::size_t> SelectRows(std::optional<BoundCondition>& where,
   return rows;
 }
 
-// Orders `rows`, ascending positions into `cells`, by their cells: NULLs
-// last in either direction, ties by position, which is the order a stable
-// sort gives. Then keeps the first `limit`, with a top-k when that is
-// fewer than all. Plain and aggregate results both order through here.
-void OrderRows(const std::vector<Value>& cells, bool descending,
-               std::size_t limit, std::vector<std::size_t>& rows) {
-  const auto before = [&](std::size_t a, std::size_t b) {
-    const Value& va = cells[a];
-    const Value& vb = cells[b];
-    const bool a_null = IsNull(va);
-    const bool b_null = IsNull(vb);
-    if (a_null || b_null) return a_null == b_null ? a < b : b_null;
-    const int cmp = CompareNonNull(va, vb);
-    if (cmp != 0) return descending ? cmp > 0 : cmp < 0;
-    return a < b;
+// Orders `rows`, ascending positions into `cells`, by their cells, which
+// are NULL or `Cell`s: NULLs last in either direction, ties by position,
+// which is the order a stable sort gives. Then keeps the first `limit`,
+// with a top-k when that is fewer than all. Each row is sorted by a copy
+// of its key (a view, for a string), so a comparison reads no variant.
+template <typename Cell>
+void OrderRowsBy(const std::vector<Value>& cells, bool descending,
+                 std::size_t limit, std::vector<std::size_t>& rows) {
+  using Key = std::conditional_t<std::is_same_v<Cell, std::string>,
+                                 std::string_view, Cell>;
+  struct Keyed {
+    Key key;
+    std::size_t row;
   };
-  if (limit < rows.size()) {
-    std::partial_sort(rows.begin(),
-                      rows.begin() + static_cast<std::ptrdiff_t>(limit),
-                      rows.end(), before);
-    rows.resize(limit);
+  std::vector<Keyed> keyed;
+  keyed.reserve(rows.size());
+  std::vector<std::size_t> nulls;
+  for (std::size_t row : rows) {
+    if (const Cell* cell = std::get_if<Cell>(&cells[row])) {
+      keyed.push_back({Key(*cell), row});
+    } else {
+      nulls.push_back(row);
+    }
+  }
+  const auto before = [descending](const Keyed& a, const Keyed& b) {
+    const auto order = a.key <=> b.key;
+    if (order != 0) return descending ? order > 0 : order < 0;
+    return a.row < b.row;
+  };
+  const std::size_t sorted = std::min(limit, keyed.size());
+  if (sorted < keyed.size()) {
+    std::partial_sort(keyed.begin(),
+                      keyed.begin() + static_cast<std::ptrdiff_t>(sorted),
+                      keyed.end(), before);
   } else {
-    std::sort(rows.begin(), rows.end(), before);
+    std::sort(keyed.begin(), keyed.end(), before);
+  }
+  rows.clear();
+  for (std::size_t k = 0; k < sorted; ++k) rows.push_back(keyed[k].row);
+  nulls.resize(std::min(nulls.size(), limit - sorted));
+  rows.insert(rows.end(), nulls.begin(), nulls.end());
+}
+
+// OrderRowsBy over a column of `type`. Plain and aggregate results both
+// order through here.
+void OrderRows(const std::vector<Value>& cells, ColumnType type,
+               bool descending, std::size_t limit,
+               std::vector<std::size_t>& rows) {
+  switch (type) {
+    case ColumnType::kBool:
+      return OrderRowsBy<bool>(cells, descending, limit, rows);
+    case ColumnType::kInt:
+      return OrderRowsBy<std::int64_t>(cells, descending, limit, rows);
+    case ColumnType::kDouble:
+      return OrderRowsBy<double>(cells, descending, limit, rows);
+    case ColumnType::kString:
+      return OrderRowsBy<std::string>(cells, descending, limit, rows);
   }
 }
 
@@ -557,45 +644,80 @@ ColumnType AggregateType(const SelectItem& item, const Table& table) {
   return ColumnType::kDouble;
 }
 
-// Numbers each row's group in first-seen order and records the row that
-// opened each group. Groups are values, not their renderings: NULLs form
-// one group, strings group by content, BOOL and INT cells by exact value,
-// and DOUBLE cells by numeric value, so -0.0 and 0.0 share a group and
-// 1.0000001 and 1.0000002 do not.
-std::vector<std::size_t> AssignGroups(const std::vector<Value>& cells,
-                                      ColumnType type,
-                                      const std::vector<std::size_t>& rows,
-                                      std::vector<std::size_t>& first_rows) {
+constexpr std::size_t kNoGroup = std::numeric_limits<std::size_t>::max();
+
+// Numbers the group of each of `rows`, whose cells are NULL or `Cell`s, in
+// first-seen order, keyed by `key_of` in a hash map; appends to
+// `first_rows` the row that opened each group. NULLs form one group.
+template <typename Cell, typename KeyOf>
+std::vector<std::size_t> HashGroups(const std::vector<Value>& cells,
+                                    const std::vector<std::size_t>& rows,
+                                    KeyOf key_of,
+                                    std::vector<std::size_t>& first_rows) {
+  using Key = std::invoke_result_t<KeyOf, const Cell&>;
+  std::unordered_map<Key, std::size_t> groups;
+  std::size_t null_group = kNoGroup;
   std::vector<std::size_t> group_of;
   group_of.reserve(rows.size());
-  std::optional<std::size_t> null_group;
-  std::unordered_map<std::uint64_t, std::size_t> numbers;
-  std::unordered_map<std::string_view, std::size_t> strings;
   for (std::size_t row : rows) {
-    const Value& cell = cells[row];
     const std::size_t next = first_rows.size();
-    std::size_t group = next;
-    if (IsNull(cell)) {
-      group = null_group.value_or(next);
-      null_group = group;
-    } else if (const std::string* s = std::get_if<std::string>(&cell)) {
-      group = strings.try_emplace(*s, next).first->second;
-    } else if (type == ColumnType::kDouble) {
-      // Adding +0.0 turns -0.0 into +0.0, so the two share a group.
-      const double value = AsNumeric(cell) + 0.0;
-      group = numbers.try_emplace(std::bit_cast<std::uint64_t>(value), next)
-                  .first->second;
-    } else {
-      const bool* b = std::get_if<bool>(&cell);
-      const std::int64_t exact =
-          b != nullptr ? *b : std::get<std::int64_t>(cell);
-      group = numbers.try_emplace(static_cast<std::uint64_t>(exact), next)
-                  .first->second;
+    const Cell* cell = std::get_if<Cell>(&cells[row]);
+    std::size_t group = null_group;
+    if (cell != nullptr) {
+      group = groups.try_emplace(key_of(*cell), next).first->second;
+    } else if (null_group == kNoGroup) {
+      group = null_group = next;
     }
     if (group == next) first_rows.push_back(row);
     group_of.push_back(group);
   }
   return group_of;
+}
+
+// Numbers each row's group in first-seen order and records the row that
+// opened each group. Groups are values, not their renderings: NULLs form
+// one group, strings group by content, BOOL and INT cells by exact value,
+// and DOUBLE cells by numeric value, so -0.0 and 0.0 share a group and
+// 1.0000001 and 1.0000002 do not. A BOOL column has at most three groups,
+// FALSE, NULL and TRUE, each numbered in a slot of its own.
+std::vector<std::size_t> AssignGroups(const std::vector<Value>& cells,
+                                      ColumnType type,
+                                      const std::vector<std::size_t>& rows,
+                                      std::vector<std::size_t>& first_rows) {
+  switch (type) {
+    case ColumnType::kBool: {
+      std::array<std::size_t, 3> slots;
+      slots.fill(kNoGroup);
+      std::vector<std::size_t> group_of;
+      group_of.reserve(rows.size());
+      for (std::size_t row : rows) {
+        std::size_t& group = slots[CellTruth(cells[row])];
+        if (group == kNoGroup) {
+          group = first_rows.size();
+          first_rows.push_back(row);
+        }
+        group_of.push_back(group);
+      }
+      return group_of;
+    }
+    case ColumnType::kInt:
+      return HashGroups<std::int64_t>(
+          cells, rows, [](std::int64_t value) { return value; }, first_rows);
+    case ColumnType::kDouble:
+      // Adding +0.0 turns -0.0 into +0.0, so the two share a group.
+      return HashGroups<double>(
+          cells, rows,
+          [](double value) {
+            return std::bit_cast<std::uint64_t>(value + 0.0);
+          },
+          first_rows);
+    case ColumnType::kString:
+      return HashGroups<std::string>(
+          cells, rows,
+          [](const std::string& value) { return std::string_view(value); },
+          first_rows);
+  }
+  return {};
 }
 
 StatusOr<Table> ExecuteAggregates(
@@ -713,7 +835,8 @@ StatusOr<Table> ExecuteAggregates(
   const std::size_t limit =
       statement.limit.value_or(std::numeric_limits<std::size_t>::max());
   if (order_index != Schema::kNotFound) {
-    OrderRows(result[order_index], statement.order_descending, limit, kept);
+    OrderRows(result[order_index], result_columns[order_index].type,
+              statement.order_descending, limit, kept);
   } else if (kept.size() > limit) {
     kept.resize(limit);
   }
@@ -836,7 +959,8 @@ StatusOr<Table> Database::ExecuteSelect(const SelectStatement& statement) {
     const std::size_t order_index =
         schema.FindColumn(statement.order_by_column);
     CCDB_CHECK_NE(order_index, Schema::kNotFound);
-    OrderRows(*columns[order_index], statement.order_descending, limit, rows);
+    OrderRows(*columns[order_index], schema.column(order_index).type,
+              statement.order_descending, limit, rows);
   } else if (rows.size() > limit) {
     rows.resize(limit);
   }

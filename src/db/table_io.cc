@@ -1,7 +1,10 @@
 #include "db/table_io.h"
 
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <optional>
 #include <sstream>
 
 #include "common/csv.h"
@@ -24,8 +27,23 @@ StatusOr<ColumnType> ParseTypeTag(const std::string& tag) {
   return Status::InvalidArgument("unknown column type tag: " + tag);
 }
 
-StatusOr<Value> ParseCell(const std::string& field, ColumnType type) {
-  if (field.empty()) return Value{};  // NULL
+// The field a cell is saved as: none for NULL, a double in its shortest
+// form that reads back as the same double, anything else as ToString
+// renders it.
+std::optional<std::string> CellField(const Value& value) {
+  if (IsNull(value)) return std::nullopt;
+  if (const double* d = std::get_if<double>(&value)) {
+    char text[32];
+    char* end = std::to_chars(text, text + sizeof text, *d).ptr;
+    return std::string(text, end);
+  }
+  return ToString(value);
+}
+
+// An unquoted empty field is NULL; a quoted one is the empty string.
+StatusOr<Value> ParseCell(const std::string& field, bool quoted,
+                          ColumnType type) {
+  if (field.empty() && !quoted) return Value{};  // NULL
   switch (type) {
     case ColumnType::kBool:
       if (field == "true") return Value(true);
@@ -47,7 +65,9 @@ StatusOr<Value> ParseCell(const std::string& field, ColumnType type) {
       char* end = nullptr;
       errno = 0;
       const double parsed = std::strtod(field.c_str(), &end);
-      if (errno == ERANGE) {
+      // ERANGE also flags a subnormal, which is read exactly; only a
+      // magnitude that became 0 or inf is out of range.
+      if (errno == ERANGE && (parsed == 0.0 || std::isinf(parsed))) {
         return Status::InvalidArgument("double cell out of range: " + field);
       }
       if (end == field.c_str() || *end != '\0') {
@@ -77,14 +97,22 @@ Status SaveTableCsv(const Table& table, const std::string& path, Fs* fs) {
   csv.WriteRow(header);
 
   for (std::size_t row = 0; row < table.num_rows(); ++row) {
-    std::vector<std::string> cells;
+    std::vector<std::optional<std::string>> cells;
     cells.reserve(table.schema().num_columns());
     for (std::size_t column = 0; column < table.schema().num_columns();
          ++column) {
       const Value& value = table.Get(row, column);
-      cells.push_back(IsNull(value) ? std::string() : ToString(value));
+      const std::string* text = std::get_if<std::string>(&value);
+      if (text != nullptr && text->find('\n') != std::string::npos) {
+        // LoadTableCsv reads one record per line.
+        return Status::InvalidArgument(
+            "cannot save a string cell holding a line break (row " +
+            std::to_string(row) + ", column " +
+            table.schema().column(column).name + ")");
+      }
+      cells.push_back(CellField(value));
     }
-    csv.WriteRow(cells);
+    csv.WriteNullableRow(cells);
   }
   return ResolveFs(fs).WriteFile(path, out.str());
 }
@@ -120,6 +148,7 @@ StatusOr<Table> LoadTableCsv(const std::string& path,
 
   Table table(table_name, Schema(columns));
   std::size_t line_number = 1;
+  std::vector<bool> quoted;
   while (std::getline(in, line)) {
     ++line_number;
     if (line.size() > kMaxLineBytes) {
@@ -129,7 +158,7 @@ StatusOr<Table> LoadTableCsv(const std::string& path,
     }
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
-    StatusOr<std::vector<std::string>> fields = ParseCsvLine(line);
+    StatusOr<std::vector<std::string>> fields = ParseCsvLine(line, &quoted);
     if (!fields.ok()) {
       return Status::InvalidArgument(path + ":" +
                                      std::to_string(line_number) + ": " +
@@ -143,7 +172,8 @@ StatusOr<Table> LoadTableCsv(const std::string& path,
     std::vector<Value> values;
     values.reserve(columns.size());
     for (std::size_t c = 0; c < columns.size(); ++c) {
-      StatusOr<Value> value = ParseCell(fields.value()[c], columns[c].type);
+      StatusOr<Value> value =
+          ParseCell(fields.value()[c], quoted[c], columns[c].type);
       if (!value.ok()) return value.status();
       values.push_back(std::move(value).value());
     }

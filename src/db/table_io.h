@@ -10,8 +10,11 @@
 namespace ccdb::db {
 
 /// Persists a table as CSV with a typed header row
-/// (`name:STRING,year:INT,...`). NULL cells are written as empty fields;
-/// string cells are RFC-4180 quoted when needed. An expanded schema —
+/// (`name:STRING,year:INT,...`). NULL cells are written as empty fields
+/// and an empty string as `""`; string cells are RFC-4180 quoted when
+/// needed, and doubles written in the shortest form that reads back as
+/// the same double. A string cell holding a line break is
+/// InvalidArgument, and nothing is written. An expanded schema —
 /// including the crowd/space-materialized perceptual columns — survives
 /// the round trip, so an expansion paid for once can be shipped.
 [[nodiscard]] Status SaveTableCsv(const Table& table, const std::string& path,

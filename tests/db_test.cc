@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <limits>
@@ -229,26 +231,49 @@ TEST(TableIoTest, SaveLoadRoundTripWithNullsAndQuotes) {
   Table table("movies", schema);
   ASSERT_TRUE(table.AppendRow({Value(std::string("Weird, \"Movie\"")),
                                Value(static_cast<std::int64_t>(1999)),
-                               Value(7.25), Value(true)})
+                               Value(7.123456789), Value(true)})
                   .ok());
   ASSERT_TRUE(table.AppendRow({Value(std::string("Plain")), Value{},
                                Value{}, Value(false)})
                   .ok());
+  // The empty string is not NULL, and every double reads back exactly.
+  const double doubles[] = {0.1 + 0.2, -0.0, 1e300,
+                            std::numeric_limits<double>::denorm_min()};
+  for (double d : doubles) {
+    ASSERT_TRUE(table.AppendRow({Value(std::string()),
+                                 Value(static_cast<std::int64_t>(-7)),
+                                 Value(d), Value{}})
+                    .ok());
+  }
 
   const std::string path = ::testing::TempDir() + "/table_roundtrip.csv";
   ASSERT_TRUE(SaveTableCsv(table, path).ok());
   auto loaded = LoadTableCsv(path, "movies");
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const Table& copy = loaded.value();
-  ASSERT_EQ(copy.num_rows(), 2u);
+  ASSERT_EQ(copy.num_rows(), table.num_rows());
   ASSERT_EQ(copy.schema().num_columns(), 4u);
   EXPECT_EQ(copy.schema().column(3).type, ColumnType::kBool);
-  EXPECT_EQ(ToString(copy.Get(0, 0)), "Weird, \"Movie\"");
-  EXPECT_EQ(ToString(copy.Get(0, 1)), "1999");
-  EXPECT_NEAR(std::get<double>(copy.Get(0, 2)), 7.25, 1e-9);
-  EXPECT_EQ(std::get<bool>(copy.Get(0, 3)), true);
+  for (std::size_t row = 0; row < table.num_rows(); ++row) {
+    for (std::size_t column = 0; column < 4; ++column) {
+      EXPECT_EQ(copy.Get(row, column), table.Get(row, column))
+          << "row " << row << ", column " << column << ": "
+          << ToString(copy.Get(row, column));
+    }
+  }
+  EXPECT_TRUE(std::signbit(std::get<double>(copy.Get(3, 2))));  // -0.0
   EXPECT_TRUE(IsNull(copy.Get(1, 1)));
   EXPECT_TRUE(IsNull(copy.Get(1, 2)));
+
+  // A line break would split the record that LoadTableCsv reads as one
+  // line, so saving it is refused and writes nothing.
+  Table broken("notes", Schema({{"text", ColumnType::kString}}));
+  ASSERT_TRUE(broken.AppendRow({Value(std::string("two\nlines"))}).ok());
+  const std::string broken_path = ::testing::TempDir() + "/line_break.csv";
+  std::remove(broken_path.c_str());
+  EXPECT_EQ(SaveTableCsv(broken, broken_path).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(std::ifstream(broken_path).good());
 }
 
 TEST(TableIoTest, LoadRejectsMalformedFiles) {

@@ -10,6 +10,7 @@
 #include <memory>
 #include <numeric>
 #include <optional>
+#include <set>
 #include <span>
 #include <sstream>
 #include <string>
@@ -1785,7 +1786,35 @@ struct Case {
   Table table;
   SelectStatement statement;
   PlanErrors plan_errors;
+  // What the case exercises of the executor's typed bindings, by label:
+  // its comparisons (see Reachable), its ORDER BY key type and a GROUP BY
+  // over a BOOL column that holds NULLs.
+  std::set<std::string> reached;
 };
+
+// Every label an equal-result case of each seed's sweep must reach: each
+// column type against each operand kind, a literal on either side; a
+// condition used as a value against a column and a literal; each ORDER BY
+// key type; and the NULL slot of a BOOL GROUP BY.
+std::vector<std::string> Reachable() {
+  std::vector<std::string> labels = {
+      "STRING column vs STRING literal on the left",
+      "STRING column vs STRING literal on the right",
+      "STRING column vs column", "ORDER BY STRING",
+      "GROUP BY BOOL with NULLs"};
+  for (const char* type : {"BOOL", "INT", "DOUBLE"}) {
+    const std::string column = std::string(type) + " column vs ";
+    for (const char* literal : {"BOOL", "INT", "DOUBLE"}) {
+      labels.push_back(column + literal + " literal on the left");
+      labels.push_back(column + literal + " literal on the right");
+    }
+    labels.push_back(column + "column");
+    labels.push_back(column + "condition");
+    labels.push_back(std::string("condition vs ") + type + " literal");
+    labels.push_back(std::string("ORDER BY ") + type);
+  }
+  return labels;
+}
 
 Value RandomCell(Rng& rng, ColumnType type) {
   switch (type) {
@@ -1851,9 +1880,11 @@ bool IsStringValue(const Value& value) {
 // aggregate result's for HAVING).
 class ConditionGenerator {
  public:
-  ConditionGenerator(Rng& rng, std::vector<ColumnDef> columns,
-                     PlanErrors& errors)
-      : rng_(rng), columns_(std::move(columns)), errors_(errors) {}
+  ConditionGenerator(Rng& rng, std::vector<ColumnDef> columns, Case& out)
+      : rng_(rng),
+        columns_(std::move(columns)),
+        errors_(out.plan_errors),
+        reached_(out.reached) {}
 
   std::unique_ptr<Expr> Condition(int depth) {
     if (depth <= 0 || rng_.Bernoulli(0.35)) return Leaf();
@@ -1873,14 +1904,34 @@ class ConditionGenerator {
   void AddUnknownColumn(std::string name) { unknown_ = std::move(name); }
 
  private:
-  // A column reference and whether its values are strings.
-  std::pair<std::unique_ptr<Expr>, bool> ColumnRef() {
+  // One side of a comparison: its expression, what it is ("INT column",
+  // "condition", "NULL literal", ...; empty for an unknown column) and
+  // whether its values are strings.
+  struct Side {
+    std::unique_ptr<Expr> expr;
+    std::string kind;
+    bool string = false;
+    bool column = false;
+  };
+
+  Side ColumnRef() {
     if (!unknown_.empty() && rng_.Bernoulli(0.03)) {
       errors_.unknown_having = true;
-      return {Expr::Column(unknown_), false};
+      return {Expr::Column(unknown_), "", false, true};
     }
     const ColumnDef& column = columns_[rng_.UniformInt(columns_.size())];
-    return {Expr::Column(column.name), column.type == ColumnType::kString};
+    return {Expr::Column(column.name),
+            std::string(db::ColumnTypeName(column.type)) + " column",
+            column.type == ColumnType::kString, true};
+  }
+
+  static Side LiteralSide(const Value& literal) {
+    return {Expr::Literal(literal),
+            std::string(db::IsNull(literal)
+                            ? "NULL"
+                            : db::ColumnTypeName(db::TypeOf(literal))) +
+                " literal",
+            IsStringValue(literal), false};
   }
 
   std::unique_ptr<Expr> Leaf() {
@@ -1903,33 +1954,40 @@ class ConditionGenerator {
                                     BinaryOp::kLt, BinaryOp::kLe,
                                     BinaryOp::kGt, BinaryOp::kGe};
     const BinaryOp op = kOps[rng_.UniformInt(std::size(kOps))];
-    auto [left, left_string] = ColumnRef();
-    if (rng_.Bernoulli(0.04)) {  // a condition as a value: TRUE 1, FALSE 0
-      left = Expr::Not(Leaf());
-      left_string = false;
+    Side left = ColumnRef();
+    if (rng_.Bernoulli(0.15)) {  // a condition as a value: TRUE 1, FALSE 0
+      left = {Expr::Not(Leaf()), "condition"};
     }
-    std::unique_ptr<Expr> right;
-    bool right_string = left_string;
-    bool right_null = false;
-    if (kind < 0.3) {  // column against column
-      auto [other, other_string] = ColumnRef();
-      right = std::move(other);
-      right_string = other_string;
+    Side right;
+    // Column against column; a condition against a column now and then.
+    if (kind < 0.3 || (!left.column && rng_.Bernoulli(0.3))) {
+      right = ColumnRef();
     } else {  // column against a literal, mostly of the column's class
-      const bool string = rng_.Bernoulli(0.06) ? !left_string : left_string;
-      const Value literal = RandomLiteral(rng_, string);
-      right_null = db::IsNull(literal);
-      right_string = IsStringValue(literal);
-      right = Expr::Literal(literal);
+      const bool string = rng_.Bernoulli(0.06) ? !left.string : left.string;
+      right = LiteralSide(RandomLiteral(rng_, string));
     }
-    if (!right_null && left_string != right_string) errors_.mismatch = true;
-    if (rng_.Bernoulli(0.2)) std::swap(left, right);
-    return Expr::Binary(op, std::move(left), std::move(right));
+    if (right.kind != "NULL literal" && left.string != right.string) {
+      errors_.mismatch = true;
+    }
+    const bool swap = rng_.Bernoulli(0.3);
+    if (right.column) {
+      reached_.insert(right.kind + " vs " +
+                      (left.column ? "column" : left.kind));
+      if (left.column) reached_.insert(left.kind + " vs column");
+    } else if (left.column) {
+      reached_.insert(left.kind + " vs " + right.kind + " on the " +
+                      (swap ? "left" : "right"));
+    } else {
+      reached_.insert(left.kind + " vs " + right.kind);
+    }
+    if (swap) std::swap(left, right);
+    return Expr::Binary(op, std::move(left.expr), std::move(right.expr));
   }
 
   Rng& rng_;
   std::vector<ColumnDef> columns_;
   PlanErrors& errors_;
+  std::set<std::string>& reached_;
   std::string unknown_;
 };
 
@@ -1957,11 +2015,11 @@ Case RandomCase(std::uint64_t seed) {
     null_rate.push_back(kRates[rng.UniformInt(std::size(kRates))]);
     zero_rate.push_back(rng.Bernoulli(0.3) ? 0.5 : 0.0);
   }
-  // Mostly 0-200 rows; now and then more than one 1,024-row chunk of the
-  // executor's scan.
+  // Mostly 0-200 rows; one table in ten spans two to four 1,024-row
+  // chunks of the executor's scan.
   std::size_t num_rows = rng.UniformInt(201);
   if (rng.Bernoulli(0.2)) num_rows = rng.UniformInt(4);
-  if (rng.Bernoulli(0.03)) num_rows = 1000 + rng.UniformInt(1600);
+  if (rng.Bernoulli(0.1)) num_rows = 1025 + rng.UniformInt(2048);
   out.table = Table("t", db::Schema(columns));
   for (std::size_t row = 0; row < num_rows; ++row) {
     std::vector<Value> cells;
@@ -1981,7 +2039,7 @@ Case RandomCase(std::uint64_t seed) {
   SelectStatement& statement = out.statement;
   statement.table = "t";
   if (rng.Bernoulli(0.7)) {
-    ConditionGenerator where(rng, columns, out.plan_errors);
+    ConditionGenerator where(rng, columns, out);
     statement.where = where.Condition(static_cast<int>(rng.UniformInt(4)));
   }
   std::vector<ColumnDef> output;  // what HAVING and ORDER BY may name
@@ -1997,7 +2055,10 @@ Case RandomCase(std::uint64_t seed) {
       }
     }
     if (rng.Bernoulli(0.5)) {
-      statement.order_by_column = Name(rng.UniformInt(num_columns));
+      const std::size_t c = rng.UniformInt(num_columns);
+      statement.order_by_column = Name(c);
+      out.reached.insert(std::string("ORDER BY ") +
+                         db::ColumnTypeName(columns[c].type));
     }
     if (rng.Bernoulli(0.03)) statement.having = Expr::Literal(Value(true));
   } else {
@@ -2005,6 +2066,11 @@ Case RandomCase(std::uint64_t seed) {
     if (rng.Bernoulli(0.7)) {
       const std::size_t g = rng.UniformInt(num_columns);
       statement.group_by_column = Name(g);
+      const std::vector<Value>& keys = out.table.Column(g);
+      if (columns[g].type == ColumnType::kBool &&
+          std::any_of(keys.begin(), keys.end(), db::IsNull)) {
+        out.reached.insert("GROUP BY BOOL with NULLs");
+      }
       if (rng.Bernoulli(0.8)) {
         statement.items.push_back(SelectItem::Column(Name(g)));
         output.push_back(columns[g]);
@@ -2040,7 +2106,7 @@ Case RandomCase(std::uint64_t seed) {
       output.push_back({name, type});
     }
     if (!output.empty() && rng.Bernoulli(0.4)) {
-      ConditionGenerator having(rng, output, out.plan_errors);
+      ConditionGenerator having(rng, output, out);
       const std::string table_column = Name(rng.UniformInt(num_columns));
       if (std::none_of(output.begin(), output.end(), [&](const ColumnDef& o) {
             return o.name == table_column;
@@ -2050,9 +2116,14 @@ Case RandomCase(std::uint64_t seed) {
       statement.having = having.Condition(static_cast<int>(rng.UniformInt(3)));
     }
     if (!output.empty() && rng.Bernoulli(0.5)) {
-      statement.order_by_column =
-          rng.Bernoulli(0.05) ? "nothing"
-                              : output[rng.UniformInt(output.size())].name;
+      if (rng.Bernoulli(0.05)) {
+        statement.order_by_column = "nothing";
+      } else {
+        const ColumnDef& key = output[rng.UniformInt(output.size())];
+        statement.order_by_column = key.name;
+        out.reached.insert(std::string("ORDER BY ") +
+                           db::ColumnTypeName(key.type));
+      }
     }
   }
   statement.order_descending = rng.Bernoulli(0.5);
@@ -2182,8 +2253,9 @@ bool IsPlanError(const Status& status, const PlanErrors& errors) {
 
 enum class Outcome { kSameResult, kSameError, kPlanTimeError };
 
-// Checks one case; returns how it compared.
-Outcome CheckCase(std::uint64_t seed) {
+// Checks one case; returns how it compared, and adds what an equal-result
+// case reached to `reached`.
+Outcome CheckCase(std::uint64_t seed, std::set<std::string>& reached) {
   const Case c = RandomCase(seed);
   const StatusOr<Table> expected = ReferenceSelect(c.table, c.statement);
   db::Database database;
@@ -2214,6 +2286,7 @@ Outcome CheckCase(std::uint64_t seed) {
                 ? "same rows in another order\n"
                 : "different rows\n")
         << Describe(seed, c);
+    reached.insert(c.reached.begin(), c.reached.end());
     return Outcome::kSameResult;
   }
   if (!actual.ok() && !expected.ok() &&
@@ -2243,20 +2316,26 @@ class SqlExecutorOracle : public ::testing::TestWithParam<std::uint64_t> {};
 
 // 600 cases per seed; CCDB_SQL_ORACLE_CASE=<case seed> runs one case.
 TEST_P(SqlExecutorOracle, MatchesRowAtATimeReference) {
+  std::set<std::string> reached;
   if (const char* only = std::getenv("CCDB_SQL_ORACLE_CASE")) {
-    sqloracle::CheckCase(std::strtoull(only, nullptr, 10));
+    sqloracle::CheckCase(std::strtoull(only, nullptr, 10), reached);
     return;
   }
   std::size_t outcomes[3] = {0, 0, 0};
   for (std::uint64_t i = 0; i < 600 && !HasFailure(); ++i) {
     ++outcomes[static_cast<int>(
-        sqloracle::CheckCase(GetParam() * 1000000 + i))];
+        sqloracle::CheckCase(GetParam() * 1000000 + i, reached))];
   }
   // The sweep reaches all three outcomes: equal results, equal errors and
-  // the plan-time errors the reference never reached.
+  // the plan-time errors the reference never reached; and its equal
+  // results reach every typed binding of the executor.
   EXPECT_GT(outcomes[0], 300u);
   EXPECT_GT(outcomes[1], 0u);
   EXPECT_GT(outcomes[2], 0u);
+  for (const std::string& label : sqloracle::Reachable()) {
+    EXPECT_TRUE(reached.contains(label))
+        << "no equal-result case reached " << label;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SqlExecutorOracle,
