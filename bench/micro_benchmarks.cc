@@ -1,6 +1,6 @@
 // Google-benchmark micro benchmarks for the performance-critical kernels:
-// SGD training throughput, SMO training, RBF batch prediction, kNN
-// queries, majority voting, and SQL parsing. These quantify the costs the
+// SGD training throughput, SMO training, RBF batch prediction and labels,
+// kNN queries, majority voting, and SQL parsing. These quantify the costs the
 // paper's performance argument rests on (space build is offline; per-query
 // extraction is milliseconds).
 
@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <numeric>
 #include <span>
 #include <vector>
@@ -430,6 +431,94 @@ void BM_DotQuadSweep(benchmark::State& state) {
       static_cast<std::int64_t>(kSweepRows * sweep.num_quads));
 }
 BENCHMARK(BM_DotQuadSweep);
+
+// The extract sweep's two label paths at the serve_paper shape: a C-SVC
+// trained on a 1,000-item gold sample with 10% flipped labels (C = 10,
+// about 740 support vectors at d = 32) labels 10,562 items. Both run on
+// 256-row slices; a slice is one expansion block, so every call runs
+// serially and the pair's ratio measures the work, not the host's
+// parallel speed-up. An item is one label.
+constexpr std::size_t kLabelSliceRows = 256;
+
+struct LabelSweep {
+  svm::SvmModel model;
+  std::vector<Matrix> slices;
+};
+
+const LabelSweep* MakeLabelSweep(std::size_t dims) {
+  Rng rng(89);
+  Matrix gold(1000, dims);
+  gold.FillGaussian(rng, 0.0, 1.0);
+  std::vector<std::int8_t> labels(gold.rows());
+  for (std::size_t i = 0; i < gold.rows(); ++i) {
+    labels[i] = (gold(i, 0) > 0) != rng.Bernoulli(0.1) ? 1 : -1;
+  }
+  svm::ClassifierOptions options;
+  options.cost = 10.0;
+  auto* sweep = new LabelSweep{svm::TrainClassifier(gold, labels, options), {}};
+  Matrix items(kSweepItems, dims);
+  items.FillGaussian(rng, 0.0, 1.0);
+  for (std::size_t lo = 0; lo < kSweepItems; lo += kLabelSliceRows) {
+    Matrix slice(std::min(kLabelSliceRows, kSweepItems - lo), dims);
+    for (std::size_t i = 0; i < slice.rows(); ++i) {
+      std::copy_n(items.Row(lo + i).begin(), dims, slice.Row(i).begin());
+    }
+    sweep->slices.push_back(std::move(slice));
+  }
+  return sweep;
+}
+
+const LabelSweep& ServeShapeLabels(std::size_t dims) {
+  if (dims == kSweepDims) {
+    static const LabelSweep* const kSweep = MakeLabelSweep(kSweepDims);
+    return *kSweep;
+  }
+  static const LabelSweep* const kWide = MakeLabelSweep(100);
+  return *kWide;
+}
+
+/// The path LabelsInto replaced: exact decision values, then f ≥ 0.
+void BM_ExtractLabelsExact(benchmark::State& state) {
+  const LabelSweep& sweep =
+      ServeShapeLabels(static_cast<std::size_t>(state.range(0)));
+  std::vector<double> values(kLabelSliceRows);
+  const auto labels = std::make_unique<bool[]>(kLabelSliceRows);
+  for (auto _ : state) {
+    for (const Matrix& slice : sweep.slices) {
+      sweep.model.DecisionValuesInto(
+          slice, StopCondition(), std::span(values).first(slice.rows()));
+      for (std::size_t i = 0; i < slice.rows(); ++i) {
+        labels[i] = values[i] >= 0.0;
+      }
+      benchmark::DoNotOptimize(labels.get());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.counters["support_vectors"] =
+      static_cast<double>(sweep.model.num_support_vectors());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kSweepItems));
+}
+BENCHMARK(BM_ExtractLabelsExact)->ArgName("d")->Arg(32)->Arg(100);
+
+void BM_ExtractLabels(benchmark::State& state) {
+  const LabelSweep& sweep =
+      ServeShapeLabels(static_cast<std::size_t>(state.range(0)));
+  const auto labels = std::make_unique<bool[]>(kLabelSliceRows);
+  for (auto _ : state) {
+    for (const Matrix& slice : sweep.slices) {
+      sweep.model.LabelsInto(slice, StopCondition(),
+                             std::span(labels.get(), slice.rows()));
+      benchmark::DoNotOptimize(labels.get());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.counters["support_vectors"] =
+      static_cast<double>(sweep.model.num_support_vectors());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kSweepItems));
+}
+BENCHMARK(BM_ExtractLabels)->ArgName("d")->Arg(32)->Arg(100);
 
 void BM_RbfKernelRowScalar(benchmark::State& state) {
   // One Q-matrix-style kernel row: K(row_r, x) for all 10k rows, the

@@ -87,8 +87,9 @@ for name, reps_of in runs.items():
     }
 
 # before/after pairs: the first benchmark re-implements the replaced
-# algorithm (the seed's scalar loops, the one-row quad sweep, or the SGD
-# pass without look-ahead), its partner runs the shipped path.
+# algorithm (the seed's scalar loops, the one-row quad sweep, the SGD
+# pass without look-ahead, or labels from exact decision values), its
+# partner runs the shipped path.
 PAIRS = {
     "dot_rows": ("BM_DotRowsScalar", "BM_DotRowsBatched"),
     "dot_quad_sweep": ("BM_DotQuadSweepOneRow", "BM_DotQuadSweep"),
@@ -97,6 +98,10 @@ PAIRS = {
     "rbf_predict_all": ("BM_RbfPredictAllScalar", "BM_RbfPredictAllBatched"),
     "knn_query": ("BM_KnnQueryScalar", "BM_KnnQueryBlocked"),
     "knn_coherence": ("BM_KnnCoherenceScalar", "BM_KnnCoherenceParallel"),
+    "extract_labels_d32": ("BM_ExtractLabelsExact/d:32",
+                           "BM_ExtractLabels/d:32"),
+    "extract_labels_d100": ("BM_ExtractLabelsExact/d:100",
+                            "BM_ExtractLabels/d:100"),
 }
 
 speedups = {}
@@ -126,6 +131,9 @@ result = {
         "quad_sweep": {"rows": 746, "items": 10562, "dims": 32},
         "sgd_epoch_shuffled": {"items": 100000, "users": 15000,
                                "ratings": 590724, "dims": 32},
+        "extract_labels": {"items": 10562, "gold": 1000, "flip_pct": 10,
+                           "cost": 10, "dims": [32, 100],
+                           "slice_rows": 256},
         "repetitions": reps,
         "statistic": "minimum over interleaved repetitions",
         "load_average": {"before": load_average(sys.argv[7]),

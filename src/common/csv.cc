@@ -1,7 +1,5 @@
 #include "common/csv.h"
 
-#include <sstream>
-
 namespace ccdb {
 
 void CsvWriter::WriteRow(const std::vector<std::string>& fields) {
@@ -20,18 +18,6 @@ void CsvWriter::WriteNullableRow(
     os_ << (fields[i]->empty() ? "\"\"" : Escape(*fields[i]));
   }
   os_ << '\n';
-}
-
-void CsvWriter::WriteNumericRow(const std::vector<double>& values) {
-  std::vector<std::string> fields;
-  fields.reserve(values.size());
-  for (double v : values) {
-    std::ostringstream oss;
-    oss.precision(12);
-    oss << v;
-    fields.push_back(oss.str());
-  }
-  WriteRow(fields);
 }
 
 std::string CsvWriter::Escape(const std::string& field) {
@@ -62,7 +48,12 @@ StatusOr<std::vector<std::string>> ParseCsvLine(const std::string& line,
           current += '"';
           ++i;
         } else {
+          // A closing quote ends the field: what follows is the next
+          // separator or the end of the line.
           in_quotes = false;
+          if (i + 1 < line.size() && line[i + 1] != ',') {
+            return Status::InvalidArgument("text after closing quote");
+          }
         }
       } else {
         current += c;

@@ -26,9 +26,6 @@ class CsvWriter {
   /// `quoted` flags tell the two apart.
   void WriteNullableRow(const std::vector<std::optional<std::string>>& fields);
 
-  /// Convenience: writes a row of doubles with full precision.
-  void WriteNumericRow(const std::vector<double>& values);
-
  private:
   static std::string Escape(const std::string& field);
 
@@ -36,8 +33,10 @@ class CsvWriter {
 };
 
 /// Parses a single CSV line into fields (handles quoting). Returns an
-/// error Status on malformed quoting. When `quoted` is given, it receives
-/// one flag per field: whether the field was written in quotes.
+/// InvalidArgument Status on malformed quoting: an unterminated quote, a
+/// quote inside an unquoted field, or anything but a comma or the end of
+/// the line after a closing quote. When `quoted` is given, it receives one
+/// flag per field: whether the field was written in quotes.
 [[nodiscard]]
 StatusOr<std::vector<std::string>> ParseCsvLine(
     const std::string& line, std::vector<bool>* quoted = nullptr);

@@ -10,8 +10,9 @@
 namespace ccdb {
 
 /// Dense vector kernels used throughout the factorization and SVM code.
-/// All functions operate on std::span<const double> so they work on raw
-/// matrix rows without copies; sizes must match (checked).
+/// All functions operate on std::span<const double> (the sign filter's
+/// float32 primitives at the end on float) so they work on raw matrix rows
+/// without copies; sizes must match (checked).
 ///
 /// The hot kernels (Dot, SquaredDistance, SquaredNorm, Axpy and the batch
 /// primitives below) are written as 4-wide unrolled loops with independent
@@ -196,6 +197,71 @@ inline void ExpNonPositiveQuad(double (&lanes)[4]) {
 /// runs through ExpNonPositiveQuad (the sub-four tail padded), so a value
 /// never depends on its position in the span.
 void ExpNonPositiveInPlace(std::span<double> x);
+
+// ------------------------------------------------------------------
+// Float32 primitives of the RBF sign filter (svm/kernel.cc): eight items
+// per 256-bit lane, twice the items per instruction of the 4-double cores.
+// Their values only decide signs that a rigorous error bound certifies;
+// no float value is ever returned as a decision value.
+
+/// Largest relative error of ExpNonPositiveOctet against e^x on [−87, 0],
+/// 2^-22 (four float unit roundoffs); the sign filter's bound rests on it.
+inline constexpr double kExpOctetRelativeError = 0x1p-22;
+
+/// lanes[g] ← e^{lanes[g]} in float for g = 0..7. Contract, per value:
+///   * relative error at most kExpOctetRelativeError on [−87, 0];
+///   * +0 below −87 (e^−87 ≈ 1.6e-38, just above FLT_MIN) and at −∞;
+///   * NaN for NaN.
+/// Positive arguments are outside the contract. ExpNonPositiveQuad's
+/// scheme in float: Cody–Waite reduction with |r| ≤ ln2/2, the Taylor
+/// polynomial of e^r through r^7 (truncation below 2^-27 relative), 2^n
+/// from exponent bits and the range mask built in uint32_t lanes.
+inline void ExpNonPositiveOctet(float (&lanes)[8]) {
+  constexpr float kLog2e = 0x1.715476p+0f;
+  // ln2 split so that n·kLn2Hi is exact for |n| < 2^15.
+  constexpr float kLn2Hi = 0x1.63p-1f;
+  constexpr float kLn2Lo = -0x1.bd0106p-13f;
+  // y + kShifter rounds y to an integer n held in the low mantissa bits.
+  constexpr float kShifter = 0x1.8p23f;
+  constexpr float kMinArg = -87.0f;
+  constexpr std::uint32_t kAbsMask = 0x7fff'ffff;
+  for (std::size_t g = 0; g < 8; ++g) {
+    // `keep` is all ones unless |x| > 87: the sign of 87 − |x|, which a
+    // NaN of either sign leaves clear.
+    const std::uint32_t bits = std::bit_cast<std::uint32_t>(lanes[g]);
+    const float magnitude = std::bit_cast<float>(bits & kAbsMask);
+    const std::uint32_t keep =
+        (std::bit_cast<std::uint32_t>(-kMinArg - magnitude) >> 31) - 1;
+    const float x = std::bit_cast<float>(
+        (bits & keep) | (std::bit_cast<std::uint32_t>(kMinArg) & ~keep));
+    const float t = x * kLog2e + kShifter;
+    const float n = t - kShifter;
+    const float r = (x - n * kLn2Hi) - n * kLn2Lo;
+    // Horner over the Taylor coefficients 1/k!, k = 7 down to 0.
+    float p = 0x1.a01a02p-13f;
+    p = p * r + 0x1.6c16c2p-10f;
+    p = p * r + 0x1.111112p-7f;
+    p = p * r + 0x1.555556p-5f;
+    p = p * r + 0x1.555556p-3f;
+    p = p * r + 0x1.0p-1f;
+    p = p * r + 1.0f;
+    p = p * r + 1.0f;
+    // n + 127 shifted into the exponent field is 2^n (n ∈ [−126, 0] on
+    // the contract range), or +0 where `keep` is clear.
+    const std::uint32_t scale =
+        ((std::bit_cast<std::uint32_t>(t) + 127) << 23) & keep;
+    lanes[g] = p * std::bit_cast<float>(scale);
+  }
+}
+
+/// out[r*8 + g] = rows_r · x_g in float, for eight queries packed
+/// lane-interleaved (interleaved[c*8 + g] = x_g[c], size 8·cols); `out`
+/// has size 8·num_rows. DotBatchQuad's three-row pass and twelve
+/// accumulator chains over 8-float lanes: the same instructions per
+/// column, for twice the queries.
+void DotBatchOctet(std::span<const float> rows, std::size_t num_rows,
+                   std::size_t cols, std::span<const float> interleaved,
+                   std::span<float> out);
 
 }  // namespace ccdb
 

@@ -1,6 +1,8 @@
 #include "core/extractor.h"
 
 #include <cmath>
+#include <memory>
+#include <span>
 
 #include "common/check.h"
 #include "svm/svr.h"
@@ -90,13 +92,13 @@ std::vector<double> BinaryAttributeExtractor::DecisionValues(
 
 std::optional<std::vector<bool>> BinaryAttributeExtractor::Labels(
     const Matrix& points, const StopCondition& stop) const {
-  std::vector<double> decisions(points.rows());
-  if (!model_.DecisionValuesInto(points, stop, decisions)) return std::nullopt;
-  std::vector<bool> labels(decisions.size());
-  for (std::size_t i = 0; i < decisions.size(); ++i) {
-    labels[i] = decisions[i] >= 0.0;
+  // Each block writes its own bools; std::vector<bool>'s packed bits are
+  // not separate memory locations for the parallel blocks.
+  const auto flags = std::make_unique<bool[]>(points.rows());
+  if (!model_.LabelsInto(points, stop, std::span(flags.get(), points.rows()))) {
+    return std::nullopt;
   }
-  return labels;
+  return std::vector<bool>(flags.get(), flags.get() + points.rows());
 }
 
 NumericAttributeExtractor::NumericAttributeExtractor(

@@ -76,8 +76,9 @@ class BinaryAttributeExtractor {
   const svm::SvmModel& model() const { return model_; }
 
  private:
-  /// The three label calls' one path: f(x) ≥ 0 for every row of `points`,
-  /// or nullopt when `stop` fired mid-sweep.
+  /// The three label calls' one path: f(x) ≥ 0 for every row of `points`
+  /// through the sign-filtered sweep (SvmModel::LabelsInto), or nullopt
+  /// when `stop` fired mid-sweep.
   std::optional<std::vector<bool>> Labels(const Matrix& points,
                                           const StopCondition& stop) const;
 

@@ -2,10 +2,11 @@
 
 #include <cctype>
 #include <cerrno>
-#include <cmath>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <string>
 #include <unordered_map>
 
 #include "common/csv.h"
@@ -33,13 +34,25 @@ bool LooksNumeric(const std::string& field) {
   return true;
 }
 
-/// Parses a score or day field that LooksNumeric accepted; false when the
-/// value is outside `double` range or not finite as a `float`.
+/// Parses a score or day field that LooksNumeric accepted, rounding the
+/// decimal once, straight to float (through double, a few decimals land
+/// on the neighbouring float); false when the field has no digit (".")
+/// or its value is beyond float's range or a non-zero value below it.
 bool ParseFloatField(const std::string& field, float& out) {
-  errno = 0;
-  const double value = std::strtod(field.c_str(), nullptr);
-  out = static_cast<float>(value);
-  return errno != ERANGE && std::isfinite(out);
+  const char* first = field.data() + (field[0] == '+' ? 1 : 0);
+  const char* last = field.data() + field.size();
+  const auto [end, error] = std::from_chars(first, last, out);
+  return error == std::errc() && end == last;
+}
+
+/// A score or day in the shortest fixed-notation text that reads back as
+/// the same float (LooksNumeric takes no exponent).
+std::string FloatField(float value) {
+  char text[64];
+  char* end =
+      std::to_chars(text, text + sizeof text, value, std::chars_format::fixed)
+          .ptr;
+  return std::string(text, end);
 }
 
 }  // namespace
@@ -135,7 +148,7 @@ Status SaveRatingsCsv(const RatingDataset& dataset, const std::string& path,
   csv.WriteRow({"item_id", "user_id", "score", "day"});
   for (const Rating& rating : dataset.ratings()) {
     csv.WriteRow({std::to_string(rating.item), std::to_string(rating.user),
-                  std::to_string(rating.score), std::to_string(rating.day)});
+                  FloatField(rating.score), FloatField(rating.day)});
   }
   return ResolveFs(fs).WriteFile(path, out.str());
 }

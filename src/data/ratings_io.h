@@ -21,7 +21,9 @@ namespace ccdb::data {
 [[nodiscard]] StatusOr<RatingDataset> LoadRatingsCsv(const std::string& path,
                                                       Fs* fs = nullptr);
 
-/// Writes a dataset in the same layout (with header, densified ids).
+/// Writes a dataset in the same layout (with header, densified ids). Each
+/// score and day is written in the shortest text that LoadRatingsCsv reads
+/// back as the same float.
 [[nodiscard]]
 Status SaveRatingsCsv(const RatingDataset& dataset, const std::string& path,
                       Fs* fs = nullptr);

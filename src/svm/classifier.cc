@@ -81,6 +81,13 @@ bool SvmModel::DecisionValuesInto(const Matrix& points,
                              coefficients_, rho_, points, stop, out);
 }
 
+bool SvmModel::LabelsInto(const Matrix& points, const StopCondition& stop,
+                          std::span<bool> out) const {
+  CCDB_CHECK(trained());
+  return EvalKernelExpansionLabels(kernel_, support_vectors_, sv_sq_norms_,
+                                   coefficients_, rho_, points, stop, out);
+}
+
 SvmModel TrainClassifier(const Matrix& examples,
                          const std::vector<std::int8_t>& labels,
                          const ClassifierOptions& options,

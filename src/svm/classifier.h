@@ -48,6 +48,14 @@ class SvmModel {
   bool DecisionValuesInto(const Matrix& points, const StopCondition& stop,
                           std::span<double> out) const;
 
+  /// Writes f(points_i) ≥ 0 into out[i]: the labels DecisionValuesInto's
+  /// values give, bit for bit, through the float32 sign filter
+  /// (EvalKernelExpansionLabels) at about half the cost. Same blocks,
+  /// fan-out and stop probe; returns false when the stop fired — out
+  /// entries beyond the completed blocks are unspecified.
+  bool LabelsInto(const Matrix& points, const StopCondition& stop,
+                  std::span<bool> out) const;
+
   std::size_t num_support_vectors() const { return support_vectors_.rows(); }
   /// coef_s per support vector: α_s·y_s for the C-SVC, β_s = α_s − α*_s for
   /// the ε-SVR.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <optional>
 #include <vector>
 
 #include "common/check.h"
@@ -88,6 +89,159 @@ void FinishGramQuad(double gamma, std::span<const double> row_sq_norms,
     }
   }
   ExpNonPositiveInPlace(quad);
+}
+
+/// The single-item value f(x) = Σ_s coefficients[s]·K(sv_s, x) − rho:
+/// one EvalKernelBatch row, then Dot. FoldQuadGroup reproduces it bit for
+/// bit. `kernel_row` is scratch of one entry per support vector.
+double RowValue(const KernelConfig& config, const Matrix& support_vectors,
+                std::span<const double> sv_sq_norms,
+                std::span<const double> coefficients, double rho,
+                std::span<const double> x, std::span<double> kernel_row) {
+  EvalKernelBatch(config, support_vectors.Data(), support_vectors.rows(),
+                  support_vectors.cols(), sv_sq_norms, x, SquaredNorm(x),
+                  kernel_row);
+  return Dot(coefficients, kernel_row) - rho;
+}
+
+/// Runs run_block(lo, hi) over the kExpansionBlockItems-item blocks of the
+/// points, on the shared pool when the sweep (items × support vectors ×
+/// dims) crosses kParallelFlopThreshold. Probes `stop` before each block
+/// and returns false when it fired. Block bounds do not depend on the
+/// thread count, so serial and parallel sweeps write the same outputs.
+template <typename RunBlock>
+bool SweepBlocks(const Matrix& points, std::size_t num_svs,
+                 const StopCondition& stop, const RunBlock& run_block) {
+  const std::size_t num_items = points.rows();
+  if (num_items == 0) return !stop.ShouldStop();
+  std::atomic<bool> stopped{false};
+  const auto block = [&](std::size_t b) {
+    if (stopped.load(std::memory_order_relaxed) || stop.ShouldStop()) {
+      stopped.store(true, std::memory_order_relaxed);
+      return;
+    }
+    // Scratch is allocated per block; blocks are coarse enough that the
+    // allocation is noise against the O(block·svs·dims) sweep.
+    const std::size_t lo = b * kExpansionBlockItems;
+    run_block(lo, std::min(num_items, lo + kExpansionBlockItems));
+  };
+  const std::size_t num_blocks =
+      (num_items + kExpansionBlockItems - 1) / kExpansionBlockItems;
+  const std::size_t flops =
+      num_items * num_svs * std::max<std::size_t>(points.cols(), 1);
+  ThreadPool& pool = SharedThreadPool();
+  if (num_blocks > 1 && pool.num_threads() > 1 &&
+      flops >= kParallelFlopThreshold) {
+    pool.ParallelFor(0, num_blocks, block);
+  } else {
+    for (std::size_t b = 0; b < num_blocks; ++b) {
+      block(b);
+      if (stopped.load(std::memory_order_relaxed)) break;
+    }
+  }
+  return !stopped.load(std::memory_order_relaxed);
+}
+
+// ------------------------------------------------------ the sign filter
+//
+// |f̃ − f| ≤ E(x) = A + B·‖x‖² with, over the support vectors s,
+//   A = Σ |coef_s|·(γ·c_d·u·‖sv_s‖² + c_k·u),  B = γ·c_d·u·Σ |coef_s|,
+// u = 2^-24 the float unit roundoff (DESIGN §9 derives it term by term).
+// c_d = dims + 32 bounds the squared distance's float error (the dot's
+// chain, the conversions, the norm trick's two sums; the double path's
+// error is under 2^-15 of a unit there) in units of u·(‖x‖² + ‖sv‖²);
+// c_k = 16 bounds in units of u the rest of one kernel value's error
+// (ExpNonPositiveOctet's 4u, the exponent's product and γ's conversion
+// 0.74u, the double path's exp and both double folds under 1u, underflow
+// far below). The limits below keep every float conversion defined, every
+// float sum finite, and the O(dims·u) second-order terms inside c_d.
+
+constexpr double kFloatRoundoff = 0x1p-24;
+constexpr double kKernelErrorRoundoffs = 16.0;   // c_k
+constexpr double kDistanceErrorSlack = 32.0;     // c_d − dims
+constexpr double kFilterMaxSqNorm = 0x1p100;
+constexpr double kFilterMaxCoefSum = 0x1p1000;  // no double fold overflows
+constexpr double kFilterMaxGamma = 0x1p64;
+constexpr std::size_t kFilterMaxDims = 4096;
+constexpr std::size_t kFilterMaxSvs = std::size_t{1} << 28;
+
+/// What a call of the sign sweep computes once: the float copy of the
+/// support vectors and of their squared norms, −γ in float, and the
+/// bound's A (bound_base) and B (bound_slope).
+struct SignFilter {
+  std::vector<float> svs;
+  std::vector<float> sv_sq_norms;
+  float neg_gamma = 0.0f;
+  double bound_base = 0.0;
+  double bound_slope = 0.0;
+};
+
+/// The filter for a model, or nullopt when the model is outside the
+/// bound's limits (see EvalKernelExpansionLabels).
+std::optional<SignFilter> MakeSignFilter(
+    const KernelConfig& config, const Matrix& support_vectors,
+    std::span<const double> sv_sq_norms,
+    std::span<const double> coefficients) {
+  const std::size_t num_svs = support_vectors.rows();
+  const std::size_t dims = support_vectors.cols();
+  const double gamma = config.gamma;
+  if (!(gamma >= 0.0 && gamma <= kFilterMaxGamma) || dims > kFilterMaxDims ||
+      num_svs > kFilterMaxSvs) {
+    return std::nullopt;
+  }
+  const double distance_term =
+      gamma * (static_cast<double>(dims) + kDistanceErrorSlack) *
+      kFloatRoundoff;
+  double coef_sum = 0.0;
+  double base = 0.0;
+  for (std::size_t s = 0; s < num_svs; ++s) {
+    if (!(sv_sq_norms[s] <= kFilterMaxSqNorm)) return std::nullopt;
+    const double magnitude = std::abs(coefficients[s]);
+    coef_sum += magnitude;
+    base += magnitude * (distance_term * sv_sq_norms[s] +
+                         kKernelErrorRoundoffs * kFloatRoundoff);
+  }
+  if (!(coef_sum <= kFilterMaxCoefSum) || !std::isfinite(base)) {
+    return std::nullopt;
+  }
+  SignFilter filter;
+  filter.svs.resize(num_svs * dims);
+  std::transform(support_vectors.Data().begin(), support_vectors.Data().end(),
+                 filter.svs.begin(),
+                 [](double v) { return static_cast<float>(v); });
+  filter.sv_sq_norms.resize(num_svs);
+  std::transform(sv_sq_norms.begin(), sv_sq_norms.end(),
+                 filter.sv_sq_norms.begin(),
+                 [](double v) { return static_cast<float>(v); });
+  filter.neg_gamma = static_cast<float>(-gamma);
+  filter.bound_base = base;
+  filter.bound_slope = distance_term * coef_sum;
+  return filter;
+}
+
+/// One octet of the sign sweep in a single pass over its dots: for each
+/// support vector s, the eight items' float dots octet_dots[s*8 + g]
+/// become float kernel values (the norm trick in float, clamped at 0, and
+/// ExpNonPositiveOctet), which are folded in double into
+/// out8[g] = Σ_s coefficients[s]·K̃(sv_s, x_g) − rho.
+void FoldOctet(float neg_gamma, std::span<const float> octet_dots,
+               std::span<const float> sv_sq_norms,
+               const float (&x_sq_norms)[8],
+               std::span<const double> coefficients, double rho,
+               double (&out8)[8]) {
+  double acc[8] = {};
+  for (std::size_t s = 0; s < coefficients.size(); ++s) {
+    float k[8];
+    for (std::size_t g = 0; g < 8; ++g) {
+      k[g] = neg_gamma * std::max(0.0f, (sv_sq_norms[s] + x_sq_norms[g]) -
+                                            2.0f * octet_dots[s * 8 + g]);
+    }
+    ExpNonPositiveOctet(k);
+    for (std::size_t g = 0; g < 8; ++g) {
+      acc[g] += coefficients[s] * static_cast<double>(k[g]);
+    }
+  }
+  for (std::size_t g = 0; g < 8; ++g) out8[g] = acc[g] - rho;
 }
 
 }  // namespace
@@ -198,21 +352,16 @@ bool EvalKernelExpansion(const KernelConfig& config,
   CCDB_CHECK_EQ(coefficients.size(), num_svs);
   CCDB_CHECK_EQ(sv_sq_norms.size(), num_svs);
   CCDB_CHECK_EQ(out.size(), points.rows());
-  if (points.rows() == 0) return !stop.ShouldStop();
-  CCDB_CHECK_EQ(points.cols(), dims);
+  if (points.rows() > 0) CCDB_CHECK_EQ(points.cols(), dims);
 
   const auto sv_data = support_vectors.Data();
-  std::atomic<bool> stopped{false};
   // One block: items in groups of four share each support-vector row load
   // (one DotBatchQuad sweep per group), then FoldQuadGroup finishes and
   // folds the group's dots in one pass. The sub-four tail falls back to
-  // the single-item sweep — same values, the quad lanes reproduce the
+  // the single-item value — same bits, the quad lanes reproduce the
   // scalar summation order exactly.
-  const auto run_block = [&](std::size_t lo, std::size_t hi) {
-    if (stopped.load(std::memory_order_relaxed) || stop.ShouldStop()) {
-      stopped.store(true, std::memory_order_relaxed);
-      return;
-    }
+  return SweepBlocks(points, num_svs, stop, [&](std::size_t lo,
+                                                std::size_t hi) {
     std::vector<double> interleaved(4 * dims);
     std::vector<double> quad_dots(4 * num_svs);
     std::vector<double> kernel_row(num_svs);
@@ -229,39 +378,78 @@ bool EvalKernelExpansion(const KernelConfig& config,
                     coefficients, rho, out.subspan(i, 4));
     }
     for (; i < hi; ++i) {
-      const auto x = points.Row(i);
-      EvalKernelBatch(config, sv_data, num_svs, dims, sv_sq_norms, x,
-                      SquaredNorm(x), kernel_row);
-      out[i] = Dot(coefficients, kernel_row) - rho;
+      out[i] = RowValue(config, support_vectors, sv_sq_norms, coefficients,
+                        rho, points.Row(i), kernel_row);
     }
-  };
+  });
+}
 
-  const std::size_t num_blocks =
-      (points.rows() + kExpansionBlockItems - 1) / kExpansionBlockItems;
-  const std::size_t flops = points.rows() * num_svs * std::max<std::size_t>(
-      dims, 1);
-  ThreadPool& pool = SharedThreadPool();
-  const bool parallel = num_blocks > 1 && pool.num_threads() > 1 &&
-                        flops >= kParallelFlopThreshold;
-  if (parallel) {
-    pool.ParallelFor(0, num_blocks, [&](std::size_t block) {
-      // Scratch is allocated per block; blocks are coarse enough that the
-      // allocation is noise against the O(block·svs·dims) sweep.
-      const std::size_t lo = block * kExpansionBlockItems;
-      const std::size_t hi =
-          std::min(points.rows(), lo + kExpansionBlockItems);
-      run_block(lo, hi);
-    });
-  } else {
-    for (std::size_t block = 0; block < num_blocks; ++block) {
-      const std::size_t lo = block * kExpansionBlockItems;
-      const std::size_t hi =
-          std::min(points.rows(), lo + kExpansionBlockItems);
-      run_block(lo, hi);
-      if (stopped.load(std::memory_order_relaxed)) break;
+bool EvalKernelExpansionLabels(const KernelConfig& config,
+                               const Matrix& support_vectors,
+                               std::span<const double> sv_sq_norms,
+                               std::span<const double> coefficients,
+                               double rho, const Matrix& points,
+                               const StopCondition& stop,
+                               std::span<bool> out) {
+  const std::size_t num_svs = support_vectors.rows();
+  const std::size_t dims = support_vectors.cols();
+  CCDB_CHECK_EQ(coefficients.size(), num_svs);
+  CCDB_CHECK_EQ(sv_sq_norms.size(), num_svs);
+  CCDB_CHECK_EQ(out.size(), points.rows());
+  if (points.rows() > 0) CCDB_CHECK_EQ(points.cols(), dims);
+
+  const std::optional<SignFilter> filter =
+      MakeSignFilter(config, support_vectors, sv_sq_norms, coefficients);
+  if (!filter.has_value()) {
+    std::vector<double> values(points.rows());
+    if (!EvalKernelExpansion(config, support_vectors, sv_sq_norms,
+                             coefficients, rho, points, stop, values)) {
+      return false;
     }
+    for (std::size_t i = 0; i < values.size(); ++i) out[i] = values[i] >= 0.0;
+    return true;
   }
-  return !stopped.load(std::memory_order_relaxed);
+  // One block: octets of items, each converted to float lane-interleaved
+  // (an item the filter skips, and the lanes past a short last octet, are
+  // zeros), one DotBatchOctet sweep and one FoldOctet pass; then every
+  // item whose |f̃| clears its bound takes f̃'s sign, and the rest take
+  // the exact single-item value.
+  return SweepBlocks(points, num_svs, stop, [&](std::size_t lo,
+                                                std::size_t hi) {
+    std::vector<float> octet(8 * dims);
+    std::vector<float> octet_dots(8 * num_svs);
+    std::vector<double> kernel_row(num_svs);
+    for (std::size_t i = lo; i < hi; i += 8) {
+      const std::size_t width = std::min<std::size_t>(8, hi - i);
+      double x_sq_norms[8] = {};
+      float x_sq_norms_f[8] = {};
+      bool filtered[8] = {};
+      std::fill(octet.begin(), octet.end(), 0.0f);
+      for (std::size_t g = 0; g < width; ++g) {
+        const auto x = points.Row(i + g);
+        x_sq_norms[g] = SquaredNorm(x);
+        filtered[g] = x_sq_norms[g] <= kFilterMaxSqNorm;
+        if (!filtered[g]) continue;
+        x_sq_norms_f[g] = static_cast<float>(x_sq_norms[g]);
+        for (std::size_t c = 0; c < dims; ++c) {
+          octet[c * 8 + g] = static_cast<float>(x[c]);
+        }
+      }
+      DotBatchOctet(filter->svs, num_svs, dims, octet, octet_dots);
+      double approx[8];
+      FoldOctet(filter->neg_gamma, octet_dots, filter->sv_sq_norms,
+                x_sq_norms_f, coefficients, rho, approx);
+      for (std::size_t g = 0; g < width; ++g) {
+        const double bound =
+            filter->bound_base + filter->bound_slope * x_sq_norms[g];
+        out[i + g] = filtered[g] && std::abs(approx[g]) > bound
+                         ? approx[g] > 0.0
+                         : RowValue(config, support_vectors, sv_sq_norms,
+                                    coefficients, rho, points.Row(i + g),
+                                    kernel_row) >= 0.0;
+      }
+    }
+  });
 }
 
 }  // namespace ccdb::svm

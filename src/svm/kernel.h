@@ -82,6 +82,28 @@ bool EvalKernelExpansion(const KernelConfig& config,
                          const Matrix& points, const StopCondition& stop,
                          std::span<double> out);
 
+/// The signs of that expansion: out[i] = (f(points_i) ≥ 0) for the f that
+/// EvalKernelExpansion computes, so the labels are the same bit for bit,
+/// at about half its cost. A float32 filter decides each sign: items go in
+/// octets, converted to float eight at a time, dotted against a float copy
+/// of the support vectors (DotBatchOctet), turned into kernel values by
+/// ExpNonPositiveOctet and folded in double into f̃. An item takes the
+/// sign of f̃ when |f̃| > E(x) = A + B·‖x‖², a rigorous bound on
+/// |f̃ − f| (DESIGN §9); otherwise, or when ‖x‖² is not finite or exceeds
+/// 2^100, it takes the exact single-item value. A model outside the
+/// bound's limits (‖sv‖² above 2^100, γ outside [0, 2^64], more than 4,096
+/// dims or 2^28 support vectors, Σ|coef| not finite or above 2^1000) takes
+/// the exact sweep for every item. Blocks, fan-out and the stop probe are
+/// EvalKernelExpansion's; returns false when `stop` fired, and entries of
+/// `out` beyond the blocks completed by then are unspecified.
+bool EvalKernelExpansionLabels(const KernelConfig& config,
+                               const Matrix& support_vectors,
+                               std::span<const double> sv_sq_norms,
+                               std::span<const double> coefficients,
+                               double rho, const Matrix& points,
+                               const StopCondition& stop,
+                               std::span<bool> out);
+
 }  // namespace ccdb::svm
 
 #endif  // CCDB_SVM_KERNEL_H_

@@ -513,11 +513,18 @@ TEST(CsvTest, ParseRejectsUnterminatedQuote) {
   EXPECT_FALSE(ParseCsvLine("\"oops").ok());
 }
 
-TEST(CsvTest, NumericRow) {
-  std::ostringstream oss;
-  CsvWriter writer(oss);
-  writer.WriteNumericRow({1.5, 2.0});
-  EXPECT_EQ(oss.str(), "1.5,2\n");
+TEST(CsvTest, ParseRejectsTextAfterClosingQuote) {
+  // A closing quote is followed by a separator or the end of the line.
+  for (const std::string line : {"\"a\"b", "\"a\" ,b", "\"\"x", "x,\"7\"5,y"}) {
+    const auto fields = ParseCsvLine(line);
+    ASSERT_FALSE(fields.ok()) << line;
+    EXPECT_EQ(fields.status().code(), StatusCode::kInvalidArgument) << line;
+  }
+  std::vector<bool> quoted;
+  const auto fields = ParseCsvLine("\"a\",\"\",\"b\"\"\"", &quoted);
+  ASSERT_TRUE(fields.ok());
+  EXPECT_EQ(fields.value(), (std::vector<std::string>{"a", "", "b\""}));
+  EXPECT_EQ(quoted, (std::vector<bool>{true, true, true}));
 }
 
 // ---------------------------------------------------------------- printer

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "data/domains.h"
@@ -245,18 +247,53 @@ TEST(MetadataTest, DocumentsHaveFactualStructure) {
 
 TEST(RatingsIoTest, SaveLoadRoundTrip) {
   SyntheticWorld world(TinyConfig());
-  const RatingDataset original = world.SampleRatings();
+  const RatingDataset sampled = world.SampleRatings();
+  std::vector<Rating> ratings(sampled.ratings().begin(),
+                              sampled.ratings().end());
+  // A non-integer score, days below 1 and 16, the smallest subnormal, and
+  // a day whose shortest text read through double lands on the next float.
+  ratings.push_back({0, 0, 3.7f, 0.3f});
+  ratings.push_back({1, 0, 0.1f, 1e-3f});
+  ratings.push_back({0, 1, 4.25f, 15.999999f});
+  ratings.push_back({1, 1, 2.0f, 0x1p-149f});
+  ratings.push_back({0, 0, 1.0f, 0x1.5c87fap-84f});
+  const RatingDataset original(sampled.num_items(), sampled.num_users(),
+                               std::move(ratings));
   const std::string path = ::testing::TempDir() + "/ratings.csv";
   ASSERT_TRUE(SaveRatingsCsv(original, path).ok());
   auto loaded = LoadRatingsCsv(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_EQ(loaded.value().num_ratings(), original.num_ratings());
-  // Ids are densified in first-seen order; scores and days must survive.
+  // Ids are densified in first-seen order; scores and days come back as
+  // the same floats.
   const auto a = original.ratings();
   const auto b = loaded.value().ratings();
   for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_FLOAT_EQ(a[i].score, b[i].score);
-    ASSERT_NEAR(a[i].day, b[i].day, 0.5);  // day serialized via to_string
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(a[i].score),
+              std::bit_cast<std::uint32_t>(b[i].score))
+        << "rating " << i << ": " << std::hexfloat << a[i].score << " vs "
+        << b[i].score;
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(a[i].day),
+              std::bit_cast<std::uint32_t>(b[i].day))
+        << "rating " << i << ": " << std::hexfloat << a[i].day << " vs "
+        << b[i].day;
+  }
+}
+
+TEST(RatingsIoTest, RejectsTextAfterClosingQuote) {
+  const std::string path = ::testing::TempDir() + "/quoted_ratings.csv";
+  for (const std::string bad_line : {"\"7\"5,2,4.0", "7,2,\"4\".5"}) {
+    SCOPED_TRACE(bad_line);
+    {
+      std::FILE* f = std::fopen(path.c_str(), "wb");
+      ASSERT_NE(f, nullptr);
+      std::fputs(("\"7\",\"8\",3.5\n" + bad_line + "\n").c_str(), f);
+      std::fclose(f);
+    }
+    const Status status = LoadRatingsCsv(path).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find(":2:"), std::string::npos)
+        << status.ToString();
   }
 }
 

@@ -296,6 +296,21 @@ TEST(TableIoTest, LoadRejectsMalformedFiles) {
   EXPECT_FALSE(LoadTableCsv("/no/such/table.csv", "t").ok());
 }
 
+TEST(TableIoTest, LoadRejectsTextAfterClosingQuote) {
+  // The record "7"5,"x"y once loaded as 75 and `xy`.
+  const std::string path = ::testing::TempDir() + "/after_quote.csv";
+  for (const std::string record : {"\"7\"5,\"x\"", "\"7\",\"x\"y",
+                                   "\"7\" ,x", "7,\"\"x"}) {
+    SCOPED_TRACE(record);
+    {
+      std::ofstream out(path);
+      out << "n:INT,s:STRING\n\"1\",\"a\"\n" << record << "\n";
+    }
+    EXPECT_EQ(LoadTableCsv(path, "t").status().code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(TableIoTest, LoadRejectsCorruptCells) {
   const std::string path = ::testing::TempDir() + "/corrupt_cells.csv";
   // Trailing garbage after a number used to be silently swallowed by

@@ -539,6 +539,204 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(1u, 3u, 7u, 258u, 1030u)),
     ExpansionShapeName);
 
+// ------------------------------------------------ the float32 sign filter
+
+TEST(ExpNonPositiveOctet, WithinItsRelativeErrorOfStdExp) {
+  // Seeded draws over [−87, 0] and of magnitude 2^-k (k < 40), then steps
+  // of 2^-20 from 0 down to −1/16 and of 2^-16 from −87 up to −86: each
+  // value within kExpOctetRelativeError of e^x in double.
+  std::vector<float> args;
+  Rng rng(20261020);
+  for (int i = 0; i < 200000; ++i) {
+    args.push_back(static_cast<float>(rng.Uniform(-87.0, 0.0)));
+    const int k = static_cast<int>(rng.UniformInt(40));
+    args.push_back(static_cast<float>(-std::ldexp(rng.Uniform(), -k)));
+  }
+  for (int i = 0; i < 65536; ++i) {
+    args.push_back(-std::ldexp(static_cast<float>(i), -20));
+    args.push_back(-87.0f + std::ldexp(static_cast<float>(i), -16));
+  }
+  double worst = 0.0;
+  for (std::size_t i = 0; i < args.size(); i += 8) {
+    float lanes[8];
+    std::copy_n(args.begin() + static_cast<std::ptrdiff_t>(i), 8, lanes);
+    ExpNonPositiveOctet(lanes);
+    for (std::size_t g = 0; g < 8; ++g) {
+      const double expected = std::exp(static_cast<double>(args[i + g]));
+      const double error = std::abs(lanes[g] - expected) / expected;
+      worst = std::max(worst, error);
+      if (error > kExpOctetRelativeError) {
+        ADD_FAILURE() << "exp(" << std::hexfloat << args[i + g] << ") = "
+                      << lanes[g] << ", std::exp " << expected << std::dec
+                      << " (relative error " << error << ")";
+        return;
+      }
+    }
+  }
+  EXPECT_GT(worst, 0.0);
+}
+
+TEST(ExpNonPositiveOctet, SpecialValues) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  float lanes[8] = {0.0f, -0.0f, -87.0001f, -88.0f, -1e30f, -inf, nan, -nan};
+  ExpNonPositiveOctet(lanes);
+  EXPECT_EQ(lanes[0], 1.0f);
+  EXPECT_EQ(lanes[1], 1.0f);
+  // Below −87 and at −∞: +0, sign bit clear.
+  for (std::size_t g = 2; g < 6; ++g) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(lanes[g]), 0u) << "lane " << g;
+  }
+  EXPECT_TRUE(std::isnan(lanes[6]));
+  EXPECT_TRUE(std::isnan(lanes[7]));
+}
+
+namespace signprop {
+
+/// A seeded model (rho = 0) and point set for the sign filter. The
+/// coordinates' scale, γ and each coefficient's magnitude span several
+/// decades; about a quarter of the points are support vectors and an
+/// eighth duplicate an earlier point; the point count is never a multiple
+/// of 8 (so never one of 256 either).
+struct Case {
+  Matrix svs;
+  std::vector<double> coefficients;
+  svm::KernelConfig kernel;
+  Matrix points;
+};
+
+Case RandomCase(std::uint64_t seed) {
+  constexpr std::size_t kDims[] = {1, 3, 8, 31, 32, 100};
+  Rng rng(seed);
+  Case c;
+  const std::size_t dims = kDims[rng.UniformInt(6)];
+  const std::size_t num_svs =
+      1 + static_cast<std::size_t>(rng.UniformInt(rng.Bernoulli(0.5) ? 12
+                                                                     : 400));
+  std::size_t num_points = 0;
+  while (num_points % 8 == 0) {
+    num_points = 1 + static_cast<std::size_t>(
+                         rng.UniformInt(rng.Bernoulli(0.7) ? 64 : 700));
+  }
+  const double scale = std::pow(10.0, rng.Uniform(-2.0, 2.0));
+  c.svs = Matrix(num_svs, dims);
+  c.svs.FillGaussian(rng, 0.0, scale);
+  c.kernel.gamma = std::pow(10.0, rng.Uniform(-2.0, 1.5)) /
+                   (static_cast<double>(dims) * scale * scale);
+  c.coefficients.resize(num_svs);
+  for (double& coefficient : c.coefficients) {
+    coefficient = (rng.Bernoulli(0.5) ? 1.0 : -1.0) *
+                  std::pow(10.0, rng.Uniform(-3.0, 3.0));
+  }
+  c.points = Matrix(num_points, dims);
+  c.points.FillGaussian(rng, 0.0, scale);
+  for (std::size_t i = 0; i < num_points; ++i) {
+    const double pick = rng.Uniform();
+    if (pick < 0.25) {
+      const auto sv = c.svs.Row(rng.UniformInt(num_svs));
+      std::copy(sv.begin(), sv.end(), c.points.Row(i).begin());
+    } else if (pick < 0.375 && i > 0) {
+      const auto earlier = c.points.Row(rng.UniformInt(i));
+      std::copy(earlier.begin(), earlier.end(), c.points.Row(i).begin());
+    }
+  }
+  return c;
+}
+
+std::string Replay(std::uint64_t seed) {
+  return "case seed " + std::to_string(seed) +
+         "; replay it alone with\n  CCDB_SIGN_FILTER_CASE=" +
+         std::to_string(seed) +
+         " build/tests/property_test "
+         "--gtest_filter='Seeds/SignFilterProperty.*/0'";
+}
+
+/// LabelsInto against DecisionValuesInto(...) ≥ 0 on every point; reports
+/// the first mismatch only.
+void ExpectExactLabels(const svm::SvmModel& model, const Matrix& points,
+                       const std::string& what) {
+  std::vector<double> values(points.rows());
+  ASSERT_TRUE(model.DecisionValuesInto(points, StopCondition(), values));
+  const auto labels = std::make_unique<bool[]>(points.rows());
+  ASSERT_TRUE(model.LabelsInto(points, StopCondition(),
+                               std::span(labels.get(), points.rows())));
+  for (std::size_t i = 0; i < points.rows(); ++i) {
+    if (labels[i] != (values[i] >= 0.0)) {
+      ADD_FAILURE() << "item " << i << " of " << points.rows()
+                    << ": label " << labels[i] << " but f = " << std::hexfloat
+                    << values[i] << std::dec << " (rho " << std::hexfloat
+                    << model.rho() << std::dec << ")\n"
+                    << what;
+      return;
+    }
+  }
+}
+
+/// One case: the labels at a random rho (the exact sum S_j of a random
+/// point j, so that point sits on the boundary), then, for two chosen
+/// points and the points around them, rho = S + δ with δ = 0, ±1 ulp of S
+/// and ±10^-k·Σ|coef| for k = 2..10: exact values of 0, just above 0 and
+/// just below it, which the filter must leave to the exact path.
+void CheckCase(std::uint64_t seed) {
+  const Case c = RandomCase(seed);
+  const std::size_t n = c.points.rows();
+  const svm::SvmModel at_zero(c.svs, c.coefficients, 0.0, c.kernel);
+  std::vector<double> sums(n);
+  ASSERT_TRUE(at_zero.DecisionValuesInto(c.points, StopCondition(), sums));
+  Rng rng(seed ^ 0x5157);
+  ExpectExactLabels(svm::SvmModel(c.svs, c.coefficients,
+                                  sums[rng.UniformInt(n)], c.kernel),
+                    c.points, Replay(seed));
+  double coefficient_sum = 0.0;
+  for (double coefficient : c.coefficients) {
+    coefficient_sum += std::abs(coefficient);
+  }
+  for (int chosen = 0; chosen < 2 && !::testing::Test::HasFailure();
+       ++chosen) {
+    const std::size_t j = rng.UniformInt(n);
+    const std::size_t lo = j >= 5 ? j - 5 : 0;
+    Matrix around(std::min(n, lo + 11) - lo, c.points.cols());
+    for (std::size_t i = 0; i < around.rows(); ++i) {
+      const auto row = c.points.Row(lo + i);
+      std::copy(row.begin(), row.end(), around.Row(i).begin());
+    }
+    const double s = sums[j];
+    const double inf = std::numeric_limits<double>::infinity();
+    std::vector<double> rhos = {s, std::nextafter(s, inf),
+                                std::nextafter(s, -inf)};
+    for (int k = 2; k <= 10; ++k) {
+      const double delta = std::pow(10.0, -k) * coefficient_sum;
+      rhos.push_back(s + delta);
+      rhos.push_back(s - delta);
+    }
+    for (double rho : rhos) {
+      ExpectExactLabels(svm::SvmModel(c.svs, c.coefficients, rho, c.kernel),
+                        around,
+                        "boundary of point " + std::to_string(j) + ", " +
+                            Replay(seed));
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+}  // namespace signprop
+
+class SignFilterProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+// 40 cases per seed; CCDB_SIGN_FILTER_CASE=<case seed> runs one case.
+TEST_P(SignFilterProperty, LabelsAreTheExactPathsSigns) {
+  if (const char* only = std::getenv("CCDB_SIGN_FILTER_CASE")) {
+    signprop::CheckCase(std::strtoull(only, nullptr, 10));
+    return;
+  }
+  for (std::uint64_t i = 0; i < 40 && !HasFailure(); ++i) {
+    signprop::CheckCase(GetParam() * 1000000 + i);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SignFilterProperty,
+                         ::testing::Values(1u, 2u, 3u, 4u, 5u));
+
 TEST(NumericCoreParityLarge, BlockedKnnMatchesBruteForce) {
   // The blocked squared-distance kNN scan against a naive
   // sort-all-distances reference, with n far above one scan block.

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <memory>
+#include <span>
 
 #include "common/cancellation.h"
 #include "common/rng.h"
@@ -527,6 +530,84 @@ TEST(SvmClassifierTest, DecisionValuesIntoHonorsCancellation) {
                                         out));
   // An unarmed stop completes.
   EXPECT_TRUE(model.DecisionValuesInto(x, StopCondition(), out));
+}
+
+TEST(SvmClassifierTest, LabelsIntoHonorsCancellation) {
+  Rng rng(123);
+  Matrix x(600, 2);
+  x.FillGaussian(rng, 0.0, 1.0);
+  std::vector<std::int8_t> y(600);
+  for (std::size_t i = 0; i < 600; ++i) y[i] = x(i, 0) > 0 ? 1 : -1;
+  ClassifierOptions options;
+  options.cost = 2.0;
+  const SvmModel model = TrainClassifier(x, y, options);
+
+  const auto labels = std::make_unique<bool[]>(600);
+  const std::span<bool> out(labels.get(), 600);
+  CancellationSource source;
+  source.Cancel();
+  EXPECT_FALSE(model.LabelsInto(x, StopCondition(source.token()), out));
+  // An unarmed stop completes with the exact path's signs.
+  ASSERT_TRUE(model.LabelsInto(x, StopCondition(), out));
+  const std::vector<double> values = Values(model, x);
+  for (std::size_t i = 0; i < 600; ++i) {
+    EXPECT_EQ(out[i], values[i] >= 0.0) << "item " << i;
+  }
+}
+
+/// LabelsInto's labels against DecisionValuesInto(...) ≥ 0, item by item.
+void ExpectExactSigns(const SvmModel& model, const Matrix& points) {
+  const std::vector<double> values = Values(model, points);
+  const auto labels = std::make_unique<bool[]>(points.rows());
+  ASSERT_TRUE(model.LabelsInto(points, StopCondition(),
+                               std::span(labels.get(), points.rows())));
+  for (std::size_t i = 0; i < points.rows(); ++i) {
+    EXPECT_EQ(labels[i], values[i] >= 0.0)
+        << "item " << i << ", f = " << values[i];
+  }
+}
+
+TEST(SvmClassifierTest, LabelsOfNonFiniteAndHugeInputsAreTheExactPaths) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(7);
+  Matrix svs(5, 3);
+  svs.FillGaussian(rng, 0.0, 1.0);
+  const std::vector<double> coefficients = {1.5, -2.0, 0.7, -0.4, 0.9};
+  const SvmModel model(svs, coefficients, 0.1, KernelConfig{0.5});
+  // Items the filter skips (a NaN, an infinity, ‖x‖² past 2^100 or not
+  // finite) sit between ordinary ones, in one octet and past it; float
+  // conversion would overflow at 1e39 and underflow at 1e-46.
+  Matrix points(13, 3);
+  points.FillGaussian(rng, 0.0, 1.0);
+  points(1, 0) = nan;
+  points(2, 1) = inf;
+  points(3, 2) = -inf;
+  points(4, 0) = 1e200;
+  points(5, 1) = 0x1p51;
+  points(6, 2) = 1e39;
+  points(7, 0) = 1e-46;
+  points(9, 0) = 0x1p49;
+  points(11, 1) = -1e-300;
+  ExpectExactSigns(model, points);
+
+  // Models outside the bound's limits take the exact sweep for every item:
+  // a support vector with ‖sv‖² past 2^100, γ past 2^64, a NaN or infinite
+  // coefficient, a NaN rho.
+  Matrix huge_svs = svs;
+  huge_svs(2, 1) = 0x1p60;
+  ExpectExactSigns(SvmModel(huge_svs, coefficients, 0.1, KernelConfig{0.5}),
+                   points);
+  ExpectExactSigns(SvmModel(svs, coefficients, 0.1, KernelConfig{0x1p70}),
+                   points);
+  for (const double bad : {nan, inf, -inf}) {
+    std::vector<double> bad_coefficients = coefficients;
+    bad_coefficients[3] = bad;
+    ExpectExactSigns(SvmModel(svs, bad_coefficients, 0.1, KernelConfig{0.5}),
+                     points);
+    ExpectExactSigns(SvmModel(svs, coefficients, bad, KernelConfig{0.5}),
+                     points);
+  }
 }
 
 TEST(TsvmTest, ReportCountsRetrains) {
