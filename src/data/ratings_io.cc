@@ -1,10 +1,8 @@
 #include "data/ratings_io.h"
 
 #include <cctype>
-#include <cerrno>
 #include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -34,15 +32,21 @@ bool LooksNumeric(const std::string& field) {
   return true;
 }
 
-/// Parses a score or day field that LooksNumeric accepted, rounding the
-/// decimal once, straight to float (through double, a few decimals land
-/// on the neighbouring float); false when the field has no digit (".")
-/// or its value is beyond float's range or a non-zero value below it.
-bool ParseFloatField(const std::string& field, float& out) {
+/// Reads all of a field that LooksNumeric accepted as a T, a leading '+'
+/// allowed. A score or day is rounded once, straight to float (through
+/// double, a few decimals land on the neighbouring float). Returns null
+/// on success, else why it failed: "malformed" when no digit starts the
+/// field or text is left after the number (a lone ".", or a fraction in
+/// an id), "out of range" when the value is beyond T's range (for a
+/// float, also a non-zero value below it).
+template <typename T>
+const char* ReadField(const std::string& field, T& out) {
   const char* first = field.data() + (field[0] == '+' ? 1 : 0);
   const char* last = field.data() + field.size();
   const auto [end, error] = std::from_chars(first, last, out);
-  return error == std::errc() && end == last;
+  if (error == std::errc::result_out_of_range) return "out of range";
+  if (error != std::errc() || end != last) return "malformed";
+  return nullptr;
 }
 
 /// A score or day in the shortest fixed-notation text that reads back as
@@ -99,31 +103,32 @@ StatusOr<RatingDataset> LoadRatingsCsv(const std::string& path, Fs* fs) {
                                      std::to_string(line_number) +
                                      ": non-numeric field");
     }
-    errno = 0;
-    const long long raw_item = std::strtoll(row[0].c_str(), nullptr, 10);
-    const bool item_overflow = errno == ERANGE;
-    errno = 0;
-    const long long raw_user = std::strtoll(row[1].c_str(), nullptr, 10);
-    if (item_overflow || errno == ERANGE) {
+    const auto bad_field = [&](const char* field, const char* why) {
       return Status::InvalidArgument(path + ":" +
-                                     std::to_string(line_number) +
-                                     ": id out of range");
+                                     std::to_string(line_number) + ": " +
+                                     field + " " + why);
+    };
+    long long raw_item = 0;
+    long long raw_user = 0;
+    Rating rating;
+    if (const char* why = ReadField(row[0], raw_item)) {
+      return bad_field("item id", why);
+    }
+    if (const char* why = ReadField(row[1], raw_user)) {
+      return bad_field("user id", why);
     }
     if (raw_item < 0 || raw_user < 0) {
       return Status::InvalidArgument(path + ":" +
                                      std::to_string(line_number) +
                                      ": negative id");
     }
-    Rating rating;
-    if (!ParseFloatField(row[2], rating.score)) {
-      return Status::InvalidArgument(path + ":" +
-                                     std::to_string(line_number) +
-                                     ": score out of range");
+    if (const char* why = ReadField(row[2], rating.score)) {
+      return bad_field("score", why);
     }
-    if (row.size() == 4 && !ParseFloatField(row[3], rating.day)) {
-      return Status::InvalidArgument(path + ":" +
-                                     std::to_string(line_number) +
-                                     ": day out of range");
+    if (row.size() == 4) {
+      if (const char* why = ReadField(row[3], rating.day)) {
+        return bad_field("day", why);
+      }
     }
     rating.item = item_ids
                       .try_emplace(raw_item, static_cast<std::uint32_t>(

@@ -15,9 +15,10 @@ namespace ccdb::data {
 ///
 /// with an optional header row (auto-detected: a first row whose fields
 /// are not numeric is skipped). Ids may be arbitrary non-negative
-/// integers; they are densified to contiguous 0-based ids in first-seen
-/// order. This is the adoption path for real Social-Web dumps: export
-/// your platform's ratings, load, build a perceptual space.
+/// integers, each read whole (a fraction is InvalidArgument); they are
+/// densified to contiguous 0-based ids in first-seen order. This is the
+/// adoption path for real Social-Web dumps: export your platform's
+/// ratings, load, build a perceptual space.
 [[nodiscard]] StatusOr<RatingDataset> LoadRatingsCsv(const std::string& path,
                                                       Fs* fs = nullptr);
 

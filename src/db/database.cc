@@ -85,13 +85,11 @@ struct TruthNumbers {
 };
 struct StringCells {
   const Value* cells;
-  const std::string* Read(std::size_t i) const {
-    return std::get_if<std::string>(&cells[i]);
-  }
+  const Text* Read(std::size_t i) const { return std::get_if<Text>(&cells[i]); }
 };
 struct StringConstant {
-  const std::string* text;
-  const std::string* Read(std::size_t) const { return text; }
+  const Text* text;
+  const Text* Read(std::size_t) const { return text; }
 };
 
 // `outcome` maps the sign of (left - right), plus one, to the comparison's
@@ -113,13 +111,13 @@ template <typename Left, typename Right>
 void CompareStrings(Left left, Right right, const Truth* outcome,
                     std::size_t n, Truth* out) {
   for (std::size_t i = 0; i < n; ++i) {
-    const std::string* l = left.Read(i);
-    const std::string* r = right.Read(i);
+    const Text* l = left.Read(i);
+    const Text* r = right.Read(i);
     if (l == nullptr || r == nullptr) {
       out[i] = kUnknown;
       continue;
     }
-    const int cmp = l->compare(*r);
+    const int cmp = l->view().compare(r->view());
     out[i] = outcome[(cmp > 0) - (cmp < 0) + 1];
   }
 }
@@ -175,7 +173,7 @@ class BoundCondition {
     bool is_int = false;                         // an integer or INT column
     double number = 0.0;                         // kNumber
     std::int64_t integer = 0;                    // kNumber, when is_int
-    std::string text;                            // kString
+    Text text;                                   // kString
     const std::vector<Value>* column = nullptr;  // kColumn
     std::size_t node = 0;                        // kCondition
 
@@ -346,7 +344,7 @@ class BoundCondition {
     switch (expr.kind) {
       case Expr::Kind::kLiteral:
         if (IsNull(expr.literal)) return operand;
-        if (const std::string* s = std::get_if<std::string>(&expr.literal)) {
+        if (const Text* s = std::get_if<Text>(&expr.literal)) {
           operand.kind = Operand::Kind::kString;
           operand.is_string = true;
           operand.text = *s;
@@ -494,16 +492,26 @@ std::vector<std::size_t> SelectRows(std::optional<BoundCondition>& where,
   return rows;
 }
 
+// The key a cell sorts and groups by: a copy of the cell, or a view of a
+// string's characters.
+template <typename Cell>
+auto KeyOf(const Cell& cell) {
+  if constexpr (std::is_same_v<Cell, Text>) {
+    return cell.view();
+  } else {
+    return cell;
+  }
+}
+
 // Orders `rows`, ascending positions into `cells`, by their cells, which
 // are NULL or `Cell`s: NULLs last in either direction, ties by position,
 // which is the order a stable sort gives. Then keeps the first `limit`,
-// with a top-k when that is fewer than all. Each row is sorted by a copy
-// of its key (a view, for a string), so a comparison reads no variant.
+// with a top-k when that is fewer than all. Each row is sorted by its
+// KeyOf, so a comparison reads no variant.
 template <typename Cell>
 void OrderRowsBy(const std::vector<Value>& cells, bool descending,
                  std::size_t limit, std::vector<std::size_t>& rows) {
-  using Key = std::conditional_t<std::is_same_v<Cell, std::string>,
-                                 std::string_view, Cell>;
+  using Key = decltype(KeyOf(std::declval<const Cell&>()));
   struct Keyed {
     Key key;
     std::size_t row;
@@ -513,7 +521,7 @@ void OrderRowsBy(const std::vector<Value>& cells, bool descending,
   std::vector<std::size_t> nulls;
   for (std::size_t row : rows) {
     if (const Cell* cell = std::get_if<Cell>(&cells[row])) {
-      keyed.push_back({Key(*cell), row});
+      keyed.push_back({KeyOf(*cell), row});
     } else {
       nulls.push_back(row);
     }
@@ -550,7 +558,7 @@ void OrderRows(const std::vector<Value>& cells, ColumnType type,
     case ColumnType::kDouble:
       return OrderRowsBy<double>(cells, descending, limit, rows);
     case ColumnType::kString:
-      return OrderRowsBy<std::string>(cells, descending, limit, rows);
+      return OrderRowsBy<Text>(cells, descending, limit, rows);
   }
 }
 
@@ -568,6 +576,8 @@ Status CheckDistinct(const std::vector<ColumnDef>& columns) {
 }
 
 // The result table: the cells of `rows` of each source, column by column.
+// A STRING cell is copied as its handle, so the result shares the source's
+// characters.
 Table Gather(const Columns& sources, std::vector<ColumnDef> schema,
              const std::vector<std::size_t>& rows) {
   std::vector<std::vector<Value>> columns(sources.size());
@@ -589,7 +599,7 @@ struct AggregateState {
   void Accumulate(const Value& value) {
     if (IsNull(value)) return;
     ++count;
-    if (!std::holds_alternative<std::string>(value)) {
+    if (!std::holds_alternative<Text>(value)) {
       sum += AsNumeric(value);
     }
     if (IsNull(min) || CompareNonNull(value, min) < 0) min = value;
@@ -649,12 +659,12 @@ constexpr std::size_t kNoGroup = std::numeric_limits<std::size_t>::max();
 // Numbers the group of each of `rows`, whose cells are NULL or `Cell`s, in
 // first-seen order, keyed by `key_of` in a hash map; appends to
 // `first_rows` the row that opened each group. NULLs form one group.
-template <typename Cell, typename KeyOf>
+template <typename Cell, typename GroupKey>
 std::vector<std::size_t> HashGroups(const std::vector<Value>& cells,
                                     const std::vector<std::size_t>& rows,
-                                    KeyOf key_of,
+                                    GroupKey key_of,
                                     std::vector<std::size_t>& first_rows) {
-  using Key = std::invoke_result_t<KeyOf, const Cell&>;
+  using Key = std::invoke_result_t<GroupKey, const Cell&>;
   std::unordered_map<Key, std::size_t> groups;
   std::size_t null_group = kNoGroup;
   std::vector<std::size_t> group_of;
@@ -712,9 +722,8 @@ std::vector<std::size_t> AssignGroups(const std::vector<Value>& cells,
           },
           first_rows);
     case ColumnType::kString:
-      return HashGroups<std::string>(
-          cells, rows,
-          [](const std::string& value) { return std::string_view(value); },
+      return HashGroups<Text>(
+          cells, rows, [](const Text& value) { return value.view(); },
           first_rows);
   }
   return {};

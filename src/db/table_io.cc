@@ -102,8 +102,8 @@ Status SaveTableCsv(const Table& table, const std::string& path, Fs* fs) {
     for (std::size_t column = 0; column < table.schema().num_columns();
          ++column) {
       const Value& value = table.Get(row, column);
-      const std::string* text = std::get_if<std::string>(&value);
-      if (text != nullptr && text->find('\n') != std::string::npos) {
+      const Text* text = std::get_if<Text>(&value);
+      if (text != nullptr && text->view().find('\n') != std::string::npos) {
         // LoadTableCsv reads one record per line.
         return Status::InvalidArgument(
             "cannot save a string cell holding a line break (row " +

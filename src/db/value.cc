@@ -1,12 +1,29 @@
 #include "db/value.h"
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <new>
 #include <sstream>
 #include <type_traits>
 
 #include "common/check.h"
 
 namespace ccdb::db {
+
+Text::Text(std::string_view text) {
+  if (text.empty()) return;  // '' is the null handle
+  CCDB_CHECK_LE(text.size(), std::numeric_limits<std::uint32_t>::max());
+  char* memory =
+      static_cast<char*>(::operator new(sizeof(Block) + text.size()));
+  block_ = ::new (memory) Block{{1}, static_cast<std::uint32_t>(text.size())};
+  std::memcpy(memory + sizeof(Block), text.data(), text.size());
+}
+
+void Text::Free(Block* block) {
+  block->~Block();
+  ::operator delete(block);
+}
 
 std::string ToString(const Value& value) {
   if (IsNull(value)) return "NULL";
@@ -19,7 +36,7 @@ std::string ToString(const Value& value) {
     oss << *d;
     return oss.str();
   }
-  return std::get<std::string>(value);
+  return std::get<Text>(value).str();
 }
 
 ColumnType TypeOf(const Value& value) {
@@ -69,13 +86,12 @@ double AsNumeric(const Value& value) {
 int CompareNonNull(const Value& left, const Value& right) {
   CCDB_CHECK(!IsNull(left));
   CCDB_CHECK(!IsNull(right));
-  const bool left_string = std::holds_alternative<std::string>(left);
-  const bool right_string = std::holds_alternative<std::string>(right);
-  CCDB_CHECK_MSG(left_string == right_string,
+  const Text* left_text = std::get_if<Text>(&left);
+  const Text* right_text = std::get_if<Text>(&right);
+  CCDB_CHECK_MSG((left_text == nullptr) == (right_text == nullptr),
                  "cannot compare string with non-string");
-  if (left_string) {
-    const int cmp =
-        std::get<std::string>(left).compare(std::get<std::string>(right));
+  if (left_text != nullptr) {
+    const int cmp = left_text->view().compare(right_text->view());
     return (cmp > 0) - (cmp < 0);
   }
   const std::int64_t* left_int = std::get_if<std::int64_t>(&left);

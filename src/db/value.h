@@ -1,8 +1,12 @@
 #ifndef CCDB_DB_VALUE_H_
 #define CCDB_DB_VALUE_H_
 
+#include <atomic>
+#include <compare>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <variant>
 
 namespace ccdb::db {
@@ -15,10 +19,78 @@ enum class ColumnType {
   kString,
 };
 
+/// A STRING value: an 8-byte handle to an immutable, reference-counted
+/// block of characters. Copying a Text copies the pointer and counts one
+/// more owner, so a copied cell allocates nothing and shares the source's
+/// characters; the last owner frees the block. Handles of one block may be
+/// copied and dropped from any number of threads at once. The empty string
+/// is the null handle and owns no block; it is still a value, distinct
+/// from NULL (Value's std::monostate). Texts compare and order by content.
+/// A Text holds fewer than 2^32 characters (CHECKed).
+class Text {
+ public:
+  Text() = default;
+  // Implicit, so that a cell is built from any string:
+  // Value(std::string("abc")) holds a Text.
+  Text(std::string_view text);  // NOLINT: implicit by design
+  Text(const std::string& text)  // NOLINT: implicit by design
+      : Text(std::string_view(text)) {}
+  Text(const char* text)  // NOLINT: implicit by design
+      : Text(std::string_view(text)) {}
+  Text(const Text& other) noexcept : block_(other.block_) {
+    // A new owner needs no ordering: the block is already visible to the
+    // thread that holds `other`.
+    if (block_ != nullptr) {
+      block_->refs.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  Text(Text&& other) noexcept : block_(std::exchange(other.block_, nullptr)) {}
+  Text& operator=(Text other) noexcept {
+    std::swap(block_, other.block_);
+    return *this;
+  }
+  ~Text() {
+    // acq_rel: every owner's reads of the characters happen before the
+    // last owner frees them.
+    if (block_ != nullptr &&
+        block_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      Free(block_);
+    }
+  }
+
+  std::string_view view() const {
+    return block_ == nullptr ? std::string_view()
+                             : std::string_view(block_->chars(), block_->size);
+  }
+  std::string str() const { return std::string(view()); }
+
+  friend bool operator==(const Text& a, const Text& b) {
+    return a.view() == b.view();
+  }
+  friend std::strong_ordering operator<=>(const Text& a, const Text& b) {
+    return a.view() <=> b.view();
+  }
+
+ private:
+  // The header of a block; its `size` characters follow it. A 32-bit
+  // count cannot overflow: 2^32 owners would be 64 GiB of 16-byte cells.
+  struct Block {
+    std::atomic<std::uint32_t> refs;
+    std::uint32_t size;
+    const char* chars() const {
+      return reinterpret_cast<const char*>(this + 1);
+    }
+  };
+  static void Free(Block* block);
+
+  Block* block_ = nullptr;
+};
+
 /// A nullable cell value. std::monostate is NULL — the state a perceptual
-/// column starts in before crowd/space expansion fills it.
-using Value = std::variant<std::monostate, bool, std::int64_t, double,
-                           std::string>;
+/// column starts in before crowd/space expansion fills it. A cell is 16
+/// bytes: one 8-byte alternative and the index.
+using Value = std::variant<std::monostate, bool, std::int64_t, double, Text>;
+static_assert(sizeof(Value) == 16);
 
 /// True when the value is NULL.
 inline bool IsNull(const Value& value) {

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdint>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "data/domains.h"
 #include "data/expert_sources.h"
@@ -334,18 +336,28 @@ TEST(RatingsIoTest, RejectsMalformedInput) {
 
 TEST(RatingsIoTest, RejectsCorruptNumericFields) {
   const std::string path = ::testing::TempDir() + "/corrupt_ratings.csv";
-  const std::string bad_lines[] = {
+  // Each line, and what its error message says.
+  const std::pair<std::string, std::string> bad_lines[] = {
       // Ids past the 64-bit range must be InvalidArgument, not wrapped.
-      "99999999999999999999999999,2,4.0",
+      {"99999999999999999999999999,2,4.0", "item id out of range"},
       // A score past double range.
-      "1,2,1" + std::string(400, '0'),
+      {"1,2,1" + std::string(400, '0'), "score out of range"},
       // A score and a day that fit a double but not a finite float.
-      "1,2,1" + std::string(48, '0'),
-      "1,2,4.0,1" + std::string(48, '0'),
+      {"1,2,1" + std::string(48, '0'), "score out of range"},
+      {"1,2,4.0,1" + std::string(48, '0'), "day out of range"},
       // Embedded garbage in an otherwise numeric-looking field.
-      "1,2,4.5,12..5",
+      {"1,2,4.5,12..5", "non-numeric field"},
+      // An id is read whole: no digit, or a fraction, is not an id.
+      {".,7,3.0", "item id malformed"},
+      {"-.,9,2.0", "item id malformed"},
+      {"+.,9,2.0", "item id malformed"},
+      {"7.5,2,3.0", "item id malformed"},
+      {"7,8.5,3.0", "user id malformed"},
+      // A score or day without a digit is malformed, not out of range.
+      {"1,2,.", "score malformed"},
+      {"1,2,4.0,-.", "day malformed"},
   };
-  for (const std::string& bad_line : bad_lines) {
+  for (const auto& [bad_line, message] : bad_lines) {
     SCOPED_TRACE(bad_line);
     {
       std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -355,7 +367,7 @@ TEST(RatingsIoTest, RejectsCorruptNumericFields) {
     }
     const Status status = LoadRatingsCsv(path).status();
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(status.message().find(":2:"), std::string::npos)
+    EXPECT_NE(status.message().find(":2: " + message), std::string::npos)
         << status.ToString();
   }
 }

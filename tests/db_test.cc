@@ -1,15 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "db/database.h"
 #include "db/sql_parser.h"
 #include "db/table.h"
@@ -53,6 +58,90 @@ TEST(ValueTest, Comparison) {
   EXPECT_EQ(CompareNonNull(Value(std::int64_t{9007199254740992}),
                            Value(std::int64_t{9007199254740993})),
             -1);
+}
+
+// ---------------------------------------------------------------- text
+
+// The characters a STRING cell points at.
+const char* CharsOf(const Value& cell) {
+  return std::get<Text>(cell).view().data();
+}
+
+TEST(TextTest, CellsBuiltFromStringsHoldText) {
+  static_assert(sizeof(Value) == 16);
+  for (const Value& cell : {Value("abc"), Value(std::string("abc")),
+                            Value(std::string_view("abc"))}) {
+    ASSERT_TRUE(std::holds_alternative<Text>(cell));
+    EXPECT_EQ(std::get<Text>(cell).view(), "abc");
+    EXPECT_EQ(std::get<Text>(cell).str(), "abc");
+  }
+  EXPECT_TRUE(std::holds_alternative<Text>(Value("")));
+  EXPECT_FALSE(IsNull(Value("")));
+}
+
+TEST(TextTest, ComparesAndOrdersByContent) {
+  const Text a(std::string("abc"));
+  const Text b("abc");
+  EXPECT_NE(a.view().data(), b.view().data());  // two blocks
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a <=> b, std::strong_ordering::equal);
+  EXPECT_LT(Text("ab"), a);
+  EXPECT_LT(Text("B"), Text("a"));  // bytewise, as std::string orders
+  EXPECT_GT(Text("abd"), a);
+  EXPECT_EQ(Text(), Text(""));
+  EXPECT_LT(Text(), Text("a"));
+  EXPECT_EQ(CompareNonNull(Value(a), Value(b)), 0);
+
+  // A copy shares the characters; the last owner to go frees them.
+  auto owner = std::make_unique<Text>("shared");
+  const Text copy = *owner;
+  EXPECT_EQ(copy.view().data(), owner->view().data());
+  owner.reset();
+  EXPECT_EQ(copy.view(), "shared");
+}
+
+TEST(TextTest, CopiesAndDropsFromManyThreadsAreRaceFree) {
+  constexpr std::size_t kRows = 10000;
+  constexpr std::size_t kThreads = 4;
+  auto source = std::make_unique<Table>(
+      "names", Schema({{"name", ColumnType::kString}}));
+  std::size_t characters = 0;
+  for (std::size_t row = 0; row < kRows; ++row) {
+    const std::string name = "name " + std::to_string(row);
+    characters += name.size();
+    ASSERT_TRUE(source->AppendRow({Value(name)}).ok());
+  }
+  // Each thread copies and drops the table's 10,000 handles 100 times, and
+  // keeps one last copy.
+  ThreadPool pool(kThreads);
+  std::vector<Table> kept(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    pool.Submit([&, t] {
+      for (int round = 0; round < 100; ++round) {
+        const Table copy = *source;
+        EXPECT_EQ(CharsOf(copy.Get(kRows - 1, 0)),
+                  CharsOf(source->Get(kRows - 1, 0)));
+      }
+      kept[t] = *source;
+    });
+  }
+  pool.Wait();
+  // Then the kept copies own every block; each thread reads its copy's
+  // characters and drops it, and whichever drops a block last frees it.
+  source.reset();
+  std::atomic<std::size_t> read{0};
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    pool.Submit([&, t] {
+      std::size_t seen = 0;
+      for (std::size_t row = 0; row < kRows; ++row) {
+        seen += std::get<Text>(kept[t].Get(row, 0)).view().size();
+      }
+      read += seen;
+      kept[t] = Table();
+    });
+  }
+  pool.Wait();
+  EXPECT_EQ(read.load(), kThreads * characters);
 }
 
 // ---------------------------------------------------------------- table
@@ -463,7 +552,7 @@ TEST(ParserTest, StringLiteralsAndEscapes) {
   const auto statement =
       ParseSelect("SELECT * FROM t WHERE name = 'O''Hara'");
   ASSERT_TRUE(statement.ok());
-  EXPECT_EQ(std::get<std::string>(statement.value().where->right->literal),
+  EXPECT_EQ(std::get<Text>(statement.value().where->right->literal).view(),
             "O'Hara");
 }
 
@@ -988,7 +1077,7 @@ TEST(DatabaseTest, GroupByGroupsByValue) {
   ASSERT_EQ(by_s.value().num_rows(), 3u);
   EXPECT_EQ(ToString(by_s.value().Get(0, 0)), "a");
   EXPECT_EQ(ToString(by_s.value().Get(0, 1)), "3");
-  EXPECT_EQ(std::get<std::string>(by_s.value().Get(1, 0)), "NULL");
+  EXPECT_EQ(std::get<Text>(by_s.value().Get(1, 0)).view(), "NULL");
   EXPECT_EQ(ToString(by_s.value().Get(1, 1)), "1");
   EXPECT_TRUE(IsNull(by_s.value().Get(2, 0)));
   EXPECT_EQ(ToString(by_s.value().Get(2, 1)), "1");
@@ -1126,6 +1215,81 @@ TEST(DatabaseTest, DeeplyNestedConditionsAreRejected) {
       "SELECT * FROM movies WHERE year > 1970" + repeat(" AND year > 1", 999));
   ASSERT_TRUE(chain.ok()) << chain.status().ToString();
   EXPECT_EQ(chain.value().num_rows(), 2u);
+}
+
+TEST(DatabaseTest, EmptyStringIsNotNull) {
+  // Rows k = 0..4 hold '', NULL, 'a', '', NULL.
+  Table table("t", Schema({{"s", ColumnType::kString},
+                           {"k", ColumnType::kInt}}));
+  const Value cells[] = {Value(""), Value{}, Value("a"), Value(""), Value{}};
+  for (std::size_t k = 0; k < 5; ++k) {
+    ASSERT_TRUE(
+        table.AppendRow({cells[k], Value(static_cast<std::int64_t>(k))}).ok());
+  }
+  const std::string path = ::testing::TempDir() + "/empty_strings.csv";
+  ASSERT_TRUE(SaveTableCsv(table, path).ok());
+  StatusOr<Table> loaded = LoadTableCsv(path, "t");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  for (std::size_t k = 0; k < 5; ++k) {
+    const Value& cell = loaded.value().Get(k, 0);
+    EXPECT_EQ(cell.index(), cells[k].index()) << "row " << k;
+    EXPECT_EQ(cell, cells[k]) << "row " << k;
+  }
+
+  Database database;
+  ASSERT_TRUE(database.AddTable(std::move(loaded).value()).ok());
+  const auto keys = [&](const std::string& sql) {
+    StatusOr<Table> result = database.Execute(sql);
+    EXPECT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+    std::string out;
+    if (!result.ok()) return out;
+    for (std::size_t row = 0; row < result.value().num_rows(); ++row) {
+      out += ToString(result.value().Get(row, 0));
+    }
+    return out;
+  };
+  EXPECT_EQ(keys("SELECT k FROM t WHERE s = ''"), "03");
+  EXPECT_EQ(keys("SELECT k FROM t WHERE s != ''"), "2");
+  EXPECT_EQ(keys("SELECT k FROM t WHERE s < 'a'"), "03");
+  EXPECT_EQ(keys("SELECT k FROM t WHERE NOT s = ''"), "2");
+  // '' sorts first, NULLs last in either direction.
+  EXPECT_EQ(keys("SELECT k FROM t ORDER BY s"), "03214");
+  EXPECT_EQ(keys("SELECT k FROM t ORDER BY s DESC"), "20314");
+
+  const auto groups =
+      database.Execute("SELECT s, COUNT(*) FROM t GROUP BY s ORDER BY s");
+  ASSERT_TRUE(groups.ok()) << groups.status().ToString();
+  ASSERT_EQ(groups.value().num_rows(), 3u);
+  EXPECT_EQ(groups.value().Get(0, 0), Value(""));
+  EXPECT_EQ(ToString(groups.value().Get(0, 1)), "2");
+  EXPECT_EQ(groups.value().Get(1, 0), Value("a"));
+  EXPECT_EQ(ToString(groups.value().Get(1, 1)), "1");
+  EXPECT_TRUE(IsNull(groups.value().Get(2, 0)));
+  EXPECT_EQ(ToString(groups.value().Get(2, 1)), "2");
+}
+
+TEST(DatabaseTest, ResultsAndCopiesShareStringCharacters) {
+  Database database;
+  ASSERT_TRUE(database.AddTable(MakeMoviesTable()).ok());
+  const Table& movies = *database.FindTable("movies");
+  // Rocky (row 0) and Grease (row 2), by year.
+  const auto result = database.Execute(
+      "SELECT name FROM movies WHERE year > 1970 ORDER BY year");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result.value().num_rows(), 2u);
+  EXPECT_EQ(CharsOf(result.value().Get(0, 0)), CharsOf(movies.Get(0, 0)));
+  EXPECT_EQ(CharsOf(result.value().Get(1, 0)), CharsOf(movies.Get(2, 0)));
+
+  const auto grouped = database.Execute(
+      "SELECT name, COUNT(*) FROM movies GROUP BY name");
+  ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+  ASSERT_EQ(grouped.value().num_rows(), 3u);
+  EXPECT_EQ(CharsOf(grouped.value().Get(1, 0)), CharsOf(movies.Get(1, 0)));
+
+  const Table copy = movies;
+  for (std::size_t row = 0; row < movies.num_rows(); ++row) {
+    EXPECT_EQ(CharsOf(copy.Get(row, 0)), CharsOf(movies.Get(row, 0)));
+  }
 }
 
 TEST(DatabaseTest, DuplicateTableRejected) {

@@ -1599,6 +1599,7 @@ using db::Expr;
 using db::SelectItem;
 using db::SelectStatement;
 using db::Table;
+using db::Text;
 using db::Value;
 
 // ---- The reference.
@@ -1646,10 +1647,8 @@ StatusOr<std::optional<bool>> EvaluateBool(const Expr& expr,
       if (db::IsNull(left.value()) || db::IsNull(right.value())) {
         return std::optional<bool>();
       }
-      const bool left_string =
-          std::holds_alternative<std::string>(left.value());
-      const bool right_string =
-          std::holds_alternative<std::string>(right.value());
+      const bool left_string = std::holds_alternative<Text>(left.value());
+      const bool right_string = std::holds_alternative<Text>(right.value());
       if (left_string != right_string) {
         return Status::InvalidArgument(
             "type mismatch: cannot compare string with non-string");
@@ -1725,7 +1724,7 @@ struct AggregateState {
   void Accumulate(const Value& value) {
     if (db::IsNull(value)) return;
     ++count;
-    if (!std::holds_alternative<std::string>(value)) {
+    if (!std::holds_alternative<Text>(value)) {
       sum += db::AsNumeric(value);
     }
     if (db::IsNull(min) || db::CompareNonNull(value, min) < 0) min = value;
@@ -1761,7 +1760,7 @@ std::string AggregateName(const SelectItem& item) {
 bool SameGroup(const Value& a, const Value& b, ColumnType type) {
   if (db::IsNull(a) || db::IsNull(b)) return db::IsNull(a) && db::IsNull(b);
   if (type == ColumnType::kString) {
-    return std::get<std::string>(a) == std::get<std::string>(b);
+    return std::get<Text>(a).view() == std::get<Text>(b).view();
   }
   if (type == ColumnType::kDouble) return db::AsNumeric(a) == db::AsNumeric(b);
   return a == b;
@@ -2071,7 +2070,7 @@ Value RandomLiteral(Rng& rng, bool string) {
 }
 
 bool IsStringValue(const Value& value) {
-  return std::holds_alternative<std::string>(value);
+  return std::holds_alternative<Text>(value);
 }
 
 // Generates conditions over the columns of one schema (a table's, or an
@@ -2337,9 +2336,11 @@ Case RandomCase(std::uint64_t seed) {
 
 std::string Literal(const Value& value) {
   if (db::IsNull(value)) return "NULL";
-  if (const std::string* s = std::get_if<std::string>(&value)) {
+  if (const Text* s = std::get_if<Text>(&value)) {
     std::string quoted = "'";
-    for (char c : *s) quoted += c == '\'' ? std::string("''") : std::string(1, c);
+    for (char c : s->view()) {
+      quoted += c == '\'' ? std::string("''") : std::string(1, c);
+    }
     return quoted + "'";
   }
   if (const double* d = std::get_if<double>(&value)) {
