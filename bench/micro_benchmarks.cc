@@ -443,6 +443,9 @@ constexpr std::size_t kLabelSliceRows = 256;
 struct LabelSweep {
   svm::SvmModel model;
   std::vector<Matrix> slices;
+  /// Each slice prepared for the sign filter, once, as a perceptual space
+  /// prepares its items.
+  std::vector<svm::LabelPoints> prepared;
 };
 
 const LabelSweep* MakeLabelSweep(std::size_t dims) {
@@ -455,7 +458,8 @@ const LabelSweep* MakeLabelSweep(std::size_t dims) {
   }
   svm::ClassifierOptions options;
   options.cost = 10.0;
-  auto* sweep = new LabelSweep{svm::TrainClassifier(gold, labels, options), {}};
+  auto* sweep =
+      new LabelSweep{svm::TrainClassifier(gold, labels, options), {}, {}};
   Matrix items(kSweepItems, dims);
   items.FillGaussian(rng, 0.0, 1.0);
   for (std::size_t lo = 0; lo < kSweepItems; lo += kLabelSliceRows) {
@@ -463,6 +467,7 @@ const LabelSweep* MakeLabelSweep(std::size_t dims) {
     for (std::size_t i = 0; i < slice.rows(); ++i) {
       std::copy_n(items.Row(lo + i).begin(), dims, slice.Row(i).begin());
     }
+    sweep->prepared.emplace_back(slice);
     sweep->slices.push_back(std::move(slice));
   }
   return sweep;
@@ -506,8 +511,9 @@ void BM_ExtractLabels(benchmark::State& state) {
       ServeShapeLabels(static_cast<std::size_t>(state.range(0)));
   const auto labels = std::make_unique<bool[]>(kLabelSliceRows);
   for (auto _ : state) {
-    for (const Matrix& slice : sweep.slices) {
-      sweep.model.LabelsInto(slice, StopCondition(),
+    for (std::size_t k = 0; k < sweep.slices.size(); ++k) {
+      const Matrix& slice = sweep.slices[k];
+      sweep.model.LabelsInto(slice, sweep.prepared[k], StopCondition(),
                              std::span(labels.get(), slice.rows()));
       benchmark::DoNotOptimize(labels.get());
       benchmark::ClobberMemory();

@@ -1,6 +1,7 @@
 #ifndef CCDB_COMMON_CSV_H_
 #define CCDB_COMMON_CSV_H_
 
+#include <charconv>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -40,6 +41,24 @@ class CsvWriter {
 [[nodiscard]]
 StatusOr<std::vector<std::string>> ParseCsvLine(
     const std::string& line, std::vector<bool>* quoted = nullptr);
+
+/// Reads a whole CSV field as a number of type T with std::from_chars: no
+/// blank before or after it, no hex, and one leading '+' allowed. Returns
+/// null on success, else why it failed: "malformed" when no number starts
+/// the field or text is left after it, "out of range" when the value is
+/// beyond T's range (for a floating type, also a non-zero value that would
+/// round to zero).
+template <typename T>
+const char* ReadNumberField(const std::string& field, T& out) {
+  const bool plus = !field.empty() && field[0] == '+';
+  if (plus && field.size() > 1 && field[1] == '-') return "malformed";
+  const char* first = field.data() + (plus ? 1 : 0);
+  const char* last = field.data() + field.size();
+  const auto [end, error] = std::from_chars(first, last, out);
+  if (error == std::errc::result_out_of_range) return "out of range";
+  if (error != std::errc() || end != last) return "malformed";
+  return nullptr;
+}
 
 }  // namespace ccdb
 

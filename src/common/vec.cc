@@ -9,11 +9,10 @@
 namespace ccdb {
 namespace {
 
-// Four double or eight float query lanes as GCC/Clang vector extensions.
-// Lanes never pass through a function boundary by value (only through
-// memcpy), so the portable build (no AVX) compiles under -Werror=psabi.
+// Four double query lanes as a GCC/Clang vector extension. Lanes never
+// pass through a function boundary by value (only through memcpy), so the
+// portable build (no AVX) compiles under -Werror=psabi.
 typedef double Lanes __attribute__((vector_size(32)));
-typedef float Octet __attribute__((vector_size(32)));
 
 // Raw-pointer cores of the hot kernels. Four independent accumulators per
 // loop break the additive dependency chain; with fused multiply-add
@@ -88,32 +87,27 @@ inline void DotQuadCore(const double* row, const double* xq, std::size_t n,
   }
 }
 
-// Three consecutive rows of n values against the same lanes of queries
-// (xq[c*kLanes + q] = x_q[c]; four doubles or eight floats, one 256-bit
-// vector either way): twelve accumulator chains, one per (row, stride
+// Three consecutive rows of n values against the same four queries
+// (xq[c*4 + q] = x_q[c]): twelve accumulator chains, one per (row, stride
 // slot), so two FMAs can issue per cycle against one chain's four-cycle
 // latency, where DotQuadCore's four chains allow one. Each (row, lane)
-// pair keeps DotQuadCore's chain and combine order, so for doubles
-// out[r*4 + q] is bit-identical to DotQuadCore on row r. Only the first
-// `rows` of the three results are stored: a remainder of one or two rows
-// passes the first row again in the missing places.
-template <typename V, typename T>
-inline void DotCore3(const T* r0, const T* r1, const T* r2, const T* xq,
-                     std::size_t n, T* out, std::size_t rows) {
-  constexpr std::size_t kLanes = sizeof(V) / sizeof(T);
-  V a00{}, a01{}, a02{}, a03{};
-  V a10{}, a11{}, a12{}, a13{};
-  V a20{}, a21{}, a22{}, a23{};
-  const auto load = [](V& lanes, const T* from) {
+// pair keeps DotQuadCore's chain and combine order, so out[r*4 + q] is
+// bit-identical to DotQuadCore on row r.
+inline void DotCore3(const double* r0, const double* r1, const double* r2,
+                     const double* xq, std::size_t n, double* out) {
+  Lanes a00{}, a01{}, a02{}, a03{};
+  Lanes a10{}, a11{}, a12{}, a13{};
+  Lanes a20{}, a21{}, a22{}, a23{};
+  const auto load = [](Lanes& lanes, const double* from) {
     std::memcpy(&lanes, from, sizeof(lanes));
   };
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    V x0{}, x1{}, x2{}, x3{};
-    load(x0, xq + i * kLanes);
-    load(x1, xq + (i + 1) * kLanes);
-    load(x2, xq + (i + 2) * kLanes);
-    load(x3, xq + (i + 3) * kLanes);
+    Lanes x0{}, x1{}, x2{}, x3{};
+    load(x0, xq + i * 4);
+    load(x1, xq + (i + 1) * 4);
+    load(x2, xq + (i + 2) * 4);
+    load(x3, xq + (i + 3) * 4);
     a00 += r0[i] * x0;
     a10 += r1[i] * x0;
     a20 += r2[i] * x0;
@@ -127,20 +121,20 @@ inline void DotCore3(const T* r0, const T* r1, const T* r2, const T* xq,
     a13 += r1[i + 3] * x3;
     a23 += r2[i + 3] * x3;
   }
-  V t0{}, t1{}, t2{};
+  Lanes t0{}, t1{}, t2{};
   for (; i < n; ++i) {
-    V x{};
-    load(x, xq + i * kLanes);
+    Lanes x{};
+    load(x, xq + i * 4);
     t0 += r0[i] * x;
     t1 += r1[i] * x;
     t2 += r2[i] * x;
   }
-  const V o0 = ((a00 + a01) + (a02 + a03)) + t0;
-  const V o1 = ((a10 + a11) + (a12 + a13)) + t1;
-  const V o2 = ((a20 + a21) + (a22 + a23)) + t2;
+  const Lanes o0 = ((a00 + a01) + (a02 + a03)) + t0;
+  const Lanes o1 = ((a10 + a11) + (a12 + a13)) + t1;
+  const Lanes o2 = ((a20 + a21) + (a22 + a23)) + t2;
   std::memcpy(out, &o0, sizeof(o0));
-  if (rows > 1) std::memcpy(out + kLanes, &o1, sizeof(o1));
-  if (rows > 2) std::memcpy(out + 2 * kLanes, &o2, sizeof(o2));
+  std::memcpy(out + 4, &o1, sizeof(o1));
+  std::memcpy(out + 8, &o2, sizeof(o2));
 }
 
 inline void SquaredDistanceQuadCore(const double* row, const double* xq,
@@ -339,26 +333,11 @@ void DotBatchQuad(std::span<const double> rows, std::size_t num_rows,
   const double* row = rows.data();
   std::size_t r = 0;
   for (; r + 3 <= num_rows; r += 3, row += 3 * cols) {
-    DotCore3<Lanes>(row, row + cols, row + 2 * cols, interleaved.data(),
-                    cols, out.data() + r * 4, 3);
+    DotCore3(row, row + cols, row + 2 * cols, interleaved.data(), cols,
+             out.data() + r * 4);
   }
   for (; r < num_rows; ++r, row += cols) {
     DotQuadCore(row, interleaved.data(), cols, out.data() + r * 4);
-  }
-}
-
-void DotBatchOctet(std::span<const float> rows, std::size_t num_rows,
-                   std::size_t cols, std::span<const float> interleaved,
-                   std::span<float> out) {
-  CCDB_CHECK_EQ(rows.size(), num_rows * cols);
-  CCDB_CHECK_EQ(interleaved.size(), 8 * cols);
-  CCDB_CHECK_EQ(out.size(), 8 * num_rows);
-  const float* row = rows.data();
-  for (std::size_t r = 0; r < num_rows; r += 3, row += 3 * cols) {
-    const std::size_t left = std::min<std::size_t>(3, num_rows - r);
-    DotCore3<Octet>(row, left > 1 ? row + cols : row,
-                    left > 2 ? row + 2 * cols : row, interleaved.data(), cols,
-                    out.data() + r * 8, left);
   }
 }
 

@@ -11,7 +11,7 @@ namespace ccdb {
 
 /// Dense vector kernels used throughout the factorization and SVM code.
 /// All functions operate on std::span<const double> (the sign filter's
-/// float32 primitives at the end on float) so they work on raw matrix rows
+/// float32 exp at the end on float) so they work on raw matrix rows
 /// without copies; sizes must match (checked).
 ///
 /// The hot kernels (Dot, SquaredDistance, SquaredNorm, Axpy and the batch
@@ -199,10 +199,11 @@ inline void ExpNonPositiveQuad(double (&lanes)[4]) {
 void ExpNonPositiveInPlace(std::span<double> x);
 
 // ------------------------------------------------------------------
-// Float32 primitives of the RBF sign filter (svm/kernel.cc): eight items
-// per 256-bit lane, twice the items per instruction of the 4-double cores.
-// Their values only decide signs that a rigorous error bound certifies;
-// no float value is ever returned as a decision value.
+// The float32 exp of the RBF sign filter (svm/kernel.cc), whose float
+// kernels hold eight items per 256-bit lane, twice the items per
+// instruction of the 4-double cores. Its values only decide signs that a
+// rigorous error bound certifies; no float value is ever returned as a
+// decision value.
 
 /// Largest relative error of ExpNonPositiveOctet against e^x on [−87, 0],
 /// 2^-22 (four float unit roundoffs); the sign filter's bound rests on it.
@@ -253,15 +254,6 @@ inline void ExpNonPositiveOctet(float (&lanes)[8]) {
     lanes[g] = p * std::bit_cast<float>(scale);
   }
 }
-
-/// out[r*8 + g] = rows_r · x_g in float, for eight queries packed
-/// lane-interleaved (interleaved[c*8 + g] = x_g[c], size 8·cols); `out`
-/// has size 8·num_rows. DotBatchQuad's three-row pass and twelve
-/// accumulator chains over 8-float lanes: the same instructions per
-/// column, for twice the queries.
-void DotBatchOctet(std::span<const float> rows, std::size_t num_rows,
-                   std::size_t cols, std::span<const float> interleaved,
-                   std::span<float> out);
 
 }  // namespace ccdb
 

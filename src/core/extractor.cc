@@ -69,18 +69,19 @@ bool BinaryAttributeExtractor::Train(const PerceptualSpace& space,
 std::vector<bool> BinaryAttributeExtractor::ExtractAll(
     const PerceptualSpace& space) const {
   // The default StopCondition never fires.
-  return *Labels(space.item_coords(), StopCondition());
+  return *ExtractAll(space, StopCondition());
 }
 
 std::optional<std::vector<bool>> BinaryAttributeExtractor::ExtractAll(
     const PerceptualSpace& space, const StopCondition& stop) const {
-  return Labels(space.item_coords(), stop);
+  return Labels(space.item_coords(), space.label_points(), stop);
 }
 
 std::optional<std::vector<bool>> BinaryAttributeExtractor::ExtractItems(
     const PerceptualSpace& space, const std::vector<std::uint32_t>& items,
     const StopCondition& stop) const {
-  return Labels(space.GatherRows(items), stop);
+  const Matrix rows = space.GatherRows(items);
+  return Labels(rows, svm::LabelPoints(rows), stop);
 }
 
 std::vector<double> BinaryAttributeExtractor::DecisionValues(
@@ -91,11 +92,13 @@ std::vector<double> BinaryAttributeExtractor::DecisionValues(
 }
 
 std::optional<std::vector<bool>> BinaryAttributeExtractor::Labels(
-    const Matrix& points, const StopCondition& stop) const {
+    const Matrix& points, const svm::LabelPoints& prepared,
+    const StopCondition& stop) const {
   // Each block writes its own bools; std::vector<bool>'s packed bits are
   // not separate memory locations for the parallel blocks.
   const auto flags = std::make_unique<bool[]>(points.rows());
-  if (!model_.LabelsInto(points, stop, std::span(flags.get(), points.rows()))) {
+  if (!model_.LabelsInto(points, prepared, stop,
+                         std::span(flags.get(), points.rows()))) {
     return std::nullopt;
   }
   return std::vector<bool>(flags.get(), flags.get() + points.rows());

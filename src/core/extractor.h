@@ -77,9 +77,10 @@ class BinaryAttributeExtractor {
 
  private:
   /// The three label calls' one path: f(x) ≥ 0 for every row of `points`
-  /// through the sign-filtered sweep (SvmModel::LabelsInto), or nullopt
-  /// when `stop` fired mid-sweep.
+  /// (prepared as `prepared`) through the sign-filtered sweep
+  /// (SvmModel::LabelsInto), or nullopt when `stop` fired mid-sweep.
   std::optional<std::vector<bool>> Labels(const Matrix& points,
+                                          const svm::LabelPoints& prepared,
                                           const StopCondition& stop) const;
 
   ExtractorOptions options_;

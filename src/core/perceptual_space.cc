@@ -47,13 +47,15 @@ PerceptualSpace PerceptualSpace::Build(const RatingDataset& ratings,
   const StatusOr<factorization::TrainingReport> trained =
       factorization::TrainSgd(options.trainer, ratings, model);
   CCDB_CHECK_MSG(trained.ok(), trained.status().ToString());
-  return PerceptualSpace(model.item_factors(), model.item_bias(),
+  return PerceptualSpace(std::move(model.mutable_item_factors()),
+                         std::move(model.mutable_item_bias()),
                          model.global_mean());
 }
 
 PerceptualSpace::PerceptualSpace(Matrix item_coords)
     : item_coords_(std::move(item_coords)),
-      coordinate_variance_(MeanCoordinateVariance(item_coords_)) {}
+      coordinate_variance_(MeanCoordinateVariance(item_coords_)),
+      label_points_(item_coords_) {}
 
 PerceptualSpace::PerceptualSpace(Matrix item_coords,
                                  std::vector<double> item_bias,
@@ -61,7 +63,8 @@ PerceptualSpace::PerceptualSpace(Matrix item_coords,
     : item_coords_(std::move(item_coords)),
       item_bias_(std::move(item_bias)),
       global_mean_(global_mean),
-      coordinate_variance_(MeanCoordinateVariance(item_coords_)) {
+      coordinate_variance_(MeanCoordinateVariance(item_coords_)),
+      label_points_(item_coords_) {
   CCDB_CHECK_EQ(item_bias_.size(), item_coords_.rows());
 }
 

@@ -12,6 +12,7 @@
 #include "eval/neighbors.h"
 #include "factorization/factor_model.h"
 #include "factorization/sgd_trainer.h"
+#include "svm/kernel.h"
 
 namespace ccdb::core {
 
@@ -33,7 +34,8 @@ struct PerceptualSpaceOptions {
 class PerceptualSpace {
  public:
   /// Builds the space by factorizing `ratings` (this is the "about 2 hours
-  /// on a notebook" step of Sec. 4.2, at our synthetic scale seconds).
+  /// on a notebook" step of Sec. 4.2, at our synthetic scale seconds). The
+  /// trained item factors and biases move into the space, uncopied.
   static PerceptualSpace Build(const RatingDataset& ratings,
                                const PerceptualSpaceOptions& options);
 
@@ -76,6 +78,10 @@ class PerceptualSpace {
   /// change, so a query pays nothing for it.
   double CoordinateVariance() const { return coordinate_variance_; }
 
+  /// Every item prepared for the sign filter (svm::LabelPoints), once, at
+  /// construction, so a whole-space extraction converts no coordinates.
+  const svm::LabelPoints& label_points() const { return label_points_; }
+
   /// Serializes the space to a binary file (magic + dims + coordinates +
   /// biases). Building a space from millions of ratings is the expensive
   /// step of the pipeline; persisting it lets a deployment build once and
@@ -94,6 +100,7 @@ class PerceptualSpace {
   std::vector<double> item_bias_;
   double global_mean_ = 0.0;
   double coordinate_variance_ = 0.0;
+  svm::LabelPoints label_points_;
 };
 
 }  // namespace ccdb::core

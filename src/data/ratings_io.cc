@@ -32,23 +32,6 @@ bool LooksNumeric(const std::string& field) {
   return true;
 }
 
-/// Reads all of a field that LooksNumeric accepted as a T, a leading '+'
-/// allowed. A score or day is rounded once, straight to float (through
-/// double, a few decimals land on the neighbouring float). Returns null
-/// on success, else why it failed: "malformed" when no digit starts the
-/// field or text is left after the number (a lone ".", or a fraction in
-/// an id), "out of range" when the value is beyond T's range (for a
-/// float, also a non-zero value below it).
-template <typename T>
-const char* ReadField(const std::string& field, T& out) {
-  const char* first = field.data() + (field[0] == '+' ? 1 : 0);
-  const char* last = field.data() + field.size();
-  const auto [end, error] = std::from_chars(first, last, out);
-  if (error == std::errc::result_out_of_range) return "out of range";
-  if (error != std::errc() || end != last) return "malformed";
-  return nullptr;
-}
-
 /// A score or day in the shortest fixed-notation text that reads back as
 /// the same float (LooksNumeric takes no exponent).
 std::string FloatField(float value) {
@@ -111,10 +94,10 @@ StatusOr<RatingDataset> LoadRatingsCsv(const std::string& path, Fs* fs) {
     long long raw_item = 0;
     long long raw_user = 0;
     Rating rating;
-    if (const char* why = ReadField(row[0], raw_item)) {
+    if (const char* why = ReadNumberField(row[0], raw_item)) {
       return bad_field("item id", why);
     }
-    if (const char* why = ReadField(row[1], raw_user)) {
+    if (const char* why = ReadNumberField(row[1], raw_user)) {
       return bad_field("user id", why);
     }
     if (raw_item < 0 || raw_user < 0) {
@@ -122,11 +105,13 @@ StatusOr<RatingDataset> LoadRatingsCsv(const std::string& path, Fs* fs) {
                                      std::to_string(line_number) +
                                      ": negative id");
     }
-    if (const char* why = ReadField(row[2], rating.score)) {
+    // A score or day is rounded once, straight to float (through double,
+    // a few decimals land on the neighbouring float).
+    if (const char* why = ReadNumberField(row[2], rating.score)) {
       return bad_field("score", why);
     }
     if (row.size() == 4) {
-      if (const char* why = ReadField(row[3], rating.day)) {
+      if (const char* why = ReadNumberField(row[3], rating.day)) {
         return bad_field("day", why);
       }
     }

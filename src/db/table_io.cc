@@ -1,9 +1,6 @@
 #include "db/table_io.h"
 
-#include <cerrno>
 #include <charconv>
-#include <cmath>
-#include <cstdlib>
 #include <optional>
 #include <sstream>
 
@@ -50,28 +47,18 @@ StatusOr<Value> ParseCell(const std::string& field, bool quoted,
       if (field == "false") return Value(false);
       return Status::InvalidArgument("bad bool cell: " + field);
     case ColumnType::kInt: {
-      char* end = nullptr;
-      errno = 0;
-      const long long parsed = std::strtoll(field.c_str(), &end, 10);
-      if (errno == ERANGE) {
-        return Status::InvalidArgument("int cell out of range: " + field);
+      std::int64_t parsed = 0;
+      if (const char* error = ReadNumberField(field, parsed)) {
+        return Status::InvalidArgument(std::string("int cell ") + error +
+                                       ": " + field);
       }
-      if (end == field.c_str() || *end != '\0') {
-        return Status::InvalidArgument("bad int cell: " + field);
-      }
-      return Value(static_cast<std::int64_t>(parsed));
+      return Value(parsed);
     }
     case ColumnType::kDouble: {
-      char* end = nullptr;
-      errno = 0;
-      const double parsed = std::strtod(field.c_str(), &end);
-      // ERANGE also flags a subnormal, which is read exactly; only a
-      // magnitude that became 0 or inf is out of range.
-      if (errno == ERANGE && (parsed == 0.0 || std::isinf(parsed))) {
-        return Status::InvalidArgument("double cell out of range: " + field);
-      }
-      if (end == field.c_str() || *end != '\0') {
-        return Status::InvalidArgument("bad double cell: " + field);
+      double parsed = 0.0;
+      if (const char* error = ReadNumberField(field, parsed)) {
+        return Status::InvalidArgument(std::string("double cell ") + error +
+                                       ": " + field);
       }
       return Value(parsed);
     }

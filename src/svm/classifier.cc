@@ -81,11 +81,13 @@ bool SvmModel::DecisionValuesInto(const Matrix& points,
                              coefficients_, rho_, points, stop, out);
 }
 
-bool SvmModel::LabelsInto(const Matrix& points, const StopCondition& stop,
+bool SvmModel::LabelsInto(const Matrix& points, const LabelPoints& prepared,
+                          const StopCondition& stop,
                           std::span<bool> out) const {
   CCDB_CHECK(trained());
   return EvalKernelExpansionLabels(kernel_, support_vectors_, sv_sq_norms_,
-                                   coefficients_, rho_, points, stop, out);
+                                   coefficients_, rho_, points, prepared,
+                                   stop, out);
 }
 
 SvmModel TrainClassifier(const Matrix& examples,

@@ -50,11 +50,12 @@ class SvmModel {
 
   /// Writes f(points_i) ≥ 0 into out[i]: the labels DecisionValuesInto's
   /// values give, bit for bit, through the float32 sign filter
-  /// (EvalKernelExpansionLabels) at about half the cost. Same blocks,
-  /// fan-out and stop probe; returns false when the stop fired — out
-  /// entries beyond the completed blocks are unspecified.
-  bool LabelsInto(const Matrix& points, const StopCondition& stop,
-                  std::span<bool> out) const;
+  /// (EvalKernelExpansionLabels) at a fraction of the cost. `prepared` is
+  /// LabelPoints(points), made once per point set. Same blocks, fan-out
+  /// and stop probe; returns false when the stop fired — out entries
+  /// beyond the completed blocks are unspecified.
+  bool LabelsInto(const Matrix& points, const LabelPoints& prepared,
+                  const StopCondition& stop, std::span<bool> out) const;
 
   std::size_t num_support_vectors() const { return support_vectors_.rows(); }
   /// coef_s per support vector: α_s·y_s for the C-SVC, β_s = α_s − α*_s for

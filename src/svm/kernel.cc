@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <optional>
 #include <vector>
 
@@ -91,18 +92,63 @@ void FinishGramQuad(double gamma, std::span<const double> row_sq_norms,
   ExpNonPositiveInPlace(quad);
 }
 
-/// The single-item value f(x) = Σ_s coefficients[s]·K(sv_s, x) − rho:
-/// one EvalKernelBatch row, then Dot. FoldQuadGroup reproduces it bit for
-/// bit. `kernel_row` is scratch of one entry per support vector.
-double RowValue(const KernelConfig& config, const Matrix& support_vectors,
-                std::span<const double> sv_sq_norms,
-                std::span<const double> coefficients, double rho,
-                std::span<const double> x, std::span<double> kernel_row) {
-  EvalKernelBatch(config, support_vectors.Data(), support_vectors.rows(),
-                  support_vectors.cols(), sv_sq_norms, x, SquaredNorm(x),
-                  kernel_row);
-  return Dot(coefficients, kernel_row) - rho;
-}
+/// The terms of f(x) = Σ_s coefficients[s]·K(sv_s, x) − rho, as
+/// EvalKernelExpansion takes them.
+struct Expansion {
+  const KernelConfig& config;
+  const Matrix& support_vectors;
+  std::span<const double> sv_sq_norms;
+  std::span<const double> coefficients;
+  double rho;
+};
+
+/// Exact values f(points_i) for the items of one block, with the block's
+/// scratch. Four items at a time share each support-vector row load (one
+/// DotBatchQuad sweep), then FoldQuadGroup finishes and folds their dots
+/// in one pass; one item at a time is one EvalKernelBatch row, then Dot.
+/// The quad lanes reproduce the single item's summation order exactly, so
+/// a value has the same bits either way.
+class ExactValues {
+ public:
+  ExactValues(const Expansion& f, const Matrix& points)
+      : f_(f),
+        points_(points),
+        interleaved_(4 * points.cols()),
+        quad_dots_(4 * f.support_vectors.rows()),
+        kernel_row_(f.support_vectors.rows()) {}
+
+  /// out4[g] = f(points_{items[g]}).
+  void Quad(const std::size_t (&items)[4], std::span<double> out4) {
+    const Matrix& svs = f_.support_vectors;
+    InterleaveQuad(points_.Row(items[0]), points_.Row(items[1]),
+                   points_.Row(items[2]), points_.Row(items[3]),
+                   interleaved_);
+    DotBatchQuad(svs.Data(), svs.rows(), svs.cols(), interleaved_,
+                 quad_dots_);
+    double x_sq_norms[4];
+    for (std::size_t g = 0; g < 4; ++g) {
+      x_sq_norms[g] = SquaredNorm(points_.Row(items[g]));
+    }
+    FoldQuadGroup(f_.config.gamma, quad_dots_, f_.sv_sq_norms, x_sq_norms,
+                  f_.coefficients, f_.rho, out4);
+  }
+
+  /// f(points_i).
+  double One(std::size_t i) {
+    const Matrix& svs = f_.support_vectors;
+    const auto x = points_.Row(i);
+    EvalKernelBatch(f_.config, svs.Data(), svs.rows(), svs.cols(),
+                    f_.sv_sq_norms, x, SquaredNorm(x), kernel_row_);
+    return Dot(f_.coefficients, kernel_row_) - f_.rho;
+  }
+
+ private:
+  Expansion f_;
+  const Matrix& points_;
+  std::vector<double> interleaved_;
+  std::vector<double> quad_dots_;
+  std::vector<double> kernel_row_;
+};
 
 /// Runs run_block(lo, hi) over the kExpansionBlockItems-item blocks of the
 /// points, on the shared pool when the sweep (items × support vectors ×
@@ -165,6 +211,12 @@ constexpr double kFilterMaxGamma = 0x1p64;
 constexpr std::size_t kFilterMaxDims = 4096;
 constexpr std::size_t kFilterMaxSvs = std::size_t{1} << 28;
 
+/// Items per group of the sign sweep and of LabelPoints' float image: two
+/// octets of 8-float (256-bit) lanes. It divides kExpansionBlockItems, so
+/// a block holds whole groups.
+constexpr std::size_t kGroupItems = 16;
+static_assert(kExpansionBlockItems % kGroupItems == 0);
+
 /// What a call of the sign sweep computes once: the float copy of the
 /// support vectors and of their squared norms, −γ in float, and the
 /// bound's A (bound_base) and B (bound_slope).
@@ -219,29 +271,108 @@ std::optional<SignFilter> MakeSignFilter(
   return filter;
 }
 
-/// One octet of the sign sweep in a single pass over its dots: for each
-/// support vector s, the eight items' float dots octet_dots[s*8 + g]
-/// become float kernel values (the norm trick in float, clamped at 0, and
-/// ExpNonPositiveOctet), which are folded in double into
-/// out8[g] = Σ_s coefficients[s]·K̃(sv_s, x_g) − rho.
-void FoldOctet(float neg_gamma, std::span<const float> octet_dots,
-               std::span<const float> sv_sq_norms,
-               const float (&x_sq_norms)[8],
+// Eight float item lanes as a GCC/Clang vector extension. Lanes never pass
+// through a function boundary by value (only through memcpy), so the
+// portable build (no AVX) compiles under -Werror=psabi.
+typedef float Octet __attribute__((vector_size(32)));
+
+/// Float dots of three support-vector rows of n values against one group
+/// of sixteen items (group[c*16 + g] = x_g[c]): out[r*16 + g] = row_r · x_g
+/// for the first `rows` of the three; a remainder of one or two rows
+/// passes the first row again in the missing places. Twelve accumulator
+/// chains, one per (row, octet, column slot), even columns in slot 0 and
+/// odd ones in slot 1: a pair of columns loads four octets and broadcasts
+/// six row values for twelve FMAs, five loads per six FMAs, where one
+/// octet per pass loads four per three.
+inline void DotGroupCore3(const float* r0, const float* r1, const float* r2,
+                          const float* group, std::size_t n, float* out,
+                          std::size_t rows) {
+  Octet a00{}, a01{}, a10{}, a11{}, a20{}, a21{};  // a<row><octet>, even c
+  Octet b00{}, b01{}, b10{}, b11{}, b20{}, b21{};  // b<row><octet>, odd c
+  const auto load = [group](Octet& lanes, std::size_t at) {
+    std::memcpy(&lanes, group + at, sizeof(lanes));
+  };
+  std::size_t c = 0;
+  for (; c + 2 <= n; c += 2) {
+    Octet x0{}, x1{}, y0{}, y1{};
+    load(x0, c * kGroupItems);
+    load(x1, c * kGroupItems + 8);
+    load(y0, (c + 1) * kGroupItems);
+    load(y1, (c + 1) * kGroupItems + 8);
+    a00 += r0[c] * x0;
+    a01 += r0[c] * x1;
+    a10 += r1[c] * x0;
+    a11 += r1[c] * x1;
+    a20 += r2[c] * x0;
+    a21 += r2[c] * x1;
+    b00 += r0[c + 1] * y0;
+    b01 += r0[c + 1] * y1;
+    b10 += r1[c + 1] * y0;
+    b11 += r1[c + 1] * y1;
+    b20 += r2[c + 1] * y0;
+    b21 += r2[c + 1] * y1;
+  }
+  if (c < n) {
+    Octet x0{}, x1{};
+    load(x0, c * kGroupItems);
+    load(x1, c * kGroupItems + 8);
+    a00 += r0[c] * x0;
+    a01 += r0[c] * x1;
+    a10 += r1[c] * x0;
+    a11 += r1[c] * x1;
+    a20 += r2[c] * x0;
+    a21 += r2[c] * x1;
+  }
+  const Octet sums[6] = {a00 + b00, a01 + b01, a10 + b10,
+                         a11 + b11, a20 + b20, a21 + b21};
+  std::memcpy(out, sums, rows * 2 * sizeof(Octet));
+}
+
+/// out[s*16 + g] = sv_s · x_g in float for every support vector of the
+/// filter against one group of sixteen items, three support vectors per
+/// DotGroupCore3 pass.
+void DotGroup(const SignFilter& filter, std::size_t dims, const float* group,
+              std::span<float> out) {
+  const std::size_t num_svs = filter.sv_sq_norms.size();
+  for (std::size_t s = 0; s < num_svs; s += 3) {
+    const float* row = filter.svs.data() + s * dims;
+    const std::size_t left = std::min<std::size_t>(3, num_svs - s);
+    DotGroupCore3(row, left > 1 ? row + dims : row,
+                  left > 2 ? row + 2 * dims : row, group, dims,
+                  out.data() + s * kGroupItems, left);
+  }
+}
+
+/// One group of the sign sweep in a single pass over its dots: for each
+/// support vector s, the sixteen float dots group_dots[s*16 + g] become
+/// float kernel values (the norm trick in float, clamped at 0, and one
+/// ExpNonPositiveOctet per octet), which are folded in double into
+/// out16[g] = Σ_s coefficients[s]·K̃(sv_s, x_g) − rho.
+void FoldGroup(const SignFilter& filter, std::span<const float> group_dots,
+               const float (&x_sq_norms)[kGroupItems],
                std::span<const double> coefficients, double rho,
-               double (&out8)[8]) {
-  double acc[8] = {};
+               double (&out16)[kGroupItems]) {
+  double acc[kGroupItems] = {};
   for (std::size_t s = 0; s < coefficients.size(); ++s) {
-    float k[8];
-    for (std::size_t g = 0; g < 8; ++g) {
-      k[g] = neg_gamma * std::max(0.0f, (sv_sq_norms[s] + x_sq_norms[g]) -
-                                            2.0f * octet_dots[s * 8 + g]);
+    const float* dots = group_dots.data() + s * kGroupItems;
+    float k[2][8];
+    for (std::size_t h = 0; h < 2; ++h) {
+      for (std::size_t g = 0; g < 8; ++g) {
+        k[h][g] = filter.neg_gamma *
+                  std::max(0.0f, (filter.sv_sq_norms[s] +
+                                  x_sq_norms[8 * h + g]) -
+                                     2.0f * dots[8 * h + g]);
+      }
     }
-    ExpNonPositiveOctet(k);
-    for (std::size_t g = 0; g < 8; ++g) {
-      acc[g] += coefficients[s] * static_cast<double>(k[g]);
+    ExpNonPositiveOctet(k[0]);
+    ExpNonPositiveOctet(k[1]);
+    for (std::size_t h = 0; h < 2; ++h) {
+      for (std::size_t g = 0; g < 8; ++g) {
+        acc[8 * h + g] += coefficients[s] * static_cast<double>(k[h][g]);
+      }
     }
   }
-  for (std::size_t g = 0; g < 8; ++g) out8[g] = acc[g] - rho;
+  for (std::size_t g = 0; g < kGroupItems; ++g) out16[g] = acc[g] - rho;
 }
 
 }  // namespace
@@ -354,34 +485,39 @@ bool EvalKernelExpansion(const KernelConfig& config,
   CCDB_CHECK_EQ(out.size(), points.rows());
   if (points.rows() > 0) CCDB_CHECK_EQ(points.cols(), dims);
 
-  const auto sv_data = support_vectors.Data();
-  // One block: items in groups of four share each support-vector row load
-  // (one DotBatchQuad sweep per group), then FoldQuadGroup finishes and
-  // folds the group's dots in one pass. The sub-four tail falls back to
-  // the single-item value — same bits, the quad lanes reproduce the
-  // scalar summation order exactly.
+  // One block: items in groups of four, then the sub-four tail one by one.
+  const Expansion f{config, support_vectors, sv_sq_norms, coefficients, rho};
   return SweepBlocks(points, num_svs, stop, [&](std::size_t lo,
                                                 std::size_t hi) {
-    std::vector<double> interleaved(4 * dims);
-    std::vector<double> quad_dots(4 * num_svs);
-    std::vector<double> kernel_row(num_svs);
+    ExactValues exact(f, points);
     std::size_t i = lo;
     for (; i + 4 <= hi; i += 4) {
-      InterleaveQuad(points.Row(i), points.Row(i + 1), points.Row(i + 2),
-                     points.Row(i + 3), interleaved);
-      DotBatchQuad(sv_data, num_svs, dims, interleaved, quad_dots);
-      double x_sq_norms[4];
-      for (std::size_t g = 0; g < 4; ++g) {
-        x_sq_norms[g] = SquaredNorm(points.Row(i + g));
-      }
-      FoldQuadGroup(config.gamma, quad_dots, sv_sq_norms, x_sq_norms,
-                    coefficients, rho, out.subspan(i, 4));
+      exact.Quad({i, i + 1, i + 2, i + 3}, out.subspan(i, 4));
     }
-    for (; i < hi; ++i) {
-      out[i] = RowValue(config, support_vectors, sv_sq_norms, coefficients,
-                        rho, points.Row(i), kernel_row);
-    }
+    for (; i < hi; ++i) out[i] = exact.One(i);
   });
+}
+
+// LabelPoints stores its points in groups of sixteen, back to back: group
+// k holds items 16k … 16k + 15 lane-interleaved, coords_[16k·cols + c·16 +
+// g] = x_{16k+g}[c], so one column of a group is two octets of lanes. An
+// item the filter skips (‖x‖² not finite or above 2^100) and the lanes
+// past the last item are zeros; sq_norms_ holds every item's ‖x‖².
+LabelPoints::LabelPoints(const Matrix& points)
+    : rows_(points.rows()),
+      cols_(points.cols()),
+      coords_((rows_ + kGroupItems - 1) / kGroupItems * kGroupItems * cols_),
+      sq_norms_(rows_) {
+  for (std::size_t i = 0; i < rows_; ++i) {
+    const auto x = points.Row(i);
+    sq_norms_[i] = SquaredNorm(x);
+    if (!(sq_norms_[i] <= kFilterMaxSqNorm)) continue;
+    float* lane = coords_.data() + (i - i % kGroupItems) * cols_ +
+                  i % kGroupItems;
+    for (std::size_t c = 0; c < cols_; ++c) {
+      lane[c * kGroupItems] = static_cast<float>(x[c]);
+    }
+  }
 }
 
 bool EvalKernelExpansionLabels(const KernelConfig& config,
@@ -389,6 +525,7 @@ bool EvalKernelExpansionLabels(const KernelConfig& config,
                                std::span<const double> sv_sq_norms,
                                std::span<const double> coefficients,
                                double rho, const Matrix& points,
+                               const LabelPoints& prepared,
                                const StopCondition& stop,
                                std::span<bool> out) {
   const std::size_t num_svs = support_vectors.rows();
@@ -396,8 +533,11 @@ bool EvalKernelExpansionLabels(const KernelConfig& config,
   CCDB_CHECK_EQ(coefficients.size(), num_svs);
   CCDB_CHECK_EQ(sv_sq_norms.size(), num_svs);
   CCDB_CHECK_EQ(out.size(), points.rows());
+  CCDB_CHECK_EQ(prepared.rows(), points.rows());
+  CCDB_CHECK_EQ(prepared.cols(), points.cols());
   if (points.rows() > 0) CCDB_CHECK_EQ(points.cols(), dims);
 
+  const Expansion f{config, support_vectors, sv_sq_norms, coefficients, rho};
   const std::optional<SignFilter> filter =
       MakeSignFilter(config, support_vectors, sv_sq_norms, coefficients);
   if (!filter.has_value()) {
@@ -409,45 +549,51 @@ bool EvalKernelExpansionLabels(const KernelConfig& config,
     for (std::size_t i = 0; i < values.size(); ++i) out[i] = values[i] >= 0.0;
     return true;
   }
-  // One block: octets of items, each converted to float lane-interleaved
-  // (an item the filter skips, and the lanes past a short last octet, are
-  // zeros), one DotBatchOctet sweep and one FoldOctet pass; then every
-  // item whose |f̃| clears its bound takes f̃'s sign, and the rest take
-  // the exact single-item value.
+  // One block: per group of sixteen prepared items, one DotGroup sweep and
+  // one FoldGroup pass, after which every item whose |f̃| clears its bound
+  // takes f̃'s sign; the block's other items then take exact values, four
+  // at a time.
+  const std::span<const float> coords = prepared.coords_;
+  const std::span<const double> x_sq_norms = prepared.sq_norms_;
   return SweepBlocks(points, num_svs, stop, [&](std::size_t lo,
                                                 std::size_t hi) {
-    std::vector<float> octet(8 * dims);
-    std::vector<float> octet_dots(8 * num_svs);
-    std::vector<double> kernel_row(num_svs);
-    for (std::size_t i = lo; i < hi; i += 8) {
-      const std::size_t width = std::min<std::size_t>(8, hi - i);
-      double x_sq_norms[8] = {};
-      float x_sq_norms_f[8] = {};
-      bool filtered[8] = {};
-      std::fill(octet.begin(), octet.end(), 0.0f);
+    std::vector<float> group_dots(kGroupItems * num_svs);
+    std::vector<std::size_t> undecided;
+    for (std::size_t i = lo; i < hi; i += kGroupItems) {
+      const std::size_t width = std::min(kGroupItems, hi - i);
+      DotGroup(*filter, dims, coords.data() + i * dims, group_dots);
+      float group_sq_norms[kGroupItems] = {};
       for (std::size_t g = 0; g < width; ++g) {
-        const auto x = points.Row(i + g);
-        x_sq_norms[g] = SquaredNorm(x);
-        filtered[g] = x_sq_norms[g] <= kFilterMaxSqNorm;
-        if (!filtered[g]) continue;
-        x_sq_norms_f[g] = static_cast<float>(x_sq_norms[g]);
-        for (std::size_t c = 0; c < dims; ++c) {
-          octet[c * 8 + g] = static_cast<float>(x[c]);
+        if (x_sq_norms[i + g] <= kFilterMaxSqNorm) {
+          group_sq_norms[g] = static_cast<float>(x_sq_norms[i + g]);
         }
       }
-      DotBatchOctet(filter->svs, num_svs, dims, octet, octet_dots);
-      double approx[8];
-      FoldOctet(filter->neg_gamma, octet_dots, filter->sv_sq_norms,
-                x_sq_norms_f, coefficients, rho, approx);
+      double approx[kGroupItems];
+      FoldGroup(*filter, group_dots, group_sq_norms, coefficients, rho,
+                approx);
       for (std::size_t g = 0; g < width; ++g) {
-        const double bound =
-            filter->bound_base + filter->bound_slope * x_sq_norms[g];
-        out[i + g] = filtered[g] && std::abs(approx[g]) > bound
-                         ? approx[g] > 0.0
-                         : RowValue(config, support_vectors, sv_sq_norms,
-                                    coefficients, rho, points.Row(i + g),
-                                    kernel_row) >= 0.0;
+        const double sq_norm = x_sq_norms[i + g];
+        if (sq_norm <= kFilterMaxSqNorm &&
+            std::abs(approx[g]) >
+                filter->bound_base + filter->bound_slope * sq_norm) {
+          out[i + g] = approx[g] > 0.0;
+        } else {
+          undecided.push_back(i + g);
+        }
       }
+    }
+    if (undecided.empty()) return;
+    ExactValues exact(f, points);
+    std::size_t u = 0;
+    for (; u + 4 <= undecided.size(); u += 4) {
+      const std::size_t items[4] = {undecided[u], undecided[u + 1],
+                                    undecided[u + 2], undecided[u + 3]};
+      double values[4];
+      exact.Quad(items, values);
+      for (std::size_t g = 0; g < 4; ++g) out[items[g]] = values[g] >= 0.0;
+    }
+    for (; u < undecided.size(); ++u) {
+      out[undecided[u]] = exact.One(undecided[u]) >= 0.0;
     }
   });
 }

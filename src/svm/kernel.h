@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "common/cancellation.h"
 #include "common/matrix.h"
@@ -82,18 +83,50 @@ bool EvalKernelExpansion(const KernelConfig& config,
                          const Matrix& points, const StopCondition& stop,
                          std::span<double> out);
 
+/// The input of the sign filter below, prepared once per point set: every
+/// point's coordinates in float and its ‖x‖² in double, in a layout
+/// private to svm/kernel.cc. It holds no pointer into the Matrix it was
+/// built from, so a copied or moved owner stays valid. A perceptual space
+/// prepares its items once (core::PerceptualSpace); a one-off batch
+/// prepares its rows per call.
+class LabelPoints {
+ public:
+  LabelPoints() = default;
+  explicit LabelPoints(const Matrix& points);
+
+  std::size_t rows() const { return rows_; }
+  std::size_t cols() const { return cols_; }
+
+ private:
+  friend bool EvalKernelExpansionLabels(const KernelConfig& config,
+                                        const Matrix& support_vectors,
+                                        std::span<const double> sv_sq_norms,
+                                        std::span<const double> coefficients,
+                                        double rho, const Matrix& points,
+                                        const LabelPoints& prepared,
+                                        const StopCondition& stop,
+                                        std::span<bool> out);
+
+  std::size_t rows_ = 0;
+  std::size_t cols_ = 0;
+  std::vector<float> coords_;
+  std::vector<double> sq_norms_;
+};
+
 /// The signs of that expansion: out[i] = (f(points_i) ≥ 0) for the f that
 /// EvalKernelExpansion computes, so the labels are the same bit for bit,
-/// at about half its cost. A float32 filter decides each sign: items go in
-/// octets, converted to float eight at a time, dotted against a float copy
-/// of the support vectors (DotBatchOctet), turned into kernel values by
-/// ExpNonPositiveOctet and folded in double into f̃. An item takes the
-/// sign of f̃ when |f̃| > E(x) = A + B·‖x‖², a rigorous bound on
-/// |f̃ − f| (DESIGN §9); otherwise, or when ‖x‖² is not finite or exceeds
-/// 2^100, it takes the exact single-item value. A model outside the
-/// bound's limits (‖sv‖² above 2^100, γ outside [0, 2^64], more than 4,096
-/// dims or 2^28 support vectors, Σ|coef| not finite or above 2^1000) takes
-/// the exact sweep for every item. Blocks, fan-out and the stop probe are
+/// at a fraction of its cost. `prepared` must be LabelPoints(points)
+/// (its shape is checked); the exact path reads `points`. A float32
+/// filter decides each sign: items go sixteen at a time, their prepared
+/// float coordinates dotted against a float copy of the support vectors,
+/// turned into kernel values by ExpNonPositiveOctet and folded in double
+/// into f̃. An item takes the sign of f̃ when |f̃| > E(x) = A + B·‖x‖², a
+/// rigorous bound on |f̃ − f| (DESIGN §9); otherwise, or when ‖x‖² is not
+/// finite or exceeds 2^100, it takes the exact value, four such items of a
+/// block at a time. A model outside the bound's limits (‖sv‖² above
+/// 2^100, γ outside [0, 2^64], more than 4,096 dims or 2^28 support
+/// vectors, Σ|coef| not finite or above 2^1000) takes the exact sweep for
+/// every item. Blocks, fan-out and the stop probe are
 /// EvalKernelExpansion's; returns false when `stop` fired, and entries of
 /// `out` beyond the blocks completed by then are unspecified.
 bool EvalKernelExpansionLabels(const KernelConfig& config,
@@ -101,6 +134,7 @@ bool EvalKernelExpansionLabels(const KernelConfig& config,
                                std::span<const double> sv_sq_norms,
                                std::span<const double> coefficients,
                                double rho, const Matrix& points,
+                               const LabelPoints& prepared,
                                const StopCondition& stop,
                                std::span<bool> out);
 

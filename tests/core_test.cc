@@ -5,7 +5,9 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <numeric>
+#include <span>
 #include <string>
 
 #include "common/cancellation.h"
@@ -36,15 +38,18 @@ using data::TinyConfig;
 // (SGD on the tiny world takes ~1s; doing it once keeps the suite fast).
 class PerceptualSpaceFixture : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() {
-    world_ = new SyntheticWorld(TinyConfig());
-    const RatingDataset ratings = world_->SampleRatings();
+  static PerceptualSpaceOptions Options() {
     PerceptualSpaceOptions options;
     options.model.dims = 24;
     options.model.lambda = 0.02;
     options.trainer.max_epochs = 25;
     options.trainer.learning_rate = 0.02;
-    space_ = new PerceptualSpace(PerceptualSpace::Build(ratings, options));
+    return options;
+  }
+  static void SetUpTestSuite() {
+    world_ = new SyntheticWorld(TinyConfig());
+    const RatingDataset ratings = world_->SampleRatings();
+    space_ = new PerceptualSpace(PerceptualSpace::Build(ratings, Options()));
   }
   static void TearDownTestSuite() {
     delete space_;
@@ -305,6 +310,27 @@ TEST_F(PerceptualSpaceFixture, SaveLoadRoundTrip) {
   }
 }
 
+TEST_F(PerceptualSpaceFixture, BuildHoldsTheTrainedFactorsBitForBit) {
+  // Build moves the trained factors and biases into the space; they are
+  // those of the same training run outside it, bit for bit.
+  const RatingDataset ratings = world_->SampleRatings();
+  const PerceptualSpaceOptions options = Options();
+  factorization::FactorModel model(options.model, ratings);
+  ASSERT_TRUE(factorization::TrainSgd(options.trainer, ratings, model).ok());
+  ASSERT_EQ(space_->num_items(), model.num_items());
+  ASSERT_EQ(space_->dims(), model.dims());
+  const auto coords = space_->item_coords().Data();
+  const auto factors = model.item_factors().Data();
+  for (std::size_t k = 0; k < coords.size(); ++k) {
+    ASSERT_EQ(Bits(coords[k]), Bits(factors[k])) << "coordinate " << k;
+  }
+  for (std::uint32_t m = 0; m < space_->num_items(); ++m) {
+    ASSERT_EQ(Bits(space_->BiasOf(m)), Bits(model.item_bias()[m]))
+        << "item " << m;
+  }
+  EXPECT_EQ(Bits(space_->global_mean()), Bits(model.global_mean()));
+}
+
 TEST(PerceptualSpaceIo, LoadRejectsGarbage) {
   const std::string path = ::testing::TempDir() + "/garbage.bin";
   std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -384,6 +410,53 @@ std::pair<std::vector<std::uint32_t>, std::vector<bool>> BalancedSample(
   std::vector<bool> labels(items.size());
   for (std::size_t i = 0; i < items.size(); ++i) labels[i] = i < n;
   return {items, labels};
+}
+
+TEST_F(PerceptualSpaceFixture, StoredLabelPointsLabelAsFreshlyPreparedOnes) {
+  // The label points a space prepares at construction give the labels
+  // that points prepared from the same coordinates give, and those are
+  // the exact values' signs: for the built space (the three-argument
+  // constructor), the coordinates-only constructor, a copy and a moved
+  // space, and each of the first two after a save/load round trip.
+  const auto [items, labels] = BalancedSample(*world_, 0, 25, 43);
+  BinaryAttributeExtractor extractor;
+  ASSERT_TRUE(extractor.Train(*space_, items, labels));
+  const svm::SvmModel& model = extractor.model();
+  const auto check = [&](const PerceptualSpace& space,
+                         const std::string& what) {
+    SCOPED_TRACE(what);
+    const Matrix& coords = space.item_coords();
+    const std::size_t n = coords.rows();
+    ASSERT_EQ(space.label_points().rows(), n);
+    ASSERT_EQ(space.label_points().cols(), coords.cols());
+    const auto stored = std::make_unique<bool[]>(n);
+    const auto fresh = std::make_unique<bool[]>(n);
+    ASSERT_TRUE(model.LabelsInto(coords, space.label_points(),
+                                 StopCondition(), std::span(stored.get(), n)));
+    ASSERT_TRUE(model.LabelsInto(coords, svm::LabelPoints(coords),
+                                 StopCondition(), std::span(fresh.get(), n)));
+    std::vector<double> values(n);
+    ASSERT_TRUE(model.DecisionValuesInto(coords, StopCondition(), values));
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(stored[i], fresh[i]) << "item " << i;
+      ASSERT_EQ(stored[i], values[i] >= 0.0) << "item " << i;
+    }
+  };
+  const PerceptualSpace bare{Matrix(space_->item_coords())};
+  check(*space_, "built");
+  check(bare, "coordinates only");
+  PerceptualSpace copy = *space_;
+  check(copy, "copy");
+  const PerceptualSpace moved = std::move(copy);
+  check(moved, "moved");
+  const std::string path = ::testing::TempDir() + "/space_label_points.bin";
+  const PerceptualSpace* const spaces[] = {space_, &bare};
+  for (const PerceptualSpace* space : spaces) {
+    ASSERT_TRUE(space->SaveToFile(path).ok());
+    const auto loaded = PerceptualSpace::LoadFromFile(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    check(loaded.value(), space == space_ ? "built, loaded" : "bare, loaded");
+  }
 }
 
 TEST_F(PerceptualSpaceFixture, BinaryExtractorBeatsChance) {

@@ -285,7 +285,7 @@ TEST(TableTest, NonFiniteDoubleCellsAreRejectedAtEveryEntryPoint) {
               StatusCode::kInvalidArgument);
     EXPECT_EQ(ToString(table.Get(2, 2)), "7.2");
     {
-      std::ofstream out(path);  // strtod reads "nan", "inf" and "-inf"
+      std::ofstream out(path);  // from_chars reads "nan", "inf" and "-inf"
       out << "score:DOUBLE\n1.5\n" << ToString(Value(x)) << "\n";
     }
     EXPECT_EQ(LoadTableCsv(path, "t").status().code(),
@@ -435,6 +435,43 @@ TEST(TableIoTest, LoadRejectsCorruptCells) {
   }
   EXPECT_EQ(LoadTableCsv(path, "t").status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(TableIoTest, LoadReadsNumberCellsWhole) {
+  // A number is the whole field: a blank on either side and hex text are
+  // malformed, where strtoll and strtod once read " 5" as 5, " 2.5" as 2.5
+  // and "0x1p3" as 8. One leading '+' is accepted, as LoadRatingsCsv does.
+  const std::string path = ::testing::TempDir() + "/whole_cells.csv";
+  const auto load = [&](const std::string& header, const std::string& field) {
+    {
+      std::ofstream out(path);
+      out << header << "\n1\n" << field << "\n";
+    }
+    return LoadTableCsv(path, "t");
+  };
+  const std::pair<std::string, std::string> rejected[] = {
+      {"n:INT", " 5"},       {"n:INT", "5 "},       {"n:INT", "+-5"},
+      {"n:INT", "0x10"},     {"x:DOUBLE", " 2.5"},  {"x:DOUBLE", "2.5 "},
+      {"x:DOUBLE", "0x1p3"}, {"x:DOUBLE", "+-2.5"}, {"x:DOUBLE", "+"}};
+  for (const auto& [header, field] : rejected) {
+    SCOPED_TRACE(header + " '" + field + "'");
+    EXPECT_EQ(load(header, field).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  for (const std::string field : {"1e999", "1e-400"}) {
+    const StatusOr<Table> loaded = load("x:DOUBLE", field);
+    ASSERT_FALSE(loaded.ok()) << field;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().message().find("out of range"),
+              std::string::npos)
+        << loaded.status().message();
+  }
+  const StatusOr<Table> plus_int = load("n:INT", "+5");
+  ASSERT_TRUE(plus_int.ok()) << plus_int.status().ToString();
+  EXPECT_EQ(plus_int.value().Get(1, 0), Value(std::int64_t{5}));
+  const StatusOr<Table> plus_double = load("x:DOUBLE", "+2.5");
+  ASSERT_TRUE(plus_double.ok()) << plus_double.status().ToString();
+  EXPECT_EQ(plus_double.value().Get(1, 0), Value(2.5));
 }
 
 TEST(TableIoTest, LoadRejectsOversizedLines) {

@@ -544,11 +544,13 @@ TEST(SvmClassifierTest, LabelsIntoHonorsCancellation) {
 
   const auto labels = std::make_unique<bool[]>(600);
   const std::span<bool> out(labels.get(), 600);
+  const LabelPoints prepared(x);
   CancellationSource source;
   source.Cancel();
-  EXPECT_FALSE(model.LabelsInto(x, StopCondition(source.token()), out));
+  EXPECT_FALSE(
+      model.LabelsInto(x, prepared, StopCondition(source.token()), out));
   // An unarmed stop completes with the exact path's signs.
-  ASSERT_TRUE(model.LabelsInto(x, StopCondition(), out));
+  ASSERT_TRUE(model.LabelsInto(x, prepared, StopCondition(), out));
   const std::vector<double> values = Values(model, x);
   for (std::size_t i = 0; i < 600; ++i) {
     EXPECT_EQ(out[i], values[i] >= 0.0) << "item " << i;
@@ -559,7 +561,7 @@ TEST(SvmClassifierTest, LabelsIntoHonorsCancellation) {
 void ExpectExactSigns(const SvmModel& model, const Matrix& points) {
   const std::vector<double> values = Values(model, points);
   const auto labels = std::make_unique<bool[]>(points.rows());
-  ASSERT_TRUE(model.LabelsInto(points, StopCondition(),
+  ASSERT_TRUE(model.LabelsInto(points, LabelPoints(points), StopCondition(),
                                std::span(labels.get(), points.rows())));
   for (std::size_t i = 0; i < points.rows(); ++i) {
     EXPECT_EQ(labels[i], values[i] >= 0.0)
