@@ -69,8 +69,9 @@ core::PerceptualSpace BuildOrLoadSpace(
       std::printf("[space] loaded cached %s\n", cache_path.string().c_str());
       return std::move(cached).value();
     }
-    // A truncated/corrupt/stale-format cache fails the length+CRC check in
-    // LoadFromFile; fall back to recomputing (and overwriting) it.
+    // LoadFromFile refuses a stale-format cache by its magic and a
+    // truncated or corrupt one by its CRC or its size checks; fall back to
+    // recomputing (and overwriting) it.
     if (cached.status().code() != StatusCode::kNotFound) {
       std::printf("[space] cache rejected (%s), rebuilding\n",
                   cached.status().ToString().c_str());
@@ -102,8 +103,7 @@ core::PerceptualSpace BuildOrLoadSpace(
 MovieContext MakeMovieContext(bool need_space) {
   const double scale = EnvDouble("CCDB_SCALE", 1.0);
   data::SyntheticWorld world(data::MoviesConfig(scale));
-  data::ExpertSources sources =
-      data::SimulateExpertSources(world, data::ExpertSourcesConfig{});
+  data::ExpertSources sources = data::SimulateExpertSources(world);
   if (!need_space) {
     return {std::move(world), std::move(sources),
             core::PerceptualSpace(Matrix())};

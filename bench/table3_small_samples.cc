@@ -41,7 +41,7 @@ int main() {
   // space's different geometry under that shared config is what produces
   // the degenerate, high-variance results of the paper's M columns.
   std::printf("[lsi] building metadata space…\n");
-  const auto documents = data::GenerateMetadata(world, data::MetadataConfig{});
+  const auto documents = data::GenerateMetadata(world);
   lsi::LsiOptions lsi_options;
   lsi_options.dims = perceptual.dims();
   lsi_options.normalize_documents = false;

@@ -96,7 +96,7 @@ int main() {
   // spaces (see table3_small_samples.cc for the rationale). The checker's
   // smoothing (gamma_scale 0.3) is applied on top of the shared width.
   std::printf("[lsi] building metadata space…\n");
-  const auto documents = data::GenerateMetadata(world, data::MetadataConfig{});
+  const auto documents = data::GenerateMetadata(world);
   lsi::LsiOptions lsi_options;
   lsi_options.dims = perceptual.dims();
   lsi_options.normalize_documents = false;

@@ -9,9 +9,14 @@
 # Database::Execute (examples/movie_query, and examples/crowd_shell reading
 # the statements in scripts/crowd_shell_session.txt) and the library path
 # (examples/quickstart, cross_domain and data_cleaning: ExtractAll,
-# RunCrowdTask and the response-quality checker). It masks the wall-clock
-# fields and diffs the two sides. The masked fields are:
+# RunCrowdTask and the response-quality checker). Last comes the cached
+# pass: table2_nearest_neighbors runs twice more in a fresh directory with
+# the space cache on, so the first run builds and saves its perceptual
+# space and the second loads it; the check fails unless the second run
+# printed "[space] loaded cached". It masks the wall-clock fields and the
+# cache path and diffs the two sides. The masked fields are:
 #   - "[space] built in <t>s" (every bench);
+#   - the path in "[space] loaded cached <path>" (the cached pass);
 #   - the seconds columns of ablation_space, ablation_temporal and
 #     ablation_tsvm, and ablation_tsvm's "Slowdown factor";
 #   - ablation_durability's timing tables (mean ms, overhead) and its
@@ -37,6 +42,7 @@ BENCHES=(
   ablation_space ablation_temporal ablation_tsvm
 )
 EXAMPLES=(movie_query crowd_shell quickstart cross_domain data_cleaning)
+CACHED_BENCH=table2_nearest_neighbors
 SHELL_SESSION="$(pwd)/scripts/crowd_shell_session.txt"
 
 WORK="$(mktemp -d)"
@@ -71,6 +77,14 @@ run_benches() {  # <build dir> <side>
       "$1/examples/${example}" < "${input}" 2>&1) ||
       echo "=== ${example} exited $?"
   done
+  local cached="${WORK}/cached_$2"
+  mkdir -p "${cached}/tmp"
+  for pass in save load; do
+    echo "=== ${CACHED_BENCH} cache-${pass}"
+    (cd "${cached}" && TMPDIR="${cached}/tmp" CCDB_SCALE=0.1 \
+      "$1/bench/${CACHED_BENCH}" 2>&1) ||
+      echo "=== ${CACHED_BENCH} cache-${pass} exited $?"
+  done
 }
 
 mask() {
@@ -83,6 +97,8 @@ for line in sys.stdin:
     if line.startswith("=== "):
         bench = line.split()[1]
     line = re.sub(r"\[space\] built in [0-9.]+s", "[space] built in <t>s", line)
+    line = re.sub(r"\[space\] loaded cached \S+", "[space] loaded cached <path>",
+                  line)
     if bench in ("ablation_space", "ablation_temporal"):
         line = re.sub(r"\| [0-9]+\.[0-9]+s ", "| <t>s ", line)
     elif bench == "ablation_tsvm":
@@ -113,6 +129,14 @@ echo "running the benches on ${BASE_REF}" >&2
 run_benches "${WORK}/base/build" base | mask > "${OUT_DIR}/base.txt"
 echo "running the benches on the checkout" >&2
 run_benches "$(pwd)/build-same-outputs" head | mask > "${OUT_DIR}/head.txt"
+
+for side in base head; do
+  if ! sed -n "/^=== ${CACHED_BENCH} cache-load\$/,\$p" "${OUT_DIR}/${side}.txt" |
+      grep -q '^\[space\] loaded cached'; then
+    echo "${side}: the cached pass did not load its saved space" >&2
+    exit 1
+  fi
+done
 
 if diff -u "${OUT_DIR}/base.txt" "${OUT_DIR}/head.txt" > "${OUT_DIR}/diff.txt"; then
   echo "same outputs as ${BASE_REF} ($(wc -l < "${OUT_DIR}/head.txt") lines)"

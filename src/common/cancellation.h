@@ -81,12 +81,6 @@ class StopCondition {
   const CancellationToken& token() const { return token_; }
   const Deadline& deadline() const { return deadline_; }
 
-  /// This condition with a (possibly) earlier deadline — how a request
-  /// budget is narrowed for one pipeline stage.
-  StopCondition WithDeadline(Deadline deadline) const {
-    return StopCondition(token_, Deadline::Earlier(deadline_, deadline));
-  }
-
  private:
   CancellationToken token_;
   Deadline deadline_;

@@ -188,7 +188,7 @@ StatusOr<JournalContents> ScanRecords(const std::string& bytes,
 }  // namespace
 
 StatusOr<JournalContents> ReadJournal(const std::string& path, Fs* fs) {
-  StatusOr<std::string> bytes = ReadFileToString(path, fs);
+  StatusOr<std::string> bytes = ResolveFs(fs).ReadFile(path);
   if (!bytes.ok()) return bytes.status();
   return ScanRecords(bytes.value(), path);
 }
@@ -317,15 +317,37 @@ Status JournalWriter::Close() {
   return status;
 }
 
-// ----------------------------------------------------------- file helpers
+// -------------------------------------------------------------- envelope
 
-Status AtomicWriteFile(const std::string& path, std::string_view bytes,
-                       Fs* fs) {
-  return ResolveFs(fs).WriteFileAtomic(path, bytes);
+namespace {
+
+constexpr std::size_t kEnvelopeHeaderBytes = 8 + 4;  // magic + u32 crc
+
+}  // namespace
+
+std::string SealEnvelope(const char (&magic)[8], std::string_view payload) {
+  std::string file(magic, sizeof(magic));
+  file.reserve(kEnvelopeHeaderBytes + payload.size());
+  PutLe32(file, Crc32(payload));
+  file.append(payload.data(), payload.size());
+  return file;
 }
 
-StatusOr<std::string> ReadFileToString(const std::string& path, Fs* fs) {
-  return ResolveFs(fs).ReadFile(path);
+StatusOr<std::string_view> OpenEnvelope(const char (&magic)[8],
+                                        std::string_view file,
+                                        const std::string& path) {
+  const std::string_view format(magic, sizeof(magic));
+  if (file.size() < kEnvelopeHeaderBytes ||
+      file.substr(0, sizeof(magic)) != format) {
+    return Status::InvalidArgument("not a " + std::string(format) +
+                                   " file: " + path);
+  }
+  const std::string_view payload = file.substr(kEnvelopeHeaderBytes);
+  if (GetLe32(file.data() + sizeof(magic)) != Crc32(payload)) {
+    return Status::InvalidArgument("corrupt " + std::string(format) +
+                                   " file (CRC mismatch): " + path);
+  }
+  return payload;
 }
 
 }  // namespace ccdb

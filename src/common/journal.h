@@ -13,8 +13,8 @@
 namespace ccdb {
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected) of `bytes`. Used to checksum
-/// journal record payloads so torn or bit-rotted records are detected on
-/// recovery.
+/// journal record payloads and sealed single-file payloads (SealEnvelope)
+/// so torn or bit-rotted bytes are detected on recovery.
 std::uint32_t Crc32(std::string_view bytes);
 
 /// FNV-1a 64-bit hash. Journals fingerprint their run's inputs with it so
@@ -56,7 +56,8 @@ class ByteWriter {
 
 /// Cursor over a ByteWriter-produced payload. Reads past the end flip
 /// ok() to false and return zeros; callers check ok() once at the end
-/// instead of after every field.
+/// instead of after every field. A decoder checks every count it reads
+/// against remaining() before it allocates anything for that count.
 class ByteReader {
  public:
   explicit ByteReader(std::string_view bytes) : bytes_(bytes) {}
@@ -71,6 +72,8 @@ class ByteReader {
   bool ok() const { return ok_; }
   /// True when every byte was consumed (and no read overran).
   bool AtEnd() const { return ok_ && pos_ == bytes_.size(); }
+  /// Bytes not read yet (0 once a read overran).
+  std::size_t remaining() const { return ok_ ? bytes_.size() - pos_ : 0; }
 
  private:
   const void* Take(std::size_t n);
@@ -145,19 +148,19 @@ class JournalWriter {
   std::uint64_t appended_records_ = 0;
 };
 
-/// Atomically replaces `path` with `bytes`: writes `path + ".tmp"`,
-/// fsyncs, rename()s over the target, then fsyncs the parent directory —
-/// readers see either the old or the new complete file, never a torn
-/// one, and the publish survives a crash. On failure the `.tmp` is
-/// removed and the original error returned. Used for manifest and
-/// model-checkpoint snapshots. Thin wrapper over Fs::WriteFileAtomic.
-[[nodiscard]]
-Status AtomicWriteFile(const std::string& path, std::string_view bytes,
-                       Fs* fs = nullptr);
+/// Single-file state (a trainer snapshot, a saved perceptual space) is one
+/// envelope: the format's 8-byte magic, the little-endian CRC-32 of the
+/// payload, then the payload. The magic names the format and its version,
+/// so a file of another format or an older version is refused up front;
+/// the CRC catches a truncated or bit-rotted payload. Callers publish the
+/// sealed bytes with Fs::WriteFileAtomic.
+std::string SealEnvelope(const char (&magic)[8], std::string_view payload);
 
-/// Reads a whole file into a string (NotFound when absent).
-[[nodiscard]] StatusOr<std::string> ReadFileToString(const std::string& path,
-                                                     Fs* fs = nullptr);
+/// The payload of a SealEnvelope file (a view into `file`), or
+/// InvalidArgument naming `path` when `file` is shorter than the envelope,
+/// carries another magic or fails its CRC.
+[[nodiscard]] StatusOr<std::string_view> OpenEnvelope(
+    const char (&magic)[8], std::string_view file, const std::string& path);
 
 }  // namespace ccdb
 

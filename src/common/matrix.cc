@@ -10,10 +10,6 @@ void Matrix::FillGaussian(Rng& rng, double mean, double stddev) {
   for (double& v : data_) v = rng.Gaussian(mean, stddev);
 }
 
-void Matrix::FillUniform(Rng& rng, double lo, double hi) {
-  for (double& v : data_) v = rng.Uniform(lo, hi);
-}
-
 Matrix Matrix::Multiply(const Matrix& other) const {
   CCDB_CHECK_EQ(cols_, other.rows_);
   Matrix result(rows_, other.cols_);
@@ -51,12 +47,6 @@ Matrix Matrix::Transposed() const {
   for (std::size_t i = 0; i < rows_; ++i)
     for (std::size_t j = 0; j < cols_; ++j) result(j, i) = (*this)(i, j);
   return result;
-}
-
-double Matrix::FrobeniusNorm() const {
-  double acc = 0.0;
-  for (double v : data_) acc += v * v;
-  return std::sqrt(acc);
 }
 
 void OrthonormalizeColumns(Matrix& m) {

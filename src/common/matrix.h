@@ -68,9 +68,6 @@ class Matrix {
   /// Fills every entry with i.i.d. Gaussian(mean, stddev) draws.
   void FillGaussian(Rng& rng, double mean, double stddev);
 
-  /// Fills every entry with i.i.d. Uniform[lo, hi) draws.
-  void FillUniform(Rng& rng, double lo, double hi);
-
   /// Returns this * other (naive triple loop with blocking on k).
   Matrix Multiply(const Matrix& other) const;
 
@@ -79,9 +76,6 @@ class Matrix {
 
   /// Returns the transpose.
   Matrix Transposed() const;
-
-  /// Frobenius norm.
-  double FrobeniusNorm() const;
 
  private:
   std::size_t rows_;

@@ -17,7 +17,6 @@ enum class StatusCode {
   kNotFound,
   kFailedPrecondition,
   kOutOfRange,
-  kUnimplemented,
   kInternal,
   kCancelled,
   kDeadlineExceeded,
@@ -50,9 +49,6 @@ class [[nodiscard]] Status {
   }
   [[nodiscard]] static Status OutOfRange(std::string m) {
     return Status(StatusCode::kOutOfRange, std::move(m));
-  }
-  [[nodiscard]] static Status Unimplemented(std::string m) {
-    return Status(StatusCode::kUnimplemented, std::move(m));
   }
   [[nodiscard]] static Status Internal(std::string m) {
     return Status(StatusCode::kInternal, std::move(m));
@@ -88,7 +84,6 @@ class [[nodiscard]] Status {
       case StatusCode::kNotFound: return "NOT_FOUND";
       case StatusCode::kFailedPrecondition: return "FAILED_PRECONDITION";
       case StatusCode::kOutOfRange: return "OUT_OF_RANGE";
-      case StatusCode::kUnimplemented: return "UNIMPLEMENTED";
       case StatusCode::kInternal: return "INTERNAL";
       case StatusCode::kCancelled: return "CANCELLED";
       case StatusCode::kDeadlineExceeded: return "DEADLINE_EXCEEDED";

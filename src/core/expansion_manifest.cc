@@ -153,7 +153,7 @@ StatusOr<ExpansionCheckpoint> DecodeExpansionCheckpoint(
   checkpoint.dollars_spent = r.GetF64();
   checkpoint.training_size = r.GetU64();
   const std::uint64_t num_votes = r.GetU64();
-  if (!r.ok() || num_votes > bytes.size()) {
+  if (!r.ok() || num_votes > r.remaining()) {
     return Status::InvalidArgument("truncated checkpoint record");
   }
   checkpoint.crowd_classification.reserve(num_votes);
@@ -167,7 +167,7 @@ StatusOr<ExpansionCheckpoint> DecodeExpansionCheckpoint(
     }
   }
   const std::uint64_t num_extracted = r.GetU64();
-  if (!r.ok() || num_extracted > bytes.size()) {
+  if (!r.ok() || num_extracted > r.remaining()) {
     return Status::InvalidArgument("truncated checkpoint record");
   }
   checkpoint.extracted.reserve(num_extracted);

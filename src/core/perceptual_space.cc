@@ -1,6 +1,5 @@
 #include "core/perceptual_space.h"
 
-#include <cstring>
 #include <string_view>
 
 #include "common/check.h"
@@ -96,118 +95,58 @@ Matrix PerceptualSpace::GatherRows(
 
 namespace {
 
-// Format v02: [magic][payload][u32 crc32(payload)][u64 payload_len]. The
-// trailer detects truncated or bit-rotted files (a torn cache previously
-// deserialized garbage coordinates); the atomic write means readers never
-// observe a half-written file. v01 files (no trailer) fail validation and
-// are silently rebuilt by the bench cache.
-constexpr char kMagic[8] = {'C', 'C', 'D', 'B', 'P', 'S', '0', '2'};
-constexpr std::size_t kTrailerBytes = sizeof(std::uint32_t) +
-                                      sizeof(std::uint64_t);
-
-void AppendRaw(std::string& out, const void* data, std::size_t bytes) {
-  out.append(static_cast<const char*>(data), bytes);
-}
-
-template <typename T>
-void AppendValue(std::string& out, T value) {
-  AppendRaw(out, &value, sizeof(value));
-}
-
-template <typename T>
-bool ReadValue(std::string_view bytes, std::size_t& pos, T& value) {
-  if (bytes.size() - pos < sizeof(value)) return false;
-  std::memcpy(&value, bytes.data() + pos, sizeof(value));
-  pos += sizeof(value);
-  return true;
-}
+// A saved space is one envelope (SealEnvelope, common/journal.h) around
+// [u64 items][u64 dims][u8 has biases][f64 global mean], the coordinates
+// row by row, then the biases, each double as its IEEE-754 bits. Files of
+// the older formats CCDBPS01 and CCDBPS02 fail on the magic, and the bench
+// cache rebuilds them.
+constexpr char kMagic[8] = {'C', 'C', 'D', 'B', 'P', 'S', '0', '3'};
 
 }  // namespace
 
 Status PerceptualSpace::SaveToFile(const std::string& path, Fs* fs) const {
-  std::string payload;
-  const auto coords = item_coords_.Data();
-  payload.reserve(4 * sizeof(std::uint64_t) +
-                  sizeof(double) * (coords.size() + item_bias_.size()));
-  AppendValue<std::uint64_t>(payload, num_items());
-  AppendValue<std::uint64_t>(payload, dims());
-  AppendValue<std::uint64_t>(payload, item_bias_.empty() ? 0 : 1);
-  AppendValue<double>(payload, global_mean_);
-  if (!coords.empty()) {
-    AppendRaw(payload, coords.data(), coords.size() * sizeof(double));
-  }
-  if (!item_bias_.empty()) {
-    AppendRaw(payload, item_bias_.data(), item_bias_.size() * sizeof(double));
-  }
-
-  std::string file_bytes;
-  file_bytes.reserve(sizeof(kMagic) + payload.size() + kTrailerBytes);
-  file_bytes.append(kMagic, sizeof(kMagic));
-  file_bytes += payload;
-  AppendValue<std::uint32_t>(file_bytes, Crc32(payload));
-  AppendValue<std::uint64_t>(file_bytes, payload.size());
-  return AtomicWriteFile(path, file_bytes, fs);
+  ByteWriter w;
+  w.PutU64(num_items());
+  w.PutU64(dims());
+  w.PutBool(!item_bias_.empty());
+  w.PutF64(global_mean_);
+  for (const double v : item_coords_.Data()) w.PutF64(v);
+  for (const double b : item_bias_) w.PutF64(b);
+  return ResolveFs(fs).WriteFileAtomic(path, SealEnvelope(kMagic, w.bytes()));
 }
 
 StatusOr<PerceptualSpace> PerceptualSpace::LoadFromFile(
     const std::string& path, Fs* fs) {
-  StatusOr<std::string> bytes_or = ReadFileToString(path, fs);
-  if (!bytes_or.ok()) return bytes_or.status();
-  const std::string& bytes = bytes_or.value();
-  if (bytes.size() < sizeof(kMagic) + kTrailerBytes ||
-      std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("not a perceptual-space file: " + path);
-  }
-  const std::string_view payload(bytes.data() + sizeof(kMagic),
-                                 bytes.size() - sizeof(kMagic) -
-                                     kTrailerBytes);
-  std::size_t trailer_pos = sizeof(kMagic) + payload.size();
-  std::uint32_t stored_crc = 0;
-  std::uint64_t stored_len = 0;
-  ReadValue(bytes, trailer_pos, stored_crc);
-  ReadValue(bytes, trailer_pos, stored_len);
-  if (stored_len != payload.size()) {
-    return Status::InvalidArgument("perceptual-space file truncated: " +
-                                   path);
-  }
-  if (stored_crc != Crc32(payload)) {
-    return Status::InvalidArgument("perceptual-space file corrupt: " + path);
-  }
-
-  std::size_t pos = 0;
-  std::uint64_t num_items = 0, dims = 0, has_bias = 0;
-  double global_mean = 0.0;
-  if (!ReadValue(payload, pos, num_items) || !ReadValue(payload, pos, dims) ||
-      !ReadValue(payload, pos, has_bias) ||
-      !ReadValue(payload, pos, global_mean)) {
-    return Status::InvalidArgument("truncated header in " + path);
-  }
-  const std::uint64_t avail = (payload.size() - pos) / sizeof(double);
-  if (num_items != 0 && dims > avail / num_items) {
-    return Status::InvalidArgument("perceptual-space payload size mismatch: " +
-                                   path);
-  }
-  const std::uint64_t expected =
-      num_items * dims + (has_bias != 0 ? num_items : 0);
-  if (payload.size() - pos != expected * sizeof(double)) {
-    return Status::InvalidArgument("perceptual-space payload size mismatch: " +
-                                   path);
+  const StatusOr<std::string> file = ResolveFs(fs).ReadFile(path);
+  if (!file.ok()) return file.status();
+  const StatusOr<std::string_view> payload =
+      OpenEnvelope(kMagic, file.value(), path);
+  if (!payload.ok()) return payload.status();
+  ByteReader r(payload.value());
+  const std::uint64_t num_items = r.GetU64();
+  const std::uint64_t dims = r.GetU64();
+  const bool has_bias = r.GetBool();
+  const double global_mean = r.GetF64();
+  // The item count is checked against the bytes left before anything is
+  // allocated. An item holds `dims` coordinates and, with biases, one
+  // bias, so a header whose items hold nothing backs no item.
+  const std::uint64_t doubles_left = r.remaining() / sizeof(double);
+  const std::uint64_t per_item = dims + (has_bias ? 1 : 0);
+  if (!r.ok() ||
+      (num_items != 0 && (per_item == 0 || dims > doubles_left ||
+                          per_item > doubles_left / num_items))) {
+    return Status::InvalidArgument(
+        "perceptual-space header claims more than the file holds: " + path);
   }
   Matrix coords(num_items, dims);
-  auto data = coords.Data();
-  if (!data.empty()) {
-    std::memcpy(data.data(), payload.data() + pos,
-                data.size() * sizeof(double));
-    pos += data.size() * sizeof(double);
+  for (double& v : coords.Data()) v = r.GetF64();
+  std::vector<double> bias(has_bias ? num_items : 0);
+  for (double& b : bias) b = r.GetF64();
+  if (!r.AtEnd()) {
+    return Status::InvalidArgument("perceptual-space payload size mismatch: " +
+                                   path);
   }
-  if (has_bias == 0) {
-    return PerceptualSpace(std::move(coords));
-  }
-  std::vector<double> bias(num_items);
-  if (num_items > 0) {
-    std::memcpy(bias.data(), payload.data() + pos,
-                bias.size() * sizeof(double));
-  }
+  if (!has_bias) return PerceptualSpace(std::move(coords));
   return PerceptualSpace(std::move(coords), std::move(bias), global_mean);
 }
 

@@ -82,15 +82,20 @@ class PerceptualSpace {
   /// construction, so a whole-space extraction converts no coordinates.
   const svm::LabelPoints& label_points() const { return label_points_; }
 
-  /// Serializes the space to a binary file (magic + dims + coordinates +
-  /// biases). Building a space from millions of ratings is the expensive
-  /// step of the pipeline; persisting it lets a deployment build once and
-  /// answer many schema expansions (and lets the benches share one build).
-  /// `fs` follows the ResolveFs convention (nullptr = real filesystem).
+  /// Writes the space atomically as one sealed file (SealEnvelope, magic
+  /// CCDBPS03): its shape, global mean, coordinates and biases, each double
+  /// bit for bit. Building a space from millions of ratings is the
+  /// expensive step of the pipeline; persisting it lets a deployment build
+  /// once and answer many schema expansions (and lets the benches share
+  /// one build). `fs` follows the ResolveFs convention (nullptr = real
+  /// filesystem).
   [[nodiscard]] Status SaveToFile(const std::string& path,
                                   Fs* fs = nullptr) const;
 
-  /// Loads a space previously written by SaveToFile.
+  /// Loads a space previously written by SaveToFile: NotFound when the
+  /// file is absent, InvalidArgument when it is of another format or
+  /// version, fails its CRC, or holds other than the items its header
+  /// counts.
   [[nodiscard]]
   static StatusOr<PerceptualSpace> LoadFromFile(const std::string& path,
                                                 Fs* fs = nullptr);

@@ -113,17 +113,6 @@ Answer JudgeItem(const WorkerProfile& worker, bool anchor_label,
 
 }  // namespace
 
-WorkerPool WorkerPool::ExcludeCountries(
-    const std::vector<std::string>& countries) const {
-  WorkerPool filtered;
-  for (const WorkerProfile& worker : workers) {
-    const bool banned = std::find(countries.begin(), countries.end(),
-                                  worker.country) != countries.end();
-    if (!banned) filtered.workers.push_back(worker);
-  }
-  return filtered;
-}
-
 Status ValidateCrowdTask(const WorkerPool& pool,
                          const std::vector<bool>& true_labels,
                          const HitRunConfig& config) {

@@ -12,7 +12,8 @@ namespace ccdb::crowd {
 /// workers who know ~26% of items and answer "don't know" otherwise, and
 /// spammers who claim to know ~94% of items and answer with a fixed bias.
 struct WorkerProfile {
-  /// Country tag; Experiment 2's heuristic excludes spammer countries.
+  /// Country tag; Experiment 2's trusted pool (MakeExperiment2) holds no
+  /// worker of a spammer country.
   std::string country;
   /// Probability the worker can (or claims to) judge a given item.
   double knowledge = 0.26;
@@ -35,10 +36,6 @@ struct WorkerProfile {
 /// A pool of workers available to the simulated crowd-sourcing platform.
 struct WorkerPool {
   std::vector<WorkerProfile> workers;
-
-  /// Returns a copy with every worker from `countries` removed —
-  /// Experiment 2's country-exclusion heuristic.
-  WorkerPool ExcludeCountries(const std::vector<std::string>& countries) const;
 };
 
 }  // namespace ccdb::crowd

@@ -1,21 +1,30 @@
 #include "data/expert_sources.h"
 
-#include "common/check.h"
+#include <cstdint>
+#include <iterator>
+
 #include "common/rng.h"
 
 namespace ccdb::data {
+namespace {
 
-ExpertSources SimulateExpertSources(const SyntheticWorld& world,
-                                    const ExpertSourcesConfig& config) {
-  CCDB_CHECK_EQ(config.source_names.size(), config.flip_rates.size());
-  const std::size_t num_sources = config.source_names.size();
-  CCDB_CHECK_GE(num_sources, 3u);
+constexpr const char* kSourceNames[] = {"SimDb", "NetSim", "SimTomatoes"};
+/// Per-source probability of flipping any single true label.
+constexpr double kFlipRates[] = {0.045, 0.06, 0.035};
+static_assert(std::size(kFlipRates) == std::size(kSourceNames));
+constexpr std::uint64_t kSeed = 97;
+
+}  // namespace
+
+ExpertSources SimulateExpertSources(const SyntheticWorld& world) {
+  constexpr std::size_t num_sources = std::size(kSourceNames);
   const std::size_t num_genres = world.num_genres();
   const std::size_t num_items = world.num_items();
 
-  Rng rng(config.seed);
+  Rng rng(kSeed);
   ExpertSources sources;
-  sources.source_names = config.source_names;
+  sources.source_names.assign(std::begin(kSourceNames),
+                              std::end(kSourceNames));
   sources.source_labels.resize(num_sources);
   for (std::size_t s = 0; s < num_sources; ++s) {
     sources.source_labels[s].resize(num_genres);
@@ -24,7 +33,7 @@ ExpertSources SimulateExpertSources(const SyntheticWorld& world,
       labels.resize(num_items);
       for (std::size_t m = 0; m < num_items; ++m) {
         const bool truth = world.GenreLabel(g, static_cast<std::uint32_t>(m));
-        labels[m] = rng.Bernoulli(config.flip_rates[s]) ? !truth : truth;
+        labels[m] = rng.Bernoulli(kFlipRates[s]) ? !truth : truth;
       }
     }
   }

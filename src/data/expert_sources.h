@@ -1,26 +1,12 @@
 #ifndef CCDB_DATA_EXPERT_SOURCES_H_
 #define CCDB_DATA_EXPERT_SOURCES_H_
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "data/synthetic_world.h"
 
 namespace ccdb::data {
-
-/// Simulates the paper's three expert movie databases (IMDb, Netflix,
-/// Rotten Tomatoes): each source is the world's true classification with
-/// independent per-source label noise, and the experiment's reference data
-/// is the majority vote of the three (exactly how the paper constructs its
-/// ground truth; Table 3 then reports each source's g-mean against the
-/// majority, landing in the 0.91–0.95 band).
-struct ExpertSourcesConfig {
-  std::vector<std::string> source_names = {"SimDb", "NetSim", "SimTomatoes"};
-  /// Per-source probability of flipping any single true label.
-  std::vector<double> flip_rates = {0.045, 0.06, 0.035};
-  std::uint64_t seed = 97;
-};
 
 struct ExpertSources {
   /// source_labels[s][g][item].
@@ -31,10 +17,13 @@ struct ExpertSources {
   std::vector<std::string> source_names;
 };
 
-/// Generates the noisy sources and their majority reference for every
-/// genre of `world`.
-ExpertSources SimulateExpertSources(const SyntheticWorld& world,
-                                    const ExpertSourcesConfig& config);
+/// Simulates the paper's three expert movie databases (IMDb, Netflix,
+/// Rotten Tomatoes) for every genre of `world`: each source is the world's
+/// true classification with independent per-source label noise, and the
+/// experiment's reference data is the majority vote of the three (exactly
+/// how the paper constructs its ground truth; Table 3 then reports each
+/// source's g-mean against the majority, landing in the 0.91–0.95 band).
+ExpertSources SimulateExpertSources(const SyntheticWorld& world);
 
 }  // namespace ccdb::data
 

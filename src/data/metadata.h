@@ -1,7 +1,7 @@
 #ifndef CCDB_DATA_METADATA_H_
 #define CCDB_DATA_METADATA_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
 #include "data/synthetic_world.h"
@@ -9,39 +9,25 @@
 
 namespace ccdb::data {
 
-/// Parameters of the synthetic *factual* metadata attached to each item
-/// (the stand-in for IMDb's title/plot/actors/director/year/country
-/// fields that the paper's "metadata space" baseline is built from).
+/// Generates one token document per item of `world`: the synthetic
+/// *factual* metadata that stands in for IMDb's title/plot/actors/director/
+/// year/country fields, from which the paper's "metadata space" baseline
+/// is built.
 ///
 /// The tokens are deliberately independent of the perceptual genre labels:
 /// the paper's finding is that "high-level perceptual judgments … are not
 /// contained in the factual metadata", so an LSI space over these tokens
 /// must overfit tiny training samples (Table 3's ≤-random g-means).
-struct MetadataConfig {
-  /// Real factual metadata is *weakly* genre-correlated (directors have
-  /// genre affinities). The correlation is far too faint for reliable
-  /// extraction but strong enough that tiny training samples sometimes
-  /// latch onto it — reproducing the paper's high-variance, ≤-random
-  /// metadata-space results.
-  double director_genre_affinity = 0.5;
-  std::size_t num_directors = 300;
-  std::size_t num_actors = 3000;
-  std::size_t num_countries = 20;
-  std::size_t num_keywords = 2000;
-  /// Number of actor tokens per item: uniform in [min, max].
-  std::size_t min_actors = 2;
-  std::size_t max_actors = 6;
-  /// Number of plot-keyword tokens per item: uniform in [min, max].
-  std::size_t min_keywords = 5;
-  std::size_t max_keywords = 15;
-  /// Zipf exponent for director/actor/keyword frequencies.
-  double zipf_exponent = 0.9;
-  std::uint64_t seed = 23;
-};
+std::vector<lsi::Document> GenerateMetadata(const SyntheticWorld& world);
 
-/// Generates one token document per item of `world`.
-std::vector<lsi::Document> GenerateMetadata(const SyntheticWorld& world,
-                                            const MetadataConfig& config);
+/// Actor tokens per document: uniform in [kMinActorTokens,
+/// kMaxActorTokens].
+inline constexpr std::size_t kMinActorTokens = 2;
+inline constexpr std::size_t kMaxActorTokens = 6;
+/// Plot-keyword tokens per document: uniform in [kMinKeywordTokens,
+/// kMaxKeywordTokens].
+inline constexpr std::size_t kMinKeywordTokens = 5;
+inline constexpr std::size_t kMaxKeywordTokens = 15;
 
 }  // namespace ccdb::data
 

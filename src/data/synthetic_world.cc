@@ -36,6 +36,12 @@ constexpr const char* kVariants[] = {
     "Mystery", "Nights", "Dreams", "Code", "Legacy",
 };
 
+/// Within-cluster trait scatter relative to unit cluster spread.
+constexpr double kClusterScatter = 0.45;
+/// Zipf exponent of item popularity (rating counts are heavily skewed
+/// toward popular items, as in the Netflix data).
+constexpr double kPopularityExponent = 0.8;
+
 }  // namespace
 
 SyntheticWorld::SyntheticWorld(const WorldConfig& config) : config_(config) {
@@ -70,7 +76,7 @@ void SyntheticWorld::BuildTraits() {
     const auto center = cluster_centers_.Row(c);
     for (std::size_t k = 0; k < dims; ++k) {
       row[k] =
-          scale * (center[k] + rng.Gaussian(0.0, config_.cluster_scatter));
+          scale * (center[k] + rng.Gaussian(0.0, kClusterScatter));
     }
   }
 
@@ -96,7 +102,7 @@ void SyntheticWorld::BuildTraits() {
   rng.Shuffle(ranks);
   for (std::size_t m = 0; m < config_.num_items; ++m) {
     item_popularity_[m] = 1.0 / std::pow(static_cast<double>(ranks[m] + 1),
-                                         config_.popularity_exponent);
+                                         kPopularityExponent);
   }
 }
 
@@ -176,8 +182,7 @@ double SyntheticWorld::ExpectedRating(std::uint32_t item,
                                       std::uint32_t user) const {
   // The mean squared distance (2 + scatter²)/1 is folded into the offset so
   // generated ratings center at config.global_mean.
-  const double expected_d2 =
-      2.0 + config_.cluster_scatter * config_.cluster_scatter;
+  const double expected_d2 = 2.0 + kClusterScatter * kClusterScatter;
   const double offset =
       config_.global_mean + config_.distance_weight * expected_d2;
   const double d2 =
@@ -236,7 +241,7 @@ RatingDataset SyntheticWorld::SampleRatings(std::uint64_t seed_offset) const {
       double score = ExpectedRatingAt(m, u, day) +
                      rng.Gaussian(0.0, config_.rating_noise_stddev);
       score = std::clamp(score, config_.rating_min, config_.rating_max);
-      if (config_.integer_ratings) score = std::round(score);
+      score = std::round(score);
       ratings.push_back(
           {m, u, static_cast<float>(score), static_cast<float>(day)});
     }

@@ -41,8 +41,6 @@ struct WorldConfig {
   /// Items are drawn from a mixture of clusters ("franchises"/styles) so
   /// nearest-neighbor lists are interpretable (Table 2).
   std::size_t num_clusters = 40;
-  /// Within-cluster trait scatter relative to unit cluster spread.
-  double cluster_scatter = 0.45;
 
   /// Rating scale and distribution parameters.
   double rating_min = 1.0;
@@ -52,16 +50,12 @@ struct WorldConfig {
   double user_bias_stddev = 0.35;
   /// Weight of the squared trait distance in the generated rating.
   double distance_weight = 0.6;
-  /// Observation noise on each rating before clamping/rounding.
+  /// Observation noise on each rating before clamping and rounding to
+  /// integer stars.
   double rating_noise_stddev = 0.7;
-  /// Ratings are rounded to integer stars if true (as on real sites).
-  bool integer_ratings = true;
 
   /// Expected ratings per user (log-normal spread across users).
   double mean_ratings_per_user = 100.0;
-  /// Zipf exponent of item popularity (rating counts are heavily skewed
-  /// toward popular items, as in the Netflix data).
-  double popularity_exponent = 0.8;
 
   /// Timeline length for rating timestamps (days).
   double timeline_days = 2000.0;
@@ -129,7 +123,8 @@ class SyntheticWorld {
   /// Samples a sparse rating dataset: per-user rating counts are
   /// log-normal around mean_ratings_per_user, items are chosen with
   /// Zipf-like popularity weights, scores follow ExpectedRating plus
-  /// Gaussian noise, clamped to the scale (and rounded if configured).
+  /// Gaussian noise, clamped to the scale and rounded to integer stars (as
+  /// on real sites).
   /// Each (user, item) pair is rated at most once.
   RatingDataset SampleRatings(std::uint64_t seed_offset = 0) const;
 

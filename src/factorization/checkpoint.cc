@@ -68,10 +68,10 @@ void SetAsideCorrupt(Fs& fs, const std::string& path) {
   }
 }
 
-/// Snapshot-file envelope: magic, CRC of the payload, payload. Written in
-/// one WriteFileAtomic so readers only ever see a complete snapshot; the
-/// previous snapshot is rotated to `path.1` (and so on) first, feeding the
-/// generation-fallback ladder.
+/// Seals the payload (SealEnvelope) and writes it in one WriteFileAtomic,
+/// so readers only ever see a complete snapshot; the previous snapshot is
+/// rotated to `path.1` (and so on) first, feeding the generation-fallback
+/// ladder.
 Status WriteSnapshot(Fs& fs, const std::string& path, int keep_generations,
                      std::string_view payload) {
   for (int gen = keep_generations - 1; gen >= 1; --gen) {
@@ -81,31 +81,7 @@ Status WriteSnapshot(Fs& fs, const std::string& path, int keep_generations,
     // an *older* generation never endangers the snapshot being written.
     (void)fs.Rename(GenerationPath(path, gen - 1), GenerationPath(path, gen));
   }
-  std::string file(kMagic, sizeof(kMagic));
-  ByteWriter crc;
-  crc.PutU32(Crc32(payload));
-  file += crc.bytes();
-  file.append(payload.data(), payload.size());
-  return fs.WriteFileAtomic(path, file);
-}
-
-/// Checks one file's envelope; InvalidArgument on bad magic or CRC.
-StatusOr<std::string> ParseSnapshotEnvelope(const std::string& bytes,
-                                            const std::string& path) {
-  if (bytes.size() < sizeof(kMagic) + 4 ||
-      bytes.compare(0, sizeof(kMagic), kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("not a ccdb trainer checkpoint: " + path);
-  }
-  ByteReader header(
-      std::string_view(bytes).substr(sizeof(kMagic), 4));
-  const std::uint32_t stored_crc = header.GetU32();
-  const std::string_view payload =
-      std::string_view(bytes).substr(sizeof(kMagic) + 4);
-  if (Crc32(payload) != stored_crc) {
-    return Status::InvalidArgument("corrupt trainer checkpoint (CRC): " +
-                                   path);
-  }
-  return std::string(payload);
+  return fs.WriteFileAtomic(path, SealEnvelope(kMagic, payload));
 }
 
 /// Reads a snapshot's payload, walking the generation ladder: the newest
@@ -123,9 +99,9 @@ StatusOr<std::string> ReadSnapshot(Fs& fs, const std::string& path,
       if (file.status().code() == StatusCode::kNotFound) continue;
       return file.status();
     }
-    StatusOr<std::string> payload =
-        ParseSnapshotEnvelope(file.value(), gen_path);
-    if (payload.ok()) return payload;
+    StatusOr<std::string_view> payload =
+        OpenEnvelope(kMagic, file.value(), gen_path);
+    if (payload.ok()) return std::string(payload.value());
     SetAsideCorrupt(fs, gen_path);
   }
   return Status::NotFound("no valid trainer checkpoint generation at " +
@@ -259,9 +235,10 @@ void PutDoubles(ByteWriter& w, const std::vector<double>& values) {
 Status GetDoubles(ByteReader& r, std::vector<double>& values,
                   const char* name) {
   const std::uint64_t n = r.GetU64();
-  if (n > (1u << 26)) {
+  if (n > r.remaining() / sizeof(double)) {
     return Status::InvalidArgument(
-        std::string("implausible checkpoint vector size for ") + name);
+        std::string("checkpoint vector size for ") + name +
+        " exceeds the bytes left");
   }
   values.resize(n);
   for (double& v : values) v = r.GetF64();

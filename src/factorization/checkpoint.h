@@ -64,7 +64,8 @@ Status DecodeFactorModelInto(std::string_view bytes, FactorModel& model);
     const FactorModel& model);
 
 /// Length-prefixed double series (per-epoch telemetry) inside a loop
-/// state; GetDoubles rejects implausible lengths with InvalidArgument.
+/// state; GetDoubles rejects a length that the bytes left cannot hold
+/// with InvalidArgument.
 void PutDoubles(ByteWriter& w, const std::vector<double>& values);
 [[nodiscard]] Status GetDoubles(ByteReader& r, std::vector<double>& values,
                                 const char* name);

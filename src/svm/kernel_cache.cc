@@ -26,23 +26,18 @@ std::span<const double> KernelRowCache::Row(std::size_t i) {
   if (whole_matrix_) {
     const std::size_t size = num_rows_ * row_length_;
     if (matrix_ == nullptr) {
-      ++stats_.misses;
       // Uninitialized on purpose: the fill writes every entry.
       matrix_ = std::make_unique_for_overwrite<double[]>(size);
       bytes_in_use_ = size * sizeof(double);
       fill_matrix_(std::span<double>(matrix_.get(), size));
-    } else {
-      ++stats_.hits;
     }
     return {matrix_.get() + i * row_length_, row_length_};
   }
   std::vector<double>& slot = rows_[i];
   if (!slot.empty()) {
-    ++stats_.hits;
     lru_.splice(lru_.begin(), lru_, lru_pos_[i]);  // bump to front
     return slot;
   }
-  ++stats_.misses;
   const std::size_t row_bytes = row_length_ * sizeof(double);
   // Evict until the new row fits, but never the most recently returned row
   // (the LRU front): the caller may still be reading it, so the budget
@@ -68,7 +63,6 @@ void KernelRowCache::EvictLeastRecentlyUsed() {
   lru_.pop_back();
   std::vector<double>().swap(rows_[victim]);  // actually release the bytes
   bytes_in_use_ -= row_length_ * sizeof(double);
-  ++stats_.evictions;
 }
 
 }  // namespace ccdb::svm

@@ -10,13 +10,6 @@
 
 namespace ccdb::svm {
 
-/// Monotonic counters of a KernelRowCache (diagnostics and tests).
-struct KernelCacheStats {
-  std::size_t hits = 0;
-  std::size_t misses = 0;
-  std::size_t evictions = 0;
-};
-
 /// The kernel rows of one SMO solve under a byte budget — LIBSVM's `Cache`
 /// in spirit, and the one place that decides how they are held.
 ///
@@ -58,8 +51,6 @@ class KernelRowCache {
   std::size_t bytes_in_use() const { return bytes_in_use_; }
   std::size_t budget_bytes() const { return budget_bytes_; }
   std::size_t cached_rows() const;
-  /// A whole-matrix fill counts as one miss.
-  const KernelCacheStats& stats() const { return stats_; }
 
  private:
   void EvictLeastRecentlyUsed();
@@ -78,7 +69,6 @@ class KernelRowCache {
   /// LRU order, front = most recently used; holds indices of cached rows.
   std::list<std::size_t> lru_;
   std::vector<std::list<std::size_t>::iterator> lru_pos_;
-  KernelCacheStats stats_;
 };
 
 }  // namespace ccdb::svm

@@ -119,18 +119,6 @@ TEST(StopConditionTest, DeadlineAloneYieldsDeadlineExceeded) {
   EXPECT_EQ(stop.ToStatus("stage").code(), StatusCode::kDeadlineExceeded);
 }
 
-TEST(StopConditionTest, WithDeadlineNarrowsTheBudget) {
-  CancellationSource source;
-  const StopCondition wide(source.token(), Deadline::AfterSeconds(3600.0));
-  EXPECT_FALSE(wide.ShouldStop());
-  const StopCondition narrow = wide.WithDeadline(Deadline::AfterSeconds(0.0));
-  EXPECT_TRUE(narrow.ShouldStop());
-  EXPECT_FALSE(wide.ShouldStop());  // the original is untouched
-  // The token stays wired through the narrowing.
-  source.Cancel();
-  EXPECT_EQ(narrow.ToStatus().code(), StatusCode::kCancelled);
-}
-
 // ---------------------------------------------------------------- trainers
 
 RatingDataset SmallDataset(std::uint64_t seed) {

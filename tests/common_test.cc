@@ -244,13 +244,6 @@ TEST(MatrixTest, OrthonormalizeColumns) {
   }
 }
 
-TEST(MatrixTest, FrobeniusNorm) {
-  Matrix m(2, 2);
-  m(0, 0) = 3.0;
-  m(1, 1) = 4.0;
-  EXPECT_DOUBLE_EQ(m.FrobeniusNorm(), 5.0);
-}
-
 // ---------------------------------------------------------------- Jacobi
 
 TEST(JacobiEigenTest, DiagonalMatrix) {

@@ -293,20 +293,35 @@ TEST_F(PerceptualSpaceFixture, GatherRowsCopiesCoordinates) {
   }
 }
 
+/// Every coordinate, every bias and the global mean of `loaded` are those
+/// of `saved`, bit for bit.
+void ExpectSameBits(const PerceptualSpace& saved,
+                    const PerceptualSpace& loaded) {
+  ASSERT_EQ(loaded.num_items(), saved.num_items());
+  ASSERT_EQ(loaded.dims(), saved.dims());
+  const auto expected = saved.item_coords().Data();
+  const auto actual = loaded.item_coords().Data();
+  for (std::size_t k = 0; k < expected.size(); ++k) {
+    ASSERT_EQ(Bits(actual[k]), Bits(expected[k])) << "coordinate " << k;
+  }
+  for (std::uint32_t m = 0; m < saved.num_items(); ++m) {
+    ASSERT_EQ(Bits(loaded.BiasOf(m)), Bits(saved.BiasOf(m))) << "item " << m;
+  }
+  EXPECT_EQ(Bits(loaded.global_mean()), Bits(saved.global_mean()));
+}
+
 TEST_F(PerceptualSpaceFixture, SaveLoadRoundTrip) {
+  // Through both constructors: the built space (coordinates, biases and
+  // mean) and a space of its coordinates only.
+  const PerceptualSpace bare{Matrix(space_->item_coords())};
   const std::string path = ::testing::TempDir() + "/space_roundtrip.bin";
-  ASSERT_TRUE(space_->SaveToFile(path).ok());
-  auto loaded = PerceptualSpace::LoadFromFile(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const PerceptualSpace& copy = loaded.value();
-  ASSERT_EQ(copy.num_items(), space_->num_items());
-  ASSERT_EQ(copy.dims(), space_->dims());
-  EXPECT_DOUBLE_EQ(copy.global_mean(), space_->global_mean());
-  for (std::uint32_t m = 0; m < copy.num_items(); m += 37) {
-    EXPECT_DOUBLE_EQ(copy.BiasOf(m), space_->BiasOf(m));
-    for (std::size_t c = 0; c < copy.dims(); ++c) {
-      ASSERT_DOUBLE_EQ(copy.CoordsOf(m)[c], space_->CoordsOf(m)[c]);
-    }
+  const PerceptualSpace* const spaces[] = {space_, &bare};
+  for (const PerceptualSpace* space : spaces) {
+    SCOPED_TRACE(space == space_ ? "built" : "coordinates only");
+    ASSERT_TRUE(space->SaveToFile(path).ok());
+    auto loaded = PerceptualSpace::LoadFromFile(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ExpectSameBits(*space, loaded.value());
   }
 }
 
@@ -344,13 +359,13 @@ TEST(PerceptualSpaceIo, LoadRejectsGarbage) {
 TEST_F(PerceptualSpaceFixture, LoadRejectsFlippedPayloadByte) {
   const std::string path = ::testing::TempDir() + "/space_corrupt.bin";
   ASSERT_TRUE(space_->SaveToFile(path).ok());
-  StatusOr<std::string> bytes = ReadFileToString(path);
+  StatusOr<std::string> bytes = Fs::Posix().ReadFile(path);
   ASSERT_TRUE(bytes.ok());
   std::string corrupted = std::move(bytes).value();
   // Flip one coordinate byte in the middle of the payload: the length
   // checks all pass, only the CRC can catch it.
   corrupted[corrupted.size() / 2] ^= 0x40;
-  ASSERT_TRUE(AtomicWriteFile(path, corrupted).ok());
+  ASSERT_TRUE(Fs::Posix().WriteFileAtomic(path, corrupted).ok());
   const auto loaded = PerceptualSpace::LoadFromFile(path);
   ASSERT_FALSE(loaded.ok());
   // A bench cache hit distinguishes "no cache" (rebuild silently) from
@@ -361,7 +376,7 @@ TEST_F(PerceptualSpaceFixture, LoadRejectsFlippedPayloadByte) {
 TEST_F(PerceptualSpaceFixture, LoadRejectsTruncatedFile) {
   const std::string path = ::testing::TempDir() + "/space_truncated.bin";
   ASSERT_TRUE(space_->SaveToFile(path).ok());
-  StatusOr<std::string> bytes = ReadFileToString(path);
+  StatusOr<std::string> bytes = Fs::Posix().ReadFile(path);
   ASSERT_TRUE(bytes.ok());
   const std::string& full = bytes.value();
   // A torn write can cut the file anywhere; every prefix must be
@@ -369,7 +384,7 @@ TEST_F(PerceptualSpaceFixture, LoadRejectsTruncatedFile) {
   for (const double fraction : {0.1, 0.5, 0.9, 0.999}) {
     const auto cut =
         static_cast<std::string::size_type>(full.size() * fraction);
-    ASSERT_TRUE(AtomicWriteFile(path, full.substr(0, cut)).ok());
+    ASSERT_TRUE(Fs::Posix().WriteFileAtomic(path, full.substr(0, cut)).ok());
     EXPECT_FALSE(PerceptualSpace::LoadFromFile(path).ok())
         << "prefix of " << cut << " bytes";
   }
@@ -378,14 +393,118 @@ TEST_F(PerceptualSpaceFixture, LoadRejectsTruncatedFile) {
 TEST_F(PerceptualSpaceFixture, LoadRejectsStaleFormatMagic) {
   const std::string path = ::testing::TempDir() + "/space_stale.bin";
   ASSERT_TRUE(space_->SaveToFile(path).ok());
-  StatusOr<std::string> bytes = ReadFileToString(path);
+  StatusOr<std::string> bytes = Fs::Posix().ReadFile(path);
   ASSERT_TRUE(bytes.ok());
   std::string stale = std::move(bytes).value();
   // A cache written by an older build (different magic) must be refused
   // up front, so benches fall back to recomputing the space.
   stale.replace(0, 8, "CCDBPS01");
-  ASSERT_TRUE(AtomicWriteFile(path, stale).ok());
+  ASSERT_TRUE(Fs::Posix().WriteFileAtomic(path, stale).ok());
   EXPECT_FALSE(PerceptualSpace::LoadFromFile(path).ok());
+}
+
+/// A 5-item, 3-dimensional space whose values include signed zeros, a
+/// subnormal and values no decimal prints exactly; with biases and a
+/// global mean when `biased`.
+PerceptualSpace SmallSpace(bool biased) {
+  const double values[] = {0.1,       -0.0,    4.9e-324,   // item 0
+                           1.0 / 3.0, -2.5,    1e300,      // item 1
+                           -1e-300,   7.25,    0.0,        // item 2
+                           -0.1,      6.0,     2.0 / 3.0,  // item 3
+                           -9.5e-12,  123.456, 3.0};       // item 4
+  Matrix coords(5, 3);
+  std::copy(std::begin(values), std::end(values), coords.Data().begin());
+  if (!biased) return PerceptualSpace(std::move(coords));
+  return PerceptualSpace(std::move(coords), {0.25, -0.5, 0.0, -0.0, 1e-9},
+                         3.6);
+}
+
+/// Writes `file` to `path` and loads it: success when the load fails with
+/// a status other than NotFound (a bench cache rebuilds such a file and
+/// says so).
+::testing::AssertionResult LoadRefuses(const std::string& path,
+                                       const std::string& file) {
+  if (!Fs::Posix().WriteFile(path, file).ok()) {
+    return ::testing::AssertionFailure() << "cannot write " << path;
+  }
+  const auto loaded = PerceptualSpace::LoadFromFile(path);
+  if (loaded.ok()) return ::testing::AssertionFailure() << "loaded";
+  if (loaded.status().code() == StatusCode::kNotFound) {
+    return ::testing::AssertionFailure() << loaded.status().ToString();
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(PerceptualSpaceIo, LoadRejectsEveryPrefixAndEveryBitFlip) {
+  // A torn write can cut the file anywhere and bit rot can flip any bit:
+  // every such file is refused, never loaded and never an abort. The
+  // intact file round-trips bit for bit.
+  const std::string path = ::testing::TempDir() + "/space_small.bin";
+  for (const bool biased : {false, true}) {
+    SCOPED_TRACE(biased ? "with biases" : "without biases");
+    const PerceptualSpace space = SmallSpace(biased);
+    ASSERT_TRUE(space.SaveToFile(path).ok());
+    const StatusOr<std::string> bytes = Fs::Posix().ReadFile(path);
+    ASSERT_TRUE(bytes.ok());
+    const std::string& full = bytes.value();
+    for (std::size_t cut = 0; cut < full.size(); ++cut) {
+      ASSERT_TRUE(LoadRefuses(path, full.substr(0, cut)))
+          << "prefix of " << cut << " bytes";
+    }
+    for (std::size_t bit = 0; bit < 8 * full.size(); ++bit) {
+      std::string flipped = full;
+      flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+      ASSERT_TRUE(LoadRefuses(path, flipped)) << "bit " << bit << " flipped";
+    }
+    ASSERT_TRUE(Fs::Posix().WriteFile(path, full).ok());
+    const auto loaded = PerceptualSpace::LoadFromFile(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ExpectSameBits(space, loaded.value());
+  }
+}
+
+TEST(PerceptualSpaceIo, LoadRejectsItemCountsThePayloadCannotHold) {
+  // Sealed, CRC-valid files whose header counts more items than the
+  // payload holds are InvalidArgument before anything is allocated for
+  // them: items of no value at all (dims 0, no biases); 2^61 biases, whose
+  // byte count wraps to 0; and 2^63 + 1 items of 2 coordinates, whose
+  // count of doubles wraps to the 2 the payload holds. The control header
+  // matches its payload and loads.
+  struct Header {
+    std::uint64_t items;
+    std::uint64_t dims;
+    bool has_bias;
+    std::size_t doubles;  // written after the header
+    const char* what;
+  };
+  const Header crafted[] = {
+      {1, 0, false, 0, "1 item of no value"},
+      {1ull << 61, 0, false, 0, "2^61 items of no value"},
+      {1ull << 61, 0, true, 0, "2^61 biases"},
+      {(1ull << 63) + 1, 2, false, 2, "items x dims wraps to 2"},
+  };
+  constexpr char kMagic[8] = {'C', 'C', 'D', 'B', 'P', 'S', '0', '3'};
+  const std::string path = ::testing::TempDir() + "/space_crafted.bin";
+  const auto load = [&](const Header& header) {
+    ByteWriter w;
+    w.PutU64(header.items);
+    w.PutU64(header.dims);
+    w.PutBool(header.has_bias);
+    w.PutF64(3.5);
+    for (std::size_t k = 0; k < header.doubles; ++k) w.PutF64(0.5);
+    EXPECT_TRUE(
+        Fs::Posix().WriteFile(path, SealEnvelope(kMagic, w.bytes())).ok());
+    return PerceptualSpace::LoadFromFile(path);
+  };
+  for (const Header& header : crafted) {
+    EXPECT_EQ(load(header).status().code(), StatusCode::kInvalidArgument)
+        << header.what;
+  }
+  const auto control = load({2, 1, true, 4, "2 items of 1 coordinate"});
+  ASSERT_TRUE(control.ok()) << control.status().ToString();
+  EXPECT_EQ(control.value().num_items(), 2u);
+  EXPECT_EQ(control.value().BiasOf(1), 0.5);
+  EXPECT_EQ(control.value().global_mean(), 3.5);
 }
 
 // ------------------------------------------------------------- extractor

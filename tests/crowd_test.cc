@@ -35,18 +35,6 @@ WorkerPool PerfectPool(std::size_t n) {
   return pool;
 }
 
-TEST(WorkerPoolTest, ExcludeCountriesFilters) {
-  WorkerPool pool;
-  WorkerProfile a;
-  a.country = "Elbonia";
-  WorkerProfile b;
-  b.country = "Atlantis";
-  pool.workers = {a, b, a};
-  const WorkerPool filtered = pool.ExcludeCountries({"Elbonia"});
-  ASSERT_EQ(filtered.workers.size(), 1u);
-  EXPECT_EQ(filtered.workers[0].country, "Atlantis");
-}
-
 TEST(PlatformTest, PerfectWorkersClassifyEverythingCorrectly) {
   const auto labels = MakeLabels(100, 0.3, 1);
   HitRunConfig config;

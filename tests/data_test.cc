@@ -51,7 +51,7 @@ TEST(SyntheticWorldTest, RatingsWithinScale) {
   for (const Rating& rating : ratings.ratings()) {
     EXPECT_GE(rating.score, world.config().rating_min);
     EXPECT_LE(rating.score, world.config().rating_max);
-    // integer_ratings defaults to true
+    // Ratings are integer stars.
     EXPECT_DOUBLE_EQ(rating.score, std::round(rating.score));
   }
 }
@@ -193,8 +193,7 @@ TEST(SyntheticWorldTest, DriftShiftsExpectedRatingOverTime) {
 
 TEST(ExpertSourcesTest, SourcesAgreeWithMajorityAtExpectedBand) {
   SyntheticWorld world(TinyConfig());
-  ExpertSourcesConfig config;
-  const ExpertSources sources = SimulateExpertSources(world, config);
+  const ExpertSources sources = SimulateExpertSources(world);
   ASSERT_EQ(sources.source_labels.size(), 3u);
   for (std::size_t s = 0; s < 3; ++s) {
     for (std::size_t g = 0; g < world.num_genres(); ++g) {
@@ -213,8 +212,7 @@ TEST(ExpertSourcesTest, SourcesAgreeWithMajorityAtExpectedBand) {
 
 TEST(ExpertSourcesTest, MajorityIsCloseToWorldTruth) {
   SyntheticWorld world(TinyConfig());
-  const ExpertSources sources =
-      SimulateExpertSources(world, ExpertSourcesConfig{});
+  const ExpertSources sources = SimulateExpertSources(world);
   for (std::size_t g = 0; g < world.num_genres(); ++g) {
     std::size_t agreements = 0;
     for (std::uint32_t m = 0; m < world.num_items(); ++m) {
@@ -229,8 +227,7 @@ TEST(ExpertSourcesTest, MajorityIsCloseToWorldTruth) {
 
 TEST(MetadataTest, DocumentsHaveFactualStructure) {
   SyntheticWorld world(TinyConfig());
-  MetadataConfig config;
-  const auto documents = GenerateMetadata(world, config);
+  const auto documents = GenerateMetadata(world);
   ASSERT_EQ(documents.size(), world.num_items());
   for (const auto& doc : documents) {
     std::size_t directors = 0, actors = 0, keywords = 0;
@@ -240,10 +237,10 @@ TEST(MetadataTest, DocumentsHaveFactualStructure) {
       if (token.starts_with("kw:")) ++keywords;
     }
     EXPECT_EQ(directors, 1u);
-    EXPECT_GE(actors, config.min_actors);
-    EXPECT_LE(actors, config.max_actors);
-    EXPECT_GE(keywords, config.min_keywords);
-    EXPECT_LE(keywords, config.max_keywords);
+    EXPECT_GE(actors, kMinActorTokens);
+    EXPECT_LE(actors, kMaxActorTokens);
+    EXPECT_GE(keywords, kMinKeywordTokens);
+    EXPECT_LE(keywords, kMaxKeywordTokens);
   }
 }
 

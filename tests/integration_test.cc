@@ -412,8 +412,7 @@ TEST_F(PipelineFixture, AuditLogRecordsExpansions) {
 TEST_F(PipelineFixture, PerceptualSpaceBeatsMetadataSpace) {
   // Miniature Table 3: same SVM, same training samples, perceptual space
   // vs LSI metadata space. The perceptual space must win clearly.
-  const auto documents =
-      data::GenerateMetadata(*world_, data::MetadataConfig{});
+  const auto documents = data::GenerateMetadata(*world_);
   lsi::LsiOptions lsi_options;
   lsi_options.dims = 24;
   const lsi::LsiSpace metadata = lsi::BuildLsiSpace(documents, lsi_options);
@@ -461,8 +460,7 @@ TEST_F(PipelineFixture, PerceptualSpaceBeatsMetadataSpace) {
 }
 
 TEST_F(PipelineFixture, ExpertSourcesProvideUsableReference) {
-  const data::ExpertSources sources =
-      data::SimulateExpertSources(*world_, data::ExpertSourcesConfig{});
+  const data::ExpertSources sources = data::SimulateExpertSources(*world_);
   // Training on majority-reference samples still yields a good extractor.
   Rng rng(79);
   std::vector<std::uint32_t> items;

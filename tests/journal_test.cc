@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -17,7 +19,7 @@ std::string TempPath(const std::string& name) {
 }
 
 std::string RawFileBytes(const std::string& path) {
-  StatusOr<std::string> bytes = ReadFileToString(path);
+  StatusOr<std::string> bytes = Fs::Posix().ReadFile(path);
   EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
   return bytes.ok() ? bytes.value() : std::string();
 }
@@ -206,22 +208,48 @@ TEST(JournalTest, EveryRecordSyncPolicyStillRoundTrips) {
   EXPECT_EQ(contents.value().records.size(), 5u);
 }
 
-// ------------------------------------------------------ atomic snapshot
+// ------------------------------------------------------------ envelope
 
-TEST(AtomicWriteFileTest, WritesAndReplacesWholeFiles) {
-  const std::string path = TempPath("snapshot.bin");
-  ASSERT_TRUE(AtomicWriteFile(path, "version-1").ok());
-  EXPECT_EQ(RawFileBytes(path), "version-1");
-  ASSERT_TRUE(AtomicWriteFile(path, "version-2-longer").ok());
-  EXPECT_EQ(RawFileBytes(path), "version-2-longer");
-  // No stray temp file left behind.
-  EXPECT_EQ(ReadFileToString(path + ".tmp").status().code(),
-            StatusCode::kNotFound);
+constexpr char kTestMagic[8] = {'C', 'C', 'D', 'B', 'T', 'E', 'S', 'T'};
+
+TEST(EnvelopeTest, SealIsMagicThenLittleEndianCrcThenPayload) {
+  const std::string payload("payload\0bytes", 13);
+  const std::string sealed = SealEnvelope(kTestMagic, payload);
+  const std::uint32_t crc = Crc32(payload);
+  std::string expected = "CCDBTEST";
+  for (int shift = 0; shift < 32; shift += 8) {
+    expected.push_back(static_cast<char>((crc >> shift) & 0xFF));
+  }
+  expected += payload;
+  EXPECT_EQ(sealed, expected);
+  const StatusOr<std::string_view> opened =
+      OpenEnvelope(kTestMagic, sealed, "sealed");
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(opened.value(), payload);
+  // An empty payload is a valid envelope too.
+  const StatusOr<std::string_view> empty =
+      OpenEnvelope(kTestMagic, SealEnvelope(kTestMagic, ""), "empty");
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty.value().empty());
 }
 
-TEST(AtomicWriteFileTest, ReadFileToStringMissingIsNotFound) {
-  EXPECT_EQ(ReadFileToString(TempPath("absent.bin")).status().code(),
-            StatusCode::kNotFound);
+TEST(EnvelopeTest, OpenRefusesShortForeignAndCorruptFiles) {
+  const std::string sealed = SealEnvelope(kTestMagic, "some payload");
+  const auto refused = [](std::string_view file) {
+    return OpenEnvelope(kTestMagic, file, "f").status().code() ==
+           StatusCode::kInvalidArgument;
+  };
+  for (std::size_t cut = 0; cut < sealed.size(); ++cut) {
+    EXPECT_TRUE(refused(sealed.substr(0, cut))) << "prefix of " << cut;
+  }
+  for (std::size_t bit = 0; bit < 8 * sealed.size(); ++bit) {
+    std::string flipped = sealed;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    EXPECT_TRUE(refused(flipped)) << "bit " << bit;
+  }
+  constexpr char kOtherMagic[8] = {'C', 'C', 'D', 'B', 'T', 'E', 'S', 'U'};
+  EXPECT_TRUE(refused(SealEnvelope(kOtherMagic, "some payload")));
+  EXPECT_TRUE(refused(sealed + "x"));
 }
 
 }  // namespace

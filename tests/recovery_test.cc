@@ -727,13 +727,100 @@ TEST_F(TrainerRecoveryTest, SgdSnapshotWithTrainRmseSeriesIsRejected) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(TrainerSnapshotCodecTest, GetDoublesChecksItsLengthAgainstTheBytesLeft) {
+  // A series length is checked against the bytes left before the series
+  // is allocated: 3 doubles where 2 remain, and 2^61 of them, are both
+  // InvalidArgument; a series that fits reads back whole.
+  ByteWriter short_series;
+  short_series.PutU64(3);
+  short_series.PutF64(1.0);
+  short_series.PutF64(2.0);
+  ByteWriter huge_series;
+  huge_series.PutU64(1ull << 61);
+  for (const ByteWriter* w : {&short_series, &huge_series}) {
+    ByteReader r(w->bytes());
+    std::vector<double> values;
+    EXPECT_EQ(factorization::GetDoubles(r, values, "series").code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_TRUE(values.empty());
+  }
+  ByteWriter fits;
+  factorization::PutDoubles(fits, {1.0, -0.0, 2.5});
+  ByteReader r(fits.bytes());
+  std::vector<double> values;
+  ASSERT_TRUE(factorization::GetDoubles(r, values, "series").ok());
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(values, (std::vector<double>{1.0, -0.0, 2.5}));
+}
+
+TEST_F(TrainerRecoveryTest, SnapshotFileIsMagicThenCrcThenPayload) {
+  // The snapshot file layout, pinned byte for byte so that snapshots
+  // written by earlier builds still resume: the magic CCDBCKP1, the
+  // little-endian CRC-32 of the payload, then the payload, which is the
+  // run's u64 fingerprint, the loop state and the encoded model, each
+  // length-prefixed. A file assembled by hand in that layout resumes.
+  const RatingDataset data = MakeData(61);
+  factorization::FactorModelConfig model_config;
+  model_config.dims = 4;
+  factorization::SgdTrainerConfig trainer;
+  trainer.max_epochs = 1;
+  factorization::FactorModel model(model_config, data);
+  ASSERT_TRUE(TrainSgd(trainer, data, model).ok());
+
+  factorization::TrainerCheckpointOptions written;
+  written.path = FreshPath("sgd_layout_pinned.ckpt");
+  const std::string loop_state = "loop state bytes";
+  ASSERT_TRUE(factorization::WriteTrainerSnapshot(
+                  written, SgdSchedule(trainer), data, loop_state, model)
+                  .ok());
+  const StatusOr<std::string> file = Fs::Posix().ReadFile(written.path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  const std::string& bytes = file.value();
+  ASSERT_GE(bytes.size(), 12u);
+  EXPECT_EQ(bytes.substr(0, 8), "CCDBCKP1");
+  const std::string payload = bytes.substr(12);
+  const std::uint32_t crc = Crc32(payload);
+  for (int k = 0; k < 4; ++k) {
+    EXPECT_EQ(static_cast<unsigned char>(bytes[8 + k]),
+              (crc >> (8 * k)) & 0xFF)
+        << "CRC byte " << k;
+  }
+  ByteReader r(payload);
+  const std::uint64_t fingerprint = r.GetU64();
+  EXPECT_EQ(r.GetBytes(), loop_state);
+  EXPECT_EQ(r.GetBytes(), factorization::EncodeFactorModel(model));
+  EXPECT_TRUE(r.AtEnd());
+
+  ByteWriter by_hand;
+  by_hand.PutU64(fingerprint);
+  by_hand.PutBytes(loop_state);
+  by_hand.PutBytes(factorization::EncodeFactorModel(model));
+  const std::uint32_t by_hand_crc = Crc32(by_hand.bytes());
+  std::string assembled = "CCDBCKP1";
+  for (int k = 0; k < 4; ++k) {
+    assembled.push_back(static_cast<char>((by_hand_crc >> (8 * k)) & 0xFF));
+  }
+  assembled += by_hand.bytes();
+  EXPECT_EQ(assembled, bytes);
+  factorization::TrainerCheckpointOptions assembled_file;
+  assembled_file.path = FreshPath("sgd_layout_by_hand.ckpt");
+  ASSERT_TRUE(
+      Fs::Posix().WriteFileAtomic(assembled_file.path, assembled).ok());
+  factorization::FactorModel resumed(model_config, data);
+  const StatusOr<std::string> state = factorization::ReadTrainerSnapshot(
+      assembled_file, SgdSchedule(trainer), data, resumed);
+  ASSERT_TRUE(state.ok()) << state.status().ToString();
+  EXPECT_EQ(state.value(), loop_state);
+  ExpectSameModel(model, resumed);
+}
+
 // Flips one payload bit in the snapshot file at `path`.
 void CorruptSnapshotFile(const std::string& path) {
-  auto bytes = ReadFileToString(path);
+  auto bytes = Fs::Posix().ReadFile(path);
   ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
   std::string corrupted = bytes.value();
   corrupted[corrupted.size() / 2] ^= 0x01;
-  ASSERT_TRUE(AtomicWriteFile(path, corrupted).ok());
+  ASSERT_TRUE(Fs::Posix().WriteFileAtomic(path, corrupted).ok());
 }
 
 TEST_F(TrainerRecoveryTest, CorruptSnapshotFallsBackToOlderGeneration) {
@@ -764,7 +851,7 @@ TEST_F(TrainerRecoveryTest, CorruptSnapshotFallsBackToOlderGeneration) {
   ExpectSameModel(reference, resumed);
 
   // The corrupt file was quarantined for forensics, never deleted.
-  EXPECT_TRUE(ReadFileToString(checkpoint.path + ".corrupt").ok());
+  EXPECT_TRUE(Fs::Posix().ReadFile(checkpoint.path + ".corrupt").ok());
 }
 
 TEST_F(TrainerRecoveryTest, AllGenerationsCorruptMeansFreshStart) {
@@ -791,8 +878,8 @@ TEST_F(TrainerRecoveryTest, AllGenerationsCorruptMeansFreshStart) {
   auto report = TrainSgd(trainer, data, resumed, &checkpoint);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   ExpectSameModel(reference, resumed);
-  EXPECT_TRUE(ReadFileToString(checkpoint.path + ".corrupt").ok());
-  EXPECT_TRUE(ReadFileToString(checkpoint.path + ".1.corrupt").ok());
+  EXPECT_TRUE(Fs::Posix().ReadFile(checkpoint.path + ".corrupt").ok());
+  EXPECT_TRUE(Fs::Posix().ReadFile(checkpoint.path + ".1.corrupt").ok());
 }
 
 }  // namespace
