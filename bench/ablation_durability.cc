@@ -24,9 +24,7 @@
 #include "common/stopwatch.h"
 #include "common/table_printer.h"
 #include "core/expansion.h"
-#include "core/expansion_manifest.h"
 #include "core/perceptual_space.h"
-#include "crowd/dispatch_journal.h"
 #include "crowd/dispatcher.h"
 #include "data/domains.h"
 #include "data/synthetic_world.h"
@@ -93,17 +91,16 @@ const char* PolicyName(SyncPolicy sync) {
 /// Under CCDB_CRASH_POINT this is the first durable code reached, so the
 /// injected crash lands here; the next invocation resumes its journal.
 void RecoveryDemo(const DispatchSetup& setup, const std::string& dir) {
-  crowd::DurabilityOptions durability;
-  durability.journal_path = dir + "/ablation_durability_recovery.jnl";
-  const crowd::DurableDispatcher dispatcher(setup.pool, setup.policy,
-                                            durability);
-  auto result = dispatcher.Run(setup.labels, setup.hit);
+  JournalOptions journal;
+  journal.path = dir + "/ablation_durability_recovery.jnl";
+  const crowd::Dispatcher dispatcher(setup.pool, setup.policy);
+  auto result = dispatcher.Run(setup.labels, setup.hit, &journal);
   if (!result.ok()) {
     std::cout << "recovery demo: " << result.status().ToString() << "\n\n";
     return;
   }
   const crowd::DispatchStats& stats = result.value().stats;
-  std::cout << "recovery journal " << durability.journal_path << ": ";
+  std::cout << "recovery journal " << journal.path << ": ";
   if (stats.replayed_judgments > 0) {
     std::cout << "resumed — replayed " << stats.replayed_judgments
               << " judgments ($" << TablePrinter::Num(stats.replayed_dollars)
@@ -120,20 +117,16 @@ double MeanDispatchMillis(const DispatchSetup& setup, int reps,
   double total_ms = 0.0;
   for (int rep = 0; rep < reps; ++rep) {
     Stopwatch timer;
-    if (journal_path.empty()) {
-      const crowd::Dispatcher dispatcher(setup.pool, setup.policy);
-      auto result = dispatcher.Run(setup.labels, setup.hit);
-      if (!result.ok()) std::abort();
-    } else {
+    JournalOptions journal;
+    journal.path = journal_path;
+    journal.sync = sync;
+    if (!journal_path.empty()) {
       std::remove(journal_path.c_str());  // fresh run, not a replay
-      crowd::DurabilityOptions durability;
-      durability.journal_path = journal_path;
-      durability.sync = sync;
-      const crowd::DurableDispatcher dispatcher(setup.pool, setup.policy,
-                                                durability);
-      auto result = dispatcher.Run(setup.labels, setup.hit);
-      if (!result.ok()) std::abort();
     }
+    const crowd::Dispatcher dispatcher(setup.pool, setup.policy);
+    auto result = dispatcher.Run(setup.labels, setup.hit,
+                                 journal_path.empty() ? nullptr : &journal);
+    if (!result.ok()) std::abort();
     total_ms += timer.ElapsedMillis();
   }
   return total_ms / reps;
@@ -186,13 +179,13 @@ double MeanExpansionMillis(const ExpansionSetup& setup, int reps,
   double total_ms = 0.0;
   for (int rep = 0; rep < reps; ++rep) {
     Stopwatch timer;
-    core::DurableExpansionOptions durable;
-    durable.manifest_path = manifest_path;
-    durable.sync = sync;
+    JournalOptions journal;
+    journal.path = manifest_path;
+    journal.sync = sync;
     if (!manifest_path.empty()) std::remove(manifest_path.c_str());
     const auto checkpoints = core::RunIncrementalExpansion(
         setup.space, setup.sample, setup.judgments, 40.0, setup.options,
-        manifest_path.empty() ? nullptr : &durable);
+        manifest_path.empty() ? nullptr : &journal);
     if (!checkpoints.ok() || checkpoints.value().empty()) std::abort();
     total_ms += timer.ElapsedMillis();
   }

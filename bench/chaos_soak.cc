@@ -173,29 +173,37 @@ struct DispatchFixture {
   }
 };
 
-/// Scans the dispatch journal with a clean filesystem; a journal that does
-/// not exist yet counts as empty. Structural invalidity is itself an
-/// invariant violation (the journal must always hold a valid prefix).
-bool ScanDispatchJournal(const std::string& path,
-                         crowd::DispatchJournalState& state,
-                         std::string& error) {
+/// Reads the run journal at `path` with a clean filesystem and replays its
+/// frame; a journal that does not exist yet is an empty one.
+StatusOr<RunFrame> ScanRunJournal(const std::string& path,
+                                  std::uint64_t fingerprint) {
   StatusOr<JournalContents> contents = ReadJournal(path);
   if (!contents.ok()) {
-    if (contents.status().code() == StatusCode::kNotFound) {
-      state = crowd::DispatchJournalState{};
-      return true;
-    }
-    error = "journal unreadable with a clean fs: " +
-            contents.status().ToString();
+    if (contents.status().code() == StatusCode::kNotFound) return RunFrame{};
+    return contents.status();
+  }
+  return ReplayRunFrame(contents.value().records, fingerprint);
+}
+
+/// Scans the dispatch journal with a clean filesystem. Structural
+/// invalidity is itself an invariant violation (the journal must always
+/// hold a valid prefix).
+bool ScanDispatchJournal(const std::string& path, std::uint64_t fingerprint,
+                         crowd::DispatchJournalState& state, bool& finished,
+                         std::string& error) {
+  StatusOr<RunFrame> frame = ScanRunJournal(path, fingerprint);
+  if (!frame.ok()) {
+    error = "journal unreadable with a clean fs: " + frame.status().ToString();
     return false;
   }
   StatusOr<crowd::DispatchJournalState> replayed =
-      crowd::ReplayDispatchJournal(contents.value().records);
+      crowd::ReplayDispatchJournal(frame.value().records);
   if (!replayed.ok()) {
     error = "journal replay failed: " + replayed.status().ToString();
     return false;
   }
   state = std::move(replayed).value();
+  finished = frame.value().finished;
   return true;
 }
 
@@ -222,22 +230,25 @@ void RunDispatchPhase(const DispatchFixture& fixture, std::uint64_t seed,
   hit.fault.seed = seed ^ 0x5EEDF00Dull;
 
   // Fault-free reference: same crowd faults, clean storage.
+  const std::uint64_t fingerprint = crowd::DispatchFingerprint(
+      fixture.pool, fixture.labels, hit, fixture.policy);
   const std::string ref_path = dir + "/chaos_dispatch_ref.jnl";
   RemoveDurableFamily(ref_path);
-  crowd::DurabilityOptions ref_durability;
-  ref_durability.journal_path = ref_path;
-  const crowd::DurableDispatcher ref_dispatcher(fixture.pool, fixture.policy,
-                                                ref_durability);
+  JournalOptions clean_journal;
+  clean_journal.path = ref_path;
+  const crowd::Dispatcher clean_dispatcher(fixture.pool, fixture.policy);
   StatusOr<crowd::DispatchResult> ref =
-      ref_dispatcher.Run(fixture.labels, hit);
+      clean_dispatcher.Run(fixture.labels, hit, &clean_journal);
   if (!ref.ok() || !ref.value().stop_status.ok()) {
     ReportFailure(failure, "reference dispatch failed on a clean fs",
                   nullptr);
     return;
   }
   crowd::DispatchJournalState ref_journal;
+  bool finished = false;
   std::string scan_error;
-  if (!ScanDispatchJournal(ref_path, ref_journal, scan_error)) {
+  if (!ScanDispatchJournal(ref_path, fingerprint, ref_journal, finished,
+                           scan_error)) {
     ReportFailure(failure, "reference journal: " + scan_error, nullptr);
     return;
   }
@@ -251,9 +262,9 @@ void RunDispatchPhase(const DispatchFixture& fixture, std::uint64_t seed,
   bool done = false;
   for (int attempt = 0; attempt < kMaxChaosAttempts && !done; ++attempt) {
     FaultFs fault_fs(JournalFaults(seed * 1000 + attempt));
-    crowd::DurabilityOptions durability;
-    durability.journal_path = path;
-    durability.fs = &fault_fs;
+    JournalOptions journal;
+    journal.path = path;
+    journal.fs = &fault_fs;
 
     crowd::DispatcherConfig policy = fixture.policy;
     CancellationSource cancel;
@@ -267,9 +278,8 @@ void RunDispatchPhase(const DispatchFixture& fixture, std::uint64_t seed,
                        1 + rng.UniformInt(12));
     }
 
-    const crowd::DurableDispatcher dispatcher(fixture.pool, policy,
-                                              durability);
-    result = dispatcher.Run(fixture.labels, hit);
+    const crowd::Dispatcher dispatcher(fixture.pool, policy);
+    result = dispatcher.Run(fixture.labels, hit, &journal);
     CrashPoints::Disarm();
     g_cancel_target = nullptr;
 
@@ -279,7 +289,7 @@ void RunDispatchPhase(const DispatchFixture& fixture, std::uint64_t seed,
     // clean-scan judgment count is monotone, and the journal never holds
     // more money than the fault-free run spends in total.
     crowd::DispatchJournalState state;
-    if (!ScanDispatchJournal(path, state, scan_error)) {
+    if (!ScanDispatchJournal(path, fingerprint, state, finished, scan_error)) {
       ReportFailure(failure, "dispatch attempt: " + scan_error, &fault_fs);
       return;
     }
@@ -308,11 +318,9 @@ void RunDispatchPhase(const DispatchFixture& fixture, std::uint64_t seed,
   if (!done) {
     // The faulted attempts never got a clean window; the journaled state
     // must still be usable — a clean resume finishes the dispatch.
-    crowd::DurabilityOptions durability;
-    durability.journal_path = path;
-    const crowd::DurableDispatcher dispatcher(fixture.pool, fixture.policy,
-                                              durability);
-    result = dispatcher.Run(fixture.labels, hit);
+    JournalOptions journal;
+    journal.path = path;
+    result = clean_dispatcher.Run(fixture.labels, hit, &journal);
     if (!result.ok() || !result.value().stop_status.ok()) {
       ReportFailure(failure,
                     "clean resume after chaos failed: " +
@@ -334,14 +342,15 @@ void RunDispatchPhase(const DispatchFixture& fixture, std::uint64_t seed,
     return;
   }
   crowd::DispatchJournalState final_state;
-  if (!ScanDispatchJournal(path, final_state, scan_error)) {
+  if (!ScanDispatchJournal(path, fingerprint, final_state, finished,
+                           scan_error)) {
     ReportFailure(failure, "final journal: " + scan_error, nullptr);
     return;
   }
   if (final_state.paid_judgments() != ref_journal.paid_judgments() ||
       std::fabs(final_state.paid_dollars() - ref_journal.paid_dollars()) >
           1e-9 ||
-      !final_state.complete) {
+      !finished) {
     ReportFailure(failure, "final journal accounting differs from the "
                            "fault-free journal",
                   nullptr);
@@ -397,14 +406,13 @@ struct ExpansionFixture {
   /// The expansion inputs are fixed, so the fault-free checkpoint stream
   /// is computed once and shared by every iteration.
   bool ComputeReference(const std::string& dir) {
-    const std::string path = dir + "/chaos_expansion_ref.jnl";
-    RemoveDurableFamily(path);
-    core::DurableExpansionOptions durable;
-    durable.manifest_path = path;
+    JournalOptions journal;
+    journal.path = dir + "/chaos_expansion_ref.jnl";
+    RemoveDurableFamily(journal.path);
     StatusOr<std::vector<core::ExpansionCheckpoint>> checkpoints =
         core::RunIncrementalExpansion(space, sample, judgments, 20.0, options,
-                                      &durable);
-    RemoveDurableFamily(path);
+                                      &journal);
+    RemoveDurableFamily(journal.path);
     if (!checkpoints.ok()) return false;
     for (const core::ExpansionCheckpoint& checkpoint : checkpoints.value()) {
       ref_encoded.push_back(core::EncodeExpansionCheckpoint(checkpoint));
@@ -416,42 +424,41 @@ struct ExpansionFixture {
 /// Checks that the manifest on disk (read with a clean fs) is a bitwise
 /// prefix of the fault-free checkpoint stream, no shorter than before.
 bool CheckManifestPrefix(const std::string& path,
-                         const std::vector<std::string>& ref_encoded,
-                         std::size_t& seen, std::string& error) {
-  StatusOr<core::ExpansionManifest> manifest =
-      core::LoadExpansionManifest(path);
-  if (!manifest.ok()) {
-    if (manifest.status().code() == StatusCode::kNotFound) {
-      if (seen > 0) {
-        error = "manifest vanished after holding " + std::to_string(seen) +
-                " checkpoints";
-        return false;
-      }
-      return true;
-    }
-    error = "manifest unreadable with a clean fs: " +
-            manifest.status().ToString();
+                         const ExpansionFixture& fixture, std::size_t& seen,
+                         std::string& error) {
+  const std::uint64_t fingerprint = core::ExpansionFingerprint(
+      fixture.sample, fixture.judgments, 20.0, fixture.options);
+  StatusOr<RunFrame> frame = ScanRunJournal(path, fingerprint);
+  if (!frame.ok()) {
+    error = "manifest unreadable with a clean fs: " + frame.status().ToString();
     return false;
   }
-  const std::vector<core::ExpansionCheckpoint>& checkpoints =
-      manifest.value().checkpoints;
-  if (checkpoints.size() < seen) {
+  StatusOr<std::vector<core::ExpansionCheckpoint>> checkpoints =
+      core::ReplayExpansionManifest(frame.value().records,
+                                    fixture.sample.size());
+  if (!checkpoints.ok()) {
+    error = "manifest replay failed: " + checkpoints.status().ToString();
+    return false;
+  }
+  const std::vector<std::string>& ref_encoded = fixture.ref_encoded;
+  if (checkpoints.value().size() < seen) {
     error = "manifest shrank from " + std::to_string(seen) + " to " +
-            std::to_string(checkpoints.size()) + " checkpoints";
+            std::to_string(checkpoints.value().size()) + " checkpoints";
     return false;
   }
-  if (checkpoints.size() > ref_encoded.size()) {
+  if (checkpoints.value().size() > ref_encoded.size()) {
     error = "manifest holds more checkpoints than the fault-free run";
     return false;
   }
-  for (std::size_t i = 0; i < checkpoints.size(); ++i) {
-    if (core::EncodeExpansionCheckpoint(checkpoints[i]) != ref_encoded[i]) {
+  for (std::size_t i = 0; i < checkpoints.value().size(); ++i) {
+    if (core::EncodeExpansionCheckpoint(checkpoints.value()[i]) !=
+        ref_encoded[i]) {
       error = "checkpoint " + std::to_string(i) +
               " diverges bitwise from the fault-free run";
       return false;
     }
   }
-  seen = checkpoints.size();
+  seen = checkpoints.value().size();
   return true;
 }
 
@@ -467,9 +474,9 @@ void RunExpansionPhase(const ExpansionFixture& fixture, std::uint64_t seed,
       Status::Internal("no chaos attempt ran");
   for (int attempt = 0; attempt < kMaxChaosAttempts && !done; ++attempt) {
     FaultFs fault_fs(JournalFaults(seed * 1000 + 500 + attempt));
-    core::DurableExpansionOptions durable;
-    durable.manifest_path = path;
-    durable.fs = &fault_fs;
+    JournalOptions journal;
+    journal.path = path;
+    journal.fs = &fault_fs;
 
     core::IncrementalExpansionOptions options = fixture.options;
     CancellationSource cancel;
@@ -481,23 +488,23 @@ void RunExpansionPhase(const ExpansionFixture& fixture, std::uint64_t seed,
 
     checkpoints = core::RunIncrementalExpansion(
         fixture.space, fixture.sample, fixture.judgments, 20.0, options,
-        &durable);
+        &journal);
     CrashPoints::Disarm();
     g_cancel_target = nullptr;
     done = checkpoints.ok();
 
-    if (!CheckManifestPrefix(path, fixture.ref_encoded, seen, error)) {
+    if (!CheckManifestPrefix(path, fixture, seen, error)) {
       ReportFailure(failure, "expansion attempt: " + error, &fault_fs);
       return;
     }
   }
 
   if (!done) {
-    core::DurableExpansionOptions durable;
-    durable.manifest_path = path;
+    JournalOptions journal;
+    journal.path = path;
     checkpoints = core::RunIncrementalExpansion(
         fixture.space, fixture.sample, fixture.judgments, 20.0,
-        fixture.options, &durable);
+        fixture.options, &journal);
     if (!checkpoints.ok()) {
       ReportFailure(failure,
                     "clean expansion resume after chaos failed: " +

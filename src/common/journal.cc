@@ -28,11 +28,14 @@ std::array<std::uint32_t, 256> BuildCrcTable() {
   return table;
 }
 
-void PutLe32(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
-  out.push_back(static_cast<char>((v >> 16) & 0xFF));
-  out.push_back(static_cast<char>((v >> 24) & 0xFF));
+/// Appends the little-endian bytes of `v` in one call.
+template <typename T>
+void PutLe(std::string& out, T v) {
+  char bytes[sizeof(T)];
+  for (std::size_t k = 0; k < sizeof(T); ++k) {
+    bytes[k] = static_cast<char>(v >> (8 * k));
+  }
+  out.append(bytes, sizeof(T));
 }
 
 std::uint32_t GetLe32(const char* p) {
@@ -68,18 +71,15 @@ void ByteWriter::PutU8(std::uint8_t v) {
   bytes_.push_back(static_cast<char>(v));
 }
 
-void ByteWriter::PutU32(std::uint32_t v) { PutLe32(bytes_, v); }
+void ByteWriter::PutU32(std::uint32_t v) { PutLe(bytes_, v); }
 
-void ByteWriter::PutU64(std::uint64_t v) {
-  PutLe32(bytes_, static_cast<std::uint32_t>(v & 0xFFFFFFFFu));
-  PutLe32(bytes_, static_cast<std::uint32_t>(v >> 32));
-}
+void ByteWriter::PutU64(std::uint64_t v) { PutLe(bytes_, v); }
 
 void ByteWriter::PutF64(double v) {
   std::uint64_t bits = 0;
   static_assert(sizeof(bits) == sizeof(v));
   std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(bits);
+  PutLe(bytes_, bits);
 }
 
 void ByteWriter::PutBytes(std::string_view bytes) {
@@ -288,8 +288,9 @@ Status JournalWriter::Append(std::string_view payload) {
     return Status::InvalidArgument("journal record too large");
   }
   std::string record;
-  PutLe32(record, static_cast<std::uint32_t>(payload.size()));
-  PutLe32(record, Crc32(payload));
+  record.reserve(kRecordHeaderBytes + payload.size());
+  PutLe(record, static_cast<std::uint32_t>(payload.size()));
+  PutLe(record, Crc32(payload));
   record.append(payload.data(), payload.size());
   if (Status status = file_->Append(record); !status.ok()) return status;
   ++appended_records_;
@@ -317,6 +318,99 @@ Status JournalWriter::Close() {
   return status;
 }
 
+// ------------------------------------------------------------ run frame
+
+namespace {
+
+/// The first byte of every run-journal record. Journals of the earlier
+/// layout, in which each journal kind framed its run itself, begin their
+/// records with 1 to 5; no tag here matches, so they are refused whole.
+enum class FrameTag : std::uint8_t {
+  kBegin = 0x10,   // u64 fingerprint
+  kRecord = 0x11,  // one of the run's own records
+  kFinish = 0x12,  // u64 fingerprint
+};
+
+std::string FrameRecord(FrameTag tag, std::uint64_t fingerprint) {
+  ByteWriter w;
+  w.PutU8(static_cast<std::uint8_t>(tag));
+  w.PutU64(fingerprint);
+  return w.Take();
+}
+
+}  // namespace
+
+StatusOr<RunFrame> ReplayRunFrame(const std::vector<std::string>& records,
+                                  std::uint64_t fingerprint) {
+  RunFrame frame;
+  for (const std::string& record : records) {
+    ByteReader r(record);
+    const auto tag = static_cast<FrameTag>(r.GetU8());
+    if (tag == FrameTag::kRecord) {
+      frame.records.emplace_back(std::string_view(record).substr(1));
+      continue;
+    }
+    if (tag != FrameTag::kBegin && tag != FrameTag::kFinish) {
+      return Status::InvalidArgument(
+          "journal record of an unknown or older layout");
+    }
+    const std::uint64_t stored = r.GetU64();
+    if (!r.AtEnd()) {
+      return Status::InvalidArgument("malformed run frame record");
+    }
+    if (stored != fingerprint) {
+      return Status::InvalidArgument(
+          "journal belongs to another run (fingerprint mismatch); refusing "
+          "to splice two runs");
+    }
+    (tag == FrameTag::kBegin ? frame.begun : frame.finished) = true;
+  }
+  return frame;
+}
+
+StatusOr<RunJournal> RunJournal::Open(const JournalOptions& options,
+                                      std::uint64_t fingerprint) {
+  if (options.path.empty()) {
+    return Status::InvalidArgument("JournalOptions.path is empty");
+  }
+  JournalContents contents;
+  StatusOr<JournalWriter> writer = JournalWriter::Open(
+      options.path, options.sync, &contents, options.fs);
+  if (!writer.ok()) return writer.status();
+  StatusOr<RunFrame> replayed = ReplayRunFrame(contents.records, fingerprint);
+  if (!replayed.ok()) {
+    return Status::InvalidArgument(replayed.status().message() + ": " +
+                                   options.path);
+  }
+  RunJournal journal(std::move(writer).value(), fingerprint,
+                     std::move(replayed).value());
+  if (!journal.replayed_.begun) {
+    if (Status status = journal.writer_.Append(
+            FrameRecord(FrameTag::kBegin, fingerprint));
+        !status.ok()) {
+      return status;
+    }
+    if (Status status = journal.writer_.Sync(); !status.ok()) return status;
+  }
+  return journal;
+}
+
+Status RunJournal::Append(std::string_view record) {
+  std::string framed(1, static_cast<char>(FrameTag::kRecord));
+  framed.append(record.data(), record.size());
+  return writer_.Append(framed);
+}
+
+Status RunJournal::Finish() {
+  if (replayed_.finished) return Status::Ok();
+  if (Status status =
+          writer_.Append(FrameRecord(FrameTag::kFinish, fingerprint_));
+      !status.ok()) {
+    return status;
+  }
+  return writer_.Sync();
+}
+
 // -------------------------------------------------------------- envelope
 
 namespace {
@@ -328,7 +422,7 @@ constexpr std::size_t kEnvelopeHeaderBytes = 8 + 4;  // magic + u32 crc
 std::string SealEnvelope(const char (&magic)[8], std::string_view payload) {
   std::string file(magic, sizeof(magic));
   file.reserve(kEnvelopeHeaderBytes + payload.size());
-  PutLe32(file, Crc32(payload));
+  PutLe(file, Crc32(payload));
   file.append(payload.data(), payload.size());
   return file;
 }

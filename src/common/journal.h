@@ -5,6 +5,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/io.h"
@@ -36,9 +37,12 @@ enum class SyncPolicy {
 
 /// Little-endian byte-string builder for journal record payloads and
 /// snapshot files. Doubles are stored as IEEE-754 bit patterns so a
-/// round trip is bit-exact.
+/// round trip is bit-exact. Each field is one append.
 class ByteWriter {
  public:
+  /// Reserves room for `bytes` in all, so a payload of known size is
+  /// written without regrowing.
+  void Reserve(std::size_t bytes) { bytes_.reserve(bytes); }
   void PutU8(std::uint8_t v);
   void PutU32(std::uint32_t v);
   void PutU64(std::uint64_t v);
@@ -146,6 +150,77 @@ class JournalWriter {
   SyncPolicy sync_;
   std::unique_ptr<WritableFile> file_;
   std::uint64_t appended_records_ = 0;
+};
+
+/// Where a durable run journals its progress: the dispatcher's judgments
+/// (crowd::Dispatcher::Run) or the incremental expansion's checkpoints
+/// (core::RunIncrementalExpansion).
+struct JournalOptions {
+  /// Path of the journal file.
+  std::string path;
+  /// When appends reach the disk. kBatch syncs once per posting or
+  /// checkpoint, the setting the durability ablation measures.
+  SyncPolicy sync = SyncPolicy::kBatch;
+  /// Filesystem backend (ResolveFs convention: nullptr = the real one).
+  /// The chaos soak injects a FaultFs here.
+  Fs* fs = nullptr;
+};
+
+/// The run frame of a journal, rebuilt by ReplayRunFrame. A run journal
+/// holds one run: a begin record with the fingerprint of the run's
+/// inputs, the run's own records, and a finish record with the same
+/// fingerprint once the run completed.
+struct RunFrame {
+  bool begun = false;
+  /// The finish record was journaled: the run's own records are its full
+  /// result.
+  bool finished = false;
+  /// The run's own records, in append order. Copies are kept: each record
+  /// carries its identity, so the run's replay collapses them.
+  std::vector<std::string> records;
+};
+
+/// Splits a run journal's records (as ReadJournal returns them) into the
+/// frame and the run's own records. The frame may arrive in any order and
+/// any number of times. A begin or finish record whose fingerprint is not
+/// `fingerprint`, wherever it lies, is InvalidArgument (the journal holds
+/// another run), and so is a record the frame does not know (a journal of
+/// an older record layout).
+[[nodiscard]] StatusOr<RunFrame> ReplayRunFrame(
+    const std::vector<std::string>& records, std::uint64_t fingerprint);
+
+/// The journal of one durable run. Open replays what an earlier attempt
+/// journaled and, for a new run, makes the begin record durable before it
+/// returns; the run then appends its own records and Finish seals them.
+class RunJournal {
+ public:
+  /// Opens, or creates, the journal at `options.path` for the run whose
+  /// inputs hash to `fingerprint` (JournalWriter::Open, then
+  /// ReplayRunFrame). InvalidArgument for an empty path or a journal of
+  /// another run or layout.
+  [[nodiscard]] static StatusOr<RunJournal> Open(const JournalOptions& options,
+                                                 std::uint64_t fingerprint);
+
+  /// What earlier attempts journaled (empty for a new run).
+  const RunFrame& replayed() const { return replayed_; }
+
+  /// Appends one of the run's own records.
+  [[nodiscard]] Status Append(std::string_view record);
+  [[nodiscard]] Status Sync() { return writer_.Sync(); }
+  /// Appends and syncs the finish record, unless an earlier attempt did.
+  [[nodiscard]] Status Finish();
+  [[nodiscard]] Status Close() { return writer_.Close(); }
+
+ private:
+  RunJournal(JournalWriter writer, std::uint64_t fingerprint,
+             RunFrame replayed)
+      : writer_(std::move(writer)),
+        fingerprint_(fingerprint),
+        replayed_(std::move(replayed)) {}
+
+  JournalWriter writer_;
+  std::uint64_t fingerprint_;
+  RunFrame replayed_;
 };
 
 /// Single-file state (a trainer snapshot, a saved perceptual space) is one

@@ -1,7 +1,12 @@
 #include "core/expansion.h"
 
+#include <algorithm>
 #include <string>
 #include <unordered_set>
+#include <utility>
+
+#include "common/crash_point.h"
+#include "core/expansion_manifest.h"
 
 namespace ccdb::core {
 namespace {
@@ -32,7 +37,143 @@ TrainingSet BuildTrainingSet(const std::vector<crowd::Judgment>& judgments,
   return set;
 }
 
+Status ValidateIncrementalExpansion(
+    const std::vector<std::uint32_t>& sample_items,
+    const std::vector<crowd::Judgment>& judgments, double total_minutes,
+    const IncrementalExpansionOptions& options) {
+  if (!(options.checkpoint_interval_minutes > 0.0)) {
+    return Status::InvalidArgument(
+        "checkpoint_interval_minutes must be > 0");
+  }
+  if (sample_items.empty()) {
+    return Status::InvalidArgument("sample_items is empty");
+  }
+  if (!(total_minutes >= 0.0)) {
+    return Status::InvalidArgument("total_minutes must be >= 0");
+  }
+  for (const crowd::Judgment& judgment : judgments) {
+    if (!judgment.is_gold && judgment.item >= sample_items.size()) {
+      return Status::OutOfRange(
+          "judgment references item " + std::to_string(judgment.item) +
+          " outside the sample of " + std::to_string(sample_items.size()));
+    }
+  }
+  return Status::Ok();
+}
+
+/// The single-checkpoint kernel: the majority vote over judgments up to
+/// `now`, the training set it induces, and the retrained extraction over
+/// the sample (the experiment's universe) in one batched sweep. nullopt
+/// when `stop` fired inside the sweep — a partial checkpoint is never
+/// published.
+std::optional<ExpansionCheckpoint> ComputeExpansionCheckpoint(
+    const PerceptualSpace& space,
+    const std::vector<std::uint32_t>& sample_items,
+    const std::vector<crowd::Judgment>& judgments, double now,
+    const ExtractorOptions& extractor_options, const StopCondition& stop) {
+  TrainingSet training = BuildTrainingSet(judgments, sample_items, now);
+  ExpansionCheckpoint checkpoint;
+  checkpoint.minutes = now;
+  checkpoint.dollars_spent = crowd::CostUpTo(judgments, now);
+  checkpoint.training_size = training.items.size();
+  BinaryAttributeExtractor extractor(extractor_options);
+  if (extractor.Train(space, training.items, training.labels)) {
+    checkpoint.extractor_trained = true;
+    std::optional<std::vector<bool>> extracted =
+        extractor.ExtractItems(space, sample_items, stop);
+    if (!extracted.has_value()) return std::nullopt;
+    checkpoint.extracted = *std::move(extracted);
+  }
+  checkpoint.crowd_classification = std::move(training.classification);
+  return checkpoint;
+}
+
 }  // namespace
+
+StatusOr<std::vector<ExpansionCheckpoint>> RunIncrementalExpansion(
+    const PerceptualSpace& space,
+    const std::vector<std::uint32_t>& sample_items,
+    const std::vector<crowd::Judgment>& judgments, double total_minutes,
+    const IncrementalExpansionOptions& options,
+    const JournalOptions* journal_options) {
+  if (Status status = ValidateIncrementalExpansion(sample_items, judgments,
+                                                   total_minutes, options);
+      !status.ok()) {
+    return status;
+  }
+
+  // With a journal, recover the checkpoints an earlier attempt made
+  // durable; a journal of other inputs is rejected instead of spliced in.
+  std::optional<RunJournal> journal;
+  std::vector<ExpansionCheckpoint> recovered;
+  if (journal_options != nullptr) {
+    StatusOr<RunJournal> opened = RunJournal::Open(
+        *journal_options,
+        ExpansionFingerprint(sample_items, judgments, total_minutes, options));
+    if (!opened.ok()) return opened.status();
+    journal.emplace(std::move(opened).value());
+    StatusOr<std::vector<ExpansionCheckpoint>> replayed =
+        ReplayExpansionManifest(journal->replayed().records,
+                                sample_items.size());
+    if (!replayed.ok()) return replayed.status();
+    recovered = std::move(replayed).value();
+    CCDB_CRASH_POINT("expansion.begin");
+  }
+
+  // `t` advances by repeated addition, so fresh and resumed runs walk the
+  // identical floating-point time grid. Journaled checkpoints are consumed
+  // verbatim; the first missing index is computed, journaled, then used.
+  std::vector<ExpansionCheckpoint> checkpoints;
+  std::size_t index = 0;
+  for (double t = options.checkpoint_interval_minutes;;
+       t += options.checkpoint_interval_minutes, ++index) {
+    const double now = std::min(t, total_minutes);
+    ExpansionCheckpoint checkpoint;
+    if (index < recovered.size()) {
+      checkpoint = std::move(recovered[index]);
+    } else {
+      // Cooperative stop at the checkpoint boundary or inside the sweep.
+      // Checkpoints already journaled stay on disk; a later run with the
+      // same inputs picks up exactly here — cancellation leaves the same
+      // durable state as a crash would, minus the torn tail.
+      std::optional<ExpansionCheckpoint> computed;
+      if (!options.stop.ShouldStop()) {
+        computed = ComputeExpansionCheckpoint(space, sample_items, judgments,
+                                              now, options.extractor,
+                                              options.stop);
+      }
+      if (!computed.has_value()) {
+        if (journal.has_value()) {
+          if (Status status = journal->Close(); !status.ok()) return status;
+        }
+        return options.stop.ToStatus("incremental expansion");
+      }
+      checkpoint = *std::move(computed);
+      if (journal.has_value()) {
+        if (Status status =
+                journal->Append(EncodeManifestRecord(index, checkpoint));
+            !status.ok()) {
+          return status;
+        }
+        if (Status status = journal->Sync(); !status.ok()) return status;
+        CCDB_CRASH_POINT("expansion.checkpoint");
+      }
+    }
+    // Budget cap: keep the checkpoint that crossed the cap (it reflects
+    // the last money actually spent), then stop — partial results beat
+    // none when the crowd run outlives its budget.
+    const bool over_budget = checkpoint.dollars_spent > options.max_dollars;
+    checkpoints.push_back(std::move(checkpoint));
+    if (now >= total_minutes || over_budget) break;
+  }
+
+  if (journal.has_value()) {
+    if (Status status = journal->Finish(); !status.ok()) return status;
+    CCDB_CRASH_POINT("expansion.finish");
+    if (Status status = journal->Close(); !status.ok()) return status;
+  }
+  return checkpoints;
+}
 
 SchemaExpansionResult Expand(const PerceptualSpace& space,
                              const SchemaExpansionRequest& request,

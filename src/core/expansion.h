@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/cancellation.h"
-#include "common/io.h"
 #include "common/journal.h"
 #include "common/status.h"
 #include "core/extractor.h"
@@ -49,23 +48,9 @@ struct IncrementalExpansionOptions {
   /// Cooperative stop signal, probed at every checkpoint boundary and per
   /// block inside each checkpoint's extraction sweep. When it fires the
   /// loop returns Cancelled / DeadlineExceeded; the partial state is the
-  /// checkpoint prefix already journaled to the manifest (if any), which a
-  /// later run with the same inputs resumes from. The default never fires.
+  /// checkpoint prefix already journaled (if any), which a later run with
+  /// the same inputs resumes from. The default never fires.
   StopCondition stop;
-};
-
-/// Where (and how eagerly) the incremental loop journals its checkpoints.
-/// The manifest is an append-only ccdb journal holding one record per
-/// completed checkpoint, so a crashed or cancelled run resumes from the
-/// last checkpoint that reached the disk instead of re-paying the whole
-/// boosting loop (expansion_manifest.h has the record format).
-struct DurableExpansionOptions {
-  /// Path of the checkpoint manifest journal.
-  std::string manifest_path;
-  /// fsync policy of checkpoint appends (kBatch = one sync per checkpoint).
-  SyncPolicy sync = SyncPolicy::kBatch;
-  /// Filesystem backend (ResolveFs convention: nullptr = the real one).
-  Fs* fs = nullptr;
 };
 
 /// Replays a crowd judgment stream over the sample `sample_items` (crowd
@@ -78,21 +63,23 @@ struct DurableExpansionOptions {
 ///
 /// Invalid inputs (empty sample, non-positive interval, negative total
 /// time, judgments outside the sample) return InvalidArgument / OutOfRange.
-/// With a `manifest`, every checkpoint is appended to the journal (and
-/// synced per its policy) before the loop advances; checkpoints already
-/// journaled by an interrupted run with the same input fingerprint are
-/// loaded verbatim and the loop continues after them, so the result is
-/// bit-identical to an uninterrupted run's. A manifest of different
-/// inputs is rejected with InvalidArgument. A fired `options.stop`
-/// returns Cancelled / DeadlineExceeded. Implemented in
-/// expansion_manifest.cc, next to the journal codec.
+/// With a `journal` (the manifest; core/expansion_manifest.h has its
+/// records), every checkpoint is appended and synced per its policy
+/// before the loop advances, so a crashed or cancelled run resumes from
+/// the last checkpoint that reached the disk instead of re-paying the
+/// whole loop: checkpoints an interrupted run with the same inputs
+/// journaled are loaded verbatim and the loop continues after them, so
+/// the result is bit-identical to an uninterrupted run's. A manifest of
+/// different inputs, or one whose checkpoints do not match the sample's
+/// size, is rejected with InvalidArgument. A fired `options.stop` returns
+/// Cancelled / DeadlineExceeded.
 [[nodiscard]]
 StatusOr<std::vector<ExpansionCheckpoint>> RunIncrementalExpansion(
     const PerceptualSpace& space,
     const std::vector<std::uint32_t>& sample_items,
     const std::vector<crowd::Judgment>& judgments, double total_minutes,
     const IncrementalExpansionOptions& options,
-    const DurableExpansionOptions* manifest = nullptr);
+    const JournalOptions* journal = nullptr);
 
 /// End-to-end schema expansion (the Figure 2 workflow): crowd-source a
 /// gold sample for the new attribute, train the extractor, and return

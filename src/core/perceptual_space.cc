@@ -106,6 +106,8 @@ constexpr char kMagic[8] = {'C', 'C', 'D', 'B', 'P', 'S', '0', '3'};
 
 Status PerceptualSpace::SaveToFile(const std::string& path, Fs* fs) const {
   ByteWriter w;
+  w.Reserve(3 * sizeof(std::uint64_t) + 1 +
+            sizeof(double) * (item_coords_.Data().size() + item_bias_.size()));
   w.PutU64(num_items());
   w.PutU64(dims());
   w.PutBool(!item_bias_.empty());

@@ -57,15 +57,14 @@ void PutDispatcherConfig(ByteWriter& w, const DispatcherConfig& config) {
 
 namespace {
 
-/// Journal record types. The payload layout after the type byte is fixed
-/// per type; every record carries its full identity (round, sequence
-/// number) so replay is idempotent under duplication and reordering.
+/// The dispatch's own record types, inside the run frame. The payload
+/// layout after the type byte is fixed per type; every record carries its
+/// full identity (round, sequence number) so replay is idempotent under
+/// duplication and reordering.
 enum class RecordType : std::uint8_t {
-  kDispatchBegin = 1,  // u64 fingerprint, u64 num_items
-  kPostingBegin = 2,   // u64 round, u64 posting fingerprint
-  kJudgment = 3,       // u64 round, u64 seq, judgment fields
-  kPostingEnd = 4,     // u64 round, u64 num_judgments, posting totals
-  kDispatchEnd = 5,    // u64 fingerprint
+  kPostingBegin = 1,  // u64 round, u64 posting fingerprint
+  kJudgment = 2,      // u64 round, u64 seq, judgment fields
+  kPostingEnd = 3,    // u64 round, u64 num_judgments, posting totals
 };
 
 /// Fingerprint of one posting's full specification: everything RunCrowdTask
@@ -83,24 +82,40 @@ std::uint64_t PostingSpecFingerprint(const PostingSpec& spec) {
   return HashBytes(w.bytes());
 }
 
-Judgment GetJudgment(ByteReader& r) {
-  Judgment judgment;
+/// Reads a PutJudgment layout; false when the answer byte is no Answer.
+bool GetJudgment(ByteReader& r, Judgment& judgment) {
   judgment.item = r.GetU32();
   judgment.worker = r.GetU32();
-  judgment.answer = static_cast<Answer>(r.GetU8());
+  const std::uint8_t answer = r.GetU8();
+  judgment.answer = static_cast<Answer>(answer);
   judgment.timestamp_minutes = r.GetF64();
   judgment.cost_dollars = r.GetF64();
   judgment.is_gold = r.GetBool();
-  return judgment;
+  return answer <= static_cast<std::uint8_t>(Answer::kDontKnow);
 }
 
-std::string EncodeDispatchBegin(std::uint64_t fingerprint,
-                                std::uint64_t num_items) {
-  ByteWriter w;
-  w.PutU8(static_cast<std::uint8_t>(RecordType::kDispatchBegin));
-  w.PutU64(fingerprint);
-  w.PutU64(num_items);
-  return w.Take();
+/// The totals of a posting's run (all but its judgments), as its
+/// posting-end record carries them.
+void PutRunTotals(ByteWriter& w, const CrowdRunResult& run) {
+  w.PutF64(run.total_minutes);
+  w.PutF64(run.total_cost_dollars);
+  w.PutU64(run.num_participating_workers);
+  w.PutU64(run.num_excluded_workers);
+  w.PutU64(run.num_abandoned_hits);
+  w.PutU64(run.num_churned_workers);
+  w.PutU64(run.num_duplicate_judgments);
+  w.PutU64(run.num_spam_burst_judgments);
+}
+
+void GetRunTotals(ByteReader& r, CrowdRunResult& run) {
+  run.total_minutes = r.GetF64();
+  run.total_cost_dollars = r.GetF64();
+  run.num_participating_workers = r.GetU64();
+  run.num_excluded_workers = r.GetU64();
+  run.num_abandoned_hits = r.GetU64();
+  run.num_churned_workers = r.GetU64();
+  run.num_duplicate_judgments = r.GetU64();
+  run.num_spam_burst_judgments = r.GetU64();
 }
 
 std::string EncodePostingBegin(std::uint64_t round,
@@ -127,21 +142,7 @@ std::string EncodePostingEnd(std::uint64_t round, const CrowdRunResult& run) {
   w.PutU8(static_cast<std::uint8_t>(RecordType::kPostingEnd));
   w.PutU64(round);
   w.PutU64(run.judgments.size());
-  w.PutF64(run.total_minutes);
-  w.PutF64(run.total_cost_dollars);
-  w.PutU64(run.num_participating_workers);
-  w.PutU64(run.num_excluded_workers);
-  w.PutU64(run.num_abandoned_hits);
-  w.PutU64(run.num_churned_workers);
-  w.PutU64(run.num_duplicate_judgments);
-  w.PutU64(run.num_spam_burst_judgments);
-  return w.Take();
-}
-
-std::string EncodeDispatchEnd(std::uint64_t fingerprint) {
-  ByteWriter w;
-  w.PutU8(static_cast<std::uint8_t>(RecordType::kDispatchEnd));
-  w.PutU64(fingerprint);
+  PutRunTotals(w, run);
   return w.Take();
 }
 
@@ -152,20 +153,31 @@ struct PostingAccumulator {
   bool started = false;
   bool end_seen = false;
   std::uint64_t expected_judgments = 0;
-  double total_minutes = 0.0;
-  double total_cost_dollars = 0.0;
-  std::uint64_t participating = 0;
-  std::uint64_t excluded = 0;
-  std::uint64_t abandoned = 0;
-  std::uint64_t churned = 0;
-  std::uint64_t duplicates = 0;
-  std::uint64_t spam = 0;
+  CrowdRunResult totals;  // judgments stay empty
   std::map<std::uint64_t, Judgment> by_seq;
 };
 
 Status MalformedRecord(const char* what) {
   return Status::InvalidArgument(
       std::string("malformed dispatch journal record: ") + what);
+}
+
+/// InvalidArgument unless every judgment of a journaled posting lies in
+/// the posting `spec` describes: a judgment on a sampled item indexes
+/// `item_map`, a gold probe lies within the sample plus its gold
+/// questions.
+Status CheckReplayedJudgments(const PostingSpec& spec,
+                              const std::vector<Judgment>& judgments) {
+  const std::size_t gold_end =
+      spec.truth.size() + spec.config.num_gold_questions;
+  for (const Judgment& judgment : judgments) {
+    if (judgment.item >= (judgment.is_gold ? gold_end : spec.item_map.size())) {
+      return Status::InvalidArgument(
+          "journaled judgment on item " + std::to_string(judgment.item) +
+          " lies outside posting round " + std::to_string(spec.round));
+    }
+  }
+  return Status::Ok();
 }
 
 }  // namespace
@@ -190,96 +202,45 @@ std::size_t DispatchJournalState::paid_judgments() const {
 
 StatusOr<DispatchJournalState> ReplayDispatchJournal(
     const std::vector<std::string>& records) {
-  DispatchJournalState state;
   std::map<std::uint64_t, PostingAccumulator> accumulators;
-
   for (const std::string& record : records) {
     ByteReader r(record);
     const auto type = static_cast<RecordType>(r.GetU8());
+    const std::uint64_t round = r.GetU64();
     switch (type) {
-      case RecordType::kDispatchBegin: {
-        const std::uint64_t fingerprint = r.GetU64();
-        r.GetU64();  // num_items (informational)
-        if (!r.AtEnd()) return MalformedRecord("dispatch-begin");
-        if (state.begun) {
-          if (state.fingerprint != fingerprint) {
-            return Status::InvalidArgument(
-                "dispatch journal holds two different dispatches");
-          }
-          ++state.duplicate_records;
-          break;
-        }
-        state.begun = true;
-        state.fingerprint = fingerprint;
-        break;
-      }
       case RecordType::kPostingBegin: {
-        const std::uint64_t round = r.GetU64();
         const std::uint64_t fingerprint = r.GetU64();
         if (!r.AtEnd()) return MalformedRecord("posting-begin");
         PostingAccumulator& acc = accumulators[round];
-        if (acc.started) {
-          if (acc.fingerprint != fingerprint) {
-            return Status::InvalidArgument(
-                "journal holds two different postings for round " +
-                std::to_string(round));
-          }
-          ++state.duplicate_records;
-          break;
+        if (acc.started && acc.fingerprint != fingerprint) {
+          return Status::InvalidArgument(
+              "journal holds two different postings for round " +
+              std::to_string(round));
         }
         acc.started = true;
         acc.fingerprint = fingerprint;
         break;
       }
       case RecordType::kJudgment: {
-        const std::uint64_t round = r.GetU64();
         const std::uint64_t seq = r.GetU64();
-        const Judgment judgment = GetJudgment(r);
-        if (!r.AtEnd()) return MalformedRecord("judgment");
-        PostingAccumulator& acc = accumulators[round];
-        if (!acc.by_seq.emplace(seq, judgment).second) {
-          ++state.duplicate_records;  // idempotence: late duplicate copy
+        Judgment judgment;
+        if (!GetJudgment(r, judgment)) {
+          return MalformedRecord("judgment answer is no Answer");
         }
+        if (!r.AtEnd()) return MalformedRecord("judgment");
+        accumulators[round].by_seq.emplace(seq, judgment);
         break;
       }
       case RecordType::kPostingEnd: {
-        const std::uint64_t round = r.GetU64();
         PostingAccumulator& acc = accumulators[round];
         const std::uint64_t expected = r.GetU64();
-        const double minutes = r.GetF64();
-        const double dollars = r.GetF64();
-        const std::uint64_t participating = r.GetU64();
-        const std::uint64_t excluded = r.GetU64();
-        const std::uint64_t abandoned = r.GetU64();
-        const std::uint64_t churned = r.GetU64();
-        const std::uint64_t duplicates = r.GetU64();
-        const std::uint64_t spam = r.GetU64();
+        CrowdRunResult totals;
+        GetRunTotals(r, totals);
         if (!r.AtEnd()) return MalformedRecord("posting-end");
-        if (acc.end_seen) {
-          ++state.duplicate_records;
-          break;
-        }
+        if (acc.end_seen) break;
         acc.end_seen = true;
         acc.expected_judgments = expected;
-        acc.total_minutes = minutes;
-        acc.total_cost_dollars = dollars;
-        acc.participating = participating;
-        acc.excluded = excluded;
-        acc.abandoned = abandoned;
-        acc.churned = churned;
-        acc.duplicates = duplicates;
-        acc.spam = spam;
-        break;
-      }
-      case RecordType::kDispatchEnd: {
-        const std::uint64_t fingerprint = r.GetU64();
-        if (!r.AtEnd()) return MalformedRecord("dispatch-end");
-        if (state.begun && state.fingerprint != fingerprint) {
-          return Status::InvalidArgument(
-              "dispatch-end fingerprint does not match dispatch-begin");
-        }
-        if (state.complete) ++state.duplicate_records;
-        state.complete = true;
+        acc.totals = std::move(totals);
         break;
       }
       default:
@@ -290,6 +251,7 @@ StatusOr<DispatchJournalState> ReplayDispatchJournal(
   // Materialize each accumulator: the gap-free sequence prefix is the
   // usable judgment stream; a posting is complete when its end record
   // arrived and promised exactly that many judgments.
+  DispatchJournalState state;
   for (auto& [round, acc] : accumulators) {
     ReplayedPosting posting;
     posting.fingerprint = acc.fingerprint;
@@ -302,16 +264,9 @@ StatusOr<DispatchJournalState> ReplayDispatchJournal(
     }
     if (acc.end_seen && next >= acc.expected_judgments) {
       posting.complete = true;
-      posting.expected_judgments = acc.expected_judgments;
-      posting.run.judgments.resize(acc.expected_judgments);
-      posting.run.total_minutes = acc.total_minutes;
-      posting.run.total_cost_dollars = acc.total_cost_dollars;
-      posting.run.num_participating_workers = acc.participating;
-      posting.run.num_excluded_workers = acc.excluded;
-      posting.run.num_abandoned_hits = acc.abandoned;
-      posting.run.num_churned_workers = acc.churned;
-      posting.run.num_duplicate_judgments = acc.duplicates;
-      posting.run.num_spam_burst_judgments = acc.spam;
+      acc.totals.judgments = std::move(posting.run.judgments);
+      acc.totals.judgments.resize(acc.expected_judgments);
+      posting.run = std::move(acc.totals);
     }
     state.postings.emplace(round, std::move(posting));
   }
@@ -340,45 +295,17 @@ std::uint64_t DispatchFingerprint(const WorkerPool& pool,
   return HashBytes(w.bytes());
 }
 
-DurableDispatcher::DurableDispatcher(WorkerPool pool, DispatcherConfig config,
-                                     DurabilityOptions durability)
-    : dispatcher_(std::move(pool), std::move(config)),
-      durability_(std::move(durability)) {}
-
-StatusOr<DispatchResult> DurableDispatcher::Run(
-    const std::vector<bool>& true_labels,
-    const HitRunConfig& hit_config) const {
-  if (durability_.journal_path.empty()) {
-    return Status::InvalidArgument("DurabilityOptions.journal_path is empty");
-  }
-  const std::uint64_t fingerprint = DispatchFingerprint(
-      dispatcher_.pool(), true_labels, hit_config, dispatcher_.config());
-
-  JournalContents recovered;
-  StatusOr<JournalWriter> opened =
-      JournalWriter::Open(durability_.journal_path, durability_.sync,
-                          &recovered, durability_.fs);
+StatusOr<DispatchResult> Dispatcher::RunJournaled(
+    const std::vector<bool>& true_labels, const HitRunConfig& hit_config,
+    const JournalOptions& options) const {
+  StatusOr<RunJournal> opened = RunJournal::Open(
+      options, DispatchFingerprint(pool_, true_labels, hit_config, config_));
   if (!opened.ok()) return opened.status();
-  JournalWriter writer = std::move(opened).value();
-
+  RunJournal journal = std::move(opened).value();
   StatusOr<DispatchJournalState> replayed =
-      ReplayDispatchJournal(recovered.records);
+      ReplayDispatchJournal(journal.replayed().records);
   if (!replayed.ok()) return replayed.status();
-  DispatchJournalState state = std::move(replayed).value();
-  if (state.begun && state.fingerprint != fingerprint) {
-    return Status::InvalidArgument(
-        "journal " + durability_.journal_path +
-        " belongs to a different dispatch (fingerprint mismatch); refusing "
-        "to splice two runs");
-  }
-  if (!state.begun) {
-    if (Status status = writer.Append(
-            EncodeDispatchBegin(fingerprint, true_labels.size()));
-        !status.ok()) {
-      return status;
-    }
-    if (Status status = writer.Sync(); !status.ok()) return status;
-  }
+  const DispatchJournalState state = std::move(replayed).value();
   CCDB_CRASH_POINT("dispatch.begin");
 
   // Durability accounting patched into the final stats: judgments pulled
@@ -386,27 +313,33 @@ StatusOr<DispatchResult> DurableDispatcher::Run(
   std::size_t replayed_postings = 0;
   std::size_t replayed_judgments = 0;
   double replayed_dollars = 0.0;
-  Status journal_error;  // first append/sync failure inside the provider
 
   const PostingProvider provider =
       [&](const PostingSpec& spec) -> StatusOr<CrowdRunResult> {
     const std::uint64_t spec_fingerprint = PostingSpecFingerprint(spec);
     const auto it = state.postings.find(spec.round);
-    if (it != state.postings.end() && it->second.started &&
-        it->second.fingerprint != spec_fingerprint) {
+    const ReplayedPosting* journaled =
+        it != state.postings.end() ? &it->second : nullptr;
+    if (journaled != nullptr && journaled->started &&
+        journaled->fingerprint != spec_fingerprint) {
       return Status::InvalidArgument(
           "journaled posting for round " + std::to_string(spec.round) +
           " does not match the posting being dispatched");
     }
 
     // Fully journaled posting: replay it — zero fresh spend.
-    if (it != state.postings.end() && it->second.complete) {
+    if (journaled != nullptr && journaled->complete) {
+      if (Status status =
+              CheckReplayedJudgments(spec, journaled->run.judgments);
+          !status.ok()) {
+        return status;
+      }
       ++replayed_postings;
-      replayed_judgments += it->second.run.judgments.size();
-      for (const Judgment& judgment : it->second.run.judgments) {
+      replayed_judgments += journaled->run.judgments.size();
+      for (const Judgment& judgment : journaled->run.judgments) {
         replayed_dollars += judgment.cost_dollars;
       }
-      return it->second.run;
+      return journaled->run;
     }
 
     // Absent or partially journaled: the platform simulation is
@@ -414,41 +347,40 @@ StatusOr<DispatchResult> DurableDispatcher::Run(
     // exactly; only the un-journaled suffix is appended (and, in a real
     // deployment, paid for).
     const std::size_t have =
-        it != state.postings.end() ? it->second.run.judgments.size() : 0;
-    if (it == state.postings.end() || !it->second.started) {
-      if (Status status = writer.Append(
-              EncodePostingBegin(spec.round, spec_fingerprint));
+        journaled != nullptr ? journaled->run.judgments.size() : 0;
+    if (journaled == nullptr || !journaled->started) {
+      if (Status status =
+              journal.Append(EncodePostingBegin(spec.round, spec_fingerprint));
           !status.ok()) {
-        journal_error = status;
         return status;
       }
     }
     CCDB_CRASH_POINT("dispatch.posting_begin");
-    CrowdRunResult run = RunCrowdTask(dispatcher_.pool(), spec.truth,
-                                      spec.config);
-    if (have > run.judgments.size()) {
-      return Status::Internal(
-          "journal holds more judgments than the deterministic re-run "
-          "produced — journal and inputs disagree");
+    CrowdRunResult run = RunCrowdTask(pool_, spec.truth, spec.config);
+    // The journaled prefix was paid for and is counted as replayed, so the
+    // re-run must deliver exactly it.
+    if (have > 0 && (have > run.judgments.size() ||
+                     !std::equal(run.judgments.begin(),
+                                 run.judgments.begin() + have,
+                                 journaled->run.judgments.begin()))) {
+      return Status::InvalidArgument(
+          "journaled judgments of round " + std::to_string(spec.round) +
+          " are not the ones the deterministic re-run delivers — journal "
+          "and inputs disagree");
     }
     for (std::size_t seq = have; seq < run.judgments.size(); ++seq) {
-      if (Status status = writer.Append(
+      if (Status status = journal.Append(
               EncodeJudgment(spec.round, seq, run.judgments[seq]));
           !status.ok()) {
-        journal_error = status;
         return status;
       }
       CCDB_CRASH_POINT("dispatch.judgment");
     }
-    if (Status status = writer.Append(EncodePostingEnd(spec.round, run));
+    if (Status status = journal.Append(EncodePostingEnd(spec.round, run));
         !status.ok()) {
-      journal_error = status;
       return status;
     }
-    if (Status status = writer.Sync(); !status.ok()) {
-      journal_error = status;
-      return status;
-    }
+    if (Status status = journal.Sync(); !status.ok()) return status;
     CCDB_CRASH_POINT("dispatch.posting_end");
     replayed_judgments += have;
     for (std::size_t seq = 0; seq < have; ++seq) {
@@ -458,20 +390,11 @@ StatusOr<DispatchResult> DurableDispatcher::Run(
     return run;
   };
 
-  StatusOr<DispatchResult> result =
-      dispatcher_.RunWith(true_labels, hit_config, provider);
+  StatusOr<DispatchResult> result = RunWith(true_labels, hit_config, provider);
   if (!result.ok()) return result.status();
-  if (!journal_error.ok()) return journal_error;
-
-  if (!state.complete) {
-    if (Status status = writer.Append(EncodeDispatchEnd(fingerprint));
-        !status.ok()) {
-      return status;
-    }
-    if (Status status = writer.Sync(); !status.ok()) return status;
-  }
+  if (Status status = journal.Finish(); !status.ok()) return status;
   CCDB_CRASH_POINT("dispatch.end");
-  if (Status status = writer.Close(); !status.ok()) return status;
+  if (Status status = journal.Close(); !status.ok()) return status;
 
   result.value().stats.replayed_postings = replayed_postings;
   result.value().stats.replayed_judgments = replayed_judgments;

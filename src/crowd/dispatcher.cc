@@ -54,8 +54,11 @@ Dispatcher::Dispatcher(WorkerPool pool, DispatcherConfig config)
     : pool_(std::move(pool)), config_(std::move(config)) {}
 
 StatusOr<DispatchResult> Dispatcher::Run(
-    const std::vector<bool>& true_labels,
-    const HitRunConfig& hit_config) const {
+    const std::vector<bool>& true_labels, const HitRunConfig& hit_config,
+    const JournalOptions* journal) const {
+  if (journal != nullptr) {
+    return RunJournaled(true_labels, hit_config, *journal);
+  }
   return RunWith(true_labels, hit_config, [this](const PostingSpec& spec) {
     return StatusOr<CrowdRunResult>(
         RunCrowdTask(pool_, spec.truth, spec.config));

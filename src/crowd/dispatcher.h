@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/cancellation.h"
+#include "common/journal.h"
 #include "common/status.h"
 #include "crowd/platform.h"
 
@@ -130,9 +131,9 @@ struct PostingSpec {
 };
 
 /// Acquires one posting's judgments. The default provider forwards to
-/// RunCrowdTask (the simulated platform); the durability layer wraps it
-/// with a write-ahead journal that replays already-acquired postings on
-/// resume instead of re-buying them.
+/// RunCrowdTask (the simulated platform); a journaled Run wraps it with a
+/// write-ahead journal that replays already-acquired postings on resume
+/// instead of re-buying them.
 using PostingProvider =
     std::function<StatusOr<CrowdRunResult>(const PostingSpec&)>;
 
@@ -149,14 +150,25 @@ class Dispatcher {
   /// Dispatches the classification of `true_labels.size()` items under
   /// `hit_config`. Returns InvalidArgument for malformed configs instead
   /// of aborting; platform-level faults degrade the result, never fail it.
+  ///
+  /// With a `journal`, every posting and delivered judgment is journaled
+  /// before it is used (crowd/dispatch_journal.h has the records). Run
+  /// against the journal an interrupted run left, the same dispatch
+  /// replays what that run acquired, rebuilding dedup and spend state,
+  /// and buys only the remainder: the result is bit-identical to an
+  /// uninterrupted run, and DispatchStats' replayed_* fields account for
+  /// the recovered work. A journal of another dispatch, or one whose
+  /// replayed judgments lie outside their postings or are not what the
+  /// re-run of a partial posting delivers, is InvalidArgument.
   [[nodiscard]]
   StatusOr<DispatchResult> Run(const std::vector<bool>& true_labels,
-                               const HitRunConfig& hit_config) const;
+                               const HitRunConfig& hit_config,
+                               const JournalOptions* journal = nullptr) const;
 
   /// Same dispatch loop, but every posting is acquired through
-  /// `provider` instead of the platform directly — the seam the
-  /// journaling/replay layer plugs into. Given the same posting results,
-  /// the merged output is bit-identical to Run().
+  /// `provider` instead of the platform directly — the seam a journaled
+  /// Run plugs into. Given the same posting results, the merged output is
+  /// bit-identical to Run().
   [[nodiscard]]
   StatusOr<DispatchResult> RunWith(const std::vector<bool>& true_labels,
                                    const HitRunConfig& hit_config,
@@ -166,6 +178,11 @@ class Dispatcher {
   const WorkerPool& pool() const { return pool_; }
 
  private:
+  /// Run with a journal; implemented in dispatch_journal.cc.
+  StatusOr<DispatchResult> RunJournaled(const std::vector<bool>& true_labels,
+                                        const HitRunConfig& hit_config,
+                                        const JournalOptions& journal) const;
+
   WorkerPool pool_;
   DispatcherConfig config_;
 };

@@ -26,6 +26,8 @@ struct Judgment {
   double timestamp_minutes = 0.0;
   double cost_dollars = 0.0;
   bool is_gold = false;  // gold-question probes are excluded from voting
+
+  bool operator==(const Judgment&) const = default;
 };
 
 /// Configuration of one crowd-sourcing run (one "experiment" in Sec. 4.1).

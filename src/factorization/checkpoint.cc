@@ -8,6 +8,12 @@ namespace {
 /// Identifies a ccdb trainer checkpoint file (and its format version).
 constexpr char kMagic[8] = {'C', 'C', 'D', 'B', 'C', 'K', 'P', '1'};
 
+/// Bytes PutMatrix writes for `matrix`.
+std::size_t MatrixBytes(const Matrix& matrix) {
+  return 2 * sizeof(std::uint64_t) +
+         sizeof(double) * matrix.rows() * matrix.cols();
+}
+
 void PutMatrix(ByteWriter& w, const Matrix& matrix) {
   w.PutU64(matrix.rows());
   w.PutU64(matrix.cols());
@@ -133,6 +139,12 @@ std::uint64_t RunFingerprint(std::string_view schedule,
 
 std::string EncodeFactorModel(const FactorModel& model) {
   ByteWriter w;
+  w.Reserve(sizeof(double) + MatrixBytes(model.item_factors()) +
+            MatrixBytes(model.user_factors()) +
+            MatrixBytes(model.item_time_bias()) +
+            2 * sizeof(std::uint64_t) +
+            sizeof(double) *
+                (model.item_bias().size() + model.user_bias().size()));
   w.PutF64(model.global_mean());
   PutMatrix(w, model.item_factors());
   PutMatrix(w, model.user_factors());
@@ -219,10 +231,13 @@ Status WriteTrainerSnapshot(const TrainerCheckpointOptions& options,
                             const RatingDataset& data,
                             std::string_view loop_state,
                             const FactorModel& model) {
+  const std::string model_bytes = EncodeFactorModel(model);
   ByteWriter w;
+  w.Reserve(3 * sizeof(std::uint64_t) + loop_state.size() +
+            model_bytes.size());
   w.PutU64(RunFingerprint(schedule, data, model));
   w.PutBytes(loop_state);
-  w.PutBytes(EncodeFactorModel(model));
+  w.PutBytes(model_bytes);
   return WriteSnapshot(ResolveFs(options.fs), options.path,
                        options.keep_generations, w.bytes());
 }

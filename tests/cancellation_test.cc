@@ -485,8 +485,8 @@ TEST_F(ExpansionCancellationTest, CancelledDurableRunResumesExactly) {
   const std::string path =
       ::testing::TempDir() + "/cancelled_expansion.manifest";
   std::remove(path.c_str());
-  core::DurableExpansionOptions durable;
-  durable.manifest_path = path;
+  JournalOptions journal;
+  journal.path = path;
 
   // Durable run with a mid-flight cancellation racing the checkpoints.
   CancellationSource source;
@@ -499,7 +499,7 @@ TEST_F(ExpansionCancellationTest, CancelledDurableRunResumesExactly) {
     source.Cancel();
   });
   const auto first = core::RunIncrementalExpansion(
-      *space_, sample, judgments, 40.0, stopped, &durable);
+      *space_, sample, judgments, 40.0, stopped, &journal);
   firer.join();
 
   if (!first.ok()) {
@@ -507,7 +507,7 @@ TEST_F(ExpansionCancellationTest, CancelledDurableRunResumesExactly) {
     // bit-identical full checkpoint sequence.
     EXPECT_EQ(first.status().code(), StatusCode::kCancelled);
     const auto resumed = core::RunIncrementalExpansion(
-        *space_, sample, judgments, 40.0, options, &durable);
+        *space_, sample, judgments, 40.0, options, &journal);
     ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
     ASSERT_EQ(resumed.value().size(), reference.value().size());
     for (std::size_t i = 0; i < reference.value().size(); ++i) {

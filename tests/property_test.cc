@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <memory>
@@ -20,12 +19,9 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/journal.h"
 #include "common/matrix.h"
 #include "common/rng.h"
 #include "common/vec.h"
-#include "crowd/dispatch_journal.h"
-#include "crowd/dispatcher.h"
 #include "eval/metrics.h"
 #include "eval/neighbors.h"
 #include "svm/classifier.h"
@@ -2580,168 +2576,6 @@ TEST_P(SgdStepProperty, SmallStepReducesSingleRatingError) {
 
 INSTANTIATE_TEST_SUITE_P(Repetitions, SgdStepProperty,
                          ::testing::Values(0, 1, 2));
-
-// ------------------------------------- dispatch journal replay properties
-
-namespace journalprop {
-
-/// Produces a real dispatch journal (with repost rounds, so several
-/// postings) and returns its raw record payloads.
-std::vector<std::string> RealJournalRecords(std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<bool> labels(50);
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    labels[i] = rng.Bernoulli(0.3);
-  }
-  crowd::WorkerPool pool;
-  for (int i = 0; i < 15; ++i) {
-    crowd::WorkerProfile worker;
-    worker.honest = true;
-    worker.knowledge = 1.0;
-    worker.accuracy = 0.95;
-    worker.judgments_per_minute = 2.0;
-    pool.workers.push_back(worker);
-  }
-  crowd::HitRunConfig hit;
-  hit.judgments_per_item = 4;
-  hit.seed = seed;
-  hit.fault.abandonment_prob = 0.35;
-  crowd::DispatcherConfig policy;
-  policy.deadline_minutes = 150.0;
-  policy.backoff_initial_minutes = 2.0;
-
-  const std::string path =
-      ::testing::TempDir() + "/replay_prop_" + std::to_string(seed) + ".jnl";
-  std::remove(path.c_str());
-  crowd::DurabilityOptions durability;
-  durability.journal_path = path;
-  const crowd::DurableDispatcher dispatcher(pool, policy, durability);
-  EXPECT_TRUE(dispatcher.Run(labels, hit).ok());
-
-  auto contents = ReadJournal(path);
-  EXPECT_TRUE(contents.ok());
-  return contents.ok() ? contents.value().records
-                       : std::vector<std::string>();
-}
-
-void ExpectSameReplayedState(const crowd::DispatchJournalState& a,
-                             const crowd::DispatchJournalState& b) {
-  EXPECT_EQ(a.begun, b.begun);
-  EXPECT_EQ(a.fingerprint, b.fingerprint);
-  EXPECT_EQ(a.complete, b.complete);
-  EXPECT_EQ(a.paid_judgments(), b.paid_judgments());
-  EXPECT_DOUBLE_EQ(a.paid_dollars(), b.paid_dollars());
-  ASSERT_EQ(a.postings.size(), b.postings.size());
-  for (const auto& [round, posting] : a.postings) {
-    const auto it = b.postings.find(round);
-    ASSERT_NE(it, b.postings.end()) << "round " << round;
-    EXPECT_EQ(posting.fingerprint, it->second.fingerprint);
-    EXPECT_EQ(posting.complete, it->second.complete);
-    ASSERT_EQ(posting.run.judgments.size(),
-              it->second.run.judgments.size());
-    for (std::size_t i = 0; i < posting.run.judgments.size(); ++i) {
-      EXPECT_EQ(posting.run.judgments[i].worker,
-                it->second.run.judgments[i].worker);
-      EXPECT_EQ(posting.run.judgments[i].item,
-                it->second.run.judgments[i].item);
-      EXPECT_EQ(posting.run.judgments[i].timestamp_minutes,
-                it->second.run.judgments[i].timestamp_minutes);
-    }
-  }
-}
-
-}  // namespace journalprop
-
-class JournalReplayProperty : public ::testing::TestWithParam<std::uint64_t> {
-};
-
-TEST_P(JournalReplayProperty, ReplayIsIdempotentUnderDuplication) {
-  const auto records = journalprop::RealJournalRecords(GetParam());
-  ASSERT_FALSE(records.empty());
-  const auto once = crowd::ReplayDispatchJournal(records);
-  ASSERT_TRUE(once.ok()) << once.status().ToString();
-
-  // A doubly-delivered log (every record appears twice, in order) must
-  // rebuild the identical state, flagging the copies as duplicates.
-  std::vector<std::string> doubled = records;
-  doubled.insert(doubled.end(), records.begin(), records.end());
-  const auto twice = crowd::ReplayDispatchJournal(doubled);
-  ASSERT_TRUE(twice.ok()) << twice.status().ToString();
-  journalprop::ExpectSameReplayedState(once.value(), twice.value());
-  EXPECT_GE(twice.value().duplicate_records, records.size() - 1);
-}
-
-TEST_P(JournalReplayProperty, ReplayIsInsensitiveToReordering) {
-  const auto records = journalprop::RealJournalRecords(GetParam());
-  ASSERT_FALSE(records.empty());
-  const auto in_order = crowd::ReplayDispatchJournal(records);
-  ASSERT_TRUE(in_order.ok());
-
-  Rng rng(GetParam() * 31 + 7);
-  for (int trial = 0; trial < 10; ++trial) {
-    // Shuffle the whole log: every record carries its identity, so even
-    // a fully reordered (late-delivered) log rebuilds the same state.
-    std::vector<std::string> shuffled = records;
-    rng.Shuffle(shuffled);
-    const auto replayed = crowd::ReplayDispatchJournal(shuffled);
-    ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
-    journalprop::ExpectSameReplayedState(in_order.value(), replayed.value());
-  }
-}
-
-TEST_P(JournalReplayProperty, DuplicatedAndReorderedAndLateDeliveries) {
-  const auto records = journalprop::RealJournalRecords(GetParam());
-  ASSERT_FALSE(records.empty());
-  const auto reference = crowd::ReplayDispatchJournal(records);
-  ASSERT_TRUE(reference.ok());
-
-  Rng rng(GetParam() * 17 + 3);
-  for (int trial = 0; trial < 10; ++trial) {
-    // Adversarial delivery: random subset duplicated (some records appear
-    // 2-3 times), then the whole log shuffled — duplication, reordering
-    // and late delivery at once.
-    std::vector<std::string> mangled = records;
-    for (const std::string& record : records) {
-      const std::size_t copies = rng.UniformInt(3);  // 0, 1 or 2 extras
-      for (std::size_t c = 0; c < copies; ++c) mangled.push_back(record);
-    }
-    rng.Shuffle(mangled);
-    const auto replayed = crowd::ReplayDispatchJournal(mangled);
-    ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
-    journalprop::ExpectSameReplayedState(reference.value(),
-                                         replayed.value());
-  }
-}
-
-TEST_P(JournalReplayProperty, TruncatedPrefixNeverOverclaims) {
-  // Replaying only a prefix of the log (what a crash leaves behind) must
-  // yield a subset of the full state: never more paid judgments, and any
-  // posting it calls complete must also be complete in the full replay.
-  const auto records = journalprop::RealJournalRecords(GetParam());
-  ASSERT_FALSE(records.empty());
-  const auto full = crowd::ReplayDispatchJournal(records);
-  ASSERT_TRUE(full.ok());
-
-  for (std::size_t len = 0; len <= records.size(); ++len) {
-    const std::vector<std::string> prefix(records.begin(),
-                                          records.begin() + len);
-    const auto replayed = crowd::ReplayDispatchJournal(prefix);
-    ASSERT_TRUE(replayed.ok()) << "prefix " << len;
-    EXPECT_LE(replayed.value().paid_judgments(), full.value().paid_judgments())
-        << "prefix " << len;
-    for (const auto& [round, posting] : replayed.value().postings) {
-      if (!posting.complete) continue;
-      const auto it = full.value().postings.find(round);
-      ASSERT_NE(it, full.value().postings.end());
-      EXPECT_TRUE(it->second.complete);
-      EXPECT_EQ(posting.run.judgments.size(),
-                it->second.run.judgments.size());
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, JournalReplayProperty,
-                         ::testing::Values(11u, 77u, 4242u));
 
 }  // namespace
 }  // namespace ccdb

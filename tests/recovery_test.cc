@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <limits>
 #include <map>
 #include <set>
@@ -38,8 +39,6 @@ namespace {
 using crowd::DispatchResult;
 using crowd::Dispatcher;
 using crowd::DispatcherConfig;
-using crowd::DurabilityOptions;
-using crowd::DurableDispatcher;
 using crowd::HitRunConfig;
 using crowd::Judgment;
 using crowd::WorkerPool;
@@ -150,12 +149,61 @@ struct DispatchScenario {
     return result.value();
   }
 
-  StatusOr<DispatchResult> RunDurable(const std::string& journal) const {
-    DurabilityOptions durability;
-    durability.journal_path = journal;
-    return DurableDispatcher(pool, policy, durability).Run(labels, hit);
+  StatusOr<DispatchResult> RunDurable(const std::string& path) const {
+    JournalOptions journal;
+    journal.path = path;
+    return Dispatcher(pool, policy).Run(labels, hit, &journal);
+  }
+
+  std::uint64_t Fingerprint() const {
+    return crowd::DispatchFingerprint(pool, labels, hit, policy);
   }
 };
+
+/// The run frame of the journal at `path`, replayed against `fingerprint`.
+StatusOr<RunFrame> ReadRunFrame(const std::string& path,
+                                std::uint64_t fingerprint) {
+  StatusOr<JournalContents> contents = ReadJournal(path);
+  if (!contents.ok()) return contents.status();
+  return ReplayRunFrame(contents.value().records, fingerprint);
+}
+
+/// The postings of the dispatch journal at `path`.
+StatusOr<crowd::DispatchJournalState> ReadDispatchJournal(
+    const std::string& path, const DispatchScenario& scenario) {
+  StatusOr<RunFrame> frame = ReadRunFrame(path, scenario.Fingerprint());
+  if (!frame.ok()) return frame.status();
+  return crowd::ReplayDispatchJournal(frame.value().records);
+}
+
+/// Writes a run journal at `path` for the run `fingerprint` names, holding
+/// `records` as the run's own records and, when `finished`, a finish
+/// record: a journal whose CRCs hold, whatever its records say.
+void WriteRunJournal(const std::string& path, std::uint64_t fingerprint,
+                     const std::vector<std::string>& records, bool finished) {
+  JournalOptions options;
+  options.path = path;
+  StatusOr<RunJournal> journal = RunJournal::Open(options, fingerprint);
+  ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+  for (const std::string& record : records) {
+    ASSERT_TRUE(journal.value().Append(record).ok());
+  }
+  if (finished) {
+    ASSERT_TRUE(journal.value().Finish().ok());
+  }
+  ASSERT_TRUE(journal.value().Close().ok());
+}
+
+/// Writes `records` verbatim as the journal at `path`.
+void WriteRawJournal(const std::string& path,
+                     const std::vector<std::string>& records) {
+  StatusOr<JournalWriter> writer = JournalWriter::Open(path, SyncPolicy::kNone);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  for (const std::string& record : records) {
+    ASSERT_TRUE(writer.value().Append(record).ok());
+  }
+  ASSERT_TRUE(writer.value().Close().ok());
+}
 
 TEST_F(RecoveryTest, FreshDurableDispatchMatchesPlainDispatcher) {
   const DispatchScenario scenario;
@@ -170,11 +218,11 @@ TEST_F(RecoveryTest, FreshDurableDispatchMatchesPlainDispatcher) {
   EXPECT_EQ(durable.value().stats.replayed_dollars, 0.0);
 
   // The journal records a complete dispatch.
-  auto contents = ReadJournal(journal);
-  ASSERT_TRUE(contents.ok());
-  auto state = crowd::ReplayDispatchJournal(contents.value().records);
+  auto frame = ReadRunFrame(journal, scenario.Fingerprint());
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  EXPECT_TRUE(frame.value().finished);
+  auto state = ReadDispatchJournal(journal, scenario);
   ASSERT_TRUE(state.ok()) << state.status().ToString();
-  EXPECT_TRUE(state.value().complete);
   EXPECT_GT(state.value().paid_judgments(), 0u);
 }
 
@@ -184,9 +232,7 @@ TEST_F(RecoveryTest, ResumeOfCompletedDispatchReplaysEverything) {
   const std::string journal = FreshPath("completed_dispatch.jnl");
   ASSERT_TRUE(scenario.RunDurable(journal).ok());
 
-  auto contents = ReadJournal(journal);
-  ASSERT_TRUE(contents.ok());
-  auto state = crowd::ReplayDispatchJournal(contents.value().records);
+  auto state = ReadDispatchJournal(journal, scenario);
   ASSERT_TRUE(state.ok());
 
   auto resumed = scenario.RunDurable(journal);
@@ -245,9 +291,7 @@ TEST_F(RecoveryTest, KillAtEveryCrashPointThenResumeIsBitIdentical) {
 
       // What the journal says was paid before the crash is exactly what
       // the resume must replay instead of buying again.
-      auto contents = ReadJournal(journal);
-      ASSERT_TRUE(contents.ok()) << contents.status().ToString();
-      auto state = crowd::ReplayDispatchJournal(contents.value().records);
+      auto state = ReadDispatchJournal(journal, scenario);
       ASSERT_TRUE(state.ok()) << state.status().ToString();
       const double paid_before = state.value().paid_dollars();
       const std::size_t judged_before = state.value().paid_judgments();
@@ -270,6 +314,154 @@ TEST_F(RecoveryTest, DispatchJournalOfDifferentRunIsRejected) {
   other.hit.seed = 9999;  // different dispatch, same journal
   auto resumed = other.RunDurable(journal);
   EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
+}
+
+/// Splices the begin record of run A's complete journal and the finish
+/// record of run B's into one journal, in both orders, and expects
+/// `resume_a` to refuse each: the journal holds two runs either way.
+template <typename Resume>
+void ExpectSplicedFrameRefused(const std::string& journal_a,
+                               const std::string& journal_b,
+                               const Resume& resume_a) {
+  const StatusOr<JournalContents> a = ReadJournal(journal_a);
+  const StatusOr<JournalContents> b = ReadJournal(journal_b);
+  ASSERT_TRUE(a.ok() && b.ok());
+  const std::string& begin_a = a.value().records.front();
+  const std::string& finish_b = b.value().records.back();
+  for (const bool finish_first : {false, true}) {
+    SCOPED_TRACE(finish_first ? "[finish B, begin A]" : "[begin A, finish B]");
+    const std::string spliced = FreshPath("spliced.jnl");
+    WriteRawJournal(spliced, finish_first
+                                 ? std::vector<std::string>{finish_b, begin_a}
+                                 : std::vector<std::string>{begin_a, finish_b});
+    EXPECT_EQ(resume_a(spliced).code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST_F(RecoveryTest, DispatchFrameOfTwoRunsIsRejectedInEitherOrder) {
+  const DispatchScenario a;
+  DispatchScenario b = a;
+  b.hit.seed = 9999;
+  const std::string journal_a = FreshPath("frame_a_dispatch.jnl");
+  const std::string journal_b = FreshPath("frame_b_dispatch.jnl");
+  ASSERT_TRUE(a.RunDurable(journal_a).ok());
+  ASSERT_TRUE(b.RunDurable(journal_b).ok());
+  ExpectSplicedFrameRefused(journal_a, journal_b, [&](const std::string& path) {
+    return a.RunDurable(path).status();
+  });
+}
+
+// A dispatch's run records open with their type byte; offsets into a
+// journaled judgment, [u8 type 2][u64 round][u64 seq] followed by
+// PutJudgment's fields.
+constexpr char kPostingBeginRecord = 1;
+constexpr char kJudgmentRecord = 2;
+constexpr std::size_t kItemAt = 1 + 8 + 8;
+constexpr std::size_t kWorkerAt = kItemAt + 4;
+constexpr std::size_t kAnswerAt = kWorkerAt + 4;
+constexpr std::size_t kGoldAt = kAnswerAt + 1 + 8 + 8;
+
+void PutU32At(std::string& bytes, std::size_t at, std::uint32_t value) {
+  ByteWriter w;
+  w.PutU32(value);
+  bytes.replace(at, 4, w.bytes());
+}
+
+TEST_F(RecoveryTest, ResumeRefusesJournaledJudgmentsOutsideTheirPosting) {
+  // A complete journal whose first judgment is patched and whose records
+  // are rewritten, so every CRC holds. Replayed verbatim, such a judgment
+  // indexed the dispatcher's per-item state past its end, or came back as
+  // a paid judgment that never was. The dispatch waits forever, so its
+  // one posting is replayed whole and no repost depends on the patch.
+  DispatchScenario scenario;
+  scenario.policy = DispatcherConfig{};
+  const std::string source = FreshPath("patch_source_dispatch.jnl");
+  ASSERT_TRUE(scenario.RunDurable(source).ok());
+  const StatusOr<RunFrame> frame =
+      ReadRunFrame(source, scenario.Fingerprint());
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  const std::vector<std::string>& records = frame.value().records;
+  const auto first_judgment =
+      std::find_if(records.begin(), records.end(), [](const std::string& r) {
+        return r[0] == kJudgmentRecord;
+      });
+  ASSERT_NE(first_judgment, records.end());
+  ASSERT_EQ(first_judgment->at(kGoldAt), 0);
+
+  const auto n = static_cast<std::uint32_t>(scenario.labels.size());
+  const auto golds =
+      static_cast<std::uint32_t>(scenario.hit.num_gold_questions);
+  const struct {
+    const char* what;
+    std::function<void(std::string&)> patch;
+  } kPatches[] = {
+      {"item n of an n-item sample",
+       [&](std::string& r) { PutU32At(r, kItemAt, n); }},
+      {"gold probe past the sample and its gold questions",
+       [&](std::string& r) {
+         PutU32At(r, kItemAt, n + golds);
+         r[kGoldAt] = 1;
+       }},
+      {"answer byte that is no Answer",
+       [](std::string& r) { r[kAnswerAt] = 3; }},
+  };
+  for (const auto& patch : kPatches) {
+    SCOPED_TRACE(patch.what);
+    std::vector<std::string> patched = records;
+    patch.patch(patched[first_judgment - records.begin()]);
+    const std::string path = FreshPath("patched_dispatch.jnl");
+    WriteRunJournal(path, scenario.Fingerprint(), patched, /*finished=*/true);
+    EXPECT_EQ(scenario.RunDurable(path).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
+TEST_F(RecoveryTest, ResumeRefusesAPartialPostingTheRerunDoesNotDeliver) {
+  // A crash mid-posting leaves its posting-begin and a prefix of its
+  // judgments; a resume counts that prefix as replayed and re-runs the
+  // posting. Here the prefix's first judgment names another worker, with
+  // every CRC intact: the re-run does not deliver it, so the resume must
+  // refuse the journal. Otherwise it returned the re-run's judgment while
+  // the journal kept the patched one, which the next resume replayed.
+  DispatchScenario scenario;
+  scenario.policy = DispatcherConfig{};
+  const std::string source = FreshPath("partial_source_dispatch.jnl");
+  ASSERT_TRUE(scenario.RunDurable(source).ok());
+  const StatusOr<RunFrame> frame =
+      ReadRunFrame(source, scenario.Fingerprint());
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  std::vector<std::string> partial;
+  for (const std::string& record : frame.value().records) {
+    const bool judgment = record[0] == kJudgmentRecord;
+    if (record[0] == kPostingBeginRecord || (judgment && partial.size() < 6)) {
+      partial.push_back(record);
+    }
+  }
+  ASSERT_EQ(partial.size(), 6u);
+  ASSERT_EQ(partial[1][0], kJudgmentRecord);
+  ByteReader worker(std::string_view(partial[1]).substr(kWorkerAt));
+  PutU32At(partial[1], kWorkerAt,
+           (worker.GetU32() + 1) % scenario.pool.workers.size());
+  const std::string path = FreshPath("partial_dispatch.jnl");
+  WriteRunJournal(path, scenario.Fingerprint(), partial, /*finished=*/false);
+  EXPECT_EQ(scenario.RunDurable(path).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_F(RecoveryTest, DispatchJournalOfTheOlderLayoutIsRefused) {
+  // What a crash right after the begin record left in the layout before
+  // the run frame was shared: [u8 1][u64 fingerprint][u64 items]. It holds
+  // no record of the current layout, so it must be refused, not resumed as
+  // an empty journal.
+  const DispatchScenario scenario;
+  ByteWriter begin;
+  begin.PutU8(1);
+  begin.PutU64(scenario.Fingerprint());
+  begin.PutU64(scenario.labels.size());
+  const std::string path = FreshPath("older_layout_dispatch.jnl");
+  WriteRawJournal(path, {begin.Take()});
+  EXPECT_EQ(scenario.RunDurable(path).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // A field missing from a fingerprint would let a resume splice a journal
@@ -457,6 +649,18 @@ class ExpansionRecoveryTest : public RecoveryTest {
     return options;
   }
 
+  static StatusOr<std::vector<core::ExpansionCheckpoint>> RunDurable(
+      const std::string& path, double total_minutes = 30.0) {
+    JournalOptions journal;
+    journal.path = path;
+    return core::RunIncrementalExpansion(*space_, sample_, judgments_,
+                                         total_minutes, Options(), &journal);
+  }
+
+  static std::uint64_t Fingerprint() {
+    return core::ExpansionFingerprint(sample_, judgments_, 30.0, Options());
+  }
+
   /// The journal-free run every durable run must reproduce.
   static std::vector<core::ExpansionCheckpoint> Baseline() {
     auto baseline =
@@ -495,17 +699,18 @@ std::vector<Judgment> ExpansionRecoveryTest::judgments_;
 
 TEST_F(ExpansionRecoveryTest, DurableRunMatchesPlainExpansion) {
   const auto baseline = Baseline();
-  core::DurableExpansionOptions durable;
-  durable.manifest_path = FreshPath("fresh_expansion.jnl");
-  auto result = core::RunIncrementalExpansion(*space_, sample_, judgments_,
-                                              30.0, Options(), &durable);
+  const std::string path = FreshPath("fresh_expansion.jnl");
+  auto result = RunDurable(path);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ExpectSameCheckpoints(baseline, result.value());
 
-  auto manifest = core::LoadExpansionManifest(durable.manifest_path);
-  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
-  EXPECT_TRUE(manifest.value().finished);
-  EXPECT_EQ(manifest.value().checkpoints.size(), baseline.size());
+  auto frame = ReadRunFrame(path, Fingerprint());
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  EXPECT_TRUE(frame.value().finished);
+  auto checkpoints =
+      core::ReplayExpansionManifest(frame.value().records, sample_.size());
+  ASSERT_TRUE(checkpoints.ok()) << checkpoints.status().ToString();
+  ExpectSameCheckpoints(baseline, checkpoints.value());
 }
 
 TEST_F(ExpansionRecoveryTest, KillAtEveryCheckpointThenResumeIsBitIdentical) {
@@ -519,15 +724,13 @@ TEST_F(ExpansionRecoveryTest, KillAtEveryCheckpointThenResumeIsBitIdentical) {
         site == "expansion.checkpoint" ? baseline.size() : 1;
     for (std::uint64_t hit = 1; hit <= occurrences; ++hit) {
       SCOPED_TRACE(site + ":" + std::to_string(hit));
-      core::DurableExpansionOptions durable;
-      durable.manifest_path =
+      const std::string path =
           FreshPath("kill_expansion_" + site + std::to_string(hit) + ".jnl");
 
       CrashPoints::Arm(site, hit);
       bool crashed = false;
       try {
-        auto result = core::RunIncrementalExpansion(
-            *space_, sample_, judgments_, 30.0, Options(), &durable);
+        auto result = RunDurable(path);
         // ccdb-lint: allow(status-nodiscard) — the run is expected to die at
         // the armed crash point; the result is unreachable on the crash path.
         (void)result;
@@ -537,8 +740,7 @@ TEST_F(ExpansionRecoveryTest, KillAtEveryCheckpointThenResumeIsBitIdentical) {
       CrashPoints::Disarm();
       ASSERT_TRUE(crashed);
 
-      auto resumed = core::RunIncrementalExpansion(
-          *space_, sample_, judgments_, 30.0, Options(), &durable);
+      auto resumed = RunDurable(path);
       ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
       ExpectSameCheckpoints(baseline, resumed.value());
     }
@@ -546,16 +748,260 @@ TEST_F(ExpansionRecoveryTest, KillAtEveryCheckpointThenResumeIsBitIdentical) {
 }
 
 TEST_F(ExpansionRecoveryTest, ManifestOfDifferentExpansionIsRejected) {
-  core::DurableExpansionOptions durable;
-  durable.manifest_path = FreshPath("mismatch_expansion.jnl");
-  ASSERT_TRUE(core::RunIncrementalExpansion(*space_, sample_, judgments_,
-                                            30.0, Options(), &durable)
-                  .ok());
+  const std::string path = FreshPath("mismatch_expansion.jnl");
+  ASSERT_TRUE(RunDurable(path).ok());
   // Same manifest, shorter run: different fingerprint.
-  auto resumed = core::RunIncrementalExpansion(
-      *space_, sample_, judgments_, 25.0, Options(), &durable);
-  EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(RunDurable(path, 25.0).status().code(),
+            StatusCode::kInvalidArgument);
 }
+
+TEST_F(ExpansionRecoveryTest, ManifestFrameOfTwoRunsIsRejectedInEitherOrder) {
+  const std::string journal_a = FreshPath("frame_a_expansion.jnl");
+  const std::string journal_b = FreshPath("frame_b_expansion.jnl");
+  ASSERT_TRUE(RunDurable(journal_a).ok());
+  ASSERT_TRUE(RunDurable(journal_b, 25.0).ok());
+  ExpectSplicedFrameRefused(journal_a, journal_b, [](const std::string& path) {
+    return RunDurable(path).status();
+  });
+}
+
+TEST_F(ExpansionRecoveryTest, ResumeRefusesCheckpointsThatDoNotFitTheSample) {
+  // A manifest whose first checkpoint, written through the run journal so
+  // every CRC holds, does not fit the sample. Loaded verbatim, it handed
+  // the benches vectors they index by sample position.
+  const auto baseline = Baseline();
+  const auto trained = std::find_if(
+      baseline.begin(), baseline.end(),
+      [](const core::ExpansionCheckpoint& c) { return c.extractor_trained; });
+  ASSERT_NE(trained, baseline.end());
+  const struct {
+    const char* what;
+    void (*patch)(core::ExpansionCheckpoint&);
+  } kPatches[] = {
+      {"one crowd classification short",
+       [](core::ExpansionCheckpoint& c) { c.crowd_classification.pop_back(); }},
+      {"one extracted label short",
+       [](core::ExpansionCheckpoint& c) { c.extracted.pop_back(); }},
+      {"labels without a trained extractor",
+       [](core::ExpansionCheckpoint& c) { c.extractor_trained = false; }},
+  };
+  for (const auto& patch : kPatches) {
+    SCOPED_TRACE(patch.what);
+    core::ExpansionCheckpoint misfit = *trained;
+    patch.patch(misfit);
+    const std::string path = FreshPath("misfit_expansion.jnl");
+    WriteRunJournal(path, Fingerprint(),
+                    {core::EncodeManifestRecord(0, misfit)},
+                    /*finished=*/false);
+    EXPECT_EQ(RunDurable(path).status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST_F(ExpansionRecoveryTest, ManifestOfTheOlderLayoutIsRefused) {
+  // A complete manifest in the layout before the run frame was shared:
+  // [u8 1][u64 fingerprint] begin, [u8 2][u64 index][bytes checkpoint]
+  // per checkpoint, [u8 3][u64 fingerprint] finish. It must be refused,
+  // not replayed.
+  std::vector<std::string> records;
+  ByteWriter begin;
+  begin.PutU8(1);
+  begin.PutU64(Fingerprint());
+  records.push_back(begin.Take());
+  const auto baseline = Baseline();
+  for (std::size_t i = 0; i < baseline.size(); ++i) {
+    ByteWriter checkpoint;
+    checkpoint.PutU8(2);
+    checkpoint.PutU64(i);
+    checkpoint.PutBytes(core::EncodeExpansionCheckpoint(baseline[i]));
+    records.push_back(checkpoint.Take());
+  }
+  ByteWriter finish;
+  finish.PutU8(3);
+  finish.PutU64(Fingerprint());
+  records.push_back(finish.Take());
+  const std::string path = FreshPath("older_layout_expansion.jnl");
+  WriteRawJournal(path, records);
+  EXPECT_EQ(RunDurable(path).status().code(), StatusCode::kInvalidArgument);
+}
+
+// ------------------------------------------------------ replay properties
+
+/// What a replayed journal claims is durable, one string per unit: each
+/// journaled judgment and each complete posting of a dispatch, or each
+/// checkpoint of a manifest.
+struct Claims {
+  bool begun = false;
+  bool finished = false;
+  std::set<std::string> units;
+};
+
+void ExpectSameClaims(const Claims& a, const Claims& b) {
+  EXPECT_EQ(a.begun, b.begun);
+  EXPECT_EQ(a.finished, b.finished);
+  EXPECT_EQ(a.units, b.units);
+}
+
+/// One journal kind under the replay properties: the records of a real,
+/// complete journal of it, and what a replay of any records claims.
+struct JournalKind {
+  std::string name;
+  std::vector<std::string> records;
+  std::function<StatusOr<Claims>(const std::vector<std::string>&)> replay;
+};
+
+std::vector<std::string> JournalRecords(const std::string& path) {
+  const StatusOr<JournalContents> contents = ReadJournal(path);
+  EXPECT_TRUE(contents.ok()) << contents.status().ToString();
+  return contents.ok() ? contents.value().records : std::vector<std::string>();
+}
+
+/// A dispatch with repost rounds, so its journal holds several postings.
+JournalKind DispatchKind(std::uint64_t seed) {
+  DispatchScenario scenario;
+  scenario.hit.seed = seed;
+  const std::string path = FreshPath("replay_property_dispatch.jnl");
+  EXPECT_TRUE(scenario.RunDurable(path).ok());
+  const auto replay =
+      [scenario](const std::vector<std::string>& records) -> StatusOr<Claims> {
+    const StatusOr<RunFrame> frame =
+        ReplayRunFrame(records, scenario.Fingerprint());
+    if (!frame.ok()) return frame.status();
+    const StatusOr<crowd::DispatchJournalState> state =
+        crowd::ReplayDispatchJournal(frame.value().records);
+    if (!state.ok()) return state.status();
+    Claims claims{frame.value().begun, frame.value().finished, {}};
+    for (const auto& [round, posting] : state.value().postings) {
+      const std::vector<Judgment>& judgments = posting.run.judgments;
+      for (std::size_t seq = 0; seq < judgments.size(); ++seq) {
+        ByteWriter unit;
+        unit.PutU64(round);
+        unit.PutU64(seq);
+        crowd::PutJudgment(unit, judgments[seq]);
+        claims.units.insert(unit.Take());
+      }
+      if (posting.complete) {
+        claims.units.insert("posting " + std::to_string(round) + " of " +
+                            std::to_string(judgments.size()));
+      }
+    }
+    return claims;
+  };
+  return {"dispatch", JournalRecords(path), replay};
+}
+
+class JournalReplayProperty
+    : public ExpansionRecoveryTest,
+      public ::testing::WithParamInterface<std::uint64_t> {
+ protected:
+  static JournalKind ManifestKind() {
+    const std::string path = FreshPath("replay_property_expansion.jnl");
+    EXPECT_TRUE(RunDurable(path).ok());
+    const auto replay =
+        [](const std::vector<std::string>& records) -> StatusOr<Claims> {
+      const StatusOr<RunFrame> frame = ReplayRunFrame(records, Fingerprint());
+      if (!frame.ok()) return frame.status();
+      const StatusOr<std::vector<core::ExpansionCheckpoint>> checkpoints =
+          core::ReplayExpansionManifest(frame.value().records, sample_.size());
+      if (!checkpoints.ok()) return checkpoints.status();
+      Claims claims{frame.value().begun, frame.value().finished, {}};
+      for (std::size_t i = 0; i < checkpoints.value().size(); ++i) {
+        claims.units.insert(
+            core::EncodeManifestRecord(i, checkpoints.value()[i]));
+      }
+      return claims;
+    };
+    return {"manifest", JournalRecords(path), replay};
+  }
+
+  std::vector<JournalKind> Kinds() const {
+    return {DispatchKind(GetParam()), ManifestKind()};
+  }
+};
+
+TEST_P(JournalReplayProperty, ReplayIsIdempotentUnderDuplication) {
+  for (const JournalKind& kind : Kinds()) {
+    SCOPED_TRACE(kind.name);
+    ASSERT_FALSE(kind.records.empty());
+    const auto once = kind.replay(kind.records);
+    ASSERT_TRUE(once.ok()) << once.status().ToString();
+
+    // A doubly-delivered log (every record appears twice, in order) must
+    // rebuild the identical state.
+    std::vector<std::string> doubled = kind.records;
+    doubled.insert(doubled.end(), kind.records.begin(), kind.records.end());
+    const auto twice = kind.replay(doubled);
+    ASSERT_TRUE(twice.ok()) << twice.status().ToString();
+    ExpectSameClaims(once.value(), twice.value());
+  }
+}
+
+TEST_P(JournalReplayProperty, ReplayIsInsensitiveToReordering) {
+  Rng rng(GetParam() * 31 + 7);
+  for (const JournalKind& kind : Kinds()) {
+    SCOPED_TRACE(kind.name);
+    const auto in_order = kind.replay(kind.records);
+    ASSERT_TRUE(in_order.ok()) << in_order.status().ToString();
+    for (int trial = 0; trial < 10; ++trial) {
+      // Shuffle the whole log: every record carries its identity, so even
+      // a fully reordered (late-delivered) log rebuilds the same state.
+      std::vector<std::string> shuffled = kind.records;
+      rng.Shuffle(shuffled);
+      const auto replayed = kind.replay(shuffled);
+      ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+      ExpectSameClaims(in_order.value(), replayed.value());
+    }
+  }
+}
+
+TEST_P(JournalReplayProperty, DuplicatedAndReorderedAndLateDeliveries) {
+  Rng rng(GetParam() * 17 + 3);
+  for (const JournalKind& kind : Kinds()) {
+    SCOPED_TRACE(kind.name);
+    const auto reference = kind.replay(kind.records);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    for (int trial = 0; trial < 10; ++trial) {
+      // Adversarial delivery: random subset duplicated (some records
+      // appear 2-3 times), then the whole log shuffled — duplication,
+      // reordering and late delivery at once.
+      std::vector<std::string> mangled = kind.records;
+      for (const std::string& record : kind.records) {
+        const std::size_t copies = rng.UniformInt(3);  // 0, 1 or 2 extras
+        for (std::size_t c = 0; c < copies; ++c) mangled.push_back(record);
+      }
+      rng.Shuffle(mangled);
+      const auto replayed = kind.replay(mangled);
+      ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+      ExpectSameClaims(reference.value(), replayed.value());
+    }
+  }
+}
+
+TEST_P(JournalReplayProperty, TruncatedPrefixNeverOverclaims) {
+  // Replaying only a prefix of the log (what a crash leaves behind) must
+  // claim a subset of what the full log claims: no judgment, complete
+  // posting or checkpoint the full log does not hold, and no finish.
+  for (const JournalKind& kind : Kinds()) {
+    SCOPED_TRACE(kind.name);
+    const auto full = kind.replay(kind.records);
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+    for (std::size_t len = 0; len <= kind.records.size(); ++len) {
+      const std::vector<std::string> prefix(kind.records.begin(),
+                                            kind.records.begin() + len);
+      const auto replayed = kind.replay(prefix);
+      ASSERT_TRUE(replayed.ok()) << "prefix " << len;
+      EXPECT_TRUE(std::includes(full.value().units.begin(),
+                                full.value().units.end(),
+                                replayed.value().units.begin(),
+                                replayed.value().units.end()))
+          << "prefix " << len;
+      EXPECT_EQ(replayed.value().finished, len == kind.records.size())
+          << "prefix " << len;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, JournalReplayProperty,
+                         ::testing::Values(11u, 77u, 4242u));
 
 // ------------------------------------------------------ trainer recovery
 
